@@ -13,8 +13,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cdckit.checkers import build_checkers           # noqa: E402
 from cdckit.coverage import format_report_text, merge, report  # noqa: E402
+from cdckit.errors import ParseError                 # noqa: E402
 from cdckit.pipeline import analyze_sources, pairs_report      # noqa: E402
-from cdckit.sim import MsiConfig, simulate           # noqa: E402
+from cdckit.sim import MsiConfig, parse_seed_range, simulate  # noqa: E402
 from cdckit.stimulus import parse_stimulus           # noqa: E402
 
 
@@ -30,19 +31,23 @@ def main() -> int:
     analysis = analyze_sources([(str(d / "rtl.v"), (d / "rtl.v").read_text())],
                                (d / "constraints.cdc").read_text())
     stim = parse_stimulus((d / "stimulus.stim").read_text())
-    lo, hi = (int(x) for x in args.seeds.split(".."))
+    try:
+        seeds = parse_seed_range(args.seeds)
+    except ParseError as e:
+        ap.error(str(e))
 
+    checkers = build_checkers(analysis)
     db = None
     fails = 0
-    for seed in range(lo, hi + 1):
+    for seed in seeds:
         res = simulate(analysis, stim,
                        MsiConfig(probability=args.probability, seed=seed),
-                       build_checkers(analysis))
+                       checkers)
         fails += len(res.failed())
         db = res.coverage if db is None else merge(db, res.coverage)
     rep = report(db, pairs_report(analysis)["pairs"])
     print(format_report_text(rep), end="")
-    print(f"{hi - lo + 1} seeds, {fails} checker failures, "
+    print(f"{len(seeds)} seeds, {fails} checker failures, "
           f"{db.total()} recorded resolutions")
     return 0
 

@@ -1,18 +1,29 @@
 """Runtime protocol checkers evaluated online during simulation.
 
 Checkers observe net values sampled at clock posedges, after state update
-for that tick, and latch their first failure.  Sampling is suspended (and
-history restarted) while the clock domain's declared reset is asserted,
-mirroring `disable iff` in the generated assertion templates; the generated
-SystemVerilog counterparts in `codegen` express the same conditions over
-the same samples, which the template interpreter cross-checks.
+for that tick.  Sampling is suspended (and history restarted) while the
+clock domain's declared reset is asserted, mirroring `disable iff` in the
+generated assertion templates; the generated SystemVerilog counterparts in
+`codegen` express the same conditions over the same samples, which the
+template interpreter cross-checks.
+
+A `Checker` is an immutable spec: `build_checkers` makes each one once and
+nothing copies or mutates it afterwards, so one list serves any number of
+runs and exploration branches.  The per-run state is a separate immutable
+value (`None`, an int or a tuple of those) that starts at the class
+attribute `start`.  `sample(state, clock, tick, get, in_reset)` returns
+`(new_state, message)`, where `message` is None unless the sample violates
+the protocol.  The simulator keeps the state values and latches each
+checker's first failure as `(tick, message)`; `verdict(failure)` turns that
+into a `Verdict`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
+from .errors import ParseError
 from .netlist import Const, Dff, Gate
 from .rules import Analysis
 
@@ -35,35 +46,28 @@ class Verdict:
 
 class Checker:
     kind = "checker"
+    start = None
 
     def __init__(self, cid: str, clocks: tuple[str, ...]):
         self.id = cid
         self.clocks = clocks
-        self.failure: tuple[int, str] | None = None
 
-    def fail(self, tick: int, message: str):
-        if self.failure is None:
-            self.failure = (tick, message)
-
-    def sample(self, clock: str, tick: int, get: Getter, in_reset: bool):
+    def sample(self, state, clock: str, tick: int, get: Getter,
+               in_reset: bool) -> tuple[object, str | None]:
         raise NotImplementedError
 
-    def clone(self) -> "Checker":
-        raise NotImplementedError
-
-    def _base_clone(self, other: "Checker"):
-        other.failure = self.failure
-
-    def verdict(self) -> Verdict:
-        if self.failure is None:
+    def verdict(self, failure: tuple[int, str] | None) -> Verdict:
+        if failure is None:
             return Verdict(self.id, self.kind, True)
-        return Verdict(self.id, self.kind, False, self.failure[0], self.failure[1])
+        return Verdict(self.id, self.kind, False, failure[0], failure[1])
 
 
 class StabilityChecker(Checker):
     """Sampled source value must persist for >= hold_samples consecutive
-    destination edges whenever it changes."""
+    destination edges whenever it changes.  State: the last hold_samples + 1
+    samples."""
     kind = "stability"
+    start = ()
 
     def __init__(self, cid: str, clock: str, net: int, hold_samples: int,
                  label: str):
@@ -71,111 +75,80 @@ class StabilityChecker(Checker):
         self.net = net
         self.k = hold_samples
         self.label = label
-        self.hist: list[int] = []
 
-    def sample(self, clock: str, tick: int, get: Getter, in_reset: bool):
+    def sample(self, state, clock, tick, get, in_reset):
         if in_reset:
-            self.hist = []
-            return
-        self.hist.append(get(self.net))
-        if len(self.hist) > self.k + 1:
-            self.hist.pop(0)
-        h = self.hist
-        if len(h) >= self.k + 1 and h[-1] != h[-2]:
-            if any(h[-2] != h[-2 - i] for i in range(1, self.k)):
-                self.fail(tick, f"{self.label} changed before being stable for "
-                                f"{self.k} destination samples")
-
-    def clone(self):
-        c = StabilityChecker(self.id, self.clocks[0], self.net, self.k, self.label)
-        c.hist = list(self.hist)
-        self._base_clone(c)
-        return c
+            return self.start, None
+        h = (state + (get(self.net),))[-(self.k + 1):]
+        if len(h) == self.k + 1 and h[-1] != h[-2] and \
+                any(h[-2] != h[-2 - i] for i in range(1, self.k)):
+            return h, (f"{self.label} changed before being stable for "
+                       f"{self.k} destination samples")
+        return h, None
 
 
 class PulseWidthChecker(Checker):
-    """Pulse input high for exactly one source cycle."""
+    """Pulse input high for exactly one source cycle.  State: the previous
+    sample."""
     kind = "pulse_width"
 
     def __init__(self, cid: str, clock: str, net: int, label: str):
         super().__init__(cid, (clock,))
         self.net = net
         self.label = label
-        self.prev: int | None = None
 
-    def sample(self, clock: str, tick: int, get: Getter, in_reset: bool):
+    def sample(self, state, clock, tick, get, in_reset):
         if in_reset:
-            self.prev = None
-            return
+            return self.start, None
         v = get(self.net) & 1
-        if self.prev == 1 and v == 1:
-            self.fail(tick, f"{self.label} pulse wider than one source cycle")
-        self.prev = v
-
-    def clone(self):
-        c = PulseWidthChecker(self.id, self.clocks[0], self.net, self.label)
-        c.prev = self.prev
-        self._base_clone(c)
-        return c
+        if state == 1 and v == 1:
+            return v, f"{self.label} pulse wider than one source cycle"
+        return v, None
 
 
 class GrayCodeChecker(Checker):
-    """Consecutive source-domain samples differ in at most one bit."""
+    """Consecutive source-domain samples differ in at most one bit.  State:
+    the previous sample."""
     kind = "gray_code"
 
     def __init__(self, cid: str, clock: str, net: int, label: str):
         super().__init__(cid, (clock,))
         self.net = net
         self.label = label
-        self.prev: int | None = None
 
-    def sample(self, clock: str, tick: int, get: Getter, in_reset: bool):
+    def sample(self, state, clock, tick, get, in_reset):
         if in_reset:
-            self.prev = None
-            return
+            return self.start, None
         v = get(self.net)
-        if self.prev is not None and (v ^ self.prev).bit_count() > 1:
-            self.fail(tick, f"{self.label} moved by more than one bit "
-                            f"({self.prev:#x} -> {v:#x})")
-        self.prev = v
-
-    def clone(self):
-        c = GrayCodeChecker(self.id, self.clocks[0], self.net, self.label)
-        c.prev = self.prev
-        self._base_clone(c)
-        return c
+        if state is not None and (v ^ state).bit_count() > 1:
+            return v, (f"{self.label} moved by more than one bit "
+                       f"({state:#x} -> {v:#x})")
+        return v, None
 
 
 class StaticChecker(Checker):
-    """Declared-static net never changes outside reset."""
+    """Declared-static net never changes outside reset.  State: the previous
+    sample."""
     kind = "static"
 
     def __init__(self, cid: str, clock: str, net: int, label: str):
         super().__init__(cid, (clock,))
         self.net = net
         self.label = label
-        self.prev: int | None = None
 
-    def sample(self, clock: str, tick: int, get: Getter, in_reset: bool):
+    def sample(self, state, clock, tick, get, in_reset):
         if in_reset:
-            self.prev = None
-            return
+            return self.start, None
         v = get(self.net)
-        if self.prev is not None and v != self.prev:
-            self.fail(tick, f"declared-static {self.label} changed "
-                            f"({self.prev:#x} -> {v:#x})")
-        self.prev = v
-
-    def clone(self):
-        c = StaticChecker(self.id, self.clocks[0], self.net, self.label)
-        c.prev = self.prev
-        self._base_clone(c)
-        return c
+        if state is not None and v != state:
+            return v, (f"declared-static {self.label} changed "
+                       f"({state:#x} -> {v:#x})")
+        return v, None
 
 
 class MuxEnableChecker(Checker):
     """Data bus stable at every destination edge where the synchronized
-    select captures."""
+    select captures.  State: the previous data sample."""
     kind = "mux_enable"
 
     def __init__(self, cid: str, clock: str, enable_net: int, data_net: int,
@@ -184,38 +157,24 @@ class MuxEnableChecker(Checker):
         self.enable_net = enable_net
         self.data_net = data_net
         self.label = label
-        self.prev_data: int | None = None
 
-    def sample(self, clock: str, tick: int, get: Getter, in_reset: bool):
+    def sample(self, state, clock, tick, get, in_reset):
         if in_reset:
-            self.prev_data = None
-            return
-        en = get(self.enable_net) & 1
+            return self.start, None
         data = get(self.data_net)
-        if en and self.prev_data is not None and data != self.prev_data:
-            self.fail(tick, f"{self.label} data changed while the synchronized "
-                            f"select was capturing")
-        self.prev_data = data
-
-    def clone(self):
-        c = MuxEnableChecker(self.id, self.clocks[0], self.enable_net,
-                             self.data_net, self.label)
-        c.prev_data = self.prev_data
-        self._base_clone(c)
-        return c
-
-
-def _gray_to_bin(v: int, width: int) -> int:
-    b = 0
-    for i in range(width - 1, -1, -1):
-        b = (b << 1) | (((b & 1) if i < width - 1 else 0) ^ ((v >> i) & 1))
-    return b
+        if get(self.enable_net) & 1 and state is not None and data != state:
+            return data, (f"{self.label} data changed while the synchronized "
+                          f"select was capturing")
+        return data, None
 
 
 class FifoChecker(Checker):
     """Async FIFO pointer protocol: gray-coded pointers, no write when the
-    write-side view is full, no read when the read-side view is empty."""
+    write-side view is full, no read when the read-side view is empty.
+    State: the previous (pointer, synced other pointer) sample of each side,
+    as (write side, read side)."""
     kind = "fifo"
+    start = (None, None)
 
     def __init__(self, cid: str, wclock: str, rclock: str, wgray: int,
                  rgray: int, rsync_w: int, wsync_r: int, width: int,
@@ -229,89 +188,63 @@ class FifoChecker(Checker):
         self.wsync_r = wsync_r      # synced write ptr seen on the read side
         self.width = width
         self.label = label
-        self.prev_w: tuple[int, int] | None = None  # (wgray, rsync)
-        self.prev_r: tuple[int, int] | None = None
 
     def _twist(self, v: int) -> int:
         return v ^ (0b11 << (self.width - 2))
 
-    def sample(self, clock: str, tick: int, get: Getter, in_reset: bool):
+    def sample(self, state, clock, tick, get, in_reset):
+        prev_w, prev_r = state
+        msgs = []
         if clock == self.wclock:
-            if in_reset:
-                self.prev_w = None
-            else:
-                wg, rs = get(self.wgray), get(self.rsync_w)
-                if self.prev_w is not None:
-                    pwg, prs = self.prev_w
-                    if (wg ^ pwg).bit_count() > 1:
-                        self.fail(tick, f"{self.label} write pointer moved by "
-                                        f"more than one bit")
-                    if wg != pwg and pwg == self._twist(prs):
-                        self.fail(tick, f"{self.label} wrote while full")
-                self.prev_w = (wg, rs)
+            cur_w = None if in_reset else (get(self.wgray), get(self.rsync_w))
+            if cur_w is not None and prev_w is not None:
+                (wg, _), (pwg, prs) = cur_w, prev_w
+                if (wg ^ pwg).bit_count() > 1:
+                    msgs.append(f"{self.label} write pointer moved by more "
+                                f"than one bit")
+                if wg != pwg and pwg == self._twist(prs):
+                    msgs.append(f"{self.label} wrote while full")
+            prev_w = cur_w
         if clock == self.rclock:
-            if in_reset:
-                self.prev_r = None
-            else:
-                rg, ws = get(self.rgray), get(self.wsync_r)
-                if self.prev_r is not None:
-                    prg, pws = self.prev_r
-                    if (rg ^ prg).bit_count() > 1:
-                        self.fail(tick, f"{self.label} read pointer moved by "
-                                        f"more than one bit")
-                    if rg != prg and prg == pws:
-                        self.fail(tick, f"{self.label} read while empty")
-                self.prev_r = (rg, ws)
-
-    def clone(self):
-        c = FifoChecker(self.id, self.wclock, self.rclock, self.wgray,
-                        self.rgray, self.rsync_w, self.wsync_r, self.width,
-                        self.label)
-        c.prev_w = self.prev_w
-        c.prev_r = self.prev_r
-        self._base_clone(c)
-        return c
+            cur_r = None if in_reset else (get(self.rgray), get(self.wsync_r))
+            if cur_r is not None and prev_r is not None:
+                (rg, _), (prg, pws) = cur_r, prev_r
+                if (rg ^ prg).bit_count() > 1:
+                    msgs.append(f"{self.label} read pointer moved by more "
+                                f"than one bit")
+                if rg != prg and prg == pws:
+                    msgs.append(f"{self.label} read while empty")
+            prev_r = cur_r
+        return (prev_w, prev_r), (msgs[0] if msgs else None)
 
 
 class ClockGateChecker(Checker):
-    """Gating enable holds each value for at least two root-clock edges."""
+    """Gating enable holds each value for at least two root-clock edges.
+    State: the last three samples."""
     kind = "clock_gate"
+    start = ()
 
     def __init__(self, cid: str, clock: str, net: int, label: str):
         super().__init__(cid, (clock,))
         self.net = net
         self.label = label
-        self.hist: list[int] = []
 
-    def sample(self, clock: str, tick: int, get: Getter, in_reset: bool):
+    def sample(self, state, clock, tick, get, in_reset):
         if in_reset:
-            self.hist = []
-            return
-        self.hist.append(get(self.net) & 1)
-        if len(self.hist) > 3:
-            self.hist.pop(0)
-        h = self.hist
+            return self.start, None
+        h = (state + (get(self.net) & 1,))[-3:]
         if len(h) == 3 and h[2] != h[1] and h[1] != h[0]:
-            self.fail(tick, f"clock-gate enable {self.label} toggles on "
-                            f"consecutive edges")
-
-    def clone(self):
-        c = ClockGateChecker(self.id, self.clocks[0], self.net, self.label)
-        c.hist = list(self.hist)
-        self._base_clone(c)
-        return c
-
-
-@dataclass
-class _Track:
-    expected: int
-    count: int
+            return h, (f"clock-gate enable {self.label} toggles on "
+                       f"consecutive edges")
+        return h, None
 
 
 class LatencyChecker(Checker):
     """Destination reflects each source change within [min, max] destination
-    edges, counting the edge that observes the change as edge one."""
+    edges, counting the edge that observes the change as edge one.  State:
+    (previous source sample, pending changes as (expected, edges) pairs)."""
     kind = "latency"
+    start = (None, ())
 
     def __init__(self, cid: str, clock: str, src_net: int, observe_net: int,
                  lo: int, hi: int, label: str):
@@ -321,40 +254,43 @@ class LatencyChecker(Checker):
         self.lo = lo
         self.hi = hi
         self.label = label
-        self.prev_src: int | None = None
-        self.tracks: list[_Track] = []
 
-    def sample(self, clock: str, tick: int, get: Getter, in_reset: bool):
+    def sample(self, state, clock, tick, get, in_reset):
         if in_reset:
-            self.prev_src = None
-            self.tracks = []
-            return
+            return self.start, None
+        prev_src, tracks = state
         src = get(self.src_net)
-        obs = get(self.observe_net)
-        if self.prev_src is not None and src != self.prev_src:
-            self.tracks.append(_Track(src, 0))
-        self.prev_src = src
-        for t in self.tracks:
-            t.count += 1
-        if self.tracks:
-            head = self.tracks[0]
-            if obs == head.expected:
-                if head.count < self.lo:
-                    self.fail(tick, f"{self.label} reflected after "
-                                    f"{head.count} edges (< {self.lo})")
-                self.tracks.pop(0)
-            elif head.count >= self.hi:
-                self.fail(tick, f"{self.label} not reflected within "
-                                f"{self.hi} edges")
-                self.tracks.pop(0)
+        if prev_src is not None and src != prev_src:
+            tracks += ((src, 0),)
+        if not tracks:
+            return (src, tracks), None
+        tracks = tuple((expected, edges + 1) for expected, edges in tracks)
+        expected, edges = tracks[0]
+        message = None
+        if get(self.observe_net) == expected:
+            if edges < self.lo:
+                message = (f"{self.label} reflected after {edges} edges "
+                           f"(< {self.lo})")
+            tracks = tracks[1:]
+        elif edges >= self.hi:
+            message = f"{self.label} not reflected within {self.hi} edges"
+            tracks = tracks[1:]
+        return (src, tracks), message
 
-    def clone(self):
-        c = LatencyChecker(self.id, self.clocks[0], self.src_net,
-                           self.observe_net, self.lo, self.hi, self.label)
-        c.prev_src = self.prev_src
-        c.tracks = [replace(t) for t in self.tracks]
-        self._base_clone(c)
-        return c
+
+def parse_latency(specs) -> list[tuple[str, int, int]]:
+    """Latency checker specs `[pair:]min:max` as (pair id or "*", min, max)."""
+    out = []
+    for s in specs or ():
+        parts = s.split(":")
+        try:
+            if len(parts) not in (2, 3):
+                raise ValueError(s)
+            out.append((parts[0] if len(parts) == 3 else "*",
+                        int(parts[-2]), int(parts[-1])))
+        except ValueError:
+            raise ParseError(f"bad latency spec {s!r}; use [pair:]min:max") from None
+    return out
 
 
 def build_checkers(analysis: Analysis,

@@ -12,19 +12,17 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .checkers import build_checkers
+from .checkers import build_checkers, parse_latency
 from .codegen import generate_all, lint_generated
 from .coverage import CoverageDb, format_report_text, merge, report
 from .domains import pairs_fingerprint
-from .errors import (CdcError, DecisionBudgetExceeded, FingerprintMismatch,
-                     ParseError)
+from .errors import CdcError, DecisionBudgetExceeded, FingerprintMismatch
 from .pipeline import (analyze_sources, findings_report, pairs_report,
                        syncs_report)
-from .sim import MsiConfig, explore_exhaustive, simulate
+from .sim import MsiConfig, explore_exhaustive, parse_seed_range, simulate
 from .stimulus import parse_stimulus
 from .vcd import write_vcd
 
@@ -79,19 +77,6 @@ def _manifest(args, command: str, analysis, outputs: list[str],
     }
 
 
-def _parse_latency(specs: list[str]) -> list[tuple[str, int, int]]:
-    out = []
-    for s in specs:
-        parts = s.split(":")
-        if len(parts) == 2:
-            out.append(("*", int(parts[0]), int(parts[1])))
-        elif len(parts) == 3:
-            out.append((parts[0], int(parts[1]), int(parts[2])))
-        else:
-            raise ParseError(f"bad latency spec {s!r}; use [pair:]min:max")
-    return out
-
-
 def cmd_analyze(args) -> int:
     analysis = _load_analysis(args)
     out = Path(args.out)
@@ -131,26 +116,18 @@ def _select(arg: str | None):
     return arg.split(",")
 
 
-def _run_one_seed(analysis, stim, args, seed):
-    msi = MsiConfig(enabled=not args.no_msi, probability=args.probability,
-                    seed=seed)
-    checkers = build_checkers(analysis, latency=_parse_latency(args.latency),
-                              select=_select(args.checkers))
-    return simulate(analysis, stim, msi, checkers, scope=args.scope)
-
-
 def cmd_simulate(args) -> int:
     analysis = _load_analysis(args)
     stim = parse_stimulus(_read(args.stimulus), args.stimulus)
     out = Path(args.out)
-    if args.seeds:
-        lo, hi = (int(x) for x in args.seeds.split(".."))
-        seeds = list(range(lo, hi + 1))
-    else:
-        seeds = [args.seed]
-    with ThreadPoolExecutor(max_workers=min(8, len(seeds))) as pool:
-        results = list(pool.map(lambda s: _run_one_seed(analysis, stim, args, s),
-                                seeds))
+    seeds = parse_seed_range(args.seeds) if args.seeds else [args.seed]
+    checkers = build_checkers(analysis, latency=parse_latency(args.latency),
+                              select=_select(args.checkers))
+    results = [simulate(analysis, stim,
+                        MsiConfig(enabled=not args.no_msi,
+                                  probability=args.probability, seed=seed),
+                        checkers, scope=args.scope)
+               for seed in seeds]
     db = results[0].coverage
     for r in results[1:]:
         db = merge(db, r.coverage)
@@ -184,7 +161,7 @@ def cmd_explore(args) -> int:
     analysis = _load_analysis(args)
     stim = parse_stimulus(_read(args.stimulus), args.stimulus)
     out = Path(args.out)
-    checkers = build_checkers(analysis, latency=_parse_latency(args.latency),
+    checkers = build_checkers(analysis, latency=parse_latency(args.latency),
                               select=_select(args.checkers))
     msi = MsiConfig(mode="exhaustive", max_decisions=args.budget)
     try:
@@ -288,7 +265,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("-s", "--stimulus", required=True)
     p.add_argument("--out", default="cdc_out")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", default=None, help="seed range a..b, fanned out")
+    p.add_argument("--seeds", default=None, help="seed range a..b, run in order")
     p.add_argument("--probability", type=float, default=0.5)
     p.add_argument("--no-msi", action="store_true")
     p.add_argument("--vcd", default=None)

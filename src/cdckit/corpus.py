@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .checkers import build_checkers
+from .checkers import build_checkers, parse_latency
 from .codegen import generate_all, lint_generated
 from .coverage import BINS
 from .errors import DecisionBudgetExceeded, MissingLabel
@@ -94,14 +94,6 @@ def _seed_list(spec) -> list[int]:
     return [int(spec)]
 
 
-def _latency_specs(entries) -> list[tuple[str, int, int]]:
-    out = []
-    for e in entries or ():
-        pid, lo, hi = e.split(":")
-        out.append((pid, int(lo), int(hi)))
-    return out
-
-
 def check_case(case: CorpusCase) -> list[MatrixRow]:
     rows: list[MatrixRow] = []
     labels = case.labels
@@ -142,13 +134,13 @@ def check_case(case: CorpusCase) -> list[MatrixRow]:
         seeds = _seed_list(lab.get("seeds", [1]))
         msi_on = lab.get("msi", True)
         prob = lab.get("probability", 0.5)
-        select = lab.get("checkers")
-        latency = _latency_specs(lab.get("latency"))
+        checkers = build_checkers(analysis,
+                                  latency=parse_latency(lab.get("latency")),
+                                  select=lab.get("checkers"))
         expect = lab["expect"]
         all_ok = True
         detail = ""
         for seed in seeds:
-            checkers = build_checkers(analysis, latency=latency, select=select)
             res = simulate(analysis, stim,
                            MsiConfig(enabled=msi_on, probability=prob, seed=seed),
                            checkers)
@@ -168,7 +160,7 @@ def check_case(case: CorpusCase) -> list[MatrixRow]:
         lab = labels["explore"]
         stim = parse_stimulus(case.stimulus)
         checkers = build_checkers(analysis,
-                                  latency=_latency_specs(lab.get("latency")),
+                                  latency=parse_latency(lab.get("latency")),
                                   select=lab.get("checkers"))
         try:
             outcome = explore_exhaustive(

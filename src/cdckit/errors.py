@@ -10,7 +10,8 @@ class CdcError(Exception):
 # --- front end -------------------------------------------------------------
 
 class ParseError(CdcError):
-    """Positioned syntax error in an input file."""
+    """Syntax error in an input file, or in an option value when `line` is 0
+    (no position is printed then)."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0,
                  origin: str = "<input>", expected: str | None = None):
@@ -18,7 +19,7 @@ class ParseError(CdcError):
         self.column = column
         self.origin = origin
         self.expected = expected
-        super().__init__(f"{origin}:{line}:{column}: {message}")
+        super().__init__(f"{origin}:{line}:{column}: {message}" if line else message)
 
 
 class UnsupportedConstruct(ParseError):

@@ -11,9 +11,7 @@ References into the graph are `(kind, index, pin)` triples where kind is
 into `Netlist.ports`.
 
 Backward cones are memoized per netlist: repeated queries for the logic
-feeding a net do not recompute shared cones.  The cache is only touched
-from read paths, so concurrent readers on a finished netlist are safe
-under the interpreter lock.
+feeding a net do not recompute shared cones.
 """
 
 from __future__ import annotations

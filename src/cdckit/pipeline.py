@@ -7,6 +7,7 @@ from .constraints import ConstraintSet, parse_constraints
 from .domains import (assign_domains, extract_cdc_pairs, extract_rdc_pairs,
                       pairs_fingerprint, unclocked_crossings)
 from .elaborate import elaborate
+from .errors import ElabError
 from .netlist import Netlist
 from .rules import Analysis, run_structural
 from .syncrec import classify_pairs, recognize
@@ -35,7 +36,7 @@ def analyze_sources(sources: list[tuple[str, str]], constraints_text: str,
         instantiated = {i.module for m in modules for i in m.instances}
         roots = [m.name for m in modules if m.name not in instantiated]
         if len(roots) != 1:
-            raise ValueError(f"cannot infer top module; candidates: {roots}")
+            raise ElabError(f"cannot infer top module; candidates: {roots}")
         top = roots[0]
     netlist = elaborate(modules, top, on_unresolved=on_unresolved)
     return analyze_netlist(netlist, constraints)

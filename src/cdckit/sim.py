@@ -35,7 +35,8 @@ from .checkers import Checker, Verdict
 from .constraints import ClockSpec
 from .coverage import CoverageDb
 from .domains import CdcPair, pairs_fingerprint
-from .errors import (DecisionBudgetExceeded, SimDivergence, StimulusOutOfRange)
+from .errors import (DecisionBudgetExceeded, ParseError, SimDivergence,
+                     StimulusOutOfRange)
 from .netlist import Const, Dff, Gate, Netlist
 from .rules import Analysis
 from .stimulus import Stimulus
@@ -57,6 +58,18 @@ class MsiConfig:
 
     def prob(self, pair_id: str) -> float:
         return self.pair_probability.get(pair_id, self.probability)
+
+
+def parse_seed_range(spec: str) -> list[int]:
+    """Injection seeds of a range `a..b` (inclusive, a <= b)."""
+    lo, _, hi = spec.partition("..")
+    try:
+        seeds = list(range(int(lo), int(hi) + 1))
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise ParseError(f"bad seed range {spec!r}; use a..b with a <= b")
+    return seeds
 
 
 @dataclass(frozen=True)
@@ -121,13 +134,14 @@ class SimResult:
 
 
 class _State:
-    __slots__ = ("values", "hist", "checkers", "coverage", "events", "trace",
-                 "edge_counts", "decisions", "rng")
+    __slots__ = ("values", "hist", "checkers", "failures", "coverage", "events",
+                 "trace", "edge_counts", "decisions", "rng")
 
     def __init__(self):
         self.values: list[int] = []
         self.hist: dict[int, list[int]] = {}
-        self.checkers: list[Checker] = []
+        self.checkers: list = []            # per-checker state values
+        self.failures: list[tuple[int, str] | None] = []
         self.coverage: CoverageDb | None = None
         self.events: _Log = _Log()
         self.trace: _Log = _Log()
@@ -139,16 +153,13 @@ class _State:
         s = _State()
         s.values = list(self.values)
         s.hist = {k: list(v) for k, v in self.hist.items()}
-        s.checkers = [c.clone() for c in self.checkers]
+        s.checkers = list(self.checkers)
+        s.failures = list(self.failures)
         s.coverage = self.coverage.clone() if self.coverage else None
         s.events = self.events.clone()
         s.trace = self.trace.clone()
         s.edge_counts = dict(self.edge_counts)
         s.decisions = self.decisions
-        s.rng = None
-        if self.rng is not None:
-            s.rng = random.Random()
-            s.rng.setstate(self.rng.getstate())
         return s
 
 
@@ -250,7 +261,7 @@ class Engine:
                 self.src_flop_of_net[p.src_net] = p.src[1]
 
         self.gates_topo = [self.nl.cells[i] for i in self.nl.comb_topo()]
-        self.checkers_proto = checkers
+        self.checkers = checkers
         self.checkers_by_clock: dict[str, list[int]] = {}
         for i, c in enumerate(checkers):
             for clk in c.clocks:
@@ -278,7 +289,8 @@ class Engine:
                 st.values[c.out] = c.value
         self._eval_comb(st.values)
         st.hist = {n: [_NEG] * self.nl.nets[n].width for n in self.monitored}
-        st.checkers = [c.clone() for c in self.checkers_proto]
+        st.checkers = [c.start for c in self.checkers]
+        st.failures = [None] * len(self.checkers)
         st.coverage = CoverageDb(self.fingerprint, self.scope,
                                  tuple(p.id for p in self.a.pairs))
         if self.msi.mode == "random":
@@ -365,6 +377,28 @@ class Engine:
         v = values[f.reset] & 1
         return v == 0 if f.reset_active_low else v == 1
 
+    def _settle_resets(self, values: list[int]) -> set[int]:
+        """Force every flop whose async reset is active to its reset value,
+        in place, until no reset changes; returns the flops held in reset.
+
+        Reset networks may themselves be driven by flops being reset, so a
+        reset can assert partway through.  A pass only ever moves flops to
+        their reset values, so len(flops) + 1 passes always settle.
+        """
+        held: set[int] = set()
+        for _ in range(len(self.flops) + 1):
+            changed = False
+            for f in self.flops:
+                if self._reset_active(f, values):
+                    held.add(f.index)
+                    if values[f.out] != f.reset_value:
+                        values[f.out] = f.reset_value
+                        changed = True
+            if not changed:
+                break
+            self._eval_comb(values)
+        return held
+
     def _flop_next(self, f: Dff, values: list[int]) -> int:
         if f.enable is not None and (values[f.enable] & 1) == 0:
             return values[f.out]
@@ -388,28 +422,7 @@ class Engine:
         if port_changes:
             self._eval_comb(vals0)
 
-        in_reset: set[int] = set()
-        forced = False
-        for f in self.flops:
-            if self._reset_active(f, vals0):
-                in_reset.add(f.index)
-                if vals0[f.out] != f.reset_value:
-                    vals0[f.out] = f.reset_value
-                    forced = True
-        if forced:
-            self._eval_comb(vals0)
-            # reset networks may themselves be driven by flops being reset
-            for _ in range(len(self.flops)):
-                changed = False
-                for f in self.flops:
-                    if self._reset_active(f, vals0) and vals0[f.out] != f.reset_value:
-                        in_reset.add(f.index)
-                        vals0[f.out] = f.reset_value
-                        changed = True
-                if not changed:
-                    break
-                self._eval_comb(vals0)
-
+        in_reset = self._settle_resets(vals0)
         edged = [f.index for f in self.flops
                  if f.index not in in_reset and self._flop_edges(f, tick, vals0)]
         base = {i: self._flop_next(self.nl.cells[i], vals0) for i in edged}
@@ -524,15 +537,7 @@ class Engine:
         for idx, v in newvals.items():
             final[nl.cells[idx].out] = v
         self._eval_comb(final)
-        for _ in range(len(self.flops)):
-            changed = False
-            for f in self.flops:
-                if self._reset_active(f, final) and final[f.out] != f.reset_value:
-                    final[f.out] = f.reset_value
-                    changed = True
-            if not changed:
-                break
-            self._eval_comb(final)
+        self._settle_resets(final)
 
         for n in self.monitored:
             flipped = final[n] ^ state.values[n]
@@ -546,14 +551,18 @@ class Engine:
                 state.trace.append((tick, net.index, final[net.index]))
         state.values = final
 
+        get = final.__getitem__
         for clk in plan.clock_edges:
             state.edge_counts[clk] += 1
             domain = self.clock_domain[clk]
-            in_reset = any((state.values[n] & 1) == (0 if active_low else 1)
+            in_reset = any((final[n] & 1) == (0 if active_low else 1)
                            for n, active_low in self.domain_resets.get(domain, ()))
             for ci in self.checkers_by_clock.get(clk, ()):
-                state.checkers[ci].sample(clk, tick,
-                                          lambda i: state.values[i], in_reset)
+                st, message = self.checkers[ci].sample(
+                    state.checkers[ci], clk, tick, get, in_reset)
+                state.checkers[ci] = st
+                if message is not None and state.failures[ci] is None:
+                    state.failures[ci] = (tick, message)
 
     # -- drivers --
 
@@ -582,7 +591,8 @@ class Engine:
             state.coverage.seeds.append(self.msi.seed)
         state.coverage.edges = dict(state.edge_counts)
         return SimResult(waves, state.events.all_items(), state.coverage,
-                         [c.verdict() for c in state.checkers],
+                         [c.verdict(f) for c, f in
+                          zip(self.checkers, state.failures)],
                          dict(state.edge_counts), state.decisions)
 
 
@@ -647,11 +657,11 @@ def explore_exhaustive(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
             raise DecisionBudgetExceeded(counter["max_dec"], budget)
         counter["max_dec"] = max(counter["max_dec"], state.decisions)
         result = None
-        for c in state.checkers:
-            if c.failure is not None and c.id not in cex:
+        for cid, failure in zip(ids, state.failures):
+            if failure is not None and cid not in cex:
                 if result is None:
-                    result = eng._finish(state.clone())
-                cex[c.id] = result
+                    result = eng._finish(state)
+                cex[cid] = result
 
     def dfs(state: _State, agenda_idx: int):
         if len(cex) == len(ids) and ids:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cdckit.checkers import build_checkers
+from cdckit.checkers import build_checkers, parse_latency
 from cdckit.codegen import generate_all, lint_generated
 from cdckit.constraints import ClockSpec, ConstraintSet
 from cdckit.corpus import load_corpus, run_corpus
@@ -35,9 +35,7 @@ def _accept(n, name):
 def _case_latency(labels):
     specs = []
     for section in ("explore", "simulate"):
-        for entry in labels.get(section, {}).get("latency", []):
-            pid, lo, hi = entry.split(":")
-            spec = (pid, int(lo), int(hi))
+        for spec in parse_latency(labels.get(section, {}).get("latency")):
             if spec not in specs:
                 specs.append(spec)
     return specs

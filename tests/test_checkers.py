@@ -1,5 +1,6 @@
 from cdckit.checkers import build_checkers
-from cdckit.sim import MsiConfig, reference_simulate, simulate
+from cdckit.sim import (Engine, MsiConfig, explore_exhaustive,
+                        reference_simulate, simulate)
 from cdckit.stimulus import parse_stimulus
 
 
@@ -123,3 +124,54 @@ def test_default_suite_composition(case_loader):
     kinds = {i.split(":")[0] for i in ids}
     assert {"stability", "pulse_width", "mux_enable", "fifo", "static",
             "clock_gate", "gray_code"} <= kinds
+
+
+def test_checker_state_values_are_hashable(corpus_root, case_loader, monkeypatch):
+    finished = []
+    finish = Engine._finish
+    monkeypatch.setattr(Engine, "_finish",
+                        lambda self, st: finished.append(st) or finish(self, st))
+    runs = 0
+    for case in sorted(p.name for p in corpus_root.iterdir() if p.is_dir()):
+        analysis, stim_text = case_loader(case)
+        checkers = build_checkers(analysis, latency=[("*", 1, 3)])
+        if not stim_text or not checkers:
+            continue
+        finished.clear()
+        simulate(analysis, parse_stimulus(stim_text),
+                 MsiConfig(probability=0.5, seed=1), checkers)
+        (state,) = finished
+        assert len(state.checkers) == len(checkers), case
+        for value in state.checkers:
+            assert value is None or isinstance(value, (int, tuple)), case
+            hash(value)
+        runs += 1
+    assert runs > 10
+
+
+def _explore_verdicts(analysis, stim, checkers):
+    return explore_exhaustive(analysis, stim, MsiConfig(max_decisions=16),
+                              checkers).verdicts
+
+
+def test_one_checker_list_serves_every_run(case_loader):
+    for name, latency, select in (("msi_latency", ("cdc0", 2, 2), ["latency"]),
+                                  ("msi_latency_clean", ("cdc0", 2, 3),
+                                   ["latency", "stability"])):
+        analysis, stim_text = case_loader(name)
+        stim = parse_stimulus(stim_text)
+
+        def fresh():
+            return build_checkers(analysis, latency=[latency], select=select)
+
+        def sim(checkers):
+            res = simulate(analysis, stim, MsiConfig(probability=0.5, seed=3),
+                           checkers)
+            return [v.to_dict() for v in res.verdicts]
+
+        shared = fresh()
+        first = sim(shared)
+        explored = _explore_verdicts(analysis, stim, shared)
+        again = sim(shared)
+        assert first == again == sim(fresh()), name
+        assert explored == _explore_verdicts(analysis, stim, fresh()), name

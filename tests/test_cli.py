@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from cdckit.cli import main
 
@@ -203,3 +204,35 @@ def test_options_env_file(corpus_root, tmp_path, monkeypatch):
     assert main(["analyze", *files, "--strict", "--out", str(tmp_path / "o")]) == 0
     findings = json.loads((tmp_path / "o" / "findings.json").read_text())
     assert findings["findings"][0]["severity"] == "info"
+
+
+TWO_ROOTS = """module a(input clk, input d, output q);
+  assign q = d;
+endmodule
+module b(input clk, input d, output q);
+  assign q = d;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("extra", [
+    ["--seeds", "3..1"],
+    ["--seeds", "1-3"],
+    ["--latency", "a:b"],
+    ["--latency", "1:x"],
+    "two-roots",
+], ids=["seeds-reversed", "seeds-dash", "latency-letters", "latency-max-letter",
+        "two-roots"])
+def test_bad_user_input_exits_one(corpus_root, tmp_path, capsys, extra):
+    files, stim = _case_args(corpus_root, "cov_toggle")
+    if extra == "two-roots":
+        rtl = tmp_path / "two.v"
+        rtl.write_text(TWO_ROOTS)
+        cons = tmp_path / "c.cdc"
+        cons.write_text("clock clk -period 10 -domain A\n")
+        files, extra = [str(rtl), "-c", str(cons)], []
+    rc = main(["simulate", *files, "-s", stim, *extra, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert ":0:0:" not in err       # option values have no file position

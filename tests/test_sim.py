@@ -260,3 +260,57 @@ def test_suppressed_pairs_get_no_injection(case_loader):
     res = simulate(analysis, stim, MsiConfig(probability=1.0, seed=1), [])
     assert res.events == []
     assert res.coverage.total() == 0
+
+
+RESET_THROUGH_LOGIC = """
+module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, input d,
+           output q);
+  reg src;
+  reg rs1;
+  reg rs2;
+  wire rq;
+  reg q1;
+  reg q2;
+  always @(posedge clk_a or negedge rst_a_n) begin
+    if (!rst_a_n) src <= 1'b0;
+    else src <= d;
+  end
+  always @(posedge clk_b or negedge rst_b_n) begin
+    if (!rst_b_n) begin
+      rs1 <= 1'b1;
+      rs2 <= 1'b1;
+    end else begin
+      rs1 <= 1'b0;
+      rs2 <= rs1;
+    end
+  end
+  assign rq = ~rs2;
+  always @(posedge clk_b or negedge rq) begin
+    if (!rq) begin
+      q1 <= 1'b0;
+      q2 <= 1'b0;
+    end else begin
+      q1 <= src;
+      q2 <= q1;
+    end
+  end
+  assign q = q2;
+endmodule
+"""
+
+
+def test_reset_asserted_through_logic_blocks_injection():
+    # rst_b_n forces the reset synchronizer rs1/rs2 to 1 at tick 60, which
+    # asserts rq = ~rs2 on the next settle pass.  q1 already holds its reset
+    # value, yet it is held in reset and must not capture the src change
+    # of the same tick, so there is no injection opportunity on cdc0.
+    a = _analyze(RESET_THROUGH_LOGIC)
+    assert [(p.id, p.src_name, p.dst_name) for p in a.pairs] == [("cdc0", "src", "q1")]
+    stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
+                          "at clk_a 6 set rst_b_n 0\nat clk_a 6 set d 1\n"
+                          "run 10 of clk_a\n")
+    res = simulate(a, stim, MsiConfig(probability=1.0, seed=1), [])
+    w = res.wave_by_name(a.netlist)
+    assert (60, 1) in w["src"] and (60, 0) in w["rq"]
+    assert w["q1"] == [(-(10 ** 9), 0)]
+    assert [e for e in res.events if e.tick == 60] == []
