@@ -123,29 +123,32 @@ def cmd_simulate(args) -> int:
     seeds = parse_seed_range(args.seeds) if args.seeds else [args.seed]
     checkers = build_checkers(analysis, latency=parse_latency(args.latency),
                               select=_select(args.checkers))
-    results = [simulate(analysis, stim,
-                        MsiConfig(enabled=not args.no_msi,
-                                  probability=args.probability, seed=seed),
-                        checkers, scope=args.scope)
-               for seed in seeds]
-    db = results[0].coverage
-    for r in results[1:]:
-        db = merge(db, r.coverage)
+    # Only the first seed's events and waves are written; every later
+    # result is released once its verdicts and coverage are taken.
+    first = db = None
     verdicts = []
-    for seed, r in zip(seeds, results):
+    for seed in seeds:
+        r = simulate(analysis, stim,
+                     MsiConfig(enabled=not args.no_msi,
+                               probability=args.probability, seed=seed),
+                     checkers, scope=args.scope)
+        db = r.coverage if db is None else merge(db, r.coverage)
         for v in r.verdicts:
             d = v.to_dict()
             d["seed"] = seed
             verdicts.append(d)
+        if first is None:
+            first = r
+        del r
     outputs = ["verdicts.json", "coverage.json", "msi_events.json"]
     _write_json(out / "verdicts.json", {"verdicts": verdicts})
     _write_text(out / "coverage.json", db.to_json())
     _write_json(out / "msi_events.json",
                 {"events": [{"tick": e.tick, "pair": e.pair, "bit": e.bit,
                              "kind": e.kind, "resolved": e.resolved}
-                            for e in results[0].events]})
+                            for e in first.events]})
     if args.vcd:
-        _write_text(Path(args.vcd), write_vcd(analysis.netlist, results[0].waves))
+        _write_text(Path(args.vcd), write_vcd(analysis.netlist, first.waves))
     _write_json(out / "manifest.json",
                 _manifest(args, "simulate", analysis, outputs, seeds,
                           {"probability": args.probability,

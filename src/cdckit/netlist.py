@@ -11,11 +11,13 @@ References into the graph are `(kind, index, pin)` triples where kind is
 into `Netlist.ports`.
 
 Backward cones are memoized per netlist: repeated queries for the logic
-feeding a net do not recompute shared cones.
+feeding a net do not recompute shared cones.  The simulator's compiled
+kernels are cached on the netlist in the same way.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import CombinationalLoop, MultipleDrivers, PortWidthMismatch
@@ -130,6 +132,8 @@ class Netlist:
         self.port_index = {p.name: p.index for p in ports}
         self._cone_cache: dict[tuple[int, bool], Cone] = {}
         self._topo: list[int] | None = None
+        # compiled simulation kernels, filled on first use by cdckit.sim
+        self.kernels: dict = {}
 
     # -- lookups --
 
@@ -179,59 +183,52 @@ class Netlist:
         seq: list[Ref] = []
         gates: list[int] = []
         consts: list[int] = []
-        seen_refs: set[Ref] = set()
         done: set[int] = set()      # fully-explored net indices
         on_stack: set[int] = set()
+        # Pre-order walk on an explicit stack of (net, inputs left to visit),
+        # so long gate chains do not hit the recursion limit.  Every net is
+        # entered once and drives one reference, so nothing is listed twice.
+        stack: list[tuple[int, Iterator[int]]] = []
 
-        def visit(idx: int):
+        def enter(idx: int):
             if idx in done:
                 return
             if idx in on_stack:
                 raise CombinationalLoop(
                     f"combinational loop through net {self.nets[idx].name!r}")
             on_stack.add(idx)
-            net = self.nets[idx]
-            drv = net.driver
+            drv = self.nets[idx].driver
+            inputs: tuple[int, ...] = ()
             if drv is None:
                 pass  # floating net; validate() reports it
             elif drv[0] == "port":
-                ref = ("port", drv[1], "")
-                if ref not in seen_refs:
-                    seen_refs.add(ref)
-                    seq.append(ref)
+                seq.append(("port", drv[1], ""))
             else:
                 cell = self.cells[drv[1]]
                 if isinstance(cell, Dff):
-                    if stop_at_sequential:
-                        ref = ("cell", cell.index, "out")
-                        if ref not in seen_refs:
-                            seen_refs.add(ref)
-                            seq.append(ref)
-                    else:
-                        ref = ("cell", cell.index, "out")
-                        if ref not in seen_refs:
-                            seen_refs.add(ref)
-                            seq.append(ref)
-                            visit(cell.data)
-                            if cell.enable is not None:
-                                visit(cell.enable)
+                    seq.append(("cell", cell.index, "out"))
+                    if not stop_at_sequential:
+                        inputs = (cell.data,) if cell.enable is None \
+                            else (cell.data, cell.enable)
                 elif isinstance(cell, BlackBox):
-                    ref = ("cell", cell.index, drv[2])
-                    if ref not in seen_refs:
-                        seen_refs.add(ref)
-                        seq.append(ref)
+                    seq.append(("cell", cell.index, drv[2]))
                 elif isinstance(cell, Const):
-                    if cell.index not in consts:
-                        consts.append(cell.index)
+                    consts.append(cell.index)
                 else:
-                    if cell.index not in gates:
-                        gates.append(cell.index)
-                        for inp in cell.inputs:
-                            visit(inp)
-            on_stack.discard(idx)
-            done.add(idx)
+                    gates.append(cell.index)
+                    inputs = cell.inputs
+            stack.append((idx, iter(inputs)))
 
-        visit(net_idx)
+        enter(net_idx)
+        while stack:
+            idx, pending = stack[-1]
+            nxt = next(pending, None)
+            if nxt is None:
+                stack.pop()
+                on_stack.discard(idx)
+                done.add(idx)
+            else:
+                enter(nxt)
         cone = Cone(tuple(seq), tuple(gates), tuple(consts))
         self._cone_cache[key] = cone
         return cone

@@ -23,13 +23,25 @@ appears.  Every replacement is logged and recorded in the coverage
 database.  Exhaustive mode explores every resolution assignment instead of
 coin flips, with depth-first reference-first ordering so the first
 counterexample found is the lexicographically first failing branch.
+
+Evaluation is compiled, not interpreted (levelized compiled-code
+simulation).  Each netlist is compiled once into straight-line Python with
+constant masks: `comb`, every gate in topological order, and cone kernels,
+the enable and data of one crossing destination with its sources
+substituted or one gated flop clock with its root substituted.  Kernels are
+`exec`'d in chunks of at most `_CHUNK` gates and cached on the `Netlist`,
+so every seed and exploration branch of a design shares them.  A hold
+lookahead is one post-capture `comb` per tick, made on first need.  The
+gate interpreter they replace is kept in tests/oracles.py as the reference
+they are tested against.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import compress, product, repeat
+from operator import ne
 
 from .checkers import Checker, Verdict
 from .constraints import ClockSpec
@@ -102,6 +114,9 @@ class _Log:
     def append(self, item):
         self.items.append(item)
 
+    def extend(self, items):
+        self.items.extend(items)
+
     def clone(self) -> "_Log":
         return _Log(self)
 
@@ -169,10 +184,133 @@ class _TickPlan:
     vals0: list[int]                    # pre-edge state incl. port updates
     port_changes: list[tuple[int, int]]
     in_reset: set[int]                  # flop indices under async reset
-    edged: list[int]                    # flop indices capturing this tick
-    base: dict[int, int]                # flop index -> base next value
+    dsts: list[int]                     # crossing destinations capturing
+    base: dict[int, int]                # capturing flop -> base next value
     opps: list[Opportunity]
     clock_edges: list[str]
+
+
+# -- compiled kernels ---------------------------------------------------------
+
+_CHUNK = 256        # gates per exec'd function: bounds the compiler's memory
+_TERMS = 64         # operands per statement: bounds the compiler's recursion
+_CHAIN_OPS = {"AND": "&", "OR": "|", "XOR": "^", "CONCAT": "|"}
+
+
+def _gate_code(nl: Netlist, g: Gate, ref) -> list[str]:
+    """Statements that store the value of gate `g` in `w[g.out]`; `ref(net)`
+    is the expression that reads a net."""
+    out = f"w[{g.out}]"
+    mask = (1 << g.width) - 1
+    ins = [ref(i) for i in g.inputs]
+    if g.op == "NOT":
+        return [f"{out} = ~{ins[0]} & {mask}"]
+    if g.op == "BUF":
+        return [f"{out} = {ins[0]} & {mask}"]
+    if g.op == "SLICE":
+        return [f"{out} = {ins[0]} >> {g.slice_lsb} & {mask}"]
+    if g.op == "MUX":
+        return [f"{out} = {ins[1]} if {ins[0]} & 1 else {ins[2]}"]
+    sym = _CHAIN_OPS.get(g.op)
+    if sym is None:
+        raise SimDivergence(f"unknown gate op {g.op}")
+    terms = ins
+    if g.op == "AND":
+        terms = ins + [str(mask)]
+    elif g.op == "CONCAT":
+        # each operand lands above the widths of the operands after it
+        terms, shift = [], 0
+        for net, text in zip(reversed(g.inputs), reversed(ins)):
+            width = nl.nets[net].width
+            terms.append(f"({text} & {(1 << width) - 1}) << {shift}")
+            shift += width
+        terms.reverse()
+    code = [f"{out} = 0"] if not terms else []
+    for k in range(0, len(terms), _TERMS):
+        expr = f" {sym} ".join(terms[k:k + _TERMS])
+        code.append(f"{out} {sym}= {expr}" if k else f"{out} = {expr}")
+    if g.op == "CONCAT" and shift > g.width:
+        code.append(f"{out} &= {mask}")
+    return code
+
+
+def _define(name: str, params: str, lines: list[str], ns: dict):
+    src = f"def {name}({params}):\n" + "".join(f"    {line}\n"
+                                               for line in lines or ["pass"])
+    exec(compile(src, f"<cdckit kernel {name}>", "exec"), ns)
+    return ns[name]
+
+
+def _function(nl: Netlist, name: str, params: str, head: list[str],
+              gates: list[int], written: set[int], result: tuple[int, ...]):
+    """exec `def name(params)`: run `head`, store the value of each gate in
+    `w` in the order given, and return the values of the `result` nets.
+
+    Nets in `written` are read from `w`, all others from `v`.  The gates go
+    into helper functions of at most _CHUNK gates, one statement each, so no
+    single compile grows with the design and no expression nests; up to
+    _CHUNK gates go straight into the function."""
+    def ref(net: int) -> str:
+        return f"w[{net}]" if net in written else f"v[{net}]"
+
+    ns: dict = {}
+    body = list(head)
+    for k in range(0, len(gates), _CHUNK):
+        lines = [line for i in gates[k:k + _CHUNK]
+                 for line in _gate_code(nl, nl.cells[i], ref)]
+        if len(gates) <= _CHUNK:
+            body += lines       # one chunk: no helper call
+        else:
+            _define(f"_g{k}", "v, w", lines, ns)
+            body.append(f"_g{k}(v, w)")
+    if result:
+        body.append("return " + ", ".join(ref(n) for n in result))
+    return _define(name, params, body, ns)
+
+
+def _compile_comb(nl: Netlist):
+    return _function(nl, "comb", "v", ["w = v"], nl.comb_topo(), set(), ())
+
+
+def _compile_cone(nl: Netlist, targets: tuple[int, ...], subs: tuple[int, ...]):
+    gates: set[int] = set()
+    seen = set(subs)
+    stack = list(targets)
+    while stack:
+        net = stack.pop()
+        if net in seen:
+            continue
+        seen.add(net)
+        drv = nl.nets[net].driver
+        if drv is not None and drv[0] == "cell" and isinstance(nl.cells[drv[1]], Gate):
+            gates.add(drv[1])
+            stack.extend(nl.cells[drv[1]].inputs)
+    order = [i for i in nl.comb_topo() if i in gates]
+    written = set(subs) | {nl.cells[i].out for i in order}
+    params = ", ".join(["v"] + [f"s{j}" for j in range(len(subs))])
+    head = ["w = {}"] + [f"w[{net}] = s{j}" for j, net in enumerate(subs)]
+    return _function(nl, "cone", params, head, order, written, targets)
+
+
+def comb_kernel(nl: Netlist):
+    """`comb(v)`: evaluates every gate of `nl` in topological order, in place
+    on the net value list `v`.  Compiled once per netlist."""
+    k = nl.kernels.get("comb")
+    if k is None:
+        k = nl.kernels["comb"] = _compile_comb(nl)
+    return k
+
+
+def cone_kernel(nl: Netlist, targets: tuple[int, ...], subs: tuple[int, ...]):
+    """`cone(v, *values)`: the values of the `targets` nets (a tuple when
+    there are several) with the nets `subs` set to `values`.  The gates
+    between them are re-evaluated; every other net is read from `v`.
+    Compiled once per netlist and pair of net tuples."""
+    key = ("cone", targets, subs)
+    k = nl.kernels.get(key)
+    if k is None:
+        k = nl.kernels[key] = _compile_cone(nl, targets, subs)
+    return k
 
 
 class Engine:
@@ -260,7 +398,33 @@ class Engine:
             if p.src[0] == "cell" and isinstance(self.nl.cells[p.src[1]], Dff):
                 self.src_flop_of_net[p.src_net] = p.src[1]
 
-        self.gates_topo = [self.nl.cells[i] for i in self.nl.comb_topo()]
+        # compiled kernels, shared with every engine on this netlist
+        self.comb = comb_kernel(self.nl)
+        self.clock_cone = {f.index: cone_kernel(self.nl, (f.clock,),
+                                                (self.root_net[f.index],))
+                           for f in self.flops if self.flop_gated[f.index]}
+        # per crossing destination: its (dst, src_net) resolution keys and
+        # the cone of its enable and data with those sources substituted
+        self.capture: dict[int, tuple[tuple[tuple[int, int], ...], object]] = {}
+        for dst, plist in self.pairs_by_dst.items():
+            f = self.nl.cells[dst]
+            srcs = tuple(dict.fromkeys(p.src_net for p in plist))
+            targets = (f.data,) if f.enable is None else (f.enable, f.data)
+            self.capture[dst] = (tuple((dst, s) for s in srcs),
+                                 cone_kernel(self.nl, targets, srcs))
+        # flops whose root clock edges at each tick, in flop-index order
+        by_names: dict[tuple[str, ...], list[int]] = {}
+        self.flops_at: dict[int, list[int]] = {}
+        for t, names in self.edges_at.items():
+            key = tuple(names)
+            if key not in by_names:
+                by_names[key] = [f.index for f in self.flops
+                                 if self.flop_root[f.index] in names]
+            self.flops_at[t] = by_names[key]
+        self.resets = [(f.index, f.out, f.reset, 0 if f.reset_active_low else 1,
+                        f.reset_value) for f in self.flops if f.reset is not None]
+        self.reset_nets = tuple(dict.fromkeys((r[2], r[3]) for r in self.resets))
+        self.next_pins = {f.index: (f.out, f.data, f.enable) for f in self.flops}
         self.checkers = checkers
         self.checkers_by_clock: dict[str, list[int]] = {}
         for i, c in enumerate(checkers):
@@ -287,7 +451,7 @@ class Engine:
                 st.values[c.out] = c.reset_value
             elif isinstance(c, Const):
                 st.values[c.out] = c.value
-        self._eval_comb(st.values)
+        self.comb(st.values)
         st.hist = {n: [_NEG] * self.nl.nets[n].width for n in self.monitored}
         st.checkers = [c.start for c in self.checkers]
         st.failures = [None] * len(self.checkers)
@@ -300,109 +464,54 @@ class Engine:
             st.trace.append((_NEG, net.index, st.values[net.index]))
         return st
 
-    def _gate_value(self, g: Gate, values: list[int]) -> int:
-        mask = (1 << g.width) - 1
-        op = g.op
-        if op == "AND":
-            v = mask
-            for i in g.inputs:
-                v &= values[i]
-            return v
-        if op == "OR":
-            v = 0
-            for i in g.inputs:
-                v |= values[i]
-            return v
-        if op == "XOR":
-            v = 0
-            for i in g.inputs:
-                v ^= values[i]
-            return v
-        if op == "NOT":
-            return (~values[g.inputs[0]]) & mask
-        if op == "BUF":
-            return values[g.inputs[0]] & mask
-        if op == "MUX":
-            sel = values[g.inputs[0]] & 1
-            return values[g.inputs[1]] if sel else values[g.inputs[2]]
-        if op == "CONCAT":
-            v = 0
-            for i in g.inputs:
-                w = self.nl.nets[i].width
-                v = (v << w) | (values[i] & ((1 << w) - 1))
-            return v & mask
-        if op == "SLICE":
-            return (values[g.inputs[0]] >> g.slice_lsb) & mask
-        raise SimDivergence(f"unknown gate op {op}")
-
-    def _eval_comb(self, values: list[int]):
-        for g in self.gates_topo:
-            values[g.out] = self._gate_value(g, values)
-
-    def _eval_with_subs(self, net_idx: int, vals0: list[int],
-                        subs: dict[int, int], memo: dict[int, int]) -> int:
-        if net_idx in subs:
-            return subs[net_idx]
-        if net_idx in memo:
-            return memo[net_idx]
-        drv = self.nl.nets[net_idx].driver
-        if drv is None or drv[0] == "port":
-            v = vals0[net_idx]
-        else:
-            cell = self.nl.cells[drv[1]]
-            if isinstance(cell, Gate):
-                saved = [self._eval_with_subs(i, vals0, subs, memo)
-                         for i in cell.inputs]
-                tmp = dict(zip(cell.inputs, saved))
-                v = self._gate_value(cell, _Overlay(vals0, tmp))  # type: ignore
-            else:
-                v = vals0[net_idx]
-        memo[net_idx] = v
-        return v
-
-    def _flop_edges(self, f: Dff, tick: int, vals0: list[int]) -> bool:
-        root_name = self.flop_root[f.index]
-        if root_name not in self.edges_at.get(tick, ()):
-            return False
-        if not self.flop_gated[f.index]:
-            return True
-        root = self.root_net[f.index]
-        lo = self._eval_with_subs(f.clock, vals0, {root: 0}, {})
-        hi = self._eval_with_subs(f.clock, vals0, {root: 1}, {})
-        return (lo & 1) == 0 and (hi & 1) == 1
-
-    def _reset_active(self, f: Dff, values: list[int]) -> bool:
-        if f.reset is None:
-            return False
-        v = values[f.reset] & 1
-        return v == 0 if f.reset_active_low else v == 1
-
     def _settle_resets(self, values: list[int]) -> set[int]:
         """Force every flop whose async reset is active to its reset value,
         in place, until no reset changes; returns the flops held in reset.
 
         Reset networks may themselves be driven by flops being reset, so a
         reset can assert partway through.  A pass only ever moves flops to
-        their reset values, so len(flops) + 1 passes always settle.
+        their reset values, so len(flops with a reset) + 1 passes always
+        settle.
         """
         held: set[int] = set()
-        for _ in range(len(self.flops) + 1):
+        for net, active in self.reset_nets:
+            if (values[net] & 1) == active:
+                break
+        else:
+            return held     # a pass with no reset active changes nothing
+        for _ in range(len(self.resets) + 1):
             changed = False
-            for f in self.flops:
-                if self._reset_active(f, values):
-                    held.add(f.index)
-                    if values[f.out] != f.reset_value:
-                        values[f.out] = f.reset_value
+            for idx, out, reset, active, value in self.resets:
+                if (values[reset] & 1) == active:
+                    held.add(idx)
+                    if values[out] != value:
+                        values[out] = value
                         changed = True
             if not changed:
                 break
-            self._eval_comb(values)
+            self.comb(values)
         return held
 
-    def _flop_next(self, f: Dff, values: list[int]) -> int:
-        if f.enable is not None and (values[f.enable] & 1) == 0:
-            return values[f.out]
-        return values[f.data]
+    def _captured(self, values: list[int], nextvals: dict[int, int]) -> list[int]:
+        """A copy of the settled `values` with the flops in `nextvals` set to
+        their new values and the gates re-evaluated.  The copy leaves a plan
+        free to be replayed with other decisions; comb runs only when some
+        flop output changed, since settled values are already consistent."""
+        out = list(values)
+        changed = False
+        for idx, v in nextvals.items():
+            net = self.next_pins[idx][0]
+            if out[net] != v:
+                out[net] = v
+                changed = True
+        if changed:
+            self.comb(out)
+        return out
+
+    def _rises(self, flop: int, values: list[int]) -> bool:
+        """Whether a gated flop clock rises with its root clock."""
+        clock = self.clock_cone[flop]
+        return (clock(values, 0) & 1) == 0 and (clock(values, 1) & 1) == 1
 
     # -- tick planning / committing --
 
@@ -420,31 +529,38 @@ class Engine:
                     vals0[net] ^= 1
                     port_changes.append((net, vals0[net]))
         if port_changes:
-            self._eval_comb(vals0)
+            self.comb(vals0)
 
         in_reset = self._settle_resets(vals0)
-        edged = [f.index for f in self.flops
-                 if f.index not in in_reset and self._flop_edges(f, tick, vals0)]
-        base = {i: self._flop_next(self.nl.cells[i], vals0) for i in edged}
+        gated = self.clock_cone
+        edged = [i for i in self.flops_at.get(tick, ())
+                 if i not in in_reset and (i not in gated or self._rises(i, vals0))]
+        base: dict[int, int] = {}   # each edged flop's next value
+        for i in edged:
+            out, data, enable = self.next_pins[i]
+            base[i] = vals0[out] if enable is not None and not vals0[enable] & 1 \
+                else vals0[data]
 
+        dsts = [i for i in edged if i in self.pairs_by_dst]
         opps: list[Opportunity] = []
         if self.msi.enabled:
-            for dst in edged:
-                for p in self.pairs_by_dst.get(dst, ()):
-                    post = self._post_value(p.src_net, base, vals0)
-                    pre = state.values[p.src_net]
-                    flipped_now = post ^ pre
+            lookahead: list[list[int]] = []     # made on first need
+            for dst in dsts:
+                for p in self.pairs_by_dst[dst]:
+                    flipped_now = (self._post_value(p.src_net, base, vals0)
+                                   ^ state.values[p.src_net])
                     hist = state.hist[p.src_net]
+                    hold = None
                     for bit in range(p.width):
                         m = 1 << bit
-                        setup = bool(flipped_now & m) or \
-                            hist[bit] >= tick - self.setup_window
-                        if setup:
+                        if flipped_now & m or hist[bit] >= tick - self.setup_window:
                             opps.append(Opportunity(p.id, dst, p.src_net, bit, "setup"))
                             continue
-                        if self._hold_toggles(p, bit, tick, base, vals0):
+                        if hold is None:
+                            hold = self._hold_toggles(p, tick, base, vals0, lookahead)
+                        if hold & m:
                             opps.append(Opportunity(p.id, dst, p.src_net, bit, "hold"))
-        return _TickPlan(tick, vals0, port_changes, in_reset, edged, base, opps,
+        return _TickPlan(tick, vals0, port_changes, in_reset, dsts, base, opps,
                          self.edges_at.get(tick, []))
 
     def _post_value(self, src_net: int, base: dict[int, int],
@@ -454,8 +570,12 @@ class Engine:
             return base[f]
         return vals0[src_net]
 
-    def _hold_toggles(self, p: CdcPair, bit: int, tick: int,
-                      base: dict[int, int], vals0: list[int]) -> bool:
+    def _hold_toggles(self, p: CdcPair, tick: int, base: dict[int, int],
+                      vals0: list[int], lookahead: list[list[int]]) -> int:
+        """Bits of the pair's source that a source-domain edge within
+        `hold_window` ticks after this one will flip.  `lookahead` holds the
+        values after the base captures commit once a pair of the tick has
+        needed them."""
         src_flop = self.src_flop_of_net.get(p.src_net)
         if src_flop is not None:
             f = self.nl.cells[src_flop]
@@ -464,36 +584,27 @@ class Engine:
             k = (tick - spec.phase) // spec.period + 1
             u = spec.edge_tick(max(k, 0))
             if not tick < u <= tick + self.hold_window:
-                return False
-            # post-base-commit view: flop outputs overridden, gates recomputed
-            base_map = {self.nl.cells[idx].out: v for idx, v in base.items()}
-
-            def post(net: int) -> int:
-                return self._eval_with_subs(net, vals0, base_map, {})
-
+                return 0
+            if not lookahead:
+                lookahead.append(self._captured(vals0, base))
+            post = lookahead[0]
             if f.reset is not None:
-                v = post(f.reset) & 1
+                v = post[f.reset] & 1
                 if (v == 0) if f.reset_active_low else (v == 1):
-                    return False
-            if self.flop_gated[src_flop]:
-                root = self.root_net[src_flop]
-                lo = self._eval_with_subs(f.clock, vals0, {**base_map, root: 0}, {})
-                hi = self._eval_with_subs(f.clock, vals0, {**base_map, root: 1}, {})
-                if not ((lo & 1) == 0 and (hi & 1) == 1):
-                    return False
-            cur = self._post_value(p.src_net, base, vals0)
-            if f.enable is not None and (post(f.enable) & 1) == 0:
-                return False
-            future = post(f.data)
-            return bool((future ^ cur) & (1 << bit))
+                    return 0
+            if src_flop in self.clock_cone and not self._rises(src_flop, post):
+                return 0
+            if f.enable is not None and (post[f.enable] & 1) == 0:
+                return 0
+            return post[f.data] ^ self._post_value(p.src_net, base, vals0)
         # port source: consult the stimulus schedule
         cur = vals0[p.src_net]
         for t, v in self.port_schedule.get(p.src_net, ()):
             if tick < t <= tick + self.hold_window:
-                return bool((v ^ cur) & (1 << bit))
+                return v ^ cur
             if t > tick + self.hold_window:
                 break
-        return False
+        return 0
 
     def commit_tick(self, state: _State, plan: _TickPlan,
                     decisions: list[bool]) -> None:
@@ -504,8 +615,8 @@ class Engine:
 
         # resolve injections per (dst, src_net)
         eff: dict[tuple[int, int], int] = {}
-        for p_dst in plan.edged:
-            for p in self.pairs_by_dst.get(p_dst, ()):
+        for p_dst in plan.dsts:
+            for p in self.pairs_by_dst[p_dst]:
                 eff[(p_dst, p.src_net)] = self._post_value(p.src_net, plan.base, vals0)
         for opp, take in zip(plan.opps, decisions):
             if not take:
@@ -519,36 +630,28 @@ class Engine:
         state.decisions += len(plan.opps)
 
         newvals: dict[int, int] = dict(plan.base)
-        for dst in plan.edged:
-            plist = self.pairs_by_dst.get(dst)
-            if not plist:
-                continue
-            f = nl.cells[dst]
-            subs = {p.src_net: eff[(dst, p.src_net)] for p in plist}
-            memo: dict[int, int] = {}
-            if f.enable is not None:
-                en = self._eval_with_subs(f.enable, vals0, subs, memo) & 1
-                if not en:
-                    newvals[dst] = vals0[f.out]
-                    continue
-            newvals[dst] = self._eval_with_subs(f.data, vals0, subs, memo)
+        for dst in plan.dsts:
+            keys, cone = self.capture[dst]
+            got = cone(vals0, *map(eff.__getitem__, keys))
+            out, _data, enable = self.next_pins[dst]
+            if enable is None:
+                newvals[dst] = got
+            else:
+                newvals[dst] = got[1] if got[0] & 1 else vals0[out]
 
-        final = list(vals0)  # plan may be replayed with other decision vectors
-        for idx, v in newvals.items():
-            final[nl.cells[idx].out] = v
-        self._eval_comb(final)
+        final = self._captured(vals0, newvals)
         self._settle_resets(final)
 
+        old = state.values
         for n in self.monitored:
-            flipped = final[n] ^ state.values[n]
+            flipped = final[n] ^ old[n]
             if flipped:
                 hist = state.hist[n]
                 for bit in range(nl.nets[n].width):
                     if flipped & (1 << bit):
                         hist[bit] = tick
-        for net in nl.nets:
-            if final[net.index] != state.values[net.index]:
-                state.trace.append((tick, net.index, final[net.index]))
+        diff = list(compress(range(len(final)), map(ne, final, old)))
+        state.trace.extend(zip(repeat(tick), diff, map(final.__getitem__, diff)))
         state.values = final
 
         get = final.__getitem__
@@ -580,13 +683,11 @@ class Engine:
         return self._finish(state)
 
     def _finish(self, state: _State) -> SimResult:
+        # the trace holds every net's initial value, then one entry per
+        # change, so each entry starts a new step of its net's wave
         waves: dict[int, list[tuple[int, int]]] = {}
         for tick, net, value in state.trace.all_items():
-            lst = waves.setdefault(net, [])
-            if lst and lst[-1][0] == tick:
-                lst[-1] = (tick, value)
-            elif not lst or lst[-1][1] != value:
-                lst.append((tick, value))
+            waves.setdefault(net, []).append((tick, value))
         if self.msi.mode == "random":
             state.coverage.seeds.append(self.msi.seed)
         state.coverage.edges = dict(state.edge_counts)
@@ -594,26 +695,6 @@ class Engine:
                          [c.verdict(f) for c, f in
                           zip(self.checkers, state.failures)],
                          dict(state.edge_counts), state.decisions)
-
-
-class _Overlay:
-    """List-like view of `base` with sparse overrides (read-only)."""
-
-    __slots__ = ("base", "over")
-
-    def __init__(self, base: list[int], over: dict[int, int]):
-        self.base = base
-        self.over = over
-
-    def __getitem__(self, i: int) -> int:
-        v = self.over.get(i)
-        return self.base[i] if v is None else v
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self.base)))
-
-    def __len__(self):
-        return len(self.base)
 
 
 @dataclass

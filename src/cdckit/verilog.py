@@ -8,8 +8,10 @@ assignments only, and named-port instances.  Expressions cover `& | ^ ~ ?:`,
 concatenation, constant slices, and sized/unsized literals.
 
 Everything outside the subset raises a positioned diagnostic instead of
-being skipped, so a file is either fully understood or rejected.  The
-grammar is documented in docs/subset.md.
+being skipped, so a file is either fully understood or rejected.  That
+includes expressions nested deeper than `MAX_EXPR_DEPTH`, which would
+otherwise exhaust the recursion of this parser and of the walks over its
+trees.  The grammar is documented in docs/subset.md.
 """
 
 from __future__ import annotations
@@ -18,6 +20,12 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import DuplicateModule, ParseError, UnsupportedConstruct
+
+# Deepest expression accepted: nested parentheses, concatenations, `?:` arms
+# and unary operators, and the operator depth of the tree (a chain
+# `a & b & c` is two levels deep).
+MAX_EXPR_DEPTH = 100
+_TOO_DEEP = f"expression nested deeper than {MAX_EXPR_DEPTH} levels"
 
 # --- expression AST ----------------------------------------------------------
 
@@ -242,6 +250,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.origin = origin
+        self.depth = 0          # expression nesting at the current token
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -483,14 +492,24 @@ class _Parser:
 
     # -- expressions (precedence: ?: < | < ^ < & < unary < primary) --
 
+    def nest(self, tok: Token):
+        self.depth += 1
+        if self.depth > MAX_EXPR_DEPTH:
+            self.error(_TOO_DEEP, tok)
+
     def parse_expr(self) -> Expr:
-        cond = self.parse_or()
+        start = self.peek()
+        self.nest(start)
+        expr = self.parse_or()
         if self.accept("?"):
             if_true = self.parse_expr()
             self.expect(":")
             if_false = self.parse_expr()
-            return Ternary(cond, if_true, if_false)
-        return cond
+            expr = Ternary(expr, if_true, if_false)
+        self.depth -= 1
+        if self.depth == 0 and _expr_depth(expr) > MAX_EXPR_DEPTH:
+            self.error(_TOO_DEEP, start)
+        return expr
 
     def parse_or(self) -> Expr:
         lhs = self.parse_xor()
@@ -517,7 +536,10 @@ class _Parser:
         tok = self.peek()
         if tok.text in ("~", "!"):
             self.next()
-            return Unary("~", self.parse_unary())
+            self.nest(tok)
+            operand = self.parse_unary()
+            self.depth -= 1
+            return Unary("~", operand)
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
@@ -561,6 +583,30 @@ class _Parser:
 def parse_verilog(text: str, origin: str = "<input>") -> list[ParsedModule]:
     """Parse one source file into its module definitions."""
     return _Parser(tokenize(text, origin), origin).parse_source()
+
+
+def _expr_depth(expr: Expr) -> int:
+    """Operator depth of an expression tree, walked without recursion."""
+    deepest = 0
+    stack = [(expr, 0)]
+    while stack:
+        e, d = stack.pop()
+        match e:
+            case Unary(_, operand):
+                kids: tuple[Expr, ...] = (operand,)
+            case Binary(_, lhs, rhs):
+                kids = (lhs, rhs)
+            case Ternary(c, t, f):
+                kids = (c, t, f)
+            case Concat(parts):
+                kids = parts
+            case _:
+                kids = ()
+        if kids:
+            d += 1
+            deepest = max(deepest, d)
+            stack.extend((k, d) for k in kids)
+    return deepest
 
 
 # --- identifier / structure checks --------------------------------------------

@@ -3,14 +3,18 @@
 Everything here deliberately avoids the library's traversal/memoization
 machinery: counts are recursive multiplications over the parsed module
 tree, cones come from naive path enumeration, domains from exhaustive
-backward search, and crossing pairs from brute-force path walks.
+backward search, and crossing pairs from brute-force path walks.  Gate
+values come from a string-dispatch interpreter, the reference for the
+simulator's compiled kernels.
 """
 
 from __future__ import annotations
 
 import random
 
-from cdckit.netlist import BlackBox, Const, Dff, Gate, Netlist, NetlistBuilder
+from cdckit.errors import SimDivergence
+from cdckit.netlist import (GATE_OPS, BlackBox, Const, Dff, Gate, Netlist,
+                            NetlistBuilder)
 from cdckit.verilog import ParsedModule
 
 
@@ -143,8 +147,12 @@ def brute_force_pairs(netlist: Netlist, flop_domains: dict[int, str],
 
 
 def random_netlist(rng: random.Random, n_flops: int = 12, n_gates: int = 25,
-                   n_domains: int = 2, n_ports: int = 3) -> tuple[Netlist, dict[str, str]]:
-    """Random acyclic multi-domain design built straight on the IR."""
+                   n_domains: int = 2, n_ports: int = 3,
+                   max_width: int = 4) -> tuple[Netlist, dict[str, str]]:
+    """Random acyclic multi-domain design built straight on the IR.  Gates
+    draw every op in GATE_OPS; ports and flops are 1 to `max_width` bits
+    wide (the first data port is 1 bit, so selects and enables exist), and
+    CONCAT and SLICE make other widths."""
     b = NetlistBuilder("rand")
     domains = [chr(ord("A") + i) for i in range(n_domains)]
     clock_domains = {}
@@ -154,33 +162,136 @@ def random_netlist(rng: random.Random, n_flops: int = 12, n_gates: int = 25,
         b.add_port(f"clk_{d}", "in", 1, h)
         clock_handles[d] = h
         clock_domains[f"clk_{d}"] = d
-    port_handles = []
+    pool: list[tuple[int, int]] = []        # (net handle, width)
     for i in range(n_ports):
-        h = b.add_net(f"in{i}", 1)
-        b.add_port(f"in{i}", "in", 1, h)
-        port_handles.append(h)
-
-    flop_out = [b.add_net(f"ff{i}", 1) for i in range(n_flops)]
-    pool = list(port_handles) + list(flop_out)
-    gate_out = []
-    for i in range(n_gates):
-        op = rng.choice(["AND", "OR", "XOR", "NOT", "BUF"])
-        n_in = 1 if op in ("NOT", "BUF") else 2
-        ins = [rng.choice(pool + gate_out) for _ in range(n_in)]
-        out = b.add_net(f"g{i}", 1)
-        b.add_gate(f"g{i}_cell", op, ins, out, 1)
-        gate_out.append(out)
-
+        w = 1 if i == 0 else rng.randint(1, max_width)
+        h = b.add_net(f"in{i}", w)
+        b.add_port(f"in{i}", "in", w, h)
+        pool.append((h, w))
+    flop_out = []
     for i in range(n_flops):
-        data = rng.choice(pool + gate_out)
-        enable = rng.choice(pool + gate_out) if rng.random() < 0.25 else None
+        w = rng.randint(1, max_width)
+        flop_out.append((b.add_net(f"ff{i}", w), w))
+    pool += flop_out
+
+    def pick(width: int | None = None) -> tuple[int, int]:
+        return rng.choice([n for n in pool if width is None or n[1] == width])
+
+    n_driven = len(pool)
+    for i in range(n_gates):
+        op = rng.choice(GATE_OPS)
+        lsb = 0
+        if op in ("NOT", "BUF"):
+            ins = [pick()]
+            w = ins[0][1]
+        elif op == "MUX":
+            a = pick()
+            ins = [pick(1), a, pick(a[1])]
+            w = a[1]
+        elif op == "CONCAT":
+            ins = [pick() for _ in range(rng.randint(2, 3))]
+            w = sum(n[1] for n in ins)
+        elif op == "SLICE":
+            ins = [pick()]
+            lsb = rng.randrange(ins[0][1])
+            w = rng.randint(1, ins[0][1] - lsb)
+        else:
+            a = pick()
+            ins = [a] + [pick(a[1]) for _ in range(rng.randint(1, 2))]
+            w = a[1]
+        out = b.add_net(f"g{i}", w)
+        b.add_gate(f"g{i}_cell", op, [h for h, _w in ins], out, w, slice_lsb=lsb)
+        pool.append((out, w))
+
+    for i, (out, w) in enumerate(flop_out):
+        data = pick(w)[0]
+        enable = pick(1)[0] if rng.random() < 0.25 else None
         dom = rng.choice(domains)
-        b.add_dff(f"ff{i}", 1, clock_handles[dom], data, flop_out[i],
-                  enable=enable)
+        b.add_dff(f"ff{i}", w, clock_handles[dom], data, out, enable=enable)
     # keep at least one net observable so validate() sees no dangling outputs
-    sink = rng.choice(gate_out) if gate_out else flop_out[0]
-    b.add_port("out0", "out", 1, sink)
+    sink, w = rng.choice(pool[n_driven:] or flop_out)
+    b.add_port("out0", "out", w, sink)
     return b.finish(), clock_domains
+
+
+def gate_value(nl: Netlist, g: Gate, values) -> int:
+    """Reference interpreter: the value of one gate, dispatched on its op."""
+    mask = (1 << g.width) - 1
+    op = g.op
+    if op == "AND":
+        v = mask
+        for i in g.inputs:
+            v &= values[i]
+        return v
+    if op == "OR":
+        v = 0
+        for i in g.inputs:
+            v |= values[i]
+        return v
+    if op == "XOR":
+        v = 0
+        for i in g.inputs:
+            v ^= values[i]
+        return v
+    if op == "NOT":
+        return (~values[g.inputs[0]]) & mask
+    if op == "BUF":
+        return values[g.inputs[0]] & mask
+    if op == "MUX":
+        sel = values[g.inputs[0]] & 1
+        return values[g.inputs[1]] if sel else values[g.inputs[2]]
+    if op == "CONCAT":
+        v = 0
+        for i in g.inputs:
+            w = nl.nets[i].width
+            v = (v << w) | (values[i] & ((1 << w) - 1))
+        return v & mask
+    if op == "SLICE":
+        return (values[g.inputs[0]] >> g.slice_lsb) & mask
+    raise SimDivergence(f"unknown gate op {op}")
+
+
+def eval_comb(nl: Netlist, values: list[int]) -> None:
+    """Reference interpreter: every gate in topological order, in place."""
+    for i in nl.comb_topo():
+        g = nl.cells[i]
+        values[g.out] = gate_value(nl, g, values)
+
+
+def eval_with_subs(nl: Netlist, net_idx: int, vals0: list[int],
+                   subs: dict[int, int], memo: dict[int, int]) -> int:
+    """Reference interpreter: the value of a net when the nets in `subs`
+    carry the given values, by recursion over its gate cone."""
+    if net_idx in subs:
+        return subs[net_idx]
+    if net_idx in memo:
+        return memo[net_idx]
+    drv = nl.nets[net_idx].driver
+    if drv is None or drv[0] == "port":
+        v = vals0[net_idx]
+    else:
+        cell = nl.cells[drv[1]]
+        if isinstance(cell, Gate):
+            saved = [eval_with_subs(nl, i, vals0, subs, memo) for i in cell.inputs]
+            v = gate_value(nl, cell, Overlay(vals0, dict(zip(cell.inputs, saved))))
+        else:
+            v = vals0[net_idx]
+    memo[net_idx] = v
+    return v
+
+
+class Overlay:
+    """List-like view of `base` with sparse overrides (read-only)."""
+
+    __slots__ = ("base", "over")
+
+    def __init__(self, base: list[int], over: dict[int, int]):
+        self.base = base
+        self.over = over
+
+    def __getitem__(self, i: int) -> int:
+        v = self.over.get(i)
+        return self.base[i] if v is None else v
 
 
 def gray_neighbor_sets(src_wave: list[tuple[int, int]]):

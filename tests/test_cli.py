@@ -236,3 +236,86 @@ def test_bad_user_input_exits_one(corpus_root, tmp_path, capsys, extra):
     assert rc == 1
     assert err.startswith("error: ") and "Traceback" not in err
     assert ":0:0:" not in err       # option values have no file position
+
+
+def _nested_rtl(rhs: str) -> str:
+    return f"""module top(input clk_a, input rst_a_n, input d, output q);
+  reg r;
+  always @(posedge clk_a or negedge rst_a_n) begin
+    if (!rst_a_n) r <= 1'b0;
+    else r <= {rhs};
+  end
+  assign q = r;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("rhs, col", [
+    ("(~(" * 200 + "d" + "))" * 200, 115),     # at the token 101 levels in
+    (" & ".join(["d"] * 150), 15),              # at the start of the chain
+], ids=["nested-not", "long-chain"])
+def test_deep_expression_is_a_positioned_error(tmp_path, capsys, rhs, col):
+    rtl = tmp_path / "deep.v"
+    rtl.write_text(_nested_rtl(rhs))
+    cons = tmp_path / "c.cdc"
+    cons.write_text("clock clk_a -period 10 -domain A\n")
+    rc = main(["analyze", str(rtl), "-c", str(cons), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: {rtl}:5:{col}: expression nested deeper than 100 "
+                   "levels\n")
+    # the deepest accepted nesting still analyzes
+    rtl.write_text(_nested_rtl("~(" * 49 + "d" + ")" * 49))
+    assert main(["analyze", str(rtl), "-c", str(cons), "--out", str(tmp_path)]) == 0
+
+
+def test_long_gate_chain_analyzes_and_simulates(tmp_path):
+    """A 1500-gate chain between two domains: the fan-in walks and the
+    crossing destination's cone kernel are 1500 gates deep."""
+    n = 1500
+    chain = "".join(f"  wire w{i};\n  assign w{i} = ~w{i - 1};\n" for i in range(1, n))
+    rtl = tmp_path / "chain.v"
+    rtl.write_text(f"""module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, output q);
+  reg src;
+  always @(posedge clk_a or negedge rst_a_n) begin
+    if (!rst_a_n) src <= 1'b0;
+    else src <= ~src;
+  end
+  wire w0;
+  assign w0 = src;
+{chain}  reg dst;
+  always @(posedge clk_b or negedge rst_b_n) begin
+    if (!rst_b_n) dst <= 1'b0;
+    else dst <= w{n - 1};
+  end
+  assign q = dst;
+endmodule
+""")
+    cons = tmp_path / "c.cdc"
+    cons.write_text("clock clk_a -period 10 -domain A\nclock clk_b -period 7 -domain B\n"
+                    "reset rst_a_n -active_low -domain A\n"
+                    "reset rst_b_n -active_low -domain B\n")
+    stim = tmp_path / "s.stim"
+    stim.write_text("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
+                    "run 20 of clk_b\n")
+    files = [str(rtl), "-c", str(cons)]
+    assert main(["analyze", *files, "--out", str(tmp_path / "a")]) == 0
+    pairs = json.loads((tmp_path / "a" / "pairs.json").read_text())["pairs"]
+    assert [(p["src"], p["dst"]) for p in pairs] == [("src", "dst")]
+    assert main(["simulate", *files, "-s", str(stim), "--seed", "3",
+                 "--out", str(tmp_path / "s")]) == 0
+    events = json.loads((tmp_path / "s" / "msi_events.json").read_text())["events"]
+    assert events and {e["pair"] for e in events} == {pairs[0]["id"]}
+
+
+def test_simulate_seeds_compile_the_comb_kernel_once(corpus_root, tmp_path, monkeypatch):
+    import cdckit.sim as sim
+
+    compiled = []
+    real = sim._compile_comb
+    monkeypatch.setattr(sim, "_compile_comb",
+                        lambda nl: compiled.append(nl.name) or real(nl))
+    files, stim = _case_args(corpus_root, "cov_toggle")
+    assert main(["simulate", *files, "-s", stim, "--seeds", "1..3",
+                 "--checkers", "none", "--out", str(tmp_path)]) == 0
+    assert len(compiled) == 1

@@ -1,0 +1,130 @@
+"""The simulator's compiled kernels equal the reference interpreter in
+oracles.py: the comb kernel on whole value vectors, cone kernels on the
+enable and data of flops and on gated clocks with nets substituted."""
+
+import random
+
+import hypothesis
+from hypothesis import strategies as st
+
+from cdckit.netlist import Dff, Gate, NetlistBuilder
+from cdckit.sim import _CHUNK, _TERMS, comb_kernel, cone_kernel
+from oracles import eval_comb, eval_with_subs, random_netlist
+
+CASES = ("async_fifo", "binary_cross", "codegen_full", "cov_toggle",
+         "gray_cross", "mux_sync", "divergence")
+
+
+def _values(rng: random.Random, nl) -> list[int]:
+    # up to two bits wider than each net, so every mask matters
+    return [rng.randrange(1 << (n.width + 2)) for n in nl.nets]
+
+
+def _check_comb(nl, values: list[int]):
+    want = list(values)
+    eval_comb(nl, want)
+    got = list(values)
+    comb_kernel(nl)(got)
+    assert got == want
+
+
+def _check_cones(nl, rng: random.Random, values: list[int]):
+    """Each flop's (enable, data) cone and its clock cone, with a random
+    subset of the nets in its fan-in substituted."""
+    for f in nl.cells:
+        if not isinstance(f, Dff):
+            continue
+        for targets in ((f.data,) if f.enable is None else (f.enable, f.data),
+                        (f.clock,)):
+            cone = set()
+            for t in targets:
+                c = nl.fanin_cone(t)
+                cone |= {nl.cells[g].out for g in c.gates}
+                cone |= {nl.ports[i].net if kind == "port" else nl.cells[i].out
+                         for kind, i, _pin in c.seq
+                         if kind == "port" or isinstance(nl.cells[i], Dff)}
+            subs = tuple(sorted(n for n in cone if rng.random() < 0.3))
+            sub_vals = [rng.randrange(1 << (nl.nets[n].width + 1)) for n in subs]
+            want = tuple(eval_with_subs(nl, t, values, dict(zip(subs, sub_vals)), {})
+                         for t in targets)
+            got = cone_kernel(nl, targets, subs)(values, *sub_vals)
+            assert (got if len(targets) > 1 else (got,)) == want, (f.name, targets)
+
+
+@hypothesis.given(st.integers(0, 2 ** 32 - 1))
+@hypothesis.settings(max_examples=25, deadline=None)
+def test_kernels_equal_interpreter_on_corpus(case_loader, seed):
+    rng = random.Random(seed)       # draws the value vectors and substitutions
+    for case in CASES:
+        nl = case_loader(case)[0].netlist
+        values = _values(rng, nl)
+        _check_comb(nl, values)
+        _check_cones(nl, rng, values)
+
+
+def test_kernels_equal_interpreter_on_every_corpus_netlist(corpus_root, case_loader):
+    rng = random.Random(11)
+    for case in sorted(p.name for p in corpus_root.iterdir() if p.is_dir()):
+        nl = case_loader(case)[0].netlist
+        for _ in range(3):
+            values = _values(rng, nl)
+            _check_comb(nl, values)
+            _check_cones(nl, rng, values)
+
+
+@hypothesis.given(st.integers(0, 2 ** 32 - 1))
+@hypothesis.settings(max_examples=150, deadline=None)
+def test_kernels_equal_interpreter_on_random_netlists(seed):
+    rng = random.Random(seed)
+    nl, _doms = random_netlist(rng, n_flops=rng.randint(2, 10),
+                               n_gates=rng.randint(5, 40),
+                               n_domains=rng.randint(1, 3), max_width=5)
+    values = _values(rng, nl)
+    _check_comb(nl, values)
+    _check_cones(nl, rng, values)
+
+
+def test_random_netlists_cover_every_op_and_width():
+    ops, widths = set(), set()
+    for seed in range(20):
+        nl, _ = random_netlist(random.Random(seed))
+        ops |= {c.op for c in nl.cells if isinstance(c, Gate)}
+        widths |= {n.width for n in nl.nets}
+    assert ops == {"AND", "OR", "XOR", "NOT", "BUF", "MUX", "CONCAT", "SLICE"}
+    assert {1, 2, 3, 4} <= widths
+
+
+def test_chunked_comb_and_split_operand_chains():
+    """More gates than one chunk holds, and gates with more operands than
+    one statement takes."""
+    b = NetlistBuilder("wide")
+    ins = []
+    for i in range(3 * _TERMS):
+        h = b.add_net(f"i{i}", 1)
+        b.add_port(f"i{i}", "in", 1, h)
+        ins.append(h)
+    prev = ins[0]
+    for i in range(2 * _CHUNK + 10):        # a long NOT/XOR chain
+        out = b.add_net(f"c{i}", 1)
+        if i % 2:
+            b.add_gate(f"c{i}_g", "XOR", [prev, ins[i % len(ins)]], out, 1)
+        else:
+            b.add_gate(f"c{i}_g", "NOT", [prev], out, 1)
+        prev = out
+    for op, width in (("AND", 1), ("OR", 1), ("XOR", 1), ("CONCAT", len(ins) - 3)):
+        out = b.add_net(f"w_{op}", width)
+        b.add_gate(f"w_{op}_g", op, ins + [prev], out, width)
+        b.add_port(f"o_{op}", "out", width, out)
+    nl = b.finish()
+    leaves = (nl.net("i1").index, nl.net("i7").index)
+    rng = random.Random(5)
+    for _ in range(20):
+        values = _values(rng, nl)
+        _check_comb(nl, values)
+        # substituting two inputs equals setting them and evaluating it all
+        want = list(values)
+        want[leaves[0]], want[leaves[1]] = 1, 0
+        eval_comb(nl, want)
+        for name in ("w_AND", "w_OR", "w_XOR", "w_CONCAT", f"c{2 * _CHUNK + 9}"):
+            target = nl.net(name).index
+            assert cone_kernel(nl, (target,), leaves)(values, 1, 0) == want[target]
