@@ -44,12 +44,6 @@ class CoverageDb:
         return sum(c for per_pair in self.bins.values()
                    for per_bit in per_pair.values() for c in per_bit.values())
 
-    def clone(self) -> "CoverageDb":
-        return CoverageDb(
-            self.fingerprint, self.scope, self.pair_ids,
-            {p: {b: dict(cnt) for b, cnt in per.items()} for p, per in self.bins.items()},
-            list(self.seeds), dict(self.edges))
-
     def to_json_dict(self) -> dict:
         return {
             "fingerprint": self.fingerprint,
@@ -84,22 +78,23 @@ class CoverageDb:
 
 
 def merge(a: CoverageDb, b: CoverageDb, scope: str | None = None) -> CoverageDb:
-    """Counter-wise sum; requires identical netlist fingerprints."""
+    """Counter-wise sum into a new database, leaving both inputs as they
+    were; requires identical netlist fingerprints."""
     if a.fingerprint != b.fingerprint:
         raise FingerprintMismatch(
             f"cannot merge coverage for different pair sets "
             f"({a.fingerprint} vs {b.fingerprint})")
-    out = a.clone()
-    out.scope = scope if scope is not None else a.scope
-    out.pair_ids = tuple(dict.fromkeys(a.pair_ids + b.pair_ids))
-    for pid, per in b.bins.items():
-        for bit, cnt in per.items():
-            dst = out.bins.setdefault(pid, {}).setdefault(bit, {})
-            for name, c in cnt.items():
-                dst[name] = dst.get(name, 0) + c
-    out.seeds = a.seeds + b.seeds
-    for k, v in b.edges.items():
-        out.edges[k] = out.edges.get(k, 0) + v
+    out = CoverageDb(a.fingerprint, scope if scope is not None else a.scope,
+                     tuple(dict.fromkeys(a.pair_ids + b.pair_ids)),
+                     seeds=a.seeds + b.seeds)
+    for db in (a, b):
+        for pid, per in db.bins.items():
+            for bit, cnt in per.items():
+                dst = out.bins.setdefault(pid, {}).setdefault(bit, {})
+                for name, c in cnt.items():
+                    dst[name] = dst.get(name, 0) + c
+        for k, v in db.edges.items():
+            out.edges[k] = out.edges.get(k, 0) + v
     return out
 
 

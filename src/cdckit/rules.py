@@ -39,6 +39,17 @@ class Analysis:
         raise KeyError(pid)
 
 
+def _holds_reset_value(nl: Netlist, flop: Dff, consts: list[int]) -> bool:
+    """Whether the next value of a flop whose data cone reads only the flop
+    and the `consts` cells is its reset value when it holds that value."""
+    from .sim import cone_kernel    # sim imports this module
+    values = [0] * len(nl.nets)
+    for c in consts:
+        values[nl.cells[c].out] = nl.cells[c].value
+    data = cone_kernel(nl, (flop.data,), (flop.out,))
+    return data(values, flop.reset_value) == flop.reset_value
+
+
 def run_structural(analysis: Analysis) -> list[Finding]:
     a = analysis
     nl = a.netlist
@@ -176,7 +187,8 @@ def run_structural(analysis: Analysis) -> list[Finding]:
                  [p.dst_name for p in plist],
                  [p.id for p in plist], insts)
 
-    # STATIC_NOT_CONSTRAINED: structurally-quiet source not declared static
+    # STATIC_NOT_CONSTRAINED: a source flop that never leaves its reset value
+    # (its data reads only itself and constants) but is not declared static
     static_decls = set(cs.static_signals)
     for p in a.pairs:
         if p.suppressed is not None or a.status[p.id].state != "unsynchronized":
@@ -188,7 +200,9 @@ def run_structural(analysis: Analysis) -> list[Finding]:
             continue
         cone = nl.fanin_cone(src.data)
         others = [r for r in cone.seq if r != ("cell", src.index, "out")]
-        if not others and not (set(nl.nets[src.out].aliases) | {nl.nets[src.out].name}) & static_decls:
+        names = set(nl.nets[src.out].aliases) | {nl.nets[src.out].name}
+        if not others and not names & static_decls \
+                and _holds_reset_value(nl, src, cone.consts):
             emit("STATIC_NOT_CONSTRAINED", [p.src_name],
                  f"{p.src_name} never changes after reset but is not declared static",
                  [p.src_name, p.dst_name], [p.id])

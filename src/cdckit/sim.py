@@ -24,6 +24,13 @@ database.  Exhaustive mode explores every resolution assignment instead of
 coin flips, with depth-first reference-first ordering so the first
 counterexample found is the lexicographically first failing branch.
 
+A state holds only what later ticks depend on and is never mutated:
+`commit_tick` returns a new state sharing what the tick left unchanged, so
+exploration branches share their parent's state.  Only `Engine.run`
+records a run (injection log, waves, coverage); a counterexample is the
+replay of its branch's decision path, exact as exhaustive runs are not
+random.
+
 Evaluation is compiled, not interpreted (levelized compiled-code
 simulation).  Each netlist is compiled once into straight-line Python with
 constant masks: `comb`, every gate in topological order, and cone kernels,
@@ -39,9 +46,11 @@ they are tested against.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from itertools import compress, product, repeat
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
+from itertools import compress, product
 from operator import ne
+from typing import NamedTuple
 
 from .checkers import Checker, Verdict
 from .constraints import ClockSpec
@@ -102,36 +111,6 @@ class Opportunity:
     kind: str
 
 
-class _Log:
-    """Append-only log cloned in O(1) by chaining segments."""
-
-    __slots__ = ("parent", "items")
-
-    def __init__(self, parent: "_Log | None" = None):
-        self.parent = parent
-        self.items: list = []
-
-    def append(self, item):
-        self.items.append(item)
-
-    def extend(self, items):
-        self.items.extend(items)
-
-    def clone(self) -> "_Log":
-        return _Log(self)
-
-    def all_items(self) -> list:
-        segs = []
-        node: _Log | None = self
-        while node is not None:
-            segs.append(node.items)
-            node = node.parent
-        out: list = []
-        for seg in reversed(segs):
-            out.extend(seg)
-        return out
-
-
 @dataclass
 class SimResult:
     waves: dict[int, list[tuple[int, int]]]     # net index -> [(tick, value)]
@@ -148,34 +127,13 @@ class SimResult:
         return [v for v in self.verdicts if not v.passed]
 
 
-class _State:
-    __slots__ = ("values", "hist", "checkers", "failures", "coverage", "events",
-                 "trace", "edge_counts", "decisions", "rng")
-
-    def __init__(self):
-        self.values: list[int] = []
-        self.hist: dict[int, list[int]] = {}
-        self.checkers: list = []            # per-checker state values
-        self.failures: list[tuple[int, str] | None] = []
-        self.coverage: CoverageDb | None = None
-        self.events: _Log = _Log()
-        self.trace: _Log = _Log()
-        self.edge_counts: dict[str, int] = {}
-        self.decisions = 0
-        self.rng: random.Random | None = None
-
-    def clone(self) -> "_State":
-        s = _State()
-        s.values = list(self.values)
-        s.hist = {k: list(v) for k, v in self.hist.items()}
-        s.checkers = list(self.checkers)
-        s.failures = list(self.failures)
-        s.coverage = self.coverage.clone() if self.coverage else None
-        s.events = self.events.clone()
-        s.trace = self.trace.clone()
-        s.edge_counts = dict(self.edge_counts)
-        s.decisions = self.decisions
-        return s
+class _State(NamedTuple):
+    """What the next tick depends on; never mutated once made."""
+    values: list[int]
+    hist: dict[int, list[int]]      # monitored net -> last flip tick per bit
+    checkers: list                  # per-checker state values
+    failures: list[tuple[int, str] | None]
+    decisions: int
 
 
 @dataclass
@@ -340,8 +298,11 @@ class Engine:
                 self.edges_at.setdefault(t, []).append(c.name)
                 t += c.period
         self.agenda = sorted(agenda)
+        self.edge_counts = {name: 0 for name in self.clocks}
         for t in self.agenda:
             self.edges_at[t] = [c.name for c in cs.clocks if c.name in self.edges_at[t]]
+            for name in self.edges_at[t]:
+                self.edge_counts[name] += 1
 
         # port driving
         self.port_net = {p.name: p.net for p in self.nl.ports if p.direction == "in"}
@@ -444,25 +405,17 @@ class Engine:
     # -- state & evaluation helpers --
 
     def initial_state(self) -> _State:
-        st = _State()
-        st.values = [0] * len(self.nl.nets)
+        values = [0] * len(self.nl.nets)
         for c in self.nl.cells:
             if isinstance(c, Dff):
-                st.values[c.out] = c.reset_value
+                values[c.out] = c.reset_value
             elif isinstance(c, Const):
-                st.values[c.out] = c.value
-        self.comb(st.values)
-        st.hist = {n: [_NEG] * self.nl.nets[n].width for n in self.monitored}
-        st.checkers = [c.start for c in self.checkers]
-        st.failures = [None] * len(self.checkers)
-        st.coverage = CoverageDb(self.fingerprint, self.scope,
-                                 tuple(p.id for p in self.a.pairs))
-        if self.msi.mode == "random":
-            st.rng = random.Random(self.msi.seed)
-        st.edge_counts = {name: 0 for name in self.clocks}
-        for net in self.nl.nets:
-            st.trace.append((_NEG, net.index, st.values[net.index]))
-        return st
+                values[c.out] = c.value
+        self.comb(values)
+        return _State(values,
+                      {n: [_NEG] * self.nl.nets[n].width for n in self.monitored},
+                      [c.start for c in self.checkers],
+                      [None] * len(self.checkers), 0)
 
     def _settle_resets(self, values: list[int]) -> set[int]:
         """Force every flop whose async reset is active to its reset value,
@@ -515,16 +468,19 @@ class Engine:
 
     # -- tick planning / committing --
 
-    def plan_tick(self, state: _State, tick: int) -> _TickPlan:
+    def plan_tick(self, state: _State, tick: int,
+                  rng: random.Random | None = None) -> _TickPlan:
+        """The tick's pre-edge values, captures and opportunities; `rng`
+        drives the random stimulus ports, which stay still without it."""
         vals0 = list(state.values)
         port_changes: list[tuple[int, int]] = []
         for net, value in self.sets_at.get(tick, ()):
             if vals0[net] != value:
                 port_changes.append((net, value))
             vals0[net] = value
-        if self.random_driver and state.rng is not None:
+        if self.random_driver and rng is not None:
             for pname in self.random_driver.ports:
-                if state.rng.random() < self.random_driver.probability:
+                if rng.random() < self.random_driver.probability:
                     net = self.port_net[pname]
                     vals0[net] ^= 1
                     port_changes.append((net, vals0[net]))
@@ -607,7 +563,10 @@ class Engine:
         return 0
 
     def commit_tick(self, state: _State, plan: _TickPlan,
-                    decisions: list[bool]) -> None:
+                    decisions: Sequence[bool]) -> tuple[_State, list[MsiEvent]]:
+        """The state after the tick, with one decision per opportunity, and
+        the injections taken.  `state` is left as it was; each of its parts
+        is copied only when the tick changes it."""
         assert len(decisions) == len(plan.opps)
         tick = plan.tick
         vals0 = plan.vals0
@@ -618,6 +577,7 @@ class Engine:
         for p_dst in plan.dsts:
             for p in self.pairs_by_dst[p_dst]:
                 eff[(p_dst, p.src_net)] = self._post_value(p.src_net, plan.base, vals0)
+        events: list[MsiEvent] = []
         for opp, take in zip(plan.opps, decisions):
             if not take:
                 continue
@@ -625,9 +585,7 @@ class Engine:
             new_eff = eff[key] ^ (1 << opp.bit)
             eff[key] = new_eff
             resolved = (new_eff >> opp.bit) & 1
-            state.events.append(MsiEvent(tick, opp.pair, opp.bit, opp.kind, resolved))
-            state.coverage.record(opp.pair, opp.bit, opp.kind, resolved)
-        state.decisions += len(plan.opps)
+            events.append(MsiEvent(tick, opp.pair, opp.bit, opp.kind, resolved))
 
         newvals: dict[int, int] = dict(plan.base)
         for dst in plan.dsts:
@@ -643,58 +601,77 @@ class Engine:
         self._settle_resets(final)
 
         old = state.values
+        hist = state.hist
         for n in self.monitored:
             flipped = final[n] ^ old[n]
             if flipped:
-                hist = state.hist[n]
+                if hist is state.hist:
+                    hist = dict(hist)
+                bits = hist[n] = list(hist[n])
                 for bit in range(nl.nets[n].width):
                     if flipped & (1 << bit):
-                        hist[bit] = tick
-        diff = list(compress(range(len(final)), map(ne, final, old)))
-        state.trace.extend(zip(repeat(tick), diff, map(final.__getitem__, diff)))
-        state.values = final
+                        bits[bit] = tick
 
+        checkers, failures = state.checkers, state.failures
         get = final.__getitem__
         for clk in plan.clock_edges:
-            state.edge_counts[clk] += 1
+            sampling = self.checkers_by_clock.get(clk)
+            if not sampling:
+                continue
+            if checkers is state.checkers:
+                checkers = list(checkers)
             domain = self.clock_domain[clk]
             in_reset = any((final[n] & 1) == (0 if active_low else 1)
                            for n, active_low in self.domain_resets.get(domain, ()))
-            for ci in self.checkers_by_clock.get(clk, ()):
-                st, message = self.checkers[ci].sample(
-                    state.checkers[ci], clk, tick, get, in_reset)
-                state.checkers[ci] = st
-                if message is not None and state.failures[ci] is None:
-                    state.failures[ci] = (tick, message)
+            for ci in sampling:
+                checkers[ci], message = self.checkers[ci].sample(
+                    checkers[ci], clk, tick, get, in_reset)
+                if message is not None and failures[ci] is None:
+                    if failures is state.failures:
+                        failures = list(failures)
+                    failures[ci] = (tick, message)
+        return (_State(final, hist, checkers, failures,
+                       state.decisions + len(plan.opps)), events)
 
     # -- drivers --
 
-    def run(self) -> SimResult:
-        """Single run; random injection when enabled."""
+    def run(self, path: Sequence[bool] = ()) -> SimResult:
+        """One recorded run.  In random mode the seeded RNG draws every
+        decision; otherwise opportunity i takes `path[i]`, and those past
+        the end of `path` keep the reference value."""
+        rng = random.Random(self.msi.seed) if self.msi.mode == "random" else None
         state = self.initial_state()
+        events: list[MsiEvent] = []
+        waves = {n: [(_NEG, v)] for n, v in enumerate(state.values)}
         for tick in self.agenda:
-            plan = self.plan_tick(state, tick)
-            if self.msi.mode == "random" and state.rng is not None:
-                decisions = [state.rng.random() < self.msi.prob(o.pair)
+            plan = self.plan_tick(state, tick, rng)
+            if rng is not None:
+                decisions = [rng.random() < self.msi.prob(o.pair)
                              for o in plan.opps]
             else:
-                decisions = [False] * len(plan.opps)
-            self.commit_tick(state, plan, decisions)
-        return self._finish(state)
+                taken = path[state.decisions:state.decisions + len(plan.opps)]
+                decisions = [*taken] + [False] * (len(plan.opps) - len(taken))
+            old = state.values
+            state, injected = self.commit_tick(state, plan, decisions)
+            events += injected
+            new = state.values
+            for n in compress(range(len(new)), map(ne, new, old)):
+                waves[n].append((tick, new[n]))
+        return self._finish(state, events, waves)
 
-    def _finish(self, state: _State) -> SimResult:
-        # the trace holds every net's initial value, then one entry per
-        # change, so each entry starts a new step of its net's wave
-        waves: dict[int, list[tuple[int, int]]] = {}
-        for tick, net, value in state.trace.all_items():
-            waves.setdefault(net, []).append((tick, value))
+    def _finish(self, state: _State, events: list[MsiEvent],
+                waves: dict[int, list[tuple[int, int]]]) -> SimResult:
+        coverage = CoverageDb(self.fingerprint, self.scope,
+                              tuple(p.id for p in self.a.pairs))
+        for e in events:
+            coverage.record(e.pair, e.bit, e.kind, e.resolved)
         if self.msi.mode == "random":
-            state.coverage.seeds.append(self.msi.seed)
-        state.coverage.edges = dict(state.edge_counts)
-        return SimResult(waves, state.events.all_items(), state.coverage,
+            coverage.seeds.append(self.msi.seed)
+        coverage.edges = dict(self.edge_counts)
+        return SimResult(waves, events, coverage,
                          [c.verdict(f) for c, f in
                           zip(self.checkers, state.failures)],
-                         dict(state.edge_counts), state.decisions)
+                         dict(self.edge_counts), state.decisions)
 
 
 @dataclass
@@ -722,17 +699,14 @@ def explore_exhaustive(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
                        checkers: list[Checker]) -> ExploreOutcome:
     """Enumerate every resolution of every opportunity, depth first with the
     reference resolution explored first."""
-    cfg = MsiConfig(enabled=True, probability=msi.probability,
-                    setup_window=msi.setup_window, hold_window=msi.hold_window,
-                    pair_probability=dict(msi.pair_probability),
-                    mode="exhaustive", max_decisions=msi.max_decisions)
+    cfg = replace(msi, enabled=True, mode="exhaustive")
     eng = Engine(analysis, stimulus, cfg, checkers, scope="explore")
     budget = cfg.max_decisions
     counter = {"branches": 0, "max_dec": 0}
     cex: dict[str, SimResult] = {}
     ids = [c.id for c in checkers]
 
-    def leaf(state: _State):
+    def leaf(state: _State, path: tuple[bool, ...]):
         counter["branches"] += 1
         if counter["branches"] > _BRANCH_CAP:
             raise DecisionBudgetExceeded(counter["max_dec"], budget)
@@ -741,10 +715,12 @@ def explore_exhaustive(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
         for cid, failure in zip(ids, state.failures):
             if failure is not None and cid not in cex:
                 if result is None:
-                    result = eng._finish(state)
+                    # exhaustive runs draw no random numbers, so replaying
+                    # the branch's decisions reproduces it exactly
+                    result = eng.run(path)
                 cex[cid] = result
 
-    def dfs(state: _State, agenda_idx: int):
+    def dfs(state: _State, agenda_idx: int, path: tuple[bool, ...]):
         if len(cex) == len(ids) and ids:
             return  # every checker already has a counterexample
         for i in range(agenda_idx, len(eng.agenda)):
@@ -754,15 +730,14 @@ def explore_exhaustive(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
             if state.decisions + k > budget:
                 raise DecisionBudgetExceeded(state.decisions + k, budget)
             if k == 0:
-                eng.commit_tick(state, plan, [])
+                state, _ = eng.commit_tick(state, plan, ())
                 continue
             for vector in product((False, True), repeat=k):
-                branch = state.clone()
-                eng.commit_tick(branch, plan, list(vector))
-                dfs(branch, i + 1)
+                branch, _ = eng.commit_tick(state, plan, vector)
+                dfs(branch, i + 1, path + vector)
             return
-        leaf(state)
+        leaf(state, path)
 
-    dfs(eng.initial_state(), 0)
+    dfs(eng.initial_state(), 0, ())
     verdicts = {cid: ("counterexample" if cid in cex else "proven") for cid in ids}
     return ExploreOutcome(verdicts, cex, counter["branches"], counter["max_dec"])

@@ -9,9 +9,10 @@ concatenation, constant slices, and sized/unsized literals.
 
 Everything outside the subset raises a positioned diagnostic instead of
 being skipped, so a file is either fully understood or rejected.  That
-includes expressions nested deeper than `MAX_EXPR_DEPTH`, which would
-otherwise exhaust the recursion of this parser and of the walks over its
-trees.  The grammar is documented in docs/subset.md.
+includes expressions nested deeper than `MAX_EXPR_DEPTH` and statements
+nested deeper than `MAX_STMT_DEPTH`, which would otherwise exhaust the
+recursion of this parser and of the walks over its trees.  The grammar is
+documented in docs/subset.md.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ from .errors import DuplicateModule, ParseError, UnsupportedConstruct
 # `a & b & c` is two levels deep).
 MAX_EXPR_DEPTH = 100
 _TOO_DEEP = f"expression nested deeper than {MAX_EXPR_DEPTH} levels"
+
+# Deepest `if` statement accepted: an `if` in an arm of another is one level
+# deeper.  Nested arms fold into nested `?:` expressions, so the elaborator
+# walks this many levels on top of the deepest expression.
+MAX_STMT_DEPTH = 100
+_STMT_TOO_DEEP = f"statement nested deeper than {MAX_STMT_DEPTH} levels"
 
 # --- expression AST ----------------------------------------------------------
 
@@ -251,6 +258,7 @@ class _Parser:
         self.pos = 0
         self.origin = origin
         self.depth = 0          # expression nesting at the current token
+        self.stmt_depth = 0     # `if` nesting at the current token
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -439,6 +447,9 @@ class _Parser:
     def parse_stmt(self) -> Stmt:
         tok = self.peek()
         if tok.text == "if":
+            self.stmt_depth += 1
+            if self.stmt_depth > MAX_STMT_DEPTH:
+                self.error(_STMT_TOO_DEEP, tok)
             self.next()
             self.expect("(")
             cond = self.parse_expr()
@@ -447,6 +458,7 @@ class _Parser:
             other = None
             if self.accept("else"):
                 other = tuple(self.parse_stmt_block())
+            self.stmt_depth -= 1
             return IfStmt(cond, then, other, tok.line)
         if tok.kind == "id":
             target = self.next().text

@@ -5,7 +5,8 @@ machinery: counts are recursive multiplications over the parsed module
 tree, cones come from naive path enumeration, domains from exhaustive
 backward search, and crossing pairs from brute-force path walks.  Gate
 values come from a string-dispatch interpreter, the reference for the
-simulator's compiled kernels.
+simulator's compiled kernels, and exhaustive exploration is redone by
+replaying every decision path from the start.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 from cdckit.errors import SimDivergence
 from cdckit.netlist import (GATE_OPS, BlackBox, Const, Dff, Gate, Netlist,
                             NetlistBuilder)
+from cdckit.sim import Engine, MsiConfig
 from cdckit.verilog import ParsedModule
 
 
@@ -312,3 +314,33 @@ def gray_neighbor_sets(src_wave: list[tuple[int, int]]):
         return {prev, vals[cur], nxt}
 
     return neighbors
+
+
+def replay_explore(analysis, stimulus, checkers):
+    """Bounded exhaustive exploration by replay alone.
+
+    Every decision path is enumerated in lexicographic order, False (the
+    reference resolution) first, and each path is simulated from the start
+    with `Engine.run(path)`.  A path is a leaf when the run makes exactly
+    `len(path)` decisions; otherwise it extends by one decision.  Like the
+    depth-first search it checks, enumeration stops once every checker has
+    a counterexample.  Returns (verdicts, counterexamples, branches).
+    """
+    eng = Engine(analysis, stimulus, MsiConfig(mode="exhaustive"), checkers,
+                 scope="explore")
+    ids = [c.id for c in checkers]
+    cex: dict = {}
+    branches = 0
+    todo = [()]
+    while todo and not (ids and len(cex) == len(ids)):
+        path = todo.pop()
+        res = eng.run(path)
+        if res.decisions > len(path):
+            todo += [path + (True,), path + (False,)]
+            continue
+        branches += 1
+        for v in res.verdicts:
+            if not v.passed and v.checker not in cex:
+                cex[v.checker] = res
+    verdicts = {cid: ("counterexample" if cid in cex else "proven") for cid in ids}
+    return verdicts, cex, branches

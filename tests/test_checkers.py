@@ -130,7 +130,8 @@ def test_checker_state_values_are_hashable(corpus_root, case_loader, monkeypatch
     finished = []
     finish = Engine._finish
     monkeypatch.setattr(Engine, "_finish",
-                        lambda self, st: finished.append(st) or finish(self, st))
+                        lambda self, st, *rec: finished.append(st)
+                        or finish(self, st, *rec))
     runs = 0
     for case in sorted(p.name for p in corpus_root.iterdir() if p.is_dir()):
         analysis, stim_text = case_loader(case)

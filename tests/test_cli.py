@@ -269,6 +269,54 @@ def test_deep_expression_is_a_positioned_error(tmp_path, capsys, rhs, col):
     assert main(["analyze", str(rtl), "-c", str(cons), "--out", str(tmp_path)]) == 0
 
 
+def _nested_if_rtl(levels: int, rhs: str) -> str:
+    """`levels` if statements nested in the else arm of the reset `if`;
+    the k-th of them is on line 5 + k."""
+    opens = "".join("    if (d) begin\n" for _ in range(levels))
+    closes = "".join("    end\n" for _ in range(levels))
+    return f"""module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, input d, output q);
+  reg r;
+  always @(posedge clk_a or negedge rst_a_n) begin
+    if (!rst_a_n) r <= 1'b0;
+    else begin
+{opens}    r <= {rhs};
+{closes}    end
+  end
+  reg dst;
+  always @(posedge clk_b or negedge rst_b_n) begin
+    if (!rst_b_n) dst <= 1'b0;
+    else dst <= r;
+  end
+  assign q = dst;
+endmodule
+"""
+
+
+def test_deep_statement_nesting_is_a_positioned_error(tmp_path, capsys):
+    rtl = tmp_path / "deep.v"
+    rtl.write_text(_nested_if_rtl(1000, "~d"))
+    cons = tmp_path / "c.cdc"
+    cons.write_text("clock clk_a -period 10 -domain A\nclock clk_b -period 7 -domain B\n"
+                    "reset rst_a_n -active_low -domain A\n"
+                    "reset rst_b_n -active_low -domain B\n")
+    files = [str(rtl), "-c", str(cons)]
+    assert main(["analyze", *files, "--out", str(tmp_path / "a")]) == 1
+    # the reset `if` is level 1, so the 100th nested `if` is level 101
+    assert capsys.readouterr().err == (
+        f"error: {rtl}:105:5: statement nested deeper than 100 levels\n")
+    # the deepest accepted statement, with the deepest accepted expression
+    # innermost, still analyzes and simulates
+    rtl.write_text(_nested_if_rtl(99, "~(" * 49 + "~d" + ")" * 49))
+    stim = tmp_path / "s.stim"
+    stim.write_text("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
+                    "at clk_a 2 set d 1\nrun 20 of clk_b\n")
+    assert main(["analyze", *files, "--out", str(tmp_path / "a")]) == 0
+    assert main(["simulate", *files, "-s", str(stim), "--seed", "3",
+                 "--out", str(tmp_path / "s")]) == 0
+    events = json.loads((tmp_path / "s" / "msi_events.json").read_text())["events"]
+    assert events
+
+
 def test_long_gate_chain_analyzes_and_simulates(tmp_path):
     """A 1500-gate chain between two domains: the fan-in walks and the
     crossing destination's cone kernel are 1500 gates deep."""

@@ -38,9 +38,16 @@ def test_merge_identity_and_commutativity():
     assert merge(a, empty).to_json_dict()["bins"] == a.to_json_dict()["bins"]
     b = fresh()
     b.record("cdc0", 0, "hold", 0)
+    a.edges, a.seeds, b.edges, b.seeds = {"clk": 3}, [1], {"clk": 4}, [2]
+    before = (a.to_json(), b.to_json())
     ab = merge(a, b)
     ba = merge(b, a)
     assert ab.to_json_dict()["bins"] == ba.to_json_dict()["bins"]
+    assert ab.edges == ba.edges == {"clk": 7}
+    # merge builds a new database: neither input changes
+    assert (a.to_json(), b.to_json()) == before
+    assert merge(merge(a, b), a).count("cdc0", 0, "setup1") == 2
+    assert (a.to_json(), b.to_json()) == before
 
 
 def test_merge_fingerprint_mismatch():

@@ -1,9 +1,10 @@
 import pytest
 
-from cdckit.checkers import build_checkers
+from cdckit.checkers import build_checkers, parse_latency
 from cdckit.errors import DecisionBudgetExceeded
 from cdckit.sim import MsiConfig, explore_exhaustive, simulate
 from cdckit.stimulus import parse_stimulus
+from oracles import replay_explore
 
 
 def test_clean_design_proven(case_loader):
@@ -79,3 +80,30 @@ def test_deterministic_failures_fail_on_reference_branch(case_loader):
     # the wide pulse fails regardless of injections: the counterexample is
     # the all-reference branch with an empty injection log
     assert out.counterexamples["pulse_width:sync0"].events == []
+
+
+@pytest.mark.parametrize("case, latency, select", [
+    ("msi_latency", "cdc0:2:2", ["latency"]),       # needs one injection
+    ("msi_latency_clean", "cdc0:2:3", ["latency", "stability"]),  # proven
+    ("wide_pulse", None, None),                     # refuted on reference
+    ("wide_pulse", "1:3", None),                    # second cex injects
+    ("unstable_crossing", "1:3", None),
+    ("async_fifo_bug", "1:3", None),
+    ("convergence_clean", "1:3", None),
+    ("mux_sync_bug", "1:3", None),                  # 64 branches, one proven
+    ("divergence", None, None),                     # 64 branches, proven
+])
+def test_explore_equals_replay_oracle(case_loader, case, latency, select):
+    analysis, stim_text = case_loader(case)
+    stim = parse_stimulus(stim_text)
+    checkers = build_checkers(analysis, latency=parse_latency(
+        [latency] if latency else None), select=select)
+    out = explore_exhaustive(analysis, stim, MsiConfig(max_decisions=16), checkers)
+    verdicts, cex, branches = replay_explore(analysis, stim, checkers)
+    assert out.verdicts == verdicts
+    assert out.branches == branches
+    assert out.counterexamples.keys() == cex.keys()
+    for cid, res in cex.items():
+        got = out.counterexamples[cid]
+        assert got.events == res.events, cid
+        assert got.waves == res.waves, cid

@@ -101,6 +101,39 @@ def test_info_findings(case_loader):
     assert by_rule["STATIC_NOT_CONSTRAINED"].severity == "info"
 
 
+def _self_loop_source(rhs: str, reset_value: str = "1'b0") -> str:
+    return f"""module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, output q);
+  reg src;
+  always @(posedge clk_a or negedge rst_a_n) begin
+    if (!rst_a_n) src <= {reset_value};
+    else src <= {rhs};
+  end
+  reg dst;
+  always @(posedge clk_b or negedge rst_b_n) begin
+    if (!rst_b_n) dst <= 1'b0;
+    else dst <= src;
+  end
+  assign q = dst;
+endmodule
+"""
+
+
+def test_static_not_constrained_needs_a_source_that_holds_its_reset_value():
+    def rules(rhs, reset_value="1'b0"):
+        return set(rules_of(analyze_sources(
+            [("t.v", _self_loop_source(rhs, reset_value))], AB)))
+
+    # a toggle flop reads only itself, but changes on every edge
+    assert rules("~src") == {"MISSING_SYNC"}
+    assert rules("src ^ 1'b1") == {"MISSING_SYNC"}
+    # a constant other than the reset value is loaded on the first edge
+    assert rules("1'b1") == {"MISSING_SYNC"}
+    for rhs in ("src", "src & 1'b1", "src | 1'b0"):
+        assert rules(rhs) == {"MISSING_SYNC", "STATIC_NOT_CONSTRAINED"}, rhs
+    assert rules("1'b1", "1'b1") == {"MISSING_SYNC", "STATIC_NOT_CONSTRAINED"}
+    assert rules("src | 1'b1", "1'b1") == {"MISSING_SYNC", "STATIC_NOT_CONSTRAINED"}
+
+
 def test_blackbox_boundary(case_loader):
     analysis, _ = case_loader("blackbox")
     findings = run_structural(analysis)

@@ -1,8 +1,11 @@
+import copy
+
 import pytest
 
+from cdckit.checkers import build_checkers
 from cdckit.errors import StimulusOutOfRange
 from cdckit.pipeline import analyze_sources
-from cdckit.sim import MsiConfig, reference_simulate, simulate
+from cdckit.sim import Engine, MsiConfig, reference_simulate, simulate
 from cdckit.stimulus import parse_stimulus
 from oracles import gray_neighbor_sets
 
@@ -314,3 +317,28 @@ def test_reset_asserted_through_logic_blocks_injection():
     assert (60, 1) in w["src"] and (60, 0) in w["rq"]
     assert w["q1"] == [(-(10 ** 9), 0)]
     assert [e for e in res.events if e.tick == 60] == []
+
+
+def test_commit_tick_leaves_its_input_state_unchanged(corpus_root, case_loader):
+    """Exploration branches share their parent's state, so committing a
+    tick, with any decisions, must leave the state it started from as it
+    was."""
+    cases = 0
+    for case in sorted(p.name for p in corpus_root.iterdir() if p.is_dir()):
+        analysis, stim_text = case_loader(case)
+        if not stim_text:
+            continue
+        eng = Engine(analysis, parse_stimulus(stim_text),
+                     MsiConfig(mode="exhaustive"),
+                     build_checkers(analysis, latency=[("*", 1, 3)]))
+        state = eng.initial_state()
+        for tick in eng.agenda:
+            plan = eng.plan_tick(state, tick)
+            snapshot = copy.deepcopy(state)
+            k = len(plan.opps)
+            eng.commit_tick(state, plan, [True] * k)
+            after, _events = eng.commit_tick(state, plan, [False] * k)
+            assert state == snapshot, (case, tick)
+            state = after
+        cases += 1
+    assert cases > 20
