@@ -1,10 +1,11 @@
 """Runtime protocol checkers evaluated online during simulation.
 
 Checkers observe net values sampled at clock posedges, after state update
-for that tick.  Sampling is suspended (and history restarted) while the
-clock domain's declared reset is asserted, mirroring `disable iff` in the
-generated assertion templates; the generated SystemVerilog counterparts in
-`codegen` express the same conditions over the same samples, which the
+for that tick.  Sampling is suspended (and history restarted) while any
+declared reset of the clock's domain is asserted
+(`ConstraintSet.clock_resets`).  `codegen` renders the generated
+SystemVerilog counterparts from these specs, with the same conditions over
+the same samples and a `disable iff` on the same resets, which the
 template interpreter cross-checks.
 
 A `Checker` is an immutable spec: `build_checkers` makes each one once and
@@ -23,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .domains import gate_enable
 from .errors import ParseError
-from .netlist import Const, Dff, Gate
 from .rules import Analysis
 
 Getter = Callable[[int], int]
@@ -305,9 +306,7 @@ def build_checkers(analysis: Analysis,
     nl = a.netlist
     cs = a.constraints
     k_stab = cs.options["stability_cycles"]
-    root_clock_name = {}
-    for flop_idx, port_idx in a.domains.clock_root.items():
-        root_clock_name[flop_idx] = nl.nets[nl.ports[port_idx].net].name
+    clock_root = a.domains.clock_root
 
     checkers: list[Checker] = []
     by_id = {p.id: p for p in a.pairs}
@@ -319,26 +318,26 @@ def build_checkers(analysis: Analysis,
                 p = by_id[pid]
                 if p.suppressed or a.status[pid].state != "synchronized":
                     continue
-                clock = root_clock_name[p.dst]
+                clock = clock_root[p.dst]
                 if p.width == 1:
                     checkers.append(StabilityChecker(
                         f"stability:{pid}", clock, p.src_net, k_stab, p.src_name))
                 else:
-                    src_clock = root_clock_name.get(p.src[1]) if p.src[0] == "cell" \
+                    src_clock = clock_root.get(p.src[1]) if p.src[0] == "cell" \
                         else clock
                     checkers.append(GrayCodeChecker(
                         f"gray_code:{pid}", src_clock or clock, p.src_net, p.src_name))
         elif inst.kind == "pulse":
             toggle_idx = next(m for m in inst.members
                               if nl.cells[m].name == inst.extra["toggle"])
-            clock = root_clock_name[toggle_idx]
+            clock = clock_root[toggle_idx]
             checkers.append(PulseWidthChecker(
                 f"pulse_width:{inst.id}", clock, inst.extra["pulse_in"],
                 nl.nets[inst.extra["pulse_in"]].name))
         elif inst.kind == "mux":
             cap = inst.extra["capture"]
             cap_idx = next(m for m in inst.members if nl.cells[m].name == cap)
-            clock = root_clock_name[cap_idx]
+            clock = clock_root[cap_idx]
             checkers.append(MuxEnableChecker(
                 f"mux_enable:{inst.id}", clock, inst.extra["enable_net"],
                 inst.extra["data_net"], cap))
@@ -347,7 +346,7 @@ def build_checkers(analysis: Analysis,
             rptr = nl.cells[inst.extra["rptr"]]
             checkers.append(FifoChecker(
                 f"fifo:{inst.id}",
-                root_clock_name[wptr.index], root_clock_name[rptr.index],
+                clock_root[wptr.index], clock_root[rptr.index],
                 wptr.out, rptr.out,
                 nl.cells[inst.extra["rsync_tail_w"]].out,
                 nl.cells[inst.extra["wsync_tail_r"]].out,
@@ -357,37 +356,25 @@ def build_checkers(analysis: Analysis,
                 p = by_id[pid]
                 if p.suppressed:
                     continue
-                clock = root_clock_name[p.dst]
+                clock = clock_root[p.dst]
                 checkers.append(StabilityChecker(
                     f"stability:{pid}", clock, p.src_net, k_stab, p.src_name))
 
-    if cs.static_signals and cs.clocks:
-        clock = cs.clocks[0].name
+    if cs.clocks:
         for net_name in cs.static_signals:
-            net = nl.find_net(net_name)
-            if net is not None:
-                checkers.append(StaticChecker(
-                    f"static:{net_name}", clock, net.index, net_name))
+            checkers.append(StaticChecker(f"static:{net_name}", cs.clocks[0].name,
+                                          nl.net_index[net_name], net_name))
 
-    static_decls = set(cs.static_signals)
     seen_gates = set()
     for note in a.domains.gate_notes:
-        gcell = next((c for c in nl.cells if c.name == note.gate), None)
-        if gcell is None or gcell.index in seen_gates:
+        if note.gate in seen_gates:
             continue
-        seen_gates.add(gcell.index)
-        if isinstance(gcell, Gate) and gcell.op == "AND" and len(gcell.inputs) == 2:
-            root_net = nl.net_index.get(note.root)
-            others = [n for n in gcell.inputs if n != root_net]
-            if len(others) != 1:
-                continue
-            drv = nl.nets[others[0]].driver
-            registered = drv is not None and drv[0] == "cell" and \
-                isinstance(nl.cells[drv[1]], (Dff, Const))
-            if registered or nl.nets[others[0]].name in static_decls:
-                checkers.append(ClockGateChecker(
-                    f"clock_gate:{note.flop}", note.root, others[0],
-                    nl.nets[others[0]].name))
+        seen_gates.add(note.gate)
+        enable = gate_enable(nl, note, cs.static_signals)
+        if enable is not None:
+            checkers.append(ClockGateChecker(
+                f"clock_gate:{note.flop}", nl.nets[note.root].name, enable,
+                nl.nets[enable].name))
 
     for spec in latency or ():
         pid, lo, hi = spec
@@ -400,7 +387,7 @@ def build_checkers(analysis: Analysis,
                 inst = next(s for s in a.syncs if s.id == st.sync_id)
                 if inst.tail is not None:
                     observe = nl.cells[inst.tail].out
-            clock = root_clock_name[p.dst]
+            clock = clock_root[p.dst]
             checkers.append(LatencyChecker(
                 f"latency:{p.id}", clock, p.src_net, observe, lo, hi,
                 f"{p.src_name} -> {p.dst_name}"))

@@ -1,9 +1,14 @@
 """SystemVerilog checker and coverage text generation.
 
-One generator class per recognized structure: ndff_sync_check,
-pulse_sync_check, mux_sync_check, async_fifo_check, clock_gate_check,
-signal_config_check, and the coverage model.  Output is deterministic:
-fixed iteration order, no timestamps, a version-only header.
+The generated checks are rendered from the default runtime checker suite
+(`checkers.build_checkers`), one property set per checker, grouped into one
+module per recognized structure: ndff_sync_check (the stability and gray
+code checkers of one n-flop synchronizer), pulse_sync_check,
+mux_sync_check, async_fifo_check, clock_gate_check and
+signal_config_check; the coverage model comes from the crossing pairs.
+Checkers of user synchronizers (`sync_cells`) and latency checkers get no
+generated mirror.  Output is deterministic: fixed iteration order, no
+timestamps, a version-only header.
 
 Generated assertions stay inside a small fixed template vocabulary —
 property/endproperty, assert property, $stable/$rose/$past, disable iff,
@@ -11,7 +16,9 @@ and plain boolean/bit expressions — which the in-repo interpreter
 (`sva_interp`) can execute against simulation traces.  Every property
 carries a `// checker:` comment naming the runtime checker it mirrors, and
 each assertion's trigger condition matches that checker's sampled
-semantics exactly.
+semantics exactly.  One rule sets every `disable iff`: a property is
+disabled while any declared reset of its clock's domain is active, the
+same resets the simulator ORs into that checker's reset input.
 """
 
 from __future__ import annotations
@@ -19,7 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import __version__
-from .errors import NameCollision, UnresolvedSignal
+from .checkers import (ClockGateChecker, FifoChecker, GrayCodeChecker,
+                       MuxEnableChecker, PulseWidthChecker, StabilityChecker,
+                       StaticChecker, build_checkers)
+from .constraints import ConstraintSet
+from .errors import NameCollision
 from .netlist import Netlist
 from .rules import Analysis
 
@@ -38,35 +49,55 @@ def _sanitize(name: str) -> str:
     return name.replace(".", "__")
 
 
-def _resolve(netlist: Netlist, name: str) -> str:
-    if name not in netlist.net_index:
-        raise UnresolvedSignal(f"generated code references unknown signal {name!r}")
-    return name
-
-
 def _width_decl(width: int) -> str:
     return f" [{width - 1}:0]" if width > 1 else ""
 
 
 class _Module:
-    def __init__(self, name: str, generator: str, sources: tuple[str, ...]):
+    """One checker module.  Its ports are the property clocks, then the
+    resets that disable them, then the sampled signals."""
+
+    def __init__(self, name: str, generator: str, owner: str | None,
+                 rank: tuple[int, int], constraints: ConstraintSet):
         self.name = name
         self.generator = generator
-        self.sources = sources
-        self.ports: list[tuple[str, int]] = []
-        self.bind_map: list[tuple[str, str]] = []   # (port, netlist signal)
+        self.owner = owner
+        self.rank = rank
+        self.sources = [owner] if owner else []
+        self.constraints = constraints
+        self.clocks: dict[str, tuple[str, str | None]] = {}
+        self.ports: dict[str, list[tuple[str, int, str]]] = {
+            "clock": [], "reset": [], "signal": []}   # (port, width, bound net)
         self.body: list[str] = []
 
-    def port(self, name: str, net: str, width: int = 1) -> str:
-        self.ports.append((name, width))
-        self.bind_map.append((name, net))
+    def _port(self, group: str, name: str, net: str, width: int = 1) -> str:
+        self.ports[group].append((name, width, net))
         return name
 
-    def prop(self, name: str, clock: str, disable: str | None,
-             expr: str, mirrors: str):
+    def signal(self, name: str, net: str, width: int = 1) -> str:
+        return self._port("signal", name, net, width)
+
+    def clock(self, tag: str, clock: str) -> tuple[str, str | None]:
+        """The port `clk_<tag>` of property clock `clock` and its `disable
+        iff` condition: any declared reset of the clock's domain, each on a
+        port named after the clock port (`rst_<tag>[_n]`, then
+        `rst_<tag>_1[_n]`, ...)."""
+        if clock not in self.clocks:
+            port = self._port("clock", f"clk_{tag}", clock)
+            terms = []
+            for i, r in enumerate(self.constraints.clock_resets(clock)):
+                rst = self._port("reset", f"rst_{tag}{f'_{i}' if i else ''}"
+                                 f"{'_n' if r.active_low else ''}", r.net)
+                terms.append(f"!{rst}" if r.active_low else rst)
+            self.clocks[clock] = (port, " || ".join(terms) or None)
+        return self.clocks[clock]
+
+    def prop(self, name: str, clock: tuple[str, str | None], expr: str,
+             mirrors: str):
+        port, disable = clock
         self.body.append(f"  // checker: {mirrors}")
         self.body.append(f"  property {name};")
-        head = f"    @(posedge {clock})"
+        head = f"    @(posedge {port})"
         if disable:
             head += f" disable iff ({disable})"
         self.body.append(head)
@@ -75,40 +106,22 @@ class _Module:
         self.body.append(f"  assert property ({name});")
         self.body.append("")
 
+    def port_list(self) -> list[tuple[str, int, str]]:
+        return self.ports["clock"] + self.ports["reset"] + self.ports["signal"]
+
     def render(self) -> str:
         lines = [HEADER, f"// class: {self.generator}",
                  f"// sources: {', '.join(self.sources) or '-'}",
                  f"module {self.name} ("]
-        for i, (name, width) in enumerate(self.ports):
-            comma = "," if i < len(self.ports) - 1 else ""
+        ports = self.port_list()
+        for i, (name, width, _net) in enumerate(ports):
+            comma = "," if i < len(ports) - 1 else ""
             lines.append(f"  input wire{_width_decl(width)} {name}{comma}")
         lines.append(");")
         lines.append("")
         lines.extend(self.body)
         lines.append("endmodule")
         return "\n".join(lines) + "\n"
-
-
-def _domain_reset(analysis: Analysis, domain: str):
-    for r in analysis.constraints.resets:
-        if r.domain == domain:
-            return r
-    return None
-
-
-def _root_clock_of_flop(analysis: Analysis, flop_idx: int) -> str:
-    port = analysis.domains.clock_root[flop_idx]
-    return analysis.netlist.nets[analysis.netlist.ports[port].net].name
-
-
-def _add_reset_port(mod: _Module, analysis: Analysis, domain: str,
-                    tag: str) -> str | None:
-    r = _domain_reset(analysis, domain)
-    if r is None:
-        return None
-    pname = f"rst_{tag}{'_n' if r.active_low else ''}"
-    mod.port(pname, r.net)
-    return f"!{pname}" if r.active_low else pname
 
 
 def _stability_expr(sig: str, k: int) -> str:
@@ -125,163 +138,110 @@ def _gray_expr(sig: str, width: int) -> str:
 
 
 def generate_checks(analysis: Analysis) -> list[GeneratedFile]:
-    """Checker modules for every recognized synchronizer plus the signal
-    configuration checks, and a companion bind file."""
+    """One property set per checker of the default suite, in one module
+    per recognized structure, plus a companion bind file."""
     a = analysis
     nl = a.netlist
     cs = a.constraints
-    k_stab = cs.options["stability_cycles"]
-    files: list[GeneratedFile] = []
-    modules: list[_Module] = []
-    by_id = {p.id: p for p in a.pairs}
+    modules: dict[str, _Module] = {}
+    # module order: synchronizers as recognized, then clock gates in checker
+    # order, then the signal configuration module
+    sync_rank = {s.id: (0, n) for n, s in enumerate(a.syncs)}
 
-    for inst in a.syncs:
-        if inst.role != "cdc":
-            continue
-        if inst.kind == "ndff":
-            pids = [pid for pid in inst.protected
-                    if by_id[pid].suppressed is None
-                    and a.status[pid].state == "synchronized"]
-            if not pids:
-                continue
-            mod = _Module(f"{inst.id}_ndff_check", "ndff_sync_check",
-                          (inst.id, *pids))
-            clk_dst = mod.port("clk_dst",
-                               _resolve(nl, _root_clock_of_flop(a, inst.head)))
-            disable = _add_reset_port(mod, a, inst.dst_domain, "dst")
-            for pid in pids:
-                p = by_id[pid]
-                sig = mod.port(f"src_{pid}", _resolve(nl, p.src_name), p.width)
-                if p.width == 1:
-                    mod.prop(f"p_stable_{pid}", clk_dst, disable,
-                             _stability_expr(sig, k_stab), f"stability:{pid}")
-                else:
-                    src_clk = mod.port("clk_src",
-                                       _resolve(nl, _root_clock_of_flop(a, p.src[1])))
-                    mod.prop(f"p_gray_{pid}", src_clk, disable,
-                             _gray_expr(sig, p.width), f"gray_code:{pid}")
-            modules.append(mod)
-        elif inst.kind == "pulse":
-            mod = _Module(f"{inst.id}_pulse_check", "pulse_sync_check", (inst.id,))
-            toggle_idx = next(m for m in inst.members
-                              if nl.cells[m].name == inst.extra["toggle"])
-            clk_src = mod.port("clk_src",
-                               _resolve(nl, _root_clock_of_flop(a, toggle_idx)))
-            src_domain = a.domains.flop_domain[toggle_idx]
-            disable = _add_reset_port(mod, a, src_domain, "src")
-            pulse = mod.port("pulse_in",
-                             _resolve(nl, nl.nets[inst.extra["pulse_in"]].name))
-            mod.prop(f"p_width_{inst.id}", clk_src, disable,
-                     f"!({pulse} && $past({pulse}))", f"pulse_width:{inst.id}")
-            modules.append(mod)
-        elif inst.kind == "mux":
-            mod = _Module(f"{inst.id}_mux_check", "mux_sync_check", (inst.id,))
-            cap_idx = next(m for m in inst.members
-                           if nl.cells[m].name == inst.extra["capture"])
-            clk_dst = mod.port("clk_dst",
-                               _resolve(nl, _root_clock_of_flop(a, cap_idx)))
-            disable = _add_reset_port(mod, a, inst.dst_domain, "dst")
-            en_net = nl.nets[inst.extra["enable_net"]]
-            data_net = nl.nets[inst.extra["data_net"]]
-            en = mod.port("sel_en", _resolve(nl, en_net.name))
-            data = mod.port("data_bus", _resolve(nl, data_net.name), data_net.width)
-            mod.prop(f"p_hold_{inst.id}", clk_dst, disable,
-                     f"{en} |-> $stable({data})", f"mux_enable:{inst.id}")
-            modules.append(mod)
-        elif inst.kind == "fifo":
-            mod = _Module(f"{inst.id}_fifo_check", "async_fifo_check", (inst.id,))
-            wptr = nl.cells[inst.extra["wptr"]]
-            rptr = nl.cells[inst.extra["rptr"]]
-            width = inst.extra["ptr_width"]
-            clk_w = mod.port("clk_w", _resolve(nl, _root_clock_of_flop(a, wptr.index)))
-            clk_r = mod.port("clk_r", _resolve(nl, _root_clock_of_flop(a, rptr.index)))
-            dis_w = _add_reset_port(mod, a, a.domains.flop_domain[wptr.index], "w")
-            dis_r = _add_reset_port(mod, a, a.domains.flop_domain[rptr.index], "r")
-            wg = mod.port("wgray", _resolve(nl, nl.nets[wptr.out].name), width)
-            rg = mod.port("rgray", _resolve(nl, nl.nets[rptr.out].name), width)
-            rs = mod.port("rsync",
-                          _resolve(nl, nl.nets[nl.cells[inst.extra["rsync_tail_w"]].out].name),
-                          width)
-            ws = mod.port("wsync",
-                          _resolve(nl, nl.nets[nl.cells[inst.extra["wsync_tail_r"]].out].name),
-                          width)
-            twist = (f"{{~$past({rs}[{width - 1}:{width - 2}]), "
-                     f"$past({rs}[{width - 3}:0])}}" if width > 2
-                     else f"~$past({rs})")
-            mod.prop(f"p_gray_w_{inst.id}", clk_w, dis_w,
-                     _gray_expr(wg, width), f"fifo:{inst.id}")
-            mod.prop(f"p_full_{inst.id}", clk_w, dis_w,
-                     f"({wg} != $past({wg})) |-> !($past({wg}) == {twist})",
-                     f"fifo:{inst.id}")
-            mod.prop(f"p_gray_r_{inst.id}", clk_r, dis_r,
-                     _gray_expr(rg, width), f"fifo:{inst.id}")
-            mod.prop(f"p_empty_{inst.id}", clk_r, dis_r,
-                     f"({rg} != $past({rg})) |-> !($past({rg}) == $past({ws}))",
-                     f"fifo:{inst.id}")
-            modules.append(mod)
+    def module(name: str, generator: str, owner: str | None,
+               rank: tuple[int, int]) -> _Module:
+        mod = modules.get(name)
+        if mod is None:
+            mod = modules[name] = _Module(name, generator, owner, rank, cs)
+        elif mod.owner != owner:
+            raise NameCollision(f"two generated modules named {name!r}")
+        return mod
 
-    # clock gating checks, for idiomatic AND(clock, registered-enable) gates
-    from .netlist import Const, Dff, Gate
-    seen_gates = set()
-    static_decls = set(cs.static_signals)
-    for note in a.domains.gate_notes:
-        gcell = next((c for c in nl.cells if c.name == note.gate), None)
-        if gcell is None or gcell.index in seen_gates:
-            continue
-        seen_gates.add(gcell.index)
-        if not (isinstance(gcell, Gate) and gcell.op == "AND"
-                and len(gcell.inputs) == 2):
-            continue
-        root_net = nl.net_index.get(note.root)
-        others = [n for n in gcell.inputs if n != root_net]
-        if len(others) != 1:
-            continue
-        drv = nl.nets[others[0]].driver
-        registered = drv is not None and drv[0] == "cell" and \
-            isinstance(nl.cells[drv[1]], (Dff, Const))
-        declared_static = nl.nets[others[0]].name in static_decls
-        if not (registered or declared_static):
-            continue
-        tag = _sanitize(note.flop)
-        mod = _Module(f"cg_{tag}_check", "clock_gate_check", (note.flop,))
-        clk = mod.port("clk_root", _resolve(nl, note.root))
-        en = mod.port("gate_en", _resolve(nl, nl.nets[others[0]].name))
-        mod.prop(f"p_gate_{tag}", clk, None,
-                 f"!(({en} != $past({en})) && ($past({en}, 1) != $past({en}, 2)))",
-                 f"clock_gate:{note.flop}")
-        modules.append(mod)
+    def net(idx: int) -> str:
+        return nl.nets[idx].name
 
-    # signal configuration checks: declared statics plus false-path record
-    if cs.static_signals or cs.false_paths:
-        mod = _Module("signal_config_check", "signal_config_check",
-                      tuple(cs.static_signals) +
-                      tuple(f"{fp.src}->{fp.dst}" for fp in cs.false_paths))
-        clk = mod.port("clk_ref", _resolve(nl, cs.clocks[0].name))
-        disable = _add_reset_port(mod, a, cs.clocks[0].domain, "ref")
-        for name in cs.static_signals:
-            sig = mod.port(f"sig_{_sanitize(name)}", _resolve(nl, name),
-                           nl.net(name).width)
-            mod.prop(f"p_static_{_sanitize(name)}", clk, disable,
-                     f"$stable({sig})", f"static:{name}")
+    for c in build_checkers(a):
+        subject = c.id.split(":", 1)[1]
+        if isinstance(c, (StabilityChecker, GrayCodeChecker)):
+            st = a.status[subject]
+            if st.sync_kind != "ndff":
+                continue        # user synchronizers get no generated mirror
+            mod = module(f"{st.sync_id}_ndff_check", "ndff_sync_check", st.sync_id,
+                         sync_rank[st.sync_id])
+            mod.sources.append(subject)
+            stable = isinstance(c, StabilityChecker)
+            width = nl.nets[c.net].width
+            clk = mod.clock("dst" if stable else "src", c.clocks[0])
+            sig = mod.signal(f"src_{subject}", c.label, width)
+            if stable:
+                mod.prop(f"p_stable_{subject}", clk, _stability_expr(sig, c.k), c.id)
+            else:
+                mod.prop(f"p_gray_{subject}", clk, _gray_expr(sig, width), c.id)
+        elif isinstance(c, PulseWidthChecker):
+            mod = module(f"{subject}_pulse_check", "pulse_sync_check", subject,
+                         sync_rank[subject])
+            clk = mod.clock("src", c.clocks[0])
+            pulse = mod.signal("pulse_in", net(c.net))
+            mod.prop(f"p_width_{subject}", clk, f"!({pulse} && $past({pulse}))", c.id)
+        elif isinstance(c, MuxEnableChecker):
+            mod = module(f"{subject}_mux_check", "mux_sync_check", subject,
+                         sync_rank[subject])
+            clk = mod.clock("dst", c.clocks[0])
+            en = mod.signal("sel_en", net(c.enable_net))
+            data = mod.signal("data_bus", net(c.data_net), nl.nets[c.data_net].width)
+            mod.prop(f"p_hold_{subject}", clk, f"{en} |-> $stable({data})", c.id)
+        elif isinstance(c, FifoChecker):
+            mod = module(f"{subject}_fifo_check", "async_fifo_check", subject,
+                         sync_rank[subject])
+            w = c.width
+            clk_w = mod.clock("w", c.wclock)
+            clk_r = mod.clock("r", c.rclock)
+            wg = mod.signal("wgray", net(c.wgray), w)
+            rg = mod.signal("rgray", net(c.rgray), w)
+            rs = mod.signal("rsync", net(c.rsync_w), w)
+            ws = mod.signal("wsync", net(c.wsync_r), w)
+            twist = (f"{{~$past({rs}[{w - 1}:{w - 2}]), $past({rs}[{w - 3}:0])}}"
+                     if w > 2 else f"~$past({rs})")
+            mod.prop(f"p_gray_w_{subject}", clk_w, _gray_expr(wg, w), c.id)
+            mod.prop(f"p_full_{subject}", clk_w,
+                     f"({wg} != $past({wg})) |-> !($past({wg}) == {twist})", c.id)
+            mod.prop(f"p_gray_r_{subject}", clk_r, _gray_expr(rg, w), c.id)
+            mod.prop(f"p_empty_{subject}", clk_r,
+                     f"({rg} != $past({rg})) |-> !($past({rg}) == $past({ws}))", c.id)
+        elif isinstance(c, ClockGateChecker):
+            tag = _sanitize(subject)
+            mod = module(f"cg_{tag}_check", "clock_gate_check", subject, (1, 0))
+            clk = mod.clock("root", c.clocks[0])
+            en = mod.signal("gate_en", net(c.net))
+            mod.prop(f"p_gate_{tag}", clk,
+                     f"!(({en} != $past({en})) && ($past({en}, 1) != $past({en}, 2)))",
+                     c.id)
+        elif isinstance(c, StaticChecker):
+            mod = module("signal_config_check", "signal_config_check", None, (2, 0))
+            mod.sources.append(c.label)
+            clk = mod.clock("ref", c.clocks[0])
+            sig = mod.signal(f"sig_{_sanitize(c.label)}", c.label,
+                             nl.nets[c.net].width)
+            mod.prop(f"p_static_{_sanitize(c.label)}", clk, f"$stable({sig})", c.id)
+
+    # false paths are recorded in the signal configuration module
+    if cs.false_paths and cs.clocks:
+        mod = module("signal_config_check", "signal_config_check", None, (2, 0))
+        mod.clock("ref", cs.clocks[0].name)
         for fp in cs.false_paths:
+            mod.sources.append(f"{fp.src}->{fp.dst}")
             mod.body.append(f"  // false_path -from {fp.src} -to {fp.dst} "
                             f"(excluded from analysis by constraint)")
-        modules.append(mod)
 
-    names = set()
-    for mod in modules:
-        if mod.name in names:
-            raise NameCollision(f"two generated modules named {mod.name!r}")
-        names.add(mod.name)
-        files.append(GeneratedFile(f"gen/checks/{mod.generator}/{mod.name}.sv",
-                                   mod.render(), mod.generator, mod.sources))
-
+    ordered = sorted(modules.values(), key=lambda m: m.rank)
+    files = [GeneratedFile(f"gen/checks/{m.generator}/{m.name}.sv", m.render(),
+                           m.generator, tuple(m.sources)) for m in ordered]
     bind_lines = [HEADER, "// class: bind", ""]
-    for mod in modules:
-        conns = ", ".join(f".{port}({net})" for port, net in mod.bind_map)
+    for mod in ordered:
+        conns = ", ".join(f".{port}({bound})" for port, _w, bound in mod.port_list())
         bind_lines.append(f"bind {nl.name} {mod.name} u_{mod.name} ({conns});")
     files.append(GeneratedFile("gen/bind_all.sv", "\n".join(bind_lines) + "\n",
-                               "bind", tuple(m.name for m in modules)))
+                               "bind", tuple(m.name for m in ordered)))
     files.sort(key=lambda f: f.path)
     return files
 
@@ -297,7 +257,7 @@ def generate_coverage_model(analysis: Analysis) -> GeneratedFile:
     for p in a.pairs:
         if p.suppressed is not None:
             continue
-        clk = _root_clock_of_flop(a, p.dst)
+        clk = a.domains.clock_root[p.dst]
         if clk not in clocks_used:
             clocks_used.append(clk)
         ports.append((f"msi_fire_{p.id}", 1))
@@ -313,7 +273,7 @@ def generate_coverage_model(analysis: Analysis) -> GeneratedFile:
     for p in a.pairs:
         if p.suppressed is not None:
             continue
-        clk = _sanitize(_root_clock_of_flop(a, p.dst))
+        clk = _sanitize(a.domains.clock_root[p.dst])
         lines.append(f"  covergroup cg_{p.id} @(posedge clk_{clk});")
         lines.append(f"    coverpoint {{msi_kind_{p.id}, msi_value_{p.id}}} "
                      f"iff (msi_fire_{p.id}) {{")

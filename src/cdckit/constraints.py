@@ -72,6 +72,15 @@ class ConstraintSet:
                 return c
         return None
 
+    def clock_resets(self, clock: str) -> list[ResetSpec]:
+        """The declared resets of `clock`'s domain.  A checker sampling on
+        `clock`, and the generated property that mirrors it, is disabled
+        while any of them is active."""
+        spec = self.clock_by_name(clock)
+        if spec is None:
+            return []
+        return [r for r in self.resets if r.domain == spec.domain]
+
     def domains(self) -> list[str]:
         seen: list[str] = []
         for c in self.clocks:

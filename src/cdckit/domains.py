@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .constraints import ConstraintSet
 from .errors import AnalysisError, UndeclaredClock
-from .netlist import BlackBox, Cone, Dff, Netlist, Ref
+from .netlist import BlackBox, Cone, Const, Dff, Gate, Netlist, Ref
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,8 @@ class NetDomain:
 @dataclass(frozen=True)
 class ClockGateNote:
     flop: str
-    gate: str
-    root: str
-    enable_nets: tuple[str, ...]
+    gate: int                  # multi-input gate cell in the flop's clock cone
+    root: int                  # root clock net
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class DomainMap:
     flop_domain: dict[int, str]
     net_domain: dict[int, NetDomain]
     clock_nets: dict[str, set[int]]              # domain -> clock net indices
-    clock_root: dict[int, int]                   # flop cell idx -> clock port idx
+    clock_root: dict[int, str]                   # flop cell idx -> root clock name
     port_domain: dict[int, str]                  # declared ports (clocks, resets)
     gate_notes: list[ClockGateNote] = field(default_factory=list)
     data_on_clock: list[DataOnClockNote] = field(default_factory=list)
@@ -75,6 +74,24 @@ class DomainMap:
         if kind == "cell":
             return self.flop_domain.get(idx)
         return self.port_domain.get(idx)
+
+
+def gate_enable(netlist: Netlist, note: ClockGateNote,
+                static_signals: list[str]) -> int | None:
+    """The enable net of a gate in the AND(root clock, registered or
+    declared-static enable) idiom, or None when the gate is not one."""
+    gate = netlist.cells[note.gate]
+    if not (isinstance(gate, Gate) and gate.op == "AND" and len(gate.inputs) == 2):
+        return None
+    others = [n for n in gate.inputs if n != note.root]
+    if len(others) != 1:
+        return None
+    drv = netlist.nets[others[0]].driver
+    registered = drv is not None and drv[0] == "cell" and \
+        isinstance(netlist.cells[drv[1]], (Dff, Const))
+    if registered or netlist.nets[others[0]].name in static_signals:
+        return others[0]
+    return None
 
 
 @dataclass(frozen=True)
@@ -163,6 +180,9 @@ def assign_domains(netlist: Netlist, constraints: ConstraintSet) -> DomainMap:
         for p in netlist.ports:
             if p.net == idx and p.direction == "in":
                 port_domain.setdefault(p.index, rspec.domain)
+    for name in constraints.static_signals:
+        if name not in netlist.net_index:
+            raise AnalysisError(f"declared static signal {name!r} not found")
 
     dm = DomainMap({}, {}, {}, {}, port_domain)
 
@@ -183,20 +203,17 @@ def assign_domains(netlist: Netlist, constraints: ConstraintSet) -> DomainMap:
                 f"clock of flop {flop.name!r} does not resolve to exactly one "
                 f"declared clock (cone reaches {offend or 'nothing'})")
         root = roots[0]
+        root_net = netlist.ports[root[1]].net
         domain = clock_ports[root[1]]
         dm.flop_domain[flop.index] = domain
-        dm.clock_root[flop.index] = root[1]
+        dm.clock_root[flop.index] = netlist.nets[root_net].name
         dm.clock_nets.setdefault(domain, set()).add(flop.clock)
-        dm.clock_nets[domain].add(netlist.ports[root[1]].net)
+        dm.clock_nets[domain].add(root_net)
         for ref in flop_srcs:
             dm.data_on_clock.append(DataOnClockNote(flop.name, _ref_name(netlist, ref)))
-        root_net = netlist.ports[root[1]].net
         for g in cone.gates:
-            gate = netlist.cells[g]
-            if len(gate.inputs) > 1:
-                dm.gate_notes.append(ClockGateNote(
-                    flop.name, gate.name, netlist.nets[root_net].name,
-                    tuple(netlist.nets[n].name for n in gate.inputs if n != root_net)))
+            if len(netlist.cells[g].inputs) > 1:
+                dm.gate_notes.append(ClockGateNote(flop.name, g, root_net))
 
     for net in netlist.nets:
         cone = netlist.fanin_cone(net.index)

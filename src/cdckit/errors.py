@@ -117,10 +117,6 @@ class NameCollision(CdcError):
     pass
 
 
-class UnresolvedSignal(CdcError):
-    pass
-
-
 # --- corpus ----------------------------------------------------------------
 
 class MissingLabel(CdcError):

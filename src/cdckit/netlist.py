@@ -140,10 +140,6 @@ class Netlist:
     def net(self, name: str) -> Net:
         return self.nets[self.net_index[name]]
 
-    def find_net(self, name: str) -> Net | None:
-        idx = self.net_index.get(name)
-        return None if idx is None else self.nets[idx]
-
     def dffs(self) -> list[Dff]:
         return [c for c in self.cells if isinstance(c, Dff)]
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constraints import ConstraintSet
-from .domains import CdcPair, DomainMap, RdcPair
+from .domains import CdcPair, DomainMap, RdcPair, gate_enable
 from .findings import Finding, sort_findings
-from .netlist import BlackBox, Const, Dff, Gate, Netlist
+from .netlist import BlackBox, Dff, Gate, Netlist
 from .syncrec import PairStatus, SyncInstance
 
 
@@ -213,30 +213,13 @@ def run_structural(analysis: Analysis) -> list[Finding]:
     for note in a.domains.gate_notes:
         notes_by_flop.setdefault(note.flop, []).append(note)
     for flop_name, notes in sorted(notes_by_flop.items()):
-        gates = []
-        for note in notes:
-            gcell = next((c for c in nl.cells if c.name == note.gate), None)
-            if gcell is not None and gcell.index not in {g.index for g, _n in gates}:
-                gates.append((gcell, note))
-        idiom = False
-        if len(gates) == 1:
-            gcell, note = gates[0]
-            if isinstance(gcell, Gate) and gcell.op == "AND" and len(gcell.inputs) == 2:
-                root_net = nl.net_index.get(note.root)
-                others = [n for n in gcell.inputs if n != root_net]
-                if len(others) == 1:
-                    drv = nl.nets[others[0]].driver
-                    if drv is not None and drv[0] == "cell" and \
-                            isinstance(nl.cells[drv[1]], (Dff, Const)):
-                        idiom = True
-                    elif nl.nets[others[0]].name in static_decls:
-                        idiom = True
-        if not idiom:
-            emit("GATED_CLOCK_GLITCH", [flop_name],
-                 f"clock of {flop_name} gated by "
-                 f"{', '.join(g.name for g, _n in gates)} outside the "
-                 f"AND(clock, registered-enable) idiom",
-                 [g.name for g, _n in gates] + [flop_name])
+        gates = [nl.cells[g].name for g in dict.fromkeys(n.gate for n in notes)]
+        if len(gates) == 1 and gate_enable(nl, notes[0], cs.static_signals) is not None:
+            continue
+        emit("GATED_CLOCK_GLITCH", [flop_name],
+             f"clock of {flop_name} gated by {', '.join(gates)} outside the "
+             f"AND(clock, registered-enable) idiom",
+             gates + [flop_name])
 
     # BLACKBOX_BOUNDARY
     for cell in nl.cells:

@@ -334,17 +334,13 @@ class Engine:
                 if self.nl.nets[self.port_net[p]].width != 1:
                     raise StimulusOutOfRange(f"random port {p!r} must be 1 bit wide")
 
-        # flop clocking: root port and gating condition
+        # flop clocking: root clock and gating condition
         self.flops = self.nl.dffs()
-        self.flop_root: dict[int, str] = {}   # flop -> root clock name
-        self.flop_gated: dict[int, bool] = {}
-        for f in self.flops:
-            port_idx = analysis.domains.clock_root[f.index]
-            root_net = self.nl.ports[port_idx].net
-            self.flop_root[f.index] = self.nl.nets[root_net].name
-            self.flop_gated[f.index] = f.clock != root_net
-        self.root_net = {f.index: self.nl.ports[analysis.domains.clock_root[f.index]].net
+        self.flop_root = analysis.domains.clock_root   # flop -> root clock name
+        self.root_net = {f.index: self.nl.net_index[self.flop_root[f.index]]
                          for f in self.flops}
+        self.flop_gated = {f.index: f.clock != self.root_net[f.index]
+                           for f in self.flops}
 
         # crossing bookkeeping (suppressed pairs are fully ignored)
         self.pairs = [p for p in analysis.pairs if p.suppressed is None]
@@ -392,14 +388,12 @@ class Engine:
             for clk in c.clocks:
                 self.checkers_by_clock.setdefault(clk, []).append(i)
 
-        # per-domain declared resets for checker gating
-        self.domain_resets: dict[str, list[tuple[int, bool]]] = {}
-        for r in cs.resets:
-            net = self.nl.find_net(r.net)
-            if net is not None:
-                self.domain_resets.setdefault(r.domain, []).append(
-                    (net.index, r.active_low))
-        self.clock_domain = {c.name: c.domain for c in cs.clocks}
+        # per clock: its domain's resets as (net, active value), which
+        # disable the checkers sampling on it
+        self.clock_resets = {
+            c.name: tuple((self.nl.net_index[r.net], int(not r.active_low))
+                          for r in cs.clock_resets(c.name))
+            for c in cs.clocks}
         self.fingerprint = pairs_fingerprint(analysis.pairs)
 
     # -- state & evaluation helpers --
@@ -620,9 +614,8 @@ class Engine:
                 continue
             if checkers is state.checkers:
                 checkers = list(checkers)
-            domain = self.clock_domain[clk]
-            in_reset = any((final[n] & 1) == (0 if active_low else 1)
-                           for n, active_low in self.domain_resets.get(domain, ()))
+            in_reset = any((final[n] & 1) == active
+                           for n, active in self.clock_resets[clk])
             for ci in sampling:
                 checkers[ci], message = self.checkers[ci].sample(
                     checkers[ci], clk, tick, get, in_reset)

@@ -13,10 +13,14 @@ from __future__ import annotations
 
 import random
 
+from cdckit.checkers import build_checkers
+from cdckit.codegen import generate_all
 from cdckit.errors import SimDivergence
 from cdckit.netlist import (GATE_OPS, BlackBox, Const, Dff, Gate, Netlist,
                             NetlistBuilder)
-from cdckit.sim import Engine, MsiConfig
+from cdckit.sim import Engine, MsiConfig, simulate
+from cdckit.sva_interp import (evaluate_module, parse_bindings,
+                               parse_checker_module)
 from cdckit.verilog import ParsedModule
 
 
@@ -344,3 +348,24 @@ def replay_explore(analysis, stimulus, checkers):
                 cex[v.checker] = res
     verdicts = {cid: ("counterexample" if cid in cex else "proven") for cid in ids}
     return verdicts, cex, branches
+
+
+def mirror_verdicts(analysis, stimulus, msi):
+    """Verdicts of the default checker suite on one run, and of the
+    generated properties interpreted over that run's waves, each as
+    {checker id: passed}.  A generated checker passes when every property
+    that names it in its `// checker:` comment passes."""
+    res = simulate(analysis, stimulus, msi, build_checkers(analysis))
+    runtime = {v.checker: v.passed for v in res.verdicts}
+    files = generate_all(analysis)
+    binds = parse_bindings(next(f for f in files if f.generator == "bind").text)
+    waves = res.wave_by_name(analysis.netlist)
+    generated: dict[str, bool] = {}
+    for f in files:
+        if f.generator in ("bind", "coverage"):
+            continue
+        mod = parse_checker_module(f.text)
+        for r in evaluate_module(mod, binds[mod.name], waves,
+                                 analysis.constraints, res.edge_counts):
+            generated[r.mirrors] = generated.get(r.mirrors, True) and r.passed
+    return runtime, generated

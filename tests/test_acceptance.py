@@ -20,10 +20,9 @@ from cdckit.domains import assign_domains, extract_cdc_pairs
 from cdckit.errors import DecisionBudgetExceeded
 from cdckit.sim import MsiConfig, explore_exhaustive, reference_simulate, simulate
 from cdckit.stimulus import parse_stimulus
-from cdckit.sva_interp import (evaluate_module, parse_bindings,
-                               parse_checker_module)
 from conftest import load_case
-from oracles import brute_force_pairs, gray_neighbor_sets, random_netlist
+from oracles import (brute_force_pairs, gray_neighbor_sets, mirror_verdicts,
+                     random_netlist)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -217,29 +216,14 @@ def test_criterion_8_codegen_determinism_and_mirror(corpus_root, case_loader):
         if not case.stimulus:
             continue
         a = case.analysis()
-        files = generate_all(a)
-        assert lint_generated(files, a.netlist) == [], case.name
-        checkers = build_checkers(a)
-        if not checkers:
+        assert lint_generated(generate_all(a), a.netlist) == [], case.name
+        if not build_checkers(a):
             continue
-        stim = parse_stimulus(case.stimulus)
-        res = simulate(a, stim, MsiConfig(probability=0.5, seed=1), checkers)
-        runtime = {v.checker: v.passed for v in res.verdicts}
-        binds = parse_bindings(next(f for f in files
-                                    if f.generator == "bind").text)
-        waves = res.wave_by_name(a.netlist)
-        per_checker: dict[str, bool] = {}
-        for f in files:
-            if f.generator in ("bind", "coverage"):
-                continue
-            mod = parse_checker_module(f.text)
-            for r in evaluate_module(mod, binds[mod.name], waves,
-                                     a.constraints, res.edge_counts):
-                per_checker[r.mirrors] = per_checker.get(r.mirrors, True) and r.passed
-        for cid, interp_pass in per_checker.items():
-            if cid in runtime:
-                assert runtime[cid] == interp_pass, (case.name, cid)
-                mirrored += 1
+        runtime, generated = mirror_verdicts(
+            a, parse_stimulus(case.stimulus), MsiConfig(probability=0.5, seed=1))
+        for cid, interp_pass in generated.items():
+            assert runtime[cid] == interp_pass, (case.name, cid)
+            mirrored += 1
     assert mirrored >= 15
     _accept(8, f"byte-stable generation, lint clean, {mirrored} mirrored verdicts")
 

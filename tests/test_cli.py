@@ -238,6 +238,20 @@ def test_bad_user_input_exits_one(corpus_root, tmp_path, capsys, extra):
     assert ":0:0:" not in err       # option values have no file position
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate", "generate"])
+def test_static_declaration_of_unknown_net_exits_one(corpus_root, tmp_path, capsys,
+                                                     command):
+    d = corpus_root / "static_config"
+    cons = tmp_path / "c.cdc"
+    cons.write_text((d / "constraints.cdc").read_text() + "static no_such_net\n")
+    stim = ["-s", str(d / "stimulus.stim")] if command == "simulate" else []
+    rc = main([command, str(d / "rtl.v"), "-c", str(cons), *stim,
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: declared static signal 'no_such_net' not found\n")
+
+
 def _nested_rtl(rhs: str) -> str:
     return f"""module top(input clk_a, input rst_a_n, input d, output q);
   reg r;

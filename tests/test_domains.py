@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cdckit.constraints import ClockSpec, ConstraintSet
-from cdckit.domains import assign_domains, extract_cdc_pairs
+from cdckit.domains import assign_domains, extract_cdc_pairs, gate_enable
 from cdckit.errors import UndeclaredClock
 from cdckit.pipeline import analyze_sources
 from oracles import brute_force_pairs, exhaustive_flop_domains, random_netlist
@@ -47,9 +47,14 @@ module top(input clk_a, input rst_a_n, input en, input d, output q);
   assign q = r;
 endmodule
 """, "clock clk_a -period 10 -domain A\nreset rst_a_n -active_low -domain A\n")
-    flop = next(f for f in a.netlist.dffs() if f.name == "r")
+    nl = a.netlist
+    flop = next(f for f in nl.dffs() if f.name == "r")
     assert a.domains.flop_domain[flop.index] == "A"
-    assert any(n.flop == "r" for n in a.domains.gate_notes)
+    assert a.domains.clock_root[flop.index] == "clk_a"
+    note = next(n for n in a.domains.gate_notes if n.flop == "r")
+    assert nl.cells[note.gate].out == flop.clock
+    assert note.root == nl.net_index["clk_a"]
+    assert gate_enable(nl, note, []) == nl.net_index["en_ff"]
 
 
 def test_undeclared_clock_is_an_error():
