@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract:
   0 ok, 1 input error, 2 structural errors under --strict,
-  3 checker failure or counterexample, 4 decision budget exceeded,
-  5 coverage fingerprint mismatch.
+  3 checker failure or counterexample, 4 decision budget or branch cap
+  exceeded, 5 coverage fingerprint mismatch.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from .checkers import build_checkers, parse_latency
 from .codegen import generate_all, lint_generated
 from .coverage import CoverageDb, format_report_text, merge, report
 from .domains import pairs_fingerprint
-from .errors import CdcError, DecisionBudgetExceeded, FingerprintMismatch
+from .errors import (BranchCapExceeded, CdcError, DecisionBudgetExceeded,
+                     FingerprintMismatch)
 from .pipeline import (analyze_sources, findings_report, pairs_report,
                        syncs_report)
 from .sim import MsiConfig, explore_exhaustive, parse_seed_range, simulate
@@ -166,10 +167,10 @@ def cmd_explore(args) -> int:
     out = Path(args.out)
     checkers = build_checkers(analysis, latency=parse_latency(args.latency),
                               select=_select(args.checkers))
-    msi = MsiConfig(mode="exhaustive", max_decisions=args.budget)
     try:
-        outcome = explore_exhaustive(analysis, stim, msi, checkers)
-    except DecisionBudgetExceeded as e:
+        outcome = explore_exhaustive(analysis, stim, MsiConfig(), checkers,
+                                     budget=args.budget)
+    except (DecisionBudgetExceeded, BranchCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
     outputs = ["verdicts.json"]

@@ -12,8 +12,8 @@ timestamps, a version-only header.
 
 Generated assertions stay inside a small fixed template vocabulary —
 property/endproperty, assert property, $stable/$rose/$past, disable iff,
-and plain boolean/bit expressions — which the in-repo interpreter
-(`sva_interp`) can execute against simulation traces.  Every property
+and plain boolean/bit expressions — which the test suite's interpreter
+(tests/sva_interp.py) executes against simulation traces.  Every property
 carries a `// checker:` comment naming the runtime checker it mirrors, and
 each assertion's trigger condition matches that checker's sampled
 semantics exactly.  One rule sets every `disable iff`: a property is
@@ -309,10 +309,12 @@ _SVA_KEYWORDS = {
     "coverpoint", "bins", "bind", "begin", "end",
 }
 _SVA_FUNCS = {"$past", "$stable", "$rose"}
+_PORT_DECL = r"input\s+wire\s*(?:\[[^\]]*\])?\s*(\w+)"
 
 
 def lint_generated(files: list[GeneratedFile], netlist: Netlist) -> list[str]:
-    """Balanced structure and identifier resolution; empty list means clean."""
+    """Balanced structure, unique port names and identifier resolution;
+    empty list means clean."""
     import re
     problems: list[str] = []
     module_names = set()
@@ -339,8 +341,14 @@ def lint_generated(files: list[GeneratedFile], netlist: Netlist) -> list[str]:
                 if m.group(1) not in module_names:
                     problems.append(f"{f.path}: bind of unknown module {m.group(1)!r}")
             continue
+        # each file holds one module, whose ports must be declared once
+        ports = re.findall(_PORT_DECL, f.text)
+        local = set(ports)
+        if len(local) < len(ports):
+            for port in sorted(local):
+                if ports.count(port) > 1:
+                    problems.append(f"{f.path}: port {port!r} declared twice")
         # identifiers inside a module must be locally declared ports
-        local = set(re.findall(r"input\s+wire\s*(?:\[[^\]]*\])?\s*(\w+)", f.text))
         local |= {m.group(1) for m in re.finditer(r"property\s+(\w+)", f.text)}
         local |= {m.group(1) for m in re.finditer(r"covergroup\s+(\w+)", f.text)}
         local |= {m.group(1) for m in re.finditer(r"bins\s+(\w+)", f.text)}

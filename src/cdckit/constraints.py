@@ -28,9 +28,6 @@ class ClockSpec:
     phase: int
     domain: str
 
-    def edges(self, count: int) -> list[int]:
-        return [self.phase + k * self.period for k in range(count)]
-
     def edge_tick(self, index: int) -> int:
         return self.phase + index * self.period
 
@@ -81,33 +78,34 @@ class ConstraintSet:
             return []
         return [r for r in self.resets if r.domain == spec.domain]
 
-    def domains(self) -> list[str]:
-        seen: list[str] = []
-        for c in self.clocks:
-            if c.domain not in seen:
-                seen.append(c.domain)
-        for r in self.resets:
-            if r.domain not in seen:
-                seen.append(r.domain)
-        return seen
-
     def rule_severity(self, rule: str) -> str:
         return self.severity.get(rule, RULES.get(rule, "warning"))
 
 
-def _take_flag(parts: list[str], flag: str, line_no: int) -> str:
+def take_flag(parts: list[str], flag: str, line_no: int, origin: str) -> str:
+    """Remove `flag` and its value from `parts`; returns the value."""
     if flag not in parts:
-        raise ParseError(f"missing {flag}", line_no, 0, "<constraints>")
+        raise ParseError(f"missing {flag}", line_no, 0, origin)
     i = parts.index(flag)
     if i + 1 >= len(parts):
-        raise ParseError(f"{flag} needs a value", line_no, 0, "<constraints>")
+        raise ParseError(f"{flag} needs a value", line_no, 0, origin)
     value = parts[i + 1]
     del parts[i:i + 2]
     return value
 
 
+def parse_int(text: str, what: str, line_no: int, origin: str) -> int:
+    """`text` as an integer, or a ParseError at `line_no` naming `what`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what} needs an integer, got {text!r}",
+                         line_no, 0, origin) from None
+
+
 def parse_constraints(text: str, origin: str = "<constraints>") -> ConstraintSet:
     cs = ConstraintSet()
+    static_lines: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -119,9 +117,12 @@ def parse_constraints(text: str, origin: str = "<constraints>") -> ConstraintSet
                 raise ParseError("clock needs a name", line_no, 0, origin)
             name = args[0]
             rest = args[1:]
-            period = int(_take_flag(rest, "-period", line_no))
-            phase = int(_take_flag(rest, "-phase", line_no)) if "-phase" in rest else 0
-            domain = _take_flag(rest, "-domain", line_no)
+            period = parse_int(take_flag(rest, "-period", line_no, origin),
+                               "-period", line_no, origin)
+            phase = (parse_int(take_flag(rest, "-phase", line_no, origin),
+                               "-phase", line_no, origin)
+                     if "-phase" in rest else 0)
+            domain = take_flag(rest, "-domain", line_no, origin)
             if rest:
                 raise ParseError(f"unexpected tokens {rest!r}", line_no, 0, origin)
             if period < 2:
@@ -141,18 +142,22 @@ def parse_constraints(text: str, origin: str = "<constraints>") -> ConstraintSet
             active_low = "-active_low" in rest
             if active_low:
                 rest.remove("-active_low")
-            domain = _take_flag(rest, "-domain", line_no)
+            domain = take_flag(rest, "-domain", line_no, origin)
             if rest:
                 raise ParseError(f"unexpected tokens {rest!r}", line_no, 0, origin)
             cs.resets.append(ResetSpec(net, active_low, domain))
         elif directive == "static":
             if len(args) != 1:
                 raise ParseError("static takes exactly one net", line_no, 0, origin)
+            first = static_lines.setdefault(args[0], line_no)
+            if first != line_no:
+                raise ParseError(f"static {args[0]!r} already declared on line {first}",
+                                 line_no, 0, origin)
             cs.static_signals.append(args[0])
         elif directive == "false_path":
             rest = list(args)
-            src = _take_flag(rest, "-from", line_no)
-            dst = _take_flag(rest, "-to", line_no)
+            src = take_flag(rest, "-from", line_no, origin)
+            dst = take_flag(rest, "-to", line_no, origin)
             if rest:
                 raise ParseError(f"unexpected tokens {rest!r}", line_no, 0, origin)
             cs.false_paths.append(FalsePath(src, dst))
@@ -165,10 +170,7 @@ def parse_constraints(text: str, origin: str = "<constraints>") -> ConstraintSet
                 raise ParseError("option takes a key and a value", line_no, 0, origin)
             key, value = args
             if key in _INT_OPTIONS:
-                try:
-                    ivalue = int(value)
-                except ValueError:
-                    raise ParseError(f"option {key} needs an integer", line_no, 0, origin)
+                ivalue = parse_int(value, f"option {key}", line_no, origin)
                 if ivalue < 0 or (key == "ndff_min_depth" and ivalue < 1):
                     raise ParseError(f"bad value for option {key}", line_no, 0, origin)
                 cs.options[key] = ivalue

@@ -15,7 +15,7 @@ from pathlib import Path
 from .checkers import build_checkers, parse_latency
 from .codegen import generate_all, lint_generated
 from .coverage import BINS
-from .errors import DecisionBudgetExceeded, MissingLabel
+from .errors import BranchCapExceeded, DecisionBudgetExceeded, MissingLabel
 from .pipeline import analyze_sources, findings_report
 from .rules import Analysis
 from .sim import MsiConfig, explore_exhaustive, simulate
@@ -163,10 +163,9 @@ def check_case(case: CorpusCase) -> list[MatrixRow]:
                                   latency=parse_latency(lab.get("latency")),
                                   select=lab.get("checkers"))
         try:
-            outcome = explore_exhaustive(
-                analysis, stim, MsiConfig(max_decisions=lab.get("budget", 16)),
-                checkers)
-        except DecisionBudgetExceeded as e:
+            outcome = explore_exhaustive(analysis, stim, MsiConfig(), checkers,
+                                         budget=lab.get("budget", 16))
+        except (DecisionBudgetExceeded, BranchCapExceeded) as e:
             row("explore", False, str(e))
         else:
             ok = True
@@ -195,7 +194,7 @@ def check_case(case: CorpusCase) -> list[MatrixRow]:
         pair = analysis.pair_by_id(pid)
         hit = all(res.coverage.count(pid, bit, b) > 0
                   for bit in range(pair.width) for b in BINS)
-        edges_ok = res.edge_counts.get(analysis.domains.clock_root[pair.dst], 0) \
+        edges_ok = res.coverage.edges.get(analysis.domains.clock_root[pair.dst], 0) \
             <= lab.get("within_edges", 10 ** 9)
         row("coverage-bins", hit and edges_ok,
             "" if hit else "not all bins hit")

@@ -97,6 +97,12 @@ class DecisionBudgetExceeded(CdcError):
         super().__init__(f"exploration needs {count} decisions, budget is {budget}")
 
 
+class BranchCapExceeded(CdcError):
+    def __init__(self, cap: int):
+        self.cap = cap
+        super().__init__(f"exploration needs more than the branch cap of {cap} branches")
+
+
 class SimDivergence(CdcError):
     """Internal consistency assertion of the simulator; should never fire."""
 

@@ -130,7 +130,7 @@ class Netlist:
             for alias in net.aliases:
                 self.net_index.setdefault(alias, net.index)
         self.port_index = {p.name: p.index for p in ports}
-        self._cone_cache: dict[tuple[int, bool], Cone] = {}
+        self._cone_cache: dict[int, Cone] = {}
         self._topo: list[int] | None = None
         # compiled simulation kernels, filled on first use by cdckit.sim
         self.kernels: dict = {}
@@ -164,16 +164,14 @@ class Netlist:
 
     # -- traversal --
 
-    def fanin_cone(self, net_idx: int, stop_at_sequential: bool = True) -> Cone:
+    def fanin_cone(self, net_idx: int) -> Cone:
         """All logic reachable backward from a net.
 
-        With `stop_at_sequential` the walk ends at flop outputs, black-box
-        outputs, and input ports; without it, flop data/enable inputs are
-        followed through.  Raises CombinationalLoop when the walk re-enters
-        a gate currently on the traversal stack.
+        The walk ends at flop outputs, black-box outputs, and input ports.
+        Raises CombinationalLoop when the walk re-enters a gate currently
+        on the traversal stack.
         """
-        key = (net_idx, stop_at_sequential)
-        cached = self._cone_cache.get(key)
+        cached = self._cone_cache.get(net_idx)
         if cached is not None:
             return cached
         seq: list[Ref] = []
@@ -203,9 +201,6 @@ class Netlist:
                 cell = self.cells[drv[1]]
                 if isinstance(cell, Dff):
                     seq.append(("cell", cell.index, "out"))
-                    if not stop_at_sequential:
-                        inputs = (cell.data,) if cell.enable is None \
-                            else (cell.data, cell.enable)
                 elif isinstance(cell, BlackBox):
                     seq.append(("cell", cell.index, drv[2]))
                 elif isinstance(cell, Const):
@@ -226,7 +221,7 @@ class Netlist:
             else:
                 enter(nxt)
         cone = Cone(tuple(seq), tuple(gates), tuple(consts))
-        self._cone_cache[key] = cone
+        self._cone_cache[net_idx] = cone
         return cone
 
     def comb_topo(self) -> list[int]:
@@ -395,13 +390,6 @@ class NetlistBuilder:
         self._parent.append(handle)
         self._by_name[name] = handle
         return handle
-
-    def net_handle(self, name: str) -> int | None:
-        h = self._by_name.get(name)
-        return None if h is None else self._find(h)
-
-    def width_of(self, handle: int) -> int:
-        return self._net_widths[self._find(handle)]
 
     def _find(self, h: int) -> int:
         root = h

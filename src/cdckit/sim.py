@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import compress, product
 from operator import ne
 from typing import NamedTuple
@@ -56,8 +56,8 @@ from .checkers import Checker, Verdict
 from .constraints import ClockSpec
 from .coverage import CoverageDb
 from .domains import CdcPair, pairs_fingerprint
-from .errors import (DecisionBudgetExceeded, ParseError, SimDivergence,
-                     StimulusOutOfRange)
+from .errors import (BranchCapExceeded, DecisionBudgetExceeded, ParseError,
+                     SimDivergence, StimulusOutOfRange)
 from .netlist import Const, Dff, Gate, Netlist
 from .rules import Analysis
 from .stimulus import Stimulus
@@ -70,15 +70,7 @@ _BRANCH_CAP = 1 << 24
 class MsiConfig:
     enabled: bool = True
     probability: float = 0.5
-    setup_window: int | None = None     # None: take the constraints option
-    hold_window: int | None = None
-    pair_probability: dict[str, float] = field(default_factory=dict)
-    mode: str = "random"                # "random" | "exhaustive"
     seed: int = 0
-    max_decisions: int = 16
-
-    def prob(self, pair_id: str) -> float:
-        return self.pair_probability.get(pair_id, self.probability)
 
 
 def parse_seed_range(spec: str) -> list[int]:
@@ -117,11 +109,7 @@ class SimResult:
     events: list[MsiEvent]
     coverage: CoverageDb
     verdicts: list[Verdict]
-    edge_counts: dict[str, int]
     decisions: int
-
-    def wave_by_name(self, netlist: Netlist) -> dict[str, list[tuple[int, int]]]:
-        return {netlist.nets[i].name: w for i, w in self.waves.items()}
 
     def failed(self) -> list[Verdict]:
         return [v for v in self.verdicts if not v.passed]
@@ -140,8 +128,6 @@ class _State(NamedTuple):
 class _TickPlan:
     tick: int
     vals0: list[int]                    # pre-edge state incl. port updates
-    port_changes: list[tuple[int, int]]
-    in_reset: set[int]                  # flop indices under async reset
     dsts: list[int]                     # crossing destinations capturing
     base: dict[int, int]                # capturing flop -> base next value
     opps: list[Opportunity]
@@ -279,10 +265,8 @@ class Engine:
         self.msi = msi
         self.scope = scope
         cs = analysis.constraints
-        self.setup_window = (msi.setup_window if msi.setup_window is not None
-                             else cs.options["setup_window"])
-        self.hold_window = (msi.hold_window if msi.hold_window is not None
-                            else cs.options["hold_window"])
+        self.setup_window = cs.options["setup_window"]
+        self.hold_window = cs.options["hold_window"]
 
         self.clocks: dict[str, ClockSpec] = {c.name: c for c in cs.clocks}
         run_clock = self.clocks.get(stimulus.run_clock)
@@ -298,11 +282,11 @@ class Engine:
                 self.edges_at.setdefault(t, []).append(c.name)
                 t += c.period
         self.agenda = sorted(agenda)
-        self.edge_counts = {name: 0 for name in self.clocks}
+        self.edges_per_clock = {name: 0 for name in self.clocks}
         for t in self.agenda:
             self.edges_at[t] = [c.name for c in cs.clocks if c.name in self.edges_at[t]]
             for name in self.edges_at[t]:
-                self.edge_counts[name] += 1
+                self.edges_per_clock[name] += 1
 
         # port driving
         self.port_net = {p.name: p.net for p in self.nl.ports if p.direction == "in"}
@@ -467,18 +451,17 @@ class Engine:
         """The tick's pre-edge values, captures and opportunities; `rng`
         drives the random stimulus ports, which stay still without it."""
         vals0 = list(state.values)
-        port_changes: list[tuple[int, int]] = []
+        driven = False
         for net, value in self.sets_at.get(tick, ()):
             if vals0[net] != value:
-                port_changes.append((net, value))
+                driven = True
             vals0[net] = value
         if self.random_driver and rng is not None:
             for pname in self.random_driver.ports:
                 if rng.random() < self.random_driver.probability:
-                    net = self.port_net[pname]
-                    vals0[net] ^= 1
-                    port_changes.append((net, vals0[net]))
-        if port_changes:
+                    vals0[self.port_net[pname]] ^= 1
+                    driven = True
+        if driven:
             self.comb(vals0)
 
         in_reset = self._settle_resets(vals0)
@@ -510,8 +493,7 @@ class Engine:
                             hold = self._hold_toggles(p, tick, base, vals0, lookahead)
                         if hold & m:
                             opps.append(Opportunity(p.id, dst, p.src_net, bit, "hold"))
-        return _TickPlan(tick, vals0, port_changes, in_reset, dsts, base, opps,
-                         self.edges_at.get(tick, []))
+        return _TickPlan(tick, vals0, dsts, base, opps, self.edges_at.get(tick, []))
 
     def _post_value(self, src_net: int, base: dict[int, int],
                     vals0: list[int]) -> int:
@@ -628,19 +610,20 @@ class Engine:
 
     # -- drivers --
 
-    def run(self, path: Sequence[bool] = ()) -> SimResult:
-        """One recorded run.  In random mode the seeded RNG draws every
-        decision; otherwise opportunity i takes `path[i]`, and those past
-        the end of `path` keep the reference value."""
-        rng = random.Random(self.msi.seed) if self.msi.mode == "random" else None
+    def run(self, path: Sequence[bool] | None = None) -> SimResult:
+        """One recorded run.  Without `path` the seeded RNG draws every
+        decision and drives the random stimulus ports.  With a `path`, even
+        an empty one, opportunity i takes `path[i]`, those past the end of
+        `path` keep the reference value, and the random ports stay still."""
+        rng = random.Random(self.msi.seed) if path is None else None
         state = self.initial_state()
         events: list[MsiEvent] = []
         waves = {n: [(_NEG, v)] for n, v in enumerate(state.values)}
         for tick in self.agenda:
             plan = self.plan_tick(state, tick, rng)
             if rng is not None:
-                decisions = [rng.random() < self.msi.prob(o.pair)
-                             for o in plan.opps]
+                decisions = [rng.random() < self.msi.probability
+                             for _ in plan.opps]
             else:
                 taken = path[state.decisions:state.decisions + len(plan.opps)]
                 decisions = [*taken] + [False] * (len(plan.opps) - len(taken))
@@ -650,21 +633,22 @@ class Engine:
             new = state.values
             for n in compress(range(len(new)), map(ne, new, old)):
                 waves[n].append((tick, new[n]))
-        return self._finish(state, events, waves)
+        return self._finish(state, events, waves, rng is not None)
 
     def _finish(self, state: _State, events: list[MsiEvent],
-                waves: dict[int, list[tuple[int, int]]]) -> SimResult:
+                waves: dict[int, list[tuple[int, int]]],
+                seeded: bool) -> SimResult:
         coverage = CoverageDb(self.fingerprint, self.scope,
                               tuple(p.id for p in self.a.pairs))
         for e in events:
             coverage.record(e.pair, e.bit, e.kind, e.resolved)
-        if self.msi.mode == "random":
+        if seeded:
             coverage.seeds.append(self.msi.seed)
-        coverage.edges = dict(self.edge_counts)
+        coverage.edges = dict(self.edges_per_clock)
         return SimResult(waves, events, coverage,
                          [c.verdict(f) for c, f in
                           zip(self.checkers, state.failures)],
-                         dict(self.edge_counts), state.decisions)
+                         state.decisions)
 
 
 @dataclass
@@ -672,7 +656,6 @@ class ExploreOutcome:
     verdicts: dict[str, str]                    # checker id -> "proven"|"counterexample"
     counterexamples: dict[str, SimResult]
     branches: int
-    max_decisions_seen: int
 
 
 def simulate(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
@@ -681,29 +664,23 @@ def simulate(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
     return eng.run()
 
 
-def reference_simulate(analysis: Analysis, stimulus: Stimulus,
-                       checkers: list[Checker] | None = None,
-                       scope: str = "ref") -> SimResult:
-    msi = MsiConfig(enabled=False)
-    return simulate(analysis, stimulus, msi, checkers or [], scope)
-
-
 def explore_exhaustive(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
-                       checkers: list[Checker]) -> ExploreOutcome:
+                       checkers: list[Checker], budget: int) -> ExploreOutcome:
     """Enumerate every resolution of every opportunity, depth first with the
-    reference resolution explored first."""
-    cfg = replace(msi, enabled=True, mode="exhaustive")
-    eng = Engine(analysis, stimulus, cfg, checkers, scope="explore")
-    budget = cfg.max_decisions
-    counter = {"branches": 0, "max_dec": 0}
+    reference resolution explored first.  A path of more than `budget`
+    decisions raises DecisionBudgetExceeded, and more than _BRANCH_CAP
+    leaves raise BranchCapExceeded."""
+    eng = Engine(analysis, stimulus, replace(msi, enabled=True), checkers,
+                 scope="explore")
+    branches = 0
     cex: dict[str, SimResult] = {}
     ids = [c.id for c in checkers]
 
     def leaf(state: _State, path: tuple[bool, ...]):
-        counter["branches"] += 1
-        if counter["branches"] > _BRANCH_CAP:
-            raise DecisionBudgetExceeded(counter["max_dec"], budget)
-        counter["max_dec"] = max(counter["max_dec"], state.decisions)
+        nonlocal branches
+        branches += 1
+        if branches > _BRANCH_CAP:
+            raise BranchCapExceeded(_BRANCH_CAP)
         result = None
         for cid, failure in zip(ids, state.failures):
             if failure is not None and cid not in cex:
@@ -733,4 +710,4 @@ def explore_exhaustive(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
 
     dfs(eng.initial_state(), 0, ())
     verdicts = {cid: ("counterexample" if cid in cex else "proven") for cid in ids}
-    return ExploreOutcome(verdicts, cex, counter["branches"], counter["max_dec"])
+    return ExploreOutcome(verdicts, cex, branches)

@@ -6,6 +6,8 @@
 
 `at` applies the value at the tick of that clock's posedge, before flops
 evaluate, so a flop clocked at the same tick captures the new value.
+`random` toggles each listed port with probability `-p` at every tick,
+drawn from the simulation seed's RNG; `-seed` is checked but not used.
 Exactly one `run` directive is required; simulation covers every clock edge
 up to and including the run clock's last requested posedge.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .constraints import parse_int, take_flag
 from .errors import ParseError
 
 
@@ -29,7 +32,6 @@ class SetDirective:
 class RandomDriver:
     ports: tuple[str, ...]
     probability: float
-    seed: int
 
 
 @dataclass
@@ -67,29 +69,26 @@ def parse_stimulus(text: str, origin: str = "<stimulus>") -> Stimulus:
             st.sets.append(SetDirective(clock, edge_i, port, value_i))
         elif parts[0] == "random":
             rest = parts[1:]
-
-            def take(flag: str) -> str:
-                if flag not in rest:
-                    raise ParseError(f"random needs {flag}", line_no, 0, origin)
-                i = rest.index(flag)
-                v = rest[i + 1]
-                del rest[i:i + 2]
-                return v
-
-            ports = tuple(take("-ports").split(","))
-            prob = float(take("-p"))
-            seed = int(take("-seed"))
+            ports = tuple(take_flag(rest, "-ports", line_no, origin).split(","))
+            p = take_flag(rest, "-p", line_no, origin)
+            try:
+                prob = float(p)
+            except ValueError:
+                raise ParseError(f"-p needs a number, got {p!r}",
+                                 line_no, 0, origin) from None
+            parse_int(take_flag(rest, "-seed", line_no, origin), "-seed",
+                      line_no, origin)
             if rest:
                 raise ParseError(f"unexpected tokens {rest!r}", line_no, 0, origin)
             if not 0.0 <= prob <= 1.0:
                 raise ParseError("toggle probability must be in [0,1]", line_no, 0, origin)
-            st.random = RandomDriver(ports, prob, seed)
+            st.random = RandomDriver(ports, prob)
         elif parts[0] == "run":
             if len(parts) != 4 or parts[2] != "of":
                 raise ParseError("expected: run <edges> of <clock>", line_no, 0, origin)
             if st.run_clock:
                 raise ParseError("duplicate run directive", line_no, 0, origin)
-            st.run_edges = int(parts[1])
+            st.run_edges = parse_int(parts[1], "run", line_no, origin)
             st.run_clock = parts[3]
             if st.run_edges < 1:
                 raise ParseError("run length must be >= 1 edge", line_no, 0, origin)

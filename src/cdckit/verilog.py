@@ -681,75 +681,3 @@ def check_module(mod: ParsedModule, origin: str = "<input>") -> None:
         if blk.reset is not None:
             need(blk.reset, blk.line)
         walk(blk.body, blk.line)
-
-
-# --- printer -------------------------------------------------------------------
-
-def _expr_to_str(expr: Expr, parent_prec: int = 0) -> str:
-    # precedence: ternary 1, | 2, ^ 3, & 4, unary 5
-    match expr:
-        case Ident(name):
-            return name
-        case Literal(value, width):
-            if width is None:
-                return str(value)
-            return f"{width}'h{value:x}"
-        case Slice(name, msb, lsb):
-            return f"{name}[{msb}:{lsb}]"
-        case Unary(op, operand):
-            return f"{op}{_expr_to_str(operand, 5)}"
-        case Binary(op, lhs, rhs):
-            prec = {"|": 2, "^": 3, "&": 4}[op]
-            s = f"{_expr_to_str(lhs, prec)} {op} {_expr_to_str(rhs, prec + 1)}"
-            return f"({s})" if parent_prec > prec else s
-        case Ternary(c, t, f):
-            s = f"{_expr_to_str(c, 2)} ? {_expr_to_str(t, 1)} : {_expr_to_str(f, 1)}"
-            return f"({s})" if parent_prec > 1 else s
-        case Concat(parts):
-            return "{" + ", ".join(_expr_to_str(p, 0) for p in parts) + "}"
-    raise AssertionError(expr)
-
-
-def _stmt_lines(stmts: tuple[Stmt, ...], indent: str) -> list[str]:
-    out = []
-    for s in stmts:
-        if isinstance(s, NbAssign):
-            out.append(f"{indent}{s.target} <= {_expr_to_str(s.expr)};")
-        else:
-            out.append(f"{indent}if ({_expr_to_str(s.cond)}) begin")
-            out.extend(_stmt_lines(s.then, indent + "  "))
-            if s.other is not None:
-                out.append(f"{indent}end else begin")
-                out.extend(_stmt_lines(s.other, indent + "  "))
-            out.append(f"{indent}end")
-    return out
-
-
-def to_source(mod: ParsedModule) -> str:
-    """Print a module back to subset source text (stable formatting)."""
-    lines = []
-    port_bits = []
-    for p in mod.ports:
-        d = "input" if p.direction == "in" else "output"
-        r = " reg" if p.is_reg else ""
-        w = f" [{p.width - 1}:0]" if p.width > 1 else ""
-        port_bits.append(f"{d}{r}{w} {p.name}")
-    lines.append(f"module {mod.name}(" + ", ".join(port_bits) + ");")
-    for d in mod.decls:
-        w = f" [{d.width - 1}:0]" if d.width > 1 else ""
-        lines.append(f"  {'reg' if d.is_reg else 'wire'}{w} {d.name};")
-    for a in mod.assigns:
-        lines.append(f"  assign {a.target} = {_expr_to_str(a.expr)};")
-    for blk in mod.always_blocks:
-        ev = f"posedge {blk.clock}"
-        if blk.reset is not None:
-            ev += f" or {blk.reset_edge} {blk.reset}"
-        lines.append(f"  always @({ev}) begin")
-        lines.extend(_stmt_lines(blk.body, "    "))
-        lines.append("  end")
-    for inst in mod.instances:
-        conns = ", ".join(
-            f".{p}({_expr_to_str(e) if e is not None else ''})" for p, e in inst.conns)
-        lines.append(f"  {inst.module} {inst.name}({conns});")
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"

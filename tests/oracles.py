@@ -6,7 +6,9 @@ tree, cones come from naive path enumeration, domains from exhaustive
 backward search, and crossing pairs from brute-force path walks.  Gate
 values come from a string-dispatch interpreter, the reference for the
 simulator's compiled kernels, and exhaustive exploration is redone by
-replaying every decision path from the start.
+replaying every decision path from the start.  Also here: the
+MSI-off reference run, a printer back to subset source text, and the
+generated assertions interpreted over a run's waves (`sva_interp`).
 """
 
 from __future__ import annotations
@@ -18,10 +20,22 @@ from cdckit.codegen import generate_all
 from cdckit.errors import SimDivergence
 from cdckit.netlist import (GATE_OPS, BlackBox, Const, Dff, Gate, Netlist,
                             NetlistBuilder)
-from cdckit.sim import Engine, MsiConfig, simulate
-from cdckit.sva_interp import (evaluate_module, parse_bindings,
-                               parse_checker_module)
-from cdckit.verilog import ParsedModule
+from cdckit.sim import Engine, MsiConfig, SimResult, simulate
+from cdckit.verilog import (Binary, Concat, Expr, Ident, Literal, NbAssign,
+                            ParsedModule, Slice, Stmt, Ternary, Unary)
+from sva_interp import evaluate_module, parse_bindings, parse_checker_module
+
+
+def reference_simulate(analysis, stimulus, checkers=None,
+                       scope: str = "ref") -> SimResult:
+    """One run with metastability injection off."""
+    return simulate(analysis, stimulus, MsiConfig(enabled=False),
+                    checkers or [], scope)
+
+
+def wave_by_name(res: SimResult, netlist: Netlist) -> dict[str, list[tuple[int, int]]]:
+    """A run's waves keyed by net name."""
+    return {netlist.nets[i].name: w for i, w in res.waves.items()}
 
 
 def count_dffs_recursive(modules: list[ParsedModule], top: str) -> int:
@@ -330,8 +344,7 @@ def replay_explore(analysis, stimulus, checkers):
     depth-first search it checks, enumeration stops once every checker has
     a counterexample.  Returns (verdicts, counterexamples, branches).
     """
-    eng = Engine(analysis, stimulus, MsiConfig(mode="exhaustive"), checkers,
-                 scope="explore")
+    eng = Engine(analysis, stimulus, MsiConfig(), checkers, scope="explore")
     ids = [c.id for c in checkers]
     cex: dict = {}
     branches = 0
@@ -359,13 +372,83 @@ def mirror_verdicts(analysis, stimulus, msi):
     runtime = {v.checker: v.passed for v in res.verdicts}
     files = generate_all(analysis)
     binds = parse_bindings(next(f for f in files if f.generator == "bind").text)
-    waves = res.wave_by_name(analysis.netlist)
+    waves = wave_by_name(res, analysis.netlist)
     generated: dict[str, bool] = {}
     for f in files:
         if f.generator in ("bind", "coverage"):
             continue
         mod = parse_checker_module(f.text)
         for r in evaluate_module(mod, binds[mod.name], waves,
-                                 analysis.constraints, res.edge_counts):
+                                 analysis.constraints, res.coverage.edges):
             generated[r.mirrors] = generated.get(r.mirrors, True) and r.passed
     return runtime, generated
+
+
+def _expr_to_str(expr: Expr, parent_prec: int = 0) -> str:
+    # precedence: ternary 1, | 2, ^ 3, & 4, unary 5
+    match expr:
+        case Ident(name):
+            return name
+        case Literal(value, width):
+            if width is None:
+                return str(value)
+            return f"{width}'h{value:x}"
+        case Slice(name, msb, lsb):
+            return f"{name}[{msb}:{lsb}]"
+        case Unary(op, operand):
+            return f"{op}{_expr_to_str(operand, 5)}"
+        case Binary(op, lhs, rhs):
+            prec = {"|": 2, "^": 3, "&": 4}[op]
+            s = f"{_expr_to_str(lhs, prec)} {op} {_expr_to_str(rhs, prec + 1)}"
+            return f"({s})" if parent_prec > prec else s
+        case Ternary(c, t, f):
+            s = f"{_expr_to_str(c, 2)} ? {_expr_to_str(t, 1)} : {_expr_to_str(f, 1)}"
+            return f"({s})" if parent_prec > 1 else s
+        case Concat(parts):
+            return "{" + ", ".join(_expr_to_str(p, 0) for p in parts) + "}"
+    raise AssertionError(expr)
+
+
+def _stmt_lines(stmts: tuple[Stmt, ...], indent: str) -> list[str]:
+    out = []
+    for s in stmts:
+        if isinstance(s, NbAssign):
+            out.append(f"{indent}{s.target} <= {_expr_to_str(s.expr)};")
+        else:
+            out.append(f"{indent}if ({_expr_to_str(s.cond)}) begin")
+            out.extend(_stmt_lines(s.then, indent + "  "))
+            if s.other is not None:
+                out.append(f"{indent}end else begin")
+                out.extend(_stmt_lines(s.other, indent + "  "))
+            out.append(f"{indent}end")
+    return out
+
+
+def to_source(mod: ParsedModule) -> str:
+    """Print a module back to subset source text (stable formatting)."""
+    lines = []
+    port_bits = []
+    for p in mod.ports:
+        d = "input" if p.direction == "in" else "output"
+        r = " reg" if p.is_reg else ""
+        w = f" [{p.width - 1}:0]" if p.width > 1 else ""
+        port_bits.append(f"{d}{r}{w} {p.name}")
+    lines.append(f"module {mod.name}(" + ", ".join(port_bits) + ");")
+    for d in mod.decls:
+        w = f" [{d.width - 1}:0]" if d.width > 1 else ""
+        lines.append(f"  {'reg' if d.is_reg else 'wire'}{w} {d.name};")
+    for a in mod.assigns:
+        lines.append(f"  assign {a.target} = {_expr_to_str(a.expr)};")
+    for blk in mod.always_blocks:
+        ev = f"posedge {blk.clock}"
+        if blk.reset is not None:
+            ev += f" or {blk.reset_edge} {blk.reset}"
+        lines.append(f"  always @({ev}) begin")
+        lines.extend(_stmt_lines(blk.body, "    "))
+        lines.append("  end")
+    for inst in mod.instances:
+        conns = ", ".join(
+            f".{p}({_expr_to_str(e) if e is not None else ''})" for p, e in inst.conns)
+        lines.append(f"  {inst.module} {inst.name}({conns});")
+    lines.append("endmodule")
+    return "\n".join(lines) + "\n"

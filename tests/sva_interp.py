@@ -17,8 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .constraints import ConstraintSet
-from .errors import ParseError
+from cdckit.constraints import ConstraintSet
+from cdckit.errors import ParseError
 
 # --- expression mini-language -------------------------------------------------
 

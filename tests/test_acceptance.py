@@ -18,11 +18,11 @@ from cdckit.corpus import load_corpus, run_corpus
 from cdckit.coverage import BINS, merge
 from cdckit.domains import assign_domains, extract_cdc_pairs
 from cdckit.errors import DecisionBudgetExceeded
-from cdckit.sim import MsiConfig, explore_exhaustive, reference_simulate, simulate
+from cdckit.sim import MsiConfig, explore_exhaustive, simulate
 from cdckit.stimulus import parse_stimulus
 from conftest import load_case
 from oracles import (brute_force_pairs, gray_neighbor_sets, mirror_verdicts,
-                     random_netlist)
+                     random_netlist, reference_simulate)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,7 +100,7 @@ def test_criterion_4_coverage_saturation(case_loader):
     runs = [simulate(analysis, stim, MsiConfig(probability=0.5, seed=42), [])
             for _ in range(2)]
     r = runs[0]
-    assert r.edge_counts["clk_b"] <= 500
+    assert r.coverage.edges["clk_b"] <= 500
     pair = analysis.pairs[0]
     for bit in range(pair.width):
         for name in BINS:
@@ -116,14 +116,14 @@ def test_criterion_5_metastability_latency(case_loader):
     stim = parse_stimulus(stim_text)
     strict = build_checkers(analysis, latency=[("cdc0", 2, 2)],
                             select=["latency"])
-    out = explore_exhaustive(analysis, stim, MsiConfig(max_decisions=16), strict)
+    out = explore_exhaustive(analysis, stim, MsiConfig(), strict, budget=16)
     assert out.verdicts["latency:cdc0"] == "counterexample"
     cex = out.counterexamples["latency:cdc0"]
     assert len(cex.events) == 1 and cex.events[0].kind == "setup"
 
     relaxed = build_checkers(analysis, latency=[("cdc0", 2, 3)],
                              select=["latency"])
-    out = explore_exhaustive(analysis, stim, MsiConfig(max_decisions=16), relaxed)
+    out = explore_exhaustive(analysis, stim, MsiConfig(), relaxed, budget=16)
     assert out.verdicts["latency:cdc0"] == "proven"
     for seed in range(1, 101):
         checkers = build_checkers(analysis, latency=[("cdc0", 2, 3)],
@@ -184,8 +184,8 @@ def test_criterion_7_exhaustive_random_consistency(corpus_root):
         if not suite():
             continue
         try:
-            out = explore_exhaustive(analysis, stim,
-                                     MsiConfig(max_decisions=16), suite())
+            out = explore_exhaustive(analysis, stim, MsiConfig(), suite(),
+                                     budget=16)
         except DecisionBudgetExceeded:
             continue  # outside the stated budget
         exhaustive_failing = {cid for cid, v in out.verdicts.items()

@@ -1,7 +1,7 @@
 from cdckit.checkers import build_checkers
-from cdckit.sim import (Engine, MsiConfig, explore_exhaustive,
-                        reference_simulate, simulate)
+from cdckit.sim import Engine, MsiConfig, explore_exhaustive, simulate
 from cdckit.stimulus import parse_stimulus
+from oracles import reference_simulate
 
 
 def _verdicts(analysis, stim_text, select=None, latency=None, msi=False,
@@ -151,8 +151,8 @@ def test_checker_state_values_are_hashable(corpus_root, case_loader, monkeypatch
 
 
 def _explore_verdicts(analysis, stim, checkers):
-    return explore_exhaustive(analysis, stim, MsiConfig(max_decisions=16),
-                              checkers).verdicts
+    return explore_exhaustive(analysis, stim, MsiConfig(), checkers,
+                              budget=16).verdicts
 
 
 def test_one_checker_list_serves_every_run(case_loader):

@@ -129,6 +129,16 @@ def test_explore_budget_exceeded_exits_four(corpus_root, tmp_path):
     assert rc == 4
 
 
+def test_explore_branch_cap_exits_four_and_names_the_cap(corpus_root, tmp_path,
+                                                        capsys, monkeypatch):
+    monkeypatch.setattr("cdckit.sim._BRANCH_CAP", 4)
+    files, stim = _case_args(corpus_root, "divergence")
+    rc = main(["explore", *files, "-s", stim, "--out", str(tmp_path)])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "error: exploration needs more than the branch cap of 4 branches\n")
+
+
 def test_generate_then_report_round(corpus_root, tmp_path):
     files, stim = _case_args(corpus_root, "cov_toggle")
     gen_out = tmp_path / "gen"
@@ -236,6 +246,42 @@ def test_bad_user_input_exits_one(corpus_root, tmp_path, capsys, extra):
     assert rc == 1
     assert err.startswith("error: ") and "Traceback" not in err
     assert ":0:0:" not in err       # option values have no file position
+
+
+@pytest.mark.parametrize("target, line", [
+    ("constraints", "clock clk_x -period x10 -domain X"),
+    ("constraints", "clock clk_x -period 10 -phase x -domain X"),
+    ("stimulus", "run x of clk_a"),
+    ("stimulus", "random -ports d -p x -seed 1"),
+    ("stimulus", "random -ports d -p 0.5 -seed x"),
+    ("stimulus", "random -ports d -p 0.5 -seed"),
+], ids=["period", "phase", "run", "random-p", "random-seed", "random-no-value"])
+def test_malformed_directive_is_a_positioned_error(corpus_root, tmp_path, capsys,
+                                                   target, line):
+    d = corpus_root / "cov_toggle"
+    paths = {"constraints": tmp_path / "c.cdc", "stimulus": tmp_path / "s.stim"}
+    paths["constraints"].write_text((d / "constraints.cdc").read_text())
+    paths["stimulus"].write_text((d / "stimulus.stim").read_text())
+    bad = paths[target]
+    bad.write_text(line + "\n" + bad.read_text())
+    rc = main(["simulate", str(d / "rtl.v"), "-c", str(paths["constraints"]),
+               "-s", str(paths["stimulus"]), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    origin = "<constraints>" if target == "constraints" else str(bad)
+    assert rc == 1
+    assert err.startswith(f"error: {origin}:1:0: ") and "Traceback" not in err
+
+
+def test_repeated_static_declaration_exits_one(corpus_root, tmp_path, capsys):
+    d = corpus_root / "static_config"
+    cons = tmp_path / "c.cdc"
+    cons.write_text((d / "constraints.cdc").read_text() + "static cfg_r\n")
+    rc = main(["generate", str(d / "rtl.v"), "-c", str(cons),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: <constraints>:6:0: static 'cfg_r' already declared on line 5\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate", "generate"])

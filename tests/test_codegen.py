@@ -93,6 +93,20 @@ def test_lint_catches_unknown_signal(case_loader):
     assert any("no_such_net" in p for p in problems)
 
 
+def test_lint_catches_duplicate_port(case_loader):
+    from cdckit.codegen import GeneratedFile
+    analysis, _ = case_loader("static_config")
+    files = generate_all(analysis)
+    i = next(k for k, f in enumerate(files) if f.generator == "signal_config_check")
+    port = "  input wire sig_cfg_r\n"
+    assert files[i].text.count(port) == 1
+    files[i] = GeneratedFile(files[i].path,
+                             files[i].text.replace(port, "  input wire sig_cfg_r,\n" + port),
+                             files[i].generator, files[i].sources)
+    assert lint_generated(files, analysis.netlist) == [
+        f"{files[i].path}: port 'sig_cfg_r' declared twice"]
+
+
 def _mirror(analysis, stim_text, seed=1, msi=True):
     """(checker id, generated verdict, runtime verdict) for every generated
     checker whose verdict differs from its runtime checker's."""

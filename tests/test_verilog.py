@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from cdckit.errors import CdcError, DuplicateModule, ParseError, UnsupportedConstruct
 from cdckit.verilog import (Binary, Ident, Literal, Ternary, Unary,
-                            parse_verilog, to_source)
+                            parse_verilog)
+from oracles import to_source
 
 SYNC2 = """
 module sync2(input clk, input rst_n, input d, output q);
