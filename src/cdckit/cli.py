@@ -49,17 +49,16 @@ def _write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _constraints_text(path: str) -> str:
-    base = ""
+def _constraint_texts(path: str) -> list[tuple[str, str]]:
+    """The `OPTIONS_ENV` file, when it names one, then the `-c` file."""
     env = os.environ.get(OPTIONS_ENV)
-    if env and Path(env).exists():
-        base = _read(env) + "\n"
-    return base + _read(path)
+    files = [env] if env and Path(env).exists() else []
+    return [(f, _read(f)) for f in files + [path]]
 
 
 def _load_analysis(args):
     sources = [(f, _read(f)) for f in args.files]
-    return analyze_sources(sources, _constraints_text(args.constraints),
+    return analyze_sources(sources, _constraint_texts(args.constraints),
                            top=args.top)
 
 

@@ -104,8 +104,22 @@ def parse_int(text: str, what: str, line_no: int, origin: str) -> int:
 
 
 def parse_constraints(text: str, origin: str = "<constraints>") -> ConstraintSet:
+    return parse_constraint_texts([(origin, text)])
+
+
+def parse_constraint_texts(texts: list[tuple[str, str]]) -> ConstraintSet:
+    """One constraint set from (origin, text) pairs read in order: a later
+    `option` overrides an earlier one, and a clock or `static` declared
+    twice is an error in any of them."""
     cs = ConstraintSet()
-    static_lines: dict[str, int] = {}
+    static_at: dict[str, tuple[str, int]] = {}
+    for origin, text in texts:
+        _parse_into(cs, text, origin, static_at)
+    return cs
+
+
+def _parse_into(cs: ConstraintSet, text: str, origin: str,
+                static_at: dict[str, tuple[str, int]]) -> None:
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -149,9 +163,11 @@ def parse_constraints(text: str, origin: str = "<constraints>") -> ConstraintSet
         elif directive == "static":
             if len(args) != 1:
                 raise ParseError("static takes exactly one net", line_no, 0, origin)
-            first = static_lines.setdefault(args[0], line_no)
-            if first != line_no:
-                raise ParseError(f"static {args[0]!r} already declared on line {first}",
+            first = static_at.setdefault(args[0], (origin, line_no))
+            if first != (origin, line_no):
+                where = (f"line {first[1]}" if first[0] == origin
+                         else f"{first[0]}:{first[1]}")
+                raise ParseError(f"static {args[0]!r} already declared on {where}",
                                  line_no, 0, origin)
             cs.static_signals.append(args[0])
         elif directive == "false_path":
@@ -186,4 +202,3 @@ def parse_constraints(text: str, origin: str = "<constraints>") -> ConstraintSet
                 raise UnknownOption(f"unknown option {key!r}", line_no, 0, origin)
         else:
             raise ParseError(f"unknown directive {directive!r}", line_no, 0, origin)
-    return cs

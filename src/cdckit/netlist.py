@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .errors import CombinationalLoop, MultipleDrivers, PortWidthMismatch
 
@@ -242,16 +243,16 @@ class Netlist:
                 if src is not None:
                     indeg[g.index] = indeg.get(g.index, 0) + 1
                     succs.setdefault(src, []).append(g.index)
+        # the ready gate of lowest index goes first
         ready = sorted(i for i, d in indeg.items() if d == 0)
         order: list[int] = []
         while ready:
-            idx = ready.pop(0)
+            idx = heappop(ready)
             order.append(idx)
-            for s in sorted(succs.get(idx, ())):
+            for s in succs.get(idx, ()):
                 indeg[s] -= 1
                 if indeg[s] == 0:
-                    ready.append(s)
-            ready.sort()
+                    heappush(ready, s)
         if len(order) != len(gates):
             stuck = sorted(set(indeg) - set(order))
             name = self.cells[stuck[0]].name if stuck else "?"

@@ -3,7 +3,7 @@ recognition -> classification.  One elaboration shared by every stage."""
 
 from __future__ import annotations
 
-from .constraints import ConstraintSet, parse_constraints
+from .constraints import ConstraintSet, parse_constraint_texts
 from .domains import (assign_domains, extract_cdc_pairs, extract_rdc_pairs,
                       pairs_fingerprint, unclocked_crossings)
 from .elaborate import elaborate
@@ -23,15 +23,20 @@ def analyze_netlist(netlist: Netlist, constraints: ConstraintSet) -> Analysis:
     return Analysis(netlist, constraints, domains, pairs, rdc, syncs, status)
 
 
-def analyze_sources(sources: list[tuple[str, str]], constraints_text: str,
+def analyze_sources(sources: list[tuple[str, str]],
+                    constraints: str | list[tuple[str, str]],
                     top: str | None = None, *,
                     on_unresolved: str = "blackbox") -> Analysis:
-    """`sources` is a list of (origin, text).  Without an explicit top, the
-    single module that is instantiated nowhere is the top."""
+    """`sources` is a list of (origin, text).  `constraints` is one
+    `<constraints>` text or a list of (origin, text) read in order.  Without
+    an explicit top, the single module that is instantiated nowhere is the
+    top."""
     modules: list[ParsedModule] = []
     for origin, text in sources:
         modules.extend(parse_verilog(text, origin))
-    constraints = parse_constraints(constraints_text)
+    if isinstance(constraints, str):
+        constraints = [("<constraints>", constraints)]
+    cs = parse_constraint_texts(constraints)
     if top is None:
         instantiated = {i.module for m in modules for i in m.instances}
         roots = [m.name for m in modules if m.name not in instantiated]
@@ -39,7 +44,7 @@ def analyze_sources(sources: list[tuple[str, str]], constraints_text: str,
             raise ElabError(f"cannot infer top module; candidates: {roots}")
         top = roots[0]
     netlist = elaborate(modules, top, on_unresolved=on_unresolved)
-    return analyze_netlist(netlist, constraints)
+    return analyze_netlist(netlist, cs)
 
 
 def pairs_report(analysis: Analysis) -> dict:

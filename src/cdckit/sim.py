@@ -36,8 +36,9 @@ simulation).  Each netlist is compiled once into straight-line Python with
 constant masks: `comb`, every gate in topological order, and cone kernels,
 the enable and data of one crossing destination with its sources
 substituted or one gated flop clock with its root substituted.  Kernels are
-`exec`'d in chunks of at most `_CHUNK` gates and cached on the `Netlist`,
-so every seed and exploration branch of a design shares them.  A hold
+split into functions of at most `_CHUNK` gates and cached on the `Netlist`,
+so every seed and exploration branch of a design shares them; the cone
+kernels an engine needs are compiled together, in one `compile`.  A hold
 lookahead is one post-capture `comb` per tick, made on first need.  The
 gate interpreter they replace is kept in tests/oracles.py as the reference
 they are tested against.
@@ -48,7 +49,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import compress, product
+from itertools import chain, compress, product
 from operator import ne
 from typing import NamedTuple
 
@@ -178,26 +179,26 @@ def _gate_code(nl: Netlist, g: Gate, ref) -> list[str]:
     return code
 
 
-def _define(name: str, params: str, lines: list[str], ns: dict):
-    src = f"def {name}({params}):\n" + "".join(f"    {line}\n"
-                                               for line in lines or ["pass"])
-    exec(compile(src, f"<cdckit kernel {name}>", "exec"), ns)
-    return ns[name]
+def _define(name: str, params: str, lines: list[str]) -> str:
+    return f"def {name}({params}):\n" + "".join(f"    {line}\n"
+                                                for line in lines or ["pass"])
 
 
 def _function(nl: Netlist, name: str, params: str, head: list[str],
-              gates: list[int], written: set[int], result: tuple[int, ...]):
-    """exec `def name(params)`: run `head`, store the value of each gate in
-    `w` in the order given, and return the values of the `result` nets.
+              gates: list[int], written: set[int],
+              result: tuple[int, ...]) -> list[str]:
+    """Sources of `def name(params)` and its helpers: run `head`, store the
+    value of each gate in `w` in the order given, and return the values of
+    the `result` nets.
 
     Nets in `written` are read from `w`, all others from `v`.  The gates go
-    into helper functions of at most _CHUNK gates, one statement each, so no
-    single compile grows with the design and no expression nests; up to
-    _CHUNK gates go straight into the function."""
+    into helper functions `name_g<k>` of at most _CHUNK gates, one statement
+    each, so no single function grows with the design and no expression
+    nests; up to _CHUNK gates go straight into the function."""
     def ref(net: int) -> str:
         return f"w[{net}]" if net in written else f"v[{net}]"
 
-    ns: dict = {}
+    helpers = []
     body = list(head)
     for k in range(0, len(gates), _CHUNK):
         lines = [line for i in gates[k:k + _CHUNK]
@@ -205,18 +206,29 @@ def _function(nl: Netlist, name: str, params: str, head: list[str],
         if len(gates) <= _CHUNK:
             body += lines       # one chunk: no helper call
         else:
-            _define(f"_g{k}", "v, w", lines, ns)
-            body.append(f"_g{k}(v, w)")
+            helpers.append(_define(f"{name}_g{k}", "v, w", lines))
+            body.append(f"{name}_g{k}(v, w)")
     if result:
         body.append("return " + ", ".join(ref(n) for n in result))
-    return _define(name, params, body, ns)
+    return helpers + [_define(name, params, body)]
+
+
+def _compile(sources: list[str], label: str) -> dict:
+    """The names that `sources` define, each compiled on its own."""
+    ns: dict = {}
+    for source in sources:
+        exec(compile(source, f"<cdckit kernels {label}>", "exec"), ns)
+    return ns
 
 
 def _compile_comb(nl: Netlist):
-    return _function(nl, "comb", "v", ["w = v"], nl.comb_topo(), set(), ())
+    # a compile per chunk: one compile of every chunk is slower
+    return _compile(_function(nl, "comb", "v", ["w = v"], nl.comb_topo(),
+                              set(), ()), "comb")["comb"]
 
 
-def _compile_cone(nl: Netlist, targets: tuple[int, ...], subs: tuple[int, ...]):
+def _cone_sources(nl: Netlist, name: str, targets: tuple[int, ...],
+                  subs: tuple[int, ...]) -> list[str]:
     gates: set[int] = set()
     seen = set(subs)
     stack = list(targets)
@@ -233,7 +245,15 @@ def _compile_cone(nl: Netlist, targets: tuple[int, ...], subs: tuple[int, ...]):
     written = set(subs) | {nl.cells[i].out for i in order}
     params = ", ".join(["v"] + [f"s{j}" for j in range(len(subs))])
     head = ["w = {}"] + [f"w[{net}] = s{j}" for j, net in enumerate(subs)]
-    return _function(nl, "cone", params, head, order, written, targets)
+    return _function(nl, name, params, head, order, written, targets)
+
+
+def _compile_cones(nl: Netlist, specs: list[tuple[tuple[int, ...], tuple[int, ...]]]):
+    """The cone kernels of `specs`, (targets, subs) each, from one compile."""
+    sources = [source for j, (targets, subs) in enumerate(specs)
+               for source in _cone_sources(nl, f"cone{j}", targets, subs)]
+    ns = _compile(["".join(sources)], "cones")
+    return [ns[f"cone{j}"] for j in range(len(specs))]
 
 
 def comb_kernel(nl: Netlist):
@@ -245,16 +265,22 @@ def comb_kernel(nl: Netlist):
     return k
 
 
+def cone_kernels(nl: Netlist, specs: list[tuple[tuple[int, ...], tuple[int, ...]]]):
+    """The kernel of each (targets, subs) in `specs`: `cone(v, *values)`
+    gives the values of the `targets` nets (a tuple when there are several)
+    with the nets `subs` set to `values`.  The gates between them are
+    re-evaluated; every other net is read from `v`.  Each kernel is compiled
+    once per netlist, and those not compiled yet are compiled together."""
+    missing = [s for s in dict.fromkeys(specs) if ("cone", *s) not in nl.kernels]
+    if missing:
+        for s, k in zip(missing, _compile_cones(nl, missing)):
+            nl.kernels[("cone", *s)] = k
+    return [nl.kernels[("cone", *s)] for s in specs]
+
+
 def cone_kernel(nl: Netlist, targets: tuple[int, ...], subs: tuple[int, ...]):
-    """`cone(v, *values)`: the values of the `targets` nets (a tuple when
-    there are several) with the nets `subs` set to `values`.  The gates
-    between them are re-evaluated; every other net is read from `v`.
-    Compiled once per netlist and pair of net tuples."""
-    key = ("cone", targets, subs)
-    k = nl.kernels.get(key)
-    if k is None:
-        k = nl.kernels[key] = _compile_cone(nl, targets, subs)
-    return k
+    """The kernel of one cone; see `cone_kernels`."""
+    return cone_kernels(nl, [(targets, subs)])[0]
 
 
 class Engine:
@@ -339,20 +365,25 @@ class Engine:
             if p.src[0] == "cell" and isinstance(self.nl.cells[p.src[1]], Dff):
                 self.src_flop_of_net[p.src_net] = p.src[1]
 
-        # compiled kernels, shared with every engine on this netlist
+        # compiled kernels, shared with every engine on this netlist: each
+        # gated flop clock with its root substituted, and per crossing
+        # destination its enable and data with its sources substituted
         self.comb = comb_kernel(self.nl)
-        self.clock_cone = {f.index: cone_kernel(self.nl, (f.clock,),
-                                                (self.root_net[f.index],))
-                           for f in self.flops if self.flop_gated[f.index]}
-        # per crossing destination: its (dst, src_net) resolution keys and
-        # the cone of its enable and data with those sources substituted
-        self.capture: dict[int, tuple[tuple[tuple[int, int], ...], object]] = {}
-        for dst, plist in self.pairs_by_dst.items():
+        gated = [f for f in self.flops if self.flop_gated[f.index]]
+        specs = [((f.clock,), (self.root_net[f.index],)) for f in gated]
+        srcs_of = {dst: tuple(dict.fromkeys(p.src_net for p in plist))
+                   for dst, plist in self.pairs_by_dst.items()}
+        for dst, srcs in srcs_of.items():
             f = self.nl.cells[dst]
-            srcs = tuple(dict.fromkeys(p.src_net for p in plist))
-            targets = (f.data,) if f.enable is None else (f.enable, f.data)
-            self.capture[dst] = (tuple((dst, s) for s in srcs),
-                                 cone_kernel(self.nl, targets, srcs))
+            specs.append(((f.data,) if f.enable is None else (f.enable, f.data),
+                          srcs))
+        cones = cone_kernels(self.nl, specs)
+        self.clock_cone = {f.index: k for f, k in zip(gated, cones)}
+        # per crossing destination: its (dst, src_net) resolution keys and
+        # its capture cone
+        self.capture: dict[int, tuple[tuple[tuple[int, int], ...], object]] = {
+            dst: (tuple((dst, s) for s in srcs), k)
+            for (dst, srcs), k in zip(srcs_of.items(), cones[len(gated):])}
         # flops whose root clock edges at each tick, in flop-index order
         by_names: dict[tuple[str, ...], list[int]] = {}
         self.flops_at: dict[int, list[int]] = {}
@@ -669,18 +700,33 @@ def explore_exhaustive(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
     """Enumerate every resolution of every opportunity, depth first with the
     reference resolution explored first.  A path of more than `budget`
     decisions raises DecisionBudgetExceeded, and more than _BRANCH_CAP
-    leaves raise BranchCapExceeded."""
+    leaves raise BranchCapExceeded.
+
+    Paths that reach the same state are merged: the search remembers the
+    number of leaves below each state it has explored, and a state seen
+    again adds that number to `branches` without walking its subtree.  The
+    merge is exact.  A state is keyed on its agenda index, its decision
+    count and every part of it that later ticks read (net values, flip
+    history, checker states, failures), so its subtree is the same, and
+    that subtree was walked on a lexicographically earlier path: each
+    checker's first counterexample is still found there, and a path over
+    the budget raised there first."""
     eng = Engine(analysis, stimulus, replace(msi, enabled=True), checkers,
                  scope="explore")
     branches = 0
     cex: dict[str, SimResult] = {}
     ids = [c.id for c in checkers]
+    leaves: dict[tuple, int] = {}   # explored state -> leaves below it
+    first: dict[int, list] = {}     # agenda index -> state first seen there
 
-    def leaf(state: _State, path: tuple[bool, ...]):
+    def count(n: int):
         nonlocal branches
-        branches += 1
+        branches += n
         if branches > _BRANCH_CAP:
             raise BranchCapExceeded(_BRANCH_CAP)
+
+    def leaf(state: _State, path: tuple[bool, ...]):
+        count(1)
         result = None
         for cid, failure in zip(ids, state.failures):
             if failure is not None and cid not in cex:
@@ -693,6 +739,24 @@ def explore_exhaustive(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
     def dfs(state: _State, agenda_idx: int, path: tuple[bool, ...]):
         if len(cex) == len(ids) and ids:
             return  # every checker already has a counterexample
+        # the state as the places where it differs from the first state
+        # seen at this agenda index, with its values there: equal exactly
+        # for equal states, and a few values in place of one per net
+        flat = [*state.values, *chain.from_iterable(state.hist.values()),
+                *state.checkers, *state.failures]
+        changed = tuple(compress(range(len(flat)), map(
+            ne, flat, first.setdefault(agenda_idx, flat))))
+        key = (agenda_idx, changed, tuple(map(flat.__getitem__, changed)),
+               state.decisions)
+        below = leaves.get(key)
+        if below is not None:
+            count(below)
+            return
+        start = branches
+        walk(state, agenda_idx, path)
+        leaves[key] = branches - start
+
+    def walk(state: _State, agenda_idx: int, path: tuple[bool, ...]):
         for i in range(agenda_idx, len(eng.agenda)):
             tick = eng.agenda[i]
             plan = eng.plan_tick(state, tick)

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's traversal/memoization
 machinery: counts are recursive multiplications over the parsed module
-tree, cones come from naive path enumeration, domains from exhaustive
-backward search, and crossing pairs from brute-force path walks.  Gate
+tree, cones come from naive path enumeration, gate order from a Kahn
+loop that re-sorts its ready list, domains from exhaustive backward
+search, and crossing pairs from brute-force path walks.  Gate
 values come from a string-dispatch interpreter, the reference for the
 simulator's compiled kernels, and exhaustive exploration is redone by
 replaying every decision path from the start.  Also here: the
@@ -98,6 +99,34 @@ def naive_cone(netlist: Netlist, net_idx: int):
 
     walk(net_idx, frozenset())
     return seq, gates, consts
+
+
+def sorted_comb_topo(netlist: Netlist) -> list[int]:
+    """Gate indices in topological order, lowest ready index first: Kahn's
+    algorithm re-sorting the ready list after every gate."""
+    gate_of_net = {c.out: c.index for c in netlist.cells if isinstance(c, Gate)}
+    indeg: dict[int, int] = {}
+    succs: dict[int, list[int]] = {}
+    for g in netlist.cells:
+        if isinstance(g, Gate):
+            indeg.setdefault(g.index, 0)
+            for n in g.inputs:
+                src = gate_of_net.get(n)
+                if src is not None:
+                    indeg[g.index] += 1
+                    succs.setdefault(src, []).append(g.index)
+    ready = sorted(i for i, d in indeg.items() if d == 0)
+    order: list[int] = []
+    while ready:
+        idx = ready.pop(0)
+        order.append(idx)
+        for s in sorted(succs.get(idx, ())):
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                ready.append(s)
+        ready.sort()
+    assert len(order) == len(indeg), "combinational loop"
+    return order
 
 
 def exhaustive_flop_domains(netlist: Netlist, clock_domains: dict[str, str]) -> dict[int, str]:

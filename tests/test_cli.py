@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 from cdckit.cli import main
+from cdckit.sim import Engine
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -139,6 +140,29 @@ def test_explore_branch_cap_exits_four_and_names_the_cap(corpus_root, tmp_path,
         "error: exploration needs more than the branch cap of 4 branches\n")
 
 
+def test_explore_branch_cap_counts_merged_paths(corpus_root, tmp_path, capsys,
+                                               monkeypatch):
+    # 16384 paths through a few dozen states: the cap counts paths, so it
+    # is passed although fewer ticks than the cap are committed
+    monkeypatch.setattr("cdckit.sim._BRANCH_CAP", 100)
+    commits = 0
+    commit_tick = Engine.commit_tick
+
+    def counted(*args):
+        nonlocal commits
+        commits += 1
+        return commit_tick(*args)
+
+    monkeypatch.setattr(Engine, "commit_tick", counted)
+    files, stim = _case_args(corpus_root, "freq_data_loss_clean")
+    rc = main(["explore", *files, "-s", stim, "--checkers", "stability",
+               "--out", str(tmp_path)])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "error: exploration needs more than the branch cap of 100 branches\n")
+    assert commits < 100
+
+
 def test_generate_then_report_round(corpus_root, tmp_path):
     files, stim = _case_args(corpus_root, "cov_toggle")
     gen_out = tmp_path / "gen"
@@ -267,9 +291,39 @@ def test_malformed_directive_is_a_positioned_error(corpus_root, tmp_path, capsys
     rc = main(["simulate", str(d / "rtl.v"), "-c", str(paths["constraints"]),
                "-s", str(paths["stimulus"]), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
-    origin = "<constraints>" if target == "constraints" else str(bad)
     assert rc == 1
-    assert err.startswith(f"error: {origin}:1:0: ") and "Traceback" not in err
+    assert err.startswith(f"error: {bad}:1:0: ") and "Traceback" not in err
+
+
+def test_constraint_errors_are_positioned_in_their_own_file(corpus_root, tmp_path,
+                                                            capsys, monkeypatch):
+    d = corpus_root / "cov_toggle"
+    opt = tmp_path / "defaults.cdc"
+    opt.write_text("option setup_window 1\noption hold_window 1\n")
+    monkeypatch.setenv("CDCKIT_OPTIONS", str(opt))
+    cons = tmp_path / "c.cdc"
+    cons.write_text("clock clk_x -period x10 -domain X\n"
+                    + (d / "constraints.cdc").read_text())
+    rc = main(["analyze", str(d / "rtl.v"), "-c", str(cons),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {cons}:1:0: -period needs an integer, got 'x10'\n")
+
+
+def test_static_repeated_across_options_and_constraints_exits_one(
+        corpus_root, tmp_path, capsys, monkeypatch):
+    d = corpus_root / "static_config"
+    opt = tmp_path / "defaults.cdc"
+    opt.write_text("# shared\nstatic cfg_r\n")
+    monkeypatch.setenv("CDCKIT_OPTIONS", str(opt))
+    cons = tmp_path / "c.cdc"
+    cons.write_text((d / "constraints.cdc").read_text())
+    rc = main(["analyze", str(d / "rtl.v"), "-c", str(cons),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {cons}:5:0: static 'cfg_r' already declared on {opt}:2\n")
 
 
 def test_repeated_static_declaration_exits_one(corpus_root, tmp_path, capsys):
@@ -280,7 +334,7 @@ def test_repeated_static_declaration_exits_one(corpus_root, tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error: <constraints>:6:0: static 'cfg_r' already declared on line 5\n")
+        f"error: {cons}:6:0: static 'cfg_r' already declared on line 5\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -6,7 +6,7 @@ from cdckit.elaborate import elaborate
 from cdckit.errors import CombinationalLoop
 from cdckit.netlist import Dff, Netlist, NetlistBuilder
 from cdckit.verilog import parse_verilog
-from oracles import naive_cone, random_netlist
+from oracles import naive_cone, random_netlist, sorted_comb_topo
 
 
 def build_xor_of_two_flops():
@@ -118,3 +118,31 @@ def test_json_dump_is_stable(case_loader):
     assert d1 == d2
     assert d1["name"] == "top"
     assert all(n["width"] >= 1 for n in d1["nets"])
+
+
+def _shuffled_dag(rng: random.Random, n: int) -> Netlist:
+    """A gate DAG whose gates are created in random order, so their
+    indices are not already a topological order."""
+    b = NetlistBuilder("dag")
+    a = b.add_net("a", 1)
+    b.add_port("a", "in", 1, a)
+    nets = [b.add_net(f"n{i}", 1) for i in range(n)]
+    ins = [[rng.choice([a] + nets[:i]) for _ in range(rng.randint(1, 3))]
+           for i in range(n)]
+    for i in rng.sample(range(n), n):
+        b.add_gate(f"g{i}", "XOR" if len(ins[i]) > 1 else "NOT", ins[i],
+                   nets[i], 1)
+    b.add_port("y", "out", 1, nets[-1])
+    return b.finish()
+
+
+def test_comb_topo_equals_sorting_oracle(corpus_root, case_loader):
+    for case in sorted(p.name for p in corpus_root.iterdir() if p.is_dir()):
+        nl = case_loader(case)[0].netlist
+        assert nl.comb_topo() == sorted_comb_topo(nl), case
+    for seed in range(40):
+        rng = random.Random(seed)
+        nl, _ = random_netlist(rng, n_gates=rng.randint(5, 60))
+        assert nl.comb_topo() == sorted_comb_topo(nl), seed
+        nl = _shuffled_dag(rng, rng.randint(5, 60))
+        assert nl.comb_topo() == sorted_comb_topo(nl), seed

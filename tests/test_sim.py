@@ -341,3 +341,21 @@ def test_commit_tick_leaves_its_input_state_unchanged(corpus_root, case_loader):
             state = after
         cases += 1
     assert cases > 20
+
+
+def test_engine_compiles_its_cone_kernels_in_one_call(monkeypatch):
+    import cdckit.sim as sim
+    from conftest import load_case
+
+    batches = []
+    real = sim._compile_cones
+    monkeypatch.setattr(sim, "_compile_cones", lambda nl, specs:
+                        batches.append(len(specs)) or real(nl, specs))
+    analysis, stim_text = load_case("codegen_full")     # a fresh netlist
+    stim = parse_stimulus(stim_text)
+    eng = Engine(analysis, stim, MsiConfig(), [])
+    # one gated flop clock and seven crossing destinations
+    assert (len(eng.clock_cone), len(eng.capture)) == (1, 7)
+    assert batches == [8]
+    Engine(analysis, stim, MsiConfig(), [])
+    assert batches == [8]       # a second engine reuses the netlist's kernels
