@@ -4,8 +4,12 @@
 For each case it runs `analyze`, `generate`, `simulate --seeds 1..3 --vcd`,
 `simulate --no-msi`, `explore` and `explore --latency 1:3` in process, and
 hashes the exit code, stdout, stderr and every file the command wrote.
-Paths are passed relative to the checkout, so two checkouts give the same
-lines exactly when their outputs are byte-identical:
+It then runs `analyze --strict` and `generate` on designs from
+`perfbench/gen.py` (hier and flat, 6 and 24 blocks, seed 1), which hold
+hundreds of synchronizers where the corpus designs hold a few.  Paths are
+passed relative to the checkout (or to the generated design's directory),
+so two checkouts give the same lines exactly when their outputs are
+byte-identical:
 
     python scripts/output_digests.py > new.txt
     python scripts/output_digests.py --root ../other-checkout > old.txt
@@ -15,6 +19,7 @@ lines exactly when their outputs are byte-identical:
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import os
 import sys
@@ -29,10 +34,15 @@ COMMANDS = (
     ("explore", ["explore"]),
     ("explore-latency", ["explore", "--latency", "1:3"]),
 )
+GENERATED = (("hier", 6), ("flat", 6), ("hier", 24), ("flat", 24))
+GENERATED_COMMANDS = (
+    ("analyze-strict", ["analyze", "--strict"]),
+    ("generate", ["generate"]),
+)
 
 
-def digest(main, case: str, argv: list[str]) -> str:
-    d = f"corpus/{case}"
+def digest(main, d: str, argv: list[str]) -> str:
+    """Digest of one command on the design in directory `d`."""
     with tempfile.TemporaryDirectory() as out:
         cmd = [a.format(out=out) for a in argv]
         cmd[1:1] = [f"{d}/rtl.v", "-c", f"{d}/constraints.cdc"]
@@ -71,7 +81,22 @@ def main() -> int:
     cases = sorted(p.name for p in Path("corpus").iterdir() if p.is_dir())
     for case in cases:
         for label, argv in COMMANDS:
-            print(f"{case} {label} {digest(cli_main, case, argv)}", flush=True)
+            print(f"{case} {label} {digest(cli_main, f'corpus/{case}', argv)}",
+                  flush=True)
+
+    spec = importlib.util.spec_from_file_location("gen", root / "perfbench" / "gen.py")
+    gen = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(gen)
+    for shape, blocks in GENERATED:
+        design = gen.build(f"{shape}{blocks}", 1, blocks, shape=shape)
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            for name, text in design.files.items():
+                Path(name).write_text(text)
+            for label, argv in GENERATED_COMMANDS:
+                print(f"gen-{design.name}-s1 {label} {digest(cli_main, '.', argv)}",
+                      flush=True)
+            os.chdir(root)
     return 0
 
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes are a stable contract:
-  0 ok, 1 input error, 2 structural errors under --strict,
+  0 ok, 1 input error (usage errors and unreadable files included),
+  2 structural errors under --strict,
   3 checker failure or counterexample, 4 decision budget or branch cap
   exceeded, 5 coverage fingerprint mismatch.
 """
@@ -17,10 +18,10 @@ from pathlib import Path
 from . import __version__
 from .checkers import build_checkers, parse_latency
 from .codegen import generate_all, lint_generated
-from .coverage import CoverageDb, format_report_text, merge, report
+from .coverage import CoverageDb, format_report_text, merge, parse_json, report
 from .domains import pairs_fingerprint
 from .errors import (BranchCapExceeded, CdcError, DecisionBudgetExceeded,
-                     FingerprintMismatch)
+                     FingerprintMismatch, ParseError)
 from .pipeline import (analyze_sources, findings_report, pairs_report,
                        syncs_report)
 from .sim import MsiConfig, explore_exhaustive, parse_seed_range, simulate
@@ -31,7 +32,13 @@ OPTIONS_ENV = "CDCKIT_OPTIONS"
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise ParseError(f"{path}: {e.strerror or e}", origin=path) from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})",
+                         origin=path) from None
 
 
 def _write_json(path: Path, obj) -> None:
@@ -117,6 +124,8 @@ def _select(arg: str | None):
 
 
 def cmd_simulate(args) -> int:
+    if not 0.0 <= args.probability <= 1.0:     # NaN fails too
+        raise ParseError(f"--probability must be in [0, 1], got {args.probability}")
     analysis = _load_analysis(args)
     stim = parse_stimulus(_read(args.stimulus), args.stimulus)
     out = Path(args.out)
@@ -161,6 +170,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    if args.budget < 0:
+        raise ParseError(f"--budget must not be negative, got {args.budget}")
     analysis = _load_analysis(args)
     stim = parse_stimulus(_read(args.stimulus), args.stimulus)
     out = Path(args.out)
@@ -212,9 +223,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    db = CoverageDb.from_json(_read(args.db))
-    pairs = json.loads(_read(args.pairs))
-    if pairs.get("fingerprint") != db.fingerprint:
+    db = CoverageDb.from_json(_read(args.db), args.db)
+    pairs = parse_json(_read(args.pairs), args.pairs)
+    if not (isinstance(pairs, dict) and "fingerprint" in pairs
+            and isinstance(pairs.get("pairs"), list)
+            and all(isinstance(p, dict) and "id" in p and isinstance(p.get("width"), int)
+                    for p in pairs["pairs"])):
+        raise ParseError(f"{args.pairs}: not a pairs report: expected an object with "
+                         "'fingerprint' and a 'pairs' list of objects with 'id' and "
+                         "'width'", origin=args.pairs)
+    if pairs["fingerprint"] != db.fingerprint:
         print("error: coverage database does not match the pairs report",
               file=sys.stderr)
         return 5
@@ -230,7 +248,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_merge_coverage(args) -> int:
-    dbs = [CoverageDb.from_json(_read(f)) for f in args.dbs]
+    dbs = [CoverageDb.from_json(_read(f), f) for f in args.dbs]
     merged = dbs[0]
     try:
         for db in dbs[1:]:
@@ -243,6 +261,14 @@ def cmd_merge_coverage(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as input errors (exit 1): exit 2 belongs to
+    --strict findings."""
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
+
+
 def _add_common(p):
     p.add_argument("files", nargs="+", help="Verilog source files")
     p.add_argument("-c", "--constraints", required=True)
@@ -250,8 +276,7 @@ def _add_common(p):
 
 
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="cdckit",
-                                 description="clock/reset domain crossing toolkit")
+    ap = _Parser(prog="cdckit", description="clock/reset domain crossing toolkit")
     ap.add_argument("--version", action="version", version=f"cdckit {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -309,13 +334,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.fn(args)
-    except CdcError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (CdcError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

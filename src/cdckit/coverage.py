@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import FingerprintMismatch, UnknownPair
+from .errors import FingerprintMismatch, ParseError, UnknownPair
 
 BINS = ("setup0", "setup1", "hold0", "hold1")
 
@@ -73,8 +73,22 @@ class CoverageDb:
         return db
 
     @staticmethod
-    def from_json(text: str) -> "CoverageDb":
-        return CoverageDb.from_json_dict(json.loads(text))
+    def from_json(text: str, origin: str = "<coverage>") -> "CoverageDb":
+        """A database from its JSON text; malformed text raises ParseError."""
+        d = parse_json(text, origin)
+        try:
+            return CoverageDb.from_json_dict(d)
+        except (KeyError, AttributeError, TypeError, ValueError) as e:
+            raise ParseError(f"{origin}: not a coverage database "
+                             f"({type(e).__name__}: {e})", origin=origin) from None
+
+
+def parse_json(text: str, origin: str):
+    """JSON text, with a decode error raised as a positioned ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(e.msg, e.lineno, e.colno, origin) from None
 
 
 def merge(a: CoverageDb, b: CoverageDb, scope: str | None = None) -> CoverageDb:

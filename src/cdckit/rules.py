@@ -141,17 +141,12 @@ def run_structural(analysis: Analysis) -> list[Finding]:
     # in one flop-free cone
     tail_of = {}
     src_domains_of = {}
+    pair_of = {p.id: p for p in a.pairs}
     for s in a.syncs:
         if s.tail is None or s.role != "cdc":
             continue
         tail_of[s.tail] = s
-        doms = set()
-        for pid in s.protected:
-            try:
-                doms.add(a.pair_by_id(pid).src_domain)
-            except KeyError:
-                pass
-        src_domains_of[s.id] = doms
+        src_domains_of[s.id] = {pair_of[pid].src_domain for pid in s.protected}
     for flop in nl.dffs():
         pins = [flop.data] + ([flop.enable] if flop.enable is not None else [])
         for pin_net in pins:

@@ -20,11 +20,18 @@ Matched patterns, in order of specificity:
 Chains absorbed into a composite (pulse/fifo/mux) are not reported again as
 standalone Ndff instances.  Modules listed in `sync_cells` match as
 UserDefined by instance boundary, with no internal structure check.
+
+Each matcher builds its `SyncInstance` where it finds it, with an empty id;
+ids `sync<n>` follow kind rank and sort key once every matcher has run.
+Matchers look structure up instead of scanning for it: the pulse XOR among
+the readers of the chain tail's output, and a mux select or enable's chain
+through the flop that the net reads via BUF/NOT/SLICE (`_source_flop`),
+keyed by chain tail.  Chains are disjoint, so a tail names one chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .constraints import ConstraintSet
 from .domains import CdcPair, DomainMap
@@ -66,6 +73,9 @@ class PairStatus:
     sync_kind: str | None = None
     comb_disqualified: bool = False
     reason: str | None = None
+
+
+_KIND_RANK = {"ndff": 0, "pulse": 1, "mux": 2, "fifo": 3, "user": 4}
 
 
 def _chain_links(netlist: Netlist) -> dict[int, int]:
@@ -112,21 +122,18 @@ def _net_driver_gate(netlist: Netlist, net_idx: int) -> Gate | None:
     return cell if isinstance(cell, Gate) else None
 
 
-def _resolves_to(netlist: Netlist, net_idx: int, flop_idx: int) -> bool:
-    """True if net is the flop's output through BUF/NOT/SLICE only."""
-    seen = set()
-    idx = net_idx
+def _source_flop(netlist: Netlist, net_idx: int) -> int | None:
+    """The flop whose output the net is through BUF/NOT/SLICE only, or None."""
     while True:
-        if idx in seen:
-            return False
-        seen.add(idx)
-        flop = netlist.cells[flop_idx]
-        if idx == flop.out:
-            return True
-        gate = _net_driver_gate(netlist, idx)
-        if gate is None or gate.op not in ("BUF", "NOT", "SLICE"):
-            return False
-        idx = gate.inputs[0]
+        drv = netlist.nets[net_idx].driver
+        if drv is None or drv[0] != "cell":
+            return None
+        cell = netlist.cells[drv[1]]
+        if isinstance(cell, Dff):
+            return cell.index
+        if not isinstance(cell, Gate) or cell.op not in ("BUF", "NOT", "SLICE"):
+            return None
+        net_idx = cell.inputs[0]
 
 
 def _gray_shape(netlist: Netlist, data_net: int) -> bool:
@@ -152,51 +159,58 @@ def recognize(netlist: Netlist, domains: DomainMap, pairs: list[CdcPair],
     for p in pairs:
         pairs_by_dst.setdefault(p.dst, []).append(p)
 
+    def data_pairs(flop_idx: int) -> tuple[str, ...]:
+        return tuple(p.id for p in pairs_by_dst.get(flop_idx, ()) if p.pin == "data")
+
     consumed_chains: set[int] = set()   # by head index
-    found: list[tuple] = []             # (kind, sort key, payload)
+    found: list[tuple[str, SyncInstance]] = []  # (sort key, instance without id)
 
     # user-declared synchronizer modules claim their cells outright; their
-    # internals are not matched again as ordinary patterns
-    user_cells: set[int] = set()
+    # internals are not matched again as ordinary patterns.  A flop belongs
+    # to each such instance whose path is a dotted prefix of its name.
     sync_mods = set(constraints.sync_cells)
-    for rec in netlist.instances:
-        if rec.module not in sync_mods:
+    user_paths = {rec.path: rec.module for rec in netlist.instances
+                  if rec.module in sync_mods}
+    user_members: dict[str, list[int]] = {}
+    if user_paths:
+        for flop in netlist.dffs():
+            parts = flop.name.split(".")
+            for k in range(1, len(parts)):
+                path = ".".join(parts[:k])
+                if path in user_paths:
+                    user_members.setdefault(path, []).append(flop.index)
+    user_cells: set[int] = set()
+    for path, module in user_paths.items():
+        members = tuple(user_members.get(path, ()))
+        if not members:
             continue
-        prefix = rec.path + "."
-        members = tuple(c.index for c in netlist.cells
-                        if isinstance(c, Dff) and c.name.startswith(prefix))
-        if members:
-            user_cells |= set(members)
-            found.append(("user", rec.path, {"members": members,
-                                             "module": rec.module,
-                                             "path": rec.path}))
+        member_set = set(members)
+        user_cells |= member_set
+        found.append((path, SyncInstance(
+            "", "user", members, None, None, len(members),
+            min(domains.flop_domain[m] for m in members),
+            tuple(p.id for p in pairs if p.dst in member_set),
+            "cdc", {"module": module, "path": path})))
 
     chains = [c for c in _chains(netlist, min_depth) if not set(c) & user_cells]
-    chain_of_head = {c[0]: c for c in chains}
+    chain_of_tail = {c[-1]: c for c in chains}
 
-    # pulse synchronizers
-    for head, chain in sorted(chain_of_head.items()):
-        tail = chain[-1]
-        tail_out = netlist.nets[netlist.cells[tail].out]
-        delay = None
-        for kind, idx, pin in tail_out.readers:
-            if kind == "cell" and pin == "data":
-                cand = netlist.cells[idx]
-                if (isinstance(cand, Dff) and cand.clock == netlist.cells[tail].clock
-                        and cand.enable is None):
-                    delay = cand
-        if delay is None:
+    # pulse synchronizers: the recombining XOR is a reader of the chain tail
+    for chain in chains:
+        head, tail = netlist.cells[chain[0]], netlist.cells[chain[-1]]
+        readers = [(netlist.cells[idx], pin) for kind, idx, pin
+                   in netlist.nets[tail.out].readers if kind == "cell"]
+        delays = [c for c, pin in readers if pin == "data" and isinstance(c, Dff)
+                  and c.clock == tail.clock and c.enable is None]
+        if not delays:
             continue
-        xor = None
-        for cell in netlist.cells:
-            if isinstance(cell, Gate) and cell.op == "XOR" and set(cell.inputs) == \
-                    {netlist.cells[tail].out, delay.out}:
-                xor = cell
-                break
+        delay = delays[-1]
+        xor = next((g for g, _pin in readers if isinstance(g, Gate) and g.op == "XOR"
+                    and set(g.inputs) == {tail.out, delay.out}), None)
         if xor is None:
             continue
         toggle = None
-        for p in pairs_by_dst.get(head, ()):
+        for p in pairs_by_dst.get(head.index, ()):
             if p.pin != "data" or p.src[0] != "cell":
                 continue
             src = netlist.cells[p.src[1]]
@@ -211,24 +225,25 @@ def recognize(netlist: Netlist, domains: DomainMap, pairs: list[CdcPair],
                     break
         if toggle is None:
             continue
-        consumed_chains.add(head)
-        found.append(("pulse", netlist.cells[head].name, {
-            "chain": chain, "delay": delay.index, "xor": xor.index,
-            "toggle": toggle.index, "pulse_in": pulse_in,
-            "pulse_out": xor.out,
-        }))
+        consumed_chains.add(head.index)
+        found.append((head.name, SyncInstance(
+            "", "pulse", tuple(chain) + (delay.index, xor.index, toggle.index),
+            head.index, tail.index, len(chain), domains.flop_domain[head.index],
+            data_pairs(head.index), "cdc",
+            {"toggle": toggle.name, "xor": xor.name, "pulse_in": pulse_in,
+             "pulse_out": xor.out, "delay": delay.index})))
 
     # async fifos: opposite-direction pointer crossings with gray shapes
-    ptr_cands = []
-    for head, chain in sorted(chain_of_head.items()):
-        if head in consumed_chains:
+    ptr_cands = []      # (src domain, dst domain, pointer flop, chain, pair id)
+    for chain in chains:
+        if chain[0] in consumed_chains:
             continue
-        for p in pairs_by_dst.get(head, ()):
+        for p in pairs_by_dst.get(chain[0], ()):
             if p.pin != "data" or p.src[0] != "cell":
                 continue
             src = netlist.cells[p.src[1]]
             if isinstance(src, Dff) and _gray_shape(netlist, src.data):
-                ptr_cands.append((p.src_domain, p.dst_domain, src.index, head, p.id))
+                ptr_cands.append((p.src_domain, p.dst_domain, src.index, chain, p.id))
     def _references(flop_idx: int, tail_idx: int) -> bool:
         flop = netlist.cells[flop_idx]
         tail_ref = ("cell", tail_idx, "out")
@@ -247,148 +262,83 @@ def recognize(netlist: Netlist, domains: DomainMap, pairs: list[CdcPair],
                 continue
             # genuine pointer pairs are coupled: a guard on one side reads
             # the synced copy (the chain tail) of the other pointer
-            coupled = _references(a[2], chain_of_head[b[3]][-1]) or \
-                _references(b[2], chain_of_head[a[3]][-1])
+            coupled = _references(a[2], b[3][-1]) or _references(b[2], a[3][-1])
             if not coupled:
                 continue
             used.add(i)
             used.add(j)
             first, second = sorted((a, b), key=lambda t: netlist.cells[t[2]].name)
-            consumed_chains.add(first[3])
-            consumed_chains.add(second[3])
-            found.append(("fifo", netlist.cells[first[2]].name, {
-                "ptr_a": first, "ptr_b": second,
-                "chain_a": chain_of_head[first[3]],
-                "chain_b": chain_of_head[second[3]],
-            }))
-            break
-
-    # mux/enable-gated bus synchronizers
-    for flop in netlist.dffs():
-        data_pairs = [p for p in pairs_by_dst.get(flop.index, ()) if p.pin == "data"]
-        if not data_pairs:
-            continue
-        sel_chain = None
-        mux_gate = None
-        if flop.enable is not None:
-            for head, chain in sorted(chain_of_head.items()):
-                if head in consumed_chains:
-                    continue
-                if (_resolves_to(netlist, flop.enable, chain[-1])
-                        and domains.flop_domain[chain[0]] == domains.flop_domain[flop.index]):
-                    sel_chain = chain
-                    break
-        else:
-            dgate = _net_driver_gate(netlist, flop.data)
-            if dgate is not None and dgate.op == "MUX":
-                sel, a_net, b_net = dgate.inputs
-                feedback = (_resolves_to(netlist, a_net, flop.index)
-                            or _resolves_to(netlist, b_net, flop.index))
-                if feedback:
-                    for head, chain in sorted(chain_of_head.items()):
-                        if head in consumed_chains:
-                            continue
-                        if (_resolves_to(netlist, sel, chain[-1])
-                                and domains.flop_domain[chain[0]] == domains.flop_domain[flop.index]):
-                            sel_chain = chain
-                            mux_gate = dgate
-                            break
-        if sel_chain is None:
-            continue
-        consumed_chains.add(sel_chain[0])
-        found.append(("mux", flop.name, {
-            "capture": flop.index, "chain": sel_chain,
-            "mux": mux_gate.index if mux_gate is not None else None,
-            "enable_net": flop.enable if flop.enable is not None
-            else netlist.cells[sel_chain[-1]].out,
-            "data_net": flop.data,
-        }))
-
-    # remaining chains as plain (or reset) ndff instances
-    for head, chain in sorted(chain_of_head.items()):
-        if head in consumed_chains:
-            continue
-        head_cell = netlist.cells[head]
-        is_reset_sync = False
-        if head_cell.reset is not None and all(
-                netlist.cells[c].reset == head_cell.reset for c in chain):
-            dn = domains.net_domain[head_cell.data]
-            if dn.constant:
-                rd = domains.net_domain[head_cell.reset]
-                own = domains.flop_domain[head]
-                if rd.unclocked or rd.domains - {own}:
-                    is_reset_sync = True
-        protected_exists = bool(pairs_by_dst.get(head)) or is_reset_sync
-        if not protected_exists:
-            continue
-        found.append(("ndff", netlist.cells[head].name, {
-            "chain": chain, "reset_sync": is_reset_sync,
-        }))
-
-    # materialize with deterministic ids and protected-pair assignment
-    order = {"ndff": 0, "pulse": 1, "mux": 2, "fifo": 3, "user": 4}
-    found.sort(key=lambda t: (order[t[0]], t[1]))
-    instances: list[SyncInstance] = []
-    for n, (kind, _key, info) in enumerate(found):
-        sid = f"sync{n}"
-        if kind == "ndff":
-            chain = info["chain"]
-            dst_dom = domains.flop_domain[chain[0]]
-            prot = tuple(p.id for p in pairs_by_dst.get(chain[0], ()) if p.pin == "data")
-            instances.append(SyncInstance(
-                sid, "ndff", tuple(chain), chain[0], chain[-1], len(chain),
-                dst_dom, prot, "reset" if info["reset_sync"] else "cdc",
-                {"depth": len(chain)}))
-        elif kind == "pulse":
-            chain = info["chain"]
-            members = tuple(chain) + (info["delay"], info["xor"], info["toggle"])
-            dst_dom = domains.flop_domain[chain[0]]
-            prot = tuple(p.id for p in pairs_by_dst.get(chain[0], ())
-                         if p.pin == "data")
-            instances.append(SyncInstance(
-                sid, "pulse", members, chain[0], chain[-1], len(chain), dst_dom,
-                prot, "cdc",
-                {"toggle": netlist.cells[info["toggle"]].name,
-                 "xor": netlist.cells[info["xor"]].name,
-                 "pulse_in": info["pulse_in"], "pulse_out": info["pulse_out"],
-                 "delay": info["delay"]}))
-        elif kind == "mux":
-            chain = info["chain"]
-            cap = info["capture"]
-            members = tuple(chain) + (cap,) + ((info["mux"],) if info["mux"] is not None else ())
-            dst_dom = domains.flop_domain[cap]
-            prot = tuple(p.id for p in pairs_by_dst.get(cap, ()) if p.pin == "data")
-            prot += tuple(p.id for p in pairs_by_dst.get(chain[0], ()) if p.pin == "data")
-            instances.append(SyncInstance(
-                sid, "mux", members, cap, chain[-1], len(chain), dst_dom,
-                tuple(sorted(set(prot))), "cdc",
-                {"capture": netlist.cells[cap].name, "sel_head": chain[0],
-                 "enable_net": info["enable_net"], "data_net": info["data_net"],
-                 "mux": info["mux"]}))
-        elif kind == "fifo":
-            a, b = info["ptr_a"], info["ptr_b"]
-            chain_a, chain_b = info["chain_a"], info["chain_b"]
-            members = (a[2], b[2]) + tuple(chain_a) + tuple(chain_b)
-            roles = _fifo_roles(netlist, a, b, chain_a, chain_b)
+            chain_a, chain_b = first[3], second[3]
+            consumed_chains.add(chain_a[0])
+            consumed_chains.add(chain_b[0])
+            roles = _fifo_roles(netlist, first, second, chain_a, chain_b)
             width = netlist.cells[roles["wptr"]].width
-            instances.append(SyncInstance(
-                sid, "fifo", members, None, None, len(chain_a),
-                domains.flop_domain[a[3]],
-                tuple(sorted((a[4], b[4]))), "cdc",
+            found.append((netlist.cells[first[2]].name, SyncInstance(
+                "", "fifo", (first[2], second[2]) + tuple(chain_a) + tuple(chain_b),
+                None, None, len(chain_a), domains.flop_domain[chain_a[0]],
+                tuple(sorted((first[4], second[4]))), "cdc",
                 {"write_ptr": netlist.cells[roles["wptr"]].name,
                  "read_ptr": netlist.cells[roles["rptr"]].name,
                  "heads": sorted((chain_a[0], chain_b[0])),
                  "ptr_width": width, "depth": 1 << (width - 1),
-                 **roles}))
-        else:
-            members = info["members"]
-            doms = sorted({domains.flop_domain[m] for m in members})
-            prot = tuple(p.id for p in pairs
-                         if p.dst in set(members))
-            instances.append(SyncInstance(
-                sid, "user", members, None, None, len(members),
-                doms[0] if doms else "?", prot, "cdc",
-                {"module": info["module"], "path": info["path"]}))
+                 **roles})))
+            break
+
+    # mux/enable-gated bus synchronizers: the enable, or the select of a 2:1
+    # mux with a feedback arm, is the output of a chain tail
+    for flop in netlist.dffs():
+        if not data_pairs(flop.index):
+            continue
+        mux_gate = None
+        sel = flop.enable
+        if sel is None:
+            dgate = _net_driver_gate(netlist, flop.data)
+            if dgate is None or dgate.op != "MUX":
+                continue
+            sel, a_net, b_net = dgate.inputs
+            if flop.index not in (_source_flop(netlist, a_net), _source_flop(netlist, b_net)):
+                continue
+            mux_gate = dgate
+        chain = chain_of_tail.get(_source_flop(netlist, sel))
+        if (chain is None or chain[0] in consumed_chains
+                or domains.flop_domain[chain[0]] != domains.flop_domain[flop.index]):
+            continue
+        consumed_chains.add(chain[0])
+        members = tuple(chain) + (flop.index,) + ((mux_gate.index,) if mux_gate else ())
+        found.append((flop.name, SyncInstance(
+            "", "mux", members, flop.index, chain[-1], len(chain),
+            domains.flop_domain[flop.index],
+            tuple(sorted(set(data_pairs(flop.index) + data_pairs(chain[0])))), "cdc",
+            {"capture": flop.name, "sel_head": chain[0],
+             "enable_net": flop.enable if flop.enable is not None
+             else netlist.cells[chain[-1]].out,
+             "data_net": flop.data,
+             "mux": mux_gate.index if mux_gate is not None else None})))
+
+    # remaining chains as plain (or reset) ndff instances
+    for chain in chains:
+        head = netlist.cells[chain[0]]
+        if head.index in consumed_chains:
+            continue
+        is_reset_sync = False
+        if head.reset is not None and all(
+                netlist.cells[c].reset == head.reset for c in chain):
+            dn = domains.net_domain[head.data]
+            if dn.constant:
+                rd = domains.net_domain[head.reset]
+                own = domains.flop_domain[head.index]
+                if rd.unclocked or rd.domains - {own}:
+                    is_reset_sync = True
+        if not (pairs_by_dst.get(head.index) or is_reset_sync):
+            continue
+        found.append((head.name, SyncInstance(
+            "", "ndff", tuple(chain), head.index, chain[-1], len(chain),
+            domains.flop_domain[head.index], data_pairs(head.index),
+            "reset" if is_reset_sync else "cdc", {"depth": len(chain)})))
+
+    # deterministic ids: kind rank, then sort key
+    found.sort(key=lambda t: (_KIND_RANK[t[1].kind], t[0]))
+    instances = [replace(inst, id=f"sync{n}") for n, (_key, inst) in enumerate(found)]
 
     seen_members: set[int] = set()
     for inst in instances:

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's traversal/memoization
 machinery: counts are recursive multiplications over the parsed module
 tree, cones come from naive path enumeration, gate order from a Kahn
 loop that re-sorts its ready list, domains from exhaustive backward
-search, and crossing pairs from brute-force path walks.  Gate
+search, crossing pairs from brute-force path walks, and synchronizers
+from the first-written matchers, which scan every cell and chain.  Gate
 values come from a string-dispatch interpreter, the reference for the
 simulator's compiled kernels, and exhaustive exploration is redone by
 replaying every decision path from the start.  Also here: the
@@ -18,10 +19,14 @@ import random
 
 from cdckit.checkers import build_checkers
 from cdckit.codegen import generate_all
+from cdckit.constraints import ConstraintSet
+from cdckit.domains import CdcPair, DomainMap
 from cdckit.errors import SimDivergence
 from cdckit.netlist import (GATE_OPS, BlackBox, Const, Dff, Gate, Netlist,
                             NetlistBuilder)
 from cdckit.sim import Engine, MsiConfig, SimResult, simulate
+from cdckit.syncrec import (SyncInstance, _chains, _fifo_roles, _gray_shape,
+                             _net_driver_gate)
 from cdckit.verilog import (Binary, Concat, Expr, Ident, Literal, NbAssign,
                             ParsedModule, Slice, Stmt, Ternary, Unary)
 from sva_interp import evaluate_module, parse_bindings, parse_checker_module
@@ -193,6 +198,281 @@ def brute_force_pairs(netlist: Netlist, flop_domains: dict[int, str],
 
             walk(pin_net)
     return out
+
+
+def _resolves_to(netlist: Netlist, net_idx: int, flop_idx: int) -> bool:
+    """True if net is the flop's output through BUF/NOT/SLICE only."""
+    seen = set()
+    idx = net_idx
+    while True:
+        if idx in seen:
+            return False
+        seen.add(idx)
+        flop = netlist.cells[flop_idx]
+        if idx == flop.out:
+            return True
+        gate = _net_driver_gate(netlist, idx)
+        if gate is None or gate.op not in ("BUF", "NOT", "SLICE"):
+            return False
+        idx = gate.inputs[0]
+
+
+def reference_recognize(netlist: Netlist, domains: DomainMap,
+                        pairs: list[CdcPair],
+                        constraints: ConstraintSet) -> list[SyncInstance]:
+    """The synchronizer matchers as first written: each kind fills a payload
+    dict that a second per-kind switch turns into an instance, the pulse
+    XOR is searched among all cells, and each select or enable is tried
+    against every chain tail."""
+    min_depth = constraints.options["ndff_min_depth"]
+    pairs_by_dst: dict[int, list[CdcPair]] = {}
+    for p in pairs:
+        pairs_by_dst.setdefault(p.dst, []).append(p)
+
+    consumed_chains: set[int] = set()   # by head index
+    found: list[tuple] = []             # (kind, sort key, payload)
+
+    # user-declared synchronizer modules claim their cells outright; their
+    # internals are not matched again as ordinary patterns
+    user_cells: set[int] = set()
+    sync_mods = set(constraints.sync_cells)
+    for rec in netlist.instances:
+        if rec.module not in sync_mods:
+            continue
+        prefix = rec.path + "."
+        members = tuple(c.index for c in netlist.cells
+                        if isinstance(c, Dff) and c.name.startswith(prefix))
+        if members:
+            user_cells |= set(members)
+            found.append(("user", rec.path, {"members": members,
+                                             "module": rec.module,
+                                             "path": rec.path}))
+
+    chains = [c for c in _chains(netlist, min_depth) if not set(c) & user_cells]
+    chain_of_head = {c[0]: c for c in chains}
+
+    # pulse synchronizers
+    for head, chain in sorted(chain_of_head.items()):
+        tail = chain[-1]
+        tail_out = netlist.nets[netlist.cells[tail].out]
+        delay = None
+        for kind, idx, pin in tail_out.readers:
+            if kind == "cell" and pin == "data":
+                cand = netlist.cells[idx]
+                if (isinstance(cand, Dff) and cand.clock == netlist.cells[tail].clock
+                        and cand.enable is None):
+                    delay = cand
+        if delay is None:
+            continue
+        xor = None
+        for cell in netlist.cells:
+            if isinstance(cell, Gate) and cell.op == "XOR" and set(cell.inputs) == \
+                    {netlist.cells[tail].out, delay.out}:
+                xor = cell
+                break
+        if xor is None:
+            continue
+        toggle = None
+        for p in pairs_by_dst.get(head, ()):
+            if p.pin != "data" or p.src[0] != "cell":
+                continue
+            src = netlist.cells[p.src[1]]
+            if not isinstance(src, Dff):
+                continue
+            dgate = _net_driver_gate(netlist, src.data)
+            if dgate is not None and dgate.op == "XOR" and len(dgate.inputs) == 2:
+                others = [n for n in dgate.inputs if n != src.out]
+                if len(others) == 1:
+                    toggle = src
+                    pulse_in = others[0]
+                    break
+        if toggle is None:
+            continue
+        consumed_chains.add(head)
+        found.append(("pulse", netlist.cells[head].name, {
+            "chain": chain, "delay": delay.index, "xor": xor.index,
+            "toggle": toggle.index, "pulse_in": pulse_in,
+            "pulse_out": xor.out,
+        }))
+
+    # async fifos: opposite-direction pointer crossings with gray shapes
+    ptr_cands = []
+    for head, chain in sorted(chain_of_head.items()):
+        if head in consumed_chains:
+            continue
+        for p in pairs_by_dst.get(head, ()):
+            if p.pin != "data" or p.src[0] != "cell":
+                continue
+            src = netlist.cells[p.src[1]]
+            if isinstance(src, Dff) and _gray_shape(netlist, src.data):
+                ptr_cands.append((p.src_domain, p.dst_domain, src.index, head, p.id))
+    def _references(flop_idx: int, tail_idx: int) -> bool:
+        flop = netlist.cells[flop_idx]
+        tail_ref = ("cell", tail_idx, "out")
+        nets = [flop.data] + ([flop.enable] if flop.enable is not None else [])
+        return any(tail_ref in netlist.fanin_cone(n).seq for n in nets)
+
+    used: set[int] = set()
+    for i, a in enumerate(ptr_cands):
+        if i in used:
+            continue
+        for j in range(i + 1, len(ptr_cands)):
+            if j in used:
+                continue
+            b = ptr_cands[j]
+            if a[0] != b[1] or a[1] != b[0]:
+                continue
+            # genuine pointer pairs are coupled: a guard on one side reads
+            # the synced copy (the chain tail) of the other pointer
+            coupled = _references(a[2], chain_of_head[b[3]][-1]) or \
+                _references(b[2], chain_of_head[a[3]][-1])
+            if not coupled:
+                continue
+            used.add(i)
+            used.add(j)
+            first, second = sorted((a, b), key=lambda t: netlist.cells[t[2]].name)
+            consumed_chains.add(first[3])
+            consumed_chains.add(second[3])
+            found.append(("fifo", netlist.cells[first[2]].name, {
+                "ptr_a": first, "ptr_b": second,
+                "chain_a": chain_of_head[first[3]],
+                "chain_b": chain_of_head[second[3]],
+            }))
+            break
+
+    # mux/enable-gated bus synchronizers
+    for flop in netlist.dffs():
+        data_pairs = [p for p in pairs_by_dst.get(flop.index, ()) if p.pin == "data"]
+        if not data_pairs:
+            continue
+        sel_chain = None
+        mux_gate = None
+        if flop.enable is not None:
+            for head, chain in sorted(chain_of_head.items()):
+                if head in consumed_chains:
+                    continue
+                if (_resolves_to(netlist, flop.enable, chain[-1])
+                        and domains.flop_domain[chain[0]] == domains.flop_domain[flop.index]):
+                    sel_chain = chain
+                    break
+        else:
+            dgate = _net_driver_gate(netlist, flop.data)
+            if dgate is not None and dgate.op == "MUX":
+                sel, a_net, b_net = dgate.inputs
+                feedback = (_resolves_to(netlist, a_net, flop.index)
+                            or _resolves_to(netlist, b_net, flop.index))
+                if feedback:
+                    for head, chain in sorted(chain_of_head.items()):
+                        if head in consumed_chains:
+                            continue
+                        if (_resolves_to(netlist, sel, chain[-1])
+                                and domains.flop_domain[chain[0]] == domains.flop_domain[flop.index]):
+                            sel_chain = chain
+                            mux_gate = dgate
+                            break
+        if sel_chain is None:
+            continue
+        consumed_chains.add(sel_chain[0])
+        found.append(("mux", flop.name, {
+            "capture": flop.index, "chain": sel_chain,
+            "mux": mux_gate.index if mux_gate is not None else None,
+            "enable_net": flop.enable if flop.enable is not None
+            else netlist.cells[sel_chain[-1]].out,
+            "data_net": flop.data,
+        }))
+
+    # remaining chains as plain (or reset) ndff instances
+    for head, chain in sorted(chain_of_head.items()):
+        if head in consumed_chains:
+            continue
+        head_cell = netlist.cells[head]
+        is_reset_sync = False
+        if head_cell.reset is not None and all(
+                netlist.cells[c].reset == head_cell.reset for c in chain):
+            dn = domains.net_domain[head_cell.data]
+            if dn.constant:
+                rd = domains.net_domain[head_cell.reset]
+                own = domains.flop_domain[head]
+                if rd.unclocked or rd.domains - {own}:
+                    is_reset_sync = True
+        protected_exists = bool(pairs_by_dst.get(head)) or is_reset_sync
+        if not protected_exists:
+            continue
+        found.append(("ndff", netlist.cells[head].name, {
+            "chain": chain, "reset_sync": is_reset_sync,
+        }))
+
+    # materialize with deterministic ids and protected-pair assignment
+    order = {"ndff": 0, "pulse": 1, "mux": 2, "fifo": 3, "user": 4}
+    found.sort(key=lambda t: (order[t[0]], t[1]))
+    instances: list[SyncInstance] = []
+    for n, (kind, _key, info) in enumerate(found):
+        sid = f"sync{n}"
+        if kind == "ndff":
+            chain = info["chain"]
+            dst_dom = domains.flop_domain[chain[0]]
+            prot = tuple(p.id for p in pairs_by_dst.get(chain[0], ()) if p.pin == "data")
+            instances.append(SyncInstance(
+                sid, "ndff", tuple(chain), chain[0], chain[-1], len(chain),
+                dst_dom, prot, "reset" if info["reset_sync"] else "cdc",
+                {"depth": len(chain)}))
+        elif kind == "pulse":
+            chain = info["chain"]
+            members = tuple(chain) + (info["delay"], info["xor"], info["toggle"])
+            dst_dom = domains.flop_domain[chain[0]]
+            prot = tuple(p.id for p in pairs_by_dst.get(chain[0], ())
+                         if p.pin == "data")
+            instances.append(SyncInstance(
+                sid, "pulse", members, chain[0], chain[-1], len(chain), dst_dom,
+                prot, "cdc",
+                {"toggle": netlist.cells[info["toggle"]].name,
+                 "xor": netlist.cells[info["xor"]].name,
+                 "pulse_in": info["pulse_in"], "pulse_out": info["pulse_out"],
+                 "delay": info["delay"]}))
+        elif kind == "mux":
+            chain = info["chain"]
+            cap = info["capture"]
+            members = tuple(chain) + (cap,) + ((info["mux"],) if info["mux"] is not None else ())
+            dst_dom = domains.flop_domain[cap]
+            prot = tuple(p.id for p in pairs_by_dst.get(cap, ()) if p.pin == "data")
+            prot += tuple(p.id for p in pairs_by_dst.get(chain[0], ()) if p.pin == "data")
+            instances.append(SyncInstance(
+                sid, "mux", members, cap, chain[-1], len(chain), dst_dom,
+                tuple(sorted(set(prot))), "cdc",
+                {"capture": netlist.cells[cap].name, "sel_head": chain[0],
+                 "enable_net": info["enable_net"], "data_net": info["data_net"],
+                 "mux": info["mux"]}))
+        elif kind == "fifo":
+            a, b = info["ptr_a"], info["ptr_b"]
+            chain_a, chain_b = info["chain_a"], info["chain_b"]
+            members = (a[2], b[2]) + tuple(chain_a) + tuple(chain_b)
+            roles = _fifo_roles(netlist, a, b, chain_a, chain_b)
+            width = netlist.cells[roles["wptr"]].width
+            instances.append(SyncInstance(
+                sid, "fifo", members, None, None, len(chain_a),
+                domains.flop_domain[a[3]],
+                tuple(sorted((a[4], b[4]))), "cdc",
+                {"write_ptr": netlist.cells[roles["wptr"]].name,
+                 "read_ptr": netlist.cells[roles["rptr"]].name,
+                 "heads": sorted((chain_a[0], chain_b[0])),
+                 "ptr_width": width, "depth": 1 << (width - 1),
+                 **roles}))
+        else:
+            members = info["members"]
+            doms = sorted({domains.flop_domain[m] for m in members})
+            prot = tuple(p.id for p in pairs
+                         if p.dst in set(members))
+            instances.append(SyncInstance(
+                sid, "user", members, None, None, len(members),
+                doms[0] if doms else "?", prot, "cdc",
+                {"module": info["module"], "path": info["path"]}))
+
+    seen_members: set[int] = set()
+    for inst in instances:
+        if inst.kind == "ndff":
+            assert not (set(inst.members) & seen_members), "overlapping ndff members"
+            seen_members |= set(inst.members)
+    return instances
 
 
 def random_netlist(rng: random.Random, n_flops: int = 12, n_gates: int = 25,

@@ -255,21 +255,80 @@ endmodule
     ["--latency", "a:b"],
     ["--latency", "1:x"],
     "two-roots",
+    "constraints-dir",
+    "non-utf8",
+    ["--seed", "x"],
+    ["--bogus"],
+    ["--probability", "1.5"],
+    ["--probability", "-0.1"],
+    ["--probability", "nan"],
+    "budget-negative",
 ], ids=["seeds-reversed", "seeds-dash", "latency-letters", "latency-max-letter",
-        "two-roots"])
+        "two-roots", "constraints-dir", "non-utf8", "seed-letter", "unknown-option",
+        "probability-high", "probability-negative", "probability-nan",
+        "budget-negative"])
 def test_bad_user_input_exits_one(corpus_root, tmp_path, capsys, extra):
     files, stim = _case_args(corpus_root, "cov_toggle")
+    command = "simulate"
     if extra == "two-roots":
         rtl = tmp_path / "two.v"
         rtl.write_text(TWO_ROOTS)
         cons = tmp_path / "c.cdc"
         cons.write_text("clock clk -period 10 -domain A\n")
         files, extra = [str(rtl), "-c", str(cons)], []
-    rc = main(["simulate", *files, "-s", stim, *extra, "--out", str(tmp_path)])
+    elif extra == "constraints-dir":
+        files, extra = [files[0], "-c", str(tmp_path)], []
+    elif extra == "non-utf8":
+        rtl = tmp_path / "latin1.v"
+        rtl.write_bytes(b"// caf\xe9\n" + Path(files[0]).read_bytes())
+        files, extra = [str(rtl), *files[1:]], []
+    elif extra == "budget-negative":
+        command, extra = "explore", ["--budget", "-1"]
+    rc = main([command, *files, "-s", stim, *extra, "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and "Traceback" not in err
     assert ":0:0:" not in err       # option values have no file position
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["simulate", "--help"]],
+                         ids=["version", "help", "command-help"])
+def test_help_and_version_exit_zero(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("role, text", [
+    ("db", "not json"),
+    ("db", "{}"),
+    ("db", "[]"),
+    ("db", '{"fingerprint": "f", "bins": 3}'),
+    ("pairs", "not json"),
+    ("pairs", "{}"),
+    ("pairs", "[]"),
+    ("pairs", '{"fingerprint": "f", "pairs": 3}'),
+    ("pairs", '{"fingerprint": "f", "pairs": [{"id": "cdc0"}]}'),
+    ("merge", "not json"),
+    ("merge", "{}"),
+], ids=["db-text", "db-empty", "db-list", "db-bins", "pairs-text", "pairs-empty",
+        "pairs-list", "pairs-not-list", "pairs-no-width", "merge-text", "merge-empty"])
+def test_malformed_json_input_exits_one(tmp_path, capsys, role, text):
+    db, pairs, bad = tmp_path / "db.json", tmp_path / "pairs.json", tmp_path / "bad.json"
+    db.write_text('{"fingerprint": "f"}')
+    pairs.write_text('{"fingerprint": "f", "pairs": []}')
+    bad.write_text(text)
+    if role == "merge":
+        argv = ["merge-coverage", str(db), str(bad), "--out", str(tmp_path / "m.json")]
+    else:
+        argv = ["report", "--db", str(bad if role == "db" else db),
+                "--pairs", str(bad if role == "pairs" else pairs)]
+    assert main(["report", "--db", str(db), "--pairs", str(pairs)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("target, line", [

@@ -1,5 +1,12 @@
+import importlib.util
+import sys
+
+import pytest
+
 from cdckit.pipeline import analyze_sources
 from cdckit.syncrec import recognize
+from conftest import CORPUS, REPO
+from oracles import reference_recognize
 
 AB = """clock clk_a -period 10 -domain A
 clock clk_b -period 10 -domain B
@@ -115,8 +122,7 @@ def test_fifo_roles_without_guard(case_loader):
     assert inst.extra["write_ptr"] == "wgray"
 
 
-def test_user_defined_sync_cells():
-    a = _analyze("""
+USER_SYNC = """
 module magic_sync(input clk, input rst_n, input d, output q);
   reg m1, m2;
   always @(posedge clk or negedge rst_n) begin
@@ -132,7 +138,11 @@ module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, input d, outp
   end
   magic_sync u0(.clk(clk_b), .rst_n(rst_b_n), .d(src), .q(q));
 endmodule
-""", AB + "sync_cells magic_sync\n")
+"""
+
+
+def test_user_defined_sync_cells():
+    a = _analyze(USER_SYNC, AB + "sync_cells magic_sync\n")
     kinds = {s.kind for s in a.syncs}
     assert "user" in kinds
     user = next(s for s in a.syncs if s.kind == "user")
@@ -163,3 +173,142 @@ def test_classification_is_total(case_loader):
     for name in ("codegen_full", "mux_sync", "async_fifo"):
         analysis, _ = case_loader(name)
         assert set(analysis.status) == {p.id for p in analysis.pairs}
+
+
+def _load_gen():
+    """perfbench/gen.py, imported by path (its dataclasses need it registered)."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen",
+                                                  REPO / "perfbench" / "gen.py")
+    gen = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def _generated_designs():
+    gen = _load_gen()
+    for shape in ("hier", "flat"):
+        for blocks in (1, 3, 6):
+            for seed in (1, 2, 3):
+                d = gen.build(f"{shape}{blocks}", seed, blocks, shape=shape)
+                yield f"{shape}{blocks}-s{seed}", d.files["rtl.v"], d.files["constraints.cdc"]
+
+
+def _corpus_designs():
+    for d in sorted(p for p in CORPUS.iterdir() if p.is_dir()):
+        yield d.name, (d / "rtl.v").read_text(), (d / "constraints.cdc").read_text()
+
+
+# Matcher corner cases: an enable through NOT (c1), a second capture on an
+# already used select chain (c2), a mux with no feedback arm (c3), a select
+# chain from another domain (c4), a feedback arm through SLICE (c5), and a
+# pulse whose XOR is not the tail's first reader, pairing with the later of
+# two delay stages.
+MATCHER_CORNERS = """module top(input clk_a, input clk_b, input clk_c, input rst_a_n, input rst_b_n,
+           input rst_c_n, input [3:0] din, input en_in, input pulse_in, input x,
+           output [3:0] o1, output [3:0] o2, output [3:0] o3, output [3:0] o4, output [3:0] o5,
+           output p_out, output other, output p_late);
+  reg [3:0] bus;
+  reg en_a;
+  reg tgl;
+  always @(posedge clk_a or negedge rst_a_n) begin
+    if (!rst_a_n) begin bus <= 4'h0; en_a <= 1'b0; tgl <= 1'b0; end
+    else begin bus <= din; en_a <= en_in; tgl <= tgl ^ pulse_in; end
+  end
+  reg e1, e2, g1, g2, h1, h2;
+  reg [3:0] c1, c2, c3, c4, c5;
+  reg f1, f2;
+  always @(posedge clk_c or negedge rst_c_n) begin
+    if (!rst_c_n) begin f1 <= 1'b0; f2 <= 1'b0; end
+    else begin f1 <= en_a; f2 <= f1; end
+  end
+  always @(posedge clk_b or negedge rst_b_n) begin
+    if (!rst_b_n) begin
+      e1 <= 1'b0; e2 <= 1'b0; g1 <= 1'b0; g2 <= 1'b0; h1 <= 1'b0; h2 <= 1'b0;
+      c1 <= 4'h0; c2 <= 4'h0; c3 <= 4'h0; c4 <= 4'h0; c5 <= 4'h0;
+    end else begin
+      e1 <= en_a;
+      e2 <= e1;
+      g1 <= en_a;
+      g2 <= g1;
+      h1 <= en_a;
+      h2 <= h1;
+      if (~e2) c1 <= bus;
+      c2 <= e2 ? bus : c2;
+      c3 <= h2 ? bus : din;
+      c5 <= g2 ? bus : c5[3:0];
+      c4 <= f2 ? bus : c4;
+    end
+  end
+  reg q1, q2, q3, q3b;
+  always @(posedge clk_b or negedge rst_b_n) begin
+    if (!rst_b_n) begin q1 <= 1'b0; q2 <= 1'b0; q3 <= 1'b0; q3b <= 1'b0; end
+    else begin q1 <= tgl; q2 <= q1; q3 <= q2; q3b <= q2; end
+  end
+  assign other = q2 & x;
+  assign p_late = q3;
+  assign p_out = q2 ^ q3b;
+  assign o1 = c1;
+  assign o2 = c2;
+  assign o3 = c3;
+  assign o4 = c4;
+  assign o5 = c5;
+endmodule
+"""
+
+ABC = AB + """clock clk_c -period 14 -domain C
+reset rst_c_n -active_low -domain C
+"""
+
+NESTED_USER_SYNC = """module inner_sync(input clk, input rst_n, input d, output q);
+  reg m1, m2;
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) begin m1 <= 1'b0; m2 <= 1'b0; end
+    else begin m1 <= d; m2 <= m1; end
+  end
+  assign q = m2;
+endmodule
+module outer_sync(input clk, input rst_n, input d, output q);
+  wire w;
+  reg o1;
+  inner_sync i0(.clk(clk), .rst_n(rst_n), .d(d), .q(w));
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) o1 <= 1'b0; else o1 <= w;
+  end
+  assign q = o1;
+endmodule
+module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, input d,
+           output q, output q2);
+  reg src;
+  always @(posedge clk_a or negedge rst_a_n) begin
+    if (!rst_a_n) src <= 1'b0; else src <= d;
+  end
+  outer_sync u0(.clk(clk_b), .rst_n(rst_b_n), .d(src), .q(q));
+  inner_sync u1(.clk(clk_b), .rst_n(rst_b_n), .d(src), .q(q2));
+endmodule
+"""
+
+
+def _inline_designs():
+    yield "chain3", CHAIN3, AB
+    yield "user", USER_SYNC, AB + "sync_cells magic_sync\n"
+    yield "nested-user", NESTED_USER_SYNC, \
+        AB + "sync_cells inner_sync\nsync_cells outer_sync\n"
+    yield "matcher-corners", MATCHER_CORNERS, ABC
+
+
+def _fields(inst):
+    return (inst.id, inst.kind, inst.members, inst.head, inst.tail, inst.depth,
+            inst.dst_domain, inst.protected, inst.role, inst.extra)
+
+
+@pytest.mark.parametrize("designs", [_inline_designs, _corpus_designs,
+                                     _generated_designs],
+                         ids=["inline", "corpus", "generated"])
+def test_recognize_matches_reference(designs):
+    n_syncs = 0
+    for name, rtl, cons in designs():
+        a = _analyze(rtl, cons)
+        ref = reference_recognize(a.netlist, a.domains, a.pairs, a.constraints)
+        assert [_fields(s) for s in a.syncs] == [_fields(s) for s in ref], name
+        n_syncs += len(ref)
+    assert n_syncs > 0
