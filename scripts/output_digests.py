@@ -6,7 +6,9 @@ For each case it runs `analyze`, `generate`, `simulate --seeds 1..3 --vcd`,
 hashes the exit code, stdout, stderr and every file the command wrote.
 It then runs `analyze --strict` and `generate` on designs from
 `perfbench/gen.py` (hier and flat, 6 and 24 blocks, seed 1), which hold
-hundreds of synchronizers where the corpus designs hold a few.  Paths are
+hundreds of synchronizers where the corpus designs hold a few, and
+`analyze` on sources the front end rejects, so the positions of its
+diagnostics are covered too.  Paths are
 passed relative to the checkout (or to the generated design's directory),
 so two checkouts give the same lines exactly when their outputs are
 byte-identical:
@@ -39,6 +41,16 @@ GENERATED_COMMANDS = (
     ("analyze-strict", ["analyze", "--strict"]),
     ("generate", ["generate"]),
 )
+# Rejected sources, one per kind of tokenizer diagnostic.
+REJECTED = (
+    ("keyword", "module m(input a);\n  // lead\n  initial begin end\nendmodule\n"),
+    ("delay", "module m(input a, output w);\n  assign w = #2 a;\nendmodule\n"),
+    ("directive", "/* head */\n`define W 4\nmodule m(input a);\nendmodule\n"),
+    ("system-task", "module m(input clk);\n  always @(posedge clk) $display(1);\nendmodule\n"),
+    ("stray", "module m(input a);\n  /* two\n     lines */ wire w; %\nendmodule\n"),
+    ("open-comment", "module m(input a);\n  wire w;\n  /* never closed\nendmodule"),
+)
+REJECTED_CONSTRAINTS = "clock clk -period 10 -domain A\n"
 
 
 def digest(main, d: str, argv: list[str]) -> str:
@@ -96,6 +108,15 @@ def main() -> int:
             for label, argv in GENERATED_COMMANDS:
                 print(f"gen-{design.name}-s1 {label} {digest(cli_main, '.', argv)}",
                       flush=True)
+            os.chdir(root)
+
+    for label, text in REJECTED:
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            Path("rtl.v").write_text(text)
+            Path("constraints.cdc").write_text(REJECTED_CONSTRAINTS)
+            print(f"reject-{label} analyze {digest(cli_main, '.', ['analyze'])}",
+                  flush=True)
             os.chdir(root)
     return 0
 

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes are a stable contract:
-  0 ok, 1 input error (usage errors and unreadable files included),
-  2 structural errors under --strict,
-  3 checker failure or counterexample, 4 decision budget or branch cap
-  exceeded, 5 coverage fingerprint mismatch.
+  0 ok, 1 input error (usage errors, unreadable inputs and unwritable
+  outputs included), 2 structural errors under --strict, 3 checker
+  failure or counterexample, 4 decision budget or branch cap exceeded,
+  5 coverage fingerprint mismatch.
 """
 
 from __future__ import annotations
@@ -42,18 +42,19 @@ def _read(path: str) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    os.replace(tmp, path)
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as e:
+        if tmp.is_file():
+            tmp.unlink()
+        raise CdcError(f"{path}: {e.strerror or e}") from None
 
 
 def _constraint_texts(path: str) -> list[tuple[str, str]]:
@@ -233,9 +234,7 @@ def cmd_report(args) -> int:
                          "'fingerprint' and a 'pairs' list of objects with 'id' and "
                          "'width'", origin=args.pairs)
     if pairs["fingerprint"] != db.fingerprint:
-        print("error: coverage database does not match the pairs report",
-              file=sys.stderr)
-        return 5
+        raise FingerprintMismatch("coverage database does not match the pairs report")
     rep = report(db, pairs["pairs"])
     if args.format == "json":
         text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
@@ -250,12 +249,8 @@ def cmd_report(args) -> int:
 def cmd_merge_coverage(args) -> int:
     dbs = [CoverageDb.from_json(_read(f), f) for f in args.dbs]
     merged = dbs[0]
-    try:
-        for db in dbs[1:]:
-            merged = merge(merged, db, scope=args.scope)
-    except FingerprintMismatch as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 5
+    for db in dbs[1:]:
+        merged = merge(merged, db, scope=args.scope)
     _write_text(Path(args.out), merged.to_json())
     print(f"merged {len(dbs)} databases, {merged.total()} recorded resolutions")
     return 0
@@ -337,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = make_parser().parse_args(argv)
         return args.fn(args)
+    except FingerprintMismatch as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 5
     except (CdcError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -215,18 +215,37 @@ def assign_domains(netlist: Netlist, constraints: ConstraintSet) -> DomainMap:
             if len(netlist.cells[g].inputs) > 1:
                 dm.gate_notes.append(ClockGateNote(flop.name, g, root_net))
 
+    # Net domains in one topological pass: a flop, black box or port drives
+    # its own domain (unclocked without one), a const or floating net is
+    # constant, and a gate output joins its inputs' domains.
+    constant = NetDomain(frozenset(), constant=True)
+    by_domain = {d: NetDomain(frozenset((d,)))
+                 for d in {*dm.flop_domain.values(), *port_domain.values()}}
+    unclocked = NetDomain(frozenset(), unclocked=True)
+    cells = netlist.cells
+    net_domain: list[NetDomain] = []
     for net in netlist.nets:
-        cone = netlist.fanin_cone(net.index)
-        domains: set[str] = set()
-        unclocked = False
-        for ref in cone.seq:
-            d = dm.domain_of_ref(ref)
-            if d is None:
-                unclocked = True
-            else:
-                domains.add(d)
-        constant = not cone.seq and not unclocked
-        dm.net_domain[net.index] = NetDomain(frozenset(domains), unclocked, constant)
+        drv = net.driver
+        if drv is None:
+            d = constant        # floating; validate() reports it
+        elif drv[0] == "port":
+            d = by_domain.get(port_domain.get(drv[1]), unclocked)
+        elif isinstance(cells[drv[1]], Const):
+            d = constant
+        else:   # Gate outputs are overwritten below, in topological order
+            d = by_domain.get(dm.flop_domain.get(drv[1]), unclocked)
+        net_domain.append(d)
+    for g in netlist.comb_topo():
+        gate = cells[g]
+        ins = [net_domain[n] for n in gate.inputs]
+        first = ins[0]
+        if all(d is first for d in ins):
+            net_domain[gate.out] = first
+        else:
+            net_domain[gate.out] = NetDomain(
+                frozenset().union(*(d.domains for d in ins)),
+                any(d.unclocked for d in ins), all(d.constant for d in ins))
+    dm.net_domain = dict(enumerate(net_domain))
     return dm
 
 

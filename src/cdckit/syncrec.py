@@ -244,26 +244,27 @@ def recognize(netlist: Netlist, domains: DomainMap, pairs: list[CdcPair],
             src = netlist.cells[p.src[1]]
             if isinstance(src, Dff) and _gray_shape(netlist, src.data):
                 ptr_cands.append((p.src_domain, p.dst_domain, src.index, chain, p.id))
-    def _references(flop_idx: int, tail_idx: int) -> bool:
-        flop = netlist.cells[flop_idx]
-        tail_ref = ("cell", tail_idx, "out")
+    # genuine pointer pairs are coupled: a guard on one side reads the
+    # synced copy (the chain tail) of the other pointer.  Candidate i pairs
+    # with the lowest unused coupled j > i whose domains are i's reversed.
+    cone_refs: list[set] = []
+    by_domains: dict[tuple[str, str], list[int]] = {}
+    for k, (src_d, dst_d, ptr, _chain, _pid) in enumerate(ptr_cands):
+        flop = netlist.cells[ptr]
         nets = [flop.data] + ([flop.enable] if flop.enable is not None else [])
-        return any(tail_ref in netlist.fanin_cone(n).seq for n in nets)
+        cone_refs.append({ref for n in nets for ref in netlist.fanin_cone(n).seq})
+        by_domains.setdefault((src_d, dst_d), []).append(k)
 
     used: set[int] = set()
     for i, a in enumerate(ptr_cands):
         if i in used:
             continue
-        for j in range(i + 1, len(ptr_cands)):
-            if j in used:
+        a_tail = ("cell", a[3][-1], "out")
+        for j in by_domains.get((a[1], a[0]), ()):
+            if j <= i or j in used:
                 continue
             b = ptr_cands[j]
-            if a[0] != b[1] or a[1] != b[0]:
-                continue
-            # genuine pointer pairs are coupled: a guard on one side reads
-            # the synced copy (the chain tail) of the other pointer
-            coupled = _references(a[2], b[3][-1]) or _references(b[2], a[3][-1])
-            if not coupled:
+            if ("cell", b[3][-1], "out") not in cone_refs[i] and a_tail not in cone_refs[j]:
                 continue
             used.add(i)
             used.add(j)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DuplicateModule, ParseError, UnsupportedConstruct
 
@@ -174,21 +175,27 @@ UNSUPPORTED_KEYWORDS = {
     "deassign", "force", "release", "wait", "disable", "signed",
 }
 
+# Characters that open a construct outside the subset.
+_STRAY_CONSTRUCTS = {"`": "compiler directive", "#": "delay control", "$": "system task"}
+
+# Each match skips the whitespace and comments before one token, so a single
+# `finditer` pass yields every token; `\Z` gives the end-of-input token.  An
+# unterminated `/*` is not skipped, and its `/` is a stray character.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<lcomment>//[^\n]*)
-  | (?P<bcomment>/\*.*?\*/)
-  | (?P<sized>\d+'[bBdDhH][0-9a-fA-F_xzXZ?]+)
-  | (?P<number>\d[\d_]*)
-  | (?P<id>[A-Za-z_][A-Za-z0-9_$]*)
-  | (?P<nba><=)
-  | (?P<punct>[()\[\]{},;:.=@?~!&|^])
-  | (?P<bad>.)
+    (?:\s+|//[^\n]*|/\*.*?\*/)*
+    (?:
+        (?P<id>[A-Za-z_][A-Za-z0-9_$]*)
+      | (?P<sized>\d+'[bBdDhH][0-9a-fA-F_xzXZ?]+)
+      | (?P<number>\d[\d_]*)
+      | (?P<nba><=)
+      | (?P<punct>[()\[\]{},;:.=@?~!&|^])
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
 """, re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # "id", "kw", "number", "sized", "punct", "nba", "eof"
     text: str
     line: int
@@ -197,40 +204,33 @@ class Token:
 
 def tokenize(text: str, origin: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
+    append = tokens.append
     line = 1
     line_start = 0
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:  # pragma: no cover - regex has a catch-all group
-            raise ParseError("cannot tokenize input", line, pos - line_start + 1, origin)
+    pos = 0                 # end of the previous token
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tok_text = m.group()
-        col = m.start() - line_start + 1
-        if kind in ("ws", "lcomment", "bcomment"):
-            nl = tok_text.count("\n")
+        start = m.start(kind)
+        if start != pos:
+            nl = text.count("\n", pos, start)
             if nl:
                 line += nl
-                line_start = m.start() + tok_text.rindex("\n") + 1
-        elif kind == "bad":
-            ch = tok_text
-            if ch == "`":
-                raise UnsupportedConstruct("compiler directive", line, col, origin)
-            if ch == "#":
-                raise UnsupportedConstruct("delay control", line, col, origin)
-            if ch == "$":
-                raise UnsupportedConstruct("system task", line, col, origin)
-            raise ParseError(f"unexpected character {ch!r}", line, col, origin)
-        elif kind == "id":
-            if tok_text in UNSUPPORTED_KEYWORDS:
-                raise UnsupportedConstruct(tok_text, line, col, origin)
-            tokens.append(Token("kw" if tok_text in KEYWORDS else "id",
-                                tok_text, line, col))
-        else:
-            tokens.append(Token(kind, tok_text, line, col))
+                line_start = text.rfind("\n", pos, start) + 1
         pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+        tok_text = m[kind]
+        col = start - line_start + 1
+        if kind == "id":
+            if tok_text in KEYWORDS:
+                kind = "kw"
+            elif tok_text in UNSUPPORTED_KEYWORDS:
+                raise UnsupportedConstruct(tok_text, line, col, origin)
+        elif kind == "bad":
+            if tok_text in _STRAY_CONSTRUCTS:
+                raise UnsupportedConstruct(_STRAY_CONSTRUCTS[tok_text], line, col, origin)
+            raise ParseError(f"unexpected character {tok_text!r}", line, col, origin)
+        append(Token(kind, tok_text, line, col))
+        if kind == "eof":   # a gap before it leaves an empty match to come
+            break
     return tokens
 
 

@@ -1,11 +1,13 @@
 """Independent oracle implementations used to compute expected values.
 
 Everything here deliberately avoids the library's traversal/memoization
-machinery: counts are recursive multiplications over the parsed module
-tree, cones come from naive path enumeration, gate order from a Kahn
-loop that re-sorts its ready list, domains from exhaustive backward
-search, crossing pairs from brute-force path walks, and synchronizers
-from the first-written matchers, which scan every cell and chain.  Gate
+machinery: tokens come from one anchored match per token or skipped gap,
+counts are recursive multiplications over the parsed module tree, cones
+come from naive path enumeration, gate order from a Kahn loop that
+re-sorts its ready list, flop domains from exhaustive backward search, net
+domains from each net's own cone, crossing pairs from brute-force path
+walks, and synchronizers from the first-written matchers, which scan every
+cell and chain.  Gate
 values come from a string-dispatch interpreter, the reference for the
 simulator's compiled kernels, and exhaustive exploration is redone by
 replaying every decision path from the start.  Also here: the
@@ -16,19 +18,21 @@ generated assertions interpreted over a run's waves (`sva_interp`).
 from __future__ import annotations
 
 import random
+import re
 
 from cdckit.checkers import build_checkers
 from cdckit.codegen import generate_all
 from cdckit.constraints import ConstraintSet
-from cdckit.domains import CdcPair, DomainMap
-from cdckit.errors import SimDivergence
+from cdckit.domains import CdcPair, DomainMap, NetDomain
+from cdckit.errors import ParseError, SimDivergence, UnsupportedConstruct
 from cdckit.netlist import (GATE_OPS, BlackBox, Const, Dff, Gate, Netlist,
                             NetlistBuilder)
 from cdckit.sim import Engine, MsiConfig, SimResult, simulate
 from cdckit.syncrec import (SyncInstance, _chains, _fifo_roles, _gray_shape,
                              _net_driver_gate)
-from cdckit.verilog import (Binary, Concat, Expr, Ident, Literal, NbAssign,
-                            ParsedModule, Slice, Stmt, Ternary, Unary)
+from cdckit.verilog import (KEYWORDS, UNSUPPORTED_KEYWORDS, Binary, Concat,
+                            Expr, Ident, Literal, NbAssign, ParsedModule,
+                            Slice, Stmt, Ternary, Token, Unary)
 from sva_interp import evaluate_module, parse_bindings, parse_checker_module
 
 
@@ -42,6 +46,57 @@ def reference_simulate(analysis, stimulus, checkers=None,
 def wave_by_name(res: SimResult, netlist: Netlist) -> dict[str, list[tuple[int, int]]]:
     """A run's waves keyed by net name."""
     return {netlist.nets[i].name: w for i, w in res.waves.items()}
+
+
+_REF_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<lcomment>//[^\n]*)
+  | (?P<bcomment>/\*.*?\*/)
+  | (?P<sized>\d+'[bBdDhH][0-9a-fA-F_xzXZ?]+)
+  | (?P<number>\d[\d_]*)
+  | (?P<id>[A-Za-z_][A-Za-z0-9_$]*)
+  | (?P<nba><=)
+  | (?P<punct>[()\[\]{},;:.=@?~!&|^])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+
+
+def reference_tokenize(text: str, origin: str = "<input>") -> list[Token]:
+    """Tokens by one anchored match per token or skipped gap, tracking the
+    line at every whitespace or comment match."""
+    tokens: list[Token] = []
+    line = 1
+    line_start = 0
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        kind = m.lastgroup
+        tok_text = m.group()
+        col = m.start() - line_start + 1
+        if kind in ("ws", "lcomment", "bcomment"):
+            nl = tok_text.count("\n")
+            if nl:
+                line += nl
+                line_start = m.start() + tok_text.rindex("\n") + 1
+        elif kind == "bad":
+            ch = tok_text
+            if ch == "`":
+                raise UnsupportedConstruct("compiler directive", line, col, origin)
+            if ch == "#":
+                raise UnsupportedConstruct("delay control", line, col, origin)
+            if ch == "$":
+                raise UnsupportedConstruct("system task", line, col, origin)
+            raise ParseError(f"unexpected character {ch!r}", line, col, origin)
+        elif kind == "id":
+            if tok_text in UNSUPPORTED_KEYWORDS:
+                raise UnsupportedConstruct(tok_text, line, col, origin)
+            tokens.append(Token("kw" if tok_text in KEYWORDS else "id",
+                                tok_text, line, col))
+        else:
+            tokens.append(Token(kind, tok_text, line, col))
+        pos = m.end()
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
+    return tokens
 
 
 def count_dffs_recursive(modules: list[ParsedModule], top: str) -> int:
@@ -162,6 +217,26 @@ def exhaustive_flop_domains(netlist: Netlist, clock_domains: dict[str, str]) -> 
                     stack.extend(c.inputs)
         assert len(found) == 1, f"flop {cell.name} clock resolves to {found}"
         out[cell.index] = next(iter(found))
+    return out
+
+
+def reference_net_domains(netlist: Netlist, dm: DomainMap) -> dict[int, NetDomain]:
+    """Each net's domains from its own backward cone: the domains of the
+    sequential sources it reaches, unclocked when one has none, constant
+    when it reaches none."""
+    out = {}
+    for net in netlist.nets:
+        cone = netlist.fanin_cone(net.index)
+        domains: set[str] = set()
+        unclocked = False
+        for ref in cone.seq:
+            d = dm.domain_of_ref(ref)
+            if d is None:
+                unclocked = True
+            else:
+                domains.add(d)
+        constant = not cone.seq and not unclocked
+        out[net.index] = NetDomain(frozenset(domains), unclocked, constant)
     return out
 
 

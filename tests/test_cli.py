@@ -218,6 +218,30 @@ def test_report_fingerprint_mismatch_exits_five(corpus_root, tmp_path):
     assert rc == 5
 
 
+def test_report_pair_absent_from_pairs_report_exits_five(tmp_path, capsys):
+    db, pairs = tmp_path / "db.json", tmp_path / "pairs.json"
+    db.write_text('{"fingerprint": "f", "pairs": ["x"]}')
+    pairs.write_text('{"fingerprint": "f", "pairs": []}')
+    assert main(["report", "--db", str(db), "--pairs", str(pairs)]) == 5
+    assert capsys.readouterr().err == \
+        "error: database mentions pairs absent from the pair report\n"
+
+
+def test_unwritable_output_path_exits_one(corpus_root, tmp_path, capsys):
+    files, stim = _case_args(corpus_root, "cov_toggle")
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["analyze", *files, "--out", str(afile)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {afile / 'pairs.json'}: ")
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    for vcd in (afile / "trace.vcd", adir):
+        assert main(["simulate", *files, "-s", stim, "--checkers", "none",
+                     "--out", str(tmp_path / "o"), "--vcd", str(vcd)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {vcd}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile", "o"]
+
+
 def test_manifest_reproducibility(corpus_root, tmp_path):
     files, _ = _case_args(corpus_root, "missing_sync")
     out1, out2 = tmp_path / "m1", tmp_path / "m2"

@@ -2,11 +2,16 @@ import random
 
 import pytest
 
-from cdckit.constraints import ClockSpec, ConstraintSet
+from cdckit.constraints import ClockSpec, ConstraintSet, parse_constraints
 from cdckit.domains import assign_domains, extract_cdc_pairs, gate_enable
+from cdckit.elaborate import elaborate
 from cdckit.errors import UndeclaredClock
+from cdckit.netlist import Netlist
 from cdckit.pipeline import analyze_sources
-from oracles import brute_force_pairs, exhaustive_flop_domains, random_netlist
+from cdckit.verilog import parse_verilog
+from conftest import corpus_designs, generated_designs
+from oracles import (brute_force_pairs, exhaustive_flop_domains, random_netlist,
+                     reference_net_domains)
 
 AB = """clock clk_a -period 10 -domain A
 clock clk_b -period 10 -domain B
@@ -174,3 +179,72 @@ def test_pair_ids_stable_across_runs(case_loader, corpus_root):
                          (case / "constraints.cdc").read_text())
     assert [(p.id, p.src_name, p.dst_name) for p in a1.pairs] == \
         [(p.id, p.src_name, p.dst_name) for p in a2.pairs]
+
+
+# A floating wire, constants alone and mixed with a clocked net, an
+# undeclared input port, a declared reset as a mux select, and a black box.
+DOMAIN_CORNERS = """module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, input d, input u,
+           output [3:0] o);
+  reg ra, rb;
+  wire floating, k, w1, w2, w3, w4, bo;
+  always @(posedge clk_a) ra <= d;
+  always @(posedge clk_b) rb <= ra;
+  assign k = 1'b1 & 1'b0;
+  assign w1 = ra & k;
+  assign w2 = floating | k;
+  assign w3 = (rb ^ w1) & u;
+  assign w4 = rst_a_n ? bo : w2;
+  mystery u0(.i(w3), .o(bo));
+  assign o = {w1, w2, w3, w4};
+endmodule
+"""
+
+
+def _inline_designs():
+    yield "domain-corners", DOMAIN_CORNERS, AB
+
+
+@pytest.mark.parametrize("designs", [_inline_designs, corpus_designs,
+                                     generated_designs],
+                         ids=["inline", "corpus", "generated"])
+def test_net_domains_equal_reference(designs):
+    for name, rtl, cons in designs():
+        a = _analyze(rtl, cons)
+        assert a.domains.net_domain == reference_net_domains(a.netlist, a.domains), name
+
+
+def test_net_domains_equal_reference_on_random_designs():
+    kinds = set()
+    for seed in range(30):
+        rng = random.Random(300 + seed)
+        nl, clock_domains = random_netlist(rng, n_flops=8 + seed % 6,
+                                           n_gates=20 + seed % 15,
+                                           n_domains=1 + seed % 3)
+        cs = ConstraintSet(clocks=[
+            ClockSpec(name, 10, 0, dom) for name, dom in sorted(clock_domains.items())])
+        dm = assign_domains(nl, cs)
+        assert dm.net_domain == reference_net_domains(nl, dm), seed
+        kinds |= {nd.kind for nd in dm.net_domain.values()}
+    assert kinds == {"single", "mixed", "unclocked"}
+
+
+def test_assign_domains_walks_only_clock_cones(monkeypatch):
+    walked = []
+    fanin_cone = Netlist.fanin_cone
+
+    def recording(self, net_idx):
+        walked.append(net_idx)
+        return fanin_cone(self, net_idx)
+
+    monkeypatch.setattr(Netlist, "fanin_cone", recording)
+    designs = {name: (rtl, cons) for name, rtl, cons
+               in [*corpus_designs(), *generated_designs(blocks=(3,))]}
+    for name in ("gated_clock_glitch", "async_fifo", "blackbox", "hier3-s1"):
+        rtl, cons = designs[name]
+        modules = parse_verilog(rtl)
+        inner = {i.module for m in modules for i in m.instances}
+        nl = elaborate(modules, next(m.name for m in modules if m.name not in inner),
+                       on_unresolved="blackbox")
+        walked.clear()
+        assign_domains(nl, parse_constraints(cons))
+        assert walked and set(walked) <= {f.clock for f in nl.dffs()}, name

@@ -1,11 +1,8 @@
-import importlib.util
-import sys
-
 import pytest
 
 from cdckit.pipeline import analyze_sources
 from cdckit.syncrec import recognize
-from conftest import CORPUS, REPO
+from conftest import corpus_designs, generated_designs
 from oracles import reference_recognize
 
 AB = """clock clk_a -period 10 -domain A
@@ -175,27 +172,8 @@ def test_classification_is_total(case_loader):
         assert set(analysis.status) == {p.id for p in analysis.pairs}
 
 
-def _load_gen():
-    """perfbench/gen.py, imported by path (its dataclasses need it registered)."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen",
-                                                  REPO / "perfbench" / "gen.py")
-    gen = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(gen)
-    return gen
-
-
 def _generated_designs():
-    gen = _load_gen()
-    for shape in ("hier", "flat"):
-        for blocks in (1, 3, 6):
-            for seed in (1, 2, 3):
-                d = gen.build(f"{shape}{blocks}", seed, blocks, shape=shape)
-                yield f"{shape}{blocks}-s{seed}", d.files["rtl.v"], d.files["constraints.cdc"]
-
-
-def _corpus_designs():
-    for d in sorted(p for p in CORPUS.iterdir() if p.is_dir()):
-        yield d.name, (d / "rtl.v").read_text(), (d / "constraints.cdc").read_text()
+    return generated_designs(blocks=(1, 3, 6), seeds=(1, 2, 3))
 
 
 # Matcher corner cases: an enable through NOT (c1), a second capture on an
@@ -288,12 +266,71 @@ endmodule
 """
 
 
+def _fifo_parts(t: str, guard_extra: str = "", read_guard: bool = True) -> dict[str, str]:
+    """Gray pointers of a 4-entry async fifo between clk_w and clk_r, with
+    names ending in `_t`: the pointer logic, and the always blocks of its two
+    synchronizer chains.  `guard_extra` is appended to the full flag; without
+    `read_guard` the read pointer ignores the empty flag."""
+    n = {k: f"{k}_{t}" for k in ("wg", "rg", "wq1", "wq2", "rq1", "rq2", "wb", "wn",
+                                "rb", "rn", "fd", "ed", "full", "empty")}
+    logic = """  reg [2:0] {wg}, {rg}, {wq1}, {wq2}, {rq1}, {rq2};
+  wire [2:0] {wb}, {wn}, {rb}, {rn}, {fd}, {ed};
+  wire {full}, {empty};
+  assign {wb} = {{{wg}[2:2], {wg}[2:2] ^ {wg}[1:1], ({wg}[2:2] ^ {wg}[1:1]) ^ {wg}[0:0]}};
+  assign {wn} = {{{wb}[2:2] ^ ({wb}[1:1] & {wb}[0:0]), {wb}[1:1] ^ {wb}[0:0], ~{wb}[0:0]}};
+  assign {rb} = {{{rg}[2:2], {rg}[2:2] ^ {rg}[1:1], ({rg}[2:2] ^ {rg}[1:1]) ^ {rg}[0:0]}};
+  assign {rn} = {{{rb}[2:2] ^ ({rb}[1:1] & {rb}[0:0]), {rb}[1:1] ^ {rb}[0:0], ~{rb}[0:0]}};
+  assign {fd} = {wg} ^ {{~{wq2}[2:2], ~{wq2}[1:1], {wq2}[0:0]}};
+  assign {full} = ~({fd}[2:2] | {fd}[1:1] | {fd}[0:0]){guard};
+  assign {ed} = {rg} ^ {rq2};
+  assign {empty} = ~({ed}[2:2] | {ed}[1:1] | {ed}[0:0]);
+  always @(posedge clk_w) if (we & ~{full}) {wg} <= {{{wn}[2:2], {wn}[2:2] ^ {wn}[1:1], {wn}[1:1] ^ {wn}[0:0]}};
+  always @(posedge clk_r) if (re{rguard}) {rg} <= {{{rn}[2:2], {rn}[2:2] ^ {rn}[1:1], {rn}[1:1] ^ {rn}[0:0]}};
+""".format(guard=guard_extra, rguard=f" & ~{n['empty']}" if read_guard else "", **n)
+    return {"logic": logic,
+            "wsync": "  always @(posedge clk_w) begin {wq1} <= {rg}; {wq2} <= {wq1}; end\n"
+                     .format(**n),
+            "rsync": "  always @(posedge clk_r) begin {rq1} <= {wg}; {rq2} <= {rq1}; end\n"
+                     .format(**n)}
+
+
+# Three fifos between the same two domains.  Fifo a's full flag also reads
+# fifo b's synced read pointer, so a's write pointer is coupled to both read
+# pointers.  Chain order makes it the first candidate, and b's read pointer
+# the first coupled one, so the greedy pairing takes (wg_a, rg_b) and leaves
+# rg_a and wg_b to plain ndff chains.  Fifo c pairs past two uncoupled
+# candidates, and only its later candidate (wg_c) reads the other's synced
+# copy, because its read side has no empty guard.
+_FA, _FB = _fifo_parts("a", " | wq2_b[0:0]"), _fifo_parts("b")
+_FC = _fifo_parts("c", read_guard=False)
+THREE_FIFOS = (
+    "module top(input clk_w, input clk_r, input we, input re, output [2:0] o);\n"
+    + _FA["logic"] + _FB["logic"] + _FC["logic"]
+    + _FA["rsync"] + _FB["wsync"] + _FA["wsync"] + _FB["rsync"]
+    + _FC["wsync"] + _FC["rsync"]
+    + "  assign o = wg_a ^ rg_b ^ wg_c;\nendmodule\n")
+WR = "clock clk_w -period 10 -domain W\nclock clk_r -period 14 -domain R\n"
+
+
+def test_fifo_pointers_pair_greedily_in_candidate_order():
+    a = _analyze(THREE_FIFOS, WR)
+    got = [(s.kind, sorted(a.netlist.cells[m].name for m in s.members))
+           for s in a.syncs]
+    assert got == [
+        ("ndff", ["rq1_b", "rq2_b"]),
+        ("ndff", ["wq1_a", "wq2_a"]),
+        ("fifo", ["rg_b", "rq1_a", "rq2_a", "wg_a", "wq1_b", "wq2_b"]),
+        ("fifo", ["rg_c", "rq1_c", "rq2_c", "wg_c", "wq1_c", "wq2_c"]),
+    ]
+
+
 def _inline_designs():
     yield "chain3", CHAIN3, AB
     yield "user", USER_SYNC, AB + "sync_cells magic_sync\n"
     yield "nested-user", NESTED_USER_SYNC, \
         AB + "sync_cells inner_sync\nsync_cells outer_sync\n"
     yield "matcher-corners", MATCHER_CORNERS, ABC
+    yield "three-fifos", THREE_FIFOS, WR
 
 
 def _fields(inst):
@@ -301,7 +338,7 @@ def _fields(inst):
             inst.dst_domain, inst.protected, inst.role, inst.extra)
 
 
-@pytest.mark.parametrize("designs", [_inline_designs, _corpus_designs,
+@pytest.mark.parametrize("designs", [_inline_designs, corpus_designs,
                                      _generated_designs],
                          ids=["inline", "corpus", "generated"])
 def test_recognize_matches_reference(designs):

@@ -4,8 +4,9 @@ from hypothesis import strategies as st
 
 from cdckit.errors import CdcError, DuplicateModule, ParseError, UnsupportedConstruct
 from cdckit.verilog import (Binary, Ident, Literal, Ternary, Unary,
-                            parse_verilog)
-from oracles import to_source
+                            parse_verilog, tokenize)
+from conftest import corpus_designs, generated_designs
+from oracles import reference_tokenize, to_source
 
 SYNC2 = """
 module sync2(input clk, input rst_n, input d, output q);
@@ -133,3 +134,51 @@ def test_parser_total_on_bytes(data):
         parse_verilog(data.decode("utf-8", errors="replace"))
     except CdcError:
         pass
+
+
+def _tokens_or_error(fn, text):
+    try:
+        return [tuple(t) for t in fn(text, "t.v")]
+    except ParseError as e:
+        return type(e), str(e), e.line, e.column
+
+
+def _assert_same_tokens(text):
+    assert _tokens_or_error(tokenize, text) == _tokens_or_error(reference_tokenize, text)
+
+
+@pytest.mark.parametrize("designs", [corpus_designs, generated_designs],
+                         ids=["corpus", "generated"])
+def test_tokenize_equals_reference(designs):
+    for name, rtl, _cons in designs():
+        assert tokenize(rtl) == reference_tokenize(rtl), name
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n", "a", "a\n", "  a  b\n\n c", "a // c", "a // c\nb", "/* x */", "/* x\n\n y */ a",
+    "a /* x\n y */ $b", "a\n  /* x\n */ %", "/*", "a\n /* no end\n", "/*/ a */", "/**/",
+    "`define X", "x #1", "a\r\nb\r\n", "reg [3:0] q <= 4'hF;", "wire initial;",
+    "8'bx1 12_3 q$1", "a\x0bb\x0cc",
+])
+def test_tokenize_equals_reference_on_edge_texts(text):
+    _assert_same_tokens(text)
+
+
+_PIECES = st.sampled_from([
+    "module", "endmodule", "wire", "reg", "always", "begin", "end", "posedge", "or",
+    "initial", "parameter", "case", "signed", "a", "q_1", "x$y", "_n", "4'b10_1",
+    "8'hFz", "3'd7", "12", "1_000", "<=", "(", ")", "[", "]", "{", "}", ",", ";",
+    ":", ".", "=", "@", "?", "~", "!", "&", "|", "^", "`define", "#1", "$display",
+    "'", '"', "\\", "%", "-", "*", "/", "<", "\u00e9",
+])
+_GAPS = st.sampled_from([
+    " ", "  \t", "\n", "\n\n", "\r\n", "\n  \n", "// note\n", "// to the end",
+    "/* one */", "/* two\n lines */", "/*\n\n*/", "/* unterminated", "/*/",
+])
+
+
+@hypothesis.given(st.lists(st.one_of(_PIECES, _GAPS, st.text(max_size=3)), max_size=40),
+                  st.booleans())
+@hypothesis.settings(max_examples=400, deadline=None)
+def test_tokenize_equals_reference_on_drawn_text(parts, final_newline):
+    _assert_same_tokens("".join(parts) + ("\n" if final_newline else ""))
