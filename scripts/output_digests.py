@@ -6,9 +6,11 @@ For each case it runs `analyze`, `generate`, `simulate --seeds 1..3 --vcd`,
 hashes the exit code, stdout, stderr and every file the command wrote.
 It then runs `analyze --strict` and `generate` on designs from
 `perfbench/gen.py` (hier and flat, 6 and 24 blocks, seed 1), which hold
-hundreds of synchronizers where the corpus designs hold a few, and
-`analyze` on sources the front end rejects, so the positions of its
-diagnostics are covered too.  Paths are
+hundreds of synchronizers where the corpus designs hold a few,
+`analyze`, `simulate` and `generate` on three inline sources at the edges
+of the netlist builder (a floating net, a one-operand concatenation, a
+600-level module chain), and `analyze` on sources the front end rejects,
+so the positions of its diagnostics are covered too.  Paths are
 passed relative to the checkout (or to the generated design's directory),
 so two checkouts give the same lines exactly when their outputs are
 byte-identical:
@@ -40,6 +42,37 @@ GENERATED = (("hier", 6), ("flat", 6), ("hier", 24), ("flat", 24))
 GENERATED_COMMANDS = (
     ("analyze-strict", ["analyze", "--strict"]),
     ("generate", ["generate"]),
+)
+# Sources at the edges of the netlist builder, each with two clock inputs.
+INLINE_CONSTRAINTS = "clock clk -period 10 -domain A\nclock clk_b -period 7 -domain B\n"
+INLINE_STIMULUS = "run 4 of clk\n"
+INLINE_COMMANDS = (("analyze", ["analyze"]), ("simulate", ["simulate"]),
+                   ("generate", ["generate"]))
+
+
+def _chain(levels: int) -> str:
+    """`levels` modules, each instantiating the next; the innermost holds a
+    crossing into a two-flop synchronizer."""
+    ports = "input clk, input clk_b, input d, output q"
+    conns = ".clk(clk), .clk_b(clk_b), .d(d), .q(q)"
+    mods = [f"module m{i}({ports});\n  m{i + 1} u({conns});\nendmodule\n"
+            for i in range(levels - 1)]
+    mods.append(f"module m{levels - 1}({ports});\n  reg s, q1, q2;\n"
+                "  always @(posedge clk) s <= d;\n"
+                "  always @(posedge clk_b) begin q1 <= s; q2 <= q1; end\n"
+                "  assign q = q2;\nendmodule\n")
+    return "".join(mods)
+
+
+INLINE = (
+    ("floating", "module top(input clk, input clk_b, input d, output q);\n"
+                 "  wire f;\n  reg r;\n  always @(posedge clk) r <= d & f;\n"
+                 "  assign q = r;\nendmodule\n"),
+    ("concat1", "module top(input clk, input clk_b, input d, output q);\n"
+                "  reg s, q1, q2;\n  always @(posedge clk) s <= {d};\n"
+                "  always @(posedge clk_b) begin q1 <= s; q2 <= q1; end\n"
+                "  assign q = q2;\nendmodule\n"),
+    ("chain600", _chain(600)),
 )
 # Rejected sources, one per kind of tokenizer diagnostic.
 REJECTED = (
@@ -108,6 +141,16 @@ def main() -> int:
             for label, argv in GENERATED_COMMANDS:
                 print(f"gen-{design.name}-s1 {label} {digest(cli_main, '.', argv)}",
                       flush=True)
+            os.chdir(root)
+
+    for label, text in INLINE:
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            Path("rtl.v").write_text(text)
+            Path("constraints.cdc").write_text(INLINE_CONSTRAINTS)
+            Path("stimulus.stim").write_text(INLINE_STIMULUS)
+            for cmd, argv in INLINE_COMMANDS:
+                print(f"inline-{label} {cmd} {digest(cli_main, '.', argv)}", flush=True)
             os.chdir(root)
 
     for label, text in REJECTED:

@@ -88,11 +88,11 @@ def _manifest(args, command: str, analysis, outputs: list[str],
 def cmd_analyze(args) -> int:
     analysis = _load_analysis(args)
     out = Path(args.out)
-    issues = analysis.netlist.validate()
-    if issues:
-        for issue in issues:
-            print(f"error: {issue.kind}: {issue.subject}: {issue.message}",
-                  file=sys.stderr)
+    # a net that is read but never driven; the other commands read it as 0
+    floating = [n for n in analysis.netlist.nets if n.driver is None and n.readers]
+    if floating:
+        for net in floating:
+            print(f"error: NoDriver: {net.name}: net has no driver", file=sys.stderr)
         return 1
     pr = pairs_report(analysis)
     sr = syncs_report(analysis)
@@ -228,11 +228,12 @@ def cmd_report(args) -> int:
     pairs = parse_json(_read(args.pairs), args.pairs)
     if not (isinstance(pairs, dict) and "fingerprint" in pairs
             and isinstance(pairs.get("pairs"), list)
-            and all(isinstance(p, dict) and "id" in p and isinstance(p.get("width"), int)
+            and all(isinstance(p, dict) and "id" in p
+                    and type(p.get("width")) is int and p["width"] > 0
                     for p in pairs["pairs"])):
         raise ParseError(f"{args.pairs}: not a pairs report: expected an object with "
                          "'fingerprint' and a 'pairs' list of objects with 'id' and "
-                         "'width'", origin=args.pairs)
+                         "a positive integer 'width'", origin=args.pairs)
     if pairs["fingerprint"] != db.fingerprint:
         raise FingerprintMismatch("coverage database does not match the pairs report")
     rep = report(db, pairs["pairs"])

@@ -227,7 +227,7 @@ def assign_domains(netlist: Netlist, constraints: ConstraintSet) -> DomainMap:
     for net in netlist.nets:
         drv = net.driver
         if drv is None:
-            d = constant        # floating; validate() reports it
+            d = constant        # floating: reads as 0, and `analyze` rejects it
         elif drv[0] == "port":
             d = by_domain.get(port_domain.get(drv[1]), unclocked)
         elif isinstance(cells[drv[1]], Const):

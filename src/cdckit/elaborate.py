@@ -1,20 +1,22 @@
 """Flatten parsed modules into a gate-level netlist.
 
-Instances are expanded recursively with hierarchical names (`inst.sub.net`);
-port connections merge parent and child nets, keeping the topmost name as
-the canonical one.  Expressions lower to AND/OR/XOR/NOT/BUF/MUX/CONCAT/SLICE
-gates and constant cells.  Sequential blocks lower to one Dff per assigned
-register: if/else arms fold into mux expressions, a top-level
+Instances are expanded depth first with hierarchical names (`inst.sub.net`),
+on an explicit stack, so hierarchy depth is not bounded by the interpreter's
+recursion limit.  Port connections merge parent and child nets, keeping the
+topmost name as the canonical one.  Expressions lower to
+AND/OR/XOR/NOT/BUF/MUX/CONCAT/SLICE gates and constant cells; a one-operand
+concatenation `{x}` is `x` itself.  Sequential blocks lower to one Dff per
+assigned register: if/else arms fold into mux expressions, a top-level
 `if (en) r <= e;` shape becomes the flop's enable pin, and the async reset
 arm supplies the reset value.
 
-Instances of modules with no definition either abort elaboration
-(`on_unresolved="error"`) or become black-box cells whose port directions
-are inferred from driver availability (`on_unresolved="blackbox"`).
+Instances of modules with no definition become black-box cells whose port
+directions are inferred from driver availability.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (ElabError, PortWidthMismatch, RecursiveInstantiation,
@@ -63,7 +65,7 @@ def _infer_width(scope: _Scope, expr: Expr) -> int | None:
 
 
 class _Elaborator:
-    def __init__(self, modules: list[ParsedModule], top: str, on_unresolved: str):
+    def __init__(self, modules: list[ParsedModule], top: str):
         self.by_name: dict[str, ParsedModule] = {}
         for m in modules:
             if m.name in self.by_name:
@@ -73,29 +75,31 @@ class _Elaborator:
         if top not in self.by_name:
             raise UnresolvedModule(f"top module {top!r} not found")
         self.top = top
-        self.on_unresolved = on_unresolved
         self.builder = NetlistBuilder(top)
 
     # -- recursion guard --
 
     def check_acyclic(self):
-        state: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-        def visit(name: str, chain: list[str]):
-            if state.get(name) == 2:
-                return
+        # depth first over defined modules; `chain` is the instantiation
+        # path from the top, `stack` the instances each one has left
+        state: dict[str, int] = {self.top: 1}   # 1 = on the chain, 2 = done
+        chain = [self.top]
+        stack = [iter(self.by_name[self.top].instances)]
+        while stack:
+            inst = next(stack[-1], None)
+            if inst is None:
+                stack.pop()
+                state[chain.pop()] = 2
+                continue
+            name = inst.module
+            if name not in self.by_name or state.get(name) == 2:
+                continue
             if state.get(name) == 1:
                 cycle = " -> ".join(chain + [name])
                 raise RecursiveInstantiation(f"recursive instantiation: {cycle}")
             state[name] = 1
-            mod = self.by_name.get(name)
-            if mod is not None:
-                for inst in mod.instances:
-                    if inst.module in self.by_name:
-                        visit(inst.module, chain + [name])
-            state[name] = 2
-
-        visit(self.top, [])
+            chain.append(name)
+            stack.append(iter(self.by_name[name].instances))
 
     # -- expression synthesis --
 
@@ -169,6 +173,12 @@ class _Elaborator:
                 n = scope.temp()
                 b.add_gate(f"{scope.prefix}__g{n}_mux", "MUX", [sel, a, c], out, w)
                 return out
+            case Concat([part]):
+                # {x} is x itself, but x still needs an explicit width
+                w = _infer_width(scope, part)
+                if w is None:
+                    raise ElabError("concat operand needs an explicit width")
+                return self.synth(scope, part, ctx_width or w, out_handle)
             case Concat(parts):
                 handles = []
                 widths = []
@@ -275,7 +285,24 @@ class _Elaborator:
 
     # -- module expansion --
 
-    def expand(self, mod: ParsedModule, prefix: str, bindings: dict[str, int]):
+    def expand_all(self):
+        """Expand the top and every instance below it, depth first: each
+        instance is expanded whole before its next sibling is bound."""
+        stack = [self.expand(self.by_name[self.top], "", {})]
+        while stack:
+            scope, pending = stack[-1]
+            inst = next(pending, None)
+            if inst is None:
+                stack.pop()
+                continue
+            child = self.expand_instance(scope, inst)
+            if child is not None:
+                stack.append(child)
+
+    def expand(self, mod: ParsedModule, prefix: str, bindings: dict[str, int]
+               ) -> tuple[_Scope, Iterator[Instance]]:
+        """Lower one module's own nets, assigns and always blocks; returns
+        its scope and the instances it has left to expand."""
         scope = _Scope(prefix, mod.declared_widths(), {})
         for p in mod.ports:
             h = self.builder.add_net(prefix + p.name, p.width)
@@ -293,16 +320,15 @@ class _Elaborator:
                        out_handle=scope.handles[a.target])
         for blk in mod.always_blocks:
             self.lower_always(scope, blk)
-        for inst in mod.instances:
-            self.expand_instance(scope, inst)
+        return scope, iter(mod.instances)
 
-    def expand_instance(self, scope: _Scope, inst: Instance):
+    def expand_instance(self, scope: _Scope, inst: Instance
+                        ) -> tuple[_Scope, Iterator[Instance]] | None:
+        """Bind one instance in `scope`: a black box when its module has no
+        definition (returns None), else the child's `expand`."""
         path = scope.prefix + inst.name
         child = self.by_name.get(inst.module)
         if child is None:
-            if self.on_unresolved != "blackbox":
-                raise UnresolvedModule(
-                    f"instance {path!r} refers to unknown module {inst.module!r}")
             handles = []
             for _port, expr in inst.conns:
                 if expr is None:
@@ -311,7 +337,7 @@ class _Elaborator:
                 handles.append(self.synth(scope, expr, w))
             self.builder.add_instance(path, inst.module)
             self.builder.add_blackbox(path, inst.module, handles)
-            return
+            return None
         self.builder.add_instance(path, inst.module)
         port_dirs = {p.name: p.direction for p in child.ports}
         bindings: dict[str, int] = {}
@@ -332,13 +358,12 @@ class _Elaborator:
                         f"{path}: output port {port!r} must connect to a plain net")
                 w = _infer_width(scope, expr)
                 bindings[port] = self.synth(scope, expr, w)
-        self.expand(child, path + ".", bindings)
+        return self.expand(child, path + ".", bindings)
 
 
-def elaborate(modules: list[ParsedModule], top: str, *,
-              on_unresolved: str = "error") -> Netlist:
+def elaborate(modules: list[ParsedModule], top: str) -> Netlist:
     """Flatten `top` and everything below it into a Netlist."""
-    elab = _Elaborator(modules, top, on_unresolved)
+    elab = _Elaborator(modules, top)
     elab.check_acyclic()
-    elab.expand(elab.by_name[top], "", {})
+    elab.expand_all()
     return elab.builder.finish()

@@ -1,10 +1,12 @@
 """Flattened gate-level netlist IR and its traversal primitives.
 
 A `Netlist` is an immutable-after-build graph of cells (flops, gates,
-constants, black boxes) connected by nets.  Every net has exactly one
+constants, black boxes) connected by nets.  Every net has at most one
 driver — a cell output or a top-level input port — and any number of
-readers.  Multi-bit signals stay vectors in the IR; analyses that need bit
-granularity expand them on the fly.
+readers; a net with no driver reads as 0.  `NetlistBuilder.finish` is where
+a netlist is judged well formed: it rejects a second driver and every
+combinational loop.  Multi-bit signals stay vectors in the IR; analyses
+that need bit granularity expand them on the fly.
 
 References into the graph are `(kind, index, pin)` triples where kind is
 "cell" or "port".  Cell indices point into `Netlist.cells`, port indices
@@ -26,7 +28,7 @@ from .errors import CombinationalLoop, MultipleDrivers, PortWidthMismatch
 Ref = tuple[str, int, str]  # ("cell"|"port", index, pin)
 
 GATE_OPS = ("AND", "OR", "XOR", "NOT", "BUF", "MUX", "CONCAT", "SLICE")
-_SINGLE_INPUT = {"NOT", "BUF", "SLICE"}
+_ARITY = {"NOT": 1, "BUF": 1, "SLICE": 1, "MUX": 3}    # the others take two or more
 
 
 @dataclass
@@ -110,13 +112,6 @@ class Cone:
     consts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class StructuralIssue:
-    kind: str       # "MultipleDrivers" | "NoDriver" | ...
-    subject: str
-    message: str
-
-
 class Netlist:
     def __init__(self, name: str, cells: list[Cell], nets: list[Net],
                  ports: list[Port], instances: list[InstanceRecord]):
@@ -144,11 +139,6 @@ class Netlist:
     def dffs(self) -> list[Dff]:
         return [c for c in self.cells if isinstance(c, Dff)]
 
-    def cell_outputs(self, cell: Cell) -> tuple[int, ...]:
-        if isinstance(cell, BlackBox):
-            return cell.outs
-        return (cell.out,)
-
     def cell_inputs(self, cell: Cell) -> list[tuple[str, int]]:
         if isinstance(cell, Dff):
             pins = [("clock", cell.clock), ("data", cell.data)]
@@ -169,8 +159,8 @@ class Netlist:
         """All logic reachable backward from a net.
 
         The walk ends at flop outputs, black-box outputs, and input ports.
-        Raises CombinationalLoop when the walk re-enters a gate currently
-        on the traversal stack.
+        It needs no loop check: `NetlistBuilder.finish` rejects every
+        combinational loop.
         """
         cached = self._cone_cache.get(net_idx)
         if cached is not None:
@@ -178,24 +168,21 @@ class Netlist:
         seq: list[Ref] = []
         gates: list[int] = []
         consts: list[int] = []
-        done: set[int] = set()      # fully-explored net indices
-        on_stack: set[int] = set()
-        # Pre-order walk on an explicit stack of (net, inputs left to visit),
-        # so long gate chains do not hit the recursion limit.  Every net is
-        # entered once and drives one reference, so nothing is listed twice.
-        stack: list[tuple[int, Iterator[int]]] = []
+        seen: set[int] = set()
+        # Pre-order walk on an explicit stack of the inputs each entered net
+        # has left to visit, so long gate chains do not hit the recursion
+        # limit.  Every net is entered once and drives one reference, so
+        # nothing is listed twice.
+        stack: list[Iterator[int]] = []
 
         def enter(idx: int):
-            if idx in done:
+            if idx in seen:
                 return
-            if idx in on_stack:
-                raise CombinationalLoop(
-                    f"combinational loop through net {self.nets[idx].name!r}")
-            on_stack.add(idx)
+            seen.add(idx)
             drv = self.nets[idx].driver
             inputs: tuple[int, ...] = ()
             if drv is None:
-                pass  # floating net; validate() reports it
+                pass  # floating net: reads as 0, and `analyze` rejects it
             elif drv[0] == "port":
                 seq.append(("port", drv[1], ""))
             else:
@@ -209,16 +196,13 @@ class Netlist:
                 else:
                     gates.append(cell.index)
                     inputs = cell.inputs
-            stack.append((idx, iter(inputs)))
+            stack.append(iter(inputs))
 
         enter(net_idx)
         while stack:
-            idx, pending = stack[-1]
-            nxt = next(pending, None)
+            nxt = next(stack[-1], None)
             if nxt is None:
                 stack.pop()
-                on_stack.discard(idx)
-                done.add(idx)
             else:
                 enter(nxt)
         cone = Cone(tuple(seq), tuple(gates), tuple(consts))
@@ -259,61 +243,6 @@ class Netlist:
             raise CombinationalLoop(f"combinational loop involving {name!r}")
         self._topo = order
         return order
-
-    # -- validation --
-
-    def validate(self) -> list[StructuralIssue]:
-        """Check structural invariants; returns one record per violation."""
-        issues: list[StructuralIssue] = []
-        drivers: dict[int, list[Ref]] = {}
-        for p in self.ports:
-            if p.direction == "in":
-                drivers.setdefault(p.net, []).append(("port", p.index, ""))
-        for c in self.cells:
-            for out in self.cell_outputs(c):
-                pin = "out" if not isinstance(c, BlackBox) else f"out{list(c.outs).index(out)}"
-                drivers.setdefault(out, []).append(("cell", c.index, pin))
-        for net in self.nets:
-            if net.width < 1:
-                issues.append(StructuralIssue("BadWidth", net.name, "net width < 1"))
-            if not net.name:
-                issues.append(StructuralIssue("NoName", f"net#{net.index}", "empty source name"))
-            drvs = drivers.get(net.index, [])
-            if len(drvs) > 1:
-                issues.append(StructuralIssue("MultipleDrivers", net.name,
-                                              f"net has {len(drvs)} drivers"))
-            elif not drvs:
-                if net.readers:
-                    issues.append(StructuralIssue("NoDriver", net.name, "net has no driver"))
-            elif net.driver != drvs[0]:
-                issues.append(StructuralIssue("DriverIndex", net.name,
-                                              "driver reference disagrees with cell outputs"))
-            if len(set(net.readers)) != len(net.readers):
-                issues.append(StructuralIssue("DuplicateReader", net.name,
-                                              "duplicate reader references"))
-        # reader-side consistency
-        reader_map: dict[int, set[Ref]] = {}
-        for c in self.cells:
-            for pin, n in self.cell_inputs(c):
-                reader_map.setdefault(n, set()).add(("cell", c.index, pin))
-        for p in self.ports:
-            if p.direction == "out":
-                reader_map.setdefault(p.net, set()).add(("port", p.index, ""))
-        for net in self.nets:
-            if set(net.readers) != reader_map.get(net.index, set()):
-                issues.append(StructuralIssue("ReaderIndex", net.name,
-                                              "reader references disagree with cell inputs"))
-        for c in self.cells:
-            if isinstance(c, Gate):
-                if c.op in _SINGLE_INPUT and len(c.inputs) != 1:
-                    issues.append(StructuralIssue("BadArity", c.name,
-                                                  f"{c.op} must have 1 input"))
-                elif c.op == "MUX" and len(c.inputs) != 3:
-                    issues.append(StructuralIssue("BadArity", c.name, "MUX must have 3 inputs"))
-                elif c.op in ("AND", "OR", "XOR", "CONCAT") and len(c.inputs) < 2:
-                    issues.append(StructuralIssue("BadArity", c.name,
-                                                  f"{c.op} must have >= 2 inputs"))
-        return issues
 
     # -- export --
 
@@ -426,6 +355,8 @@ class NetlistBuilder:
     def add_gate(self, name: str, op: str, inputs: list[int], out: int,
                  width: int, slice_lsb: int = 0):
         assert op in GATE_OPS, op
+        n = len(inputs)
+        assert n == _ARITY[op] if op in _ARITY else n >= 2, (name, op, n)
         self._cells.append(("gate", name, op, tuple(inputs), out, width, slice_lsb))
 
     def add_const(self, name: str, value: int, width: int, out: int):
@@ -437,6 +368,9 @@ class NetlistBuilder:
         self._bb_conns.append((slot, conns))
 
     def finish(self) -> Netlist:
+        """Raises MultipleDrivers for a net with two drivers and
+        CombinationalLoop for a loop of gates; no later stage checks the
+        netlist's structure again."""
         # resolve union-find classes to canonical nets
         groups: dict[int, list[int]] = {}
         for h in range(len(self._net_names)):

@@ -25,8 +25,7 @@ def analyze_netlist(netlist: Netlist, constraints: ConstraintSet) -> Analysis:
 
 def analyze_sources(sources: list[tuple[str, str]],
                     constraints: str | list[tuple[str, str]],
-                    top: str | None = None, *,
-                    on_unresolved: str = "blackbox") -> Analysis:
+                    top: str | None = None) -> Analysis:
     """`sources` is a list of (origin, text).  `constraints` is one
     `<constraints>` text or a list of (origin, text) read in order.  Without
     an explicit top, the single module that is instantiated nowhere is the
@@ -43,7 +42,7 @@ def analyze_sources(sources: list[tuple[str, str]],
         if len(roots) != 1:
             raise ElabError(f"cannot infer top module; candidates: {roots}")
         top = roots[0]
-    netlist = elaborate(modules, top, on_unresolved=on_unresolved)
+    netlist = elaborate(modules, top)
     return analyze_netlist(netlist, cs)
 
 

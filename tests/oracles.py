@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's traversal/memoization
 machinery: tokens come from one anchored match per token or skipped gap,
 counts are recursive multiplications over the parsed module tree, cones
 come from naive path enumeration, gate order from a Kahn loop that
-re-sorts its ready list, flop domains from exhaustive backward search, net
+re-sorts its ready list, netlist invariants from every driver and reader
+recomputed and compared with the builder's, flop domains from exhaustive backward search, net
 domains from each net's own cone, crossing pairs from brute-force path
 walks, and synchronizers from the first-written matchers, which scan every
 cell and chain.  Gate
@@ -19,14 +20,15 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import dataclass
 
 from cdckit.checkers import build_checkers
 from cdckit.codegen import generate_all
 from cdckit.constraints import ConstraintSet
 from cdckit.domains import CdcPair, DomainMap, NetDomain
 from cdckit.errors import ParseError, SimDivergence, UnsupportedConstruct
-from cdckit.netlist import (GATE_OPS, BlackBox, Const, Dff, Gate, Netlist,
-                            NetlistBuilder)
+from cdckit.netlist import (GATE_OPS, BlackBox, Cell, Const, Dff, Gate,
+                            Netlist, NetlistBuilder, Ref)
 from cdckit.sim import Engine, MsiConfig, SimResult, simulate
 from cdckit.syncrec import (SyncInstance, _chains, _fifo_roles, _gray_shape,
                              _net_driver_gate)
@@ -187,6 +189,77 @@ def sorted_comb_topo(netlist: Netlist) -> list[int]:
         ready.sort()
     assert len(order) == len(indeg), "combinational loop"
     return order
+
+
+@dataclass(frozen=True)
+class StructuralIssue:
+    kind: str       # "MultipleDrivers" | "NoDriver" | ...
+    subject: str
+    message: str
+
+
+_SINGLE_INPUT = {"NOT", "BUF", "SLICE"}
+
+
+def _cell_outputs(cell: Cell) -> tuple[int, ...]:
+    if isinstance(cell, BlackBox):
+        return cell.outs
+    return (cell.out,)
+
+
+def netlist_issues(nl: Netlist) -> list[StructuralIssue]:
+    """Check structural invariants by recomputing every driver and reader
+    from the cells and ports; returns one record per violation."""
+    issues: list[StructuralIssue] = []
+    drivers: dict[int, list[Ref]] = {}
+    for p in nl.ports:
+        if p.direction == "in":
+            drivers.setdefault(p.net, []).append(("port", p.index, ""))
+    for c in nl.cells:
+        for out in _cell_outputs(c):
+            pin = "out" if not isinstance(c, BlackBox) else f"out{list(c.outs).index(out)}"
+            drivers.setdefault(out, []).append(("cell", c.index, pin))
+    for net in nl.nets:
+        if net.width < 1:
+            issues.append(StructuralIssue("BadWidth", net.name, "net width < 1"))
+        if not net.name:
+            issues.append(StructuralIssue("NoName", f"net#{net.index}", "empty source name"))
+        drvs = drivers.get(net.index, [])
+        if len(drvs) > 1:
+            issues.append(StructuralIssue("MultipleDrivers", net.name,
+                                          f"net has {len(drvs)} drivers"))
+        elif not drvs:
+            if net.readers:
+                issues.append(StructuralIssue("NoDriver", net.name, "net has no driver"))
+        elif net.driver != drvs[0]:
+            issues.append(StructuralIssue("DriverIndex", net.name,
+                                          "driver reference disagrees with cell outputs"))
+        if len(set(net.readers)) != len(net.readers):
+            issues.append(StructuralIssue("DuplicateReader", net.name,
+                                          "duplicate reader references"))
+    # reader-side consistency
+    reader_map: dict[int, set[Ref]] = {}
+    for c in nl.cells:
+        for pin, n in nl.cell_inputs(c):
+            reader_map.setdefault(n, set()).add(("cell", c.index, pin))
+    for p in nl.ports:
+        if p.direction == "out":
+            reader_map.setdefault(p.net, set()).add(("port", p.index, ""))
+    for net in nl.nets:
+        if set(net.readers) != reader_map.get(net.index, set()):
+            issues.append(StructuralIssue("ReaderIndex", net.name,
+                                          "reader references disagree with cell inputs"))
+    for c in nl.cells:
+        if isinstance(c, Gate):
+            if c.op in _SINGLE_INPUT and len(c.inputs) != 1:
+                issues.append(StructuralIssue("BadArity", c.name,
+                                              f"{c.op} must have 1 input"))
+            elif c.op == "MUX" and len(c.inputs) != 3:
+                issues.append(StructuralIssue("BadArity", c.name, "MUX must have 3 inputs"))
+            elif c.op in ("AND", "OR", "XOR", "CONCAT") and len(c.inputs) < 2:
+                issues.append(StructuralIssue("BadArity", c.name,
+                                              f"{c.op} must have >= 2 inputs"))
+    return issues
 
 
 def exhaustive_flop_domains(netlist: Netlist, clock_domains: dict[str, str]) -> dict[int, str]:
@@ -612,7 +685,7 @@ def random_netlist(rng: random.Random, n_flops: int = 12, n_gates: int = 25,
         enable = pick(1)[0] if rng.random() < 0.25 else None
         dom = rng.choice(domains)
         b.add_dff(f"ff{i}", w, clock_handles[dom], data, out, enable=enable)
-    # keep at least one net observable so validate() sees no dangling outputs
+    # keep at least one net observable so netlist_issues sees no dangling outputs
     sink, w = rng.choice(pool[n_driven:] or flop_out)
     b.add_port("out0", "out", w, sink)
     return b.finish(), clock_domains

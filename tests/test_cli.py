@@ -47,6 +47,24 @@ def test_analyze_bad_syntax_exits_one(tmp_path):
     assert main(["analyze", str(bad), "-c", str(cons), "--out", str(tmp_path)]) == 1
 
 
+def test_analyze_floating_nets_exit_one(tmp_path, capsys):
+    rtl = tmp_path / "float.v"
+    rtl.write_text("module top(input clk, output q, output y);\n"
+                   "  wire f1, f2;\n  reg r;\n"
+                   "  always @(posedge clk) r <= f2;\n"
+                   "  assign q = r;\n  assign y = f1;\nendmodule\n")
+    cons = tmp_path / "c.cdc"
+    cons.write_text("clock clk -period 10 -domain A\n")
+    files = [str(rtl), "-c", str(cons)]
+    assert main(["analyze", *files, "--out", str(tmp_path / "a")]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: NoDriver: y: net has no driver\n"
+                       "error: NoDriver: f2: net has no driver\n")
+    # the other commands read a floating net as 0
+    assert main(["generate", *files, "--out", str(tmp_path / "g")]) == 0
+
+
 def test_dump_ir(corpus_root, tmp_path):
     files, _ = _case_args(corpus_root, "missing_sync")
     out = tmp_path / "ir.json"
@@ -334,10 +352,14 @@ def test_help_and_version_exit_zero(argv, capsys):
     ("pairs", "[]"),
     ("pairs", '{"fingerprint": "f", "pairs": 3}'),
     ("pairs", '{"fingerprint": "f", "pairs": [{"id": "cdc0"}]}'),
+    ("pairs", '{"fingerprint": "f", "pairs": [{"id": "cdc0", "width": 0}]}'),
+    ("pairs", '{"fingerprint": "f", "pairs": [{"id": "cdc0", "width": -2}]}'),
+    ("pairs", '{"fingerprint": "f", "pairs": [{"id": "cdc0", "width": true}]}'),
     ("merge", "not json"),
     ("merge", "{}"),
 ], ids=["db-text", "db-empty", "db-list", "db-bins", "pairs-text", "pairs-empty",
-        "pairs-list", "pairs-not-list", "pairs-no-width", "merge-text", "merge-empty"])
+        "pairs-list", "pairs-not-list", "pairs-no-width", "pairs-width-zero",
+        "pairs-width-negative", "pairs-width-bool", "merge-text", "merge-empty"])
 def test_malformed_json_input_exits_one(tmp_path, capsys, role, text):
     db, pairs, bad = tmp_path / "db.json", tmp_path / "pairs.json", tmp_path / "bad.json"
     db.write_text('{"fingerprint": "f"}')
@@ -564,3 +586,33 @@ def test_simulate_seeds_compile_the_comb_kernel_once(corpus_root, tmp_path, monk
     assert main(["simulate", *files, "-s", stim, "--seeds", "1..3",
                  "--checkers", "none", "--out", str(tmp_path)]) == 0
     assert len(compiled) == 1
+
+
+def _module_chain_rtl(levels: int) -> str:
+    """`levels` modules, each instantiating the next; the innermost holds a
+    source flop and a two-flop synchronizer into the other domain."""
+    ports = "input clk_a, input clk_b, input d, output q"
+    conns = ".clk_a(clk_a), .clk_b(clk_b), .d(d), .q(q)"
+    mods = [f"module m{i}({ports});\n  m{i + 1} u({conns});\nendmodule\n"
+            for i in range(levels - 1)]
+    mods.append(f"module m{levels - 1}({ports});\n  reg s, q1, q2;\n"
+                "  always @(posedge clk_a) s <= d;\n"
+                "  always @(posedge clk_b) begin q1 <= s; q2 <= q1; end\n"
+                "  assign q = q2;\nendmodule\n")
+    return "".join(mods)
+
+
+def test_deep_hierarchy_runs_every_command(tmp_path, capsys):
+    rtl = tmp_path / "chain.v"
+    rtl.write_text(_module_chain_rtl(1000))
+    cons = tmp_path / "c.cdc"
+    cons.write_text("clock clk_a -period 10 -domain A\nclock clk_b -period 7 -domain B\n")
+    stim = tmp_path / "s.stim"
+    stim.write_text("at clk_a 1 set d 1\nrun 8 of clk_b\n")
+    files = [str(rtl), "-c", str(cons)]
+    assert main(["analyze", *files, "--out", str(tmp_path / "a")]) == 0
+    syncs = json.loads((tmp_path / "a" / "syncs.json").read_text())["syncs"]
+    assert [s["kind"] for s in syncs] == ["ndff"]
+    assert main(["simulate", *files, "-s", str(stim), "--out", str(tmp_path / "s")]) == 0
+    assert main(["generate", *files, "--out", str(tmp_path / "g")]) == 0
+    assert "Traceback" not in capsys.readouterr().err

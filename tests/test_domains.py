@@ -243,8 +243,7 @@ def test_assign_domains_walks_only_clock_cones(monkeypatch):
         rtl, cons = designs[name]
         modules = parse_verilog(rtl)
         inner = {i.module for m in modules for i in m.instances}
-        nl = elaborate(modules, next(m.name for m in modules if m.name not in inner),
-                       on_unresolved="blackbox")
+        nl = elaborate(modules, next(m.name for m in modules if m.name not in inner))
         walked.clear()
         assign_domains(nl, parse_constraints(cons))
         assert walked and set(walked) <= {f.clock for f in nl.dffs()}, name

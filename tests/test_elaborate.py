@@ -1,9 +1,11 @@
 import pytest
 
 from cdckit.elaborate import elaborate
-from cdckit.errors import (MultipleDrivers, PortWidthMismatch,
+from cdckit.errors import (ElabError, MultipleDrivers, PortWidthMismatch,
                            RecursiveInstantiation, UnresolvedModule)
 from cdckit.netlist import BlackBox, Dff, Gate
+from cdckit.pipeline import (analyze_sources, findings_report, pairs_report,
+                             syncs_report)
 from cdckit.verilog import parse_verilog
 from oracles import count_dffs_recursive
 
@@ -85,8 +87,8 @@ def test_unresolved_module_error_and_blackbox_mode():
         "module top(input clk, input x, output q);\n"
         "  wire y;\n  mystery u0(.i(x), .o(y));\n  assign q = y;\nendmodule\n")
     with pytest.raises(UnresolvedModule):
-        elaborate(mods, "top")
-    nl = elaborate(mods, "top", on_unresolved="blackbox")
+        elaborate(mods, "no_such_top")
+    nl = elaborate(mods, "top")
     box = next(c for c in nl.cells if isinstance(c, BlackBox))
     assert box.module == "mystery"
     assert len(box.outs) == 1 and len(box.inputs) == 1
@@ -163,3 +165,34 @@ module top(input clk_b, input rst_n, input a, output qa);
 endmodule
 """), "top").to_json_dict()
     assert a == b
+
+
+def test_one_operand_concat_is_its_operand():
+    """`{a}` on a crossing path elaborates to `a`: same pairs, synchronizers
+    and findings, where a one-input CONCAT gate used to hide the sync."""
+    rtl = """
+module top(input clk_a, input clk_b, input d, output q);
+  reg a, s1, s2;
+  wire y;
+  always @(posedge clk_a) a <= d;
+  assign y = %s;
+  always @(posedge clk_b) begin s1 <= y; s2 <= s1; end
+  assign q = s2;
+endmodule
+"""
+    cons = "clock clk_a -period 10 -domain A\nclock clk_b -period 14 -domain B\n"
+    reports = []
+    for expr in ("a", "{a}"):
+        analysis = analyze_sources([("rtl.v", rtl % expr)], cons)
+        reports.append((pairs_report(analysis), syncs_report(analysis),
+                        findings_report(analysis)))
+    assert reports[0] == reports[1]
+    assert len(reports[0][0]["pairs"]) == 1 and len(reports[0][1]["syncs"]) == 1
+
+
+def test_one_operand_concat_keeps_width_rules():
+    for body, error in (("assign y = {1};", ElabError),
+                        ("assign y = {a};", PortWidthMismatch)):
+        mods = parse_verilog(f"module top(input [1:0] a, output y);\n  {body}\nendmodule\n")
+        with pytest.raises(error):
+            elaborate(mods, "top")

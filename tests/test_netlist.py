@@ -5,8 +5,10 @@ import pytest
 from cdckit.elaborate import elaborate
 from cdckit.errors import CombinationalLoop
 from cdckit.netlist import Dff, Netlist, NetlistBuilder
+from cdckit.pipeline import analyze_sources
 from cdckit.verilog import parse_verilog
-from oracles import naive_cone, random_netlist, sorted_comb_topo
+from conftest import corpus_designs, generated_designs
+from oracles import naive_cone, netlist_issues, random_netlist, sorted_comb_topo
 
 
 def build_xor_of_two_flops():
@@ -69,7 +71,7 @@ def test_memoized_equals_fresh_on_many_random_netlists():
 
 def test_validate_clean_design():
     nl = build_xor_of_two_flops()
-    assert nl.validate() == []
+    assert netlist_issues(nl) == []
 
 
 def test_validate_multiple_drivers():
@@ -78,7 +80,7 @@ def test_validate_multiple_drivers():
     bad = Netlist(nl.name, nl.cells, nl.nets, nl.ports, nl.instances)
     ff2 = bad.cells[1]
     ff2.out = bad.net("q1").index
-    issues = bad.validate()
+    issues = netlist_issues(bad)
     assert any(i.kind == "MultipleDrivers" and i.subject == "q1" for i in issues)
 
 
@@ -90,8 +92,27 @@ def test_validate_no_driver():
     q = b.add_net("q", 1)
     b.add_dff("ff", 1, clk, d, q)
     nl = b.finish()
-    issues = nl.validate()
+    issues = netlist_issues(nl)
     assert any(i.kind == "NoDriver" and i.subject == "floating" for i in issues)
+
+
+def test_built_netlists_satisfy_the_invariant_oracle():
+    """`finish` is the only structural check in the library; the oracle
+    recomputes every driver, reader and arity and must agree with it."""
+    designs = [*corpus_designs(), *generated_designs(blocks=(1, 3, 6), seeds=(1, 2, 3))]
+    for name, rtl, cons in designs:
+        assert netlist_issues(analyze_sources([("rtl.v", rtl)], cons).netlist) == [], name
+    for seed in range(20):
+        nl, _ = random_netlist(random.Random(seed))
+        assert netlist_issues(nl) == [], seed
+
+
+@pytest.mark.parametrize("op, n", [("CONCAT", 1), ("AND", 1), ("NOT", 2), ("MUX", 2)])
+def test_gate_arity_is_checked_when_added(op, n):
+    b = NetlistBuilder("t")
+    ins = [b.add_net(f"i{i}", 1) for i in range(n)]
+    with pytest.raises(AssertionError):
+        b.add_gate("g", op, ins, b.add_net("o", 1), 1)
 
 
 def test_combinational_loop_is_a_build_error():
