@@ -10,7 +10,8 @@ hundreds of synchronizers where the corpus designs hold a few,
 `analyze`, `simulate` and `generate` on three inline sources at the edges
 of the netlist builder (a floating net, a one-operand concatenation, a
 600-level module chain), and `analyze` on sources the front end rejects,
-so the positions of its diagnostics are covered too.  Paths are
+so the positions of its diagnostics are covered too, after multi-line
+comments, CRLF line ends, tabs and a last line without a newline.  Paths are
 passed relative to the checkout (or to the generated design's directory),
 so two checkouts give the same lines exactly when their outputs are
 byte-identical:
@@ -74,7 +75,9 @@ INLINE = (
                 "  assign q = q2;\nendmodule\n"),
     ("chain600", _chain(600)),
 )
-# Rejected sources, one per kind of tokenizer diagnostic.
+# Rejected sources: one per kind of tokenizer diagnostic, then parser and
+# declaration errors that come after a multi-line comment, CRLF line ends,
+# tabs, and a last line without a newline.
 REJECTED = (
     ("keyword", "module m(input a);\n  // lead\n  initial begin end\nendmodule\n"),
     ("delay", "module m(input a, output w);\n  assign w = #2 a;\nendmodule\n"),
@@ -82,6 +85,14 @@ REJECTED = (
     ("system-task", "module m(input clk);\n  always @(posedge clk) $display(1);\nendmodule\n"),
     ("stray", "module m(input a);\n  /* two\n     lines */ wire w; %\nendmodule\n"),
     ("open-comment", "module m(input a);\n  wire w;\n  /* never closed\nendmodule"),
+    ("after-comment", "module m(input a, output w);\n  /* one\n     two */ wire x; /* three\n"
+                      "  */\n  assign w = a & ;\nendmodule\n"),
+    ("crlf", "module m(input clk, input a, output reg q);\r\n  reg r;\r\n"
+             "  always @(posedge clk) begin\r\n    r <= a;\r\n    q <= z;\r\n  end\r\n"
+             "endmodule\r\n"),
+    ("tabs", "module m(input a, output w);\n\twire\tx;\n\tassign\tw = a\t@ x;\nendmodule\n"),
+    ("no-newline-eof", "module m(input a);\n  wire w;"),
+    ("no-newline-duplicate", "module m(input a);\nendmodule\nmodule m(input b);\nendmodule"),
 )
 REJECTED_CONSTRAINTS = "clock clk -period 10 -domain A\n"
 

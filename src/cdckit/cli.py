@@ -133,15 +133,17 @@ def cmd_simulate(args) -> int:
     seeds = parse_seed_range(args.seeds) if args.seeds else [args.seed]
     checkers = build_checkers(analysis, latency=parse_latency(args.latency),
                               select=_select(args.checkers))
-    # Only the first seed's events and waves are written; every later
-    # result is released once its verdicts and coverage are taken.
+    # Only the first seed's events and waves are written, so only its run
+    # records waves, and only under --vcd; every later result is released
+    # once its verdicts and coverage are taken.
     first = db = None
     verdicts = []
     for seed in seeds:
         r = simulate(analysis, stim,
                      MsiConfig(enabled=not args.no_msi,
                                probability=args.probability, seed=seed),
-                     checkers, scope=args.scope)
+                     checkers, scope=args.scope,
+                     waves=first is None and args.vcd is not None)
         db = r.coverage if db is None else merge(db, r.coverage)
         for v in r.verdicts:
             d = v.to_dict()

@@ -51,6 +51,9 @@ _INT_OPTIONS = {
     "setup_window": 1,
     "hold_window": 1,
 }
+# Integer options whose least value is 1, not 0: a synchronizer needs a
+# flop, and a stability checker compares at least two samples.
+_AT_LEAST_ONE = ("ndff_min_depth", "stability_cycles")
 
 
 @dataclass
@@ -187,7 +190,7 @@ def _parse_into(cs: ConstraintSet, text: str, origin: str,
             key, value = args
             if key in _INT_OPTIONS:
                 ivalue = parse_int(value, f"option {key}", line_no, origin)
-                if ivalue < 0 or (key == "ndff_min_depth" and ivalue < 1):
+                if ivalue < (1 if key in _AT_LEAST_ONE else 0):
                     raise ParseError(f"bad value for option {key}", line_no, 0, origin)
                 cs.options[key] = ivalue
             elif key.startswith("severity."):

@@ -139,20 +139,6 @@ class Netlist:
     def dffs(self) -> list[Dff]:
         return [c for c in self.cells if isinstance(c, Dff)]
 
-    def cell_inputs(self, cell: Cell) -> list[tuple[str, int]]:
-        if isinstance(cell, Dff):
-            pins = [("clock", cell.clock), ("data", cell.data)]
-            if cell.enable is not None:
-                pins.append(("enable", cell.enable))
-            if cell.reset is not None:
-                pins.append(("reset", cell.reset))
-            return pins
-        if isinstance(cell, Gate):
-            return [(f"in{i}", n) for i, n in enumerate(cell.inputs)]
-        if isinstance(cell, BlackBox):
-            return [(f"in{i}", n) for i, n in enumerate(cell.inputs)]
-        return []
-
     # -- traversal --
 
     def fanin_cone(self, net_idx: int) -> Cone:
@@ -213,22 +199,21 @@ class Netlist:
         """Gate indices in topological order (inputs before outputs)."""
         if self._topo is not None:
             return self._topo
-        gate_of_net: dict[int, int] = {}
-        for c in self.cells:
-            if isinstance(c, Gate):
-                gate_of_net[c.out] = c.index
-        indeg: dict[int, int] = {}
-        succs: dict[int, list[int]] = {}
         gates = [c for c in self.cells if isinstance(c, Gate)]
+        gate_of_net = [-1] * len(self.nets)
         for g in gates:
-            indeg.setdefault(g.index, 0)
+            gate_of_net[g.out] = g.index
+        indeg = [0] * len(self.cells)
+        succs: dict[int, list[int]] = {}
+        for g in gates:
             for n in g.inputs:
-                src = gate_of_net.get(n)
-                if src is not None:
-                    indeg[g.index] = indeg.get(g.index, 0) + 1
+                src = gate_of_net[n]
+                if src >= 0:
+                    indeg[g.index] += 1
                     succs.setdefault(src, []).append(g.index)
-        # the ready gate of lowest index goes first
-        ready = sorted(i for i, d in indeg.items() if d == 0)
+        # the ready gate of lowest index goes first; gates are in index
+        # order, so the first ready list is already a heap
+        ready = [g.index for g in gates if not indeg[g.index]]
         order: list[int] = []
         while ready:
             idx = heappop(ready)
@@ -238,9 +223,9 @@ class Netlist:
                 if indeg[s] == 0:
                     heappush(ready, s)
         if len(order) != len(gates):
-            stuck = sorted(set(indeg) - set(order))
-            name = self.cells[stuck[0]].name if stuck else "?"
-            raise CombinationalLoop(f"combinational loop involving {name!r}")
+            stuck = min(g.index for g in gates if indeg[g.index])
+            raise CombinationalLoop(
+                f"combinational loop involving {self.cells[stuck].name!r}")
         self._topo = order
         return order
 
@@ -371,103 +356,104 @@ class NetlistBuilder:
         """Raises MultipleDrivers for a net with two drivers and
         CombinationalLoop for a loop of gates; no later stage checks the
         netlist's structure again."""
-        # resolve union-find classes to canonical nets
-        groups: dict[int, list[int]] = {}
-        for h in range(len(self._net_names)):
-            groups.setdefault(self._find(h), []).append(h)
-        net_of_handle: dict[int, int] = {}
-        nets: list[Net] = []
-        for root in sorted(groups, key=lambda r: min(groups[r])):
-            names = sorted((self._name_of(h) for h in groups[root]), key=_name_rank)
-            canonical = names[0]
-            idx = len(nets)
-            nets.append(Net(idx, canonical, self._net_widths[root],
-                            tuple(n for n in names[1:])))
-            for h in groups[root]:
-                net_of_handle[h] = idx
-
-        def res(h: int | None) -> int | None:
-            return None if h is None else net_of_handle[self._find(h)]
-
-        cells: list[Cell] = []
-        bb_pending: dict[int, list[int]] = {}
-        for slot, conns in self._bb_conns:
-            bb_pending[slot] = [net_of_handle[self._find(c)] for c in conns]
-        for slot, desc in enumerate(self._cells):
-            kind = desc[0]
-            idx = len(cells)
-            if kind == "dff":
-                _, name, width, clock, data, out, enable, reset, alow, rv = desc
-                cells.append(Dff(idx, name, width, res(clock), res(data), res(out),
-                                 res(enable), res(reset), alow, rv))
-            elif kind == "gate":
-                _, name, op, inputs, out, width, lsb = desc
-                cells.append(Gate(idx, name, op, tuple(res(i) for i in inputs),
-                                  res(out), width, lsb))
-            elif kind == "const":
-                _, name, value, width, out = desc
-                cells.append(Const(idx, name, value, width, res(out)))
+        names, widths, parent, find = (self._net_names, self._net_widths,
+                                       self._parent, self._find)
+        # Nets are numbered in order of their smallest handle, so a class
+        # gets its number when its first handle is met.  `canon` maps every
+        # handle to its net once; only merged classes rank their names.
+        net_of_root = [-1] * len(parent)
+        canon: list[int] = []
+        firsts: list[int] = []
+        merged: dict[int, list[int]] = {}
+        for h, p in enumerate(parent):
+            root = h if p == h else find(h)
+            idx = net_of_root[root]
+            if idx < 0:
+                idx = net_of_root[root] = len(firsts)
+                firsts.append(h)
             else:
-                _, name, module = desc
-                cells.append(BlackBox(idx, name, module))
+                merged.setdefault(idx, [firsts[idx]]).append(h)
+            canon.append(idx)
+        nets = [Net(i, names[h], widths[h]) for i, h in enumerate(firsts)]
+        for idx, handles in merged.items():
+            ranked = sorted((names[h] for h in handles), key=_name_rank)
+            nets[idx].name = ranked[0]
+            nets[idx].aliases = tuple(ranked[1:])
 
-        ports = [Port(i, name, direction, width, net_of_handle[self._find(net)])
+        driver: list[Ref | None] = [None] * len(nets)
+        readers: list[list[Ref]] = [[] for _ in nets]
+        ports = [Port(i, name, direction, width, canon[net])
                  for i, (name, direction, width, net) in enumerate(self._ports)]
-
-        # first driver pass without black boxes
-        driven: dict[int, Ref] = {}
+        cells: list[Cell] = []
 
         def claim(net_idx: int, ref: Ref):
-            prev = driven.get(net_idx)
+            prev = driver[net_idx]
             if prev is not None:
                 raise MultipleDrivers(
                     f"net {nets[net_idx].name!r} driven by both "
                     f"{self._ref_name(prev, cells, ports)} and {self._ref_name(ref, cells, ports)}")
-            driven[net_idx] = ref
+            driver[net_idx] = ref
 
         for p in ports:
             if p.direction == "in":
                 claim(p.net, ("port", p.index, ""))
-        for c in cells:
-            if isinstance(c, (Dff, Gate, Const)):
-                claim(c.out, ("cell", c.index, "out"))
+            else:
+                readers[p.net].append(("port", p.index, ""))
+        pins = [f"in{i}" for i in range(
+            max((len(d[3]) for d in self._cells if d[0] == "gate"), default=0))]
+        for idx, desc in enumerate(self._cells):
+            kind = desc[0]
+            if kind == "gate":
+                _, name, op, inputs, out, width, lsb = desc
+                ins = tuple(map(canon.__getitem__, inputs))
+                for pin, n in zip(pins, ins):
+                    readers[n].append(("cell", idx, pin))
+                cell: Cell = Gate(idx, name, op, ins, canon[out], width, lsb)
+            elif kind == "dff":
+                _, name, width, clock, data, out, enable, reset, alow, rv = desc
+                cell = Dff(idx, name, width, canon[clock], canon[data], canon[out],
+                           None if enable is None else canon[enable],
+                           None if reset is None else canon[reset], alow, rv)
+                readers[cell.clock].append(("cell", idx, "clock"))
+                readers[cell.data].append(("cell", idx, "data"))
+                if cell.enable is not None:
+                    readers[cell.enable].append(("cell", idx, "enable"))
+                if cell.reset is not None:
+                    readers[cell.reset].append(("cell", idx, "reset"))
+            elif kind == "const":
+                _, name, value, width, out = desc
+                cell = Const(idx, name, value, width, canon[out])
+            else:
+                _, name, module = desc
+                cells.append(BlackBox(idx, name, module))
+                continue
+            cells.append(cell)
+            claim(cell.out, ("cell", idx, "out"))
 
         # black-box connections: undriven nets become outputs, in slot order
-        for slot, conn_nets in bb_pending.items():
-            cell = cells[slot]
-            assert isinstance(cell, BlackBox)
+        for slot, conns in self._bb_conns:
+            box = cells[slot]
+            assert isinstance(box, BlackBox)
             ins: list[int] = []
             outs: list[int] = []
-            for n in conn_nets:
-                if n in driven:
+            for n in map(canon.__getitem__, conns):
+                if driver[n] is not None:
+                    readers[n].append(("cell", slot, f"in{len(ins)}"))
                     ins.append(n)
                 else:
-                    pin = f"out{len(outs)}"
+                    claim(n, ("cell", slot, f"out{len(outs)}"))
                     outs.append(n)
-                    claim(n, ("cell", cell.index, pin))
-            cell.inputs = tuple(ins)
-            cell.outs = tuple(outs)
+            box.inputs = tuple(ins)
+            box.outs = tuple(outs)
 
-        for idx, ref in driven.items():
-            nets[idx].driver = ref
+        for net, ref, refs in zip(nets, driver, readers):
+            net.driver = ref
+            if refs:
+                net.readers = tuple(refs) if len(refs) == 1 else tuple(sorted(refs))
 
-        # reader references
-        readers: dict[int, list[Ref]] = {}
         netlist = Netlist(self.name, cells, nets, ports, list(self._instances))
-        for c in cells:
-            for pin, n in netlist.cell_inputs(c):
-                readers.setdefault(n, []).append(("cell", c.index, pin))
-        for p in ports:
-            if p.direction == "out":
-                readers.setdefault(p.net, []).append(("port", p.index, ""))
-        for idx, refs in readers.items():
-            nets[idx].readers = tuple(sorted(refs))
-
         netlist.comb_topo()  # combinational loops are a hard build error
         return netlist
-
-    def _name_of(self, handle: int) -> str:
-        return self._net_names[handle]
 
     @staticmethod
     def _ref_name(ref: Ref, cells: list[Cell], ports: list[Port]) -> str:

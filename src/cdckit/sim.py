@@ -27,9 +27,9 @@ counterexample found is the lexicographically first failing branch.
 A state holds only what later ticks depend on and is never mutated:
 `commit_tick` returns a new state sharing what the tick left unchanged, so
 exploration branches share their parent's state.  Only `Engine.run`
-records a run (injection log, waves, coverage); a counterexample is the
-replay of its branch's decision path, exact as exhaustive runs are not
-random.
+records a run (injection log, coverage, and waves when they are to be
+written); a counterexample is the replay of its branch's decision path,
+exact as exhaustive runs are not random.
 
 Evaluation is compiled, not interpreted (levelized compiled-code
 simulation).  Each netlist is compiled once into straight-line Python with
@@ -106,7 +106,7 @@ class Opportunity:
 
 @dataclass
 class SimResult:
-    waves: dict[int, list[tuple[int, int]]]     # net index -> [(tick, value)]
+    waves: dict[int, list[tuple[int, int]]] | None  # net -> [(tick, value)]
     events: list[MsiEvent]
     coverage: CoverageDb
     verdicts: list[Verdict]
@@ -641,15 +641,18 @@ class Engine:
 
     # -- drivers --
 
-    def run(self, path: Sequence[bool] | None = None) -> SimResult:
+    def run(self, path: Sequence[bool] | None = None,
+            waves: bool = True) -> SimResult:
         """One recorded run.  Without `path` the seeded RNG draws every
         decision and drives the random stimulus ports.  With a `path`, even
         an empty one, opportunity i takes `path[i]`, those past the end of
-        `path` keep the reference value, and the random ports stay still."""
+        `path` keep the reference value, and the random ports stay still.
+        Without `waves` the result holds no waves (`None`); its events,
+        verdicts and coverage are the same."""
         rng = random.Random(self.msi.seed) if path is None else None
         state = self.initial_state()
         events: list[MsiEvent] = []
-        waves = {n: [(_NEG, v)] for n, v in enumerate(state.values)}
+        trace = {n: [(_NEG, v)] for n, v in enumerate(state.values)} if waves else None
         for tick in self.agenda:
             plan = self.plan_tick(state, tick, rng)
             if rng is not None:
@@ -661,13 +664,14 @@ class Engine:
             old = state.values
             state, injected = self.commit_tick(state, plan, decisions)
             events += injected
-            new = state.values
-            for n in compress(range(len(new)), map(ne, new, old)):
-                waves[n].append((tick, new[n]))
-        return self._finish(state, events, waves, rng is not None)
+            if trace is not None:
+                new = state.values
+                for n in compress(range(len(new)), map(ne, new, old)):
+                    trace[n].append((tick, new[n]))
+        return self._finish(state, events, trace, rng is not None)
 
     def _finish(self, state: _State, events: list[MsiEvent],
-                waves: dict[int, list[tuple[int, int]]],
+                waves: dict[int, list[tuple[int, int]]] | None,
                 seeded: bool) -> SimResult:
         coverage = CoverageDb(self.fingerprint, self.scope,
                               tuple(p.id for p in self.a.pairs))
@@ -690,9 +694,10 @@ class ExploreOutcome:
 
 
 def simulate(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
-             checkers: list[Checker], scope: str = "sim") -> SimResult:
+             checkers: list[Checker], scope: str = "sim",
+             waves: bool = True) -> SimResult:
     eng = Engine(analysis, stimulus, msi, checkers, scope)
-    return eng.run()
+    return eng.run(waves=waves)
 
 
 def explore_exhaustive(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,

@@ -18,8 +18,9 @@ documented in docs/subset.md.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import accumulate
 
 from .errors import DuplicateModule, ParseError, UnsupportedConstruct
 
@@ -195,110 +196,115 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-class Token(NamedTuple):
-    kind: str   # "id", "kw", "number", "sized", "punct", "nba", "eof"
-    text: str
-    line: int
-    column: int
+# A token is a plain tuple (kind, text, offset): kind is "id", "kw",
+# "number", "sized", "punct", "nba" or "eof", and offset is where its text
+# starts.  A subclass of tuple would keep every token tracked by the garbage
+# collector; line and column are computed only where they are needed.
+Token = tuple[str, str, int]
+
+
+def line_starts(text: str) -> list[int]:
+    """Offset of the first character of each line of `text` (and one past
+    the end)."""
+    return list(accumulate((len(line) + 1 for line in text.split("\n")), initial=0))
+
+
+def position(starts: list[int], offset: int) -> tuple[int, int]:
+    """1-based line and column of `offset`, given `line_starts` of its text."""
+    line = bisect_right(starts, offset)
+    return line, offset - starts[line - 1] + 1
 
 
 def tokenize(text: str, origin: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
-    line = 1
-    line_start = 0
-    pos = 0                 # end of the previous token
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        start = m.start(kind)
-        if start != pos:
-            nl = text.count("\n", pos, start)
-            if nl:
-                line += nl
-                line_start = text.rfind("\n", pos, start) + 1
-        pos = m.end()
         tok_text = m[kind]
-        col = start - line_start + 1
+        start = m.start(kind)
         if kind == "id":
             if tok_text in KEYWORDS:
                 kind = "kw"
             elif tok_text in UNSUPPORTED_KEYWORDS:
-                raise UnsupportedConstruct(tok_text, line, col, origin)
+                raise UnsupportedConstruct(tok_text, *position(line_starts(text), start),
+                                           origin)
         elif kind == "bad":
+            where = position(line_starts(text), start)
             if tok_text in _STRAY_CONSTRUCTS:
-                raise UnsupportedConstruct(_STRAY_CONSTRUCTS[tok_text], line, col, origin)
-            raise ParseError(f"unexpected character {tok_text!r}", line, col, origin)
-        append(Token(kind, tok_text, line, col))
+                raise UnsupportedConstruct(_STRAY_CONSTRUCTS[tok_text], *where, origin)
+            raise ParseError(f"unexpected character {tok_text!r}", *where, origin)
+        append((kind, tok_text, start))
         if kind == "eof":   # a gap before it leaves an empty match to come
             break
     return tokens
 
 
-def _parse_sized_literal(text: str, line: int, col: int, origin: str) -> Literal:
-    width_str, rest = text.split("'", 1)
-    base_ch = rest[0].lower()
-    digits = rest[1:].replace("_", "")
-    if any(c in "xzXZ?" for c in digits):
-        raise UnsupportedConstruct("x/z literal", line, col, origin)
-    base = {"b": 2, "d": 10, "h": 16}[base_ch]
-    width = int(width_str)
-    value = int(digits, base)
-    if width < 1:
-        raise ParseError("literal width must be >= 1", line, col, origin)
-    if value >= (1 << width):
-        raise ParseError(f"literal value does not fit in {width} bits", line, col, origin)
-    return Literal(value, width)
-
-
 # --- parser ------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens: list[Token], origin: str):
-        self.tokens = tokens
+    def __init__(self, text: str, origin: str):
+        self.tokens = tokenize(text, origin)
+        self.starts = line_starts(text)
         self.pos = 0
         self.origin = origin
         self.depth = 0          # expression nesting at the current token
         self.stmt_depth = 0     # `if` nesting at the current token
+
+    def line(self, tok: Token) -> int:
+        return bisect_right(self.starts, tok[2])
+
+    def where(self, tok: Token) -> tuple[int, int]:
+        return position(self.starts, tok[2])
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def error(self, message: str, tok: Token | None = None, expected: str | None = None):
         tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column, self.origin, expected)
+        raise ParseError(message, *self.where(tok), self.origin, expected)
+
+    def unsupported(self, construct: str, tok: Token):
+        raise UnsupportedConstruct(construct, *self.where(tok), self.origin)
+
+    # Below, a method that has matched a token other than the end of input
+    # steps past it with `self.pos += 1`, without `next`'s check.
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text:
-            self.error(f"expected {text!r}, found {tok.text!r}", tok, expected=text)
-        return self.next()
+        tok = self.tokens[self.pos]
+        if tok[1] != text:
+            self.error(f"expected {text!r}, found {tok[1]!r}", tok, expected=text)
+        self.pos += 1
+        return tok
 
     def accept(self, text: str) -> Token | None:
-        if self.peek().text == text:
-            return self.next()
+        tok = self.tokens[self.pos]
+        if tok[1] == text:
+            self.pos += 1
+            return tok
         return None
 
     def expect_id(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "id":
-            self.error(f"expected identifier, found {tok.text!r}", tok, expected="identifier")
-        return self.next()
+        tok = self.tokens[self.pos]
+        if tok[0] != "id":
+            self.error(f"expected identifier, found {tok[1]!r}", tok, expected="identifier")
+        self.pos += 1
+        return tok
 
     # -- top level --
 
     def parse_source(self) -> list[ParsedModule]:
         modules: list[ParsedModule] = []
         seen: dict[str, int] = {}
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             tok = self.peek()
-            if tok.text != "module":
-                self.error(f"expected 'module', found {tok.text!r}", tok, expected="module")
+            if tok[1] != "module":
+                self.error(f"expected 'module', found {tok[1]!r}", tok, expected="module")
             mod = self.parse_module()
             if mod.name in seen:
                 raise DuplicateModule(f"module {mod.name!r} already defined at line {seen[mod.name]}",
@@ -309,10 +315,10 @@ class _Parser:
 
     def parse_module(self) -> ParsedModule:
         start = self.expect("module")
-        name = self.expect_id().text
+        name = self.expect_id()[1]
         ports: list[PortDecl] = []
         self.expect("(")
-        if self.peek().text != ")":
+        if self.peek()[1] != ")":
             while True:
                 ports.append(self.parse_port_decl())
                 if not self.accept(","):
@@ -326,41 +332,42 @@ class _Parser:
         instances: list[Instance] = []
         declared = {p.name for p in ports}
 
-        while self.peek().text != "endmodule":
+        while self.peek()[1] != "endmodule":
             tok = self.peek()
-            if tok.kind == "eof":
+            kind, text, _ = tok
+            if kind == "eof":
                 self.error("unexpected end of file inside module", tok, expected="endmodule")
-            if tok.text in ("wire", "reg"):
+            if text in ("wire", "reg"):
                 for d in self.parse_net_decl():
                     if d.name in declared:
                         self.error(f"{d.name!r} already declared", tok)
                     declared.add(d.name)
                     decls.append(d)
-            elif tok.text == "assign":
+            elif text == "assign":
                 assigns.append(self.parse_assign())
-            elif tok.text == "always":
+            elif text == "always":
                 always_blocks.append(self.parse_always())
-            elif tok.text in ("input", "output"):
-                raise UnsupportedConstruct("non-ANSI port declaration", tok.line, tok.column, self.origin)
-            elif tok.kind == "id":
+            elif text in ("input", "output"):
+                self.unsupported("non-ANSI port declaration", tok)
+            elif kind == "id":
                 instances.append(self.parse_instance())
             else:
-                self.error(f"unexpected {tok.text!r} in module body", tok)
+                self.error(f"unexpected {text!r} in module body", tok)
 
         self.expect("endmodule")
         return ParsedModule(name, tuple(ports), tuple(decls), tuple(assigns),
-                            tuple(always_blocks), tuple(instances), start.line)
+                            tuple(always_blocks), tuple(instances), self.line(start))
 
     def parse_port_decl(self) -> PortDecl:
         tok = self.peek()
-        if tok.text == "inout":
-            raise UnsupportedConstruct("inout port", tok.line, tok.column, self.origin)
-        if tok.text not in ("input", "output"):
-            self.error(f"expected port direction, found {tok.text!r}", tok, expected="input/output")
-        direction = "in" if self.next().text == "input" else "out"
+        if tok[1] == "inout":
+            self.unsupported("inout port", tok)
+        if tok[1] not in ("input", "output"):
+            self.error(f"expected port direction, found {tok[1]!r}", tok, expected="input/output")
+        direction = "in" if self.next()[1] == "input" else "out"
         is_reg = bool(self.accept("reg"))
         width = self.parse_range()
-        name = self.expect_id().text
+        name = self.expect_id()[1]
         if is_reg and direction == "in":
             self.error("input port cannot be reg", tok)
         return PortDecl(name, direction, width, is_reg)
@@ -374,25 +381,24 @@ class _Parser:
         lsb = self.parse_int()
         self.expect("]")
         if lsb != 0:
-            raise UnsupportedConstruct("declaration range with nonzero lsb",
-                                       msb_tok.line, msb_tok.column, self.origin)
+            self.unsupported("declaration range with nonzero lsb", msb_tok)
         if msb < 0:
             self.error("bad range", msb_tok)
         return msb + 1
 
     def parse_int(self) -> int:
         tok = self.peek()
-        if tok.kind != "number":
-            self.error(f"expected integer, found {tok.text!r}", tok, expected="integer")
+        if tok[0] != "number":
+            self.error(f"expected integer, found {tok[1]!r}", tok, expected="integer")
         self.next()
-        return int(tok.text.replace("_", ""))
+        return int(tok[1].replace("_", ""))
 
     def parse_net_decl(self) -> list[NetDecl]:
-        is_reg = self.next().text == "reg"
+        is_reg = self.next()[1] == "reg"
         width = self.parse_range()
         out = []
         while True:
-            name = self.expect_id().text
+            name = self.expect_id()[1]
             out.append(NetDecl(name, width, is_reg))
             if not self.accept(","):
                 break
@@ -401,43 +407,42 @@ class _Parser:
 
     def parse_assign(self) -> AssignItem:
         start = self.expect("assign")
-        target = self.expect_id().text
-        if self.peek().text == "[":
-            raise UnsupportedConstruct("assignment to a slice", start.line, start.column, self.origin)
+        target = self.expect_id()[1]
+        if self.peek()[1] == "[":
+            self.unsupported("assignment to a slice", start)
         self.expect("=")
         expr = self.parse_expr()
         self.expect(";")
-        return AssignItem(target, expr, start.line)
+        return AssignItem(target, expr, self.line(start))
 
     def parse_always(self) -> AlwaysBlock:
         start = self.expect("always")
         self.expect("@")
         self.expect("(")
         edge_tok = self.peek()
-        if edge_tok.text == "negedge":
-            raise UnsupportedConstruct("negedge clock", edge_tok.line, edge_tok.column, self.origin)
-        if edge_tok.text != "posedge":
-            raise UnsupportedConstruct("combinational always block",
-                                       edge_tok.line, edge_tok.column, self.origin)
+        if edge_tok[1] == "negedge":
+            self.unsupported("negedge clock", edge_tok)
+        if edge_tok[1] != "posedge":
+            self.unsupported("combinational always block", edge_tok)
         self.next()
-        clock = self.expect_id().text
+        clock = self.expect_id()[1]
         reset = None
         reset_edge = None
         if self.accept("or"):
             rtok = self.peek()
-            if rtok.text not in ("posedge", "negedge"):
+            if rtok[1] not in ("posedge", "negedge"):
                 self.error("expected posedge/negedge in event list", rtok)
-            reset_edge = self.next().text
-            reset = self.expect_id().text
+            reset_edge = self.next()[1]
+            reset = self.expect_id()[1]
         self.expect(")")
         body = self.parse_stmt_block()
-        return AlwaysBlock(clock, reset, reset_edge, tuple(body), start.line)
+        return AlwaysBlock(clock, reset, reset_edge, tuple(body), self.line(start))
 
     def parse_stmt_block(self) -> list[Stmt]:
         if self.accept("begin"):
             stmts = []
-            while self.peek().text != "end":
-                if self.peek().kind == "eof":
+            while self.peek()[1] != "end":
+                if self.peek()[0] == "eof":
                     self.error("unexpected end of file inside begin/end")
                 stmts.append(self.parse_stmt())
             self.expect("end")
@@ -446,7 +451,7 @@ class _Parser:
 
     def parse_stmt(self) -> Stmt:
         tok = self.peek()
-        if tok.text == "if":
+        if tok[1] == "if":
             self.stmt_depth += 1
             if self.stmt_depth > MAX_STMT_DEPTH:
                 self.error(_STMT_TOO_DEEP, tok)
@@ -459,48 +464,46 @@ class _Parser:
             if self.accept("else"):
                 other = tuple(self.parse_stmt_block())
             self.stmt_depth -= 1
-            return IfStmt(cond, then, other, tok.line)
-        if tok.kind == "id":
-            target = self.next().text
+            return IfStmt(cond, then, other, self.line(tok))
+        if tok[0] == "id":
+            target = self.next()[1]
             nxt = self.peek()
-            if nxt.text == "=":
-                raise UnsupportedConstruct("blocking assignment in always block",
-                                           nxt.line, nxt.column, self.origin)
-            if nxt.kind != "nba":
-                self.error(f"expected '<=', found {nxt.text!r}", nxt, expected="<=")
+            if nxt[1] == "=":
+                self.unsupported("blocking assignment in always block", nxt)
+            if nxt[0] != "nba":
+                self.error(f"expected '<=', found {nxt[1]!r}", nxt, expected="<=")
             self.next()
             expr = self.parse_expr()
             self.expect(";")
-            return NbAssign(target, expr, tok.line)
-        self.error(f"expected statement, found {tok.text!r}", tok)
+            return NbAssign(target, expr, self.line(tok))
+        self.error(f"expected statement, found {tok[1]!r}", tok)
         raise AssertionError  # unreachable
 
     def parse_instance(self) -> Instance:
         mod_tok = self.expect_id()
         inst_tok = self.peek()
-        if inst_tok.kind != "id":
+        if inst_tok[0] != "id":
             # common error shape: `foo = ...` outside assign
-            self.error(f"expected instance name after {mod_tok.text!r}", inst_tok,
+            self.error(f"expected instance name after {mod_tok[1]!r}", inst_tok,
                        expected="identifier")
-        inst = self.next().text
+        inst = self.next()[1]
         self.expect("(")
         conns: list[tuple[str, Expr | None]] = []
-        if self.peek().text != ")":
+        if self.peek()[1] != ")":
             while True:
-                dot = self.expect(".")
-                port = self.expect_id().text
+                self.expect(".")
+                port = self.expect_id()[1]
                 self.expect("(")
                 expr = None
-                if self.peek().text != ")":
+                if self.peek()[1] != ")":
                     expr = self.parse_expr()
                 self.expect(")")
                 conns.append((port, expr))
                 if not self.accept(","):
                     break
-                del dot
         self.expect(")")
         self.expect(";")
-        return Instance(mod_tok.text, inst, tuple(conns), mod_tok.line)
+        return Instance(mod_tok[1], inst, tuple(conns), self.line(mod_tok))
 
     # -- expressions (precedence: ?: < | < ^ < & < unary < primary) --
 
@@ -510,7 +513,8 @@ class _Parser:
             self.error(_TOO_DEEP, tok)
 
     def parse_expr(self) -> Expr:
-        start = self.peek()
+        first = self.pos
+        start = self.tokens[first]
         self.nest(start)
         expr = self.parse_or()
         if self.accept("?"):
@@ -519,35 +523,38 @@ class _Parser:
             if_false = self.parse_expr()
             expr = Ternary(expr, if_true, if_false)
         self.depth -= 1
-        if self.depth == 0 and _expr_depth(expr) > MAX_EXPR_DEPTH:
+        # every operator level of the tree took a token of its own, so an
+        # expression of at most MAX_EXPR_DEPTH tokens needs no walk
+        if (self.depth == 0 and self.pos - first > MAX_EXPR_DEPTH
+                and _expr_depth(expr) > MAX_EXPR_DEPTH):
             self.error(_TOO_DEEP, start)
         return expr
 
     def parse_or(self) -> Expr:
         lhs = self.parse_xor()
-        while self.peek().text == "|":
-            self.next()
+        while self.tokens[self.pos][1] == "|":
+            self.pos += 1
             lhs = Binary("|", lhs, self.parse_xor())
         return lhs
 
     def parse_xor(self) -> Expr:
         lhs = self.parse_and()
-        while self.peek().text == "^":
-            self.next()
+        while self.tokens[self.pos][1] == "^":
+            self.pos += 1
             lhs = Binary("^", lhs, self.parse_and())
         return lhs
 
     def parse_and(self) -> Expr:
         lhs = self.parse_unary()
-        while self.peek().text == "&":
-            self.next()
+        while self.tokens[self.pos][1] == "&":
+            self.pos += 1
             lhs = Binary("&", lhs, self.parse_unary())
         return lhs
 
     def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok.text in ("~", "!"):
-            self.next()
+        tok = self.tokens[self.pos]
+        if tok[1] in ("~", "!"):
+            self.pos += 1
             self.nest(tok)
             operand = self.parse_unary()
             self.depth -= 1
@@ -555,29 +562,30 @@ class _Parser:
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok.text == "(":
-            self.next()
+        tok = self.tokens[self.pos]
+        kind, text, _ = tok
+        if text == "(":
+            self.pos += 1
             inner = self.parse_expr()
             self.expect(")")
             return inner
-        if tok.text == "{":
-            self.next()
+        if text == "{":
+            self.pos += 1
             parts = [self.parse_expr()]
-            if self.peek().text == "{":
-                raise UnsupportedConstruct("replication", tok.line, tok.column, self.origin)
+            if self.peek()[1] == "{":
+                self.unsupported("replication", tok)
             while self.accept(","):
                 parts.append(self.parse_expr())
             self.expect("}")
             return Concat(tuple(parts))
-        if tok.kind == "sized":
-            self.next()
-            return _parse_sized_literal(tok.text, tok.line, tok.column, self.origin)
-        if tok.kind == "number":
-            self.next()
-            return Literal(int(tok.text.replace("_", "")), None)
-        if tok.kind == "id":
-            self.next()
+        if kind == "sized":
+            self.pos += 1
+            return self.sized_literal(tok)
+        if kind == "number":
+            self.pos += 1
+            return Literal(int(text.replace("_", "")), None)
+        if kind == "id":
+            self.pos += 1
             if self.accept("["):
                 msb = self.parse_int()
                 lsb = msb
@@ -586,15 +594,30 @@ class _Parser:
                 self.expect("]")
                 if msb < lsb:
                     self.error("slice msb < lsb", tok)
-                return Slice(tok.text, msb, lsb)
-            return Ident(tok.text)
-        self.error(f"expected expression, found {tok.text!r}", tok, expected="expression")
+                return Slice(text, msb, lsb)
+            return Ident(text)
+        self.error(f"expected expression, found {text!r}", tok, expected="expression")
         raise AssertionError  # unreachable
+
+    def sized_literal(self, tok: Token) -> Literal:
+        width_str, rest = tok[1].split("'", 1)
+        base_ch = rest[0].lower()
+        digits = rest[1:].replace("_", "")
+        if any(c in "xzXZ?" for c in digits):
+            self.unsupported("x/z literal", tok)
+        base = {"b": 2, "d": 10, "h": 16}[base_ch]
+        width = int(width_str)
+        value = int(digits, base)
+        if width < 1:
+            self.error("literal width must be >= 1", tok)
+        if value >= (1 << width):
+            self.error(f"literal value does not fit in {width} bits", tok)
+        return Literal(value, width)
 
 
 def parse_verilog(text: str, origin: str = "<input>") -> list[ParsedModule]:
     """Parse one source file into its module definitions."""
-    return _Parser(tokenize(text, origin), origin).parse_source()
+    return _Parser(text, origin).parse_source()
 
 
 def _expr_depth(expr: Expr) -> int:

@@ -2,18 +2,19 @@
 
 Everything here deliberately avoids the library's traversal/memoization
 machinery: tokens come from one anchored match per token or skipped gap,
-counts are recursive multiplications over the parsed module tree, cones
-come from naive path enumeration, gate order from a Kahn loop that
-re-sorts its ready list, netlist invariants from every driver and reader
-recomputed and compared with the builder's, flop domains from exhaustive backward search, net
-domains from each net's own cone, crossing pairs from brute-force path
-walks, and synchronizers from the first-written matchers, which scan every
-cell and chain.  Gate
-values come from a string-dispatch interpreter, the reference for the
-simulator's compiled kernels, and exhaustive exploration is redone by
-replaying every decision path from the start.  Also here: the
-MSI-off reference run, a printer back to subset source text, and the
-generated assertions interpreted over a run's waves (`sva_interp`).
+counts are recursive multiplications over the parsed module tree, a built
+netlist from resolving every pin through the union-find and sorting every
+reader list, cones from naive path enumeration, gate order from a Kahn
+loop that re-sorts its ready list, netlist invariants from every driver
+and reader recomputed and compared with the builder's, flop domains from
+exhaustive backward search, net domains from each net's own cone,
+crossing pairs from brute-force path walks, and synchronizers from the
+first-written matchers, which scan every cell and chain.  Gate values come
+from a string-dispatch interpreter, the reference for the simulator's
+compiled kernels, and exhaustive exploration is redone by replaying every
+decision path from the start.  Also here: the MSI-off reference run, a
+printer back to subset source text, and the generated assertions
+interpreted over a run's waves (`sva_interp`).
 """
 
 from __future__ import annotations
@@ -26,15 +27,16 @@ from cdckit.checkers import build_checkers
 from cdckit.codegen import generate_all
 from cdckit.constraints import ConstraintSet
 from cdckit.domains import CdcPair, DomainMap, NetDomain
-from cdckit.errors import ParseError, SimDivergence, UnsupportedConstruct
-from cdckit.netlist import (GATE_OPS, BlackBox, Cell, Const, Dff, Gate,
-                            Netlist, NetlistBuilder, Ref)
+from cdckit.errors import (MultipleDrivers, ParseError, SimDivergence,
+                           UnsupportedConstruct)
+from cdckit.netlist import (GATE_OPS, BlackBox, Cell, Const, Dff, Gate, Net,
+                            Netlist, NetlistBuilder, Port, Ref, _name_rank)
 from cdckit.sim import Engine, MsiConfig, SimResult, simulate
 from cdckit.syncrec import (SyncInstance, _chains, _fifo_roles, _gray_shape,
                              _net_driver_gate)
 from cdckit.verilog import (KEYWORDS, UNSUPPORTED_KEYWORDS, Binary, Concat,
                             Expr, Ident, Literal, NbAssign, ParsedModule,
-                            Slice, Stmt, Ternary, Token, Unary)
+                            Slice, Stmt, Ternary, Unary)
 from sva_interp import evaluate_module, parse_bindings, parse_checker_module
 
 
@@ -63,10 +65,11 @@ _REF_TOKEN_RE = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-def reference_tokenize(text: str, origin: str = "<input>") -> list[Token]:
-    """Tokens by one anchored match per token or skipped gap, tracking the
-    line at every whitespace or comment match."""
-    tokens: list[Token] = []
+def reference_tokenize(text: str, origin: str = "<input>"
+                       ) -> list[tuple[str, str, int, int]]:
+    """Tokens as (kind, text, line, column), by one anchored match per token
+    or skipped gap, tracking the line at every whitespace or comment match."""
+    tokens: list[tuple[str, str, int, int]] = []
     line = 1
     line_start = 0
     pos = 0
@@ -92,12 +95,12 @@ def reference_tokenize(text: str, origin: str = "<input>") -> list[Token]:
         elif kind == "id":
             if tok_text in UNSUPPORTED_KEYWORDS:
                 raise UnsupportedConstruct(tok_text, line, col, origin)
-            tokens.append(Token("kw" if tok_text in KEYWORDS else "id",
-                                tok_text, line, col))
+            tokens.append(("kw" if tok_text in KEYWORDS else "id",
+                           tok_text, line, col))
         else:
-            tokens.append(Token(kind, tok_text, line, col))
+            tokens.append((kind, tok_text, line, col))
         pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+    tokens.append(("eof", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -191,6 +194,107 @@ def sorted_comb_topo(netlist: Netlist) -> list[int]:
     return order
 
 
+def _cell_inputs(cell: Cell) -> list[tuple[str, int]]:
+    """Every (pin, net) a cell reads."""
+    if isinstance(cell, Dff):
+        pins = [("clock", cell.clock), ("data", cell.data)]
+        if cell.enable is not None:
+            pins.append(("enable", cell.enable))
+        if cell.reset is not None:
+            pins.append(("reset", cell.reset))
+        return pins
+    if isinstance(cell, (Gate, BlackBox)):
+        return [(f"in{i}", n) for i, n in enumerate(cell.inputs)]
+    return []
+
+
+def reference_finish(b: NetlistBuilder) -> Netlist:
+    """The netlist a builder describes, resolving every pin through the
+    union-find, with readers collected from each cell's pin list and every
+    reader list sorted.  Leaves the builder able to finish again."""
+    groups: dict[int, list[int]] = {}
+    for h in range(len(b._net_names)):
+        groups.setdefault(b._find(h), []).append(h)
+    net_of_handle: dict[int, int] = {}
+    nets: list[Net] = []
+    for root in sorted(groups, key=lambda r: min(groups[r])):
+        names = sorted((b._net_names[h] for h in groups[root]), key=_name_rank)
+        idx = len(nets)
+        nets.append(Net(idx, names[0], b._net_widths[root], tuple(names[1:])))
+        for h in groups[root]:
+            net_of_handle[h] = idx
+
+    def res(h: int | None) -> int | None:
+        return None if h is None else net_of_handle[b._find(h)]
+
+    cells: list[Cell] = []
+    bb_pending = {slot: [res(c) for c in conns] for slot, conns in b._bb_conns}
+    for desc in b._cells:
+        kind = desc[0]
+        idx = len(cells)
+        if kind == "dff":
+            _, name, width, clock, data, out, enable, reset, alow, rv = desc
+            cells.append(Dff(idx, name, width, res(clock), res(data), res(out),
+                             res(enable), res(reset), alow, rv))
+        elif kind == "gate":
+            _, name, op, inputs, out, width, lsb = desc
+            cells.append(Gate(idx, name, op, tuple(res(i) for i in inputs),
+                              res(out), width, lsb))
+        elif kind == "const":
+            _, name, value, width, out = desc
+            cells.append(Const(idx, name, value, width, res(out)))
+        else:
+            _, name, module = desc
+            cells.append(BlackBox(idx, name, module))
+    ports = [Port(i, name, direction, width, res(net))
+             for i, (name, direction, width, net) in enumerate(b._ports)]
+
+    driven: dict[int, Ref] = {}
+
+    def claim(net_idx: int, ref: Ref):
+        prev = driven.get(net_idx)
+        if prev is not None:
+            raise MultipleDrivers(
+                f"net {nets[net_idx].name!r} driven by both "
+                f"{b._ref_name(prev, cells, ports)} and {b._ref_name(ref, cells, ports)}")
+        driven[net_idx] = ref
+
+    for p in ports:
+        if p.direction == "in":
+            claim(p.net, ("port", p.index, ""))
+    for c in cells:
+        if isinstance(c, (Dff, Gate, Const)):
+            claim(c.out, ("cell", c.index, "out"))
+    # black-box connections: undriven nets become outputs, in slot order
+    for slot, conn_nets in bb_pending.items():
+        cell = cells[slot]
+        ins: list[int] = []
+        outs: list[int] = []
+        for n in conn_nets:
+            if n in driven:
+                ins.append(n)
+            else:
+                claim(n, ("cell", cell.index, f"out{len(outs)}"))
+                outs.append(n)
+        cell.inputs = tuple(ins)
+        cell.outs = tuple(outs)
+    for idx, ref in driven.items():
+        nets[idx].driver = ref
+
+    readers: dict[int, list[Ref]] = {}
+    for c in cells:
+        for pin, n in _cell_inputs(c):
+            readers.setdefault(n, []).append(("cell", c.index, pin))
+    for p in ports:
+        if p.direction == "out":
+            readers.setdefault(p.net, []).append(("port", p.index, ""))
+    for idx, refs in readers.items():
+        nets[idx].readers = tuple(sorted(refs))
+    netlist = Netlist(b.name, cells, nets, ports, list(b._instances))
+    netlist.comb_topo()
+    return netlist
+
+
 @dataclass(frozen=True)
 class StructuralIssue:
     kind: str       # "MultipleDrivers" | "NoDriver" | ...
@@ -240,7 +344,7 @@ def netlist_issues(nl: Netlist) -> list[StructuralIssue]:
     # reader-side consistency
     reader_map: dict[int, set[Ref]] = {}
     for c in nl.cells:
-        for pin, n in nl.cell_inputs(c):
+        for pin, n in _cell_inputs(c):
             reader_map.setdefault(n, set()).add(("cell", c.index, pin))
     for p in nl.ports:
         if p.direction == "out":
@@ -626,10 +730,20 @@ def reference_recognize(netlist: Netlist, domains: DomainMap,
 def random_netlist(rng: random.Random, n_flops: int = 12, n_gates: int = 25,
                    n_domains: int = 2, n_ports: int = 3,
                    max_width: int = 4) -> tuple[Netlist, dict[str, str]]:
-    """Random acyclic multi-domain design built straight on the IR.  Gates
-    draw every op in GATE_OPS; ports and flops are 1 to `max_width` bits
-    wide (the first data port is 1 bit, so selects and enables exist), and
-    CONCAT and SLICE make other widths."""
+    """Random acyclic multi-domain design built straight on the IR (see
+    `random_builder`)."""
+    b, clock_domains = random_builder(rng, n_flops, n_gates, n_domains, n_ports,
+                                      max_width)
+    return b.finish(), clock_domains
+
+
+def random_builder(rng: random.Random, n_flops: int = 12, n_gates: int = 25,
+                   n_domains: int = 2, n_ports: int = 3,
+                   max_width: int = 4) -> tuple[NetlistBuilder, dict[str, str]]:
+    """The builder of a random acyclic multi-domain design.  Gates draw every
+    op in GATE_OPS; ports and flops are 1 to `max_width` bits wide (the first
+    data port is 1 bit, so selects and enables exist), and CONCAT and SLICE
+    make other widths."""
     b = NetlistBuilder("rand")
     domains = [chr(ord("A") + i) for i in range(n_domains)]
     clock_domains = {}
@@ -688,7 +802,7 @@ def random_netlist(rng: random.Random, n_flops: int = 12, n_gates: int = 25,
     # keep at least one net observable so netlist_issues sees no dangling outputs
     sink, w = rng.choice(pool[n_driven:] or flop_out)
     b.add_port("out0", "out", w, sink)
-    return b.finish(), clock_domains
+    return b, clock_domains
 
 
 def gate_value(nl: Netlist, g: Gate, values) -> int:

@@ -400,6 +400,25 @@ def test_malformed_directive_is_a_positioned_error(corpus_root, tmp_path, capsys
     assert err.startswith(f"error: {bad}:1:0: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate", "explore", "generate"])
+@pytest.mark.parametrize("option", ["stability_cycles", "ndff_min_depth"])
+def test_option_below_one_is_a_positioned_error(corpus_root, tmp_path, capsys,
+                                                option, command):
+    argv, stim = _case_args(corpus_root, "freq_data_loss_clean")
+    cons = tmp_path / "c.cdc"
+    text = Path(argv[2]).read_text()
+    cons.write_text(text + f"option {option} 0\n")
+    argv[2] = str(cons)
+    if command in ("simulate", "explore"):
+        argv += ["-s", stim]
+    rc = main([command, *argv, "--out", str(tmp_path / "out")])
+    line = text.count("\n") + 1
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cons}:{line}:0: bad value for option {option}\n"
+    cons.write_text(text + f"option {option} 1\n")
+    assert main([command, *argv, "--out", str(tmp_path / "out")]) in (0, 3)
+
+
 def test_constraint_errors_are_positioned_in_their_own_file(corpus_root, tmp_path,
                                                             capsys, monkeypatch):
     d = corpus_root / "cov_toggle"

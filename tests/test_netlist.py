@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from cdckit.elaborate import elaborate
-from cdckit.errors import CombinationalLoop
+from cdckit.elaborate import _Elaborator, elaborate
+from cdckit.errors import CombinationalLoop, MultipleDrivers
 from cdckit.netlist import Dff, Netlist, NetlistBuilder
 from cdckit.pipeline import analyze_sources
 from cdckit.verilog import parse_verilog
 from conftest import corpus_designs, generated_designs
-from oracles import naive_cone, netlist_issues, random_netlist, sorted_comb_topo
+from oracles import (naive_cone, netlist_issues, random_builder, random_netlist,
+                     reference_finish, sorted_comb_topo)
 
 
 def build_xor_of_two_flops():
@@ -105,6 +106,52 @@ def test_built_netlists_satisfy_the_invariant_oracle():
     for seed in range(20):
         nl, _ = random_netlist(random.Random(seed))
         assert netlist_issues(nl) == [], seed
+
+
+def _elaborated_builder(rtl: str) -> NetlistBuilder:
+    """The builder of a design's top, filled but not finished."""
+    mods = parse_verilog(rtl)
+    instantiated = {i.module for m in mods for i in m.instances}
+    [top] = [m.name for m in mods if m.name not in instantiated]
+    elab = _Elaborator(mods, top)
+    elab.check_acyclic()
+    elab.expand_all()
+    return elab.builder
+
+
+def _same_finish(b: NetlistBuilder, label: str):
+    got, want = b.finish(), reference_finish(b)
+    assert got.to_json_dict() == want.to_json_dict(), label
+    assert [n.readers for n in got.nets] == [n.readers for n in want.nets], label
+
+
+def test_finish_equals_reference_finish():
+    designs = [*corpus_designs(), *generated_designs(blocks=(1, 3, 6), seeds=(1, 2, 3))]
+    for name, rtl, _cons in designs:
+        _same_finish(_elaborated_builder(rtl), name)
+    for seed in range(20):
+        _same_finish(random_builder(random.Random(seed))[0], f"seed {seed}")
+
+
+@pytest.mark.parametrize("drive_x, message", [
+    ("port", "net 'x' driven by both x and f"),
+    ("gate", "net 'x' driven by both f and g2"),
+])
+def test_finish_names_the_same_two_drivers_as_the_reference(drive_x, message):
+    b = NetlistBuilder("t")
+    clk, x, y = b.add_net("clk", 1), b.add_net("x", 1), b.add_net("y", 1)
+    b.add_port("clk", "in", 1, clk)
+    if drive_x == "port":
+        b.add_port("x", "in", 1, x)
+    b.add_dff("f", 1, clk, y, x)
+    b.add_gate("g", "NOT", [x], y, 1)
+    if drive_x == "gate":
+        b.add_gate("g2", "BUF", [y], x, 1)
+    with pytest.raises(MultipleDrivers) as got:
+        b.finish()
+    with pytest.raises(MultipleDrivers) as want:
+        reference_finish(b)
+    assert str(got.value) == str(want.value) == message
 
 
 @pytest.mark.parametrize("op, n", [("CONCAT", 1), ("AND", 1), ("NOT", 2), ("MUX", 2)])

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import pytest
 
@@ -339,6 +340,25 @@ def test_commit_tick_leaves_its_input_state_unchanged(corpus_root, case_loader):
             after, _events = eng.commit_tick(state, plan, [False] * k)
             assert state == snapshot, (case, tick)
             state = after
+        cases += 1
+    assert cases > 20
+
+
+def test_run_without_waves_equals_the_recorded_run(corpus_root, case_loader):
+    """A run records waves only when they are written; leaving them out
+    changes no event, verdict, coverage bin or decision count."""
+    cases = 0
+    for case in sorted(p.name for p in corpus_root.iterdir() if p.is_dir()):
+        analysis, stim_text = case_loader(case)
+        if not stim_text:
+            continue
+        stim = parse_stimulus(stim_text)
+        checkers = build_checkers(analysis, latency=[("*", 1, 3)])
+        for seed in (1, 2):
+            full = simulate(analysis, stim, MsiConfig(seed=seed), checkers)
+            bare = simulate(analysis, stim, MsiConfig(seed=seed), checkers, waves=False)
+            assert bare.waves is None and full.waves, case
+            assert replace(bare, waves=full.waves) == full, (case, seed)
         cases += 1
     assert cases > 20
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import strategies as st
 
 from cdckit.errors import CdcError, DuplicateModule, ParseError, UnsupportedConstruct
-from cdckit.verilog import (Binary, Ident, Literal, Ternary, Unary,
-                            parse_verilog, tokenize)
+from cdckit.verilog import (Binary, Ident, Literal, Ternary, Unary, line_starts,
+                            parse_verilog, position, tokenize)
 from conftest import corpus_designs, generated_designs
 from oracles import reference_tokenize, to_source
 
@@ -136,22 +136,30 @@ def test_parser_total_on_bytes(data):
         pass
 
 
+def _positioned(text, origin="<input>"):
+    """Each token as (kind, text, line, column), its offset looked up in the
+    text's line starts."""
+    starts = line_starts(text)
+    return [(kind, tok, *position(starts, offset))
+            for kind, tok, offset in tokenize(text, origin)]
+
+
 def _tokens_or_error(fn, text):
     try:
-        return [tuple(t) for t in fn(text, "t.v")]
+        return fn(text, "t.v")
     except ParseError as e:
         return type(e), str(e), e.line, e.column
 
 
 def _assert_same_tokens(text):
-    assert _tokens_or_error(tokenize, text) == _tokens_or_error(reference_tokenize, text)
+    assert _tokens_or_error(_positioned, text) == _tokens_or_error(reference_tokenize, text)
 
 
 @pytest.mark.parametrize("designs", [corpus_designs, generated_designs],
                          ids=["corpus", "generated"])
 def test_tokenize_equals_reference(designs):
     for name, rtl, _cons in designs():
-        assert tokenize(rtl) == reference_tokenize(rtl), name
+        assert _positioned(rtl) == reference_tokenize(rtl), name
 
 
 @pytest.mark.parametrize("text", [
