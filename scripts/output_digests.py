@@ -3,10 +3,14 @@
 
 For each case it runs `analyze`, `generate`, `simulate --seeds 1..3 --vcd`,
 `simulate --no-msi`, `explore` and `explore --latency 1:3` in process, and
-hashes the exit code, stdout, stderr and every file the command wrote.
-It then runs `analyze --strict` and `generate` on designs from
-`perfbench/gen.py` (hier and flat, 6 and 24 blocks, seed 1), which hold
-hundreds of synchronizers where the corpus designs hold a few,
+hashes the exit code, stdout, stderr and every file the command wrote;
+on `gray_cross` it also runs `explore --budget 500`, whose first path is
+deeper than a recursive search goes.  It then runs `analyze --strict` and
+`generate` on designs from `perfbench/gen.py` (hier and flat, 6 and 24
+blocks, seed 1), which hold hundreds of synchronizers where the corpus
+designs hold a few, `simulate --seeds 1..2` on the benchmark's generated
+2k-net simulation design and `explore` on its 1k-net exploration design
+(seed 1), the same command lines the benchmark runs,
 `analyze`, `simulate` and `generate` on three inline sources at the edges
 of the netlist builder (a floating net, a one-operand concatenation, a
 600-level module chain), and `analyze` on sources the front end rejects,
@@ -39,6 +43,7 @@ COMMANDS = (
     ("explore", ["explore"]),
     ("explore-latency", ["explore", "--latency", "1:3"]),
 )
+CASE_COMMANDS = {"gray_cross": (("explore-budget500", ["explore", "--budget", "500"]),)}
 GENERATED = (("hier", 6), ("flat", 6), ("hier", 24), ("flat", 24))
 GENERATED_COMMANDS = (
     ("analyze-strict", ["analyze", "--strict"]),
@@ -136,20 +141,30 @@ def main() -> int:
 
     cases = sorted(p.name for p in Path("corpus").iterdir() if p.is_dir())
     for case in cases:
-        for label, argv in COMMANDS:
+        for label, argv in COMMANDS + CASE_COMMANDS.get(case, ()):
             print(f"{case} {label} {digest(cli_main, f'corpus/{case}', argv)}",
                   flush=True)
 
     spec = importlib.util.spec_from_file_location("gen", root / "perfbench" / "gen.py")
     gen = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(gen)
-    for shape, blocks in GENERATED:
-        design = gen.build(f"{shape}{blocks}", 1, blocks, shape=shape)
+    runs = [(gen.build(f"{shape}{blocks}", 1, blocks, shape=shape), GENERATED_COMMANDS)
+            for shape, blocks in GENERATED]
+    # the generated designs of the benchmark's msi_seeds and explore_bounded
+    runs.append((gen.build("sim", 1, 8, block=gen.SIM_BLOCK, purpose="sim",
+                           run_edges=30),
+                 (("simulate-seeds", ["simulate", "--seeds", "1..2", "--checkers",
+                                      ",".join(gen.SIM_CHECKERS)]),)))
+    runs.append((gen.build("explore", 1, 8, purpose="explore", run_edges=4,
+                           gray_sources=2),
+                 (("explore", ["explore", "--budget", "16", "--checkers",
+                               ",".join(gen.EXPLORE_CHECKERS)]),)))
+    for design, commands in runs:
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)
             for name, text in design.files.items():
                 Path(name).write_text(text)
-            for label, argv in GENERATED_COMMANDS:
+            for label, argv in commands:
                 print(f"gen-{design.name}-s1 {label} {digest(cli_main, '.', argv)}",
                       flush=True)
             os.chdir(root)

@@ -70,7 +70,7 @@ class _Elaborator:
         for m in modules:
             if m.name in self.by_name:
                 raise ElabError(f"module {m.name!r} defined more than once")
-            check_module(m, m.name)
+            check_module(m, m.origin)
             self.by_name[m.name] = m
         if top not in self.by_name:
             raise UnresolvedModule(f"top module {top!r} not found")

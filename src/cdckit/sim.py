@@ -38,10 +38,24 @@ the enable and data of one crossing destination with its sources
 substituted or one gated flop clock with its root substituted.  Kernels are
 split into functions of at most `_CHUNK` gates and cached on the `Netlist`,
 so every seed and exploration branch of a design shares them; the cone
-kernels an engine needs are compiled together, in one `compile`.  A hold
-lookahead is one post-capture `comb` per tick, made on first need.  The
-gate interpreter they replace is kept in tests/oracles.py as the reference
-they are tested against.
+kernels an engine needs are compiled together, in one `compile`.  A
+destination without an enable whose data net is its only source captures
+the substituted value itself, with no kernel.  The gate interpreter the
+kernels replace is kept in tests/oracles.py as the reference they are
+tested against.
+
+Scheduling is done once per engine, not per tick.  What a tick does that
+depends only on which clocks edge at it (the flops that capture, the
+crossing destinations among them, the gated flops whose clock must be
+checked, and the checkers that sample) is one `_EdgeSet`, built in
+`Engine.__init__` for each distinct set of clocks that edge together; the
+agenda maps each tick to its edge set.  A tick's plan holds its values as
+lists: the pre-edge values and `post`, those with each edged flop's next
+value written in, so a commit copies `post`, writes the destination
+captures and re-evaluates the gates only when something changed.  A hold
+lookahead is one `comb` over a copy of `post`, made on first need.  The
+per-tick engine this replaced is kept in tests/oracles.py as
+`ReferenceEngine`, which the engine is tested against in lockstep.
 """
 
 from __future__ import annotations
@@ -95,8 +109,7 @@ class MsiEvent:
     resolved: int
 
 
-@dataclass(frozen=True)
-class Opportunity:
+class Opportunity(NamedTuple):
     pair: str
     dst: int
     src_net: int
@@ -125,14 +138,34 @@ class _State(NamedTuple):
     decisions: int
 
 
-@dataclass
-class _TickPlan:
+class _Dst(NamedTuple):
+    """A crossing destination flop, as a tick that edges it captures."""
+    index: int
+    out: int
+    enable: int | None
+    srcs: tuple[int, ...]           # its pairs' source nets, substituted
+    kernel: object                  # capture cone; None when it is srcs[0]
+    pairs: tuple[CdcPair, ...]      # by id
+
+
+class _EdgeSet(NamedTuple):
+    """What a tick does that depends only on which clocks edge at it."""
+    flops: tuple[tuple[int, int, int, int | None], ...]  # (index, out, data, enable)
+    dsts: tuple[_Dst, ...]          # the crossing destinations among them
+    gated: tuple[int, ...]          # the gated flops among them
+    # per edging clock with checkers: (clock, its resets as (net, active
+    # value), (checker index, bound `sample`) of each checker sampling on it)
+    checks: tuple[tuple[str, tuple[tuple[int, int], ...],
+                        tuple[tuple[int, object], ...]], ...]
+
+
+class _TickPlan(NamedTuple):
     tick: int
-    vals0: list[int]                    # pre-edge state incl. port updates
-    dsts: list[int]                     # crossing destinations capturing
-    base: dict[int, int]                # capturing flop -> base next value
+    vals0: list[int]                # pre-edge state incl. port updates
+    post: list[int]                 # vals0 with each edged flop's next value
+    dsts: Sequence[_Dst]            # crossing destinations capturing
     opps: list[Opportunity]
-    clock_edges: list[str]
+    edges: _EdgeSet
 
 
 # -- compiled kernels ---------------------------------------------------------
@@ -299,20 +332,14 @@ class Engine:
         if run_clock is None:
             raise StimulusOutOfRange(f"run clock {stimulus.run_clock!r} is not declared")
         self.end_tick = run_clock.edge_tick(stimulus.run_edges - 1)
-        agenda: set[int] = set()
-        self.edges_at: dict[int, list[str]] = {}
-        for c in self.clocks.values():
-            t = c.phase
-            while t <= self.end_tick:
-                agenda.add(t)
-                self.edges_at.setdefault(t, []).append(c.name)
-                t += c.period
-        self.agenda = sorted(agenda)
-        self.edges_per_clock = {name: 0 for name in self.clocks}
-        for t in self.agenda:
-            self.edges_at[t] = [c.name for c in cs.clocks if c.name in self.edges_at[t]]
-            for name in self.edges_at[t]:
-                self.edges_per_clock[name] += 1
+        # the clocks that edge at each tick, bit i for cs.clocks[i]
+        edge_mask: dict[int, int] = {}
+        for bit, c in enumerate(cs.clocks):
+            for t in range(c.phase, self.end_tick + 1, c.period):
+                edge_mask[t] = edge_mask.get(t, 0) | 1 << bit
+        self.agenda = sorted(edge_mask)
+        self.edges_per_clock = {c.name: len(range(c.phase, self.end_tick + 1, c.period))
+                                for c in cs.clocks}
 
         # port driving
         self.port_net = {p.name: p.net for p in self.nl.ports if p.direction == "in"}
@@ -337,79 +364,95 @@ class Engine:
         for sched in self.port_schedule.values():
             sched.sort()
         self.random_driver = stimulus.random
+        self.random_nets: list[int] = []
         if self.random_driver:
             for p in self.random_driver.ports:
                 if p not in self.port_net:
                     raise StimulusOutOfRange(f"random port {p!r} is not an input")
                 if self.nl.nets[self.port_net[p]].width != 1:
                     raise StimulusOutOfRange(f"random port {p!r} must be 1 bit wide")
+                self.random_nets.append(self.port_net[p])
 
         # flop clocking: root clock and gating condition
         self.flops = self.nl.dffs()
         self.flop_root = analysis.domains.clock_root   # flop -> root clock name
         self.root_net = {f.index: self.nl.net_index[self.flop_root[f.index]]
                          for f in self.flops}
-        self.flop_gated = {f.index: f.clock != self.root_net[f.index]
-                           for f in self.flops}
+        gated = [f for f in self.flops if f.clock != self.root_net[f.index]]
 
         # crossing bookkeeping (suppressed pairs are fully ignored)
         self.pairs = [p for p in analysis.pairs if p.suppressed is None]
-        self.pairs_by_dst: dict[int, list[CdcPair]] = {}
+        pairs_by_dst: dict[int, list[CdcPair]] = {}
         for p in self.pairs:
-            self.pairs_by_dst.setdefault(p.dst, []).append(p)
-        for plist in self.pairs_by_dst.values():
-            plist.sort(key=lambda p: p.id)
+            pairs_by_dst.setdefault(p.dst, []).append(p)
         self.monitored = sorted({p.src_net for p in self.pairs})
-        self.src_flop_of_net = {}
+        # crossing source net -> its flop, and that flop's root clock phase
+        # and period
+        self.src_flop: dict[int, tuple[Dff, int, int]] = {}
         for p in self.pairs:
             if p.src[0] == "cell" and isinstance(self.nl.cells[p.src[1]], Dff):
-                self.src_flop_of_net[p.src_net] = p.src[1]
+                f = self.nl.cells[p.src[1]]
+                spec = self.clocks[self.flop_root[f.index]]
+                self.src_flop[p.src_net] = (f, spec.phase, spec.period)
 
         # compiled kernels, shared with every engine on this netlist: each
-        # gated flop clock with its root substituted, and per crossing
-        # destination its enable and data with its sources substituted
+        # gated flop clock with its root substituted, and the enable and
+        # data of each crossing destination with its sources substituted,
+        # unless it has no enable and its data net is its only source
         self.comb = comb_kernel(self.nl)
-        gated = [f for f in self.flops if self.flop_gated[f.index]]
-        specs = [((f.clock,), (self.root_net[f.index],)) for f in gated]
         srcs_of = {dst: tuple(dict.fromkeys(p.src_net for p in plist))
-                   for dst, plist in self.pairs_by_dst.items()}
-        for dst, srcs in srcs_of.items():
-            f = self.nl.cells[dst]
-            specs.append(((f.data,) if f.enable is None else (f.enable, f.data),
-                          srcs))
-        cones = cone_kernels(self.nl, specs)
+                   for dst, plist in pairs_by_dst.items()}
+        captured = [self.nl.cells[dst] for dst, srcs in srcs_of.items()
+                    if self.nl.cells[dst].enable is not None
+                    or srcs != (self.nl.cells[dst].data,)]
+        cones = cone_kernels(
+            self.nl, [((f.clock,), (self.root_net[f.index],)) for f in gated]
+            + [((f.data,) if f.enable is None else (f.enable, f.data),
+                srcs_of[f.index]) for f in captured])
         self.clock_cone = {f.index: k for f, k in zip(gated, cones)}
-        # per crossing destination: its (dst, src_net) resolution keys and
-        # its capture cone
-        self.capture: dict[int, tuple[tuple[tuple[int, int], ...], object]] = {
-            dst: (tuple((dst, s) for s in srcs), k)
-            for (dst, srcs), k in zip(srcs_of.items(), cones[len(gated):])}
-        # flops whose root clock edges at each tick, in flop-index order
-        by_names: dict[tuple[str, ...], list[int]] = {}
-        self.flops_at: dict[int, list[int]] = {}
-        for t, names in self.edges_at.items():
-            key = tuple(names)
-            if key not in by_names:
-                by_names[key] = [f.index for f in self.flops
-                                 if self.flop_root[f.index] in names]
-            self.flops_at[t] = by_names[key]
+        capture = {f.index: k for f, k in zip(captured, cones[len(gated):])}
+        self.dsts: dict[int, _Dst] = {
+            dst: _Dst(dst, self.nl.cells[dst].out, self.nl.cells[dst].enable, srcs,
+                      capture.get(dst),
+                      tuple(sorted(pairs_by_dst[dst], key=lambda p: p.id)))
+            for dst, srcs in srcs_of.items()}
+
         self.resets = [(f.index, f.out, f.reset, 0 if f.reset_active_low else 1,
                         f.reset_value) for f in self.flops if f.reset is not None]
         self.reset_nets = tuple(dict.fromkeys((r[2], r[3]) for r in self.resets))
-        self.next_pins = {f.index: (f.out, f.data, f.enable) for f in self.flops}
         self.checkers = checkers
-        self.checkers_by_clock: dict[str, list[int]] = {}
-        for i, c in enumerate(checkers):
-            for clk in c.clocks:
-                self.checkers_by_clock.setdefault(clk, []).append(i)
-
         # per clock: its domain's resets as (net, active value), which
         # disable the checkers sampling on it
         self.clock_resets = {
             c.name: tuple((self.nl.net_index[r.net], int(not r.active_low))
                           for r in cs.clock_resets(c.name))
             for c in cs.clocks}
+
+        # one schedule per distinct set of clocks that edge together.  The
+        # checkers' `sample` methods are bound here, per engine, so one
+        # replaced on its class before the engine is made is the one called
+        sampling: dict[str, list[tuple[int, object]]] = {}
+        for ci, c in enumerate(checkers):
+            for clk in c.clocks:
+                sampling.setdefault(clk, []).append((ci, c.sample))
+        edge_sets = {m: self._edge_set([c.name for bit, c in enumerate(cs.clocks)
+                                        if m >> bit & 1], sampling)
+                     for m in sorted(set(edge_mask.values()))}
+        self.edge_set = {t: edge_sets[m] for t, m in edge_mask.items()}
         self.fingerprint = pairs_fingerprint(analysis.pairs)
+
+    def _edge_set(self, clocks: list[str],
+                  sampling: dict[str, list[tuple[int, object]]]) -> _EdgeSet:
+        """The schedule of a tick at which exactly `clocks` edge; `sampling`
+        holds the checkers sampling on each clock."""
+        flops = tuple((f.index, f.out, f.data, f.enable) for f in self.flops
+                      if self.flop_root[f.index] in clocks)
+        return _EdgeSet(
+            flops,
+            tuple(self.dsts[i] for i, *_ in flops if i in self.dsts),
+            tuple(i for i, *_ in flops if i in self.clock_cone),
+            tuple((clk, self.clock_resets[clk], tuple(sampling[clk]))
+                  for clk in clocks if clk in sampling))
 
     # -- state & evaluation helpers --
 
@@ -454,22 +497,6 @@ class Engine:
             self.comb(values)
         return held
 
-    def _captured(self, values: list[int], nextvals: dict[int, int]) -> list[int]:
-        """A copy of the settled `values` with the flops in `nextvals` set to
-        their new values and the gates re-evaluated.  The copy leaves a plan
-        free to be replayed with other decisions; comb runs only when some
-        flop output changed, since settled values are already consistent."""
-        out = list(values)
-        changed = False
-        for idx, v in nextvals.items():
-            net = self.next_pins[idx][0]
-            if out[net] != v:
-                out[net] = v
-                changed = True
-        if changed:
-            self.comb(out)
-        return out
-
     def _rises(self, flop: int, values: list[int]) -> bool:
         """Whether a gated flop clock rises with its root clock."""
         clock = self.clock_cone[flop]
@@ -487,82 +514,82 @@ class Engine:
             if vals0[net] != value:
                 driven = True
             vals0[net] = value
-        if self.random_driver and rng is not None:
-            for pname in self.random_driver.ports:
-                if rng.random() < self.random_driver.probability:
-                    vals0[self.port_net[pname]] ^= 1
+        if self.random_nets and rng is not None:
+            probability = self.random_driver.probability
+            for net in self.random_nets:
+                if rng.random() < probability:
+                    vals0[net] ^= 1
                     driven = True
         if driven:
             self.comb(vals0)
 
-        in_reset = self._settle_resets(vals0)
-        gated = self.clock_cone
-        edged = [i for i in self.flops_at.get(tick, ())
-                 if i not in in_reset and (i not in gated or self._rises(i, vals0))]
-        base: dict[int, int] = {}   # each edged flop's next value
-        for i in edged:
-            out, data, enable = self.next_pins[i]
-            base[i] = vals0[out] if enable is not None and not vals0[enable] & 1 \
-                else vals0[data]
+        edges = self.edge_set[tick]
+        # flops held in reset, and gated flops whose clock does not rise,
+        # do not capture
+        skip = self._settle_resets(vals0)
+        for i in edges.gated:
+            if i not in skip and not self._rises(i, vals0):
+                skip.add(i)
+        flops, dsts = edges.flops, edges.dsts
+        if skip:
+            flops = [f for f in flops if f[0] not in skip]
+            dsts = [d for d in dsts if d.index not in skip]
+        post = list(vals0)
+        for _i, out, data, enable in flops:
+            if enable is None or vals0[enable] & 1:
+                post[out] = vals0[data]
 
-        dsts = [i for i in edged if i in self.pairs_by_dst]
         opps: list[Opportunity] = []
-        if self.msi.enabled:
+        if self.msi.enabled and dsts:
+            old, hists = state.values, state.hist
+            recent = tick - self.setup_window
             lookahead: list[list[int]] = []     # made on first need
             for dst in dsts:
-                for p in self.pairs_by_dst[dst]:
-                    flipped_now = (self._post_value(p.src_net, base, vals0)
-                                   ^ state.values[p.src_net])
-                    hist = state.hist[p.src_net]
+                for p in dst.pairs:
+                    src = p.src_net
+                    flipped_now = post[src] ^ old[src]
+                    hist = hists[src]
                     hold = None
                     for bit in range(p.width):
                         m = 1 << bit
-                        if flipped_now & m or hist[bit] >= tick - self.setup_window:
-                            opps.append(Opportunity(p.id, dst, p.src_net, bit, "setup"))
+                        if flipped_now & m or hist[bit] >= recent:
+                            opps.append(Opportunity(p.id, dst.index, src, bit, "setup"))
                             continue
                         if hold is None:
-                            hold = self._hold_toggles(p, tick, base, vals0, lookahead)
+                            hold = self._hold_toggles(src, tick, post, lookahead)
                         if hold & m:
-                            opps.append(Opportunity(p.id, dst, p.src_net, bit, "hold"))
-        return _TickPlan(tick, vals0, dsts, base, opps, self.edges_at.get(tick, []))
+                            opps.append(Opportunity(p.id, dst.index, src, bit, "hold"))
+        return _TickPlan(tick, vals0, post, dsts, opps, edges)
 
-    def _post_value(self, src_net: int, base: dict[int, int],
-                    vals0: list[int]) -> int:
-        f = self.src_flop_of_net.get(src_net)
-        if f is not None and f in base:
-            return base[f]
-        return vals0[src_net]
-
-    def _hold_toggles(self, p: CdcPair, tick: int, base: dict[int, int],
-                      vals0: list[int], lookahead: list[list[int]]) -> int:
-        """Bits of the pair's source that a source-domain edge within
+    def _hold_toggles(self, src: int, tick: int, post: list[int],
+                      lookahead: list[list[int]]) -> int:
+        """Bits of crossing source net `src` that a source-domain edge within
         `hold_window` ticks after this one will flip.  `lookahead` holds the
-        values after the base captures commit once a pair of the tick has
-        needed them."""
-        src_flop = self.src_flop_of_net.get(p.src_net)
+        values after the flops of this tick capture once a pair of the tick
+        has needed them."""
+        src_flop = self.src_flop.get(src)
         if src_flop is not None:
-            f = self.nl.cells[src_flop]
-            spec = self.clocks[self.flop_root[src_flop]]
-            # next source-domain posedge strictly after this tick
-            k = (tick - spec.phase) // spec.period + 1
-            u = spec.edge_tick(max(k, 0))
-            if not tick < u <= tick + self.hold_window:
+            f, phase, period = src_flop
+            # ticks to the next source-domain posedge strictly after this
+            # one (ticks and phases are >= 0, and phase < period)
+            if ((phase - tick) % period or period) > self.hold_window:
                 return 0
             if not lookahead:
-                lookahead.append(self._captured(vals0, base))
-            post = lookahead[0]
+                lookahead.append(list(post))
+                self.comb(lookahead[0])
+            nxt = lookahead[0]
             if f.reset is not None:
-                v = post[f.reset] & 1
+                v = nxt[f.reset] & 1
                 if (v == 0) if f.reset_active_low else (v == 1):
                     return 0
-            if src_flop in self.clock_cone and not self._rises(src_flop, post):
+            if f.index in self.clock_cone and not self._rises(f.index, nxt):
                 return 0
-            if f.enable is not None and (post[f.enable] & 1) == 0:
+            if f.enable is not None and (nxt[f.enable] & 1) == 0:
                 return 0
-            return post[f.data] ^ self._post_value(p.src_net, base, vals0)
+            return nxt[f.data] ^ post[src]
         # port source: consult the stimulus schedule
-        cur = vals0[p.src_net]
-        for t, v in self.port_schedule.get(p.src_net, ()):
+        cur = post[src]
+        for t, v in self.port_schedule.get(src, ()):
             if tick < t <= tick + self.hold_window:
                 return v ^ cur
             if t > tick + self.hold_window:
@@ -572,66 +599,61 @@ class Engine:
     def commit_tick(self, state: _State, plan: _TickPlan,
                     decisions: Sequence[bool]) -> tuple[_State, list[MsiEvent]]:
         """The state after the tick, with one decision per opportunity, and
-        the injections taken.  `state` is left as it was; each of its parts
-        is copied only when the tick changes it."""
+        the injections taken.  `state` and `plan` are left as they were;
+        each part of the state is copied only when the tick changes it."""
         assert len(decisions) == len(plan.opps)
-        tick = plan.tick
-        vals0 = plan.vals0
-        nl = self.nl
+        tick, vals0, post = plan.tick, plan.vals0, plan.post
 
-        # resolve injections per (dst, src_net)
-        eff: dict[tuple[int, int], int] = {}
-        for p_dst in plan.dsts:
-            for p in self.pairs_by_dst[p_dst]:
-                eff[(p_dst, p.src_net)] = self._post_value(p.src_net, plan.base, vals0)
+        # the injected bits per (dst, src_net)
+        flips: dict[tuple[int, int], int] = {}
         events: list[MsiEvent] = []
         for opp, take in zip(plan.opps, decisions):
-            if not take:
+            if take:
+                key = (opp.dst, opp.src_net)
+                flips[key] = flipped = flips.get(key, 0) ^ 1 << opp.bit
+                events.append(MsiEvent(tick, opp.pair, opp.bit, opp.kind,
+                                       (post[opp.src_net] ^ flipped) >> opp.bit & 1))
+
+        final = list(post)
+        for index, out, enable, srcs, kernel, _pairs in plan.dsts:
+            if kernel is None:      # captures its one source as it is
+                value = post[srcs[0]]
+                final[out] = value ^ flips.get((index, srcs[0]), 0) if flips else value
                 continue
-            key = (opp.dst, opp.src_net)
-            new_eff = eff[key] ^ (1 << opp.bit)
-            eff[key] = new_eff
-            resolved = (new_eff >> opp.bit) & 1
-            events.append(MsiEvent(tick, opp.pair, opp.bit, opp.kind, resolved))
-
-        newvals: dict[int, int] = dict(plan.base)
-        for dst in plan.dsts:
-            keys, cone = self.capture[dst]
-            got = cone(vals0, *map(eff.__getitem__, keys))
-            out, _data, enable = self.next_pins[dst]
-            if enable is None:
-                newvals[dst] = got
+            if flips:
+                subs = [post[s] ^ flips.get((index, s), 0) for s in srcs]
             else:
-                newvals[dst] = got[1] if got[0] & 1 else vals0[out]
-
-        final = self._captured(vals0, newvals)
+                subs = [post[s] for s in srcs]
+            if enable is None:
+                final[out] = kernel(vals0, *subs)
+            else:
+                enabled, data = kernel(vals0, *subs)
+                final[out] = data if enabled & 1 else vals0[out]
+        if final != vals0:      # settled values need no re-evaluation
+            self.comb(final)
         self._settle_resets(final)
 
         old = state.values
         hist = state.hist
-        for n in self.monitored:
+        mon = self.monitored
+        for n in compress(mon, map(ne, map(final.__getitem__, mon),
+                                   map(old.__getitem__, mon))):
+            if hist is state.hist:
+                hist = dict(hist)
+            bits = hist[n] = list(hist[n])
             flipped = final[n] ^ old[n]
-            if flipped:
-                if hist is state.hist:
-                    hist = dict(hist)
-                bits = hist[n] = list(hist[n])
-                for bit in range(nl.nets[n].width):
-                    if flipped & (1 << bit):
-                        bits[bit] = tick
+            for bit in range(len(bits)):
+                if flipped >> bit & 1:
+                    bits[bit] = tick
 
         checkers, failures = state.checkers, state.failures
         get = final.__getitem__
-        for clk in plan.clock_edges:
-            sampling = self.checkers_by_clock.get(clk)
-            if not sampling:
-                continue
+        for clk, resets, sampling in plan.edges.checks:
             if checkers is state.checkers:
                 checkers = list(checkers)
-            in_reset = any((final[n] & 1) == active
-                           for n, active in self.clock_resets[clk])
-            for ci in sampling:
-                checkers[ci], message = self.checkers[ci].sample(
-                    checkers[ci], clk, tick, get, in_reset)
+            in_reset = any((final[n] & 1) == active for n, active in resets)
+            for ci, sample in sampling:
+                checkers[ci], message = sample(checkers[ci], clk, tick, get, in_reset)
                 if message is not None and failures[ci] is None:
                     if failures is state.failures:
                         failures = list(failures)
@@ -715,7 +737,11 @@ def explore_exhaustive(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
     history, checker states, failures), so its subtree is the same, and
     that subtree was walked on a lexicographically earlier path: each
     checker's first counterexample is still found there, and a path over
-    the budget raised there first."""
+    the budget raised there first.
+
+    The search runs on an explicit stack of branching ticks, one frame per
+    tick on the current path that has opportunities, so its depth is
+    bounded by the budget, not by the interpreter's recursion limit."""
     eng = Engine(analysis, stimulus, replace(msi, enabled=True), checkers,
                  scope="explore")
     branches = 0
@@ -741,9 +767,13 @@ def explore_exhaustive(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
                     result = eng.run(path)
                 cex[cid] = result
 
-    def dfs(state: _State, agenda_idx: int, path: tuple[bool, ...]):
+    def enter(state: _State, agenda_idx: int, path: tuple[bool, ...]):
+        """Walk from `state` up to its next tick with opportunities, and
+        return the frame that branches there: (state key, branches before
+        it, state, plan, agenda index, path, decision vectors).  None when
+        the state needs no walk or the walk reached the end of the run."""
         if len(cex) == len(ids) and ids:
-            return  # every checker already has a counterexample
+            return None     # every checker already has a counterexample
         # the state as the places where it differs from the first state
         # seen at this agenda index, with its values there: equal exactly
         # for equal states, and a few values in place of one per net
@@ -756,27 +786,33 @@ def explore_exhaustive(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
         below = leaves.get(key)
         if below is not None:
             count(below)
-            return
+            return None
         start = branches
-        walk(state, agenda_idx, path)
-        leaves[key] = branches - start
-
-    def walk(state: _State, agenda_idx: int, path: tuple[bool, ...]):
         for i in range(agenda_idx, len(eng.agenda)):
-            tick = eng.agenda[i]
-            plan = eng.plan_tick(state, tick)
+            plan = eng.plan_tick(state, eng.agenda[i])
             k = len(plan.opps)
             if state.decisions + k > budget:
                 raise DecisionBudgetExceeded(state.decisions + k, budget)
-            if k == 0:
-                state, _ = eng.commit_tick(state, plan, ())
-                continue
-            for vector in product((False, True), repeat=k):
-                branch, _ = eng.commit_tick(state, plan, vector)
-                dfs(branch, i + 1, path + vector)
-            return
+            if k:
+                return (key, start, state, plan, i, path,
+                        product((False, True), repeat=k))
+            state, _ = eng.commit_tick(state, plan, ())
         leaf(state, path)
+        leaves[key] = branches - start
+        return None
 
-    dfs(eng.initial_state(), 0, ())
+    frame = enter(eng.initial_state(), 0, ())
+    stack = [frame] if frame else []
+    while stack:
+        key, start, state, plan, i, path, vectors = stack[-1]
+        vector = next(vectors, None)
+        if vector is None:
+            stack.pop()
+            leaves[key] = branches - start
+            continue
+        branch, _ = eng.commit_tick(state, plan, vector)
+        frame = enter(branch, i + 1, path + vector)
+        if frame:
+            stack.append(frame)
     verdicts = {cid: ("counterexample" if cid in cex else "proven") for cid in ids}
     return ExploreOutcome(verdicts, cex, branches)

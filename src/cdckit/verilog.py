@@ -152,6 +152,7 @@ class ParsedModule:
     always_blocks: tuple[AlwaysBlock, ...]
     instances: tuple[Instance, ...]
     line: int = field(default=0, compare=False)
+    origin: str = field(default="<input>", compare=False)   # its source file
 
     def declared_widths(self) -> dict[str, int]:
         widths = {p.name: p.width for p in self.ports}
@@ -356,7 +357,8 @@ class _Parser:
 
         self.expect("endmodule")
         return ParsedModule(name, tuple(ports), tuple(decls), tuple(assigns),
-                            tuple(always_blocks), tuple(instances), self.line(start))
+                            tuple(always_blocks), tuple(instances), self.line(start),
+                            self.origin)
 
     def parse_port_decl(self) -> PortDecl:
         tok = self.peek()

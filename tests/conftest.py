@@ -18,13 +18,20 @@ def corpus_designs():
         yield d.name, (d / "rtl.v").read_text(), (d / "constraints.cdc").read_text()
 
 
-def generated_designs(blocks=(1, 6), seeds=(1,)):
-    """(name, rtl.v text, constraints.cdc text) of hier and flat designs from
-    perfbench/gen.py, imported by path (its dataclasses need it registered)."""
+def load_gen():
+    """perfbench/gen.py, imported by path (its dataclasses need it
+    registered)."""
     spec = importlib.util.spec_from_file_location("perfbench_gen",
                                                   REPO / "perfbench" / "gen.py")
     gen = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(gen)
+    return gen
+
+
+def generated_designs(blocks=(1, 6), seeds=(1,)):
+    """(name, rtl.v text, constraints.cdc text) of hier and flat designs from
+    perfbench/gen.py."""
+    gen = load_gen()
     for shape in ("hier", "flat"):
         for n in blocks:
             for seed in seeds:

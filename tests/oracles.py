@@ -11,8 +11,10 @@ exhaustive backward search, net domains from each net's own cone,
 crossing pairs from brute-force path walks, and synchronizers from the
 first-written matchers, which scan every cell and chain.  Gate values come
 from a string-dispatch interpreter, the reference for the simulator's
-compiled kernels, and exhaustive exploration is redone by replaying every
-decision path from the start.  Also here: the MSI-off reference run, a
+compiled kernels; ticks from `ReferenceEngine`, which recomputes each
+tick's edging flops, captures and sampling checkers, the reference for the
+engine's per-edge-set schedules; and exhaustive exploration is redone by
+replaying every decision path from the start.  Also here: the MSI-off reference run, a
 printer back to subset source text, and the generated assertions
 interpreted over a run's waves (`sva_interp`).
 """
@@ -31,7 +33,8 @@ from cdckit.errors import (MultipleDrivers, ParseError, SimDivergence,
                            UnsupportedConstruct)
 from cdckit.netlist import (GATE_OPS, BlackBox, Cell, Const, Dff, Gate, Net,
                             Netlist, NetlistBuilder, Port, Ref, _name_rank)
-from cdckit.sim import Engine, MsiConfig, SimResult, simulate
+from cdckit.sim import (Engine, MsiConfig, MsiEvent, Opportunity, SimResult,
+                        _State, cone_kernels, simulate)
 from cdckit.syncrec import (SyncInstance, _chains, _fifo_roles, _gray_shape,
                              _net_driver_gate)
 from cdckit.verilog import (KEYWORDS, UNSUPPORTED_KEYWORDS, Binary, Concat,
@@ -903,6 +906,242 @@ def gray_neighbor_sets(src_wave: list[tuple[int, int]]):
         return {prev, vals[cur], nxt}
 
     return neighbors
+
+
+@dataclass
+class _ReferencePlan:
+    tick: int
+    vals0: list[int]                    # pre-edge state incl. port updates
+    dsts: list[int]                     # crossing destinations capturing
+    base: dict[int, int]                # capturing flop -> base next value
+    opps: list[Opportunity]
+    clock_edges: list[str]
+
+
+class ReferenceEngine(Engine):
+    """The per-tick engine that `Engine` replaced, kept as its oracle.
+
+    Each tick looks up the clocks that edge and the flops on them, filters
+    those flops for reset and gating one by one, keeps their next values in
+    a dict keyed by flop, captures every crossing destination through its
+    cone kernel (identity captures included), evaluates the hold lookahead
+    and the commit as changes applied to a copy of the pre-edge values, and
+    finds the checkers to sample per edging clock.  The agenda and the edges
+    per clock are counted tick by tick.  Resets, gated clocks, the initial
+    state and the recorded run are `Engine`'s own."""
+
+    def __init__(self, analysis, stimulus, msi, checkers, scope: str = "sim"):
+        super().__init__(analysis, stimulus, msi, checkers, scope)
+        cs = analysis.constraints
+        agenda: set[int] = set()
+        self.edges_at: dict[int, list[str]] = {}
+        for c in self.clocks.values():
+            t = c.phase
+            while t <= self.end_tick:
+                agenda.add(t)
+                self.edges_at.setdefault(t, []).append(c.name)
+                t += c.period
+        self.agenda = sorted(agenda)
+        self.edges_per_clock = {name: 0 for name in self.clocks}
+        for t in self.agenda:
+            self.edges_at[t] = [c.name for c in cs.clocks if c.name in self.edges_at[t]]
+            for name in self.edges_at[t]:
+                self.edges_per_clock[name] += 1
+
+        self.pairs_by_dst: dict[int, list[CdcPair]] = {}
+        for p in self.pairs:
+            self.pairs_by_dst.setdefault(p.dst, []).append(p)
+        for plist in self.pairs_by_dst.values():
+            plist.sort(key=lambda p: p.id)
+        self.src_flop_of_net = {}
+        for p in self.pairs:
+            if p.src[0] == "cell" and isinstance(self.nl.cells[p.src[1]], Dff):
+                self.src_flop_of_net[p.src_net] = p.src[1]
+        srcs_of = {dst: tuple(dict.fromkeys(p.src_net for p in plist))
+                   for dst, plist in self.pairs_by_dst.items()}
+        specs = []
+        for dst, srcs in srcs_of.items():
+            f = self.nl.cells[dst]
+            specs.append(((f.data,) if f.enable is None else (f.enable, f.data), srcs))
+        # per crossing destination: its (dst, src_net) resolution keys and
+        # its capture cone
+        self.capture = {dst: (tuple((dst, s) for s in srcs), k)
+                        for (dst, srcs), k in zip(srcs_of.items(),
+                                                  cone_kernels(self.nl, specs))}
+        self.flops_at: dict[int, list[int]] = {
+            t: [f.index for f in self.flops if self.flop_root[f.index] in names]
+            for t, names in self.edges_at.items()}
+        self.next_pins = {f.index: (f.out, f.data, f.enable) for f in self.flops}
+        self.checkers_by_clock: dict[str, list[int]] = {}
+        for i, c in enumerate(checkers):
+            for clk in c.clocks:
+                self.checkers_by_clock.setdefault(clk, []).append(i)
+
+    def _captured(self, values: list[int], nextvals: dict[int, int]) -> list[int]:
+        """A copy of the settled `values` with the flops in `nextvals` set to
+        their new values and the gates re-evaluated when some output
+        changed."""
+        out = list(values)
+        changed = False
+        for idx, v in nextvals.items():
+            net = self.next_pins[idx][0]
+            if out[net] != v:
+                out[net] = v
+                changed = True
+        if changed:
+            self.comb(out)
+        return out
+
+    def plan_tick(self, state: _State, tick: int, rng=None) -> _ReferencePlan:
+        vals0 = list(state.values)
+        driven = False
+        for net, value in self.sets_at.get(tick, ()):
+            if vals0[net] != value:
+                driven = True
+            vals0[net] = value
+        if self.random_driver and rng is not None:
+            for pname in self.random_driver.ports:
+                if rng.random() < self.random_driver.probability:
+                    vals0[self.port_net[pname]] ^= 1
+                    driven = True
+        if driven:
+            self.comb(vals0)
+
+        in_reset = self._settle_resets(vals0)
+        gated = self.clock_cone
+        edged = [i for i in self.flops_at.get(tick, ())
+                 if i not in in_reset and (i not in gated or self._rises(i, vals0))]
+        base: dict[int, int] = {}   # each edged flop's next value
+        for i in edged:
+            out, data, enable = self.next_pins[i]
+            base[i] = vals0[out] if enable is not None and not vals0[enable] & 1 \
+                else vals0[data]
+
+        dsts = [i for i in edged if i in self.pairs_by_dst]
+        opps: list[Opportunity] = []
+        if self.msi.enabled:
+            lookahead: list[list[int]] = []     # made on first need
+            for dst in dsts:
+                for p in self.pairs_by_dst[dst]:
+                    flipped_now = (self._post_value(p.src_net, base, vals0)
+                                   ^ state.values[p.src_net])
+                    hist = state.hist[p.src_net]
+                    hold = None
+                    for bit in range(p.width):
+                        m = 1 << bit
+                        if flipped_now & m or hist[bit] >= tick - self.setup_window:
+                            opps.append(Opportunity(p.id, dst, p.src_net, bit, "setup"))
+                            continue
+                        if hold is None:
+                            hold = self._ref_hold_toggles(p, tick, base, vals0, lookahead)
+                        if hold & m:
+                            opps.append(Opportunity(p.id, dst, p.src_net, bit, "hold"))
+        return _ReferencePlan(tick, vals0, dsts, base, opps, self.edges_at.get(tick, []))
+
+    def _post_value(self, src_net: int, base: dict[int, int],
+                    vals0: list[int]) -> int:
+        f = self.src_flop_of_net.get(src_net)
+        if f is not None and f in base:
+            return base[f]
+        return vals0[src_net]
+
+    def _ref_hold_toggles(self, p: CdcPair, tick: int, base: dict[int, int],
+                          vals0: list[int], lookahead: list[list[int]]) -> int:
+        src_flop = self.src_flop_of_net.get(p.src_net)
+        if src_flop is not None:
+            f = self.nl.cells[src_flop]
+            spec = self.clocks[self.flop_root[src_flop]]
+            # next source-domain posedge strictly after this tick
+            k = (tick - spec.phase) // spec.period + 1
+            u = spec.edge_tick(max(k, 0))
+            if not tick < u <= tick + self.hold_window:
+                return 0
+            if not lookahead:
+                lookahead.append(self._captured(vals0, base))
+            post = lookahead[0]
+            if f.reset is not None:
+                v = post[f.reset] & 1
+                if (v == 0) if f.reset_active_low else (v == 1):
+                    return 0
+            if src_flop in self.clock_cone and not self._rises(src_flop, post):
+                return 0
+            if f.enable is not None and (post[f.enable] & 1) == 0:
+                return 0
+            return post[f.data] ^ self._post_value(p.src_net, base, vals0)
+        # port source: consult the stimulus schedule
+        cur = vals0[p.src_net]
+        for t, v in self.port_schedule.get(p.src_net, ()):
+            if tick < t <= tick + self.hold_window:
+                return v ^ cur
+            if t > tick + self.hold_window:
+                break
+        return 0
+
+    def commit_tick(self, state: _State, plan: _ReferencePlan, decisions):
+        assert len(decisions) == len(plan.opps)
+        tick = plan.tick
+        vals0 = plan.vals0
+        nl = self.nl
+
+        # resolve injections per (dst, src_net)
+        eff: dict[tuple[int, int], int] = {}
+        for p_dst in plan.dsts:
+            for p in self.pairs_by_dst[p_dst]:
+                eff[(p_dst, p.src_net)] = self._post_value(p.src_net, plan.base, vals0)
+        events: list[MsiEvent] = []
+        for opp, take in zip(plan.opps, decisions):
+            if not take:
+                continue
+            key = (opp.dst, opp.src_net)
+            new_eff = eff[key] ^ (1 << opp.bit)
+            eff[key] = new_eff
+            resolved = (new_eff >> opp.bit) & 1
+            events.append(MsiEvent(tick, opp.pair, opp.bit, opp.kind, resolved))
+
+        newvals: dict[int, int] = dict(plan.base)
+        for dst in plan.dsts:
+            keys, cone = self.capture[dst]
+            got = cone(vals0, *map(eff.__getitem__, keys))
+            out, _data, enable = self.next_pins[dst]
+            if enable is None:
+                newvals[dst] = got
+            else:
+                newvals[dst] = got[1] if got[0] & 1 else vals0[out]
+
+        final = self._captured(vals0, newvals)
+        self._settle_resets(final)
+
+        old = state.values
+        hist = state.hist
+        for n in self.monitored:
+            flipped = final[n] ^ old[n]
+            if flipped:
+                if hist is state.hist:
+                    hist = dict(hist)
+                bits = hist[n] = list(hist[n])
+                for bit in range(nl.nets[n].width):
+                    if flipped & (1 << bit):
+                        bits[bit] = tick
+
+        checkers, failures = state.checkers, state.failures
+        get = final.__getitem__
+        for clk in plan.clock_edges:
+            sampling = self.checkers_by_clock.get(clk)
+            if not sampling:
+                continue
+            if checkers is state.checkers:
+                checkers = list(checkers)
+            in_reset = any((final[n] & 1) == active
+                           for n, active in self.clock_resets[clk])
+            for ci in sampling:
+                checkers[ci], message = self.checkers[ci].sample(
+                    checkers[ci], clk, tick, get, in_reset)
+                if message is not None and failures[ci] is None:
+                    if failures is state.failures:
+                        failures = list(failures)
+                    failures[ci] = (tick, message)
+        return (_State(final, hist, checkers, failures,
+                       state.decisions + len(plan.opps)), events)
 
 
 def replay_explore(analysis, stimulus, checkers):

@@ -148,6 +148,18 @@ def test_explore_budget_exceeded_exits_four(corpus_root, tmp_path):
     assert rc == 4
 
 
+def test_explore_budget_past_the_recursion_limit_exits_four(corpus_root, tmp_path,
+                                                            capsys):
+    # the first path of gray_cross takes 501 decisions, one branching tick
+    # each, before the budget stops it: deeper than a recursive search goes
+    files, stim = _case_args(corpus_root, "gray_cross")
+    rc = main(["explore", *files, "-s", stim, "--budget", "500",
+               "--out", str(tmp_path)])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "error: exploration needs 501 decisions, budget is 500\n")
+
+
 def test_explore_branch_cap_exits_four_and_names_the_cap(corpus_root, tmp_path,
                                                         capsys, monkeypatch):
     monkeypatch.setattr("cdckit.sim._BRANCH_CAP", 4)
@@ -433,6 +445,19 @@ def test_constraint_errors_are_positioned_in_their_own_file(corpus_root, tmp_pat
     assert rc == 1
     assert capsys.readouterr().err == (
         f"error: {cons}:1:0: -period needs an integer, got 'x10'\n")
+
+
+def test_declaration_errors_are_positioned_in_their_source_file(tmp_path, capsys):
+    rtl = tmp_path / "rtl.v"
+    rtl.write_text("module m(input clk, input a, output reg q);\n  reg r;\n"
+                   "  always @(posedge clk) begin\n    r <= a;\n    q <= z;\n"
+                   "  end\nendmodule\n")
+    cons = tmp_path / "c.cdc"
+    cons.write_text("clock clk -period 10 -domain A\n")
+    rc = main(["analyze", str(rtl), "-c", str(cons), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    # statements record their line only, so the column is 0
+    assert capsys.readouterr().err == f"error: {rtl}:5:0: undeclared identifier 'z'\n"
 
 
 def test_static_repeated_across_options_and_constraints_exits_one(

@@ -1,0 +1,175 @@
+"""The engine equals `ReferenceEngine` (oracles.py), the per-tick engine it
+replaced, in lockstep: at every tick both plan the same opportunities, and
+with the same decisions, random or all taken, both inject the same events
+and reach the same state."""
+
+import random
+
+import pytest
+
+from cdckit.checkers import build_checkers
+from cdckit.pipeline import analyze_sources
+from cdckit.sim import Engine, MsiConfig
+from cdckit.stimulus import parse_stimulus
+from conftest import load_gen
+from oracles import ReferenceEngine
+from test_sim import AB, RESET_THROUGH_LOGIC
+
+
+def lockstep(analysis, stimulus, seed: int, all_taken: bool = False,
+             select=None) -> dict[str, int]:
+    """Run both engines tick by tick from the same seed and compare them
+    after every tick.  The random stimulus ports draw from one generator
+    per engine, seeded alike, and the decisions from a third.  Returns
+    counts of what the run exercised."""
+    def engine(cls):
+        checkers = build_checkers(analysis, latency=[("*", 1, 3)], select=select)
+        return cls(analysis, stimulus, MsiConfig(seed=seed), checkers)
+
+    eng, ref = engine(Engine), engine(ReferenceEngine)
+    assert eng.agenda == ref.agenda
+    assert eng.edges_per_clock == ref.edges_per_clock
+    ports, ref_ports = random.Random(seed), random.Random(seed)
+    decide = random.Random(seed + 1000)
+    state, ref_state = eng.initial_state(), ref.initial_state()
+    assert state == ref_state
+    seen = {"opportunities": 0, "hold": 0, "events": 0, "skipped": 0}
+    for tick in eng.agenda:
+        plan = eng.plan_tick(state, tick, ports)
+        ref_plan = ref.plan_tick(ref_state, tick, ref_ports)
+        assert plan.opps == ref_plan.opps, tick
+        assert [d.index for d in plan.dsts] == ref_plan.dsts, tick
+        k = len(plan.opps)
+        decisions = [True] * k if all_taken else [decide.random() < 0.5 for _ in range(k)]
+        state, events = eng.commit_tick(state, plan, decisions)
+        ref_state, ref_events = ref.commit_tick(ref_state, ref_plan, decisions)
+        assert events == ref_events, tick
+        assert state == ref_state, tick
+        seen["opportunities"] += k
+        seen["hold"] += sum(o.kind == "hold" for o in plan.opps)
+        seen["events"] += len(events)
+        seen["skipped"] += len(ref.flops_at[tick]) - len(ref_plan.base)
+    return seen
+
+
+def _corpus_with_stimulus(corpus_root):
+    return sorted(p.name for p in corpus_root.iterdir()
+                  if p.is_dir() and (p / "stimulus.stim").exists())
+
+
+def test_lockstep_on_every_corpus_case(corpus_root, case_loader):
+    cases = _corpus_with_stimulus(corpus_root)
+    assert len(cases) > 20
+    total = {"opportunities": 0, "hold": 0, "events": 0, "skipped": 0}
+    for case in cases:
+        analysis, stim_text = case_loader(case)
+        stim = parse_stimulus(stim_text)
+        for seed in (1, 2, 3):
+            for key, n in lockstep(analysis, stim, seed).items():
+                total[key] += n
+        lockstep(analysis, stim, 1, all_taken=True)
+    assert all(total.values()), total
+
+
+def test_corpus_lockstep_covers_a_gated_flop_whose_clock_does_not_rise(case_loader):
+    """codegen_full, one of the corpus cases run in lockstep above, has a
+    gated flop whose root clock edges while its gate holds the clock low."""
+    analysis, stim_text = case_loader("codegen_full")
+    eng = Engine(analysis, parse_stimulus(stim_text), MsiConfig(), [])
+    assert len(eng.clock_cone) == 1
+    gated = next(iter(eng.clock_cone))
+    state, still = eng.initial_state(), 0
+    for tick in eng.agenda:
+        plan = eng.plan_tick(state, tick)
+        if gated in plan.edges.gated and not eng._rises(gated, plan.vals0):
+            still += 1
+        state, _ = eng.commit_tick(state, plan, [False] * len(plan.opps))
+    assert still
+
+
+@pytest.mark.parametrize("purpose", ["sim", "explore"])
+def test_lockstep_on_generated_designs(purpose):
+    gen = load_gen()
+    if purpose == "sim":
+        d = gen.build("sim", 1, 8, block=gen.SIM_BLOCK, purpose="sim", run_edges=30)
+        select = list(gen.SIM_CHECKERS)
+    else:
+        d = gen.build("explore", 1, 8, purpose="explore", run_edges=4, gray_sources=2)
+        select = list(gen.EXPLORE_CHECKERS)
+    analysis = analyze_sources([("rtl.v", d.files["rtl.v"])], d.files["constraints.cdc"])
+    stim = parse_stimulus(d.files["stimulus.stim"])
+    seen = lockstep(analysis, stim, 1, select=select)
+    assert seen["events"], seen
+    lockstep(analysis, stim, 2, all_taken=True, select=select)
+
+
+# q1 and q3 capture only while a bit of the crossing source enables them;
+# q1's data reads the source too.  The destination clock's period is prime
+# to the source's, so captures meet source flips both before (setup) and
+# after (hold) the edge.
+ENABLED_DST = """
+module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, output q);
+  reg [1:0] src;
+  reg [1:0] q1;
+  reg q3;
+  always @(posedge clk_a or negedge rst_a_n)
+    if (!rst_a_n) src <= 2'b00; else src <= {src[0], ~src[1]};
+  always @(posedge clk_b or negedge rst_b_n)
+    if (!rst_b_n) begin q1 <= 2'b00; q3 <= 1'b0; end
+    else begin
+      if (src[0]) q1 <= src ^ q1;
+      if (src[1]) q3 <= ~q3;
+    end
+  assign q = q1[1] ^ q3;
+endmodule
+"""
+# The reset port of domain A is the crossing source: stimulus moves it one
+# tick after some destination edges, inside the hold window.
+PORT_SOURCE = """
+module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, output q);
+  reg q1, q2;
+  always @(posedge clk_b or negedge rst_b_n)
+    if (!rst_b_n) begin q1 <= 1'b0; q2 <= 1'b0; end
+    else begin q1 <= rst_a_n; q2 <= q1; end
+  assign q = q2;
+endmodule
+"""
+A_B7 = """clock clk_a -period 10 -domain A
+clock clk_b -period 7 -domain B
+reset rst_a_n -active_low -domain A
+reset rst_b_n -active_low -domain B
+"""
+
+
+def test_lockstep_on_an_enabled_destination_reading_its_source():
+    analysis = analyze_sources([("t.v", ENABLED_DST)], A_B7)
+    assert {(p.dst_name, p.pin) for p in analysis.pairs} == {
+        ("q1", "data"), ("q1", "enable"), ("q3", "enable")}
+    stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
+                          "run 40 of clk_a\n")
+    for seed in (1, 2, 3):
+        seen = lockstep(analysis, stim, seed)
+        assert seen["hold"] and seen["events"], seen
+    lockstep(analysis, stim, 1, all_taken=True)
+
+
+def test_lockstep_on_a_port_source_inside_a_hold_window():
+    analysis = analyze_sources([("t.v", PORT_SOURCE)], A_B7)
+    assert [(p.src_name, p.dst_name) for p in analysis.pairs] == [("rst_a_n", "q1")]
+    # clk_b edges at 49, one tick before rst_a_n falls at clk_a edge 5
+    stim = parse_stimulus("at clk_a 0 set rst_b_n 1\nat clk_a 2 set rst_a_n 1\n"
+                          "at clk_a 5 set rst_a_n 0\nat clk_a 9 set rst_a_n 1\n"
+                          "run 12 of clk_a\n")
+    for seed in (1, 2):
+        assert lockstep(analysis, stim, seed)["hold"]
+    lockstep(analysis, stim, 1, all_taken=True)
+
+
+def test_lockstep_on_a_reset_asserted_through_logic():
+    analysis = analyze_sources([("t.v", RESET_THROUGH_LOGIC)], AB)
+    stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
+                          "at clk_a 6 set rst_b_n 0\nat clk_a 6 set d 1\n"
+                          "run 10 of clk_a\n")
+    for seed in (1, 2):
+        assert lockstep(analysis, stim, seed)["skipped"]
+    lockstep(analysis, stim, 1, all_taken=True)

@@ -374,8 +374,11 @@ def test_engine_compiles_its_cone_kernels_in_one_call(monkeypatch):
     analysis, stim_text = load_case("codegen_full")     # a fresh netlist
     stim = parse_stimulus(stim_text)
     eng = Engine(analysis, stim, MsiConfig(), [])
-    # one gated flop clock and seven crossing destinations
-    assert (len(eng.clock_cone), len(eng.capture)) == (1, 7)
-    assert batches == [8]
+    # one gated flop clock and seven crossing destinations, of which six
+    # capture their only source as it is and need no kernel
+    assert len(eng.clock_cone) == 1
+    assert [d.kernel is not None for d in eng.dsts.values()].count(True) == 1
+    assert len(eng.dsts) == 7
+    assert batches == [2]
     Engine(analysis, stim, MsiConfig(), [])
-    assert batches == [8]       # a second engine reuses the netlist's kernels
+    assert batches == [2]       # a second engine reuses the netlist's kernels
