@@ -13,9 +13,11 @@ designs hold a few, `simulate --seeds 1..2` on the benchmark's generated
 (seed 1), the same command lines the benchmark runs,
 `analyze`, `simulate` and `generate` on three inline sources at the edges
 of the netlist builder (a floating net, a one-operand concatenation, a
-600-level module chain), and `analyze` on sources the front end rejects,
+600-level module chain), `analyze` on sources the front end rejects,
 so the positions of its diagnostics are covered too, after multi-line
-comments, CRLF line ends, tabs and a last line without a newline.  Paths are
+comments, CRLF line ends, tabs and a last line without a newline, and
+`generate` on `gray_cross` with its crossing source renamed to
+SystemVerilog keywords that subset Verilog allows as names.  Paths are
 passed relative to the checkout (or to the generated design's directory),
 so two checkouts give the same lines exactly when their outputs are
 byte-identical:
@@ -31,6 +33,7 @@ import hashlib
 import importlib.util
 import io
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -100,6 +103,8 @@ REJECTED = (
     ("no-newline-duplicate", "module m(input a);\nendmodule\nmodule m(input b);\nendmodule"),
 )
 REJECTED_CONSTRAINTS = "clock clk -period 10 -domain A\n"
+# Names for gray_cross's source flop `g`: keywords of SystemVerilog only.
+KEYWORD_NAMES = ("assert", "bins", "covergroup", "iff", "property")
 
 
 def digest(main, d: str, argv: list[str]) -> str:
@@ -185,6 +190,16 @@ def main() -> int:
             Path("rtl.v").write_text(text)
             Path("constraints.cdc").write_text(REJECTED_CONSTRAINTS)
             print(f"reject-{label} analyze {digest(cli_main, '.', ['analyze'])}",
+                  flush=True)
+            os.chdir(root)
+
+    gray = root / "corpus" / "gray_cross"
+    for name in KEYWORD_NAMES:
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            Path("rtl.v").write_text(re.sub(r"\bg\b", name, (gray / "rtl.v").read_text()))
+            Path("constraints.cdc").write_text((gray / "constraints.cdc").read_text())
+            print(f"keyword-{name} generate {digest(cli_main, '.', ['generate'])}",
                   flush=True)
             os.chdir(root)
     return 0

@@ -10,6 +10,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -332,6 +333,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # A command builds up to millions of long-lived containers and no
+    # reference cycles that grow with the design, so the cyclic collector
+    # would only re-walk that heap; it is paused for the command and the
+    # caller's setting is restored however the command ends.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = make_parser().parse_args(argv)
         return args.fn(args)
@@ -341,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CdcError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ mux_sync_check, async_fifo_check, clock_gate_check and
 signal_config_check; the coverage model comes from the crossing pairs.
 Checkers of user synchronizers (`sync_cells`) and latency checkers get no
 generated mirror.  Output is deterministic: fixed iteration order, no
-timestamps, a version-only header.
+timestamps, a version-only header.  A net or module name that is a
+SystemVerilog keyword is written as an escaped identifier.
 
 Generated assertions stay inside a small fixed template vocabulary —
 property/endproperty, assert property, $stable/$rose/$past, disable iff,
@@ -23,6 +24,8 @@ same resets the simulator ORs into that checker's reset input.
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass
 
 from . import __version__
@@ -45,8 +48,53 @@ class GeneratedFile:
     sources: tuple[str, ...]
 
 
+# The reserved keywords of SystemVerilog, IEEE 1800-2017 Annex B.  The subset
+# Verilog that cdckit reads allows most of them as names.
+SV_KEYWORDS = frozenset("""
+    accept_on alias always always_comb always_ff always_latch and assert
+    assign assume automatic before begin bind bins binsof bit break buf
+    bufif0 bufif1 byte case casex casez cell chandle checker class
+    clocking cmos config const constraint context continue cover
+    covergroup coverpoint cross deassign default defparam design disable
+    dist do edge else end endcase endchecker endclass endclocking
+    endconfig endfunction endgenerate endgroup endinterface endmodule
+    endpackage endprimitive endprogram endproperty endsequence endspecify
+    endtable endtask enum event eventually expect export extends extern
+    final first_match for force foreach forever fork forkjoin function
+    generate genvar global highz0 highz1 if iff ifnone ignore_bins
+    illegal_bins implements implies import incdir include initial inout
+    input inside instance int integer interconnect interface intersect
+    join join_any join_none large let liblist library local localparam
+    logic longint macromodule matches medium modport module nand negedge
+    nettype new nexttime nmos nor noshowcancelled not notif0 notif1 null
+    or output package packed parameter pmos posedge primitive priority
+    program property protected pull0 pull1 pulldown pullup
+    pulsestyle_ondetect pulsestyle_onevent pure rand randc randcase
+    randsequence rcmos real realtime ref reg reject_on release repeat
+    restrict return rnmos rpmos rtran rtranif0 rtranif1 s_always
+    s_eventually s_nexttime s_until s_until_with scalared sequence
+    shortint shortreal showcancelled signed small soft solve specify
+    specparam static string strong strong0 strong1 struct super supply0
+    supply1 sync_accept_on sync_reject_on table tagged task this
+    throughout time timeprecision timeunit tran tranif0 tranif1 tri tri0
+    tri1 triand trior trireg type typedef union unique unique0 unsigned
+    until until_with untyped use uwire var vectored virtual void wait
+    wait_order wand weak weak0 weak1 while wildcard wire with within wor
+    xnor xor
+""".split())
+
+
 def _sanitize(name: str) -> str:
     return name.replace(".", "__")
+
+
+def _sv_name(name: str) -> str:
+    """A (hierarchical) name as SystemVerilog text: each component that is
+    a reserved keyword becomes an escaped identifier (`\\bins `)."""
+    parts = name.split(".")
+    if SV_KEYWORDS.isdisjoint(parts):
+        return name
+    return ".".join(f"\\{p} " if p in SV_KEYWORDS else p for p in parts)
 
 
 def _width_decl(width: int) -> str:
@@ -237,9 +285,11 @@ def generate_checks(analysis: Analysis) -> list[GeneratedFile]:
     files = [GeneratedFile(f"gen/checks/{m.generator}/{m.name}.sv", m.render(),
                            m.generator, tuple(m.sources)) for m in ordered]
     bind_lines = [HEADER, "// class: bind", ""]
+    top = _sv_name(nl.name)
     for mod in ordered:
-        conns = ", ".join(f".{port}({bound})" for port, _w, bound in mod.port_list())
-        bind_lines.append(f"bind {nl.name} {mod.name} u_{mod.name} ({conns});")
+        conns = ", ".join(f".{port}({_sv_name(bound)})"
+                          for port, _w, bound in mod.port_list())
+        bind_lines.append(f"bind {top} {mod.name} u_{mod.name} ({conns});")
     files.append(GeneratedFile("gen/bind_all.sv", "\n".join(bind_lines) + "\n",
                                "bind", tuple(m.name for m in ordered)))
     files.sort(key=lambda f: f.path)
@@ -299,6 +349,10 @@ def generate_all(analysis: Analysis) -> list[GeneratedFile]:
 
 
 # --- structural lint over generated text -----------------------------------
+#
+# Comments run from `//` to the end of the line and escaped identifiers from
+# `\` to the next whitespace; neither holds a keyword.  An escaped name in a
+# bind connection is read back as the net name it stands for.
 
 _BALANCED = (("module", "endmodule"), ("property", "endproperty"),
              ("covergroup", "endgroup"), ("begin", "end"))
@@ -308,57 +362,93 @@ _SVA_KEYWORDS = {
     "assert", "disable", "iff", "posedge", "negedge", "covergroup", "endgroup",
     "coverpoint", "bins", "bind", "begin", "end",
 }
-_SVA_FUNCS = {"$past", "$stable", "$rose"}
-_PORT_DECL = r"input\s+wire\s*(?:\[[^\]]*\])?\s*(\w+)"
+
+# Every word outside comments and escaped identifiers; `assert property` is
+# one item, because that `property` uses a property and opens none.
+_WORDS = re.compile(r"//[^\n]*|\\\S+|assert property\b|\w+", re.A)
+
+# Every identifier of a module file, as (escaped, port, module, declared, use):
+# a declaring keyword reports the name after it, and that name is scanned
+# again as a use.
+_MODULE_SCAN = re.compile(r"""
+    //[^\n]*
+  | \\(\S+)
+  | (?<![\w$.'])(?:
+        input(?=\s+wire\b\s*(?:\[[^\]\\/]*\]\s*)?([A-Za-z_]\w*))
+      | module(?=\s+([A-Za-z_]\w*))
+      | (?:property|covergroup|bins)(?=\s+([A-Za-z_]\w*))
+      | ([A-Za-z_]\w*)
+    )""", re.A | re.X)
+
+# Bind connections and bound modules, as (connected net, module); an escaped
+# identifier inside a connection ends at whitespace.
+_BIND_SCAN = re.compile(r"""
+    //[^\n]*
+  | \\\S+
+  | \.\w+\(((?:\\\S+(?=\s)|[^)\\/\n])*)\)
+  | ^bind[ \t]+(?:\w+|\\\S+)[ \t]+(\w+)""", re.A | re.M | re.X)
+
+_ESCAPED = re.compile(r"\\(\S+)\s?")
 
 
 def lint_generated(files: list[GeneratedFile], netlist: Netlist) -> list[str]:
     """Balanced structure, unique port names and identifier resolution;
-    empty list means clean."""
-    import re
+    empty list means clean.  Each file is scanned twice: once for its words,
+    once for its identifiers (or, in the bind file, its connections)."""
     problems: list[str] = []
-    module_names = set()
+    module_names: set[str] = set()
+    own = []
     for f in files:
-        for opener, closer in _BALANCED:
-            if opener == "property":
-                # `assert property (...)` is a use, not an opener
-                n_open = len(re.findall(r"(?<!assert )\bproperty\b", f.text))
-            else:
-                n_open = len(re.findall(rf"\b{opener}\b", f.text))
-            n_close = len(re.findall(rf"\b{closer}\b", f.text))
-            if n_open != n_close:
-                problems.append(f"{f.path}: unbalanced {opener}/{closer}")
-        for m in re.finditer(r"^module\s+(\w+)", f.text, re.M):
-            module_names.add(m.group(1))
-    alias_ok = set(netlist.net_index)
-    for f in files:
-        if f.generator == "bind":
-            for m in re.finditer(r"\.\w+\(([^)]*)\)", f.text):
-                net = m.group(1).strip()
-                if net and net not in alias_ok:
-                    problems.append(f"{f.path}: unknown signal {net!r}")
-            for m in re.finditer(r"^bind\s+\w+\s+(\w+)", f.text, re.M):
-                if m.group(1) not in module_names:
-                    problems.append(f"{f.path}: bind of unknown module {m.group(1)!r}")
-            continue
-        # each file holds one module, whose ports must be declared once
-        ports = re.findall(_PORT_DECL, f.text)
-        local = set(ports)
-        if len(local) < len(ports):
-            for port in sorted(local):
-                if ports.count(port) > 1:
-                    problems.append(f"{f.path}: port {port!r} declared twice")
-        # identifiers inside a module must be locally declared ports
-        local |= {m.group(1) for m in re.finditer(r"property\s+(\w+)", f.text)}
-        local |= {m.group(1) for m in re.finditer(r"covergroup\s+(\w+)", f.text)}
-        local |= {m.group(1) for m in re.finditer(r"bins\s+(\w+)", f.text)}
-        local |= {m.group(1) for m in re.finditer(r"^module\s+(\w+)", f.text, re.M)}
-        for tok in re.findall(r"(?<![\w$.'])([A-Za-z_][A-Za-z0-9_]*)", _strip_comments(f.text)):
-            if tok in _SVA_KEYWORDS or tok in local:
-                continue
-            problems.append(f"{f.path}: unresolved identifier {tok!r}")
+        words = Counter(_WORDS.findall(f.text))
+        problems += [f"{f.path}: unbalanced {opener}/{closer}"
+                     for opener, closer in _BALANCED if words[opener] != words[closer]]
+        own.append(None if f.generator == "bind" else _lint_module(f, module_names))
+    # a bind file is checked once every module name is known
+    for f, found in zip(files, own):
+        problems += _lint_bind(f, netlist, module_names) if found is None else found
     return problems
 
 
-def _strip_comments(text: str) -> str:
-    return "\n".join(line.split("//", 1)[0] for line in text.splitlines())
+def _lint_bind(f: GeneratedFile, netlist: Netlist, module_names: set[str]) -> list[str]:
+    """Connections to unknown nets, then binds of unknown modules."""
+    scan = _BIND_SCAN.findall(f.text)
+    problems = []
+    for net, _mod in scan:
+        net = _ESCAPED.sub(r"\1", net.strip())
+        if net and net not in netlist.net_index:
+            problems.append(f"{f.path}: unknown signal {net!r}")
+    problems += [f"{f.path}: bind of unknown module {mod!r}"
+                 for _net, mod in scan if mod and mod not in module_names]
+    return problems
+
+
+def _lint_module(f: GeneratedFile, module_names: set[str]) -> list[str]:
+    """A module file's own problems: ports declared twice, then every use
+    of an identifier that is neither a keyword nor declared in the file.
+    The modules it declares are added to `module_names`."""
+    scan = _MODULE_SCAN.findall(f.text)
+    ports: Counter[str] = Counter()
+    local: set[str] = set()
+    escaped: set[str] = set()
+    used: set[str] = set()
+    for (esc, port, module, declared, use), n in Counter(scan).items():
+        if use:
+            used.add(use)
+        elif port:
+            ports[port] += n
+        elif declared:
+            local.add(declared)
+        elif module:
+            module_names.add(module)
+            local.add(module)
+        elif esc:
+            escaped.add(esc)
+    local.update(ports)
+    problems = [f"{f.path}: port {port!r} declared twice"
+                for port in sorted(ports) if ports[port] > 1]
+    bad = (used - local - _SVA_KEYWORDS) | {"\\" + e for e in escaped - local}
+    if bad:
+        problems += [f"{f.path}: unresolved identifier {name!r}"
+                     for esc, _p, _m, _d, use in scan
+                     if (name := "\\" + esc if esc else use) in bad]
+    return problems

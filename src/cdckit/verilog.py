@@ -671,38 +671,41 @@ def expr_idents(expr: Expr) -> set[str]:
 def check_module(mod: ParsedModule, origin: str = "<input>") -> None:
     """Enforce declaration discipline: used names declared, nonblocking
     targets reg, assign targets not reg."""
+    # No nested functions here: a closure that calls itself is a reference
+    # cycle per module, which only the cyclic collector frees.
     widths = mod.declared_widths()
     regs = {p.name for p in mod.ports if p.is_reg} | {d.name for d in mod.decls if d.is_reg}
 
-    def need(name: str, line: int):
-        if name not in widths:
-            raise ParseError(f"undeclared identifier {name!r}", line, 0, origin)
-
     for a in mod.assigns:
-        need(a.target, a.line)
+        _need(widths, a.target, a.line, origin)
         if a.target in regs:
             raise ParseError(f"assign target {a.target!r} is a reg", a.line, 0, origin)
         for name in expr_idents(a.expr):
-            need(name, a.line)
+            _need(widths, name, a.line, origin)
 
-    def walk(stmts: tuple[Stmt, ...], line: int):
-        for s in stmts:
+    for blk in mod.always_blocks:
+        _need(widths, blk.clock, blk.line, origin)
+        if blk.reset is not None:
+            _need(widths, blk.reset, blk.line, origin)
+        # statements in source order, on an explicit stack
+        stack: list[Stmt] = list(reversed(blk.body))
+        while stack:
+            s = stack.pop()
             if isinstance(s, NbAssign):
-                need(s.target, s.line)
+                _need(widths, s.target, s.line, origin)
                 if s.target not in regs:
                     raise ParseError(f"nonblocking target {s.target!r} is not a reg",
                                      s.line, 0, origin)
                 for name in expr_idents(s.expr):
-                    need(name, s.line)
+                    _need(widths, name, s.line, origin)
             else:
                 for name in expr_idents(s.cond):
-                    need(name, s.line)
-                walk(s.then, s.line)
+                    _need(widths, name, s.line, origin)
                 if s.other is not None:
-                    walk(s.other, s.line)
+                    stack.extend(reversed(s.other))
+                stack.extend(reversed(s.then))
 
-    for blk in mod.always_blocks:
-        need(blk.clock, blk.line)
-        if blk.reset is not None:
-            need(blk.reset, blk.line)
-        walk(blk.body, blk.line)
+
+def _need(widths: dict, name: str, line: int, origin: str) -> None:
+    if name not in widths:
+        raise ParseError(f"undeclared identifier {name!r}", line, 0, origin)

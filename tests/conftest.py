@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -37,6 +38,15 @@ def generated_designs(blocks=(1, 6), seeds=(1,)):
             for seed in seeds:
                 d = gen.build(f"{shape}{n}", seed, n, shape=shape)
                 yield f"{shape}{n}-s{seed}", d.files["rtl.v"], d.files["constraints.cdc"]
+
+
+# SystemVerilog keywords that the subset Verilog allows as names
+SV_ONLY_KEYWORDS = ("assert", "bins", "covergroup", "iff", "property")
+
+
+def keyword_gray_cross(name: str) -> str:
+    """gray_cross's rtl.v with its crossing source flop `g` renamed `name`."""
+    return re.sub(r"\bg\b", name, (CORPUS / "gray_cross" / "rtl.v").read_text())
 
 
 @pytest.fixture(scope="session")

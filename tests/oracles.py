@@ -1194,6 +1194,94 @@ def mirror_verdicts(analysis, stimulus, msi):
     return runtime, generated
 
 
+# --- generated-SVA lint, one regex pass per check -----------------------------
+
+_LINT_BALANCED = (("module", "endmodule"), ("property", "endproperty"),
+                  ("covergroup", "endgroup"), ("begin", "end"))
+_LINT_KEYWORDS = {
+    "module", "endmodule", "input", "output", "wire", "property", "endproperty",
+    "assert", "disable", "iff", "posedge", "negedge", "covergroup", "endgroup",
+    "coverpoint", "bins", "bind", "begin", "end",
+}
+_LINT_NAME = r"([A-Za-z_]\w*)"
+_LINT_TOKEN = r"(?<![\w$.'])"
+
+
+def _lint_mask(text: str) -> tuple[str, list[str]]:
+    """`text` with each comment cut to its `//` and each escaped identifier
+    replaced by a backslash and its index in the returned list, so that no
+    later pattern can match inside either."""
+    escapes: list[str] = []
+
+    def mask(m):
+        if m[0].startswith("//"):
+            return "//"
+        escapes.append(m[0])
+        return f"\\{len(escapes) - 1}"
+
+    return re.sub(r"//[^\n]*|\\\S+", mask, text), escapes
+
+
+def reference_lint_generated(files, netlist: Netlist) -> list[str]:
+    """The regex lint that `codegen.lint_generated` replaced: balanced
+    structure, unique port names and identifier resolution, one `findall`
+    per check over a masked copy of each file."""
+    problems: list[str] = []
+    module_names: set[str] = set()
+    masked = []
+    for f in files:
+        text, escapes = _lint_mask(f.text)
+        masked.append((f, text, escapes))
+        for opener, closer in _LINT_BALANCED:
+            if opener == "property":
+                # `assert property (...)` is a use, not an opener
+                n_open = len(re.findall(r"(?<!\bassert )\bproperty\b", text, re.A))
+            else:
+                n_open = len(re.findall(rf"\b{opener}\b", text, re.A))
+            n_close = len(re.findall(rf"\b{closer}\b", text, re.A))
+            if n_open != n_close:
+                problems.append(f"{f.path}: unbalanced {opener}/{closer}")
+        if f.generator != "bind":
+            module_names.update(re.findall(
+                rf"{_LINT_TOKEN}module(?=\s+{_LINT_NAME})", text, re.A))
+
+    def unmask(s: str, escapes: list[str]) -> str:
+        return re.sub(r"\\(\d+)", lambda m: escapes[int(m[1])], s)
+
+    for f, text, escapes in masked:
+        if f.generator == "bind":
+            for m in re.finditer(r"\.\w+\(((?:\\\S+(?=\s)|[^)\\/\n])*)\)", text, re.A):
+                net = unmask(m[1], escapes).strip()
+                net = re.sub(r"\\(\S+)\s?", r"\1", net)
+                if net and net not in netlist.net_index:
+                    problems.append(f"{f.path}: unknown signal {net!r}")
+            for m in re.finditer(r"^bind[ \t]+(?:\w+|\\\S+)[ \t]+(\w+)", text,
+                                 re.A | re.M):
+                if m[1] not in module_names:
+                    problems.append(f"{f.path}: bind of unknown module {m[1]!r}")
+            continue
+        # each file holds one module, whose ports must be declared once
+        ports = re.findall(rf"{_LINT_TOKEN}input(?=\s+wire\b\s*(?:\[[^\]\\/]*\]\s*)?"
+                           rf"{_LINT_NAME})", text, re.A)
+        local = set(ports)
+        if len(local) < len(ports):
+            for port in sorted(local):
+                if ports.count(port) > 1:
+                    problems.append(f"{f.path}: port {port!r} declared twice")
+        # identifiers inside a module must be declared in it; an escaped
+        # identifier is never a keyword
+        for kw in ("property", "covergroup", "bins", "module"):
+            local.update(re.findall(rf"{_LINT_TOKEN}{kw}(?=\s+{_LINT_NAME})", text, re.A))
+        for m in re.finditer(rf"{_LINT_TOKEN}{_LINT_NAME}|\\(\d+)", text, re.A):
+            if m[2] is not None:
+                name = escapes[int(m[2])]
+                if name[1:] not in local:
+                    problems.append(f"{f.path}: unresolved identifier {name!r}")
+            elif m[1] not in _LINT_KEYWORDS and m[1] not in local:
+                problems.append(f"{f.path}: unresolved identifier {m[1]!r}")
+    return problems
+
+
 def _expr_to_str(expr: Expr, parent_prec: int = 0) -> str:
     # precedence: ternary 1, | 2, ^ 3, & 4, unary 5
     match expr:

@@ -226,10 +226,12 @@ def parse_checker_module(text: str) -> CheckerModule:
 def parse_bindings(bind_text: str) -> dict[str, dict[str, str]]:
     """module name -> {port: netlist signal} from the companion bind file."""
     out: dict[str, dict[str, str]] = {}
-    for m in re.finditer(r"^bind\s+\w+\s+(\w+)\s+\w+\s*\((.*)\);", bind_text, re.M):
+    for m in re.finditer(r"^bind\s+(?:\w+|\\\S+)\s+(\w+)\s+\w+\s*\((.*)\);", bind_text,
+                         re.M):
         conns = {}
         for c in re.finditer(r"\.(\w+)\(([^)]*)\)", m.group(2)):
-            conns[c.group(1)] = c.group(2).strip()
+            # an escaped identifier (`\bins `) names the net `bins`
+            conns[c.group(1)] = re.sub(r"\\(\S+)\s?", r"\1", c.group(2).strip())
         out[m.group(1)] = conns
     return out
 

@@ -1,11 +1,14 @@
+import gc
 import json
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import cdckit.cli
 from cdckit.cli import main
 from cdckit.sim import Engine
+from conftest import SV_ONLY_KEYWORDS, keyword_gray_cross, load_gen
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -660,3 +663,130 @@ def test_deep_hierarchy_runs_every_command(tmp_path, capsys):
     assert main(["simulate", *files, "-s", str(stim), "--out", str(tmp_path / "s")]) == 0
     assert main(["generate", *files, "--out", str(tmp_path / "g")]) == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+# --- the cyclic collector is paused for one command ---------------------------
+
+def _exit_code_argv(corpus_root, tmp_path, code: int) -> list[str]:
+    """A command line that exits with `code`."""
+    out = ["--out", str(tmp_path / "out")]
+    if code == 5:
+        db, pairs = tmp_path / "db.json", tmp_path / "pairs.json"
+        db.write_text('{"fingerprint": "f", "pairs": ["x"]}')
+        pairs.write_text('{"fingerprint": "f", "pairs": []}')
+        return ["report", "--db", str(db), "--pairs", str(pairs)]
+    if code == 1:
+        return ["analyze", "--no-such-option"]      # a usage error
+    case, argv = {
+        0: ("missing_sync_clean", ["analyze", "--strict"]),
+        2: ("missing_sync", ["analyze", "--strict"]),
+        3: ("wide_pulse", ["simulate", "--no-msi", "--checkers", "pulse_width"]),
+        4: ("cov_toggle", ["explore", "--budget", "8"]),
+    }[code]
+    files, stim = _case_args(corpus_root, case)
+    stim_args = ["-s", stim] if argv[0] != "analyze" else []
+    return [argv[0], *files, *stim_args, *argv[1:], *out]
+
+
+def _watch_gc(monkeypatch) -> list[bool]:
+    """`gc.isenabled()` as each later command saw it while running."""
+    seen = []
+    make_parser = cdckit.cli.make_parser
+
+    def watched():
+        seen.append(gc.isenabled())
+        return make_parser()
+
+    monkeypatch.setattr(cdckit.cli, "make_parser", watched)
+    return seen
+
+
+@pytest.fixture
+def gc_enabled():
+    """Runs the test with the cyclic collector on, and leaves it as found."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    if not was:
+        gc.disable()
+
+
+@pytest.mark.parametrize("code", range(6))
+def test_gc_is_paused_for_the_command_and_restored_on_exit(
+        corpus_root, tmp_path, monkeypatch, capsys, gc_enabled, code):
+    seen = _watch_gc(monkeypatch)
+    assert main(_exit_code_argv(corpus_root, tmp_path, code)) == code
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"]], ids=["version", "help"])
+def test_gc_is_restored_after_system_exit(monkeypatch, capsys, gc_enabled, argv):
+    seen = _watch_gc(monkeypatch)
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_gc_is_restored_after_an_unexpected_exception(corpus_root, tmp_path, monkeypatch,
+                                                      gc_enabled):
+    def broken(analysis):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(cdckit.cli, "pairs_report", broken)
+    with pytest.raises(RuntimeError):
+        main(_exit_code_argv(corpus_root, tmp_path, 0))
+    assert gc.isenabled()
+
+
+def test_gc_stays_off_for_a_caller_that_turned_it_off(corpus_root, tmp_path, capsys):
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        assert main(_exit_code_argv(corpus_root, tmp_path, 0)) == 0
+        assert not gc.isenabled()
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_cyclic_garbage_does_not_grow_with_the_design(tmp_path, capsys):
+    # what `gc.collect()` finds after a command, with the collector paused
+    # as `main` pauses it, is the same for a 1-block and a 12-block design
+    gen = load_gen()
+    found = {}
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for blocks in (1, 1, 12):   # the first run takes any one-time garbage
+            d = gen.build(f"flat{blocks}", 1, blocks, shape="flat")
+            work = tmp_path / f"flat{blocks}"
+            work.mkdir(exist_ok=True)
+            for name, text in d.files.items():
+                (work / name).write_text(text)
+            for command in ("analyze", "generate"):
+                gc.collect()
+                assert main([command, str(work / "rtl.v"), "-c",
+                             str(work / "constraints.cdc"),
+                             "--out", str(work / command)]) == 0
+                found[command, blocks] = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    assert found["analyze", 12] == found["analyze", 1]
+    assert found["generate", 12] == found["generate", 1]
+
+
+# --- SystemVerilog keywords as net names ----------------------------------------
+
+@pytest.mark.parametrize("name", SV_ONLY_KEYWORDS)
+def test_generate_escapes_keyword_named_nets(corpus_root, tmp_path, capsys, name):
+    rtl = tmp_path / "rtl.v"
+    rtl.write_text(keyword_gray_cross(name))
+    cons = str(corpus_root / "gray_cross" / "constraints.cdc")
+    assert main(["analyze", str(rtl), "-c", cons, "--out", str(tmp_path / "a")]) == 0
+    assert main(["generate", str(rtl), "-c", cons, "--out", str(tmp_path / "g")]) == 0
+    assert capsys.readouterr().err == ""
+    bind = (tmp_path / "g" / "gen" / "bind_all.sv").read_text()
+    assert f".src_cdc0(\\{name} ));\n" in bind

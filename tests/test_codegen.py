@@ -1,18 +1,21 @@
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
 from cdckit.checkers import build_checkers
-from cdckit.codegen import generate_all, generate_checks, lint_generated
+from cdckit.codegen import (GeneratedFile, generate_all, generate_checks,
+                            lint_generated)
 from cdckit.corpus import load_corpus
 from cdckit.coverage import report
 from cdckit.pipeline import analyze_sources, pairs_report
 from cdckit.sim import MsiConfig, simulate
 from cdckit.stimulus import parse_stimulus
-from conftest import CORPUS
-from oracles import mirror_verdicts
+from conftest import (CORPUS, SV_ONLY_KEYWORDS, generated_designs,
+                      keyword_gray_cross)
+from oracles import mirror_verdicts, reference_lint_generated
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -225,3 +228,140 @@ def test_coverage_report_golden(case_loader):
     rep = report(res.coverage, pairs_report(analysis)["pairs"])
     golden = json.loads((GOLDEN / "cov_toggle_report.json").read_text())
     assert rep == golden
+
+
+# --- SystemVerilog keywords as names, and the lint against its oracle -------
+
+# A crossing source inside an instance named `property`, under a top module
+# named `logic`: both are SystemVerilog keywords and legal subset Verilog.
+KEYWORD_HIERARCHY = """
+module src_reg(input clk, input rst_n, input d, output q);
+  reg r;
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) r <= 1'b0; else r <= d;
+  end
+  assign q = r;
+endmodule
+module logic(input clk_a, input clk_b, input rst_a_n, input rst_b_n, input d, output q);
+  wire s;
+  src_reg property(.clk(clk_a), .rst_n(rst_a_n), .d(d), .q(s));
+  reg q1, q2;
+  always @(posedge clk_b or negedge rst_b_n) begin
+    if (!rst_b_n) begin q1 <= 1'b0; q2 <= 1'b0; end
+    else begin q1 <= s; q2 <= q1; end
+  end
+  assign q = q2;
+endmodule
+"""
+
+
+def _keyword_analysis(name: str):
+    return analyze_sources([("rtl.v", keyword_gray_cross(name))],
+                           _corpus_text("gray_cross", "constraints.cdc"))
+
+
+@pytest.mark.parametrize("name", SV_ONLY_KEYWORDS)
+def test_keyword_named_source_is_an_escaped_identifier(case_loader, name):
+    _, stim_text = case_loader("gray_cross")
+    analysis = _keyword_analysis(name)
+    files = generate_all(analysis)
+    bind = next(f.text for f in files if f.generator == "bind")
+    assert f".src_cdc0(\\{name} ));" in bind
+    assert lint_generated(files, analysis.netlist) == []
+    # the escaped name binds the renamed flop: the mirror still agrees
+    assert _mirror(analysis, stim_text) == []
+
+
+def test_keyword_named_hierarchy_components_are_escaped():
+    analysis = analyze_sources([("rtl.v", KEYWORD_HIERARCHY)],
+                               _corpus_text("gray_cross", "constraints.cdc"))
+    files = generate_all(analysis)
+    bind = files[0]
+    assert bind.text.splitlines()[-1] == (
+        "bind \\logic  sync0_ndff_check u_sync0_ndff_check (.clk_dst(clk_b), "
+        ".rst_dst_n(rst_b_n), .src_cdc0(\\property .r));")
+    assert lint_generated(files, analysis.netlist) == []
+    files[0] = GeneratedFile(bind.path, bind.text.replace("\\property .r", "\\property .x"),
+                             bind.generator, bind.sources)
+    assert lint_generated(files, analysis.netlist) == [
+        "gen/bind_all.sv: unknown signal 'property.x'"]
+
+
+def _lint_designs():
+    """(name, analysis): every corpus case, hier and flat generated designs
+    of 1 to 24 blocks, and the keyword-named designs."""
+    for case in load_corpus(CORPUS):
+        yield case.name, case.analysis()
+    for name, rtl, cons in generated_designs(blocks=(1, 2, 3, 6, 12, 24)):
+        yield name, analyze_sources([("rtl.v", rtl)], cons)
+    for name in SV_ONLY_KEYWORDS:
+        yield f"gray_cross-{name}", _keyword_analysis(name)
+    yield "keyword-hierarchy", analyze_sources(
+        [("rtl.v", KEYWORD_HIERARCHY)], _corpus_text("gray_cross", "constraints.cdc"))
+
+
+def test_lint_equals_reference_lint_on_generated_output():
+    for name, analysis in _lint_designs():
+        files = generate_all(analysis)
+        assert lint_generated(files, analysis.netlist) == \
+            reference_lint_generated(files, analysis.netlist) == [], name
+
+
+# Text a single edit inserts: keywords, declarations, comments, escapes and
+# the punctuation the lint's patterns turn on.
+LINT_INSERTS = (
+    "module", "endmodule", "property", "endproperty", "assert property",
+    "assert  property", "covergroup", "endgroup", "begin", "end", "bins",
+    "input wire", "input wire [2:0]", "bind top ", "// property p", "//",
+    "// module m\n", "\\", "\\bins ", "\\property ", "\\p_stable_cdc0 ", "\\a) ",
+    "\\module", ".a(b)", "\nbind top m u_m (.a(b));\n", "(", ")", ".", "$", "'",
+    "[", "]", "/", "\n", " ", "x", "_", "2'h0",
+)
+
+
+def _edit(rng: random.Random, text: str) -> str:
+    """`text` with one deletion, duplication or insertion at a random place."""
+    at = rng.randrange(len(text) + 1)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return text[:at] + text[at + rng.randint(1, 12):]
+    if kind == 1:
+        start = rng.randrange(len(text))
+        return text[:at] + text[start:start + rng.randint(1, 40)] + text[at:]
+    return text[:at] + rng.choice(LINT_INSERTS) + text[at:]
+
+
+def test_lint_equals_reference_lint_on_edited_text(case_loader):
+    analyses = [case_loader(name)[0]
+                for name in ("codegen_full", "async_fifo", "static_config")]
+    analyses += [analyze_sources([("rtl.v", rtl)], cons)
+                 for _name, rtl, cons in generated_designs(blocks=(1,))]
+    analyses += [_keyword_analysis("property"), analyze_sources(
+        [("rtl.v", KEYWORD_HIERARCHY)], _corpus_text("gray_cross", "constraints.cdc"))]
+    designs = [(a.netlist.name, a, generate_all(a)) for a in analyses]
+    rng = random.Random(2024)
+    flagged = 0
+    for _ in range(720):
+        name, analysis, files = rng.choice(designs)
+        files = list(files)
+        i = rng.randrange(len(files))
+        f = files[i]
+        files[i] = GeneratedFile(f.path, _edit(rng, f.text), f.generator, f.sources)
+        expected = reference_lint_generated(files, analysis.netlist)
+        assert lint_generated(files, analysis.netlist) == expected, (name, files[i].text)
+        flagged += bool(expected)
+    # most edits break something the lint sees, so both paths are exercised
+    assert 240 < flagged < 720
+    # an escaped identifier that runs over the `)` or `]` a pattern stops at
+    for old, new in (("\\property .r)", "\\property.x)"),
+                     ("input wire [2:0] src_cdc0", "input wire [\\2:0] src_cdc0")):
+        edited = 0
+        for name, analysis, files in designs:
+            for i, f in enumerate(files):
+                if old in f.text:
+                    files = files[:i] + [GeneratedFile(f.path, f.text.replace(old, new),
+                                                       f.generator, f.sources)] + files[i + 1:]
+                    expected = reference_lint_generated(files, analysis.netlist)
+                    assert lint_generated(files, analysis.netlist) == expected
+                    edited += 1
+        assert edited, old
