@@ -13,9 +13,13 @@ designs hold a few, `simulate --seeds 1..2` on the benchmark's generated
 (seed 1), the same command lines the benchmark runs,
 `analyze`, `simulate` and `generate` on three inline sources at the edges
 of the netlist builder (a floating net, a one-operand concatenation, a
-600-level module chain), `analyze` on sources the front end rejects,
+600-level module chain) and on one that uses names before it declares them
+(`use-before-decl`), `analyze` on sources the front end rejects,
 so the positions of its diagnostics are covered too, after multi-line
-comments, CRLF line ends, tabs and a last line without a newline, and
+comments, CRLF line ends, tabs and a last line without a newline, and on
+undeclared names (`undeclared-order`: three in one expression, of which
+the first must be named; `undeclared-conn`: one in an instance
+connection), and
 `generate` on `gray_cross` with its crossing source renamed to
 SystemVerilog keywords that subset Verilog allows as names.  Paths are
 passed relative to the checkout (or to the generated design's directory),
@@ -82,10 +86,14 @@ INLINE = (
                 "  always @(posedge clk_b) begin q1 <= s; q2 <= q1; end\n"
                 "  assign q = q2;\nendmodule\n"),
     ("chain600", _chain(600)),
+    ("use-before-decl", "module top(input clk, input clk_b, input d, output q);\n"
+                        "  assign q = q2;\n  always @(posedge clk) s <= d;\n"
+                        "  always @(posedge clk_b) begin q1 <= s; q2 <= q1; end\n"
+                        "  reg s, q1, q2;\nendmodule\n"),
 )
 # Rejected sources: one per kind of tokenizer diagnostic, then parser and
 # declaration errors that come after a multi-line comment, CRLF line ends,
-# tabs, and a last line without a newline.
+# tabs, and a last line without a newline, then undeclared names.
 REJECTED = (
     ("keyword", "module m(input a);\n  // lead\n  initial begin end\nendmodule\n"),
     ("delay", "module m(input a, output w);\n  assign w = #2 a;\nendmodule\n"),
@@ -101,6 +109,10 @@ REJECTED = (
     ("tabs", "module m(input a, output w);\n\twire\tx;\n\tassign\tw = a\t@ x;\nendmodule\n"),
     ("no-newline-eof", "module m(input a);\n  wire w;"),
     ("no-newline-duplicate", "module m(input a);\nendmodule\nmodule m(input b);\nendmodule"),
+    ("undeclared-order", "module m(input clk, input a, output w);\n"
+                         "  assign w = xa & yb & zc;\nendmodule\n"),
+    ("undeclared-conn", "module m(input clk, input a, output w);\n"
+                        "  bb u(.a(a & nope), .y(w));\nendmodule\n"),
 )
 REJECTED_CONSTRAINTS = "clock clk -period 10 -domain A\n"
 # Names for gray_cross's source flop `g`: keywords of SystemVerilog only.

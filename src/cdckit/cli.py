@@ -182,7 +182,7 @@ def cmd_explore(args) -> int:
     checkers = build_checkers(analysis, latency=parse_latency(args.latency),
                               select=_select(args.checkers))
     try:
-        outcome = explore_exhaustive(analysis, stim, MsiConfig(), checkers,
+        outcome = explore_exhaustive(analysis, stim, checkers,
                                      budget=args.budget)
     except (DecisionBudgetExceeded, BranchCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -163,7 +163,7 @@ def check_case(case: CorpusCase) -> list[MatrixRow]:
                                   latency=parse_latency(lab.get("latency")),
                                   select=lab.get("checkers"))
         try:
-            outcome = explore_exhaustive(analysis, stim, MsiConfig(), checkers,
+            outcome = explore_exhaustive(analysis, stim, checkers,
                                          budget=lab.get("budget", 16))
         except (DecisionBudgetExceeded, BranchCapExceeded) as e:
             row("explore", False, str(e))

@@ -24,7 +24,7 @@ from .errors import (ElabError, PortWidthMismatch, RecursiveInstantiation,
 from .netlist import Netlist, NetlistBuilder
 from .verilog import (AlwaysBlock, Binary, Concat, Expr, Ident, IfStmt,
                       Instance, Literal, NbAssign, ParsedModule, Slice, Stmt,
-                      Ternary, Unary, check_module)
+                      Ternary, Unary)
 
 
 @dataclass
@@ -70,7 +70,6 @@ class _Elaborator:
         for m in modules:
             if m.name in self.by_name:
                 raise ElabError(f"module {m.name!r} defined more than once")
-            check_module(m, m.origin)
             self.by_name[m.name] = m
         if top not in self.by_name:
             raise UnresolvedModule(f"top module {top!r} not found")

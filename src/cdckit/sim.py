@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, compress, product
 from operator import ne
 from typing import NamedTuple
@@ -604,13 +604,14 @@ class Engine:
         assert len(decisions) == len(plan.opps)
         tick, vals0, post = plan.tick, plan.vals0, plan.post
 
-        # the injected bits per (dst, src_net)
+        # the injected bits per (dst, src_net); a bit that two pairs on one
+        # source net both take is injected once
         flips: dict[tuple[int, int], int] = {}
         events: list[MsiEvent] = []
         for opp, take in zip(plan.opps, decisions):
             if take:
                 key = (opp.dst, opp.src_net)
-                flips[key] = flipped = flips.get(key, 0) ^ 1 << opp.bit
+                flips[key] = flipped = flips.get(key, 0) | 1 << opp.bit
                 events.append(MsiEvent(tick, opp.pair, opp.bit, opp.kind,
                                        (post[opp.src_net] ^ flipped) >> opp.bit & 1))
 
@@ -722,7 +723,7 @@ def simulate(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
     return eng.run(waves=waves)
 
 
-def explore_exhaustive(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
+def explore_exhaustive(analysis: Analysis, stimulus: Stimulus,
                        checkers: list[Checker], budget: int) -> ExploreOutcome:
     """Enumerate every resolution of every opportunity, depth first with the
     reference resolution explored first.  A path of more than `budget`
@@ -742,8 +743,7 @@ def explore_exhaustive(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
     The search runs on an explicit stack of branching ticks, one frame per
     tick on the current path that has opportunities, so its depth is
     bounded by the budget, not by the interpreter's recursion limit."""
-    eng = Engine(analysis, stimulus, replace(msi, enabled=True), checkers,
-                 scope="explore")
+    eng = Engine(analysis, stimulus, MsiConfig(), checkers, scope="explore")
     branches = 0
     cex: dict[str, SimResult] = {}
     ids = [c.id for c in checkers]

@@ -11,8 +11,10 @@ Everything outside the subset raises a positioned diagnostic instead of
 being skipped, so a file is either fully understood or rejected.  That
 includes expressions nested deeper than `MAX_EXPR_DEPTH` and statements
 nested deeper than `MAX_STMT_DEPTH`, which would otherwise exhaust the
-recursion of this parser and of the walks over its trees.  The grammar is
-documented in docs/subset.md.
+recursion of this parser and of the walks over its trees.  The parser also
+decides a module's names: at `endmodule` it rejects the first name, in
+source order, that the module does not declare, or that is the wrong kind of
+target for its assignment.  The grammar is documented in docs/subset.md.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ Expr = Ident | Literal | Unary | Binary | Ternary | Concat | Slice
 class NbAssign:
     target: str
     expr: Expr
-    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,6 @@ class AlwaysBlock:
 class AssignItem:
     target: str
     expr: Expr
-    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,6 @@ class Instance:
     module: str
     name: str
     conns: tuple[tuple[str, Expr | None], ...]
-    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,6 @@ class ParsedModule:
     always_blocks: tuple[AlwaysBlock, ...]
     instances: tuple[Instance, ...]
     line: int = field(default=0, compare=False)
-    origin: str = field(default="<input>", compare=False)   # its source file
 
     def declared_widths(self) -> dict[str, int]:
         widths = {p.name: p.width for p in self.ports}
@@ -250,6 +248,10 @@ class _Parser:
         self.origin = origin
         self.depth = 0          # expression nesting at the current token
         self.stmt_depth = 0     # `if` nesting at the current token
+        # every name the current module reads or drives, in source order,
+        # as a token whose kind is its role: "id" for a read, a clock or a
+        # reset, "assign" or "nb" for the target of that assignment
+        self.names: list[Token] = []
 
     def line(self, tok: Token) -> int:
         return bisect_right(self.starts, tok[2])
@@ -332,6 +334,7 @@ class _Parser:
         always_blocks: list[AlwaysBlock] = []
         instances: list[Instance] = []
         declared = {p.name for p in ports}
+        self.names = []
 
         while self.peek()[1] != "endmodule":
             tok = self.peek()
@@ -355,10 +358,26 @@ class _Parser:
             else:
                 self.error(f"unexpected {text!r} in module body", tok)
 
+        self.check_names(declared, {p.name for p in ports if p.is_reg}
+                         | {d.name for d in decls if d.is_reg})
         self.expect("endmodule")
         return ParsedModule(name, tuple(ports), tuple(decls), tuple(assigns),
-                            tuple(always_blocks), tuple(instances), self.line(start),
-                            self.origin)
+                            tuple(always_blocks), tuple(instances), self.line(start))
+
+    def check_names(self, declared: set[str], regs: set[str]) -> None:
+        """Reject the module's first name that is undeclared, or that is
+        an `assign` target declared `reg` or a nonblocking target that is
+        not; a name may be used before its declaration."""
+        for role, name, offset in self.names:
+            if name not in declared:
+                message = f"undeclared identifier {name!r}"
+            elif role == "assign" and name in regs:
+                message = f"assign target {name!r} is a reg"
+            elif role == "nb" and name not in regs:
+                message = f"nonblocking target {name!r} is not a reg"
+            else:
+                continue
+            raise ParseError(message, *position(self.starts, offset), self.origin)
 
     def parse_port_decl(self) -> PortDecl:
         tok = self.peek()
@@ -409,13 +428,14 @@ class _Parser:
 
     def parse_assign(self) -> AssignItem:
         start = self.expect("assign")
-        target = self.expect_id()[1]
+        _, target, offset = self.expect_id()
+        self.names.append(("assign", target, offset))
         if self.peek()[1] == "[":
             self.unsupported("assignment to a slice", start)
         self.expect("=")
         expr = self.parse_expr()
         self.expect(";")
-        return AssignItem(target, expr, self.line(start))
+        return AssignItem(target, expr)
 
     def parse_always(self) -> AlwaysBlock:
         start = self.expect("always")
@@ -427,7 +447,9 @@ class _Parser:
         if edge_tok[1] != "posedge":
             self.unsupported("combinational always block", edge_tok)
         self.next()
-        clock = self.expect_id()[1]
+        clock_tok = self.expect_id()
+        self.names.append(clock_tok)
+        clock = clock_tok[1]
         reset = None
         reset_edge = None
         if self.accept("or"):
@@ -435,7 +457,9 @@ class _Parser:
             if rtok[1] not in ("posedge", "negedge"):
                 self.error("expected posedge/negedge in event list", rtok)
             reset_edge = self.next()[1]
-            reset = self.expect_id()[1]
+            reset_tok = self.expect_id()
+            self.names.append(reset_tok)
+            reset = reset_tok[1]
         self.expect(")")
         body = self.parse_stmt_block()
         return AlwaysBlock(clock, reset, reset_edge, tuple(body), self.line(start))
@@ -468,7 +492,8 @@ class _Parser:
             self.stmt_depth -= 1
             return IfStmt(cond, then, other, self.line(tok))
         if tok[0] == "id":
-            target = self.next()[1]
+            _, target, offset = self.next()
+            self.names.append(("nb", target, offset))
             nxt = self.peek()
             if nxt[1] == "=":
                 self.unsupported("blocking assignment in always block", nxt)
@@ -477,7 +502,7 @@ class _Parser:
             self.next()
             expr = self.parse_expr()
             self.expect(";")
-            return NbAssign(target, expr, self.line(tok))
+            return NbAssign(target, expr)
         self.error(f"expected statement, found {tok[1]!r}", tok)
         raise AssertionError  # unreachable
 
@@ -505,7 +530,7 @@ class _Parser:
                     break
         self.expect(")")
         self.expect(";")
-        return Instance(mod_tok[1], inst, tuple(conns), self.line(mod_tok))
+        return Instance(mod_tok[1], inst, tuple(conns))
 
     # -- expressions (precedence: ?: < | < ^ < & < unary < primary) --
 
@@ -588,6 +613,7 @@ class _Parser:
             return Literal(int(text.replace("_", "")), None)
         if kind == "id":
             self.pos += 1
+            self.names.append(tok)
             if self.accept("["):
                 msb = self.parse_int()
                 lsb = msb
@@ -644,68 +670,3 @@ def _expr_depth(expr: Expr) -> int:
             deepest = max(deepest, d)
             stack.extend((k, d) for k in kids)
     return deepest
-
-
-# --- identifier / structure checks --------------------------------------------
-
-def expr_idents(expr: Expr) -> set[str]:
-    match expr:
-        case Ident(name) | Slice(name, _, _):
-            return {name}
-        case Literal():
-            return set()
-        case Unary(_, operand):
-            return expr_idents(operand)
-        case Binary(_, lhs, rhs):
-            return expr_idents(lhs) | expr_idents(rhs)
-        case Ternary(c, t, f):
-            return expr_idents(c) | expr_idents(t) | expr_idents(f)
-        case Concat(parts):
-            out: set[str] = set()
-            for p in parts:
-                out |= expr_idents(p)
-            return out
-    raise AssertionError(expr)
-
-
-def check_module(mod: ParsedModule, origin: str = "<input>") -> None:
-    """Enforce declaration discipline: used names declared, nonblocking
-    targets reg, assign targets not reg."""
-    # No nested functions here: a closure that calls itself is a reference
-    # cycle per module, which only the cyclic collector frees.
-    widths = mod.declared_widths()
-    regs = {p.name for p in mod.ports if p.is_reg} | {d.name for d in mod.decls if d.is_reg}
-
-    for a in mod.assigns:
-        _need(widths, a.target, a.line, origin)
-        if a.target in regs:
-            raise ParseError(f"assign target {a.target!r} is a reg", a.line, 0, origin)
-        for name in expr_idents(a.expr):
-            _need(widths, name, a.line, origin)
-
-    for blk in mod.always_blocks:
-        _need(widths, blk.clock, blk.line, origin)
-        if blk.reset is not None:
-            _need(widths, blk.reset, blk.line, origin)
-        # statements in source order, on an explicit stack
-        stack: list[Stmt] = list(reversed(blk.body))
-        while stack:
-            s = stack.pop()
-            if isinstance(s, NbAssign):
-                _need(widths, s.target, s.line, origin)
-                if s.target not in regs:
-                    raise ParseError(f"nonblocking target {s.target!r} is not a reg",
-                                     s.line, 0, origin)
-                for name in expr_idents(s.expr):
-                    _need(widths, name, s.line, origin)
-            else:
-                for name in expr_idents(s.cond):
-                    _need(widths, name, s.line, origin)
-                if s.other is not None:
-                    stack.extend(reversed(s.other))
-                stack.extend(reversed(s.then))
-
-
-def _need(widths: dict, name: str, line: int, origin: str) -> None:
-    if name not in widths:
-        raise ParseError(f"undeclared identifier {name!r}", line, 0, origin)

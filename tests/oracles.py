@@ -14,7 +14,9 @@ from a string-dispatch interpreter, the reference for the simulator's
 compiled kernels; ticks from `ReferenceEngine`, which recomputes each
 tick's edging flops, captures and sampling checkers, the reference for the
 engine's per-edge-set schedules; and exhaustive exploration is redone by
-replaying every decision path from the start.  Also here: the MSI-off reference run, a
+replaying every decision path from the start.  A module's names are checked
+as the elaborator once did, over the parsed tree, assigns before always
+blocks.  Also here: the MSI-off reference run, a
 printer back to subset source text, and the generated assertions
 interpreted over a run's waves (`sva_interp`).
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from cdckit.checkers import build_checkers
 from cdckit.codegen import generate_all
@@ -105,6 +108,90 @@ def reference_tokenize(text: str, origin: str = "<input>"
         pos = m.end()
     tokens.append(("eof", "", line, pos - line_start + 1))
     return tokens
+
+
+def expr_idents(expr: Expr) -> set[str]:
+    match expr:
+        case Ident(name) | Slice(name, _, _):
+            return {name}
+        case Literal():
+            return set()
+        case Unary(_, operand):
+            return expr_idents(operand)
+        case Binary(_, lhs, rhs):
+            return expr_idents(lhs) | expr_idents(rhs)
+        case Ternary(c, t, f):
+            return expr_idents(c) | expr_idents(t) | expr_idents(f)
+        case Concat(parts):
+            out: set[str] = set()
+            for p in parts:
+                out |= expr_idents(p)
+            return out
+    raise AssertionError(expr)
+
+
+@lru_cache(maxsize=1)
+def _statement_lines(text: str) -> dict[str, tuple[list[int], list[int]]]:
+    """For each module of `text`, the lines of its `assign`s and of its
+    nonblocking targets, in source order, from the reference tokenizer."""
+    out: dict[str, tuple[list[int], list[int]]] = {}
+    toks = reference_tokenize(text)
+    for i, tok in enumerate(toks):
+        if tok[1] == "module":
+            assigns, nbs = out[toks[i + 1][1]] = [], []
+        elif tok[1] == "assign":
+            assigns.append(tok[2])
+        elif tok[0] == "nba":
+            nbs.append(toks[i - 1][2])
+    return out
+
+
+def reference_check_module(mod: ParsedModule, text: str,
+                           origin: str = "<input>") -> None:
+    """Enforce declaration discipline the way the elaborator once did, on a
+    module parsed from `text`: used names declared, nonblocking targets reg,
+    assign targets not reg.  Assigns are checked before always blocks, and an
+    error is raised at the line of its statement, column 0.  Instance
+    connections are not checked."""
+    assign_lines, nb_lines = _statement_lines(text)[mod.name]
+    nb_line = iter(nb_lines)
+    widths = mod.declared_widths()
+    regs = {p.name for p in mod.ports if p.is_reg} | {d.name for d in mod.decls if d.is_reg}
+
+    for a, line in zip(mod.assigns, assign_lines, strict=True):
+        _need(widths, a.target, line, origin)
+        if a.target in regs:
+            raise ParseError(f"assign target {a.target!r} is a reg", line, 0, origin)
+        for name in expr_idents(a.expr):
+            _need(widths, name, line, origin)
+
+    for blk in mod.always_blocks:
+        _need(widths, blk.clock, blk.line, origin)
+        if blk.reset is not None:
+            _need(widths, blk.reset, blk.line, origin)
+        # statements in source order, on an explicit stack
+        stack: list[Stmt] = list(reversed(blk.body))
+        while stack:
+            s = stack.pop()
+            if isinstance(s, NbAssign):
+                line = next(nb_line)
+                _need(widths, s.target, line, origin)
+                if s.target not in regs:
+                    raise ParseError(f"nonblocking target {s.target!r} is not a reg",
+                                     line, 0, origin)
+                for name in expr_idents(s.expr):
+                    _need(widths, name, line, origin)
+            else:
+                for name in expr_idents(s.cond):
+                    _need(widths, name, s.line, origin)
+                if s.other is not None:
+                    stack.extend(reversed(s.other))
+                stack.extend(reversed(s.then))
+
+
+def _need(widths: dict, name: str, line: int, origin: str) -> None:
+    if name not in widths:
+        raise ParseError(f"undeclared identifier {name!r}", line, 0, origin)
 
 
 def count_dffs_recursive(modules: list[ParsedModule], top: str) -> int:
@@ -1093,7 +1180,9 @@ class ReferenceEngine(Engine):
             if not take:
                 continue
             key = (opp.dst, opp.src_net)
-            new_eff = eff[key] ^ (1 << opp.bit)
+            # the taken bit is the reference bit inverted, however many take it
+            m = 1 << opp.bit
+            new_eff = eff[key] & ~m | ~self._post_value(opp.src_net, plan.base, vals0) & m
             eff[key] = new_eff
             resolved = (new_eff >> opp.bit) & 1
             events.append(MsiEvent(tick, opp.pair, opp.bit, opp.kind, resolved))

@@ -116,14 +116,14 @@ def test_criterion_5_metastability_latency(case_loader):
     stim = parse_stimulus(stim_text)
     strict = build_checkers(analysis, latency=[("cdc0", 2, 2)],
                             select=["latency"])
-    out = explore_exhaustive(analysis, stim, MsiConfig(), strict, budget=16)
+    out = explore_exhaustive(analysis, stim, strict, budget=16)
     assert out.verdicts["latency:cdc0"] == "counterexample"
     cex = out.counterexamples["latency:cdc0"]
     assert len(cex.events) == 1 and cex.events[0].kind == "setup"
 
     relaxed = build_checkers(analysis, latency=[("cdc0", 2, 3)],
                              select=["latency"])
-    out = explore_exhaustive(analysis, stim, MsiConfig(), relaxed, budget=16)
+    out = explore_exhaustive(analysis, stim, relaxed, budget=16)
     assert out.verdicts["latency:cdc0"] == "proven"
     for seed in range(1, 101):
         checkers = build_checkers(analysis, latency=[("cdc0", 2, 3)],
@@ -184,7 +184,7 @@ def test_criterion_7_exhaustive_random_consistency(corpus_root):
         if not suite():
             continue
         try:
-            out = explore_exhaustive(analysis, stim, MsiConfig(), suite(),
+            out = explore_exhaustive(analysis, stim, suite(),
                                      budget=16)
         except DecisionBudgetExceeded:
             continue  # outside the stated budget

@@ -151,7 +151,7 @@ def test_checker_state_values_are_hashable(corpus_root, case_loader, monkeypatch
 
 
 def _explore_verdicts(analysis, stim, checkers):
-    return explore_exhaustive(analysis, stim, MsiConfig(), checkers,
+    return explore_exhaustive(analysis, stim, checkers,
                               budget=16).verdicts
 
 

@@ -1,5 +1,8 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -459,8 +462,61 @@ def test_declaration_errors_are_positioned_in_their_source_file(tmp_path, capsys
     cons.write_text("clock clk -period 10 -domain A\n")
     rc = main(["analyze", str(rtl), "-c", str(cons), "--out", str(tmp_path / "out")])
     assert rc == 1
-    # statements record their line only, so the column is 0
-    assert capsys.readouterr().err == f"error: {rtl}:5:0: undeclared identifier 'z'\n"
+    assert capsys.readouterr().err == f"error: {rtl}:5:10: undeclared identifier 'z'\n"
+
+
+_SUB = "module sub(input [1:0] a, output y);\n  assign y = a[0];\nendmodule\n"
+
+
+@pytest.mark.parametrize("module,conn", [
+    ("sub", ".a(nope)"),
+    ("sub", ".a({nope, d})"),
+    ("bb", ".a(nope & d)"),
+], ids=["defined", "concat", "blackbox"])
+def test_undeclared_name_in_an_instance_connection_is_positioned(tmp_path, capsys,
+                                                                 module, conn):
+    rtl = tmp_path / "rtl.v"
+    line = f"  {module} u({conn}, .y(q));"
+    rtl.write_text(_SUB + "module top(input clk, input [1:0] d, output q);\n"
+                   + line + "\nendmodule\n")
+    cons = tmp_path / "c.cdc"
+    cons.write_text("clock clk -period 10 -domain A\n")
+    rc = main(["analyze", str(rtl), "-c", str(cons), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {rtl}:5:{line.index('nope') + 1}: undeclared identifier 'nope'\n")
+
+
+def test_first_undeclared_name_does_not_depend_on_the_hash_seed(tmp_path):
+    rtl = tmp_path / "rtl.v"
+    rtl.write_text("module m(input a, output w);\n  assign w = xa & yb & zc;\n"
+                   "endmodule\n")
+    cons = tmp_path / "c.cdc"
+    cons.write_text("clock a -period 10 -domain A\n")
+    src = Path(cdckit.cli.__file__).resolve().parent.parent
+    errs = set()
+    for seed in range(1, 5):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(src)}
+        run = subprocess.run([sys.executable, "-m", "cdckit", "analyze", str(rtl),
+                              "-c", str(cons), "--out", str(tmp_path / "out")],
+                             env=env, capture_output=True, check=False)
+        assert run.returncode == 1
+        errs.add(run.stderr)
+    assert errs == {f"error: {rtl}:2:14: undeclared identifier 'xa'\n".encode()}
+
+
+def test_a_name_may_be_used_before_its_declaration(tmp_path):
+    rtl = tmp_path / "rtl.v"
+    rtl.write_text("module top(input clk, input clk_b, input d, output q);\n"
+                   "  assign q = q2;\n  always @(posedge clk) s <= d;\n"
+                   "  always @(posedge clk_b) begin q1 <= s; q2 <= q1; end\n"
+                   "  reg s, q1, q2;\nendmodule\n")
+    cons = tmp_path / "c.cdc"
+    cons.write_text("clock clk -period 10 -domain A\nclock clk_b -period 7 -domain B\n")
+    out = tmp_path / "out"
+    assert main(["analyze", str(rtl), "-c", str(cons), "--strict", "--out", str(out)]) == 0
+    pairs = json.loads((out / "pairs.json").read_text())["pairs"]
+    assert [(p["src"], p["dst"]) for p in pairs] == [("s", "q1")]
 
 
 def test_static_repeated_across_options_and_constraints_exits_one(

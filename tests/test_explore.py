@@ -12,7 +12,7 @@ def test_clean_design_proven(case_loader):
     stim = parse_stimulus(stim_text)
     checkers = build_checkers(analysis, latency=[("cdc0", 2, 3)],
                               select=["latency", "stability"])
-    out = explore_exhaustive(analysis, stim, MsiConfig(), checkers, budget=16)
+    out = explore_exhaustive(analysis, stim, checkers, budget=16)
     assert out.verdicts == {"latency:cdc0": "proven", "stability:cdc0": "proven"}
     assert out.branches == 16  # four toggles, one decision each
 
@@ -22,7 +22,7 @@ def test_strict_latency_counterexample_has_one_setup_event(case_loader):
     stim = parse_stimulus(stim_text)
     checkers = build_checkers(analysis, latency=[("cdc0", 2, 2)],
                               select=["latency"])
-    out = explore_exhaustive(analysis, stim, MsiConfig(), checkers, budget=16)
+    out = explore_exhaustive(analysis, stim, checkers, budget=16)
     assert out.verdicts["latency:cdc0"] == "counterexample"
     cex = out.counterexamples["latency:cdc0"]
     assert [e.kind for e in cex.events] == ["setup"]
@@ -35,7 +35,7 @@ def test_zero_opportunities_single_branch(case_loader):
                           "run 20 of clk_b\n")
     checkers = build_checkers(analysis, latency=[("cdc0", 2, 3)],
                               select=["latency"])
-    out = explore_exhaustive(analysis, stim, MsiConfig(), checkers, budget=16)
+    out = explore_exhaustive(analysis, stim, checkers, budget=16)
     assert out.branches == 1
     assert out.verdicts["latency:cdc0"] == "proven"
 
@@ -44,7 +44,7 @@ def test_budget_exceeded(case_loader):
     analysis, stim_text = case_loader("cov_toggle")
     stim = parse_stimulus(stim_text)
     with pytest.raises(DecisionBudgetExceeded):
-        explore_exhaustive(analysis, stim, MsiConfig(), [], budget=16)
+        explore_exhaustive(analysis, stim, [], budget=16)
 
 
 def test_exhaustive_agrees_with_random_sweep(case_loader):
@@ -64,7 +64,7 @@ def test_exhaustive_agrees_with_random_sweep(case_loader):
     for latency in (("cdc0", 2, 2), ("cdc0", 2, 3)):
         checkers = build_checkers(analysis, latency=[latency],
                                   select=["latency", "stability"])
-        out = explore_exhaustive(analysis, stim, MsiConfig(), checkers,
+        out = explore_exhaustive(analysis, stim, checkers,
                                  budget=16)
         exhaustive_failing = {cid for cid, v in out.verdicts.items()
                               if v == "counterexample"}
@@ -75,7 +75,7 @@ def test_deterministic_failures_fail_on_reference_branch(case_loader):
     analysis, stim_text = case_loader("wide_pulse")
     stim = parse_stimulus(stim_text)
     checkers = build_checkers(analysis, select=["pulse_width"])
-    out = explore_exhaustive(analysis, stim, MsiConfig(), checkers, budget=16)
+    out = explore_exhaustive(analysis, stim, checkers, budget=16)
     assert out.verdicts["pulse_width:sync0"] == "counterexample"
     # the wide pulse fails regardless of injections: the counterexample is
     # the all-reference branch with an empty injection log
@@ -100,7 +100,7 @@ def test_explore_equals_replay_oracle(case_loader, case, latency, select):
     stim = parse_stimulus(stim_text)
     checkers = build_checkers(analysis, latency=parse_latency(
         [latency] if latency else None), select=select)
-    out = explore_exhaustive(analysis, stim, MsiConfig(), checkers, budget=16)
+    out = explore_exhaustive(analysis, stim, checkers, budget=16)
     verdicts, cex, branches = replay_explore(analysis, stim, checkers)
     assert out.verdicts == verdicts
     assert out.branches == branches
@@ -124,7 +124,7 @@ def test_converging_paths_are_walked_once(case_loader, monkeypatch):
         return commit_tick(*args)
 
     monkeypatch.setattr(Engine, "commit_tick", counted)
-    out = explore_exhaustive(analysis, stim, MsiConfig(), checkers, budget=16)
+    out = explore_exhaustive(analysis, stim, checkers, budget=16)
     # 16384 paths through a few dozen states: walking every path commits
     # 65530 ticks
     assert out.branches == 16384

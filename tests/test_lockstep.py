@@ -12,7 +12,7 @@ from cdckit.pipeline import analyze_sources
 from cdckit.sim import Engine, MsiConfig
 from cdckit.stimulus import parse_stimulus
 from conftest import load_gen
-from oracles import ReferenceEngine
+from oracles import ReferenceEngine, reference_simulate
 from test_sim import AB, RESET_THROUGH_LOGIC
 
 
@@ -151,6 +151,30 @@ def test_lockstep_on_an_enabled_destination_reading_its_source():
         seen = lockstep(analysis, stim, seed)
         assert seen["hold"] and seen["events"], seen
     lockstep(analysis, stim, 1, all_taken=True)
+
+
+def test_a_bit_two_pairs_take_on_one_source_net_is_injected_once():
+    """q1's data and enable pairs (cdc0, cdc1) both read `src`: at
+    probability 1.0 both take each of its shared bits, and the capture and
+    every event see that bit inverted once."""
+    analysis = analyze_sources([("t.v", ENABLED_DST)], A_B7)
+    stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
+                          "run 40 of clk_a\n")
+    eng = Engine(analysis, stim, MsiConfig(probability=1.0), [])
+    state, shared = eng.initial_state(), 0
+    for tick in eng.agenda:
+        plan = eng.plan_tick(state, tick)
+        state, events = eng.commit_tick(state, plan, [True] * len(plan.opps))
+        takers: dict[tuple[int, int, int], int] = {}
+        for opp, event in zip(plan.opps, events, strict=True):
+            assert event.resolved == (plan.post[opp.src_net] >> opp.bit & 1) ^ 1, tick
+            key = (opp.dst, opp.src_net, opp.bit)
+            takers[key] = takers.get(key, 0) + 1
+        shared += sum(n > 1 for n in takers.values())
+    assert shared
+    q1 = analysis.netlist.net_index["q1"]
+    run = eng.run()
+    assert run.waves[q1] != reference_simulate(analysis, stim).waves[q1]
 
 
 def test_lockstep_on_a_port_source_inside_a_hold_window():

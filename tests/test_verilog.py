@@ -1,12 +1,16 @@
+import random
+import re
+
 import hypothesis
 import pytest
 from hypothesis import strategies as st
 
+from cdckit import verilog
 from cdckit.errors import CdcError, DuplicateModule, ParseError, UnsupportedConstruct
 from cdckit.verilog import (Binary, Ident, Literal, Ternary, Unary, line_starts,
                             parse_verilog, position, tokenize)
 from conftest import corpus_designs, generated_designs
-from oracles import reference_tokenize, to_source
+from oracles import expr_idents, reference_check_module, reference_tokenize, to_source
 
 SYNC2 = """
 module sync2(input clk, input rst_n, input d, output q);
@@ -190,3 +194,93 @@ _GAPS = st.sampled_from([
 @hypothesis.settings(max_examples=400, deadline=None)
 def test_tokenize_equals_reference_on_drawn_text(parts, final_newline):
     _assert_same_tokens("".join(parts) + ("\n" if final_newline else ""))
+
+
+# --- names: the parser against the elaborator's old check -------------------
+
+def _rejection(text):
+    """How `parse_verilog` rejects `text`: (message, line, column), or None."""
+    try:
+        parse_verilog(text, "t.v")
+    except ParseError as e:
+        return str(e).split(": ", 1)[1], e.line, e.column
+    return None
+
+
+def _reference_rejection(text, monkeypatch):
+    """How `reference_check_module` rejects the modules of `text`, parsed
+    without the parser's own name check: (message, line) or None, and the
+    names read in instance connections, which it does not check."""
+    with monkeypatch.context() as m:
+        m.setattr(verilog._Parser, "check_names", lambda self, declared, regs: None)
+        modules = parse_verilog(text, "t.v")
+    conn_names = {name for mod in modules for inst in mod.instances
+                  for _port, expr in inst.conns if expr is not None
+                  for name in expr_idents(expr)}
+    try:
+        for mod in modules:
+            reference_check_module(mod, text, "t.v")
+    except ParseError as e:
+        return (str(e).split(": ", 1)[1], e.line), conn_names
+    return None, conn_names
+
+
+def _name_edits(text, rng, renames=6, swaps=4):
+    """Seeded single-defect edits of `text`, as (edited text, renamed token
+    or None).  A rename gives one identifier use an undeclared name; a swap
+    turns one `reg` declaration into a wire, or one wire into a `reg` (an
+    output port's `reg` is dropped or added)."""
+    tokens = reference_tokenize(text)
+    starts = line_starts(text)
+    uses, swaps_at = [], []
+    in_decl = in_header = False     # in a declaration; in a module header
+    for i, (kind, tok, _line, _col) in enumerate(tokens):
+        if tok == "module":
+            in_decl = in_header = True
+        elif kind == "kw" and tok in ("wire", "reg"):
+            swaps_at.append((i, "" if in_header else {"wire": "reg", "reg": "wire"}[tok]))
+            in_decl = True
+        elif tok == "output" and tokens[i + 1][1] != "reg":
+            swaps_at.append((i, "output reg"))
+        elif tok == ";":
+            in_decl = in_header = False
+        elif (kind == "id" and not in_decl and tokens[i - 1][1] != "."
+              and tokens[i - 1][0] != "id" and tokens[i + 1][0] != "id"):
+            uses.append(i)   # not a module, instance or port name
+
+    def edit(i, new):
+        _kind, tok, line, col = tokens[i]
+        at = starts[line - 1] + col - 1
+        return text[:at] + new + text[at + len(tok):]
+
+    for i in rng.sample(uses, min(renames, len(uses))):
+        yield edit(i, "nope_"), tokens[i]
+    for i, new in rng.sample(swaps_at, min(swaps, len(swaps_at))):
+        yield edit(i, new), None
+
+
+def test_name_check_equals_reference_on_single_defect_edits(monkeypatch):
+    edits = rejected = in_conns = 0
+    for name, rtl, _cons in (*corpus_designs(), *generated_designs()):
+        assert _rejection(rtl) is None, name
+        assert _reference_rejection(rtl, monkeypatch)[0] is None, name
+        rng = random.Random(name)
+        for text, renamed in _name_edits(rtl, rng):
+            edits += 1
+            got = _rejection(text)
+            want, conn_names = _reference_rejection(text, monkeypatch)
+            if renamed is not None:     # the renamed use is the one defect
+                assert got == ("undeclared identifier 'nope_'", *renamed[2:]), name
+            if want is None and renamed is not None:
+                # the old check never read instance connections
+                assert "nope_" in conn_names, (name, renamed)
+                in_conns += 1
+                continue
+            assert (got is None) == (want is None), (name, text)
+            if got is None:
+                continue
+            rejected += 1
+            assert got[:2] == want, name
+            named = re.search(r"'(\w+)'", got[0])[1]
+            assert ("id", named, got[1], got[2]) in reference_tokenize(text), name
+    assert edits > 400 and rejected > 350 and in_conns, (edits, rejected, in_conns)
