@@ -13,13 +13,18 @@ designs hold a few, `simulate --seeds 1..2` on the benchmark's generated
 (seed 1), the same command lines the benchmark runs,
 `analyze`, `simulate` and `generate` on three inline sources at the edges
 of the netlist builder (a floating net, a one-operand concatenation, a
-600-level module chain) and on one that uses names before it declares them
-(`use-before-decl`), `analyze` on sources the front end rejects,
+600-level module chain), on one that uses names before it declares them
+(`use-before-decl`) and on one that declares a name of the form the
+elaborator gives its temporaries (`temp-name`), `analyze` on sources the
+front end rejects,
 so the positions of its diagnostics are covered too, after multi-line
-comments, CRLF line ends, tabs and a last line without a newline, and on
+comments, CRLF line ends, tabs and a last line without a newline, on
 undeclared names (`undeclared-order`: three in one expression, of which
 the first must be named; `undeclared-conn`: one in an instance
-connection), and
+connection), and on one error of each kind of module shape (a reset arm
+that is not an `if ... else`, of the wrong polarity, with a value that is
+not a literal or does not fit, a reset wider than one bit, a slice past
+the width, a port connected twice or missing), and
 `generate` on `gray_cross` with its crossing source renamed to
 SystemVerilog keywords that subset Verilog allows as names.  Paths are
 passed relative to the checkout (or to the generated design's directory),
@@ -90,10 +95,16 @@ INLINE = (
                         "  assign q = q2;\n  always @(posedge clk) s <= d;\n"
                         "  always @(posedge clk_b) begin q1 <= s; q2 <= q1; end\n"
                         "  reg s, q1, q2;\nendmodule\n"),
+    ("temp-name", "module top(input clk, input clk_b, input a, input b, output q);\n"
+                  "  wire __t1;\n  reg s, q1, q2;\n  assign __t1 = a;\n"
+                  "  always @(posedge clk) s <= (a & b) | __t1;\n"
+                  "  always @(posedge clk_b) begin q1 <= s; q2 <= q1; end\n"
+                  "  assign q = q2;\nendmodule\n"),
 )
 # Rejected sources: one per kind of tokenizer diagnostic, then parser and
 # declaration errors that come after a multi-line comment, CRLF line ends,
-# tabs, and a last line without a newline, then undeclared names.
+# tabs, and a last line without a newline, then undeclared names, then one
+# error of each kind of module shape.
 REJECTED = (
     ("keyword", "module m(input a);\n  // lead\n  initial begin end\nendmodule\n"),
     ("delay", "module m(input a, output w);\n  assign w = #2 a;\nendmodule\n"),
@@ -113,6 +124,28 @@ REJECTED = (
                          "  assign w = xa & yb & zc;\nendmodule\n"),
     ("undeclared-conn", "module m(input clk, input a, output w);\n"
                         "  bb u(.a(a & nope), .y(w));\nendmodule\n"),
+    ("reset-shape", "module m(input clk, input rst, input d, output reg q);\n"
+                    "  always @(posedge clk or posedge rst) q <= d;\nendmodule\n"),
+    ("reset-polarity", "module m(input clk, input rst_n, input d, output reg q);\n"
+                       "  always @(posedge clk or negedge rst_n)\n"
+                       "    if (rst_n) q <= 1'b0; else q <= d;\nendmodule\n"),
+    ("reset-literal", "module m(input clk, input rst, input d, output reg q);\n"
+                      "  always @(posedge clk or posedge rst) begin\n"
+                      "    if (rst) q <= d;\n    else q <= d;\n  end\nendmodule\n"),
+    ("reset-width", "module m(input clk, input [1:0] rst, input d, output reg q);\n"
+                    "  always @(posedge clk or posedge rst)\n"
+                    "    if (rst) q <= 1'b0; else q <= d;\nendmodule\n"),
+    ("reset-fits", "module m(input clk, input rst, input [1:0] d, output reg [1:0] q);\n"
+                   "  always @(posedge clk or posedge rst)\n"
+                   "    if (rst) q <= 3'd4; else q <= d;\nendmodule\n"),
+    ("slice-range", "module m(input clk, input [3:0] d, output reg q);\n"
+                    "  always @(posedge clk) q <= d[4];\nendmodule\n"),
+    ("conn-twice", "module sub(input a, output y);\n  assign y = a;\nendmodule\n"
+                   "module m(input clk, input a, output w);\n"
+                   "  sub u(.a(a), .y(w), .a(clk));\nendmodule\n"),
+    ("no-port", "module sub(input a, output y);\n  assign y = a;\nendmodule\n"
+                "module m(input clk, input a, output w);\n"
+                "  sub u(.a(a), .zz(clk), .y(w));\nendmodule\n"),
 )
 REJECTED_CONSTRAINTS = "clock clk -period 10 -domain A\n"
 # Names for gray_cross's source flop `g`: keywords of SystemVerilog only.

@@ -28,22 +28,6 @@ class NetDomain:
     unclocked: bool = False
     constant: bool = False
 
-    @property
-    def kind(self) -> str:
-        if self.constant:
-            return "constant"
-        if self.unclocked and not self.domains:
-            return "unclocked"
-        if self.unclocked or len(self.domains) > 1:
-            return "mixed"
-        return "single"
-
-    @property
-    def single(self) -> str | None:
-        if self.kind == "single":
-            return next(iter(self.domains))
-        return None
-
 
 @dataclass(frozen=True)
 class ClockGateNote:
@@ -52,21 +36,13 @@ class ClockGateNote:
     root: int                  # root clock net
 
 
-@dataclass(frozen=True)
-class DataOnClockNote:
-    flop: str
-    source_flop: str
-
-
 @dataclass
 class DomainMap:
     flop_domain: dict[int, str]
     net_domain: dict[int, NetDomain]
-    clock_nets: dict[str, set[int]]              # domain -> clock net indices
     clock_root: dict[int, str]                   # flop cell idx -> root clock name
     port_domain: dict[int, str]                  # declared ports (clocks, resets)
     gate_notes: list[ClockGateNote] = field(default_factory=list)
-    data_on_clock: list[DataOnClockNote] = field(default_factory=list)
 
     def domain_of_ref(self, ref: Ref) -> str | None:
         """Domain of a sequential source; None means unclocked."""
@@ -184,13 +160,11 @@ def assign_domains(netlist: Netlist, constraints: ConstraintSet) -> DomainMap:
         if name not in netlist.net_index:
             raise AnalysisError(f"declared static signal {name!r} not found")
 
-    dm = DomainMap({}, {}, {}, {}, port_domain)
+    dm = DomainMap({}, {}, {}, port_domain)
 
     for flop in netlist.dffs():
         cone = netlist.fanin_cone(flop.clock)
         roots = [ref for ref in cone.seq if ref[0] == "port" and ref[1] in clock_ports]
-        flop_srcs = [ref for ref in cone.seq if ref[0] == "cell"
-                     and isinstance(netlist.cells[ref[1]], Dff)]
         other_ports = [ref for ref in cone.seq if ref[0] == "port" and ref[1] not in clock_ports]
         boxes = [ref for ref in cone.seq if ref[0] == "cell"
                  and isinstance(netlist.cells[ref[1]], BlackBox)]
@@ -204,13 +178,8 @@ def assign_domains(netlist: Netlist, constraints: ConstraintSet) -> DomainMap:
                 f"declared clock (cone reaches {offend or 'nothing'})")
         root = roots[0]
         root_net = netlist.ports[root[1]].net
-        domain = clock_ports[root[1]]
-        dm.flop_domain[flop.index] = domain
+        dm.flop_domain[flop.index] = clock_ports[root[1]]
         dm.clock_root[flop.index] = netlist.nets[root_net].name
-        dm.clock_nets.setdefault(domain, set()).add(flop.clock)
-        dm.clock_nets[domain].add(root_net)
-        for ref in flop_srcs:
-            dm.data_on_clock.append(DataOnClockNote(flop.name, _ref_name(netlist, ref)))
         for g in cone.gates:
             if len(netlist.cells[g].inputs) > 1:
                 dm.gate_notes.append(ClockGateNote(flop.name, g, root_net))

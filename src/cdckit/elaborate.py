@@ -10,8 +10,10 @@ assigned register: if/else arms fold into mux expressions, a top-level
 `if (en) r <= e;` shape becomes the flop's enable pin, and the async reset
 arm supplies the reset value.
 
-Instances of modules with no definition become black-box cells whose port
-directions are inferred from driver availability.
+The parser has checked what each module's own text decides, so the errors
+left here need another module or the widths of expressions.  Instances of
+modules with no definition become black-box cells whose port directions are
+inferred from driver availability.
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ from dataclasses import dataclass
 from .errors import (ElabError, PortWidthMismatch, RecursiveInstantiation,
                      UnresolvedModule)
 from .netlist import Netlist, NetlistBuilder
-from .verilog import (AlwaysBlock, Binary, Concat, Expr, Ident, IfStmt,
-                      Instance, Literal, NbAssign, ParsedModule, Slice, Stmt,
-                      Ternary, Unary)
+from .verilog import (AlwaysBlock, Binary, Concat, Expr, Ident, Instance,
+                      Literal, ParsedModule, Slice, Ternary, Unary, fold)
 
 
 @dataclass
 class _Scope:
     prefix: str
+    origin: str                 # source file of the scope's module
     widths: dict[str, int]
     handles: dict[str, int]
     counter: int = 0
@@ -66,11 +68,7 @@ def _infer_width(scope: _Scope, expr: Expr) -> int | None:
 
 class _Elaborator:
     def __init__(self, modules: list[ParsedModule], top: str):
-        self.by_name: dict[str, ParsedModule] = {}
-        for m in modules:
-            if m.name in self.by_name:
-                raise ElabError(f"module {m.name!r} defined more than once")
-            self.by_name[m.name] = m
+        self.by_name = {m.name: m for m in modules}
         if top not in self.by_name:
             raise UnresolvedModule(f"top module {top!r} not found")
         self.top = top
@@ -110,6 +108,8 @@ class _Elaborator:
 
         def fresh(width: int) -> int:
             n = scope.temp()
+            while f"__t{n}" in scope.widths:    # a name the module declares
+                n = scope.temp()
             return b.add_net(f"{scope.prefix}__t{n}", width)
 
         def finish(handle: int) -> int:
@@ -196,10 +196,6 @@ class _Elaborator:
                 b.add_gate(f"{scope.prefix}__g{n}_concat", "CONCAT", handles, out, total)
                 return out
             case Slice(name, msb, lsb):
-                src_w = scope.widths[name]
-                if msb >= src_w:
-                    raise ElabError(
-                        f"slice [{msb}:{lsb}] out of range for {scope.prefix}{name} ({src_w} bits)")
                 w = msb - lsb + 1
                 if ctx_width is not None and w != ctx_width:
                     raise PortWidthMismatch(f"slice is {w} bits, expected {ctx_width}")
@@ -210,53 +206,20 @@ class _Elaborator:
                 return out
         raise AssertionError(expr)
 
-    # -- always-block folding --
-
-    @staticmethod
-    def _fold(stmts: tuple[Stmt, ...], env: dict[str, Expr]) -> dict[str, Expr]:
-        env = dict(env)
-        for s in stmts:
-            if isinstance(s, NbAssign):
-                env[s.target] = s.expr
-            else:
-                t_env = _Elaborator._fold(s.then, env)
-                e_env = _Elaborator._fold(s.other, env) if s.other is not None else dict(env)
-                for target in sorted(set(t_env) | set(e_env)):
-                    tv = t_env.get(target, env.get(target, Ident(target)))
-                    ev = e_env.get(target, env.get(target, Ident(target)))
-                    env[target] = tv if tv == ev else Ternary(s.cond, tv, ev)
-        return env
+    # -- always-block lowering --
 
     def lower_always(self, scope: _Scope, blk: AlwaysBlock):
+        """One Dff per assigned register; a reset block's body is
+        `if (reset) <literals> else <logic>`, as the parser checked."""
         b = self.builder
         clock = scope.handles[blk.clock]
-        reset_handle = None
         reset_env: dict[str, Expr] = {}
         body = blk.body
         if blk.reset is not None:
-            reset_handle = scope.handles[blk.reset]
-            if scope.widths[blk.reset] != 1:
-                raise ElabError(f"reset {blk.reset!r} must be 1 bit wide")
-            if len(body) != 1 or not isinstance(body[0], IfStmt) or body[0].other is None:
-                raise ElabError(
-                    f"always block with async reset must be 'if (reset) ... else ...' "
-                    f"(module line {blk.line})")
-            top = body[0]
-            active_low = blk.reset_edge == "negedge"
-            want = Unary("~", Ident(blk.reset)) if active_low else Ident(blk.reset)
-            if top.cond != want:
-                raise ElabError(
-                    f"reset condition must test {blk.reset!r} with the polarity of its "
-                    f"edge event (line {top.line})")
-            reset_env = self._fold(top.then, {})
-            body = top.other
-            for target, expr in reset_env.items():
-                if not isinstance(expr, Literal):
-                    raise ElabError(
-                        f"reset value of {target!r} must be a constant literal")
-        func_env = self._fold(tuple(body), {})
-        targets = sorted(set(func_env) | set(reset_env))
-        for target in targets:
+            reset_env = fold(body[0].then, {})
+            body = body[0].other
+        func_env = fold(body, {})
+        for target in sorted(set(func_env) | set(reset_env)):
             width = scope.widths[target]
             out = scope.handles[target]
             nxt = func_env.get(target, Ident(target))
@@ -271,16 +234,11 @@ class _Elaborator:
             enable = (self.synth(scope, enable_expr, 1)
                       if enable_expr is not None else None)
             rv_expr = reset_env.get(target)
-            rv = 0
-            if rv_expr is not None:
-                rv = rv_expr.value
-                if rv >= (1 << width):
-                    raise ElabError(f"reset value of {target!r} does not fit")
             b.add_dff(f"{scope.prefix}{target}", width, clock, data, out,
                       enable=enable,
-                      reset=reset_handle if rv_expr is not None else None,
+                      reset=None if rv_expr is None else scope.handles[blk.reset],
                       reset_active_low=(blk.reset_edge == "negedge"),
-                      reset_value=rv)
+                      reset_value=0 if rv_expr is None else rv_expr.value)
 
     # -- module expansion --
 
@@ -302,7 +260,7 @@ class _Elaborator:
                ) -> tuple[_Scope, Iterator[Instance]]:
         """Lower one module's own nets, assigns and always blocks; returns
         its scope and the instances it has left to expand."""
-        scope = _Scope(prefix, mod.declared_widths(), {})
+        scope = _Scope(prefix, mod.origin, mod.declared_widths(), {})
         for p in mod.ports:
             h = self.builder.add_net(prefix + p.name, p.width)
             scope.handles[p.name] = h
@@ -340,21 +298,17 @@ class _Elaborator:
         self.builder.add_instance(path, inst.module)
         port_dirs = {p.name: p.direction for p in child.ports}
         bindings: dict[str, int] = {}
-        seen = set()
+        where = f"{scope.origin}:{inst.line}:{inst.column}: {path}"
         for port, expr in inst.conns:
             if port not in port_dirs:
-                raise ElabError(f"{path}: module {inst.module!r} has no port {port!r}")
-            if port in seen:
-                raise ElabError(f"{path}: port {port!r} connected twice")
-            seen.add(port)
+                raise ElabError(f"{where}: module {inst.module!r} has no port {port!r}")
             if expr is None:
                 continue
             if isinstance(expr, Ident):
                 bindings[port] = scope.handles[expr.name]
             else:
                 if port_dirs[port] == "out":
-                    raise ElabError(
-                        f"{path}: output port {port!r} must connect to a plain net")
+                    raise ElabError(f"{where}: output port {port!r} must connect to a plain net")
                 w = _infer_width(scope, expr)
                 bindings[port] = self.synth(scope, expr, w)
         return self.expand(child, path + ".", bindings)

@@ -7,7 +7,7 @@ from .constraints import ConstraintSet, parse_constraint_texts
 from .domains import (assign_domains, extract_cdc_pairs, extract_rdc_pairs,
                       pairs_fingerprint, unclocked_crossings)
 from .elaborate import elaborate
-from .errors import ElabError
+from .errors import DuplicateModule, ElabError
 from .netlist import Netlist
 from .rules import Analysis, run_structural
 from .syncrec import classify_pairs, recognize
@@ -29,10 +29,18 @@ def analyze_sources(sources: list[tuple[str, str]],
     """`sources` is a list of (origin, text).  `constraints` is one
     `<constraints>` text or a list of (origin, text) read in order.  Without
     an explicit top, the single module that is instantiated nowhere is the
-    top."""
-    modules: list[ParsedModule] = []
+    top.  A module name defined twice, in one file or in two, is an error at
+    the second definition."""
+    by_name: dict[str, ParsedModule] = {}
     for origin, text in sources:
-        modules.extend(parse_verilog(text, origin))
+        for mod in parse_verilog(text, origin):
+            first = by_name.setdefault(mod.name, mod)
+            if first is not mod:
+                where = (f"line {first.line}" if first.origin == origin
+                         else f"{first.origin}:{first.line}")
+                raise DuplicateModule(f"module {mod.name!r} already defined at {where}",
+                                      mod.line, mod.column, origin)
+    modules = list(by_name.values())
     if isinstance(constraints, str):
         constraints = [("<constraints>", constraints)]
     cs = parse_constraint_texts(constraints)

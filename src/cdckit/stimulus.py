@@ -95,5 +95,5 @@ def parse_stimulus(text: str, origin: str = "<stimulus>") -> Stimulus:
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", line_no, 0, origin)
     if not st.run_clock:
-        raise ParseError("stimulus needs a run directive", 0, 0, origin)
+        raise ParseError(f"{origin}: stimulus needs a run directive", origin=origin)
     return st

@@ -12,9 +12,9 @@ being skipped, so a file is either fully understood or rejected.  That
 includes expressions nested deeper than `MAX_EXPR_DEPTH` and statements
 nested deeper than `MAX_STMT_DEPTH`, which would otherwise exhaust the
 recursion of this parser and of the walks over its trees.  The parser also
-decides a module's names: at `endmodule` it rejects the first name, in
-source order, that the module does not declare, or that is the wrong kind of
-target for its assignment.  The grammar is documented in docs/subset.md.
+decides each rule that needs only the module's own text: at `endmodule` it
+rejects the first name error, then the first shape error (reset arms,
+slices, connections), in source order.  docs/subset.md has the rules.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 
-from .errors import DuplicateModule, ParseError, UnsupportedConstruct
+from .errors import ParseError, UnsupportedConstruct
 
 # Deepest expression accepted: nested parentheses, concatenations, `?:` arms
 # and unary operators, and the operator depth of the tree (a chain
@@ -99,7 +99,6 @@ class IfStmt:
     cond: Expr
     then: tuple["Stmt", ...]
     other: tuple["Stmt", ...] | None
-    line: int = field(default=0, compare=False)
 
 
 Stmt = NbAssign | IfStmt
@@ -111,7 +110,6 @@ class AlwaysBlock:
     reset: str | None          # reset signal name, or None
     reset_edge: str | None     # "posedge" | "negedge"
     body: tuple[Stmt, ...]
-    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -125,6 +123,8 @@ class Instance:
     module: str
     name: str
     conns: tuple[tuple[str, Expr | None], ...]
+    line: int = field(default=0, compare=False)     # of the instance name
+    column: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -150,12 +150,32 @@ class ParsedModule:
     assigns: tuple[AssignItem, ...]
     always_blocks: tuple[AlwaysBlock, ...]
     instances: tuple[Instance, ...]
-    line: int = field(default=0, compare=False)
+    line: int = field(default=0, compare=False)     # of the `module` token
+    column: int = field(default=0, compare=False)
+    origin: str = field(default="<input>", compare=False)
 
     def declared_widths(self) -> dict[str, int]:
         widths = {p.name: p.width for p in self.ports}
         widths.update({d.name: d.width for d in self.decls})
         return widths
+
+
+def fold(stmts: tuple[Stmt, ...], env: dict[str, Expr]) -> dict[str, Expr]:
+    """Each target's value after `stmts`, starting from `env`: the arms of
+    an `if` fold into a `?:` per target, and a target that one arm leaves
+    alone keeps its value there (the target itself if it has none)."""
+    env = dict(env)
+    for s in stmts:
+        if isinstance(s, NbAssign):
+            env[s.target] = s.expr
+        else:
+            t_env = fold(s.then, env)
+            e_env = fold(s.other, env) if s.other is not None else dict(env)
+            for target in sorted(set(t_env) | set(e_env)):
+                tv = t_env.get(target, env.get(target, Ident(target)))
+                ev = e_env.get(target, env.get(target, Ident(target)))
+                env[target] = tv if tv == ev else Ternary(s.cond, tv, ev)
+    return env
 
 
 # --- lexer -------------------------------------------------------------------
@@ -252,9 +272,13 @@ class _Parser:
         # as a token whose kind is its role: "id" for a read, a clock or a
         # reset, "assign" or "nb" for the target of that assignment
         self.names: list[Token] = []
-
-    def line(self, tok: Token) -> int:
-        return bisect_right(self.starts, tok[2])
+        # what the current module's shape check reads: each always block
+        # with a reset, as (reset token, index of the body's first token,
+        # length of `names` before the body, block); each slice, as (offset,
+        # name, msb, lsb); each port connected again, as (offset, message)
+        self.resets: list[tuple[Token, int, int, AlwaysBlock]] = []
+        self.slices: list[tuple[int, str, int, int]] = []
+        self.twice: list[tuple[int, str]] = []
 
     def where(self, tok: Token) -> tuple[int, int]:
         return position(self.starts, tok[2])
@@ -303,17 +327,11 @@ class _Parser:
 
     def parse_source(self) -> list[ParsedModule]:
         modules: list[ParsedModule] = []
-        seen: dict[str, int] = {}
         while self.peek()[0] != "eof":
             tok = self.peek()
             if tok[1] != "module":
                 self.error(f"expected 'module', found {tok[1]!r}", tok, expected="module")
-            mod = self.parse_module()
-            if mod.name in seen:
-                raise DuplicateModule(f"module {mod.name!r} already defined at line {seen[mod.name]}",
-                                      mod.line, 0, self.origin)
-            seen[mod.name] = mod.line
-            modules.append(mod)
+            modules.append(self.parse_module())
         return modules
 
     def parse_module(self) -> ParsedModule:
@@ -333,8 +351,8 @@ class _Parser:
         assigns: list[AssignItem] = []
         always_blocks: list[AlwaysBlock] = []
         instances: list[Instance] = []
-        declared = {p.name for p in ports}
-        self.names = []
+        widths = {p.name: p.width for p in ports}
+        self.names, self.resets, self.slices, self.twice = [], [], [], []
 
         while self.peek()[1] != "endmodule":
             tok = self.peek()
@@ -343,9 +361,9 @@ class _Parser:
                 self.error("unexpected end of file inside module", tok, expected="endmodule")
             if text in ("wire", "reg"):
                 for d in self.parse_net_decl():
-                    if d.name in declared:
+                    if d.name in widths:
                         self.error(f"{d.name!r} already declared", tok)
-                    declared.add(d.name)
+                    widths[d.name] = d.width
                     decls.append(d)
             elif text == "assign":
                 assigns.append(self.parse_assign())
@@ -358,13 +376,15 @@ class _Parser:
             else:
                 self.error(f"unexpected {text!r} in module body", tok)
 
-        self.check_names(declared, {p.name for p in ports if p.is_reg}
+        self.check_names(widths, {p.name for p in ports if p.is_reg}
                          | {d.name for d in decls if d.is_reg})
+        self.check_shape(widths)
         self.expect("endmodule")
         return ParsedModule(name, tuple(ports), tuple(decls), tuple(assigns),
-                            tuple(always_blocks), tuple(instances), self.line(start))
+                            tuple(always_blocks), tuple(instances),
+                            *self.where(start), self.origin)
 
-    def check_names(self, declared: set[str], regs: set[str]) -> None:
+    def check_names(self, declared: dict[str, int], regs: set[str]) -> None:
         """Reject the module's first name that is undeclared, or that is
         an `assign` target declared `reg` or a nonblocking target that is
         not; a name may be used before its declaration."""
@@ -378,6 +398,49 @@ class _Parser:
             else:
                 continue
             raise ParseError(message, *position(self.starts, offset), self.origin)
+
+    def check_shape(self, widths: dict[str, int]) -> None:
+        """Reject the module's first shape error in source order: a bad
+        async reset arm (at most one per always block), a slice past its
+        net's width, or an instance port connected twice."""
+        errors = [e for r in self.resets for e in self.reset_errors(widths, *r)]
+        errors += [(offset, f"slice [{msb}:{lsb}] out of range for {name} ({widths[name]} bits)")
+                   for offset, name, msb, lsb in self.slices if msb >= widths[name]]
+        errors += self.twice
+        if errors:
+            offset, message = min(errors, key=lambda e: e[0])
+            raise ParseError(message, *position(self.starts, offset), self.origin)
+
+    def reset_errors(self, widths: dict[str, int], reset_tok: Token, first: int,
+                     n_names: int, blk: AlwaysBlock) -> list[tuple[int, str]]:
+        """The (offset, message) errors of an always block with an async
+        reset: of its width, of its body's shape, of its condition's
+        polarity, or else of each reset value that is no literal or too wide."""
+        _, reset, offset = reset_tok
+        if widths[reset] != 1:
+            return [(offset, f"reset {reset!r} must be 1 bit wide")]
+        body = blk.body
+        if len(body) != 1 or not isinstance(body[0], IfStmt) or body[0].other is None:
+            return [(self.tokens[first][2],
+                     "always block with async reset must be 'if (reset) ... else ...'")]
+        want = Unary("~", Ident(reset)) if blk.reset_edge == "negedge" else Ident(reset)
+        if body[0].cond != want:
+            # `if (` or `begin if (` comes before the condition
+            cond = first + (3 if self.tokens[first][1] == "begin" else 2)
+            return [(self.tokens[cond][2], f"reset condition must test {reset!r} "
+                                           "with the polarity of its edge event")]
+        errors = []
+        for target, value in fold(body[0].then, {}).items():
+            if not isinstance(value, Literal):
+                message = f"reset value of {target!r} must be a constant literal"
+            elif value.value >= 1 << widths[target]:
+                message = f"reset value of {target!r} does not fit"
+            else:
+                continue
+            # the reset arm is the first of the block to assign its targets
+            errors.append((next(o for role, name, o in islice(self.names, n_names, None)
+                                if role == "nb" and name == target), message))
+        return errors
 
     def parse_port_decl(self) -> PortDecl:
         tok = self.peek()
@@ -438,7 +501,7 @@ class _Parser:
         return AssignItem(target, expr)
 
     def parse_always(self) -> AlwaysBlock:
-        start = self.expect("always")
+        self.expect("always")
         self.expect("@")
         self.expect("(")
         edge_tok = self.peek()
@@ -450,8 +513,7 @@ class _Parser:
         clock_tok = self.expect_id()
         self.names.append(clock_tok)
         clock = clock_tok[1]
-        reset = None
-        reset_edge = None
+        reset = reset_edge = reset_tok = None
         if self.accept("or"):
             rtok = self.peek()
             if rtok[1] not in ("posedge", "negedge"):
@@ -461,8 +523,11 @@ class _Parser:
             self.names.append(reset_tok)
             reset = reset_tok[1]
         self.expect(")")
-        body = self.parse_stmt_block()
-        return AlwaysBlock(clock, reset, reset_edge, tuple(body), self.line(start))
+        first, n_names = self.pos, len(self.names)
+        blk = AlwaysBlock(clock, reset, reset_edge, tuple(self.parse_stmt_block()))
+        if reset_tok is not None:
+            self.resets.append((reset_tok, first, n_names, blk))
+        return blk
 
     def parse_stmt_block(self) -> list[Stmt]:
         if self.accept("begin"):
@@ -490,7 +555,7 @@ class _Parser:
             if self.accept("else"):
                 other = tuple(self.parse_stmt_block())
             self.stmt_depth -= 1
-            return IfStmt(cond, then, other, self.line(tok))
+            return IfStmt(cond, then, other)
         if tok[0] == "id":
             _, target, offset = self.next()
             self.names.append(("nb", target, offset))
@@ -516,10 +581,14 @@ class _Parser:
         inst = self.next()[1]
         self.expect("(")
         conns: list[tuple[str, Expr | None]] = []
+        connected = set()
         if self.peek()[1] != ")":
             while True:
                 self.expect(".")
-                port = self.expect_id()[1]
+                _, port, offset = self.expect_id()
+                if port in connected:
+                    self.twice.append((offset, f"{inst}: port {port!r} connected twice"))
+                connected.add(port)
                 self.expect("(")
                 expr = None
                 if self.peek()[1] != ")":
@@ -530,7 +599,7 @@ class _Parser:
                     break
         self.expect(")")
         self.expect(";")
-        return Instance(mod_tok[1], inst, tuple(conns))
+        return Instance(mod_tok[1], inst, tuple(conns), *self.where(inst_tok))
 
     # -- expressions (precedence: ?: < | < ^ < & < unary < primary) --
 
@@ -622,6 +691,7 @@ class _Parser:
                 self.expect("]")
                 if msb < lsb:
                     self.error("slice msb < lsb", tok)
+                self.slices.append((tok[2], text, msb, lsb))
                 return Slice(text, msb, lsb)
             return Ident(text)
         self.error(f"expected expression, found {text!r}", tok, expected="expression")

@@ -16,7 +16,8 @@ tick's edging flops, captures and sampling checkers, the reference for the
 engine's per-edge-set schedules; and exhaustive exploration is redone by
 replaying every decision path from the start.  A module's names are checked
 as the elaborator once did, over the parsed tree, assigns before always
-blocks.  Also here: the MSI-off reference run, a
+blocks, and its shape (reset arms, slices, connections) per instance, over
+the lowered expressions only.  Also here: the MSI-off reference run, a
 printer back to subset source text, and the generated assertions
 interpreted over a run's waves (`sva_interp`).
 """
@@ -41,8 +42,8 @@ from cdckit.sim import (Engine, MsiConfig, MsiEvent, Opportunity, SimResult,
 from cdckit.syncrec import (SyncInstance, _chains, _fifo_roles, _gray_shape,
                              _net_driver_gate)
 from cdckit.verilog import (KEYWORDS, UNSUPPORTED_KEYWORDS, Binary, Concat,
-                            Expr, Ident, Literal, NbAssign, ParsedModule,
-                            Slice, Stmt, Ternary, Unary)
+                            Expr, Ident, IfStmt, Literal, NbAssign,
+                            ParsedModule, Slice, Stmt, Ternary, Unary, fold)
 from sva_interp import evaluate_module, parse_bindings, parse_checker_module
 
 
@@ -131,18 +132,23 @@ def expr_idents(expr: Expr) -> set[str]:
 
 
 @lru_cache(maxsize=1)
-def _statement_lines(text: str) -> dict[str, tuple[list[int], list[int]]]:
-    """For each module of `text`, the lines of its `assign`s and of its
-    nonblocking targets, in source order, from the reference tokenizer."""
-    out: dict[str, tuple[list[int], list[int]]] = {}
+def _statement_lines(text: str) -> dict[str, tuple[list[int], ...]]:
+    """For each module of `text`, the lines of its `assign`s, of its
+    nonblocking targets, of its `always` blocks and of its `if`s, in source
+    order, from the reference tokenizer."""
+    out: dict[str, tuple[list[int], ...]] = {}
     toks = reference_tokenize(text)
     for i, tok in enumerate(toks):
         if tok[1] == "module":
-            assigns, nbs = out[toks[i + 1][1]] = [], []
+            assigns, nbs, always, ifs = out[toks[i + 1][1]] = [], [], [], []
         elif tok[1] == "assign":
             assigns.append(tok[2])
         elif tok[0] == "nba":
             nbs.append(toks[i - 1][2])
+        elif tok[1] == "always":
+            always.append(tok[2])
+        elif tok[1] == "if":
+            ifs.append(tok[2])
     return out
 
 
@@ -153,8 +159,8 @@ def reference_check_module(mod: ParsedModule, text: str,
     assign targets not reg.  Assigns are checked before always blocks, and an
     error is raised at the line of its statement, column 0.  Instance
     connections are not checked."""
-    assign_lines, nb_lines = _statement_lines(text)[mod.name]
-    nb_line = iter(nb_lines)
+    assign_lines, nb_lines, always_lines, if_lines = _statement_lines(text)[mod.name]
+    nb_line, if_line = iter(nb_lines), iter(if_lines)
     widths = mod.declared_widths()
     regs = {p.name for p in mod.ports if p.is_reg} | {d.name for d in mod.decls if d.is_reg}
 
@@ -165,10 +171,10 @@ def reference_check_module(mod: ParsedModule, text: str,
         for name in expr_idents(a.expr):
             _need(widths, name, line, origin)
 
-    for blk in mod.always_blocks:
-        _need(widths, blk.clock, blk.line, origin)
+    for blk, blk_line in zip(mod.always_blocks, always_lines, strict=True):
+        _need(widths, blk.clock, blk_line, origin)
         if blk.reset is not None:
-            _need(widths, blk.reset, blk.line, origin)
+            _need(widths, blk.reset, blk_line, origin)
         # statements in source order, on an explicit stack
         stack: list[Stmt] = list(reversed(blk.body))
         while stack:
@@ -182,8 +188,9 @@ def reference_check_module(mod: ParsedModule, text: str,
                 for name in expr_idents(s.expr):
                     _need(widths, name, line, origin)
             else:
+                line = next(if_line)
                 for name in expr_idents(s.cond):
-                    _need(widths, name, s.line, origin)
+                    _need(widths, name, line, origin)
                 if s.other is not None:
                     stack.extend(reversed(s.other))
                 stack.extend(reversed(s.then))
@@ -192,6 +199,116 @@ def reference_check_module(mod: ParsedModule, text: str,
 def _need(widths: dict, name: str, line: int, origin: str) -> None:
     if name not in widths:
         raise ParseError(f"undeclared identifier {name!r}", line, 0, origin)
+
+
+def _lowered_slices(expr: Expr | None):
+    """The slices of an expression in the order the elaborator lowers them."""
+    match expr:
+        case Slice():
+            yield expr
+        case Unary(_, operand):
+            yield from _lowered_slices(operand)
+        case Binary(_, lhs, rhs):
+            yield from _lowered_slices(lhs)
+            yield from _lowered_slices(rhs)
+        case Ternary(c, t, f):
+            for e in (c, t, f):
+                yield from _lowered_slices(e)
+        case Concat(parts):
+            for e in parts:
+                yield from _lowered_slices(e)
+
+
+def reference_shape_errors(modules: list[ParsedModule], top: str) -> list[str]:
+    """The shape errors the elaborator once raised, per instance, in the
+    order it met them, each check going on past its error as the code after
+    it would have: modules defined twice, then the instances below `top`
+    depth first, each module's assigns, always blocks (reset width, reset
+    shape, polarity, literal reset values; per register its lowered slices
+    and whether its reset value fits) and connections (missing port, port
+    connected twice, output port on an expression, lowered slices).  Only
+    lowered expressions are checked, so a module no instance reaches, a
+    black box's connections and a slice the fold discards are not.  The
+    messages carry the old instance paths and no line."""
+    errors: list[str] = []
+    by_name: dict[str, ParsedModule] = {}
+    for m in modules:
+        if by_name.setdefault(m.name, m) is not m:
+            errors.append(f"module {m.name!r} defined more than once")
+
+    def slices(prefix: str, widths: dict[str, int], expr: Expr | None) -> None:
+        for s in _lowered_slices(expr):
+            if s.msb >= widths[s.name]:
+                errors.append(f"slice [{s.msb}:{s.lsb}] out of range for "
+                              f"{prefix}{s.name} ({widths[s.name]} bits)")
+
+    def own(mod: ParsedModule, prefix: str) -> None:
+        widths = mod.declared_widths()
+        for a in mod.assigns:
+            slices(prefix, widths, a.expr)
+        for blk in mod.always_blocks:
+            reset_env: dict[str, Expr] = {}
+            body = blk.body
+            if blk.reset is not None:
+                if widths[blk.reset] != 1:
+                    errors.append(f"reset {blk.reset!r} must be 1 bit wide")
+                if len(body) != 1 or not isinstance(body[0], IfStmt) or body[0].other is None:
+                    errors.append("always block with async reset must be "
+                                  "'if (reset) ... else ...'")
+                    continue
+                want = (Unary("~", Ident(blk.reset)) if blk.reset_edge == "negedge"
+                        else Ident(blk.reset))
+                if body[0].cond != want:
+                    errors.append(f"reset condition must test {blk.reset!r} with the "
+                                  "polarity of its edge event")
+                reset_env = fold(body[0].then, {})
+                body = body[0].other
+                for target, expr in reset_env.items():
+                    if not isinstance(expr, Literal):
+                        errors.append(f"reset value of {target!r} must be a constant literal")
+            func_env = fold(body, {})
+            for target in sorted(set(func_env) | set(reset_env)):
+                nxt = func_env.get(target, Ident(target))
+                enable = None
+                if isinstance(nxt, Ternary) and Ident(target) in (nxt.if_true, nxt.if_false):
+                    enable, nxt = nxt.cond, (nxt.if_true if nxt.if_false == Ident(target)
+                                             else nxt.if_false)
+                slices(prefix, widths, nxt)
+                slices(prefix, widths, enable)
+                rv = reset_env.get(target)
+                if isinstance(rv, Literal) and rv.value >= 1 << widths[target]:
+                    errors.append(f"reset value of {target!r} does not fit")
+
+    def visit(mod: ParsedModule, prefix: str, chain: tuple[str, ...]) -> None:
+        own(mod, prefix)
+        widths = mod.declared_widths()
+        for inst in mod.instances:
+            path = prefix + inst.name
+            child = by_name.get(inst.module)
+            if child is None:
+                for _port, expr in inst.conns:
+                    slices(prefix, widths, expr)
+                continue
+            port_dirs = {p.name: p.direction for p in child.ports}
+            seen = set()
+            for port, expr in inst.conns:
+                if port not in port_dirs:
+                    errors.append(f"{path}: module {inst.module!r} has no port {port!r}")
+                    continue
+                if port in seen:
+                    errors.append(f"{path}: port {port!r} connected twice")
+                seen.add(port)
+                if expr is None or isinstance(expr, Ident):
+                    continue
+                if port_dirs[port] == "out":
+                    errors.append(f"{path}: output port {port!r} must connect to a plain net")
+                slices(prefix, widths, expr)
+            if child.name not in chain:
+                visit(child, path + ".", (*chain, child.name))
+
+    if top in by_name:
+        visit(by_name[top], "", (top,))
+    return errors
 
 
 def count_dffs_recursive(modules: list[ParsedModule], top: str) -> int:

@@ -519,6 +519,102 @@ def test_a_name_may_be_used_before_its_declaration(tmp_path):
     assert [(p["src"], p["dst"]) for p in pairs] == [("s", "q1")]
 
 
+def _analyze_error(tmp_path, capsys, *texts, argv=()):
+    """`analyze` on source files d1.v, d2.v, ... holding `texts`; returns the
+    paths, the exit code and stderr."""
+    paths = []
+    for i, text in enumerate(texts, start=1):
+        paths.append(tmp_path / f"d{i}.v")
+        paths[-1].write_text(text)
+    cons = tmp_path / "c.cdc"
+    cons.write_text("clock clk -period 10 -domain A\n")
+    rc = main(["analyze", *map(str, paths), "-c", str(cons), *argv,
+               "--out", str(tmp_path / "out")])
+    return paths, rc, capsys.readouterr().err
+
+
+_RST = "module m(input clk, input rst, input rst_n, input [3:0] a, output reg [1:0] q);\n"
+_SUB_Y = "module sub(input a, output y);\n  assign y = a;\nendmodule\n"
+_TOP_W = "module m(input clk, input a, output w);\n"
+
+
+# (the module's text, its offending line, the token the error points at, message)
+@pytest.mark.parametrize("text, line, token, message", [
+    (_RST, "  always @(posedge clk or posedge rst) q <= a[1:0];", "q <=",
+     "always block with async reset must be 'if (reset) ... else ...'"),
+    (_RST, "  always @(posedge clk or posedge rst) if (rst) q <= 0;", "if",
+     "always block with async reset must be 'if (reset) ... else ...'"),
+    (_RST, "  always @(posedge clk or negedge rst_n) if (rst_n) q <= 0; else q <= a[1:0];",
+     "rst_n) q", "reset condition must test 'rst_n' with the polarity of its edge event"),
+    (_RST, "  always @(posedge clk or posedge rst) begin if (!rst) q <= 0; else q <= 1; end",
+     "!rst", "reset condition must test 'rst' with the polarity of its edge event"),
+    (_RST, "  always @(posedge clk or posedge rst) if (rst) q <= a[1:0]; else q <= 0;",
+     "q <= a", "reset value of 'q' must be a constant literal"),
+    (_RST, "  always @(posedge clk or posedge rst) if (rst) begin q <= 1; if (a[0]) q <= 0;"
+     " end else q <= 0;", "q <= 1", "reset value of 'q' must be a constant literal"),
+    (_RST.replace("input rst,", "input [1:0] rst,"),
+     "  always @(posedge clk or posedge rst) if (rst) q <= 0; else q <= 1;", "rst)",
+     "reset 'rst' must be 1 bit wide"),
+    (_RST, "  always @(posedge clk or posedge rst) if (rst) q <= 3'd4; else q <= 1;", "q <=",
+     "reset value of 'q' does not fit"),
+    (_RST, "  always @(posedge clk) q <= {a[4], a[0]};", "a[4]",
+     "slice [4:4] out of range for a (4 bits)"),
+    (_SUB_Y + _TOP_W, "  sub u(.a(a), .y(w), .a(clk));", "a(clk", "u: port 'a' connected twice"),
+    (_TOP_W, "  bb u(.a(a), .a(clk), .y(w));", "a(clk", "u: port 'a' connected twice"),
+    (_SUB_Y + _TOP_W, "  sub u(.a(a), .zz(clk), .y(w));", "u(", "u: module 'sub' has no port 'zz'"),
+    (_SUB_Y + _TOP_W, "  sub u(.a(a), .y(w & a));", "u(",
+     "u: output port 'y' must connect to a plain net"),
+], ids=["reset-not-if", "reset-no-else", "reset-polarity", "reset-polarity-begin",
+        "reset-literal", "reset-nested-if", "reset-width", "reset-fits", "slice-range",
+        "conn-twice", "conn-twice-blackbox", "no-port", "output-expression"])
+def test_shape_errors_are_positioned_at_their_token(tmp_path, capsys, text, line, token,
+                                                    message):
+    source = text + line + "\nendmodule\n"
+    [rtl], rc, err = _analyze_error(tmp_path, capsys, source)
+    assert rc == 1
+    row = source.split("\n").index(line) + 1
+    assert err == f"error: {rtl}:{row}:{line.index(token) + 1}: {message}\n"
+
+
+def test_duplicate_module_in_one_file_points_at_the_second_definition(tmp_path, capsys):
+    [rtl], rc, err = _analyze_error(tmp_path, capsys, "module m(input clk);\nendmodule\n"
+                                    "  module m(input clk);\nendmodule\n")
+    assert rc == 1
+    assert err == f"error: {rtl}:3:3: module 'm' already defined at line 1\n"
+
+
+@pytest.mark.parametrize("argv", [(), ("--top", "m")], ids=["inferred-top", "top"])
+def test_duplicate_module_across_files_names_the_first_file(tmp_path, capsys, argv):
+    mod = "module m(input clk);\nendmodule\n"
+    (d1, d2), rc, err = _analyze_error(tmp_path, capsys, mod, "\n" + mod, argv=argv)
+    assert rc == 1
+    assert err == f"error: {d2}:2:1: module 'm' already defined at {d1}:1\n"
+
+
+def test_elaborator_temporaries_skip_declared_names(tmp_path, capsys):
+    rtl = tmp_path / "rtl.v"
+    rtl.write_text("module top(input clk, input a, input b, output reg q);\n"
+                   "  wire __t1;\n  assign __t1 = a;\n"
+                   "  always @(posedge clk) q <= (a & b) | __t1;\nendmodule\n")
+    cons = tmp_path / "c.cdc"
+    cons.write_text("clock clk -period 10 -domain A\n")
+    out = tmp_path / "out"
+    assert main(["analyze", str(rtl), "-c", str(cons), "--out", str(out),
+                 "--dump-ir", str(tmp_path / "ir.json")]) == 0
+    nets = [n["name"] for n in json.loads((tmp_path / "ir.json").read_text())["nets"]]
+    # `__t1` is merged into `a`; the first temporary skips its name
+    assert len(nets) == len(set(nets)) and "__t1" not in nets and "__t2" in nets
+
+
+def test_stimulus_without_run_names_its_file(corpus_root, tmp_path, capsys):
+    files, _ = _case_args(corpus_root, "cov_toggle")
+    stim = tmp_path / "s.stim"
+    stim.write_text("# no run directive\n")
+    rc = main(["simulate", *files, "-s", str(stim), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {stim}: stimulus needs a run directive\n"
+
+
 def test_static_repeated_across_options_and_constraints_exits_one(
         corpus_root, tmp_path, capsys, monkeypatch):
     d = corpus_root / "static_config"

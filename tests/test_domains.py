@@ -224,7 +224,10 @@ def test_net_domains_equal_reference_on_random_designs():
             ClockSpec(name, 10, 0, dom) for name, dom in sorted(clock_domains.items())])
         dm = assign_domains(nl, cs)
         assert dm.net_domain == reference_net_domains(nl, dm), seed
-        kinds |= {nd.kind for nd in dm.net_domain.values()}
+        kinds |= {"constant" if nd.constant
+                  else "unclocked" if nd.unclocked and not nd.domains
+                  else "mixed" if nd.unclocked or len(nd.domains) > 1
+                  else "single" for nd in dm.net_domain.values()}
     assert kinds == {"single", "mixed", "unclocked"}
 
 

@@ -1,16 +1,20 @@
 import random
 import re
+from collections import Counter
 
 import hypothesis
 import pytest
 from hypothesis import strategies as st
 
 from cdckit import verilog
+from cdckit.elaborate import elaborate
 from cdckit.errors import CdcError, DuplicateModule, ParseError, UnsupportedConstruct
+from cdckit.pipeline import analyze_sources
 from cdckit.verilog import (Binary, Ident, Literal, Ternary, Unary, line_starts,
                             parse_verilog, position, tokenize)
 from conftest import corpus_designs, generated_designs
-from oracles import expr_idents, reference_check_module, reference_tokenize, to_source
+from oracles import (expr_idents, reference_check_module, reference_shape_errors,
+                     reference_tokenize, to_source)
 
 SYNC2 = """
 module sync2(input clk, input rst_n, input d, output q);
@@ -71,7 +75,8 @@ def test_out_of_subset_rejected(snippet, construct):
 
 def test_duplicate_module():
     with pytest.raises(DuplicateModule):
-        parse_verilog("module m(input a); endmodule\nmodule m(input a); endmodule\n")
+        analyze_sources([("d.v", "module m(input a); endmodule\nmodule m(input a); endmodule\n")],
+                        "")
 
 
 def test_positioned_syntax_error():
@@ -209,10 +214,12 @@ def _rejection(text):
 
 def _reference_rejection(text, monkeypatch):
     """How `reference_check_module` rejects the modules of `text`, parsed
-    without the parser's own name check: (message, line) or None, and the
-    names read in instance connections, which it does not check."""
+    without the parser's own name and shape checks: (message, line) or
+    None, and the names read in instance connections, which it does not
+    check."""
     with monkeypatch.context() as m:
         m.setattr(verilog._Parser, "check_names", lambda self, declared, regs: None)
+        m.setattr(verilog._Parser, "check_shape", lambda self, widths: None)
         modules = parse_verilog(text, "t.v")
     conn_names = {name for mod in modules for inst in mod.instances
                   for _port, expr in inst.conns if expr is not None
@@ -284,3 +291,155 @@ def test_name_check_equals_reference_on_single_defect_edits(monkeypatch):
             named = re.search(r"'(\w+)'", got[0])[1]
             assert ("id", named, got[1], got[2]) in reference_tokenize(text), name
     assert edits > 400 and rejected > 350 and in_conns, (edits, rejected, in_conns)
+
+
+# --- shapes: the parser against the elaborator's old checks -----------------
+
+def _top(modules):
+    inner = {i.module for m in modules for i in m.instances}
+    [top] = [m.name for m in modules if m.name not in inner]
+    return top
+
+
+def _shape_rejection(text):
+    """How parsing and elaborating `text` rejects it: the message without its
+    position, or None."""
+    try:
+        modules = parse_verilog(text, "t.v")
+        elaborate(modules, _top(modules))
+    except CdcError as e:
+        return re.sub(r"^t\.v:\d+:\d+: ", "", str(e))
+    return None
+
+
+def _reference_shape_errors(text, monkeypatch, top=None):
+    """`reference_shape_errors` on the modules of `text`, parsed without the
+    parser's own shape check, with the instance paths taken out of the
+    messages."""
+    with monkeypatch.context() as m:
+        m.setattr(verilog._Parser, "check_shape", lambda self, widths: None)
+        modules = parse_verilog(text, "t.v")
+    return [re.sub(r"\b[\w$]+\.", "", e)
+            for e in reference_shape_errors(modules, top or _top(modules))]
+
+
+SHAPE_EDITS = ("polarity", "reset-width", "reset-literal", "fold-equal", "fold-differ",
+               "slice", "conn-twice")
+
+
+def _shape_edits(text, rng, per_kind=2, conns=12):
+    """Seeded single-defect edits of `text`, as (kind, edited text, module of
+    the instance whose connection is duplicated, or None).  The kinds: flip
+    the polarity of a reset condition; widen a reset to 2 bits; give a reset
+    arm's register a reset value that is not a literal (the reset itself);
+    wrap a reset arm's assignment `t <= v;` into `if (rst) t <= v; else
+    t <= v;`, which folds to `v`, or into `... else t <= t;`, which does not;
+    read a name as a slice at its width; connect a port twice (`conns` of
+    these, since few designs have instances)."""
+    tokens = reference_tokenize(text)
+    starts = line_starts(text)
+
+    def at(i):
+        return starts[tokens[i][2] - 1] + tokens[i][3] - 1
+
+    def closing(i, open_, close):      # index of the token closing tokens[i]
+        depth = 0
+        for k in range(i, len(tokens)):
+            depth += (tokens[k][1] == open_) - (tokens[k][1] == close)
+            if depth == 0:
+                return k
+        raise AssertionError(text)
+
+    widths = {m.name: m.declared_widths() for m in parse_verilog(text)}
+    sites = {kind: [] for kind in SHAPE_EDITS}
+    module = start = inst_module = None
+    in_decl = False
+    for i, (kind, tok, _line, _col) in enumerate(tokens[:-1]):     # not the end token
+        prev, nxt = tokens[i - 1], tokens[i + 1]
+        if tok == "module":
+            module, start, in_decl = tokens[i + 1][1], i, True
+        elif tok in ("wire", "reg", "input", "output"):
+            in_decl = True
+        elif tok == ";":
+            in_decl = False
+        elif tok == "always" and tokens[i + 5][1] == "or":
+            reset = tokens[i + 7][1]
+            j = i + 9 + (tokens[i + 9][1] == "begin")
+            cond = tokens[j + 2]
+            sites["polarity"].append(
+                (at(j + 2), 1, "") if cond[1] in ("!", "~") else (at(j + 2), 0, "!"))
+            decl = next(k for k in range(start, i) if tokens[k][1] == reset
+                        and tokens[k - 1][1] in ("input", "wire", "reg"))
+            sites["reset-width"].append((at(decl), 0, "[1:0] "))
+            then = closing(j + 1, "(", ")") + 1
+            end = closing(then, "begin", "end") if tokens[then][1] == "begin" else then + 3
+            for k in range(then, end):
+                if (tokens[k + 1][0] == "nba" and tokens[k + 2][0] in ("sized", "number")
+                        and tokens[k + 3][1] == ";"):
+                    t, v = tokens[k][1], tokens[k + 2][1]
+                    stmt = (at(k), at(k + 3) + 1 - at(k))
+                    sites["reset-literal"].append((at(k + 2), len(v), reset))
+                    sites["fold-equal"].append((*stmt, f"if ({reset}) {t} <= {v}; "
+                                                       f"else {t} <= {v};"))
+                    sites["fold-differ"].append((*stmt, f"if ({reset}) {t} <= {v}; "
+                                                        f"else {t} <= {t};"))
+        elif kind == "id" and prev[0] == "id" and nxt[1] == "(":
+            inst_module = prev[1]
+        elif tok == "." and nxt[0] == "id":
+            conn = text[at(i):at(closing(i + 2, "(", ")")) + 1]
+            sites["conn-twice"].append((at(i) + len(conn), 0, ", " + conn, inst_module))
+        if (kind == "id" and not in_decl and prev[1] not in (".", "posedge", "negedge", "assign")
+                and prev[0] != "id" and nxt[0] not in ("id", "nba") and nxt[1] != "["):
+            w = widths[module][tok]
+            sites["slice"].append((at(i), len(tok), f"{tok}[{w}]"))
+
+    for kind in SHAPE_EDITS:
+        n = min(conns if kind == "conn-twice" else per_kind, len(sites[kind]))
+        for offset, cut, new, *inst in rng.sample(sites[kind], n):
+            yield kind, text[:offset] + new + text[offset + cut:], (inst or [None])[0]
+
+
+def test_shape_checks_equal_reference_on_single_defect_edits(monkeypatch):
+    edits = Counter()
+    for name, rtl, _cons in (*corpus_designs(), *generated_designs()):
+        assert _shape_rejection(rtl) is None, name
+        assert _reference_shape_errors(rtl, monkeypatch) == [], name
+        defined = {m.name for m in parse_verilog(rtl)}
+        for kind, text, inst_module in _shape_edits(rtl, random.Random(name)):
+            edits[kind] += 1
+            got = _shape_rejection(text)
+            want = _reference_shape_errors(text, monkeypatch)
+            if got is not None and not want:
+                # the old checks never saw a black box's connections, nor a
+                # slice that the fold discards
+                assert (kind == "conn-twice" and inst_module not in defined
+                        or kind == "slice" and got.startswith("slice ")), (name, text)
+                edits["new: " + kind] += 1
+                continue
+            assert (got is None) == (not want), (name, kind, text)
+            assert got is None or got in want, (name, kind, got, want)
+            edits["rejected"] += got is not None
+    assert sum(edits[k] for k in SHAPE_EDITS) >= 300, edits
+    assert all(edits[k] >= 20 for k in SHAPE_EDITS), edits
+    assert edits["rejected"] >= 250 and edits["new: conn-twice"], edits
+
+
+@pytest.mark.parametrize("module, line", [
+    ("lost", "  sub u(.a(d[0]), .y(q));\n"),
+    ("top", "  bb u(.a(d), .a(d), .y(q));\n"),
+    ("top", "  reg r;\n  always @(posedge clk) begin r <= d[5]; r <= d[0]; end\n"
+            "  assign q = r;\n"),
+], ids=["unreached-module", "blackbox-twice", "folded-away-slice"])
+def test_shape_checks_reach_what_elaboration_skipped(monkeypatch, module, line):
+    """The three inputs the old elaborate-time checks accepted: a module no
+    instance reaches, a black box connecting one port twice, and a slice
+    the fold discards."""
+    text = ("module lost(input a, output y);\n  assign y = a[1];\nendmodule\n"
+            if module == "lost" else "")
+    text += ("module sub(input a, output y);\n  assign y = a;\nendmodule\n"
+             f"module top(input clk, input [1:0] d, output q);\n{line}endmodule\n")
+    with pytest.raises(ParseError) as e:
+        parse_verilog(text)
+    headers = [row for row in text.split("\n")[:e.value.line] if row.startswith("module ")]
+    assert headers[-1].startswith(f"module {module}(")
+    assert _reference_shape_errors(text, monkeypatch, top="top") == []
