@@ -24,7 +24,8 @@ the first must be named; `undeclared-conn`: one in an instance
 connection), and on one error of each kind of module shape (a reset arm
 that is not an `if ... else`, of the wrong polarity, with a value that is
 not a literal or does not fit, a reset wider than one bit, a slice past
-the width, a port connected twice or missing), and
+the width, a port connected twice or missing, a port declared twice in
+one header), and
 `generate` on `gray_cross` with its crossing source renamed to
 SystemVerilog keywords that subset Verilog allows as names.  Paths are
 passed relative to the checkout (or to the generated design's directory),
@@ -146,6 +147,8 @@ REJECTED = (
     ("no-port", "module sub(input a, output y);\n  assign y = a;\nendmodule\n"
                 "module m(input clk, input a, output w);\n"
                 "  sub u(.a(a), .zz(clk), .y(w));\nendmodule\n"),
+    ("dup-port", "module m(input clk, input a, input a, output w);\n"
+                 "  assign w = a;\nendmodule\n"),
 )
 REJECTED_CONSTRAINTS = "clock clk -period 10 -domain A\n"
 # Names for gray_cross's source flop `g`: keywords of SystemVerilog only.

@@ -25,7 +25,10 @@ from .errors import (BranchCapExceeded, CdcError, DecisionBudgetExceeded,
                      FingerprintMismatch, ParseError)
 from .pipeline import (analyze_sources, findings_report, pairs_report,
                        syncs_report)
-from .sim import MsiConfig, explore_exhaustive, parse_seed_range, simulate
+# `simulate` is unused here but stays a name of this module, where
+# perfbench/spans.py looks it up to trace it
+from .sim import (Engine, MsiConfig, explore_exhaustive, parse_seed_range,
+                  simulate)
 from .stimulus import parse_stimulus
 from .vcd import write_vcd
 
@@ -134,17 +137,17 @@ def cmd_simulate(args) -> int:
     seeds = parse_seed_range(args.seeds) if args.seeds else [args.seed]
     checkers = build_checkers(analysis, latency=parse_latency(args.latency),
                               select=_select(args.checkers))
-    # Only the first seed's events and waves are written, so only its run
-    # records waves, and only under --vcd; every later result is released
-    # once its verdicts and coverage are taken.
+    # Every seed runs on one engine.  Only the first seed's events and waves
+    # are written, so only its run records waves, and only under --vcd;
+    # every later result is released once its verdicts and coverage are
+    # taken.
+    engine = Engine(analysis, stim,
+                    MsiConfig(enabled=not args.no_msi, probability=args.probability),
+                    checkers, scope=args.scope)
     first = db = None
     verdicts = []
     for seed in seeds:
-        r = simulate(analysis, stim,
-                     MsiConfig(enabled=not args.no_msi,
-                               probability=args.probability, seed=seed),
-                     checkers, scope=args.scope,
-                     waves=first is None and args.vcd is not None)
+        r = engine.run(waves=first is None and args.vcd is not None, seed=seed)
         db = r.coverage if db is None else merge(db, r.coverage)
         for v in r.verdicts:
             d = v.to_dict()

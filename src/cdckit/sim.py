@@ -33,16 +33,25 @@ exact as exhaustive runs are not random.
 
 Evaluation is compiled, not interpreted (levelized compiled-code
 simulation).  Each netlist is compiled once into straight-line Python with
-constant masks: `comb`, every gate in topological order, and cone kernels,
-the enable and data of one crossing destination with its sources
-substituted or one gated flop clock with its root substituted.  Kernels are
-split into functions of at most `_CHUNK` gates and cached on the `Netlist`,
-so every seed and exploration branch of a design shares them; the cone
-kernels an engine needs are compiled together, in one `compile`.  A
-destination without an enable whose data net is its only source captures
-the substituted value itself, with no kernel.  The gate interpreter the
-kernels replace is kept in tests/oracles.py as the reference they are
-tested against.
+constant masks: the gates, and cone kernels, the enable and data of one
+crossing destination with its sources substituted or one gated flop clock
+with its root substituted.  Kernels are split into functions of at most
+`_CHUNK` gates and cached on the `Netlist`, so every seed and exploration
+branch of a design shares them; the cone kernels an engine needs are
+compiled together, in one `compile`.  A destination without an enable
+whose data net is its only source captures the substituted value itself,
+with no kernel.  The gate interpreter the kernels replace is kept in
+tests/oracles.py as the reference they are tested against.
+
+The gates are grouped by activity signature, the set of clock roots and
+input ports in their fan-in (`CombGroups`), and each group is compiled
+once.  Groups run in (popcount, signature) order, which is topological.  A
+full pass runs every group: the initial state and each reset settle use
+it.  A pass after some nets changed runs only the groups whose signature
+meets theirs: the port drive runs the groups the input ports reach, and
+the hold lookahead and the commit run the groups that the outputs of the
+tick's edging flops reach, since those are the only nets in which their
+values differ from the tick's settled pre-edge values.
 
 Scheduling is done once per engine, not per tick.  What a tick does that
 depends only on which clocks edge at it (the flops that capture, the
@@ -153,6 +162,7 @@ class _EdgeSet(NamedTuple):
     flops: tuple[tuple[int, int, int, int | None], ...]  # (index, out, data, enable)
     dsts: tuple[_Dst, ...]          # the crossing destinations among them
     gated: tuple[int, ...]          # the gated flops among them
+    comb: tuple                     # the gate kernels their outputs reach
     # per edging clock with checkers: (clock, its resets as (net, active
     # value), (checker index, bound `sample`) of each checker sampling on it)
     checks: tuple[tuple[str, tuple[tuple[int, int], ...],
@@ -183,7 +193,7 @@ def _gate_code(nl: Netlist, g: Gate, ref) -> list[str]:
     ins = [ref(i) for i in g.inputs]
     if g.op == "NOT":
         return [f"{out} = ~{ins[0]} & {mask}"]
-    if g.op == "BUF":
+    if g.op == "BUF" or g.op == "SLICE" and not g.slice_lsb:
         return [f"{out} = {ins[0]} & {mask}"]
     if g.op == "SLICE":
         return [f"{out} = {ins[0]} >> {g.slice_lsb} & {mask}"]
@@ -200,7 +210,8 @@ def _gate_code(nl: Netlist, g: Gate, ref) -> list[str]:
         terms, shift = [], 0
         for net, text in zip(reversed(g.inputs), reversed(ins)):
             width = nl.nets[net].width
-            terms.append(f"({text} & {(1 << width) - 1}) << {shift}")
+            m = (1 << width) - 1
+            terms.append(f"({text} & {m}) << {shift}" if shift else f"{text} & {m}")
             shift += width
         terms.reverse()
     code = [f"{out} = 0"] if not terms else []
@@ -254,10 +265,88 @@ def _compile(sources: list[str], label: str) -> dict:
     return ns
 
 
-def _compile_comb(nl: Netlist):
-    # a compile per chunk: one compile of every chunk is slower
-    return _compile(_function(nl, "comb", "v", ["w = v"], nl.comb_topo(),
-                              set(), ()), "comb")["comb"]
+PORT_BIT = 1        # the activity bit of the input ports
+
+
+class CombGroups(NamedTuple):
+    """The gates of a netlist grouped by activity signature, each gate
+    compiled once.  A net's signature holds PORT_BIT when an input port is
+    in its fan-in, and the bit of each clock root with a flop in its fan-in
+    (see `_activity`); a gate's is the OR of its inputs', so a gate's value
+    can change only when a net with a bit of its signature does."""
+    activity: list[int]     # signature per net
+    # (signature, gate indices, chunk kernels) per group, in (popcount,
+    # signature) order: a gate's inputs have a subset of its signature, so
+    # they come from its own group or an earlier one, and this order is
+    # topological
+    groups: tuple[tuple[int, tuple[int, ...], tuple], ...]
+    full: object            # `comb(v)`: every group in order
+
+    def select(self, mask: int) -> tuple:
+        """The kernels of the groups whose signature meets `mask`: run in
+        order, in place on consistent values in which only nets whose
+        signatures lie within `mask` changed, they make them consistent."""
+        return tuple(chain.from_iterable(
+            kernels for sig, _gates, kernels in self.groups if sig & mask))
+
+
+def _activity(nl: Netlist) -> list[int]:
+    """The activity signature of each net.  An input port carries PORT_BIT.
+    A flop output carries one bit per clock root, where a root is the set of
+    input ports in the fan-in of the flop's clock: the netlist alone tells
+    it, so the kernels can be cached on the netlist, and flops of one
+    declared clock share it unless a port gates their clock.  Consts,
+    black-box outputs and undriven nets never change and carry 0."""
+    sig = [0] * len(nl.nets)
+    for p in nl.ports:
+        if p.direction == "in":
+            sig[p.net] = PORT_BIT
+    roots: dict[tuple[int, ...], int] = {}
+    for c in nl.cells:
+        if isinstance(c, Dff):
+            root = tuple(i for kind, i, _pin in nl.fanin_cone(c.clock).seq
+                         if kind == "port")
+            sig[c.out] = roots.setdefault(root, PORT_BIT << len(roots) + 1)
+    for i in nl.comb_topo():
+        g = nl.cells[i]
+        s = 0
+        for net in g.inputs:
+            s |= sig[net]
+        sig[g.out] = s
+    return sig
+
+
+def _run_all(kernels: tuple):
+    def comb(v):
+        for kernel in kernels:
+            kernel(v)
+    return comb
+
+
+def _compile_comb(nl: Netlist) -> CombGroups:
+    activity = _activity(nl)
+    members: dict[int, list[int]] = {}
+    for i in nl.comb_topo():
+        members.setdefault(activity[nl.cells[i].out], []).append(i)
+    order = sorted(members, key=lambda sig: (sig.bit_count(), sig))
+
+    def ref(net: int) -> str:
+        return f"v[{net}]"
+
+    # each group's gates in functions `comb<sig>_<k>(v)` of at most _CHUNK
+    # gates, one statement each, compiled one by one: one compile of every
+    # chunk is slower
+    chunks = {sig: [(f"comb{sig}_{k}", members[sig][k:k + _CHUNK])
+                    for k in range(0, len(members[sig]), _CHUNK)]
+              for sig in order}
+    ns = _compile([_define(name, "v", ["w = v"] + [
+        line for i in gates for line in _gate_code(nl, nl.cells[i], ref)])
+        for sig in order for name, gates in chunks[sig]], "comb")
+    groups = tuple((sig, tuple(members[sig]),
+                    tuple(ns[name] for name, _gates in chunks[sig]))
+                   for sig in order)
+    return CombGroups(activity, groups, _run_all(tuple(chain.from_iterable(
+        kernels for _sig, _gates, kernels in groups))))
 
 
 def _cone_sources(nl: Netlist, name: str, targets: tuple[int, ...],
@@ -289,9 +378,8 @@ def _compile_cones(nl: Netlist, specs: list[tuple[tuple[int, ...], tuple[int, ..
     return [ns[f"cone{j}"] for j in range(len(specs))]
 
 
-def comb_kernel(nl: Netlist):
-    """`comb(v)`: evaluates every gate of `nl` in topological order, in place
-    on the net value list `v`.  Compiled once per netlist."""
+def comb_groups(nl: Netlist) -> CombGroups:
+    """The grouped gate kernels of `nl`, compiled once per netlist."""
     k = nl.kernels.get("comb")
     if k is None:
         k = nl.kernels["comb"] = _compile_comb(nl)
@@ -395,11 +483,15 @@ class Engine:
                 spec = self.clocks[self.flop_root[f.index]]
                 self.src_flop[p.src_net] = (f, spec.phase, spec.period)
 
-        # compiled kernels, shared with every engine on this netlist: each
-        # gated flop clock with its root substituted, and the enable and
-        # data of each crossing destination with its sources substituted,
-        # unless it has no enable and its data net is its only source
-        self.comb = comb_kernel(self.nl)
+        # compiled kernels, shared with every engine on this netlist: the
+        # gates (a full pass, and the pass after the input ports move),
+        # each gated flop clock with its root substituted, and the enable
+        # and data of each crossing destination with its sources
+        # substituted, unless it has no enable and its data net is its
+        # only source
+        comb = comb_groups(self.nl)
+        self.comb = comb.full
+        self.port_comb = comb.select(PORT_BIT)
         srcs_of = {dst: tuple(dict.fromkeys(p.src_net for p in plist))
                    for dst, plist in pairs_by_dst.items()}
         captured = [self.nl.cells[dst] for dst, srcs in srcs_of.items()
@@ -436,21 +528,26 @@ class Engine:
             for clk in c.clocks:
                 sampling.setdefault(clk, []).append((ci, c.sample))
         edge_sets = {m: self._edge_set([c.name for bit, c in enumerate(cs.clocks)
-                                        if m >> bit & 1], sampling)
+                                        if m >> bit & 1], sampling, comb)
                      for m in sorted(set(edge_mask.values()))}
         self.edge_set = {t: edge_sets[m] for t, m in edge_mask.items()}
         self.fingerprint = pairs_fingerprint(analysis.pairs)
 
     def _edge_set(self, clocks: list[str],
-                  sampling: dict[str, list[tuple[int, object]]]) -> _EdgeSet:
+                  sampling: dict[str, list[tuple[int, object]]],
+                  comb: CombGroups) -> _EdgeSet:
         """The schedule of a tick at which exactly `clocks` edge; `sampling`
         holds the checkers sampling on each clock."""
         flops = tuple((f.index, f.out, f.data, f.enable) for f in self.flops
                       if self.flop_root[f.index] in clocks)
+        reach = 0
+        for _i, out, _data, _enable in flops:
+            reach |= comb.activity[out]
         return _EdgeSet(
             flops,
             tuple(self.dsts[i] for i, *_ in flops if i in self.dsts),
             tuple(i for i, *_ in flops if i in self.clock_cone),
+            comb.select(reach),
             tuple((clk, self.clock_resets[clk], tuple(sampling[clk]))
                   for clk in clocks if clk in sampling))
 
@@ -521,7 +618,8 @@ class Engine:
                     vals0[net] ^= 1
                     driven = True
         if driven:
-            self.comb(vals0)
+            for kernel in self.port_comb:
+                kernel(vals0)
 
         edges = self.edge_set[tick]
         # flops held in reset, and gated flops whose clock does not rise,
@@ -556,17 +654,18 @@ class Engine:
                             opps.append(Opportunity(p.id, dst.index, src, bit, "setup"))
                             continue
                         if hold is None:
-                            hold = self._hold_toggles(src, tick, post, lookahead)
+                            hold = self._hold_toggles(src, tick, post, edges,
+                                                      lookahead)
                         if hold & m:
                             opps.append(Opportunity(p.id, dst.index, src, bit, "hold"))
         return _TickPlan(tick, vals0, post, dsts, opps, edges)
 
     def _hold_toggles(self, src: int, tick: int, post: list[int],
-                      lookahead: list[list[int]]) -> int:
+                      edges: _EdgeSet, lookahead: list[list[int]]) -> int:
         """Bits of crossing source net `src` that a source-domain edge within
         `hold_window` ticks after this one will flip.  `lookahead` holds the
-        values after the flops of this tick capture once a pair of the tick
-        has needed them."""
+        values after the flops of this tick's `edges` capture once a pair of
+        the tick has needed them."""
         src_flop = self.src_flop.get(src)
         if src_flop is not None:
             f, phase, period = src_flop
@@ -576,7 +675,8 @@ class Engine:
                 return 0
             if not lookahead:
                 lookahead.append(list(post))
-                self.comb(lookahead[0])
+                for kernel in edges.comb:
+                    kernel(lookahead[0])
             nxt = lookahead[0]
             if f.reset is not None:
                 v = nxt[f.reset] & 1
@@ -631,7 +731,8 @@ class Engine:
                 enabled, data = kernel(vals0, *subs)
                 final[out] = data if enabled & 1 else vals0[out]
         if final != vals0:      # settled values need no re-evaluation
-            self.comb(final)
+            for kernel in plan.edges.comb:
+                kernel(final)
         self._settle_resets(final)
 
         old = state.values
@@ -664,15 +765,18 @@ class Engine:
 
     # -- drivers --
 
-    def run(self, path: Sequence[bool] | None = None,
-            waves: bool = True) -> SimResult:
-        """One recorded run.  Without `path` the seeded RNG draws every
-        decision and drives the random stimulus ports.  With a `path`, even
-        an empty one, opportunity i takes `path[i]`, those past the end of
-        `path` keep the reference value, and the random ports stay still.
-        Without `waves` the result holds no waves (`None`); its events,
-        verdicts and coverage are the same."""
-        rng = random.Random(self.msi.seed) if path is None else None
+    def run(self, path: Sequence[bool] | None = None, waves: bool = True,
+            seed: int | None = None) -> SimResult:
+        """One recorded run.  Without `path` an RNG seeded with `seed`
+        (`msi.seed` by default) draws every decision and drives the random
+        stimulus ports.  With a `path`, even an empty one, opportunity i
+        takes `path[i]`, those past the end of `path` keep the reference
+        value, and the random ports stay still.  Without `waves` the result
+        holds no waves (`None`); its events, verdicts and coverage are the
+        same."""
+        if seed is None:
+            seed = self.msi.seed
+        rng = random.Random(seed) if path is None else None
         state = self.initial_state()
         events: list[MsiEvent] = []
         trace = {n: [(_NEG, v)] for n, v in enumerate(state.values)} if waves else None
@@ -691,17 +795,17 @@ class Engine:
                 new = state.values
                 for n in compress(range(len(new)), map(ne, new, old)):
                     trace[n].append((tick, new[n]))
-        return self._finish(state, events, trace, rng is not None)
+        return self._finish(state, events, trace, seed if rng is not None else None)
 
     def _finish(self, state: _State, events: list[MsiEvent],
                 waves: dict[int, list[tuple[int, int]]] | None,
-                seeded: bool) -> SimResult:
+                seed: int | None) -> SimResult:
         coverage = CoverageDb(self.fingerprint, self.scope,
                               tuple(p.id for p in self.a.pairs))
         for e in events:
             coverage.record(e.pair, e.bit, e.kind, e.resolved)
-        if seeded:
-            coverage.seeds.append(self.msi.seed)
+        if seed is not None:
+            coverage.seeds.append(seed)
         coverage.edges = dict(self.edges_per_clock)
         return SimResult(waves, events, coverage,
                          [c.verdict(f) for c, f in

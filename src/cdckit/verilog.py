@@ -338,10 +338,16 @@ class _Parser:
         start = self.expect("module")
         name = self.expect_id()[1]
         ports: list[PortDecl] = []
+        widths: dict[str, int] = {}
         self.expect("(")
         if self.peek()[1] != ")":
             while True:
-                ports.append(self.parse_port_decl())
+                tok = self.peek()
+                port = self.parse_port_decl()
+                if port.name in widths:
+                    self.error(f"{port.name!r} already declared", tok)
+                widths[port.name] = port.width
+                ports.append(port)
                 if not self.accept(","):
                     break
         self.expect(")")
@@ -351,7 +357,6 @@ class _Parser:
         assigns: list[AssignItem] = []
         always_blocks: list[AlwaysBlock] = []
         instances: list[Instance] = []
-        widths = {p.name: p.width for p in ports}
         self.names, self.resets, self.slices, self.twice = [], [], [], []
 
         while self.peek()[1] != "endmodule":

@@ -576,6 +576,17 @@ def test_shape_errors_are_positioned_at_their_token(tmp_path, capsys, text, line
     assert err == f"error: {rtl}:{row}:{line.index(token) + 1}: {message}\n"
 
 
+@pytest.mark.parametrize("ports", ["input a, input a", "input a, output a",
+                                   "output reg [1:0] a, input a"])
+def test_port_declared_twice_in_a_header_is_positioned(tmp_path, capsys, ports):
+    head = "module m(input clk, "
+    [rtl], rc, err = _analyze_error(tmp_path, capsys, f"{head}{ports}, output w);\n"
+                                    "  assign w = a;\nendmodule\n")
+    assert rc == 1
+    second = len(head) + ports.index(", ") + 3      # the second declaration
+    assert err == f"error: {rtl}:1:{second}: 'a' already declared\n"
+
+
 def test_duplicate_module_in_one_file_points_at_the_second_definition(tmp_path, capsys):
     [rtl], rc, err = _analyze_error(tmp_path, capsys, "module m(input clk);\nendmodule\n"
                                     "  module m(input clk);\nendmodule\n")
@@ -785,6 +796,21 @@ def test_simulate_seeds_compile_the_comb_kernel_once(corpus_root, tmp_path, monk
     assert main(["simulate", *files, "-s", stim, "--seeds", "1..3",
                  "--checkers", "none", "--out", str(tmp_path)]) == 0
     assert len(compiled) == 1
+
+
+def test_simulate_seeds_run_on_one_engine(corpus_root, tmp_path, monkeypatch):
+    import cdckit.sim as sim
+
+    made = []
+    init = sim.Engine.__init__
+    monkeypatch.setattr(sim.Engine, "__init__",
+                        lambda self, *args, **kw: made.append(1) or init(self, *args, **kw))
+    files, stim = _case_args(corpus_root, "cov_toggle")
+    assert main(["simulate", *files, "-s", stim, "--seeds", "1..3",
+                 "--checkers", "none", "--out", str(tmp_path)]) == 0
+    assert len(made) == 1
+    seeds = json.loads((tmp_path / "coverage.json").read_text())["seeds"]
+    assert seeds == [1, 2, 3]
 
 
 def _module_chain_rtl(levels: int) -> str:

@@ -1,6 +1,8 @@
 """The simulator's compiled kernels equal the reference interpreter in
-oracles.py: the comb kernel on whole value vectors, cone kernels on the
-enable and data of flops and on gated clocks with nets substituted."""
+oracles.py: the comb kernel on whole value vectors, the partial passes of
+its gate groups on values where only some clocks' flops or the input ports
+changed, cone kernels on the enable and data of flops and on gated clocks
+with nets substituted."""
 
 import random
 
@@ -8,7 +10,7 @@ import hypothesis
 from hypothesis import strategies as st
 
 from cdckit.netlist import Dff, Gate, NetlistBuilder
-from cdckit.sim import _CHUNK, _TERMS, comb_kernel, cone_kernel
+from cdckit.sim import _CHUNK, _TERMS, PORT_BIT, comb_groups, cone_kernel
 from oracles import eval_comb, eval_with_subs, random_netlist
 
 CASES = ("async_fifo", "binary_cross", "codegen_full", "cov_toggle",
@@ -24,8 +26,53 @@ def _check_comb(nl, values: list[int]):
     want = list(values)
     eval_comb(nl, want)
     got = list(values)
-    comb_kernel(nl)(got)
+    comb_groups(nl).full(got)
     assert got == want
+
+
+def _check_groups(nl):
+    """The groups partition the gates, in (popcount, signature) order, and
+    each gate's inputs come from its own group, earlier in it, or from an
+    earlier group, with signatures within its own."""
+    comb = comb_groups(nl)
+    order = [i for _sig, gates, _kernels in comb.groups for i in gates]
+    assert sorted(order) == sorted(c.index for c in nl.cells if isinstance(c, Gate))
+    sigs = [sig for sig, _gates, _kernels in comb.groups]
+    assert sigs == sorted(set(sigs), key=lambda sig: (sig.bit_count(), sig))
+    place = {nl.cells[i].out: (k, j) for k, (_sig, gates, _kernels)
+             in enumerate(comb.groups) for j, i in enumerate(gates)}
+    for k, (sig, gates, kernels) in enumerate(comb.groups):
+        assert len(kernels) == -(-len(gates) // _CHUNK)
+        for j, i in enumerate(gates):
+            g = nl.cells[i]
+            assert comb.activity[g.out] == sig
+            for net in g.inputs:
+                assert comb.activity[net] & ~sig == 0
+                assert place.get(net, (-1, 0)) < (k, j)
+
+
+def _check_passes(nl, rng: random.Random, values: list[int]):
+    """For every mask of activity bits: from consistent values, the flops
+    whose bit is in the mask (and the input ports, under PORT_BIT) take new
+    values, and the mask's pass gives what evaluating every gate gives."""
+    comb = comb_groups(nl)
+    values = list(values)
+    eval_comb(nl, values)
+    bits = sorted({comb.activity[f.out] for f in nl.cells if isinstance(f, Dff)}
+                  | {PORT_BIT})
+    moved = [(comb.activity[f.out], f.out) for f in nl.cells if isinstance(f, Dff)]
+    moved += [(PORT_BIT, p.net) for p in nl.ports if p.direction == "in"]
+    for n in range(1 << len(bits)):
+        mask = sum(bit for k, bit in enumerate(bits) if n >> k & 1)
+        got = list(values)
+        for bit, net in moved:
+            if bit & mask and rng.random() < 0.7:
+                got[net] = rng.randrange(1 << nl.nets[net].width + 2)
+        want = list(got)
+        eval_comb(nl, want)
+        for kernel in comb.select(mask):
+            kernel(got)
+        assert got == want, bin(mask)
 
 
 def _check_cones(nl, rng: random.Random, values: list[int]):
@@ -59,6 +106,7 @@ def test_kernels_equal_interpreter_on_corpus(case_loader, seed):
         nl = case_loader(case)[0].netlist
         values = _values(rng, nl)
         _check_comb(nl, values)
+        _check_passes(nl, rng, values)
         _check_cones(nl, rng, values)
 
 
@@ -66,9 +114,11 @@ def test_kernels_equal_interpreter_on_every_corpus_netlist(corpus_root, case_loa
     rng = random.Random(11)
     for case in sorted(p.name for p in corpus_root.iterdir() if p.is_dir()):
         nl = case_loader(case)[0].netlist
+        _check_groups(nl)
         for _ in range(3):
             values = _values(rng, nl)
             _check_comb(nl, values)
+            _check_passes(nl, rng, values)
             _check_cones(nl, rng, values)
 
 
@@ -79,8 +129,10 @@ def test_kernels_equal_interpreter_on_random_netlists(seed):
     nl, _doms = random_netlist(rng, n_flops=rng.randint(2, 10),
                                n_gates=rng.randint(5, 40),
                                n_domains=rng.randint(1, 3), max_width=5)
+    _check_groups(nl)
     values = _values(rng, nl)
     _check_comb(nl, values)
+    _check_passes(nl, rng, values)
     _check_cones(nl, rng, values)
 
 

@@ -1,7 +1,8 @@
 """The engine equals `ReferenceEngine` (oracles.py), the per-tick engine it
 replaced, in lockstep: at every tick both plan the same opportunities, and
 with the same decisions, random or all taken, both inject the same events
-and reach the same state."""
+and reach the same state.  The engine re-evaluates only the gates that the
+tick's clocks or the input ports reach, the reference every gate."""
 
 import random
 
@@ -9,7 +10,7 @@ import pytest
 
 from cdckit.checkers import build_checkers
 from cdckit.pipeline import analyze_sources
-from cdckit.sim import Engine, MsiConfig
+from cdckit.sim import _CHUNK, Engine, MsiConfig, comb_groups
 from cdckit.stimulus import parse_stimulus
 from conftest import load_gen
 from oracles import ReferenceEngine, reference_simulate
@@ -27,6 +28,7 @@ def lockstep(analysis, stimulus, seed: int, all_taken: bool = False,
         return cls(analysis, stimulus, MsiConfig(seed=seed), checkers)
 
     eng, ref = engine(Engine), engine(ReferenceEngine)
+    assert ref.comb is comb_groups(analysis.netlist).full
     assert eng.agenda == ref.agenda
     assert eng.edges_per_clock == ref.edges_per_clock
     ports, ref_ports = random.Random(seed), random.Random(seed)
@@ -87,8 +89,14 @@ def test_corpus_lockstep_covers_a_gated_flop_whose_clock_does_not_rise(case_load
     assert still
 
 
-@pytest.mark.parametrize("purpose", ["sim", "explore"])
-def test_lockstep_on_generated_designs(purpose):
+def _gates_run(analysis, kernels) -> int:
+    size = {kernel: len(gates[k * _CHUNK:(k + 1) * _CHUNK])
+            for _sig, gates, chunk in comb_groups(analysis.netlist).groups
+            for k, kernel in enumerate(chunk)}
+    return sum(map(size.__getitem__, kernels))
+
+
+def _generated(purpose: str):
     gen = load_gen()
     if purpose == "sim":
         d = gen.build("sim", 1, 8, block=gen.SIM_BLOCK, purpose="sim", run_edges=30)
@@ -97,7 +105,23 @@ def test_lockstep_on_generated_designs(purpose):
         d = gen.build("explore", 1, 8, purpose="explore", run_edges=4, gray_sources=2)
         select = list(gen.EXPLORE_CHECKERS)
     analysis = analyze_sources([("rtl.v", d.files["rtl.v"])], d.files["constraints.cdc"])
-    stim = parse_stimulus(d.files["stimulus.stim"])
+    return analysis, parse_stimulus(d.files["stimulus.stim"]), select
+
+
+def test_generated_sim_design_runs_partial_passes():
+    """Each edge set's pass, and the port drive's, runs fewer gates than the
+    full pass the reference runs, so the lockstep below compares them."""
+    analysis, stim, _select = _generated("sim")
+    eng = Engine(analysis, stim, MsiConfig(), [])
+    full = len(analysis.netlist.comb_topo())
+    runs = {_gates_run(analysis, edges.comb) for edges in eng.edge_set.values()}
+    assert len(runs) > 1 and max(runs) < full, (runs, full)
+    assert 0 < _gates_run(analysis, eng.port_comb) < full
+
+
+@pytest.mark.parametrize("purpose", ["sim", "explore"])
+def test_lockstep_on_generated_designs(purpose):
+    analysis, stim, select = _generated(purpose)
     seen = lockstep(analysis, stim, 1, select=select)
     assert seen["events"], seen
     lockstep(analysis, stim, 2, all_taken=True, select=select)
@@ -150,6 +174,33 @@ def test_lockstep_on_an_enabled_destination_reading_its_source():
     for seed in (1, 2, 3):
         seen = lockstep(analysis, stim, seed)
         assert seen["hold"] and seen["events"], seen
+    lockstep(analysis, stim, 1, all_taken=True)
+
+
+# req's next value reads ack2 through a gate, so at a clk_b edge that moves
+# ack2 one tick before a clk_a edge, the hold lookahead for req -> ack1 must
+# re-evaluate the gates that the edging clk_b flops reach.
+REQ_ACK = """
+module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, output q);
+  reg req, ack1, ack2;
+  always @(posedge clk_a or negedge rst_a_n)
+    if (!rst_a_n) req <= 1'b0; else req <= ~ack2;
+  always @(posedge clk_b or negedge rst_b_n)
+    if (!rst_b_n) begin ack1 <= 1'b0; ack2 <= 1'b0; end
+    else begin ack1 <= req; ack2 <= ack1; end
+  assign q = ack2;
+endmodule
+"""
+
+
+def test_lockstep_on_a_source_whose_next_value_reads_the_destination_domain():
+    analysis = analyze_sources([("t.v", REQ_ACK)], A_B7)
+    assert {(p.src_name, p.dst_name) for p in analysis.pairs} == {
+        ("req", "ack1"), ("ack2", "req")}
+    stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
+                          "run 80 of clk_a\n")
+    for seed in (1, 2, 3):
+        assert lockstep(analysis, stim, seed)["hold"]
     lockstep(analysis, stim, 1, all_taken=True)
 
 
