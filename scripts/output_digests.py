@@ -10,7 +10,9 @@ deeper than a recursive search goes.  It then runs `analyze --strict` and
 blocks, seed 1), which hold hundreds of synchronizers where the corpus
 designs hold a few, `simulate --seeds 1..2` on the benchmark's generated
 2k-net simulation design and `explore` on its 1k-net exploration design
-(seed 1), the same command lines the benchmark runs,
+(seed 1), the same command lines the benchmark runs, and that `simulate`
+again with `--vcd`, whose waves have two-character ids, ids with braces
+and nets of 8 to 16 bits,
 `analyze`, `simulate` and `generate` on three inline sources at the edges
 of the netlist builder (a floating net, a one-operand concatenation, a
 600-level module chain), on one that uses names before it declares them
@@ -204,10 +206,11 @@ def main() -> int:
     runs = [(gen.build(f"{shape}{blocks}", 1, blocks, shape=shape), GENERATED_COMMANDS)
             for shape, blocks in GENERATED]
     # the generated designs of the benchmark's msi_seeds and explore_bounded
+    sim_seeds = ["simulate", "--seeds", "1..2", "--checkers", ",".join(gen.SIM_CHECKERS)]
     runs.append((gen.build("sim", 1, 8, block=gen.SIM_BLOCK, purpose="sim",
                            run_edges=30),
-                 (("simulate-seeds", ["simulate", "--seeds", "1..2", "--checkers",
-                                      ",".join(gen.SIM_CHECKERS)]),)))
+                 (("simulate-seeds", sim_seeds),
+                  ("simulate-seeds-vcd", sim_seeds + ["--vcd", "{out}/trace.vcd"]))))
     runs.append((gen.build("explore", 1, 8, purpose="explore", run_edges=4,
                            gray_sources=2),
                  (("explore", ["explore", "--budget", "16", "--checkers",

@@ -81,8 +81,8 @@ class StabilityChecker(Checker):
         if in_reset:
             return self.start, None
         h = (state + (get(self.net),))[-(self.k + 1):]
-        if len(h) == self.k + 1 and h[-1] != h[-2] and \
-                any(h[-2] != h[-2 - i] for i in range(1, self.k)):
+        # a change, when the k samples before it were not all equal
+        if len(h) == self.k + 1 and h[-1] != h[-2] and h.count(h[-2]) < self.k:
             return h, (f"{self.label} changed before being stable for "
                        f"{self.k} destination samples")
         return h, None

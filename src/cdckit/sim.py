@@ -65,6 +65,20 @@ captures and re-evaluates the gates only when something changed.  A hold
 lookahead is one `comb` over a copy of `post`, made on first need.  The
 per-tick engine this replaced is kept in tests/oracles.py as
 `ReferenceEngine`, which the engine is tested against in lockstep.
+
+A tick's bookkeeping is word-level.  The flip history of a monitored net
+(a crossing source) is a tuple of (tick, flipped bits) entries, newest
+first: a commit prepends one entry per changed net and drops those at or
+before the tick less `setup_window`, which no later tick reads, so with the
+default window of 1 a history holds one entry.  The opportunity search ORs
+a pair's recent entries into its setup bits, calls the hold lookahead only
+when some bit is not a setup bit, and walks the set bits upward.  A commit
+checks for flips only the monitored nets the tick can change: each edge set
+lists those whose activity signature meets its flops' (and those the input
+ports reach too, for a tick whose port drive moved a port), and a tick on
+which a reset held a flop checks them all.  Exploration keys a state with
+each net's history tuple as one element (`merge_key`), so states whose
+histories differ in length never share a key.
 """
 
 from __future__ import annotations
@@ -72,7 +86,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, product
+from itertools import chain, compress, groupby, product
 from operator import ne
 from typing import NamedTuple
 
@@ -141,7 +155,8 @@ class SimResult:
 class _State(NamedTuple):
     """What the next tick depends on; never mutated once made."""
     values: list[int]
-    hist: dict[int, list[int]]      # monitored net -> last flip tick per bit
+    # monitored net -> its recent flips as (tick, flipped bits), newest first
+    hist: dict[int, tuple[tuple[int, int], ...]]
     checkers: list                  # per-checker state values
     failures: list[tuple[int, str] | None]
     decisions: int
@@ -154,7 +169,8 @@ class _Dst(NamedTuple):
     enable: int | None
     srcs: tuple[int, ...]           # its pairs' source nets, substituted
     kernel: object                  # capture cone; None when it is srcs[0]
-    pairs: tuple[CdcPair, ...]      # by id
+    # its pairs by id, as (id, source net, mask of the pair's width)
+    pairs: tuple[tuple[str, int, int], ...]
 
 
 class _EdgeSet(NamedTuple):
@@ -163,6 +179,10 @@ class _EdgeSet(NamedTuple):
     dsts: tuple[_Dst, ...]          # the crossing destinations among them
     gated: tuple[int, ...]          # the gated flops among them
     comb: tuple                     # the gate kernels their outputs reach
+    # the monitored nets the tick can change: those its flops' outputs
+    # reach, and those they or the input ports reach
+    scan: tuple[int, ...]
+    scan_driven: tuple[int, ...]
     # per edging clock with checkers: (clock, its resets as (net, active
     # value), (checker index, bound `sample`) of each checker sampling on it)
     checks: tuple[tuple[str, tuple[tuple[int, int], ...],
@@ -176,6 +196,7 @@ class _TickPlan(NamedTuple):
     dsts: Sequence[_Dst]            # crossing destinations capturing
     opps: list[Opportunity]
     edges: _EdgeSet
+    scan: Sequence[int]             # the monitored nets the tick can change
 
 
 # -- compiled kernels ---------------------------------------------------------
@@ -206,13 +227,21 @@ def _gate_code(nl: Netlist, g: Gate, ref) -> list[str]:
     if g.op == "AND":
         terms = ins + [str(mask)]
     elif g.op == "CONCAT":
-        # each operand lands above the widths of the operands after it
+        # each operand lands above the widths of the operands after it; a
+        # run of n adjacent copies of one operand of width w is one term,
+        # its value times the sum of 1 << i*w for i < n
         terms, shift = [], 0
-        for net, text in zip(reversed(g.inputs), reversed(ins)):
+        for net, run in groupby(reversed(g.inputs)):
+            n = len(list(run))
             width = nl.nets[net].width
             m = (1 << width) - 1
-            terms.append(f"({text} & {m}) << {shift}" if shift else f"{text} & {m}")
-            shift += width
+            term = f"({ref(net)} & {m})"
+            if n > 1:
+                term += f" * {sum(1 << i * width for i in range(n))}"
+            elif not shift:
+                term = f"{ref(net)} & {m}"
+            terms.append(f"{term} << {shift}" if shift else term)
+            shift += n * width
         terms.reverse()
     code = [f"{out} = 0"] if not terms else []
     for k in range(0, len(terms), _TERMS):
@@ -506,7 +535,8 @@ class Engine:
         self.dsts: dict[int, _Dst] = {
             dst: _Dst(dst, self.nl.cells[dst].out, self.nl.cells[dst].enable, srcs,
                       capture.get(dst),
-                      tuple(sorted(pairs_by_dst[dst], key=lambda p: p.id)))
+                      tuple((p.id, p.src_net, (1 << p.width) - 1)
+                            for p in sorted(pairs_by_dst[dst], key=lambda p: p.id)))
             for dst, srcs in srcs_of.items()}
 
         self.resets = [(f.index, f.out, f.reset, 0 if f.reset_active_low else 1,
@@ -540,14 +570,17 @@ class Engine:
         holds the checkers sampling on each clock."""
         flops = tuple((f.index, f.out, f.data, f.enable) for f in self.flops
                       if self.flop_root[f.index] in clocks)
+        activity = comb.activity
         reach = 0
         for _i, out, _data, _enable in flops:
-            reach |= comb.activity[out]
+            reach |= activity[out]
         return _EdgeSet(
             flops,
             tuple(self.dsts[i] for i, *_ in flops if i in self.dsts),
             tuple(i for i, *_ in flops if i in self.clock_cone),
             comb.select(reach),
+            tuple(n for n in self.monitored if activity[n] & reach),
+            tuple(n for n in self.monitored if activity[n] & (reach | PORT_BIT)),
             tuple((clk, self.clock_resets[clk], tuple(sampling[clk]))
                   for clk in clocks if clk in sampling))
 
@@ -561,8 +594,7 @@ class Engine:
             elif isinstance(c, Const):
                 values[c.out] = c.value
         self.comb(values)
-        return _State(values,
-                      {n: [_NEG] * self.nl.nets[n].width for n in self.monitored},
+        return _State(values, dict.fromkeys(self.monitored, ()),
                       [c.start for c in self.checkers],
                       [None] * len(self.checkers), 0)
 
@@ -605,7 +637,7 @@ class Engine:
                   rng: random.Random | None = None) -> _TickPlan:
         """The tick's pre-edge values, captures and opportunities; `rng`
         drives the random stimulus ports, which stay still without it."""
-        vals0 = list(state.values)
+        vals0 = state.values[:]
         driven = False
         for net, value in self.sets_at.get(tick, ()):
             if vals0[net] != value:
@@ -625,6 +657,10 @@ class Engine:
         # flops held in reset, and gated flops whose clock does not rise,
         # do not capture
         skip = self._settle_resets(vals0)
+        # the monitored nets that can differ from the state's after the
+        # tick: a reset may have moved any flop
+        scan = self.monitored if skip else \
+            edges.scan_driven if driven else edges.scan
         for i in edges.gated:
             if i not in skip and not self._rises(i, vals0):
                 skip.add(i)
@@ -632,7 +668,7 @@ class Engine:
         if skip:
             flops = [f for f in flops if f[0] not in skip]
             dsts = [d for d in dsts if d.index not in skip]
-        post = list(vals0)
+        post = vals0[:]
         for _i, out, data, enable in flops:
             if enable is None or vals0[enable] & 1:
                 post[out] = vals0[data]
@@ -642,23 +678,28 @@ class Engine:
             old, hists = state.values, state.hist
             recent = tick - self.setup_window
             lookahead: list[list[int]] = []     # made on first need
+            new = tuple.__new__
             for dst in dsts:
-                for p in dst.pairs:
-                    src = p.src_net
-                    flipped_now = post[src] ^ old[src]
-                    hist = hists[src]
-                    hold = None
-                    for bit in range(p.width):
-                        m = 1 << bit
-                        if flipped_now & m or hist[bit] >= recent:
-                            opps.append(Opportunity(p.id, dst.index, src, bit, "setup"))
-                            continue
-                        if hold is None:
-                            hold = self._hold_toggles(src, tick, post, edges,
-                                                      lookahead)
-                        if hold & m:
-                            opps.append(Opportunity(p.id, dst.index, src, bit, "hold"))
-        return _TickPlan(tick, vals0, post, dsts, opps, edges)
+                index = dst.index
+                for pid, src, full in dst.pairs:
+                    # the bits that flipped now or within the setup window,
+                    # then those a hold lookahead sees flip, lowest first
+                    setup = post[src] ^ old[src]
+                    for t, flipped in hists[src]:
+                        if t < recent:
+                            break
+                        setup |= flipped
+                    bits = setup & full
+                    if bits != full:
+                        bits |= self._hold_toggles(src, tick, post, edges,
+                                                   lookahead) & full
+                    while bits:
+                        low = bits & -bits
+                        opps.append(new(Opportunity, (
+                            pid, index, src, low.bit_length() - 1,
+                            "setup" if setup & low else "hold")))
+                        bits ^= low
+        return tuple.__new__(_TickPlan, (tick, vals0, post, dsts, opps, edges, scan))
 
     def _hold_toggles(self, src: int, tick: int, post: list[int],
                       edges: _EdgeSet, lookahead: list[list[int]]) -> int:
@@ -674,7 +715,7 @@ class Engine:
             if ((phase - tick) % period or period) > self.hold_window:
                 return 0
             if not lookahead:
-                lookahead.append(list(post))
+                lookahead.append(post[:])
                 for kernel in edges.comb:
                     kernel(lookahead[0])
             nxt = lookahead[0]
@@ -715,7 +756,7 @@ class Engine:
                 events.append(MsiEvent(tick, opp.pair, opp.bit, opp.kind,
                                        (post[opp.src_net] ^ flipped) >> opp.bit & 1))
 
-        final = list(post)
+        final = post[:]
         for index, out, enable, srcs, kernel, _pairs in plan.dsts:
             if kernel is None:      # captures its one source as it is
                 value = post[srcs[0]]
@@ -733,35 +774,43 @@ class Engine:
         if final != vals0:      # settled values need no re-evaluation
             for kernel in plan.edges.comb:
                 kernel(final)
-        self._settle_resets(final)
+        scan = self.monitored if self._settle_resets(final) else plan.scan
 
+        # each changed monitored net gets an entry of its flipped bits, and
+        # loses those no later tick reads: a tick reads the flips at or
+        # after it less `setup_window`
         old = state.values
         hist = state.hist
-        mon = self.monitored
-        for n in compress(mon, map(ne, map(final.__getitem__, mon),
-                                   map(old.__getitem__, mon))):
+        horizon = tick - self.setup_window
+        for n in compress(scan, map(ne, map(final.__getitem__, scan),
+                                    map(old.__getitem__, scan))):
             if hist is state.hist:
                 hist = dict(hist)
-            bits = hist[n] = list(hist[n])
-            flipped = final[n] ^ old[n]
-            for bit in range(len(bits)):
-                if flipped >> bit & 1:
-                    bits[bit] = tick
+            entries = hist[n]
+            for k, (t, _flipped) in enumerate(entries):
+                if t <= horizon:
+                    entries = entries[:k]
+                    break
+            hist[n] = ((tick, final[n] ^ old[n]),) + entries
 
         checkers, failures = state.checkers, state.failures
         get = final.__getitem__
         for clk, resets, sampling in plan.edges.checks:
             if checkers is state.checkers:
-                checkers = list(checkers)
-            in_reset = any((final[n] & 1) == active for n, active in resets)
+                checkers = checkers[:]
+            in_reset = False
+            for n, active in resets:
+                if final[n] & 1 == active:
+                    in_reset = True
+                    break
             for ci, sample in sampling:
                 checkers[ci], message = sample(checkers[ci], clk, tick, get, in_reset)
                 if message is not None and failures[ci] is None:
                     if failures is state.failures:
-                        failures = list(failures)
+                        failures = failures[:]
                     failures[ci] = (tick, message)
-        return (_State(final, hist, checkers, failures,
-                       state.decisions + len(plan.opps)), events)
+        return (tuple.__new__(_State, (final, hist, checkers, failures,
+                                       state.decisions + len(plan.opps))), events)
 
     # -- drivers --
 
@@ -827,6 +876,24 @@ def simulate(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
     return eng.run(waves=waves)
 
 
+def merge_key(state: _State, agenda_idx: int, first: dict[int, list]) -> tuple:
+    """The key of `state` at agenda index `agenda_idx` under which
+    exploration merges paths: equal exactly for equal states.
+
+    The state is laid out as one element per net value, per monitored net's
+    history tuple, per checker state and per failure, and keyed as the
+    positions where it differs from the first state seen at that agenda
+    index (`first` keeps it), with its elements there: a few elements in
+    place of one per net.  Every state of one agenda index has the same
+    nets, monitored nets and checkers, so the layouts align position by
+    position; a history tuple is one element whatever its length."""
+    flat = [*state.values, *state.hist.values(), *state.checkers, *state.failures]
+    changed = tuple(compress(range(len(flat)), map(
+        ne, flat, first.setdefault(agenda_idx, flat))))
+    return (agenda_idx, changed, tuple(map(flat.__getitem__, changed)),
+            state.decisions)
+
+
 def explore_exhaustive(analysis: Analysis, stimulus: Stimulus,
                        checkers: list[Checker], budget: int) -> ExploreOutcome:
     """Enumerate every resolution of every opportunity, depth first with the
@@ -878,15 +945,7 @@ def explore_exhaustive(analysis: Analysis, stimulus: Stimulus,
         the state needs no walk or the walk reached the end of the run."""
         if len(cex) == len(ids) and ids:
             return None     # every checker already has a counterexample
-        # the state as the places where it differs from the first state
-        # seen at this agenda index, with its values there: equal exactly
-        # for equal states, and a few values in place of one per net
-        flat = [*state.values, *chain.from_iterable(state.hist.values()),
-                *state.checkers, *state.failures]
-        changed = tuple(compress(range(len(flat)), map(
-            ne, flat, first.setdefault(agenda_idx, flat))))
-        key = (agenda_idx, changed, tuple(map(flat.__getitem__, changed)),
-               state.decisions)
+        key = merge_key(state, agenda_idx, first)
         below = leaves.get(key)
         if below is not None:
             count(below)

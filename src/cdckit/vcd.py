@@ -16,10 +16,13 @@ def _var_id(n: int) -> str:
             return out
 
 
-def _fmt(value: int, width: int, vid: str) -> str:
+def _formatter(width: int, vid: str):
+    """The value-change line of a net of `width` bits and id `vid`, as a
+    function of its value, built once per net."""
     if width == 1:
-        return f"{value & 1}{vid}"
-    return f"b{value:0{width}b} {vid}"
+        return ("0" + vid, "1" + vid).__getitem__
+    braced = vid.replace("{", "{{").replace("}", "}}")
+    return f"b{{:0{width}b}} {braced}".format
 
 
 def write_vcd(netlist: Netlist, waves: dict[int, list[tuple[int, int]]],
@@ -44,12 +47,12 @@ def write_vcd(netlist: Netlist, waves: dict[int, list[tuple[int, int]]],
     by_tick: dict[int, list[str]] = {}
     initials = []
     for n in nets:
-        width = netlist.nets[n].width
+        fmt = _formatter(netlist.nets[n].width, ids[n])
         for tick, value in waves[n]:
             if tick < 0:
-                initials.append(_fmt(value, width, ids[n]))
+                initials.append(fmt(value))
             else:
-                by_tick.setdefault(tick, []).append(_fmt(value, width, ids[n]))
+                by_tick.setdefault(tick, []).append(fmt(value))
     lines.append("$dumpvars")
     lines.extend(initials)
     lines.append("$end")

@@ -13,8 +13,10 @@ first-written matchers, which scan every cell and chain.  Gate values come
 from a string-dispatch interpreter, the reference for the simulator's
 compiled kernels; ticks from `ReferenceEngine`, which recomputes each
 tick's edging flops, captures and sampling checkers, the reference for the
-engine's per-edge-set schedules; and exhaustive exploration is redone by
-replaying every decision path from the start.  A module's names are checked
+engine's per-edge-set schedules, with a flip history of the last flip tick
+per bit; exhaustive exploration is redone by replaying every decision path
+from the start; and VCD text from the writer that formats each value change
+through a call of its own.  A module's names are checked
 as the elaborator once did, over the parsed tree, assigns before always
 blocks, and its shape (reset arms, slices, connections) per instance, over
 the lowered expressions only.  Also here: the MSI-off reference run, a
@@ -37,10 +39,11 @@ from cdckit.errors import (MultipleDrivers, ParseError, SimDivergence,
                            UnsupportedConstruct)
 from cdckit.netlist import (GATE_OPS, BlackBox, Cell, Const, Dff, Gate, Net,
                             Netlist, NetlistBuilder, Port, Ref, _name_rank)
-from cdckit.sim import (Engine, MsiConfig, MsiEvent, Opportunity, SimResult,
-                        _State, cone_kernels, simulate)
+from cdckit.sim import (_NEG, Engine, MsiConfig, MsiEvent, Opportunity,
+                        SimResult, _State, cone_kernels, simulate)
 from cdckit.syncrec import (SyncInstance, _chains, _fifo_roles, _gray_shape,
                              _net_driver_gate)
+from cdckit.vcd import _var_id
 from cdckit.verilog import (KEYWORDS, UNSUPPORTED_KEYWORDS, Binary, Concat,
                             Expr, Ident, IfStmt, Literal, NbAssign,
                             ParsedModule, Slice, Stmt, Ternary, Unary, fold)
@@ -1131,8 +1134,10 @@ class ReferenceEngine(Engine):
     cone kernel (identity captures included), evaluates the hold lookahead
     and the commit as changes applied to a copy of the pre-edge values, and
     finds the checkers to sample per edging clock.  The agenda and the edges
-    per clock are counted tick by tick.  Resets, gated clocks, the initial
-    state and the recorded run are `Engine`'s own."""
+    per clock are counted tick by tick.  Its flip history keeps, per bit of
+    each monitored net, the last tick that bit flipped, and every monitored
+    net is checked for flips on every tick.  Resets, gated clocks and the
+    recorded run are `Engine`'s own."""
 
     def __init__(self, analysis, stimulus, msi, checkers, scope: str = "sim"):
         super().__init__(analysis, stimulus, msi, checkers, scope)
@@ -1180,6 +1185,11 @@ class ReferenceEngine(Engine):
         for i, c in enumerate(checkers):
             for clk in c.clocks:
                 self.checkers_by_clock.setdefault(clk, []).append(i)
+
+    def initial_state(self) -> _State:
+        state = super().initial_state()
+        return state._replace(hist={n: [_NEG] * self.nl.nets[n].width
+                                    for n in self.monitored})
 
     def _captured(self, values: list[int], nextvals: dict[int, int]) -> list[int]:
         """A copy of the settled `values` with the flops in `nextvals` set to
@@ -1348,6 +1358,45 @@ class ReferenceEngine(Engine):
                     failures[ci] = (tick, message)
         return (_State(final, hist, checkers, failures,
                        state.decisions + len(plan.opps)), events)
+
+
+def _vcd_change(value: int, width: int, vid: str) -> str:
+    if width == 1:
+        return f"{value & 1}{vid}"
+    return f"b{value:0{width}b} {vid}"
+
+
+def reference_write_vcd(netlist: Netlist, waves: dict[int, list[tuple[int, int]]],
+                        timescale: str = "1ns") -> str:
+    """The VCD writer that `write_vcd` replaced, formatting each value
+    change through a call of its own."""
+    nets = sorted(waves, key=lambda i: netlist.nets[i].name)
+    ids = {n: _var_id(k) for k, n in enumerate(nets)}
+    lines = ["$version cdckit $end", f"$timescale {timescale} $end",
+             f"$scope module {netlist.name} $end"]
+    for n in nets:
+        net = netlist.nets[n]
+        ref = net.name if net.width == 1 else f"{net.name}[{net.width - 1}:0]"
+        lines.append(f"$var wire {net.width} {ids[n]} {ref} $end")
+    lines.append("$upscope $end")
+    lines.append("$enddefinitions $end")
+
+    by_tick: dict[int, list[str]] = {}
+    initials = []
+    for n in nets:
+        width = netlist.nets[n].width
+        for tick, value in waves[n]:
+            if tick < 0:
+                initials.append(_vcd_change(value, width, ids[n]))
+            else:
+                by_tick.setdefault(tick, []).append(_vcd_change(value, width, ids[n]))
+    lines.append("$dumpvars")
+    lines.extend(initials)
+    lines.append("$end")
+    for tick in sorted(by_tick):
+        lines.append(f"#{tick}")
+        lines.extend(by_tick[tick])
+    return "\n".join(lines) + "\n"
 
 
 def replay_explore(analysis, stimulus, checkers):

@@ -2,9 +2,11 @@ import pytest
 
 from cdckit.checkers import build_checkers, parse_latency
 from cdckit.errors import DecisionBudgetExceeded
-from cdckit.sim import Engine, MsiConfig, explore_exhaustive, simulate
+from cdckit.pipeline import analyze_sources
+from cdckit.sim import Engine, MsiConfig, explore_exhaustive, merge_key, simulate
 from cdckit.stimulus import parse_stimulus
 from oracles import replay_explore
+from test_lockstep import A2_B7, FAST_SOURCE, WINDOWS, _with_windows
 
 
 def test_clean_design_proven(case_loader):
@@ -82,7 +84,7 @@ def test_deterministic_failures_fail_on_reference_branch(case_loader):
     assert out.counterexamples["pulse_width:sync0"].events == []
 
 
-@pytest.mark.parametrize("case, latency, select", [
+REPLAY_CASES = [
     ("msi_latency", "cdc0:2:2", ["latency"]),       # needs one injection
     ("msi_latency_clean", "cdc0:2:3", ["latency", "stability"]),  # proven
     ("wide_pulse", None, None),                     # refuted on reference
@@ -94,12 +96,10 @@ def test_deterministic_failures_fail_on_reference_branch(case_loader):
     ("divergence", None, None),                     # 64 branches, proven
     # paths converge, and latency:cdc0 fails below states reached again
     ("mux_sync", "1:3", None),
-])
-def test_explore_equals_replay_oracle(case_loader, case, latency, select):
-    analysis, stim_text = case_loader(case)
-    stim = parse_stimulus(stim_text)
-    checkers = build_checkers(analysis, latency=parse_latency(
-        [latency] if latency else None), select=select)
+]
+
+
+def _explore_equals_replay(analysis, stim, checkers):
     out = explore_exhaustive(analysis, stim, checkers, budget=16)
     verdicts, cex, branches = replay_explore(analysis, stim, checkers)
     assert out.verdicts == verdicts
@@ -109,6 +109,50 @@ def test_explore_equals_replay_oracle(case_loader, case, latency, select):
         got = out.counterexamples[cid]
         assert got.events == res.events, cid
         assert got.waves == res.waves, cid
+    return out
+
+
+@pytest.mark.parametrize("case, latency, select", REPLAY_CASES)
+def test_explore_equals_replay_oracle(case_loader, case, latency, select):
+    analysis, stim_text = case_loader(case)
+    checkers = build_checkers(analysis, latency=parse_latency(
+        [latency] if latency else None), select=select)
+    _explore_equals_replay(analysis, parse_stimulus(stim_text), checkers)
+
+
+@pytest.mark.parametrize("case, latency, select", REPLAY_CASES)
+def test_explore_equals_replay_oracle_with_wider_windows(corpus_root, case,
+                                                         latency, select):
+    analysis = _with_windows(corpus_root, case)
+    checkers = build_checkers(analysis, latency=parse_latency(
+        [latency] if latency else None), select=select)
+    stim = parse_stimulus((corpus_root / case / "stimulus.stim").read_text())
+    _explore_equals_replay(analysis, stim, checkers)
+
+
+def test_explore_equals_replay_oracle_on_histories_of_several_entries():
+    analysis = analyze_sources([("t.v", FAST_SOURCE)], A2_B7 + WINDOWS)
+    stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
+                          "run 10 of clk_a\n")
+    checkers = build_checkers(analysis, latency=[("*", 1, 2)])
+    out = _explore_equals_replay(analysis, stim, checkers)
+    assert out.branches > 1 and "counterexample" in out.verdicts.values(), out
+
+
+def test_merge_key_tells_history_lengths_apart(case_loader):
+    """Two states that differ only in the length of the last monitored net's
+    history: laid out flat, the longer one would match the first state seen
+    at every position the shorter one has, and share its key."""
+    analysis, stim_text = case_loader("gray_cross")
+    eng = Engine(analysis, parse_stimulus(stim_text), MsiConfig(), [])
+    state = eng.initial_state()
+    last = eng.monitored[-1]
+    short = state._replace(hist={**state.hist, last: ((4, 1),)})
+    long = state._replace(hist={**state.hist, last: ((4, 1), (2, 2))})
+    first: dict[int, list] = {}
+    keys = [merge_key(s, 3, first) for s in (short, long, short, long)]
+    assert keys[0] != keys[1]
+    assert keys[2:] == keys[:2]
 
 
 def test_converging_paths_are_walked_once(case_loader, monkeypatch):

@@ -10,7 +10,8 @@ import hypothesis
 from hypothesis import strategies as st
 
 from cdckit.netlist import Dff, Gate, NetlistBuilder
-from cdckit.sim import _CHUNK, _TERMS, PORT_BIT, comb_groups, cone_kernel
+from cdckit.sim import (_CHUNK, _TERMS, PORT_BIT, _gate_code, comb_groups,
+                       cone_kernel)
 from oracles import eval_comb, eval_with_subs, random_netlist
 
 CASES = ("async_fifo", "binary_cross", "codegen_full", "cov_toggle",
@@ -180,3 +181,61 @@ def test_chunked_comb_and_split_operand_chains():
         for name in ("w_AND", "w_OR", "w_XOR", "w_CONCAT", f"c{2 * _CHUNK + 9}"):
             target = nl.net(name).index
             assert cone_kernel(nl, (target,), leaves)(values, 1, 0) == want[target]
+
+
+def _concat_netlist(widths: list[int], layouts: list[tuple[list[int], int]]):
+    """Input ports of `widths`, and per layout a CONCAT gate of the inputs at
+    the listed positions, of the given output width."""
+    b = NetlistBuilder("runs")
+    ins = []
+    for k, width in enumerate(widths):
+        h = b.add_net(f"i{k}", width)
+        b.add_port(f"i{k}", "in", width, h)
+        ins.append(h)
+    for k, (layout, width) in enumerate(layouts):
+        out = b.add_net(f"c{k}", width)
+        b.add_gate(f"c{k}_g", "CONCAT", [ins[i] for i in layout], out, width)
+        b.add_port(f"o{k}", "out", width, out)
+    return b.finish()
+
+
+def _check_concats(nl, rng: random.Random, rounds: int):
+    for _ in range(rounds):
+        values = _values(rng, nl)
+        _check_comb(nl, values)
+        for c in nl.cells:
+            if isinstance(c, Gate):
+                want = list(values)
+                eval_comb(nl, want)
+                assert cone_kernel(nl, (c.out,), ())(values) == want[c.out], c.name
+
+
+def test_concatenation_runs_equal_interpreter():
+    """Runs of adjacent copies of one operand, of one bit (i0, i1) and wider
+    (i2, i3), at the top, the middle and the bottom of a concatenation, two
+    runs back to back, a whole concatenation of one run, and a gate narrower
+    than its operands."""
+    widths = [1, 1, 2, 3]
+    layouts = [[0, 0, 0, 1], [1, 0, 0, 2], [2, 1, 0, 0, 0],
+               [2, 2, 2, 1], [1, 3, 3, 0], [0, 1, 3, 3],
+               [0, 0, 2, 2], [3, 3, 3, 3], [1, 1, 1, 1, 1, 1, 1, 1],
+               [0, 1, 0, 1], [2, 0, 0]]
+    nl = _concat_netlist(widths, [(lay, sum(widths[i] for i in lay)) for lay in layouts]
+                         + [([3, 3, 3, 0, 0], 5), ([0, 0, 0, 2], 3)])
+    runs = sum(" * " in line for c in nl.cells if isinstance(c, Gate)
+               for line in _gate_code(nl, c, lambda net: f"v[{net}]"))
+    assert runs == 12
+    _check_concats(nl, random.Random(7), 40)
+
+
+@hypothesis.given(st.integers(0, 2 ** 32 - 1))
+@hypothesis.settings(max_examples=100, deadline=None)
+def test_random_concatenation_runs_equal_interpreter(seed):
+    rng = random.Random(seed)
+    widths = [rng.randint(1, 4) for _ in range(3)]
+    layouts = []
+    for _ in range(4):
+        layout = [rng.randrange(3) for _ in range(rng.randint(2, 8))]
+        total = sum(widths[i] for i in layout)
+        layouts.append((layout, rng.randint(1, total)))
+    _check_concats(_concat_netlist(widths, layouts), rng, 3)

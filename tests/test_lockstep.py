@@ -2,7 +2,10 @@
 replaced, in lockstep: at every tick both plan the same opportunities, and
 with the same decisions, random or all taken, both inject the same events
 and reach the same state.  The engine re-evaluates only the gates that the
-tick's clocks or the input ports reach, the reference every gate."""
+tick's clocks or the input ports reach, the reference every gate.  The
+engine keeps its flip history as recent (tick, flipped bits) entries, the
+reference as the last flip tick of each bit; the two are compared through
+the flips that a later tick can read."""
 
 import random
 
@@ -15,6 +18,38 @@ from cdckit.stimulus import parse_stimulus
 from conftest import load_gen
 from oracles import ReferenceEngine, reference_simulate
 from test_sim import AB, RESET_THROUGH_LOGIC
+
+
+def engine_flips(hist, horizon: int) -> dict[tuple[int, int], int]:
+    """{(net, bit): last flip tick} of the flips at ticks >= `horizon` in the
+    engine's history, (tick, flipped bits) entries newest first."""
+    out: dict[tuple[int, int], int] = {}
+    for net, entries in hist.items():
+        for t, flipped in entries:
+            if t >= horizon:
+                for bit in range(flipped.bit_length()):
+                    if flipped >> bit & 1:
+                        out.setdefault((net, bit), t)
+    return out
+
+
+def reference_flips(hist, horizon: int) -> dict[tuple[int, int], int]:
+    """The same map from the reference's last flip tick per bit."""
+    return {(net, bit): t for net, ticks in hist.items()
+            for bit, t in enumerate(ticks) if t >= horizon}
+
+
+def assert_same_state(eng, state, ref_state, tick: int):
+    """The states after `tick` are equal in every part, the flip history in
+    the flips that the ticks after it can read."""
+    assert state.values == ref_state.values, tick
+    assert state.checkers == ref_state.checkers, tick
+    assert state.failures == ref_state.failures, tick
+    assert state.decisions == ref_state.decisions, tick
+    assert state.hist.keys() == ref_state.hist.keys(), tick
+    horizon = tick + 1 - eng.setup_window
+    assert engine_flips(state.hist, horizon) == \
+        reference_flips(ref_state.hist, horizon), tick
 
 
 def lockstep(analysis, stimulus, seed: int, all_taken: bool = False,
@@ -34,8 +69,9 @@ def lockstep(analysis, stimulus, seed: int, all_taken: bool = False,
     ports, ref_ports = random.Random(seed), random.Random(seed)
     decide = random.Random(seed + 1000)
     state, ref_state = eng.initial_state(), ref.initial_state()
-    assert state == ref_state
-    seen = {"opportunities": 0, "hold": 0, "events": 0, "skipped": 0}
+    assert_same_state(eng, state, ref_state, eng.agenda[0] - 1)
+    seen = {"opportunities": 0, "hold": 0, "events": 0, "skipped": 0,
+            "history": 0}
     for tick in eng.agenda:
         plan = eng.plan_tick(state, tick, ports)
         ref_plan = ref.plan_tick(ref_state, tick, ref_ports)
@@ -46,7 +82,8 @@ def lockstep(analysis, stimulus, seed: int, all_taken: bool = False,
         state, events = eng.commit_tick(state, plan, decisions)
         ref_state, ref_events = ref.commit_tick(ref_state, ref_plan, decisions)
         assert events == ref_events, tick
-        assert state == ref_state, tick
+        assert_same_state(eng, state, ref_state, tick)
+        seen["history"] = max(seen["history"], *map(len, state.hist.values()), 0)
         seen["opportunities"] += k
         seen["hold"] += sum(o.kind == "hold" for o in plan.opps)
         seen["events"] += len(events)
@@ -62,7 +99,8 @@ def _corpus_with_stimulus(corpus_root):
 def test_lockstep_on_every_corpus_case(corpus_root, case_loader):
     cases = _corpus_with_stimulus(corpus_root)
     assert len(cases) > 20
-    total = {"opportunities": 0, "hold": 0, "events": 0, "skipped": 0}
+    total = {"opportunities": 0, "hold": 0, "events": 0, "skipped": 0,
+             "history": 0}
     for case in cases:
         analysis, stim_text = case_loader(case)
         stim = parse_stimulus(stim_text)
@@ -247,4 +285,139 @@ def test_lockstep_on_a_reset_asserted_through_logic():
                           "run 10 of clk_a\n")
     for seed in (1, 2):
         assert lockstep(analysis, stim, seed)["skipped"]
+    lockstep(analysis, stim, 1, all_taken=True)
+
+
+WINDOWS = "option setup_window 3\noption hold_window 2\n"
+
+
+def _with_windows(corpus_root, case: str):
+    d = corpus_root / case
+    return analyze_sources([(str(d / "rtl.v"), (d / "rtl.v").read_text())],
+                           (d / "constraints.cdc").read_text() + WINDOWS)
+
+
+def test_lockstep_on_every_corpus_case_with_wider_windows(corpus_root):
+    """A setup window of 3 ticks and a hold window of 2: a tick reads the
+    flips of the three ticks up to it, and the lookahead sees two ticks."""
+    total = {"opportunities": 0, "hold": 0, "events": 0, "skipped": 0,
+             "history": 0}
+    for case in _corpus_with_stimulus(corpus_root):
+        analysis = _with_windows(corpus_root, case)
+        stim = parse_stimulus((corpus_root / case / "stimulus.stim").read_text())
+        for seed in (1, 2):
+            for key, n in lockstep(analysis, stim, seed).items():
+                total[key] += n
+        lockstep(analysis, stim, 1, all_taken=True)
+    assert all(total.values()), total
+
+
+# A Johnson counter on a clock of period 2 crosses into a clock of period 7:
+# with a setup window of 3, the counter's flip history holds the entries of
+# its last two edges, which flipped different bits, and an update drops the
+# older one only once no later tick can read it.
+FAST_SOURCE = """
+module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, output q);
+  reg [1:0] cnt;
+  reg [1:0] s1, s2;
+  always @(posedge clk_a or negedge rst_a_n)
+    if (!rst_a_n) cnt <= 2'b00; else cnt <= {cnt[0], ~cnt[1]};
+  always @(posedge clk_b or negedge rst_b_n)
+    if (!rst_b_n) begin s1 <= 2'b00; s2 <= 2'b00; end
+    else begin s1 <= cnt; s2 <= s1; end
+  assign q = s2[1];
+endmodule
+"""
+A2_B7 = """clock clk_a -period 2 -domain A
+clock clk_b -period 7 -domain B
+reset rst_a_n -active_low -domain A
+reset rst_b_n -active_low -domain B
+"""
+FAST_STIMULUS = "at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\nrun 60 of clk_a\n"
+
+
+def test_lockstep_on_histories_of_several_entries():
+    analysis = analyze_sources([("t.v", FAST_SOURCE)], A2_B7 + WINDOWS)
+    stim = parse_stimulus(FAST_STIMULUS)
+    for seed in (1, 2, 3):
+        seen = lockstep(analysis, stim, seed)
+        assert seen["history"] == 2 and seen["hold"] and seen["events"], seen
+    lockstep(analysis, stim, 1, all_taken=True)
+    # with the default windows an update keeps only its own entry
+    analysis = analyze_sources([("t.v", FAST_SOURCE)], A2_B7)
+    assert lockstep(analysis, stim, 1)["history"] == 1
+
+
+def _flips_outside_scan(analysis, stimulus, name: str) -> int:
+    """Ticks at which the 1-bit crossing source `name` flips though neither
+    the edging flops nor the input ports reach it: only a reset moves it."""
+    net = analysis.netlist.net_index[name]
+    eng = Engine(analysis, stimulus, MsiConfig(), [])
+    state, flips = eng.initial_state(), 0
+    for tick in eng.agenda:
+        plan = eng.plan_tick(state, tick)
+        state, _ = eng.commit_tick(state, plan, [False] * len(plan.opps))
+        if net not in plan.edges.scan_driven and state.hist[net][:1] == ((tick, 1),):
+            flips += 1
+    return flips
+
+
+# s, a crossing source of domain B, is reset through logic by kill, a flop
+# of domain A: a clk_a edge that sets kill resets s in the commit's settle,
+# on a tick whose edging flops reach no net of domain B.
+RESET_FROM_OTHER_DOMAIN = """
+module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, output q);
+  reg kill, s, d1, d2;
+  wire rs;
+  assign rs = rst_b_n & ~kill;
+  always @(posedge clk_a or negedge rst_a_n)
+    if (!rst_a_n) kill <= 1'b0; else kill <= ~kill;
+  always @(posedge clk_b or negedge rs)
+    if (!rs) s <= 1'b0; else s <= ~s;
+  always @(posedge clk_a or negedge rst_a_n)
+    if (!rst_a_n) begin d1 <= 1'b0; d2 <= 1'b0; end
+    else begin d1 <= s; d2 <= d1; end
+  assign q = d2;
+endmodule
+"""
+
+
+def test_lockstep_on_a_source_reset_by_another_domains_edge():
+    analysis = analyze_sources([("t.v", RESET_FROM_OTHER_DOMAIN)], A_B7)
+    stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
+                          "run 40 of clk_a\n")
+    assert _flips_outside_scan(analysis, stim, "s")
+    for seed in (1, 2):
+        lockstep(analysis, stim, seed)
+    lockstep(analysis, stim, 1, all_taken=True)
+
+
+# p falling asserts rs, the reset of s, for the tick's port drive alone: the
+# clk_a edge of that tick sets f, which releases rs before the commit, so
+# only the plan's reset settle moves s, on a tick whose edging flops and
+# port drive reach no net of domain B.
+RESET_PULSE = """
+module top(input clk_a, input clk_b, input p, output q);
+  reg f, s, d1, d2;
+  wire rs;
+  assign rs = p | f;
+  always @(posedge clk_a) f <= ~p;
+  always @(posedge clk_b or negedge rs)
+    if (!rs) s <= 1'b0; else s <= ~s;
+  always @(posedge clk_a) begin d1 <= s; d2 <= d1; end
+  assign q = d2;
+endmodule
+"""
+
+
+def test_lockstep_on_a_source_reset_by_a_port_pulse():
+    analysis = analyze_sources([("t.v", RESET_PULSE)],
+                               "clock clk_a -period 10 -domain A\n"
+                               "clock clk_b -period 7 -domain B\n")
+    stim = parse_stimulus("at clk_a 0 set p 1\n" + "".join(
+        f"at clk_a {k} set p 0\nat clk_a {k + 1} set p 1\n" for k in range(3, 40, 3))
+        + "run 42 of clk_a\n")
+    assert _flips_outside_scan(analysis, stim, "s")
+    for seed in (1, 2):
+        lockstep(analysis, stim, seed)
     lockstep(analysis, stim, 1, all_taken=True)

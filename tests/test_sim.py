@@ -1,14 +1,19 @@
 import copy
+import random
 from dataclasses import replace
 
 import pytest
 
 from cdckit.checkers import build_checkers
 from cdckit.errors import StimulusOutOfRange
+from cdckit.netlist import NetlistBuilder
 from cdckit.pipeline import analyze_sources
 from cdckit.sim import Engine, MsiConfig, simulate
 from cdckit.stimulus import parse_stimulus
-from oracles import gray_neighbor_sets, reference_simulate, wave_by_name
+from cdckit.vcd import write_vcd
+from conftest import load_gen
+from oracles import (gray_neighbor_sets, reference_simulate,
+                     reference_write_vcd, wave_by_name)
 
 AB = """clock clk_a -period 10 -domain A
 clock clk_b -period 10 -domain B
@@ -382,3 +387,42 @@ def test_engine_compiles_its_cone_kernels_in_one_call(monkeypatch):
     assert batches == [2]
     Engine(analysis, stim, MsiConfig(), [])
     assert batches == [2]       # a second engine reuses the netlist's kernels
+
+
+def _vcd_netlist(n_nets: int):
+    """`n_nets` nets of widths 1 to 4 in turn, each driven by an input port."""
+    b = NetlistBuilder("vcd")
+    for i in range(n_nets):
+        width = 1 + i % 4
+        h = b.add_net(f"n{i:03d}", width)
+        b.add_port(f"n{i:03d}", "in", width, h)
+    return b.finish()
+
+
+def test_vcd_equals_reference_writer():
+    """Ids run past one character and take `{` and `}` (_ID_CHARS indices
+    90 and 92), on nets of one bit and of several."""
+    nl = _vcd_netlist(200)
+    rng = random.Random(3)
+    waves = {n: [(-(10 ** 9), 0)] + [(t, rng.randrange(1 << net.width))
+                                     for t in sorted(rng.sample(range(50), 6))]
+             for n, net in enumerate(nl.nets)}
+    text = write_vcd(nl, waves)
+    assert text == reference_write_vcd(nl, waves)
+    ids = {line.split()[3]: int(line.split()[2]) for line in text.splitlines()
+           if line.startswith("$var")}
+    assert max(map(len, ids)) == 2
+    for brace in "{}":
+        widths = {width for vid, width in ids.items() if brace in vid}
+        assert 1 in widths and max(widths) > 1, (brace, widths)
+
+
+def test_vcd_of_a_generated_run_equals_reference_writer():
+    gen = load_gen()
+    d = gen.build("sim", 1, 8, block=gen.SIM_BLOCK, purpose="sim", run_edges=10)
+    analysis = analyze_sources([("rtl.v", d.files["rtl.v"])], d.files["constraints.cdc"])
+    res = simulate(analysis, parse_stimulus(d.files["stimulus.stim"]),
+                   MsiConfig(seed=1), [])
+    nl = analysis.netlist
+    assert len(res.waves) > 93 and max(n.width for n in nl.nets) > 8
+    assert write_vcd(nl, res.waves) == reference_write_vcd(nl, res.waves)
