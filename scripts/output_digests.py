@@ -10,9 +10,10 @@ deeper than a recursive search goes.  It then runs `analyze --strict` and
 blocks, seed 1), which hold hundreds of synchronizers where the corpus
 designs hold a few, `simulate --seeds 1..2` on the benchmark's generated
 2k-net simulation design and `explore` on its 1k-net exploration design
-(seed 1), the same command lines the benchmark runs, and that `simulate`
+(seed 1), the same command lines the benchmark runs, that `simulate`
 again with `--vcd`, whose waves have two-character ids, ids with braces
-and nets of 8 to 16 bits,
+and nets of 8 to 16 bits, that `explore` on the exploration designs of
+seeds 2 and 3 and with `--latency 1:3` on seed 1,
 `analyze`, `simulate` and `generate` on three inline sources at the edges
 of the netlist builder (a floating net, a one-operand concatenation, a
 600-level module chain), on one that uses names before it declares them
@@ -203,25 +204,29 @@ def main() -> int:
     spec = importlib.util.spec_from_file_location("gen", root / "perfbench" / "gen.py")
     gen = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(gen)
-    runs = [(gen.build(f"{shape}{blocks}", 1, blocks, shape=shape), GENERATED_COMMANDS)
+    runs = [(gen.build(f"{shape}{blocks}", 1, blocks, shape=shape), 1, GENERATED_COMMANDS)
             for shape, blocks in GENERATED]
     # the generated designs of the benchmark's msi_seeds and explore_bounded
     sim_seeds = ["simulate", "--seeds", "1..2", "--checkers", ",".join(gen.SIM_CHECKERS)]
     runs.append((gen.build("sim", 1, 8, block=gen.SIM_BLOCK, purpose="sim",
-                           run_edges=30),
+                           run_edges=30), 1,
                  (("simulate-seeds", sim_seeds),
                   ("simulate-seeds-vcd", sim_seeds + ["--vcd", "{out}/trace.vcd"]))))
-    runs.append((gen.build("explore", 1, 8, purpose="explore", run_edges=4,
-                           gray_sources=2),
-                 (("explore", ["explore", "--budget", "16", "--checkers",
-                               ",".join(gen.EXPLORE_CHECKERS)]),)))
-    for design, commands in runs:
+    explore = ["explore", "--budget", "16", "--checkers", ",".join(gen.EXPLORE_CHECKERS)]
+    for seed in (1, 2, 3):
+        commands = (("explore", explore),)
+        if seed == 1:
+            commands += (("explore-latency", ["explore", "--budget", "16",
+                                              "--latency", "1:3"]),)
+        runs.append((gen.build("explore", seed, 8, purpose="explore", run_edges=4,
+                               gray_sources=2), seed, commands))
+    for design, seed, commands in runs:
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)
             for name, text in design.files.items():
                 Path(name).write_text(text)
             for label, argv in commands:
-                print(f"gen-{design.name}-s1 {label} {digest(cli_main, '.', argv)}",
+                print(f"gen-{design.name}-s{seed} {label} {digest(cli_main, '.', argv)}",
                       flush=True)
             os.chdir(root)
 

@@ -16,7 +16,8 @@ attribute `start`.  `sample(state, clock, tick, get, in_reset)` returns
 `(new_state, message)`, where `message` is None unless the sample violates
 the protocol.  The simulator keeps the state values and latches each
 checker's first failure as `(tick, message)`; `verdict(failure)` turns that
-into a `Verdict`.
+into a `Verdict`.  `nets` holds every net that `sample` reads through
+`get`; exploration relies on it to tell which injections no checker sees.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ class Checker:
     kind = "checker"
     start = None
 
-    def __init__(self, cid: str, clocks: tuple[str, ...]):
+    def __init__(self, cid: str, clocks: tuple[str, ...], nets: tuple[int, ...]):
         self.id = cid
         self.clocks = clocks
+        self.nets = nets        # the nets `sample` reads
 
     def sample(self, state, clock: str, tick: int, get: Getter,
                in_reset: bool) -> tuple[object, str | None]:
@@ -72,7 +74,7 @@ class StabilityChecker(Checker):
 
     def __init__(self, cid: str, clock: str, net: int, hold_samples: int,
                  label: str):
-        super().__init__(cid, (clock,))
+        super().__init__(cid, (clock,), (net,))
         self.net = net
         self.k = hold_samples
         self.label = label
@@ -94,7 +96,7 @@ class PulseWidthChecker(Checker):
     kind = "pulse_width"
 
     def __init__(self, cid: str, clock: str, net: int, label: str):
-        super().__init__(cid, (clock,))
+        super().__init__(cid, (clock,), (net,))
         self.net = net
         self.label = label
 
@@ -113,7 +115,7 @@ class GrayCodeChecker(Checker):
     kind = "gray_code"
 
     def __init__(self, cid: str, clock: str, net: int, label: str):
-        super().__init__(cid, (clock,))
+        super().__init__(cid, (clock,), (net,))
         self.net = net
         self.label = label
 
@@ -133,7 +135,7 @@ class StaticChecker(Checker):
     kind = "static"
 
     def __init__(self, cid: str, clock: str, net: int, label: str):
-        super().__init__(cid, (clock,))
+        super().__init__(cid, (clock,), (net,))
         self.net = net
         self.label = label
 
@@ -154,7 +156,7 @@ class MuxEnableChecker(Checker):
 
     def __init__(self, cid: str, clock: str, enable_net: int, data_net: int,
                  label: str):
-        super().__init__(cid, (clock,))
+        super().__init__(cid, (clock,), (enable_net, data_net))
         self.enable_net = enable_net
         self.data_net = data_net
         self.label = label
@@ -180,7 +182,7 @@ class FifoChecker(Checker):
     def __init__(self, cid: str, wclock: str, rclock: str, wgray: int,
                  rgray: int, rsync_w: int, wsync_r: int, width: int,
                  label: str):
-        super().__init__(cid, (wclock, rclock))
+        super().__init__(cid, (wclock, rclock), (wgray, rgray, rsync_w, wsync_r))
         self.wclock = wclock
         self.rclock = rclock
         self.wgray = wgray
@@ -226,7 +228,7 @@ class ClockGateChecker(Checker):
     start = ()
 
     def __init__(self, cid: str, clock: str, net: int, label: str):
-        super().__init__(cid, (clock,))
+        super().__init__(cid, (clock,), (net,))
         self.net = net
         self.label = label
 
@@ -249,7 +251,7 @@ class LatencyChecker(Checker):
 
     def __init__(self, cid: str, clock: str, src_net: int, observe_net: int,
                  lo: int, hi: int, label: str):
-        super().__init__(cid, (clock,))
+        super().__init__(cid, (clock,), (src_net, observe_net))
         self.src_net = src_net
         self.observe_net = observe_net
         self.lo = lo

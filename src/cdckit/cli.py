@@ -23,12 +23,12 @@ from .coverage import CoverageDb, format_report_text, merge, parse_json, report
 from .domains import pairs_fingerprint
 from .errors import (BranchCapExceeded, CdcError, DecisionBudgetExceeded,
                      FingerprintMismatch, ParseError)
+from .explore import explore_exhaustive
 from .pipeline import (analyze_sources, findings_report, pairs_report,
                        syncs_report)
 # `simulate` is unused here but stays a name of this module, where
 # perfbench/spans.py looks it up to trace it
-from .sim import (Engine, MsiConfig, explore_exhaustive, parse_seed_range,
-                  simulate)
+from .sim import Engine, MsiConfig, parse_seed_range, simulate
 from .stimulus import parse_stimulus
 from .vcd import write_vcd
 

@@ -18,7 +18,8 @@ from .coverage import BINS
 from .errors import BranchCapExceeded, DecisionBudgetExceeded, MissingLabel
 from .pipeline import analyze_sources, findings_report
 from .rules import Analysis
-from .sim import MsiConfig, explore_exhaustive, simulate
+from .explore import explore_exhaustive
+from .sim import MsiConfig, simulate
 from .stimulus import parse_stimulus
 
 

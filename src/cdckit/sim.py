@@ -20,16 +20,18 @@ probability p at each violation opportunity:
 
 Either way the resolved bit is one of {old, new}; a third value never
 appears.  Every replacement is logged and recorded in the coverage
-database.  Exhaustive mode explores every resolution assignment instead of
-coin flips, with depth-first reference-first ordering so the first
-counterexample found is the lexicographically first failing branch.
+database.  Exhaustive mode (explore.py) explores every resolution
+assignment instead of coin flips.
 
 A state holds only what later ticks depend on and is never mutated:
 `commit_tick` returns a new state sharing what the tick left unchanged, so
-exploration branches share their parent's state.  Only `Engine.run`
-records a run (injection log, coverage, and waves when they are to be
-written); a counterexample is the replay of its branch's decision path,
-exact as exhaustive runs are not random.
+exploration branches share their parent's state.  Given the state its
+tick commits with no injection, the reference, `commit_tick` derives a
+sibling from it: the reference's values with the injected destinations'
+captures redone, through the one capture loop every commit runs.  Only
+`Engine.run` records a run (injection log, coverage, and waves when they
+are to be written); a counterexample is the replay of its branch's
+decision path, exact as exhaustive runs are not random.
 
 Evaluation is compiled, not interpreted (levelized compiled-code
 simulation).  Each netlist is compiled once into straight-line Python with
@@ -76,9 +78,13 @@ when some bit is not a setup bit, and walks the set bits upward.  A commit
 checks for flips only the monitored nets the tick can change: each edge set
 lists those whose activity signature meets its flops' (and those the input
 ports reach too, for a tick whose port drive moved a port), and a tick on
-which a reset held a flop checks them all.  Exploration keys a state with
-each net's history tuple as one element (`merge_key`), so states whose
-histories differ in length never share a key.
+which a reset held a flop checks them all.
+
+A commit settles the resets again only when its edge set's flops reach a
+reset net (`_EdgeSet.settle`, from the activity signatures).  Otherwise the
+reset nets keep the values the plan's settle saw, so every flop a reset
+holds is at its reset value already and did not capture: the settle would
+change nothing.
 """
 
 from __future__ import annotations
@@ -86,7 +92,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, groupby, product
+from itertools import chain, compress, groupby
 from operator import ne
 from typing import NamedTuple
 
@@ -94,14 +100,12 @@ from .checkers import Checker, Verdict
 from .constraints import ClockSpec
 from .coverage import CoverageDb
 from .domains import CdcPair, pairs_fingerprint
-from .errors import (BranchCapExceeded, DecisionBudgetExceeded, ParseError,
-                     SimDivergence, StimulusOutOfRange)
+from .errors import ParseError, SimDivergence, StimulusOutOfRange
 from .netlist import Const, Dff, Gate, Netlist
 from .rules import Analysis
 from .stimulus import Stimulus
 
 _NEG = -(10 ** 9)
-_BRANCH_CAP = 1 << 24
 
 
 @dataclass
@@ -183,6 +187,7 @@ class _EdgeSet(NamedTuple):
     # reach, and those they or the input ports reach
     scan: tuple[int, ...]
     scan_driven: tuple[int, ...]
+    settle: bool                    # whether its flops' outputs reach a reset net
     # per edging clock with checkers: (clock, its resets as (net, active
     # value), (checker index, bound `sample`) of each checker sampling on it)
     checks: tuple[tuple[str, tuple[tuple[int, int], ...],
@@ -433,6 +438,27 @@ def cone_kernel(nl: Netlist, targets: tuple[int, ...], subs: tuple[int, ...]):
     return cone_kernels(nl, [(targets, subs)])[0]
 
 
+def _capture(vals0: list[int], post: list[int], final: list[int],
+             flips: dict[tuple[int, int], int], dsts: Sequence[_Dst]):
+    """Write into `final` what each destination of `dsts` captures from the
+    tick's pre-edge values `vals0` and its sources' values in `post`, with
+    the bits of `flips`, per (dst, source net), inverted."""
+    for index, out, enable, srcs, kernel, _pairs in dsts:
+        if kernel is None:      # captures its one source as it is
+            value = post[srcs[0]]
+            final[out] = value ^ flips.get((index, srcs[0]), 0) if flips else value
+            continue
+        if flips:
+            subs = [post[s] ^ flips.get((index, s), 0) for s in srcs]
+        else:
+            subs = [post[s] for s in srcs]
+        if enable is None:
+            final[out] = kernel(vals0, *subs)
+        else:
+            enabled, data = kernel(vals0, *subs)
+            final[out] = data if enabled & 1 else vals0[out]
+
+
 class Engine:
     def __init__(self, analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
                  checkers: list[Checker], scope: str = "sim"):
@@ -581,6 +607,7 @@ class Engine:
             comb.select(reach),
             tuple(n for n in self.monitored if activity[n] & reach),
             tuple(n for n in self.monitored if activity[n] & (reach | PORT_BIT)),
+            any(activity[net] & reach for net, _active in self.reset_nets),
             tuple((clk, self.clock_resets[clk], tuple(sampling[clk]))
                   for clk in clocks if clk in sampling))
 
@@ -738,10 +765,19 @@ class Engine:
         return 0
 
     def commit_tick(self, state: _State, plan: _TickPlan,
-                    decisions: Sequence[bool]) -> tuple[_State, list[MsiEvent]]:
+                    decisions: Sequence[bool], reference: _State | None = None,
+                    ) -> tuple[_State, list[MsiEvent]]:
         """The state after the tick, with one decision per opportunity, and
         the injections taken.  `state` and `plan` are left as they were;
-        each part of the state is copied only when the tick changes it."""
+        each part of the state is copied only when the tick changes it.
+
+        `reference`, when given, is the state this commit gives `plan` with
+        no injection, and the state is derived from it: its values with the
+        injected destinations' captures redone, and its history, checker
+        states and failures.  That is exact when the tick's commit runs no
+        reset settle (`plan.edges.settle` false) and nothing else of the
+        tick reads an injected destination's output: no gate, checker,
+        reset or flip history (see explore.py)."""
         assert len(decisions) == len(plan.opps)
         tick, vals0, post = plan.tick, plan.vals0, plan.post
 
@@ -756,25 +792,19 @@ class Engine:
                 events.append(MsiEvent(tick, opp.pair, opp.bit, opp.kind,
                                        (post[opp.src_net] ^ flipped) >> opp.bit & 1))
 
+        if reference is not None:
+            final = reference.values[:]
+            injected = {dst for dst, _src in flips}
+            _capture(vals0, post, final, flips,
+                     [d for d in plan.dsts if d.index in injected])
+            return tuple.__new__(_State, (final, *reference[1:])), events
         final = post[:]
-        for index, out, enable, srcs, kernel, _pairs in plan.dsts:
-            if kernel is None:      # captures its one source as it is
-                value = post[srcs[0]]
-                final[out] = value ^ flips.get((index, srcs[0]), 0) if flips else value
-                continue
-            if flips:
-                subs = [post[s] ^ flips.get((index, s), 0) for s in srcs]
-            else:
-                subs = [post[s] for s in srcs]
-            if enable is None:
-                final[out] = kernel(vals0, *subs)
-            else:
-                enabled, data = kernel(vals0, *subs)
-                final[out] = data if enabled & 1 else vals0[out]
+        _capture(vals0, post, final, flips, plan.dsts)
         if final != vals0:      # settled values need no re-evaluation
             for kernel in plan.edges.comb:
                 kernel(final)
-        scan = self.monitored if self._settle_resets(final) else plan.scan
+        scan = self.monitored if plan.edges.settle and self._settle_resets(final) \
+            else plan.scan
 
         # each changed monitored net gets an entry of its flipped bits, and
         # loses those no later tick reads: a tick reads the flips at or
@@ -862,120 +892,8 @@ class Engine:
                          state.decisions)
 
 
-@dataclass
-class ExploreOutcome:
-    verdicts: dict[str, str]                    # checker id -> "proven"|"counterexample"
-    counterexamples: dict[str, SimResult]
-    branches: int
-
-
 def simulate(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
              checkers: list[Checker], scope: str = "sim",
              waves: bool = True) -> SimResult:
     eng = Engine(analysis, stimulus, msi, checkers, scope)
     return eng.run(waves=waves)
-
-
-def merge_key(state: _State, agenda_idx: int, first: dict[int, list]) -> tuple:
-    """The key of `state` at agenda index `agenda_idx` under which
-    exploration merges paths: equal exactly for equal states.
-
-    The state is laid out as one element per net value, per monitored net's
-    history tuple, per checker state and per failure, and keyed as the
-    positions where it differs from the first state seen at that agenda
-    index (`first` keeps it), with its elements there: a few elements in
-    place of one per net.  Every state of one agenda index has the same
-    nets, monitored nets and checkers, so the layouts align position by
-    position; a history tuple is one element whatever its length."""
-    flat = [*state.values, *state.hist.values(), *state.checkers, *state.failures]
-    changed = tuple(compress(range(len(flat)), map(
-        ne, flat, first.setdefault(agenda_idx, flat))))
-    return (agenda_idx, changed, tuple(map(flat.__getitem__, changed)),
-            state.decisions)
-
-
-def explore_exhaustive(analysis: Analysis, stimulus: Stimulus,
-                       checkers: list[Checker], budget: int) -> ExploreOutcome:
-    """Enumerate every resolution of every opportunity, depth first with the
-    reference resolution explored first.  A path of more than `budget`
-    decisions raises DecisionBudgetExceeded, and more than _BRANCH_CAP
-    leaves raise BranchCapExceeded.
-
-    Paths that reach the same state are merged: the search remembers the
-    number of leaves below each state it has explored, and a state seen
-    again adds that number to `branches` without walking its subtree.  The
-    merge is exact.  A state is keyed on its agenda index, its decision
-    count and every part of it that later ticks read (net values, flip
-    history, checker states, failures), so its subtree is the same, and
-    that subtree was walked on a lexicographically earlier path: each
-    checker's first counterexample is still found there, and a path over
-    the budget raised there first.
-
-    The search runs on an explicit stack of branching ticks, one frame per
-    tick on the current path that has opportunities, so its depth is
-    bounded by the budget, not by the interpreter's recursion limit."""
-    eng = Engine(analysis, stimulus, MsiConfig(), checkers, scope="explore")
-    branches = 0
-    cex: dict[str, SimResult] = {}
-    ids = [c.id for c in checkers]
-    leaves: dict[tuple, int] = {}   # explored state -> leaves below it
-    first: dict[int, list] = {}     # agenda index -> state first seen there
-
-    def count(n: int):
-        nonlocal branches
-        branches += n
-        if branches > _BRANCH_CAP:
-            raise BranchCapExceeded(_BRANCH_CAP)
-
-    def leaf(state: _State, path: tuple[bool, ...]):
-        count(1)
-        result = None
-        for cid, failure in zip(ids, state.failures):
-            if failure is not None and cid not in cex:
-                if result is None:
-                    # exhaustive runs draw no random numbers, so replaying
-                    # the branch's decisions reproduces it exactly
-                    result = eng.run(path)
-                cex[cid] = result
-
-    def enter(state: _State, agenda_idx: int, path: tuple[bool, ...]):
-        """Walk from `state` up to its next tick with opportunities, and
-        return the frame that branches there: (state key, branches before
-        it, state, plan, agenda index, path, decision vectors).  None when
-        the state needs no walk or the walk reached the end of the run."""
-        if len(cex) == len(ids) and ids:
-            return None     # every checker already has a counterexample
-        key = merge_key(state, agenda_idx, first)
-        below = leaves.get(key)
-        if below is not None:
-            count(below)
-            return None
-        start = branches
-        for i in range(agenda_idx, len(eng.agenda)):
-            plan = eng.plan_tick(state, eng.agenda[i])
-            k = len(plan.opps)
-            if state.decisions + k > budget:
-                raise DecisionBudgetExceeded(state.decisions + k, budget)
-            if k:
-                return (key, start, state, plan, i, path,
-                        product((False, True), repeat=k))
-            state, _ = eng.commit_tick(state, plan, ())
-        leaf(state, path)
-        leaves[key] = branches - start
-        return None
-
-    frame = enter(eng.initial_state(), 0, ())
-    stack = [frame] if frame else []
-    while stack:
-        key, start, state, plan, i, path, vectors = stack[-1]
-        vector = next(vectors, None)
-        if vector is None:
-            stack.pop()
-            leaves[key] = branches - start
-            continue
-        branch, _ = eng.commit_tick(state, plan, vector)
-        frame = enter(branch, i + 1, path + vector)
-        if frame:
-            stack.append(frame)
-    verdicts = {cid: ("counterexample" if cid in cex else "proven") for cid in ids}
-    return ExploreOutcome(verdicts, cex, branches)

@@ -18,7 +18,8 @@ from cdckit.corpus import load_corpus, run_corpus
 from cdckit.coverage import BINS, merge
 from cdckit.domains import assign_domains, extract_cdc_pairs
 from cdckit.errors import DecisionBudgetExceeded
-from cdckit.sim import MsiConfig, explore_exhaustive, simulate
+from cdckit.explore import explore_exhaustive
+from cdckit.sim import MsiConfig, simulate
 from cdckit.stimulus import parse_stimulus
 from conftest import load_case
 from oracles import (brute_force_pairs, gray_neighbor_sets, mirror_verdicts,

@@ -1,5 +1,6 @@
 from cdckit.checkers import build_checkers
-from cdckit.sim import Engine, MsiConfig, explore_exhaustive, simulate
+from cdckit.explore import explore_exhaustive
+from cdckit.sim import Engine, MsiConfig, simulate
 from cdckit.stimulus import parse_stimulus
 from oracles import reference_simulate
 
@@ -176,3 +177,39 @@ def test_one_checker_list_serves_every_run(case_loader):
         again = sim(shared)
         assert first == again == sim(fresh()), name
         assert explored == _explore_verdicts(analysis, stim, fresh()), name
+
+
+def test_each_sample_reads_only_its_checkers_nets(corpus_root, case_loader):
+    """`Checker.nets` holds every net `sample` reads: a recording getter
+    sees no other net on any sample of a `simulate` run of any corpus case,
+    with every kind of checker built."""
+    kinds: dict[str, int] = {}
+
+    def recording(checker):
+        sample = checker.sample
+
+        def recorded(state, clock, tick, get, in_reset):
+            read = set()
+
+            def record(net):
+                read.add(net)
+                return get(net)
+
+            result = sample(state, clock, tick, record, in_reset)
+            assert read <= set(checker.nets), (checker.id, read)
+            kinds[checker.kind] = kinds.get(checker.kind, 0) + bool(read)
+            return result
+        return recorded
+
+    for case in sorted(p.name for p in corpus_root.iterdir() if p.is_dir()):
+        analysis, stim_text = case_loader(case)
+        if not stim_text:
+            continue
+        checkers = build_checkers(analysis, latency=[("*", 1, 3)])
+        for c in checkers:
+            c.sample = recording(c)     # bound by the engine made below
+        simulate(analysis, parse_stimulus(stim_text),
+                 MsiConfig(probability=0.5, seed=1), checkers)
+    assert kinds.keys() == {"stability", "pulse_width", "gray_code", "static",
+                            "mux_enable", "fifo", "clock_gate", "latency"}, kinds
+    assert all(kinds.values()), kinds

@@ -168,7 +168,7 @@ def test_explore_budget_past_the_recursion_limit_exits_four(corpus_root, tmp_pat
 
 def test_explore_branch_cap_exits_four_and_names_the_cap(corpus_root, tmp_path,
                                                         capsys, monkeypatch):
-    monkeypatch.setattr("cdckit.sim._BRANCH_CAP", 4)
+    monkeypatch.setattr("cdckit.explore._BRANCH_CAP", 4)
     files, stim = _case_args(corpus_root, "divergence")
     rc = main(["explore", *files, "-s", stim, "--out", str(tmp_path)])
     assert rc == 4
@@ -180,7 +180,7 @@ def test_explore_branch_cap_counts_merged_paths(corpus_root, tmp_path, capsys,
                                                monkeypatch):
     # 16384 paths through a few dozen states: the cap counts paths, so it
     # is passed although fewer ticks than the cap are committed
-    monkeypatch.setattr("cdckit.sim._BRANCH_CAP", 100)
+    monkeypatch.setattr("cdckit.explore._BRANCH_CAP", 100)
     commits = 0
     commit_tick = Engine.commit_tick
 

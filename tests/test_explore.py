@@ -1,12 +1,19 @@
+import json
+
 import pytest
 
-from cdckit.checkers import build_checkers, parse_latency
+import cdckit.explore as explore_mod
+from cdckit.checkers import LatencyChecker, build_checkers, parse_latency
 from cdckit.errors import DecisionBudgetExceeded
+from cdckit.explore import derivable_outputs, explore_exhaustive, merge_key
+from cdckit.netlist import Gate
 from cdckit.pipeline import analyze_sources
-from cdckit.sim import Engine, MsiConfig, explore_exhaustive, merge_key, simulate
+from cdckit.sim import Engine, MsiConfig, simulate
 from cdckit.stimulus import parse_stimulus
+from conftest import load_gen
 from oracles import replay_explore
-from test_lockstep import A2_B7, FAST_SOURCE, WINDOWS, _with_windows
+from test_lockstep import (A2_B7, A_B7, FAST_SOURCE, REQ_ACK, WINDOWS,
+                           _corpus_with_stimulus, _with_windows)
 
 
 def test_clean_design_proven(case_loader):
@@ -174,3 +181,249 @@ def test_converging_paths_are_walked_once(case_loader, monkeypatch):
     assert out.branches == 16384
     assert commits <= 1000
     assert out.verdicts == {"stability:cdc0": "proven"}
+
+
+def test_explore_counts_commits_derivations_and_merges(case_loader, monkeypatch):
+    """The counters are those of the search: every decision vector of a
+    branching tick is one commit, the reference of each tick among them."""
+    analysis, stim_text = case_loader("divergence")
+    stim = parse_stimulus(stim_text)
+    vectors = 0
+    commit_tick = Engine.commit_tick
+
+    def counted(eng, state, plan, decisions, *reference):
+        nonlocal vectors
+        vectors += bool(decisions)
+        return commit_tick(eng, state, plan, decisions, *reference)
+
+    monkeypatch.setattr(Engine, "commit_tick", counted)
+    out = explore_exhaustive(analysis, stim, [], budget=16)
+    assert out.branches == 64
+    assert (out.commits, out.derived, out.merged) == (vectors, 27, 24)
+    again = explore_exhaustive(analysis, stim, [], budget=16)
+    assert (again.commits, again.derived, again.merged) == (36, 27, 24)
+
+
+class DerivationCheck:
+    """Checks every derivation of the searches run while it is installed:
+    each derived branch equals `Engine.commit_tick` of its vector in full
+    (values, history, checker states, failures, decisions and events), and
+    its derived key equals that state's `merge_key`.  It also records each
+    sibling vector the search committed in full, a declined derivation, as
+    (whether the tick's commit settles resets, the injected destinations'
+    outputs).  Commits of `Engine.run`, which replays counterexamples, are
+    not the search's and are left out."""
+
+    def __init__(self, monkeypatch):
+        self.derived = 0
+        self.declined: list[tuple[bool, set[int]]] = []
+        self.full = None
+        self.replaying = False
+        commit, key, run = Engine.commit_tick, explore_mod.derived_key, Engine.run
+
+        def commit_tick(eng, state, plan, decisions, reference=None):
+            got = commit(eng, state, plan, decisions, reference)
+            if reference is not None:
+                want = commit(eng, state, plan, decisions)
+                assert got[0]._asdict() == want[0]._asdict(), plan.tick
+                assert got[1] == want[1], plan.tick
+                self.full = want[0]
+                self.derived += 1
+            elif any(decisions) and not self.replaying:
+                self.declined.append((plan.edges.settle, {
+                    eng.dsts[o.dst].out for o, take in zip(plan.opps, decisions)
+                    if take}))
+            return got
+
+        def derived_key(reference, values, patched, first):
+            got = key(reference, values, patched, first)
+            assert values == self.full.values
+            assert got == merge_key(self.full, reference[0], first)
+            return got
+
+        def replay(eng, *args, **kwargs):
+            self.replaying = True
+            try:
+                return run(eng, *args, **kwargs)
+            finally:
+                self.replaying = False
+
+        monkeypatch.setattr(Engine, "commit_tick", commit_tick)
+        monkeypatch.setattr(Engine, "run", replay)
+        monkeypatch.setattr(explore_mod, "derived_key", derived_key)
+
+    def explore(self, analysis, stim, checkers):
+        """The outcome of one checked search, None past the budget, and the
+        derivations it declined."""
+        self.derived, self.declined = 0, []
+        try:
+            out = explore_exhaustive(analysis, stim, checkers, budget=16)
+        except DecisionBudgetExceeded:
+            return None, self.declined
+        assert out.derived == self.derived
+        return out, self.declined
+
+
+def _label_checkers(analysis, corpus_root, case):
+    labels = corpus_root / case / "labels.json"
+    lab = json.loads(labels.read_text()).get("explore", {}) if labels.exists() else {}
+    return build_checkers(analysis, latency=parse_latency(lab.get("latency")),
+                          select=lab.get("checkers"))
+
+
+def test_derived_branches_equal_full_commits_on_the_corpus(corpus_root, case_loader,
+                                                           monkeypatch):
+    """Every corpus case with its label's checkers, with setup and hold
+    windows of 3 and 2, and with `--latency 1:3`.  Derivation is declined
+    only in the latency runs, and only for a destination that a latency
+    checker observes."""
+    check = DerivationCheck(monkeypatch)
+    derived = {"label": 0, "windows": 0, "latency": 0}
+    latency_declined = 0
+    for case in _corpus_with_stimulus(corpus_root):
+        analysis, stim_text = case_loader(case)
+        stim = parse_stimulus(stim_text)
+        runs = {"label": (analysis, _label_checkers(analysis, corpus_root, case))}
+        wide = _with_windows(corpus_root, case)
+        runs["windows"] = (wide, _label_checkers(wide, corpus_root, case))
+        runs["latency"] = (analysis, build_checkers(analysis, latency=[("*", 1, 3)]))
+        for run, (a, checkers) in runs.items():
+            out, declined = check.explore(a, stim, checkers)
+            derived[run] += check.derived
+            if run != "latency":
+                assert not declined, (case, run)
+                continue
+            observed = {c.observe_net for c in checkers if isinstance(c, LatencyChecker)}
+            for settle, outs in declined:
+                assert not settle and outs & observed, (case, outs)
+            latency_declined += len(declined)
+    assert all(derived.values()) and latency_declined, (derived, latency_declined)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_derived_branches_equal_full_commits_on_generated_designs(seed, monkeypatch):
+    gen = load_gen()
+    d = gen.build("explore", seed, 8, purpose="explore", run_edges=4, gray_sources=2)
+    analysis = analyze_sources([("rtl.v", d.files["rtl.v"])], d.files["constraints.cdc"])
+    stim = parse_stimulus(d.files["stimulus.stim"])
+    check = DerivationCheck(monkeypatch)
+    for latency in (None, [("*", 1, 3)]):
+        checkers = build_checkers(analysis, latency=latency, select=list(
+            gen.EXPLORE_CHECKERS) + ["latency"])
+        out, declined = check.explore(analysis, stim, checkers)
+        assert not declined and out.derived > out.commits // 2, out
+
+
+_HEAD = "module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, output q);\n"
+_TOGGLE = ("  always @(posedge clk_a or negedge rst_a_n)\n"
+           "    if (!rst_a_n) s <= 1'b0; else s <= ~s;\n")
+# q1, the destination, is read by the gate that drives q
+DST_READ_BY_GATE = _HEAD + """  reg s, q1, q2;
+""" + _TOGGLE + """  always @(posedge clk_b or negedge rst_b_n)
+    if (!rst_b_n) begin q1 <= 1'b0; q2 <= 1'b0; end
+    else begin q1 <= s; q2 <= q1; end
+  assign q = q1 & q2;
+endmodule
+"""
+# q1, the destination, is declared the reset of its domain, which the
+# checkers sampling on clk_b read
+SYNC = _HEAD + """  reg s, q1, q2;
+""" + _TOGGLE + """  always @(posedge clk_b or negedge rst_b_n)
+    if (!rst_b_n) begin q1 <= 1'b0; q2 <= 1'b0; end
+    else begin q1 <= s; q2 <= q1; end
+  assign q = q2;
+endmodule
+"""
+# m, the destination of s, is the crossing source of r
+TWO_HOP = _HEAD + """  reg s, m, r;
+""" + _TOGGLE + """  always @(posedge clk_b or negedge rst_b_n)
+    if (!rst_b_n) m <= 1'b0; else m <= s;
+  always @(posedge clk_a or negedge rst_a_n)
+    if (!rst_a_n) r <= 1'b0; else r <= m;
+  assign q = r;
+endmodule
+"""
+# r1, the destination, is the reset of x
+DST_IS_RESET = _HEAD + """  reg s, r1, x;
+""" + _TOGGLE + """  always @(posedge clk_b or negedge rst_b_n)
+    if (!rst_b_n) r1 <= 1'b0; else r1 <= s;
+  always @(posedge clk_b or negedge r1)
+    if (!r1) x <= 1'b0; else x <= ~x;
+  assign q = x;
+endmodule
+"""
+# kill, of domain A, resets d1, of domain B, through logic: at every other
+# clk_a edge, which is a clk_b edge too and on which d1 captures the flip of
+# s, the commit's reset settle forces the d1 that an injection left at 1
+SETTLE_RESETS_DST = _HEAD + """  reg kill, s, d1, d2;
+  wire rs;
+  assign rs = rst_b_n & ~kill;
+  always @(posedge clk_a or negedge rst_a_n)
+    if (!rst_a_n) begin kill <= 1'b0; s <= 1'b1; end
+    else begin kill <= ~kill; s <= ~s; end
+  always @(posedge clk_b or negedge rs)
+    if (!rs) begin d1 <= 1'b0; d2 <= 1'b0; end
+    else begin d1 <= s; d2 <= d1; end
+  assign q = d2;
+endmodule
+"""
+A_B5 = A_B7.replace("-period 7", "-period 5")
+
+
+def _gate_reads(eng, net):
+    return any(kind == "cell" and isinstance(eng.nl.cells[i], Gate)
+               for kind, i, _pin in eng.nl.nets[net].readers)
+
+
+# name: (source, constraints, destination flop, the reason it is declined)
+DECLINED = {
+    "read-by-gate": (DST_READ_BY_GATE, A_B7, "q1",
+                     lambda eng, out: _gate_reads(eng, out)),
+    "monitored": (TWO_HOP, A_B7, "m", lambda eng, out: out in eng.monitored),
+    "reset-net": (DST_IS_RESET, A_B7, "r1",
+                  lambda eng, out: out in {n for n, _active in eng.reset_nets}),
+    "domain-reset": (SYNC, A_B7 + "reset q1 -domain B\n", "q1",
+                     lambda eng, out: (out, 1) in eng.clock_resets["clk_b"]),
+    "commit-settles": (SETTLE_RESETS_DST, A_B5, "d1", None),
+}
+
+
+@pytest.mark.parametrize("name", DECLINED)
+def test_derivation_is_declined(name, monkeypatch):
+    source, constraints, flop, reason = DECLINED[name]
+    analysis = analyze_sources([("t.v", source)], constraints)
+    stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
+                          "run 12 of clk_a\n")
+    checkers = build_checkers(analysis)
+    eng = Engine(analysis, stim, MsiConfig(), checkers)
+    dst = next(d for d in eng.dsts.values() if analysis.netlist.cells[d.index].name == flop)
+    derivable = derivable_outputs(eng, checkers)
+    if reason is None:
+        # derivable on its own, declined on the ticks whose commit settles
+        assert derivable == {dst.index: dst.out}
+    else:
+        assert dst.index not in derivable and reason(eng, dst.out)
+    check = DerivationCheck(monkeypatch)
+    out, declined = check.explore(analysis, stim, checkers)
+    assert out.branches > 1 and declined
+    assert all(dst.out in outs and (settle or reason is not None)
+               for settle, outs in declined), declined
+    monkeypatch.undo()
+    _explore_equals_replay(analysis, stim, checkers)
+
+
+@pytest.mark.parametrize("constraints, edges", [(A_B7, 16), (A_B7 + WINDOWS, 8)],
+                         ids=["default-windows", "windows-3-2"])
+def test_derivation_where_sources_depend_on_decisions(constraints, edges, monkeypatch):
+    """In a request/acknowledge loop, when req flips depends on earlier
+    injections at ack1, so one tick's reference captures differ from path
+    to path, and an injected sibling can capture what the first state seen
+    at that tick holds: its derived key must drop that position."""
+    analysis = analyze_sources([("t.v", REQ_ACK)], constraints)
+    stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
+                          f"run {edges} of clk_a\n")
+    check = DerivationCheck(monkeypatch)
+    out, declined = check.explore(analysis, stim, [])
+    assert out.derived and declined, out      # req, a crossing source, is declined
+    monkeypatch.undo()
+    assert _explore_equals_replay(analysis, stim, []).branches == out.branches
