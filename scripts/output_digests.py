@@ -28,7 +28,9 @@ connection), and on one error of each kind of module shape (a reset arm
 that is not an `if ... else`, of the wrong polarity, with a value that is
 not a literal or does not fit, a reset wider than one bit, a slice past
 the width, a port connected twice or missing, a port declared twice in
-one header), and
+one header), `explore` on `msi_latency` with a latency spec whose min
+exceeds its max (`reject-latency-order`) and with one that names no
+crossing pair (`reject-latency-pair`), and
 `generate` on `gray_cross` with its crossing source renamed to
 SystemVerilog keywords that subset Verilog allows as names.  Paths are
 passed relative to the checkout (or to the generated design's directory),
@@ -154,6 +156,8 @@ REJECTED = (
                  "  assign w = a;\nendmodule\n"),
 )
 REJECTED_CONSTRAINTS = "clock clk -period 10 -domain A\n"
+# Latency specs that no checker can be built from, on `msi_latency`.
+REJECTED_LATENCY = (("order", "5:2"), ("pair", "cdc99:1:2"))
 # Names for gray_cross's source flop `g`: keywords of SystemVerilog only.
 KEYWORD_NAMES = ("assert", "bins", "covergroup", "iff", "property")
 
@@ -248,6 +252,10 @@ def main() -> int:
             print(f"reject-{label} analyze {digest(cli_main, '.', ['analyze'])}",
                   flush=True)
             os.chdir(root)
+
+    for label, spec in REJECTED_LATENCY:
+        line = digest(cli_main, "corpus/msi_latency", ["explore", "--latency", spec])
+        print(f"reject-latency-{label} explore {line}", flush=True)
 
     gray = root / "corpus" / "gray_cross"
     for name in KEYWORD_NAMES:

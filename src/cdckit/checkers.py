@@ -282,17 +282,20 @@ class LatencyChecker(Checker):
 
 
 def parse_latency(specs) -> list[tuple[str, int, int]]:
-    """Latency checker specs `[pair:]min:max` as (pair id or "*", min, max)."""
+    """Latency checker specs `[pair:]min:max` as (pair id or "*", min, max),
+    with 0 <= min <= max."""
     out = []
     for s in specs or ():
         parts = s.split(":")
         try:
             if len(parts) not in (2, 3):
                 raise ValueError(s)
-            out.append((parts[0] if len(parts) == 3 else "*",
-                        int(parts[-2]), int(parts[-1])))
+            lo, hi = int(parts[-2]), int(parts[-1])
         except ValueError:
             raise ParseError(f"bad latency spec {s!r}; use [pair:]min:max") from None
+        if not 0 <= lo <= hi:
+            raise ParseError(f"bad latency spec {s!r}; need 0 <= min <= max")
+        out.append((parts[0] if len(parts) == 3 else "*", lo, hi))
     return out
 
 
@@ -301,8 +304,9 @@ def build_checkers(analysis: Analysis,
                    select: list[str] | None = None) -> list[Checker]:
     """Default checker suite derived from recognition plus constraints.
 
-    `latency` entries are (pair id or "*", min, max).  `select`, when given,
-    keeps only checkers whose id starts with one of the entries.
+    `latency` entries are (pair id or "*", min, max); a pair id that names
+    no crossing pair is a ParseError.  `select`, when given, keeps only
+    checkers whose id starts with one of the entries.
     """
     a = analysis
     nl = a.netlist
@@ -380,6 +384,8 @@ def build_checkers(analysis: Analysis,
 
     for spec in latency or ():
         pid, lo, hi = spec
+        if pid != "*" and pid not in by_id:
+            raise ParseError(f"latency spec names no crossing pair {pid!r}")
         targets = [p for p in a.pairs if (pid == "*" or p.id == pid)
                    and not p.suppressed]
         for p in targets:

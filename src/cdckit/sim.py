@@ -775,9 +775,9 @@ class Engine:
         no injection, and the state is derived from it: its values with the
         injected destinations' captures redone, and its history, checker
         states and failures.  That is exact when the tick's commit runs no
-        reset settle (`plan.edges.settle` false) and nothing else of the
-        tick reads an injected destination's output: no gate, checker,
-        reset or flip history (see explore.py)."""
+        reset settle (`plan.edges.settle` false) and nothing of the tick
+        but the capture reads an injected destination's output (no gate,
+        checker, reset or flip history); explore.py decides when."""
         assert len(decisions) == len(plan.opps)
         tick, vals0, post = plan.tick, plan.vals0, plan.post
 

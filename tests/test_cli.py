@@ -314,6 +314,9 @@ endmodule
     ["--seeds", "1-3"],
     ["--latency", "a:b"],
     ["--latency", "1:x"],
+    ["--latency", "5:2"],
+    ["--latency", "cdc0:-1:2"],
+    ["--latency", "cdc99:1:2"],
     "two-roots",
     "constraints-dir",
     "non-utf8",
@@ -324,7 +327,8 @@ endmodule
     ["--probability", "nan"],
     "budget-negative",
 ], ids=["seeds-reversed", "seeds-dash", "latency-letters", "latency-max-letter",
-        "two-roots", "constraints-dir", "non-utf8", "seed-letter", "unknown-option",
+        "latency-order", "latency-negative", "latency-pair", "two-roots",
+        "constraints-dir", "non-utf8", "seed-letter", "unknown-option",
         "probability-high", "probability-negative", "probability-nan",
         "budget-negative"])
 def test_bad_user_input_exits_one(corpus_root, tmp_path, capsys, extra):

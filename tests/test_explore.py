@@ -148,16 +148,14 @@ def test_explore_equals_replay_oracle_on_histories_of_several_entries():
 
 def test_merge_key_tells_history_lengths_apart(case_loader):
     """Two states that differ only in the length of the last monitored net's
-    history: laid out flat, the longer one would match the first state seen
-    at every position the shorter one has, and share its key."""
+    history have different keys, and equal states equal keys."""
     analysis, stim_text = case_loader("gray_cross")
     eng = Engine(analysis, parse_stimulus(stim_text), MsiConfig(), [])
     state = eng.initial_state()
     last = eng.monitored[-1]
     short = state._replace(hist={**state.hist, last: ((4, 1),)})
     long = state._replace(hist={**state.hist, last: ((4, 1), (2, 2))})
-    first: dict[int, list] = {}
-    keys = [merge_key(s, 3, first) for s in (short, long, short, long)]
+    keys = [merge_key(s, 3) for s in (short, long, short, long)]
     assert keys[0] != keys[1]
     assert keys[2:] == keys[:2]
 
@@ -204,22 +202,42 @@ def test_explore_counts_commits_derivations_and_merges(case_loader, monkeypatch)
     assert (again.commits, again.derived, again.merged) == (36, 27, 24)
 
 
+def test_search_stops_once_every_checker_has_a_counterexample(case_loader, monkeypatch):
+    """On `mux_sync_bug` the first path fails the one checker; the search
+    commits no decision vector after it, and replays it once."""
+    analysis, stim_text = case_loader("mux_sync_bug")
+    checkers = build_checkers(analysis, select=["mux_enable"])
+    replays = 0
+    run = Engine.run
+
+    def counted(*args, **kwargs):
+        nonlocal replays
+        replays += 1
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(Engine, "run", counted)
+    out = explore_exhaustive(analysis, parse_stimulus(stim_text), checkers, budget=16)
+    assert out.verdicts == {"mux_enable:sync0": "counterexample"}
+    assert (out.branches, out.commits, out.derived, out.merged, replays) == (1, 4, 0, 0, 1)
+
+
 class DerivationCheck:
-    """Checks every derivation of the searches run while it is installed:
-    each derived branch equals `Engine.commit_tick` of its vector in full
-    (values, history, checker states, failures, decisions and events), and
-    its derived key equals that state's `merge_key`.  It also records each
-    sibling vector the search committed in full, a declined derivation, as
-    (whether the tick's commit settles resets, the injected destinations'
-    outputs).  Commits of `Engine.run`, which replays counterexamples, are
-    not the search's and are left out."""
+    """Checks every derivation and every merge key of the searches run while
+    it is installed.  Each derived branch equals `Engine.commit_tick` of its
+    vector in full (values, history, checker states, failures, decisions and
+    events).  At each agenda index, two states' `merge_key`s are equal
+    exactly when the states' fields are.  It also records each sibling
+    vector the search committed in full, a declined derivation, as (whether
+    the tick's commit settles resets, the injected destinations' outputs).
+    Commits of `Engine.run`, which replays counterexamples, are not the
+    search's and are left out."""
 
     def __init__(self, monkeypatch):
         self.derived = 0
         self.declined: list[tuple[bool, set[int]]] = []
-        self.full = None
+        self.keyed: dict[int, list[tuple[tuple, dict]]] = {}
         self.replaying = False
-        commit, key, run = Engine.commit_tick, explore_mod.derived_key, Engine.run
+        commit, key, run = Engine.commit_tick, explore_mod.merge_key, Engine.run
 
         def commit_tick(eng, state, plan, decisions, reference=None):
             got = commit(eng, state, plan, decisions, reference)
@@ -227,7 +245,6 @@ class DerivationCheck:
                 want = commit(eng, state, plan, decisions)
                 assert got[0]._asdict() == want[0]._asdict(), plan.tick
                 assert got[1] == want[1], plan.tick
-                self.full = want[0]
                 self.derived += 1
             elif any(decisions) and not self.replaying:
                 self.declined.append((plan.edges.settle, {
@@ -235,10 +252,13 @@ class DerivationCheck:
                     if take}))
             return got
 
-        def derived_key(reference, values, patched, first):
-            got = key(reference, values, patched, first)
-            assert values == self.full.values
-            assert got == merge_key(self.full, reference[0], first)
+        def merge_key(state, agenda_idx):
+            got, fields = key(state, agenda_idx), state._asdict()
+            seen = self.keyed.setdefault(agenda_idx, [])
+            for other, other_fields in seen:
+                assert (got == other) == (fields == other_fields), agenda_idx
+            if (got, fields) not in seen:
+                seen.append((got, fields))
             return got
 
         def replay(eng, *args, **kwargs):
@@ -250,12 +270,12 @@ class DerivationCheck:
 
         monkeypatch.setattr(Engine, "commit_tick", commit_tick)
         monkeypatch.setattr(Engine, "run", replay)
-        monkeypatch.setattr(explore_mod, "derived_key", derived_key)
+        monkeypatch.setattr(explore_mod, "merge_key", merge_key)
 
     def explore(self, analysis, stim, checkers):
         """The outcome of one checked search, None past the budget, and the
         derivations it declined."""
-        self.derived, self.declined = 0, []
+        self.derived, self.declined, self.keyed = 0, [], {}
         try:
             out = explore_exhaustive(analysis, stim, checkers, budget=16)
         except DecisionBudgetExceeded:
@@ -400,7 +420,7 @@ def test_derivation_is_declined(name, monkeypatch):
     derivable = derivable_outputs(eng, checkers)
     if reason is None:
         # derivable on its own, declined on the ticks whose commit settles
-        assert derivable == {dst.index: dst.out}
+        assert derivable == {dst.index}
     else:
         assert dst.index not in derivable and reason(eng, dst.out)
     check = DerivationCheck(monkeypatch)
@@ -417,8 +437,8 @@ def test_derivation_is_declined(name, monkeypatch):
 def test_derivation_where_sources_depend_on_decisions(constraints, edges, monkeypatch):
     """In a request/acknowledge loop, when req flips depends on earlier
     injections at ack1, so one tick's reference captures differ from path
-    to path, and an injected sibling can capture what the first state seen
-    at that tick holds: its derived key must drop that position."""
+    to path, and an injected sibling can capture what another path's
+    reference captured at that tick."""
     analysis = analyze_sources([("t.v", REQ_ACK)], constraints)
     stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
                           f"run {edges} of clk_a\n")
@@ -427,3 +447,22 @@ def test_derivation_where_sources_depend_on_decisions(constraints, edges, monkey
     assert out.derived and declined, out      # req, a crossing source, is declined
     monkeypatch.undo()
     assert _explore_equals_replay(analysis, stim, []).branches == out.branches
+
+
+def test_states_that_differ_only_in_checker_states_are_kept_apart(monkeypatch):
+    """In the request/acknowledge loop with latency checkers, paths reach a
+    tick with equal values, history and failures but checker states that
+    remember older samples (a stability checker's sample window, a latency
+    checker's pending changes): those states are not merged."""
+    analysis = analyze_sources([("t.v", REQ_ACK)], A_B7 + WINDOWS)
+    stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
+                          "run 8 of clk_a\n")
+    checkers = build_checkers(analysis, latency=[("*", 1, 3)])
+    check = DerivationCheck(monkeypatch)
+    out, _declined = check.explore(analysis, stim, checkers)
+    assert any(a["checkers"] != b["checkers"] and
+               {**a, "checkers": None} == {**b, "checkers": None}
+               for seen in check.keyed.values()
+               for i, (_key, a) in enumerate(seen) for _other, b in seen[:i]), out
+    monkeypatch.undo()
+    assert _explore_equals_replay(analysis, stim, checkers).branches == out.branches
