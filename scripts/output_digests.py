@@ -30,7 +30,9 @@ not a literal or does not fit, a reset wider than one bit, a slice past
 the width, a port connected twice or missing, a port declared twice in
 one header), `explore` on `msi_latency` with a latency spec whose min
 exceeds its max (`reject-latency-order`) and with one that names no
-crossing pair (`reject-latency-pair`), and
+crossing pair (`reject-latency-pair`), `explore --checkers latency` on
+`static_config` with one that names its suppressed pair
+(`reject-latency-suppressed`), and
 `generate` on `gray_cross` with its crossing source renamed to
 SystemVerilog keywords that subset Verilog allows as names.  Paths are
 passed relative to the checkout (or to the generated design's directory),
@@ -157,7 +159,9 @@ REJECTED = (
 )
 REJECTED_CONSTRAINTS = "clock clk -period 10 -domain A\n"
 # Latency specs that no checker can be built from, on `msi_latency`.
-REJECTED_LATENCY = (("order", "5:2"), ("pair", "cdc99:1:2"))
+REJECTED_LATENCY = (("order", "msi_latency", ["5:2"]),
+                    ("pair", "msi_latency", ["cdc99:1:2"]),
+                    ("suppressed", "static_config", ["cdc0:1:3", "--checkers", "latency"]))
 # Names for gray_cross's source flop `g`: keywords of SystemVerilog only.
 KEYWORD_NAMES = ("assert", "bins", "covergroup", "iff", "property")
 
@@ -253,8 +257,8 @@ def main() -> int:
                   flush=True)
             os.chdir(root)
 
-    for label, spec in REJECTED_LATENCY:
-        line = digest(cli_main, "corpus/msi_latency", ["explore", "--latency", spec])
+    for label, case, args in REJECTED_LATENCY:
+        line = digest(cli_main, f"corpus/{case}", ["explore", "--latency", *args])
         print(f"reject-latency-{label} explore {line}", flush=True)
 
     gray = root / "corpus" / "gray_cross"

@@ -305,7 +305,8 @@ def build_checkers(analysis: Analysis,
     """Default checker suite derived from recognition plus constraints.
 
     `latency` entries are (pair id or "*", min, max); a pair id that names
-    no crossing pair is a ParseError.  `select`, when given, keeps only
+    no crossing pair, or a suppressed one, is a ParseError, and "*" skips
+    the suppressed pairs.  `select`, when given, keeps only
     checkers whose id starts with one of the entries.
     """
     a = analysis
@@ -386,6 +387,9 @@ def build_checkers(analysis: Analysis,
         pid, lo, hi = spec
         if pid != "*" and pid not in by_id:
             raise ParseError(f"latency spec names no crossing pair {pid!r}")
+        if pid != "*" and by_id[pid].suppressed:
+            raise ParseError(f"latency spec names crossing pair {pid!r}, which "
+                             f"is suppressed ({by_id[pid].suppressed})")
         targets = [p for p in a.pairs if (pid == "*" or p.id == pid)
                    and not p.suppressed]
         for p in targets:

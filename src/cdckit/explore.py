@@ -8,6 +8,10 @@ on the lexicographically first failing path, and replays that path with
 ticks, one frame per tick on the current path that has opportunities, and
 stops once every checker has a counterexample.
 
+A commit advances the state it is given in place, so the search copies
+only the states it keeps: a branching tick's state, for each decision
+vector committed from it, and the reference child, before its walk.
+
 Paths that reach the same state are merged.  The state is its own key:
 `merge_key` is the agenda index with every field of the state that later
 ticks read (net values, flip history, checker states, failures) and its
@@ -15,10 +19,10 @@ decision count, as one tuple.
 
 Sibling derivation.  The decision vectors of one branching tick differ only
 in the crossing destinations they inject.  The all-False vector, the
-reference, is committed first in full, and its child state stays in the
-tick's frame.  A sibling is derived from it: `Engine.commit_tick` copies
+reference, is committed first in full, and a copy of its child state
+stays in the tick's frame.  A sibling is derived from it: `Engine.commit_tick` copies
 the reference's values, redoes only the injected destinations' captures
-and reuses its history, checker states and failures.  A sibling is derived
+and takes its history, checker states and failures.  A sibling is derived
 only when
 
 * the tick's commit runs no reset settle (`_EdgeSet.settle`: its edging
@@ -70,6 +74,12 @@ def merge_key(state: _State, agenda_idx: int) -> tuple:
     so its values line up from state to state."""
     return (agenda_idx, state.decisions, tuple(state.values),
             tuple(state.hist.values()), tuple(state.checkers), tuple(state.failures))
+
+
+def _copy(state: _State) -> _State:
+    """A copy that commits to `state` leave as it is (they replace values)."""
+    return _State(state.values, dict(state.hist), state.checkers[:],
+                  state.failures[:], state.decisions)
 
 
 def derivable_outputs(eng: Engine, checkers: list[Checker]) -> set[int]:
@@ -134,11 +144,11 @@ def explore_exhaustive(analysis: Analysis, stimulus: Stimulus,
                 cex[cid] = result
 
     def enter(state: _State, agenda_idx: int, path: tuple[bool, ...]):
-        """Walk from `state` up to its next tick with opportunities, and
-        return the frame that branches there: [state key, branches before
-        it, state, plan, agenda index, path, decision vectors, then the
-        reference's child once committed].  None when the state needs no
-        walk or the walk reached the end of the run."""
+        """Walk `state` up to its next tick with opportunities, and return
+        the frame that branches there: [state key, branches before it,
+        state, plan, agenda index, path, decision vectors, then a copy of
+        the reference's child].  None when the state needs no walk or the
+        walk reached the end of the run."""
         nonlocal merged
         key = merge_key(state, agenda_idx)
         below = leaves.get(key)
@@ -155,7 +165,7 @@ def explore_exhaustive(analysis: Analysis, stimulus: Stimulus,
             if k:
                 return [key, start, state, plan, i, path,
                         product((False, True), repeat=k), None]
-            state, _ = eng.commit_tick(state, plan, ())
+            eng.commit_tick(state, plan, ())
         leaf(state, path)
         leaves[key] = branches - start
         return None
@@ -171,15 +181,16 @@ def explore_exhaustive(analysis: Analysis, stimulus: Stimulus,
             leaves[key] = branches - start
             continue
         commits += 1
+        branch = _copy(state)
         # `product` yields the reference, all False, before its siblings
         if ref is not None and not plan.edges.settle and all(
                 o.dst in derivable for o, take in zip(plan.opps, vector) if take):
-            branch, _ = eng.commit_tick(state, plan, vector, ref)
+            eng.commit_tick(branch, plan, vector, ref)
             derived += 1
         else:
-            branch, _ = eng.commit_tick(state, plan, vector)
+            eng.commit_tick(branch, plan, vector)
             if ref is None:
-                frame[7] = branch
+                frame[7] = _copy(branch)
         frame = enter(branch, i + 1, path + vector)
         if frame:
             stack.append(frame)

@@ -23,12 +23,12 @@ appears.  Every replacement is logged and recorded in the coverage
 database.  Exhaustive mode (explore.py) explores every resolution
 assignment instead of coin flips.
 
-A state holds only what later ticks depend on and is never mutated:
-`commit_tick` returns a new state sharing what the tick left unchanged, so
-exploration branches share their parent's state.  Given the state its
-tick commits with no injection, the reference, `commit_tick` derives a
-sibling from it: the reference's values with the injected destinations'
-captures redone, through the one capture loop every commit runs.  Only
+A state holds only what later ticks depend on; a run advances one state
+in place (`commit_tick` writes the tick into the state it is given), and
+explore.py copies the states it keeps.  Given the state its tick commits
+with no injection, the reference, `commit_tick` derives a sibling from
+it: the reference's values with the injected destinations' captures
+redone, through the one capture loop every commit runs.  Only
 `Engine.run` records a run (injection log, coverage, and waves when they
 are to be written); a counterexample is the replay of its branch's
 decision path, exact as exhaustive runs are not random.
@@ -127,8 +127,7 @@ def parse_seed_range(spec: str) -> list[int]:
     return seeds
 
 
-@dataclass(frozen=True)
-class MsiEvent:
+class MsiEvent(NamedTuple):
     tick: int
     pair: str
     bit: int
@@ -156,14 +155,16 @@ class SimResult:
         return [v for v in self.verdicts if not v.passed]
 
 
-class _State(NamedTuple):
-    """What the next tick depends on; never mutated once made."""
-    values: list[int]
-    # monitored net -> its recent flips as (tick, flipped bits), newest first
-    hist: dict[int, tuple[tuple[int, int], ...]]
-    checkers: list                  # per-checker state values
-    failures: list[tuple[int, str] | None]
-    decisions: int
+class _State:
+    """What the next tick depends on, advanced in place by `commit_tick`:
+    the net values (a commit replaces the list and writes none), each
+    monitored net's recent flips as (tick, flipped bits), newest first, the
+    checker states, the first failures and the decision count."""
+    __slots__ = ("values", "hist", "checkers", "failures", "decisions")
+
+    def __init__(self, values, hist, checkers, failures, decisions):
+        self.values, self.hist, self.checkers = values, hist, checkers
+        self.failures, self.decisions = failures, decisions
 
 
 class _Dst(NamedTuple):
@@ -767,9 +768,9 @@ class Engine:
     def commit_tick(self, state: _State, plan: _TickPlan,
                     decisions: Sequence[bool], reference: _State | None = None,
                     ) -> tuple[_State, list[MsiEvent]]:
-        """The state after the tick, with one decision per opportunity, and
-        the injections taken.  `state` and `plan` are left as they were;
-        each part of the state is copied only when the tick changes it.
+        """Write the tick into `state`, with one decision per opportunity, and
+        return it with the injections taken.  Its values become a new list,
+        a copy of the plan's `post`, so one plan serves several commits.
 
         `reference`, when given, is the state this commit gives `plan` with
         no injection, and the state is derived from it: its values with the
@@ -778,33 +779,37 @@ class Engine:
         reset settle (`plan.edges.settle` false) and nothing of the tick
         but the capture reads an injected destination's output (no gate,
         checker, reset or flip history); explore.py decides when."""
-        assert len(decisions) == len(plan.opps)
-        tick, vals0, post = plan.tick, plan.vals0, plan.post
+        tick, vals0, post, dsts, opps, edges, scan = plan
+        assert len(decisions) == len(opps)
+        state.decisions += len(opps)
 
         # the injected bits per (dst, src_net); a bit that two pairs on one
         # source net both take is injected once
         flips: dict[tuple[int, int], int] = {}
         events: list[MsiEvent] = []
-        for opp, take in zip(plan.opps, decisions):
+        for opp, take in zip(opps, decisions) if decisions else ():
             if take:
                 key = (opp.dst, opp.src_net)
                 flips[key] = flipped = flips.get(key, 0) | 1 << opp.bit
-                events.append(MsiEvent(tick, opp.pair, opp.bit, opp.kind,
-                                       (post[opp.src_net] ^ flipped) >> opp.bit & 1))
+                events.append(tuple.__new__(MsiEvent, (tick, opp.pair, opp.bit, opp.kind,
+                                            (post[opp.src_net] ^ flipped) >> opp.bit & 1)))
 
         if reference is not None:
             final = reference.values[:]
-            injected = {dst for dst, _src in flips}
             _capture(vals0, post, final, flips,
-                     [d for d in plan.dsts if d.index in injected])
-            return tuple.__new__(_State, (final, *reference[1:])), events
+                     [self.dsts[i] for i in dict.fromkeys(dst for dst, _src in flips)])
+            state.values = final
+            state.hist.update(reference.hist)
+            state.checkers[:] = reference.checkers
+            state.failures[:] = reference.failures
+            return state, events
         final = post[:]
-        _capture(vals0, post, final, flips, plan.dsts)
+        _capture(vals0, post, final, flips, dsts)
         if final != vals0:      # settled values need no re-evaluation
-            for kernel in plan.edges.comb:
+            for kernel in edges.comb:
                 kernel(final)
-        scan = self.monitored if plan.edges.settle and self._settle_resets(final) \
-            else plan.scan
+        if edges.settle and self._settle_resets(final):
+            scan = self.monitored
 
         # each changed monitored net gets an entry of its flipped bits, and
         # loses those no later tick reads: a tick reads the flips at or
@@ -812,22 +817,19 @@ class Engine:
         old = state.values
         hist = state.hist
         horizon = tick - self.setup_window
-        for n in compress(scan, map(ne, map(final.__getitem__, scan),
-                                    map(old.__getitem__, scan))):
-            if hist is state.hist:
-                hist = dict(hist)
-            entries = hist[n]
-            for k, (t, _flipped) in enumerate(entries):
-                if t <= horizon:
-                    entries = entries[:k]
-                    break
-            hist[n] = ((tick, final[n] ^ old[n]),) + entries
+        for n in scan:
+            if final[n] != old[n]:
+                entries = hist[n]
+                for k, (t, _flipped) in enumerate(entries):
+                    if t <= horizon:
+                        entries = entries[:k]
+                        break
+                hist[n] = ((tick, final[n] ^ old[n]),) + entries
+        state.values = final
 
         checkers, failures = state.checkers, state.failures
         get = final.__getitem__
-        for clk, resets, sampling in plan.edges.checks:
-            if checkers is state.checkers:
-                checkers = checkers[:]
+        for clk, resets, sampling in edges.checks:
             in_reset = False
             for n, active in resets:
                 if final[n] & 1 == active:
@@ -836,11 +838,8 @@ class Engine:
             for ci, sample in sampling:
                 checkers[ci], message = sample(checkers[ci], clk, tick, get, in_reset)
                 if message is not None and failures[ci] is None:
-                    if failures is state.failures:
-                        failures = failures[:]
                     failures[ci] = (tick, message)
-        return (tuple.__new__(_State, (final, hist, checkers, failures,
-                                       state.decisions + len(plan.opps))), events)
+        return state, events
 
     # -- drivers --
 
@@ -861,15 +860,16 @@ class Engine:
         trace = {n: [(_NEG, v)] for n, v in enumerate(state.values)} if waves else None
         for tick in self.agenda:
             plan = self.plan_tick(state, tick, rng)
-            if rng is not None:
-                decisions = [rng.random() < self.msi.probability
-                             for _ in plan.opps]
+            k = len(plan.opps)
+            if not k:
+                decisions = ()
+            elif rng is not None:
+                decisions = [rng.random() < self.msi.probability for _ in range(k)]
             else:
-                taken = path[state.decisions:state.decisions + len(plan.opps)]
-                decisions = [*taken] + [False] * (len(plan.opps) - len(taken))
+                taken = path[state.decisions:state.decisions + k]
+                decisions = [*taken] + [False] * (k - len(taken))
             old = state.values
-            state, injected = self.commit_tick(state, plan, decisions)
-            events += injected
+            events += self.commit_tick(state, plan, decisions)[1]
             if trace is not None:
                 new = state.values
                 for n in compress(range(len(new)), map(ne, new, old)):

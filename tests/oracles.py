@@ -1188,8 +1188,8 @@ class ReferenceEngine(Engine):
 
     def initial_state(self) -> _State:
         state = super().initial_state()
-        return state._replace(hist={n: [_NEG] * self.nl.nets[n].width
-                                    for n in self.monitored})
+        state.hist = {n: [_NEG] * self.nl.nets[n].width for n in self.monitored}
+        return state
 
     def _captured(self, values: list[int], nextvals: dict[int, int]) -> list[int]:
         """A copy of the settled `values` with the flops in `nextvals` set to

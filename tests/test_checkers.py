@@ -1,4 +1,7 @@
+import pytest
+
 from cdckit.checkers import build_checkers
+from cdckit.errors import ParseError
 from cdckit.explore import explore_exhaustive
 from cdckit.sim import Engine, MsiConfig, simulate
 from cdckit.stimulus import parse_stimulus
@@ -117,6 +120,19 @@ def test_latency_exact_in_reference(case_loader):
                               select=["latency"])
     res = reference_simulate(analysis, stim, checkers)
     assert res.verdicts[0].passed
+
+
+def test_latency_on_a_suppressed_pair_is_rejected(case_loader):
+    """`cdc0` of `static_config` crosses from a declared static signal: a
+    latency spec that names it builds no checker and says why, and `*`
+    skips it."""
+    analysis, _ = case_loader("static_config")
+    (pair,) = [p for p in analysis.pairs if p.id == "cdc0"]
+    assert pair.suppressed == "static"
+    with pytest.raises(ParseError, match=r"'cdc0', which is suppressed \(static\)"):
+        build_checkers(analysis, latency=[("cdc0", 1, 3)])
+    assert not [c for c in build_checkers(analysis, latency=[("*", 1, 3)])
+                if c.id == "latency:cdc0"]
 
 
 def test_default_suite_composition(case_loader):

@@ -326,11 +326,12 @@ endmodule
     ["--probability", "-0.1"],
     ["--probability", "nan"],
     "budget-negative",
+    "latency-suppressed",
 ], ids=["seeds-reversed", "seeds-dash", "latency-letters", "latency-max-letter",
         "latency-order", "latency-negative", "latency-pair", "two-roots",
         "constraints-dir", "non-utf8", "seed-letter", "unknown-option",
         "probability-high", "probability-negative", "probability-nan",
-        "budget-negative"])
+        "budget-negative", "latency-suppressed"])
 def test_bad_user_input_exits_one(corpus_root, tmp_path, capsys, extra):
     files, stim = _case_args(corpus_root, "cov_toggle")
     command = "simulate"
@@ -348,6 +349,10 @@ def test_bad_user_input_exits_one(corpus_root, tmp_path, capsys, extra):
         files, extra = [str(rtl), *files[1:]], []
     elif extra == "budget-negative":
         command, extra = "explore", ["--budget", "-1"]
+    elif extra == "latency-suppressed":
+        # cdc0 of static_config is declared static
+        files, stim = _case_args(corpus_root, "static_config")
+        command, extra = "explore", ["--latency", "cdc0:1:3", "--checkers", "latency"]
     rc = main([command, *files, "-s", stim, *extra, "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 1

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from cdckit.errors import DecisionBudgetExceeded
 from cdckit.explore import derivable_outputs, explore_exhaustive, merge_key
 from cdckit.netlist import Gate
 from cdckit.pipeline import analyze_sources
-from cdckit.sim import Engine, MsiConfig, simulate
+from cdckit.sim import Engine, MsiConfig, _State, simulate
 from cdckit.stimulus import parse_stimulus
 from conftest import load_gen
 from oracles import replay_explore
@@ -153,8 +154,9 @@ def test_merge_key_tells_history_lengths_apart(case_loader):
     eng = Engine(analysis, parse_stimulus(stim_text), MsiConfig(), [])
     state = eng.initial_state()
     last = eng.monitored[-1]
-    short = state._replace(hist={**state.hist, last: ((4, 1),)})
-    long = state._replace(hist={**state.hist, last: ((4, 1), (2, 2))})
+    short, long = (_State(state.values, {**state.hist, last: hist}, state.checkers,
+                          state.failures, state.decisions)
+                   for hist in (((4, 1),), ((4, 1), (2, 2))))
     keys = [merge_key(s, 3) for s in (short, long, short, long)]
     assert keys[0] != keys[1]
     assert keys[2:] == keys[:2]
@@ -221,12 +223,18 @@ def test_search_stops_once_every_checker_has_a_counterexample(case_loader, monke
     assert (out.branches, out.commits, out.derived, out.merged, replays) == (1, 4, 0, 0, 1)
 
 
+def fields(state):
+    """A state's fields by name."""
+    return {name: getattr(state, name) for name in _State.__slots__}
+
+
 class DerivationCheck:
     """Checks every derivation and every merge key of the searches run while
     it is installed.  Each derived branch equals `Engine.commit_tick` of its
-    vector in full (values, history, checker states, failures, decisions and
-    events).  At each agenda index, two states' `merge_key`s are equal
-    exactly when the states' fields are.  It also records each sibling
+    vector in full, from a copy of the state it was derived from (values,
+    history, checker states, failures, decisions and events).  At each
+    agenda index, two states' `merge_key`s are equal exactly when the
+    states' fields are.  It also records each sibling
     vector the search committed in full, a declined derivation, as (whether
     the tick's commit settles resets, the injected destinations' outputs).
     Commits of `Engine.run`, which replays counterexamples, are not the
@@ -240,10 +248,11 @@ class DerivationCheck:
         commit, key, run = Engine.commit_tick, explore_mod.merge_key, Engine.run
 
         def commit_tick(eng, state, plan, decisions, reference=None):
+            if reference is not None:
+                want = commit(eng, copy.deepcopy(state), plan, decisions)
             got = commit(eng, state, plan, decisions, reference)
             if reference is not None:
-                want = commit(eng, state, plan, decisions)
-                assert got[0]._asdict() == want[0]._asdict(), plan.tick
+                assert fields(got[0]) == fields(want[0]), plan.tick
                 assert got[1] == want[1], plan.tick
                 self.derived += 1
             elif any(decisions) and not self.replaying:
@@ -253,12 +262,12 @@ class DerivationCheck:
             return got
 
         def merge_key(state, agenda_idx):
-            got, fields = key(state, agenda_idx), state._asdict()
+            got, now = key(state, agenda_idx), copy.deepcopy(fields(state))
             seen = self.keyed.setdefault(agenda_idx, [])
             for other, other_fields in seen:
-                assert (got == other) == (fields == other_fields), agenda_idx
-            if (got, fields) not in seen:
-                seen.append((got, fields))
+                assert (got == other) == (now == other_fields), agenda_idx
+            if (got, now) not in seen:
+                seen.append((got, now))
             return got
 
         def replay(eng, *args, **kwargs):
@@ -282,6 +291,125 @@ class DerivationCheck:
             return None, self.declined
         assert out.derived == self.derived
         return out, self.declined
+
+
+class KeptStateCheck:
+    """Checks the states that the searches run while it is installed keep.
+    A frame's pre-state is kept when the walk plans a tick with
+    opportunities from it, and a reference child when `explore._copy`
+    copies a state that is not a kept pre-state; each is deep-copied then.
+    Each time the search copies a kept pre-state for a decision vector, or
+    derives a sibling from a kept reference child, that state must still
+    equal its deep copy.  And no state that the search commits into is
+    kept, or holds the history dict, checker list or failure list of a
+    kept state (the values list, which no commit writes, may be shared).
+    Plans and commits of `Engine.run`, which replays counterexamples, are
+    not the search's and are left out."""
+
+    def __init__(self, monkeypatch):
+        self.kept: dict[int, tuple] = {}
+        self.uses = {"pre-state": 0, "reference": 0}
+        self.replaying = False
+        plan, commit, run, keep = (Engine.plan_tick, Engine.commit_tick, Engine.run,
+                                   explore_mod._copy)
+
+        def hold(state):
+            self.kept[id(state)] = (state, copy.deepcopy(state))
+
+        def check(state, use):
+            assert id(state) in self.kept, use
+            held, snapshot = self.kept[id(state)]
+            assert held is state and fields(state) == fields(snapshot), use
+            self.uses[use] += 1
+
+        def plan_tick(eng, state, tick, rng=None):
+            got = plan(eng, state, tick, rng)
+            if got.opps and not self.replaying:
+                hold(state)
+            return got
+
+        def copy_state(state):
+            if id(state) in self.kept:
+                check(state, "pre-state")
+                return keep(state)
+            child = keep(state)
+            hold(child)
+            return child
+
+        def commit_tick(eng, state, plan, decisions, reference=None):
+            if reference is not None:
+                check(reference, "reference")
+            got = commit(eng, state, plan, decisions, reference)
+            if not self.replaying:
+                parts = {id(part) for part in (state.hist, state.checkers, state.failures)}
+                for other, _snapshot in self.kept.values():
+                    assert other is not state and parts.isdisjoint(
+                        map(id, (other.hist, other.checkers, other.failures))), plan.tick
+            return got
+
+        def replay(eng, *args, **kwargs):
+            self.replaying = True
+            try:
+                return run(eng, *args, **kwargs)
+            finally:
+                self.replaying = False
+
+        monkeypatch.setattr(Engine, "plan_tick", plan_tick)
+        monkeypatch.setattr(Engine, "commit_tick", commit_tick)
+        monkeypatch.setattr(Engine, "run", replay)
+        monkeypatch.setattr(explore_mod, "_copy", copy_state)
+
+    def explore(self, analysis, stim, checkers):
+        """The outcome of one checked search, None past the budget."""
+        self.kept = {}
+        try:
+            return explore_exhaustive(analysis, stim, checkers, budget=16)
+        except DecisionBudgetExceeded:
+            return None
+
+
+def test_kept_states_stay_as_kept_on_the_corpus(corpus_root, case_loader, monkeypatch):
+    """Every corpus case with its label's checkers and with `--latency 1:3`:
+    a commit advances the state it is given, so the search must hand it a
+    copy of each state it keeps."""
+    check = KeptStateCheck(monkeypatch)
+    for case in _corpus_with_stimulus(corpus_root):
+        analysis, stim_text = case_loader(case)
+        stim = parse_stimulus(stim_text)
+        for checkers in (_label_checkers(analysis, corpus_root, case),
+                         build_checkers(analysis, latency=[("*", 1, 3)])):
+            check.explore(analysis, stim, checkers)
+    assert all(n > 100 for n in check.uses.values()), check.uses
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kept_states_stay_as_kept_on_generated_designs(seed, monkeypatch):
+    gen = load_gen()
+    d = gen.build("explore", seed, 8, purpose="explore", run_edges=4, gray_sources=2)
+    analysis = analyze_sources([("rtl.v", d.files["rtl.v"])], d.files["constraints.cdc"])
+    stim = parse_stimulus(d.files["stimulus.stim"])
+    check = KeptStateCheck(monkeypatch)
+    for latency in (None, [("*", 1, 3)]):
+        checkers = build_checkers(analysis, latency=latency, select=list(
+            gen.EXPLORE_CHECKERS) + ["latency"])
+        assert check.explore(analysis, stim, checkers).branches > 1
+    assert all(check.uses.values()), check.uses
+
+
+@pytest.mark.parametrize("constraints", [A2_B7, A2_B7 + WINDOWS],
+                         ids=["default-windows", "windows-3-2"])
+def test_kept_states_stay_as_kept_on_a_fast_source(constraints, monkeypatch):
+    """A source that flips between the destination's captures: the walk
+    below a derived sibling changes its history, while the reference it
+    was derived from serves the tick's other siblings."""
+    analysis = analyze_sources([("t.v", FAST_SOURCE)], constraints)
+    stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
+                          "run 10 of clk_a\n")
+    check = KeptStateCheck(monkeypatch)
+    out = check.explore(analysis, stim, [])
+    assert out.derived > 1 and check.uses["reference"] > 1, (out, check.uses)
+    monkeypatch.undo()
+    assert _explore_equals_replay(analysis, stim, []).branches == out.branches
 
 
 def _label_checkers(analysis, corpus_root, case):

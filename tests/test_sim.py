@@ -1,4 +1,3 @@
-import copy
 import random
 from dataclasses import replace
 
@@ -325,26 +324,27 @@ def test_reset_asserted_through_logic_blocks_injection():
     assert [e for e in res.events if e.tick == 60] == []
 
 
-def test_commit_tick_leaves_its_input_state_unchanged(corpus_root, case_loader):
-    """Exploration branches share their parent's state, so committing a
-    tick, with any decisions, must leave the state it started from as it
-    was."""
+def test_seeds_on_one_engine_equal_fresh_engines(corpus_root, case_loader):
+    """`simulate --seeds` runs every seed on one `Engine`, and a run advances
+    a state of its own: each seed's result on a shared engine (waves,
+    events, coverage, verdicts, decisions) equals a fresh engine's, and so
+    does a replay of a decision path run between seeds."""
     cases = 0
     for case in sorted(p.name for p in corpus_root.iterdir() if p.is_dir()):
         analysis, stim_text = case_loader(case)
         if not stim_text:
             continue
-        eng = Engine(analysis, parse_stimulus(stim_text), MsiConfig(),
-                     build_checkers(analysis, latency=[("*", 1, 3)]))
-        state = eng.initial_state()
-        for tick in eng.agenda:
-            plan = eng.plan_tick(state, tick)
-            snapshot = copy.deepcopy(state)
-            k = len(plan.opps)
-            eng.commit_tick(state, plan, [True] * k)
-            after, _events = eng.commit_tick(state, plan, [False] * k)
-            assert state == snapshot, (case, tick)
-            state = after
+        stim = parse_stimulus(stim_text)
+
+        def engine():
+            return Engine(analysis, stim, MsiConfig(),
+                          build_checkers(analysis, latency=[("*", 1, 3)]))
+
+        shared = engine()
+        for seed in (1, 2):
+            assert shared.run(seed=seed) == engine().run(seed=seed), (case, seed)
+            path = (seed == 1,) * 3
+            assert shared.run(path) == engine().run(path), (case, path)
         cases += 1
     assert cases > 20
 
