@@ -34,7 +34,8 @@ crossing pair (`reject-latency-pair`), `explore --checkers latency` on
 `static_config` with one that names its suppressed pair
 (`reject-latency-suppressed`), and
 `generate` on `gray_cross` with its crossing source renamed to
-SystemVerilog keywords that subset Verilog allows as names.  Paths are
+SystemVerilog keywords that subset Verilog allows as names, and command
+lines that end in help, the version or a usage error (`cli` lines).  Paths are
 passed relative to the checkout (or to the generated design's directory),
 so two checkouts give the same lines exactly when their outputs are
 byte-identical:
@@ -164,16 +165,38 @@ REJECTED_LATENCY = (("order", "msi_latency", ["5:2"]),
                     ("suppressed", "static_config", ["cdc0:1:3", "--checkers", "latency"]))
 # Names for gray_cross's source flop `g`: keywords of SystemVerilog only.
 KEYWORD_NAMES = ("assert", "bins", "covergroup", "iff", "property")
+# Command lines that end in help, the version or a usage error before any
+# command runs: the CLI's own text (tests/test_cli.py parses the same ones).
+# VALID_ARGS holds the arguments of a command line that each command parses.
+VALID_ARGS = {"analyze": ["d.v", "-c", "d.cdc"],
+              "simulate": ["d.v", "-c", "d.cdc", "-s", "d.stim"],
+              "explore": ["d.v", "-c", "d.cdc", "-s", "d.stim"],
+              "generate": ["d.v", "-c", "d.cdc"],
+              "report": ["--db", "db.json", "--pairs", "pairs.json"],
+              "merge-coverage": ["a.json"]}
+CLI_ARGVS = (
+    ["--help"], ["--version"], [], ["frobnicate", "d.v"],
+    ["--help", "simulate"], ["--bogus", "analyze", *VALID_ARGS["analyze"]],
+    ["--", "analyze", *VALID_ARGS["analyze"]], ["analyze", "--", "d.v"],
+    ["simulate", *VALID_ARGS["simulate"], "--seed", "x"],
+    ["explore", *VALID_ARGS["explore"], "--budget", "x"],
+    ["report", *VALID_ARGS["report"], "--format", "xml"],
+    *([command, "--help"] for command in VALID_ARGS),
+    *([command] for command in VALID_ARGS),
+    *([command, *argv, "--bogus"] for command, argv in VALID_ARGS.items()),
+)
 
 
-def digest(main, d: str, argv: list[str]) -> str:
-    """Digest of one command on the design in directory `d`."""
+def digest(main, d: str | None, argv: list[str]) -> str:
+    """Digest of one command on the design in directory `d`, or of the
+    command line `argv` as it is when `d` is None."""
     with tempfile.TemporaryDirectory() as out:
         cmd = [a.format(out=out) for a in argv]
-        cmd[1:1] = [f"{d}/rtl.v", "-c", f"{d}/constraints.cdc"]
-        if cmd[0] in ("simulate", "explore"):
-            cmd += ["-s", f"{d}/stimulus.stim"]
-        cmd += ["--out", out]
+        if d is not None:
+            cmd[1:1] = [f"{d}/rtl.v", "-c", f"{d}/constraints.cdc"]
+            if cmd[0] in ("simulate", "explore"):
+                cmd += ["-s", f"{d}/stimulus.stim"]
+            cmd += ["--out", out]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
@@ -270,6 +293,9 @@ def main() -> int:
             print(f"keyword-{name} generate {digest(cli_main, '.', ['generate'])}",
                   flush=True)
             os.chdir(root)
+
+    for argv in CLI_ARGVS:
+        print(f"cli {' '.join(argv) or '-'} {digest(cli_main, None, argv)}", flush=True)
     return 0
 
 

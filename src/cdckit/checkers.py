@@ -12,9 +12,11 @@ A `Checker` is an immutable spec: `build_checkers` makes each one once and
 nothing copies or mutates it afterwards, so one list serves any number of
 runs and exploration branches.  The per-run state is a separate immutable
 value (`None`, an int or a tuple of those) that starts at the class
-attribute `start`.  `sample(state, clock, tick, get, in_reset)` returns
+attribute `start`.  `sample(state, clock, get, in_reset)` returns
 `(new_state, message)`, where `message` is None unless the sample violates
-the protocol.  The simulator keeps the state values and latches each
+the protocol.  A sample is not told its tick: what a checker does depends
+only on its state and the values it reads, so states reached at different
+ticks behave alike.  The simulator keeps the state values and latches each
 checker's first failure as `(tick, message)`; `verdict(failure)` turns that
 into a `Verdict`.  `nets` holds every net that `sample` reads through
 `get`; exploration relies on it to tell which injections no checker sees.
@@ -55,7 +57,7 @@ class Checker:
         self.clocks = clocks
         self.nets = nets        # the nets `sample` reads
 
-    def sample(self, state, clock: str, tick: int, get: Getter,
+    def sample(self, state, clock: str, get: Getter,
                in_reset: bool) -> tuple[object, str | None]:
         raise NotImplementedError
 
@@ -79,7 +81,7 @@ class StabilityChecker(Checker):
         self.k = hold_samples
         self.label = label
 
-    def sample(self, state, clock, tick, get, in_reset):
+    def sample(self, state, clock, get, in_reset):
         if in_reset:
             return self.start, None
         h = (state + (get(self.net),))[-(self.k + 1):]
@@ -100,7 +102,7 @@ class PulseWidthChecker(Checker):
         self.net = net
         self.label = label
 
-    def sample(self, state, clock, tick, get, in_reset):
+    def sample(self, state, clock, get, in_reset):
         if in_reset:
             return self.start, None
         v = get(self.net) & 1
@@ -119,7 +121,7 @@ class GrayCodeChecker(Checker):
         self.net = net
         self.label = label
 
-    def sample(self, state, clock, tick, get, in_reset):
+    def sample(self, state, clock, get, in_reset):
         if in_reset:
             return self.start, None
         v = get(self.net)
@@ -139,7 +141,7 @@ class StaticChecker(Checker):
         self.net = net
         self.label = label
 
-    def sample(self, state, clock, tick, get, in_reset):
+    def sample(self, state, clock, get, in_reset):
         if in_reset:
             return self.start, None
         v = get(self.net)
@@ -161,7 +163,7 @@ class MuxEnableChecker(Checker):
         self.data_net = data_net
         self.label = label
 
-    def sample(self, state, clock, tick, get, in_reset):
+    def sample(self, state, clock, get, in_reset):
         if in_reset:
             return self.start, None
         data = get(self.data_net)
@@ -195,7 +197,7 @@ class FifoChecker(Checker):
     def _twist(self, v: int) -> int:
         return v ^ (0b11 << (self.width - 2))
 
-    def sample(self, state, clock, tick, get, in_reset):
+    def sample(self, state, clock, get, in_reset):
         prev_w, prev_r = state
         msgs = []
         if clock == self.wclock:
@@ -232,7 +234,7 @@ class ClockGateChecker(Checker):
         self.net = net
         self.label = label
 
-    def sample(self, state, clock, tick, get, in_reset):
+    def sample(self, state, clock, get, in_reset):
         if in_reset:
             return self.start, None
         h = (state + (get(self.net) & 1,))[-3:]
@@ -258,7 +260,7 @@ class LatencyChecker(Checker):
         self.hi = hi
         self.label = label
 
-    def sample(self, state, clock, tick, get, in_reset):
+    def sample(self, state, clock, get, in_reset):
         if in_reset:
             return self.start, None
         prev_src, tracks = state

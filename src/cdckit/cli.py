@@ -10,9 +10,11 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -277,20 +279,15 @@ def _add_common(p):
     p.add_argument("--top", default=None)
 
 
-def make_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="cdckit", description="clock/reset domain crossing toolkit")
-    ap.add_argument("--version", action="version", version=f"cdckit {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="structural crossing analysis")
+def _analyze_args(p):
     _add_common(p)
     p.add_argument("--out", default="cdc_out")
     p.add_argument("--strict", action="store_true",
                    help="exit 2 when error-severity findings exist")
     p.add_argument("--dump-ir", default=None, help="write the flat netlist as JSON")
-    p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("simulate", help="cycle simulation with metastability injection")
+
+def _simulate_args(p):
     _add_common(p)
     p.add_argument("-s", "--stimulus", required=True)
     p.add_argument("--out", default="cdc_out")
@@ -304,34 +301,72 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkers", default=None,
                    help="comma list of checker id prefixes; 'none' disables all")
     p.add_argument("--scope", default="sim")
-    p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("explore", help="bounded exhaustive injection exploration")
+
+def _explore_args(p):
     _add_common(p)
     p.add_argument("-s", "--stimulus", required=True)
     p.add_argument("--out", default="cdc_out")
     p.add_argument("--budget", type=int, default=16)
     p.add_argument("--latency", action="append", default=[])
     p.add_argument("--checkers", default=None)
-    p.set_defaults(fn=cmd_explore)
 
-    p = sub.add_parser("generate", help="emit SystemVerilog checkers and coverage")
+
+def _generate_args(p):
     _add_common(p)
     p.add_argument("--out", default="cdc_out")
-    p.set_defaults(fn=cmd_generate)
 
-    p = sub.add_parser("report", help="render a coverage database")
+
+def _report_args(p):
     p.add_argument("--db", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_report)
 
-    p = sub.add_parser("merge-coverage", help="merge coverage databases")
+
+def _merge_coverage_args(p):
     p.add_argument("dbs", nargs="+")
     p.add_argument("--out", default="merged_coverage.json")
     p.add_argument("--scope", default=None)
-    p.set_defaults(fn=cmd_merge_coverage)
+
+
+# name -> (help, function, the function that adds its arguments)
+_COMMANDS = {
+    "analyze": ("structural crossing analysis", cmd_analyze, _analyze_args),
+    "simulate": ("cycle simulation with metastability injection", cmd_simulate,
+                 _simulate_args),
+    "explore": ("bounded exhaustive injection exploration", cmd_explore,
+                _explore_args),
+    "generate": ("emit SystemVerilog checkers and coverage", cmd_generate,
+                 _generate_args),
+    "report": ("render a coverage database", cmd_report, _report_args),
+    "merge-coverage": ("merge coverage databases", cmd_merge_coverage,
+                       _merge_coverage_args),
+}
+
+
+def make_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command.  Given the command line `argv`, only
+    the command that its first token not starting with '-' names gets its
+    arguments; the others are registered by name and help, which is all
+    that a command line naming that command reads of them, so its parse,
+    messages and help are the full parser's.  When that token names no
+    command, every command gets its arguments.
+
+    Every parser formats with the terminal width read once here: argparse
+    makes a formatter for each argument added, and each would read it."""
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    ap = _Parser(prog="cdckit", description="clock/reset domain crossing toolkit",
+                 formatter_class=formatter)
+    ap.add_argument("--version", action="version", version=f"cdckit {__version__}")
+    sub = ap.add_subparsers(dest="command", required=True)
+    named = next((a for a in argv or () if not a.startswith("-")), None)
+    for name, (text, fn, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text, formatter_class=formatter)
+        if named not in _COMMANDS or name == named:
+            add_arguments(p)
+            p.set_defaults(fn=fn)
     return ap
 
 
@@ -343,7 +378,9 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = make_parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        args = make_parser(argv).parse_args(argv)
         return args.fn(args)
     except FingerprintMismatch as e:
         print(f"error: {e}", file=sys.stderr)

@@ -61,12 +61,14 @@ crossing destinations among them, the gated flops whose clock must be
 checked, and the checkers that sample) is one `_EdgeSet`, built in
 `Engine.__init__` for each distinct set of clocks that edge together; the
 agenda maps each tick to its edge set.  A tick's plan holds its values as
-lists: the pre-edge values and `post`, those with each edged flop's next
-value written in, so a commit copies `post`, writes the destination
-captures and re-evaluates the gates only when something changed.  A hold
-lookahead is one `comb` over a copy of `post`, made on first need.  The
-per-tick engine this replaced is kept in tests/oracles.py as
-`ReferenceEngine`, which the engine is tested against in lockstep.
+lists: the pre-edge values, which are the state's own list unless a port
+moves or a reset is active (those write into a copy), and `post`, those
+with each edged flop's next value written in, so a commit copies `post`,
+writes any destination captures and re-evaluates the gates only when
+something changed.  A hold lookahead is one `comb` over a copy of `post`,
+made on first need.  The per-tick engine this replaced is kept in
+tests/oracles.py as `ReferenceEngine`, which the engine is tested against
+in lockstep.
 
 A tick's bookkeeping is word-level.  The flip history of a monitored net
 (a crossing source) is a tuple of (tick, flipped bits) entries, newest
@@ -74,13 +76,16 @@ first: a commit prepends one entry per changed net and drops those at or
 before the tick less `setup_window`, which no later tick reads, so with the
 default window of 1 a history holds one entry.  The opportunity search ORs
 a pair's recent entries into its setup bits, calls the hold lookahead only
-when some bit is not a setup bit, and walks the set bits upward.  A commit
-checks for flips only the monitored nets the tick can change: each edge set
-lists those whose activity signature meets its flops' (and those the input
-ports reach too, for a tick whose port drive moved a port), and a tick on
-which a reset held a flop checks them all.
+when some bit is not a setup bit and the source's clock, from the pair's
+phase and period, edges within `hold_window` ticks after this one, and
+walks the set bits upward.  A commit checks for flips only the monitored
+nets the tick can change: each edge set lists those whose activity
+signature meets its flops' (and those the input ports reach too, for a
+tick whose port drive moved a port), and a tick on which a reset held a
+flop checks them all.
 
-A commit settles the resets again only when its edge set's flops reach a
+A tick settles the resets only when a reset net is at its active value,
+and a commit settles them again only when its edge set's flops reach a
 reset net (`_EdgeSet.settle`, from the activity signatures).  Otherwise the
 reset nets keep the values the plan's settle saw, so every flop a reset
 holds is at its reset value already and did not capture: the settle would
@@ -174,8 +179,9 @@ class _Dst(NamedTuple):
     enable: int | None
     srcs: tuple[int, ...]           # its pairs' source nets, substituted
     kernel: object                  # capture cone; None when it is srcs[0]
-    # its pairs by id, as (id, source net, mask of the pair's width)
-    pairs: tuple[tuple[str, int, int], ...]
+    # its pairs by id, as (id, source net, mask of the pair's width, and the
+    # source clock's phase and period: a port's are 0 and 1)
+    pairs: tuple[tuple[str, int, int, int, int], ...]
 
 
 class _EdgeSet(NamedTuple):
@@ -197,7 +203,7 @@ class _EdgeSet(NamedTuple):
 
 class _TickPlan(NamedTuple):
     tick: int
-    vals0: list[int]                # pre-edge state incl. port updates
+    vals0: list[int]                # pre-edge values: the state's list unless written
     post: list[int]                 # vals0 with each edged flop's next value
     dsts: Sequence[_Dst]            # crossing destinations capturing
     opps: list[Opportunity]
@@ -562,7 +568,8 @@ class Engine:
         self.dsts: dict[int, _Dst] = {
             dst: _Dst(dst, self.nl.cells[dst].out, self.nl.cells[dst].enable, srcs,
                       capture.get(dst),
-                      tuple((p.id, p.src_net, (1 << p.width) - 1)
+                      tuple((p.id, p.src_net, (1 << p.width) - 1,
+                             *self.src_flop.get(p.src_net, (None, 0, 1))[1:])
                             for p in sorted(pairs_by_dst[dst], key=lambda p: p.id)))
             for dst, srcs in srcs_of.items()}
 
@@ -629,6 +636,7 @@ class Engine:
     def _settle_resets(self, values: list[int]) -> set[int]:
         """Force every flop whose async reset is active to its reset value,
         in place, until no reset changes; returns the flops held in reset.
+        The engine enters it only when a reset net is at its active value.
 
         Reset networks may themselves be driven by flops being reset, so a
         reset can assert partway through.  A pass only ever moves flops to
@@ -636,11 +644,6 @@ class Engine:
         settle.
         """
         held: set[int] = set()
-        for net, active in self.reset_nets:
-            if (values[net] & 1) == active:
-                break
-        else:
-            return held     # a pass with no reset active changes nothing
         for _ in range(len(self.resets) + 1):
             changed = False
             for idx, out, reset, active, value in self.resets:
@@ -664,19 +667,23 @@ class Engine:
     def plan_tick(self, state: _State, tick: int,
                   rng: random.Random | None = None) -> _TickPlan:
         """The tick's pre-edge values, captures and opportunities; `rng`
-        drives the random stimulus ports, which stay still without it."""
-        vals0 = state.values[:]
+        drives the random stimulus ports, which stay still without it.  The
+        pre-edge values are the state's own list unless the tick writes them
+        (a port moves, or a reset is active): then they are a copy."""
+        vals0 = state.values
         driven = False
         for net, value in self.sets_at.get(tick, ()):
             if vals0[net] != value:
-                driven = True
-            vals0[net] = value
+                if not driven:
+                    vals0, driven = vals0[:], True
+                vals0[net] = value
         if self.random_nets and rng is not None:
             probability = self.random_driver.probability
             for net in self.random_nets:
                 if rng.random() < probability:
+                    if not driven:
+                        vals0, driven = vals0[:], True
                     vals0[net] ^= 1
-                    driven = True
         if driven:
             for kernel in self.port_comb:
                 kernel(vals0)
@@ -684,14 +691,20 @@ class Engine:
         edges = self.edge_set[tick]
         # flops held in reset, and gated flops whose clock does not rise,
         # do not capture
-        skip = self._settle_resets(vals0)
+        skip = ()
+        for net, active in self.reset_nets:
+            if vals0[net] & 1 == active:
+                if not driven:
+                    vals0 = vals0[:]
+                skip = self._settle_resets(vals0)
+                break
         # the monitored nets that can differ from the state's after the
         # tick: a reset may have moved any flop
         scan = self.monitored if skip else \
             edges.scan_driven if driven else edges.scan
         for i in edges.gated:
             if i not in skip and not self._rises(i, vals0):
-                skip.add(i)
+                skip = {i, *skip}
         flops, dsts = edges.flops, edges.dsts
         if skip:
             flops = [f for f in flops if f[0] not in skip]
@@ -709,16 +722,19 @@ class Engine:
             new = tuple.__new__
             for dst in dsts:
                 index = dst.index
-                for pid, src, full in dst.pairs:
+                for pid, src, full, phase, period in dst.pairs:
                     # the bits that flipped now or within the setup window,
-                    # then those a hold lookahead sees flip, lowest first
+                    # then those a hold lookahead sees flip, lowest first; it
+                    # looks only when the source's next edge strictly after
+                    # this tick is within the hold window (phase < period)
                     setup = post[src] ^ old[src]
                     for t, flipped in hists[src]:
                         if t < recent:
                             break
                         setup |= flipped
                     bits = setup & full
-                    if bits != full:
+                    if bits != full and \
+                            ((phase - tick) % period or period) <= self.hold_window:
                         bits |= self._hold_toggles(src, tick, post, edges,
                                                    lookahead) & full
                     while bits:
@@ -732,16 +748,13 @@ class Engine:
     def _hold_toggles(self, src: int, tick: int, post: list[int],
                       edges: _EdgeSet, lookahead: list[list[int]]) -> int:
         """Bits of crossing source net `src` that a source-domain edge within
-        `hold_window` ticks after this one will flip.  `lookahead` holds the
-        values after the flops of this tick's `edges` capture once a pair of
-        the tick has needed them."""
+        `hold_window` ticks after this one will flip, for a source whose
+        clock edges within that window (the opportunity search tests that
+        first).  `lookahead` holds the values after the flops of this tick's
+        `edges` capture once a pair of the tick has needed them."""
         src_flop = self.src_flop.get(src)
         if src_flop is not None:
-            f, phase, period = src_flop
-            # ticks to the next source-domain posedge strictly after this
-            # one (ticks and phases are >= 0, and phase < period)
-            if ((phase - tick) % period or period) > self.hold_window:
-                return 0
+            f = src_flop[0]
             if not lookahead:
                 lookahead.append(post[:])
                 for kernel in edges.comb:
@@ -787,7 +800,7 @@ class Engine:
         # source net both take is injected once
         flips: dict[tuple[int, int], int] = {}
         events: list[MsiEvent] = []
-        for opp, take in zip(opps, decisions) if decisions else ():
+        for opp, take in zip(opps, decisions) if any(decisions) else ():
             if take:
                 key = (opp.dst, opp.src_net)
                 flips[key] = flipped = flips.get(key, 0) | 1 << opp.bit
@@ -804,12 +817,17 @@ class Engine:
             state.failures[:] = reference.failures
             return state, events
         final = post[:]
-        _capture(vals0, post, final, flips, dsts)
+        if dsts:
+            _capture(vals0, post, final, flips, dsts)
         if final != vals0:      # settled values need no re-evaluation
             for kernel in edges.comb:
                 kernel(final)
-        if edges.settle and self._settle_resets(final):
-            scan = self.monitored
+        if edges.settle:
+            for net, active in self.reset_nets:
+                if final[net] & 1 == active:
+                    self._settle_resets(final)
+                    scan = self.monitored
+                    break
 
         # each changed monitored net gets an entry of its flipped bits, and
         # loses those no later tick reads: a tick reads the flips at or
@@ -836,7 +854,7 @@ class Engine:
                     in_reset = True
                     break
             for ci, sample in sampling:
-                checkers[ci], message = sample(checkers[ci], clk, tick, get, in_reset)
+                checkers[ci], message = sample(checkers[ci], clk, get, in_reset)
                 if message is not None and failures[ci] is None:
                     failures[ci] = (tick, message)
         return state, events

@@ -1351,7 +1351,7 @@ class ReferenceEngine(Engine):
                            for n, active in self.clock_resets[clk])
             for ci in sampling:
                 checkers[ci], message = self.checkers[ci].sample(
-                    checkers[ci], clk, tick, get, in_reset)
+                    checkers[ci], clk, get, in_reset)
                 if message is not None and failures[ci] is None:
                     if failures is state.failures:
                         failures = list(failures)

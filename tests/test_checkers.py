@@ -1,6 +1,9 @@
+import inspect
+
 import pytest
 
-from cdckit.checkers import build_checkers
+import cdckit.checkers as checkers_mod
+from cdckit.checkers import Checker, build_checkers
 from cdckit.errors import ParseError
 from cdckit.explore import explore_exhaustive
 from cdckit.sim import Engine, MsiConfig, simulate
@@ -204,14 +207,14 @@ def test_each_sample_reads_only_its_checkers_nets(corpus_root, case_loader):
     def recording(checker):
         sample = checker.sample
 
-        def recorded(state, clock, tick, get, in_reset):
+        def recorded(state, clock, get, in_reset):
             read = set()
 
             def record(net):
                 read.add(net)
                 return get(net)
 
-            result = sample(state, clock, tick, record, in_reset)
+            result = sample(state, clock, record, in_reset)
             assert read <= set(checker.nets), (checker.id, read)
             kinds[checker.kind] = kinds.get(checker.kind, 0) + bool(read)
             return result
@@ -229,3 +232,14 @@ def test_each_sample_reads_only_its_checkers_nets(corpus_root, case_loader):
     assert kinds.keys() == {"stability", "pulse_width", "gray_code", "static",
                             "mux_enable", "fifo", "clock_gate", "latency"}, kinds
     assert all(kinds.values()), kinds
+
+
+def test_every_sample_takes_no_tick():
+    """No checker is told the tick it samples at, so none can come to
+    depend on it: states reached at different ticks behave alike."""
+    classes = [c for c in vars(checkers_mod).values()
+               if isinstance(c, type) and issubclass(c, Checker)]
+    assert len(classes) == 9
+    for cls in classes:
+        assert list(inspect.signature(cls.sample).parameters) == [
+            "self", "state", "clock", "get", "in_reset"], cls.__name__

@@ -1,4 +1,6 @@
+import argparse
 import gc
+import importlib.util
 import json
 import os
 import subprocess
@@ -367,6 +369,51 @@ def test_help_and_version_exit_zero(argv, capsys):
         main(argv)
     assert e.value.code == 0
     assert capsys.readouterr().out
+
+
+# Command lines that end in help, the version or a usage error before any
+# command runs, as scripts/output_digests.py digests them
+_spec = importlib.util.spec_from_file_location(
+    "output_digests",
+    Path(__file__).resolve().parent.parent / "scripts" / "output_digests.py")
+_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_digests)
+PARSER_ARGVS = _digests.CLI_ARGVS
+COMMANDS = list(_digests.VALID_ARGS)
+
+
+def _outcome(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as e:
+        rc = f"exit {e.code}"
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "-")
+def test_a_command_line_parses_as_with_every_commands_arguments(argv, capsys,
+                                                                monkeypatch):
+    """`main` builds the arguments of the command it is given only: the exit
+    code and every byte of output equal those of the parser of every
+    command."""
+    got = _outcome(argv, capsys)
+    full = cdckit.cli.make_parser
+    monkeypatch.setattr(cdckit.cli, "make_parser", lambda *args: full())
+    assert _outcome(argv, capsys) == got
+
+
+def test_a_command_line_builds_only_its_commands_arguments():
+    def arguments(ap):
+        sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+        return {name: len(p._actions) - 1 for name, p in sub.choices.items()}
+
+    full = arguments(cdckit.cli.make_parser())
+    assert all(full.values()) and list(full) == COMMANDS
+    for command in COMMANDS:
+        assert arguments(cdckit.cli.make_parser(["--version", command, "x"])) == {
+            name: n if name == command else 0 for name, n in full.items()}
+    assert arguments(cdckit.cli.make_parser(["-", "frobnicate", "analyze"])) == full
 
 
 @pytest.mark.parametrize("role, text", [
@@ -880,9 +927,9 @@ def _watch_gc(monkeypatch) -> list[bool]:
     seen = []
     make_parser = cdckit.cli.make_parser
 
-    def watched():
+    def watched(*args):
         seen.append(gc.isenabled())
-        return make_parser()
+        return make_parser(*args)
 
     monkeypatch.setattr(cdckit.cli, "make_parser", watched)
     return seen

@@ -12,7 +12,7 @@ from cdckit.pipeline import analyze_sources
 from cdckit.sim import Engine, MsiConfig, _State, simulate
 from cdckit.stimulus import parse_stimulus
 from conftest import load_gen
-from oracles import replay_explore
+from oracles import ReferenceEngine, replay_explore
 from test_lockstep import (A2_B7, A_B7, FAST_SOURCE, REQ_ACK, WINDOWS,
                            _corpus_with_stimulus, _with_windows)
 
@@ -410,6 +410,133 @@ def test_kept_states_stay_as_kept_on_a_fast_source(constraints, monkeypatch):
     assert out.derived > 1 and check.uses["reference"] > 1, (out, check.uses)
     monkeypatch.undo()
     assert _explore_equals_replay(analysis, stim, []).branches == out.branches
+
+
+class PlanCheck:
+    """Checks what a tick skips while it is installed, on `run` and
+    `explore`.  A plan takes the state's own values list as its pre-edge
+    values unless it writes them, so each values list that a plan or a
+    commit is given, the reference's too, is snapshotted: no plan or
+    commit may change it (a commit replaces the values).  And a plan looks ahead for hold flips only when the source's
+    clock edges within the hold window: every pair with bits left after its
+    setup bits that the plan does not look ahead for gets 0 from the
+    reference engine's hold lookahead, which finds the next edge its own
+    way, and every source flop it looks ahead for edges within the
+    window."""
+
+    def __init__(self, monkeypatch):
+        self.seen = {"snapshots": 0, "skipped": 0, "looked": 0}
+        plan, commit, hold = Engine.plan_tick, Engine.commit_tick, Engine._hold_toggles
+        watched: dict[int, tuple[list, list]] = {}
+        looked: list[int] = []
+
+        def watch(values):
+            if id(values) not in watched:
+                watched[id(values)] = (values, list(values))
+                self.seen["snapshots"] += 1
+
+        def unchanged(values, where):
+            held, snapshot = watched[id(values)]
+            assert held is values and values == snapshot, where
+
+        def plan_tick(eng, state, tick, rng=None):
+            watch(state.values)
+            looked.clear()
+            got = plan(eng, state, tick, rng)
+            unchanged(state.values, ("plan", tick))
+            self.phase_test(eng, state, got, set(looked))
+            return got
+
+        def hold_toggles(eng, src, tick, *args):
+            looked.append(src)
+            return hold(eng, src, tick, *args)
+
+        def commit_tick(eng, state, plan, decisions, reference=None):
+            before = state.values
+            watch(before)
+            if reference is not None:
+                watch(reference.values)
+            got = commit(eng, state, plan, decisions, reference)
+            unchanged(before, ("commit", plan.tick))
+            if reference is not None:
+                unchanged(reference.values, ("reference", plan.tick))
+            return got
+
+        self.watched = watched
+        monkeypatch.setattr(Engine, "plan_tick", plan_tick)
+        monkeypatch.setattr(Engine, "commit_tick", commit_tick)
+        monkeypatch.setattr(Engine, "_hold_toggles", hold_toggles)
+
+    def phase_test(self, eng, state, plan, looked: set[int]):
+        ref, pairs = self.ref
+        base = {i: plan.post[out] for i, out, *_ in plan.edges.flops}
+        for dst in plan.dsts:
+            for pid, src, full, *_ in dst.pairs:
+                setup = plan.post[src] ^ state.values[src]
+                for t, flipped in state.hist[src]:
+                    if t >= plan.tick - eng.setup_window:
+                        setup |= flipped
+                if setup & full == full:
+                    continue
+                if src not in looked:
+                    self.seen["skipped"] += 1
+                    assert ref._ref_hold_toggles(pairs[pid], plan.tick, base,
+                                                 plan.vals0, []) == 0, (pid, plan.tick)
+                elif src in eng.src_flop:
+                    self.seen["looked"] += 1
+                    c = eng.clocks[eng.flop_root[eng.src_flop[src][0].index]]
+                    nxt = c.edge_tick((plan.tick - c.phase) // c.period + 1)
+                    assert plan.tick < nxt <= plan.tick + eng.hold_window, (pid, plan.tick)
+
+    def check(self, analysis, stim, checkers):
+        """One checked search and two seeded runs."""
+        self.watched.clear()
+        ref = ReferenceEngine(analysis, stim, MsiConfig(), [])
+        self.ref = ref, {p.id: p for p in ref.pairs}
+        eng = Engine(analysis, stim, MsiConfig(), checkers)
+        for seed in (1, 2):
+            eng.run(waves=False, seed=seed)
+        try:
+            explore_exhaustive(analysis, stim, checkers, budget=16)
+        except DecisionBudgetExceeded:
+            pass
+        for values, snapshot in self.watched.values():
+            assert values == snapshot
+
+
+def test_ticks_skip_only_work_that_does_nothing_on_the_corpus(corpus_root, case_loader,
+                                                              monkeypatch):
+    """Every corpus case, with its label's checkers and with the default
+    windows and setup and hold windows of 3 and 2."""
+    check = PlanCheck(monkeypatch)
+    for case in _corpus_with_stimulus(corpus_root):
+        analysis, stim_text = case_loader(case)
+        stim = parse_stimulus(stim_text)
+        wide = _with_windows(corpus_root, case)
+        for a in (analysis, wide):
+            check.check(a, stim, _label_checkers(a, corpus_root, case))
+    assert all(n > 100 for n in check.seen.values()), check.seen
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, "sim"])
+def test_ticks_skip_only_work_that_does_nothing_on_generated_designs(seed, monkeypatch):
+    """The explore designs of seeds 1-3 and the simulation design, whose
+    random stimulus ports move on every seeded tick."""
+    gen = load_gen()
+    if seed == "sim":
+        d = gen.build("sim", 1, 8, block=gen.SIM_BLOCK, purpose="sim", run_edges=30)
+        select = list(gen.SIM_CHECKERS)
+    else:
+        d = gen.build("explore", seed, 8, purpose="explore", run_edges=4, gray_sources=2)
+        select = list(gen.EXPLORE_CHECKERS)
+    analysis = analyze_sources([("rtl.v", d.files["rtl.v"])], d.files["constraints.cdc"])
+    check = PlanCheck(monkeypatch)
+    check.check(analysis, parse_stimulus(d.files["stimulus.stim"]),
+                build_checkers(analysis, select=select))
+    # no capture of the explore designs comes within the hold window of a
+    # source edge: every lookahead is skipped
+    assert check.seen["snapshots"] and check.seen["skipped"], check.seen
+    assert bool(check.seen["looked"]) == (seed == "sim"), check.seen
 
 
 def _label_checkers(analysis, corpus_root, case):

@@ -421,3 +421,95 @@ def test_lockstep_on_a_source_reset_by_a_port_pulse():
     for seed in (1, 2):
         lockstep(analysis, stim, seed)
     lockstep(analysis, stim, 1, all_taken=True)
+
+
+# Four crossing sources into clk_b (period 7): s on clk_a (period 10, prime
+# to 7, so its next edge after a capture lands 1 to 10 ticks later), f on
+# clk_f (period 3, at most the widest hold window below), g on clk_a gated
+# by gate_ff, and the reset port rst_a_n.  The stimulus twice sets p to the
+# value it holds, on a tick where it moves nothing else, and asserts and
+# releases both resets mid-run.
+PHASES = """
+module top(input clk_a, input clk_f, input clk_b, input rst_a_n, input rst_b_n,
+           input p, input gate_en, output q);
+  reg s, g, gate_ff;
+  reg [1:0] f;
+  reg qs1, qs2, qg1, qg2, qp1, qp2;
+  reg [1:0] qf1, qf2;
+  wire gclk;
+  assign gclk = clk_a & gate_ff;
+  always @(posedge clk_a or negedge rst_a_n)
+    if (!rst_a_n) begin s <= 1'b0; gate_ff <= 1'b0; end
+    else begin s <= ~s ^ p; gate_ff <= gate_en; end
+  always @(posedge clk_f or negedge rst_a_n)
+    if (!rst_a_n) f <= 2'b00; else f <= {f[0], ~f[1]};
+  always @(posedge gclk) g <= ~g;
+  always @(posedge clk_b or negedge rst_b_n)
+    if (!rst_b_n) begin
+      qs1 <= 1'b0; qs2 <= 1'b0; qg1 <= 1'b0; qg2 <= 1'b0;
+      qp1 <= 1'b0; qp2 <= 1'b0; qf1 <= 2'b00; qf2 <= 2'b00;
+    end else begin
+      qs1 <= s; qs2 <= qs1; qg1 <= g; qg2 <= qg1;
+      qp1 <= rst_a_n; qp2 <= qp1; qf1 <= f; qf2 <= qf1;
+    end
+  assign q = qs2 ^ qg2 ^ qp2 ^ qf2[1];
+endmodule
+"""
+PHASES_CLOCKS = """clock clk_a -period 10 -domain A
+clock clk_f -period 3 -domain F
+clock clk_b -period 7 -domain B
+reset rst_a_n -active_low -domain A
+reset rst_b_n -active_low -domain B
+"""
+PHASES_STIMULUS = """at clk_a 0 set rst_a_n 1
+at clk_a 0 set rst_b_n 1
+at clk_a 2 set gate_en 1
+at clk_a 3 set p 1
+at clk_a 5 set p 1
+at clk_a 6 set gate_en 0
+at clk_a 7 set p 0
+at clk_a 9 set gate_en 1
+at clk_a 11 set p 0
+at clk_a 12 set rst_a_n 0
+at clk_a 13 set rst_b_n 0
+at clk_a 19 set rst_a_n 1
+at clk_a 19 set rst_b_n 1
+at clk_a 21 set p 1
+run 30 of clk_a
+"""
+
+
+@pytest.mark.parametrize("hold", [0, 1, 3])
+def test_lockstep_on_source_clocks_at_the_edge_of_the_hold_window(hold):
+    """Per hold window: each source flop has a hold opportunity from an edge
+    exactly `hold` ticks after the capture, and the reset port one too (no
+    source has any when the window is 0); a set of a port to its own value,
+    the resets and the gated source run in lockstep with the reference."""
+    analysis = analyze_sources([("t.v", PHASES)],
+                               PHASES_CLOCKS + f"option hold_window {hold}\n")
+    assert {p.src_name for p in analysis.pairs} == {"s", "f", "g", "rst_a_n"}
+    stim = parse_stimulus(PHASES_STIMULUS)
+    eng = Engine(analysis, stim, MsiConfig(), [])
+    # the ticks from a capture to the next edge of each source
+    edges = {n: [c.edge_tick(k) for k in range(eng.end_tick // c.period + 2)]
+             for n, (f, *_) in eng.src_flop.items()
+             for c in (eng.clocks[eng.flop_root[f.index]],)}
+    edges.update((n, [t for t, _v in sched]) for n, sched in eng.port_schedule.items())
+    ahead: dict[str, set[int]] = {}
+    state = eng.initial_state()
+    for tick in eng.agenda:
+        plan = eng.plan_tick(state, tick)
+        for o in plan.opps:
+            if o.kind == "hold":
+                ahead.setdefault(analysis.netlist.nets[o.src_net].name, set()).add(
+                    min(t for t in edges[o.src_net] if t > tick) - tick)
+        state, _ = eng.commit_tick(state, plan, [False] * len(plan.opps))
+    if hold == 0:
+        assert ahead == {}
+    else:
+        assert ahead.keys() == {"s", "f", "g", "rst_a_n"}, ahead
+        assert all(hold in ahead[n] for n in "sfg"), ahead
+    for seed in (1, 2):
+        seen = lockstep(analysis, stim, seed)
+        assert seen["skipped"] and seen["events"], seen
+    lockstep(analysis, stim, 1, all_taken=True)
