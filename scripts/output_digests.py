@@ -18,12 +18,19 @@ seeds 2 and 3 and with `--latency 1:3` on seed 1,
 of the netlist builder (a floating net, a one-operand concatenation, a
 600-level module chain), on one that uses names before it declares them
 (`use-before-decl`) and on one that declares a name of the form the
-elaborator gives its temporaries (`temp-name`), `analyze` on sources the
+elaborator gives its temporaries (`temp-name`), `analyze`, `simulate` and
+`explore` on a hierarchy whose repeated modules the elaborator stamps
+(`hier-ties`: a module instanced with two inputs tied to one net, with a
+port left unconnected and with expressions as connections, at two depths,
+under a repeated module that connects its child through expressions),
+`analyze` on sources the
 front end rejects,
 so the positions of its diagnostics are covered too, after multi-line
 comments, CRLF line ends, tabs and a last line without a newline, on
 undeclared names (`undeclared-order`: three in one expression, of which
 the first must be named; `undeclared-conn`: one in an instance
+connection), on width errors that only the elaborator sees (`width`: an
+assign of two bits to one; `unsized`: an unsized literal as a port
 connection), and on one error of each kind of module shape (a reset arm
 that is not an `if ... else`, of the wrong polarity, with a value that is
 not a literal or does not fit, a reset wider than one bit, a slice past
@@ -75,6 +82,8 @@ INLINE_CONSTRAINTS = "clock clk -period 10 -domain A\nclock clk_b -period 7 -dom
 INLINE_STIMULUS = "run 4 of clk\n"
 INLINE_COMMANDS = (("analyze", ["analyze"]), ("simulate", ["simulate"]),
                    ("generate", ["generate"]))
+HIER_COMMANDS = (("analyze", ["analyze"]), ("simulate", ["simulate"]),
+                 ("explore", ["explore"]))
 
 
 def _chain(levels: int) -> str:
@@ -110,6 +119,26 @@ INLINE = (
                   "  always @(posedge clk_b) begin q1 <= s; q2 <= q1; end\n"
                   "  assign q = q2;\nendmodule\n"),
 )
+# A hierarchy the elaborator stamps: `cell` is expanded five times, `pair`
+# twice, and each `pair` connects its `cell` through expressions, whose
+# temporaries continue the numbering of the pair's own.
+HIER_TIES = (
+    "module cell(input clk, input a, input b, output q, output n);\n"
+    "  reg r;\n  always @(posedge clk) r <= a ^ b;\n"
+    "  assign q = r;\n  assign n = ~r & a;\nendmodule\n"
+    "module pair(input clk, input clk_b, input d, output q);\n"
+    "  wire m;\n  reg s1, s2;\n"
+    "  always @(posedge clk_b) begin s1 <= m; s2 <= s1; end\n"
+    "  assign q = s2 ^ {d};\n"
+    "  cell c0(.clk(clk), .a(d & m), .b(~d), .q(m), .n());\nendmodule\n"
+    "module top(input clk, input clk_b, input d, input e, output q, output w);\n"
+    "  wire t0, t1, t2, t3, p0, p1;\n"
+    "  cell u0(.clk(clk), .a(d), .b(d), .q(t0), .n(t1));\n"
+    "  cell u1(.clk(clk), .a(e), .b(t0), .q(t2), .n());\n"
+    "  cell u2(.clk(clk), .a(t1 | e), .b(~t2), .q(t3), .n(w));\n"
+    "  pair v0(.clk(clk), .clk_b(clk_b), .d(t3 ^ e), .q(p0));\n"
+    "  pair v1(.clk(clk), .clk_b(clk_b), .d(t2), .q(p1));\n"
+    "  assign q = p0 & p1;\nendmodule\n")
 # Rejected sources: one per kind of tokenizer diagnostic, then parser and
 # declaration errors that come after a multi-line comment, CRLF line ends,
 # tabs, and a last line without a newline, then undeclared names, then one
@@ -157,6 +186,10 @@ REJECTED = (
                 "  sub u(.a(a), .zz(clk), .y(w));\nendmodule\n"),
     ("dup-port", "module m(input clk, input a, input a, output w);\n"
                  "  assign w = a;\nendmodule\n"),
+    ("width", "module m(input clk, input [1:0] a, output w);\n"
+              "  assign w = a;\nendmodule\n"),
+    ("unsized", "module sub(input a, output y);\n  assign y = a;\nendmodule\n"
+                "module m(input clk, output w);\n  sub u(.a(1), .y(w));\nendmodule\n"),
 )
 REJECTED_CONSTRAINTS = "clock clk -period 10 -domain A\n"
 # Latency specs that no checker can be built from, on `msi_latency`.
@@ -270,6 +303,15 @@ def main() -> int:
             for cmd, argv in INLINE_COMMANDS:
                 print(f"inline-{label} {cmd} {digest(cli_main, '.', argv)}", flush=True)
             os.chdir(root)
+
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        Path("rtl.v").write_text(HIER_TIES)
+        Path("constraints.cdc").write_text(INLINE_CONSTRAINTS)
+        Path("stimulus.stim").write_text(INLINE_STIMULUS)
+        for cmd, argv in HIER_COMMANDS:
+            print(f"inline-hier-ties {cmd} {digest(cli_main, '.', argv)}", flush=True)
+        os.chdir(root)
 
     for label, text in REJECTED:
         with tempfile.TemporaryDirectory() as work:

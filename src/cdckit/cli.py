@@ -380,6 +380,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if argv is None:
             argv = sys.argv[1:]
+        # argparse would take a `--` before the command for its name
+        head = next((i for i, a in enumerate(argv) if a == "--" or not a.startswith("-")),
+                    len(argv))
+        if argv[head:head + 1] == ["--"]:
+            argv = argv[:head] + argv[head + 1:]
         args = make_parser(argv).parse_args(argv)
         return args.fn(args)
     except FingerprintMismatch as e:

@@ -3,17 +3,24 @@
 Instances are expanded depth first with hierarchical names (`inst.sub.net`),
 on an explicit stack, so hierarchy depth is not bounded by the interpreter's
 recursion limit.  Port connections merge parent and child nets, keeping the
-topmost name as the canonical one.  Expressions lower to
-AND/OR/XOR/NOT/BUF/MUX/CONCAT/SLICE gates and constant cells; a one-operand
-concatenation `{x}` is `x` itself.  Sequential blocks lower to one Dff per
-assigned register: if/else arms fold into mux expressions, a top-level
-`if (en) r <= e;` shape becomes the flop's enable pin, and the async reset
-arm supplies the reset value.
+topmost name as the canonical one.  A module's body (what follows its
+ports) lowers the same way in every instance, so a module expanded more
+than once, as the instance graph counts it, is recorded at its first
+expansion and stamped at the others: its nets, merges and cells are added
+again under the instance's prefix, with no expression lowered twice.
+
+Expressions lower to AND/OR/XOR/NOT/BUF/MUX/CONCAT/SLICE gates and
+constant cells; a one-operand concatenation `{x}` is `x` itself.
+Sequential blocks lower to one Dff per assigned register: if/else arms
+fold into mux expressions, a top-level `if (en) r <= e;` shape becomes the
+flop's enable pin, and the async reset arm supplies the reset value.
 
 The parser has checked what each module's own text decides, so the errors
-left here need another module or the widths of expressions.  Instances of
-modules with no definition become black-box cells whose port directions are
-inferred from driver availability.
+left here need another module or the widths of expressions.  A width error
+names the file, line and column of its expression; one inside a repeated
+module comes from its first expansion.  Instances of modules with no
+definition become black-box cells whose port directions are inferred from
+driver availability.
 """
 
 from __future__ import annotations
@@ -23,15 +30,16 @@ from dataclasses import dataclass
 
 from .errors import (ElabError, PortWidthMismatch, RecursiveInstantiation,
                      UnresolvedModule)
-from .netlist import Netlist, NetlistBuilder
+from .netlist import BodyRecord, Netlist, NetlistBuilder
 from .verilog import (AlwaysBlock, Binary, Concat, Expr, Ident, Instance,
-                      Literal, ParsedModule, Slice, Ternary, Unary, fold)
+                      Literal, ParsedModule, Slice, Ternary, Unary, fold,
+                      position)
 
 
 @dataclass
 class _Scope:
     prefix: str
-    origin: str                 # source file of the scope's module
+    mod: ParsedModule
     widths: dict[str, int]
     handles: dict[str, int]
     counter: int = 0
@@ -39,6 +47,17 @@ class _Scope:
     def temp(self) -> int:
         self.counter += 1
         return self.counter
+
+    def at(self, expr: Expr) -> str:
+        """`origin:line:col: ` of the leftmost operand of `expr`, or nothing
+        for an expression the elaborator made."""
+        while isinstance(expr, (Unary, Binary, Ternary)):
+            expr = (expr.operand if isinstance(expr, Unary)
+                    else expr.lhs if isinstance(expr, Binary) else expr.cond)
+        if expr.offset < 0 or not self.mod.starts:
+            return ""
+        line, column = position(self.mod.starts, expr.offset)
+        return f"{self.mod.origin}:{line}:{column}: "
 
 
 def _infer_width(scope: _Scope, expr: Expr) -> int | None:
@@ -73,20 +92,30 @@ class _Elaborator:
             raise UnresolvedModule(f"top module {top!r} not found")
         self.top = top
         self.builder = NetlistBuilder(top)
+        # the modules to record at their first expansion, and the records:
+        # each body with the scope's temp counter after it
+        self.repeated: set[str] = set()
+        self.bodies: dict[str, tuple[BodyRecord, int]] = {}
 
     # -- recursion guard --
 
-    def check_acyclic(self):
+    def check_acyclic(self) -> list[str]:
+        """Reject recursive instantiation.  Returns the defined modules
+        below the top (the top first), each after every module that
+        instances it."""
         # depth first over defined modules; `chain` is the instantiation
         # path from the top, `stack` the instances each one has left
         state: dict[str, int] = {self.top: 1}   # 1 = on the chain, 2 = done
         chain = [self.top]
         stack = [iter(self.by_name[self.top].instances)]
+        done: list[str] = []
         while stack:
             inst = next(stack[-1], None)
             if inst is None:
                 stack.pop()
-                state[chain.pop()] = 2
+                name = chain.pop()
+                state[name] = 2
+                done.append(name)
                 continue
             name = inst.module
             if name not in self.by_name or state.get(name) == 2:
@@ -97,6 +126,21 @@ class _Elaborator:
             state[name] = 1
             chain.append(name)
             stack.append(iter(self.by_name[name].instances))
+        done.reverse()
+        return done
+
+    def expansions(self, order: list[str]) -> dict[str, int]:
+        """How many times each module of `order` (as `check_acyclic` gives
+        it) is expanded, capped at 2: its instances in each module that
+        instances it, times that module's count."""
+        count = dict.fromkeys(order, 0)
+        count[self.top] = 1
+        for name in order:
+            n = count[name]
+            for inst in self.by_name[name].instances:
+                if inst.module in count:
+                    count[inst.module] = min(2, count[inst.module] + n)
+        return count
 
     # -- expression synthesis --
 
@@ -124,16 +168,18 @@ class _Elaborator:
                 w = scope.widths[name]
                 if ctx_width is not None and w != ctx_width:
                     raise PortWidthMismatch(
-                        f"{scope.prefix}{name} is {w} bits, expected {ctx_width}")
+                        f"{scope.at(expr)}{scope.prefix}{name} is {w} bits, "
+                        f"expected {ctx_width}")
                 return finish(h)
             case Literal(value, width):
                 w = width if width is not None else ctx_width
                 if w is None:
                     raise ElabError(
-                        f"unsized literal {value} needs a width context in {scope.prefix or 'top'}")
+                        f"{scope.at(expr)}unsized literal {value} needs a width "
+                        f"context in {scope.prefix or 'top'}")
                 if ctx_width is not None and w != ctx_width:
                     raise PortWidthMismatch(
-                        f"literal is {w} bits, expected {ctx_width}")
+                        f"{scope.at(expr)}literal is {w} bits, expected {ctx_width}")
                 if value >= (1 << w):
                     raise ElabError(f"literal {value} does not fit in {w} bits")
                 out = out_handle if out_handle is not None else fresh(w)
@@ -143,7 +189,7 @@ class _Elaborator:
             case Unary(_, operand):
                 w = ctx_width or _infer_width(scope, operand)
                 if w is None:
-                    raise ElabError("cannot infer width of '~' operand")
+                    raise ElabError(f"{scope.at(expr)}cannot infer width of '~' operand")
                 a = self.synth(scope, operand, w)
                 out = out_handle if out_handle is not None else fresh(w)
                 n = scope.temp()
@@ -152,7 +198,8 @@ class _Elaborator:
             case Binary(op, lhs, rhs):
                 w = ctx_width or _infer_width(scope, lhs) or _infer_width(scope, rhs)
                 if w is None:
-                    raise ElabError(f"cannot infer width of '{op}' expression")
+                    raise ElabError(
+                        f"{scope.at(expr)}cannot infer width of '{op}' expression")
                 a = self.synth(scope, lhs, w)
                 c = self.synth(scope, rhs, w)
                 out = out_handle if out_handle is not None else fresh(w)
@@ -164,7 +211,8 @@ class _Elaborator:
             case Ternary(cond, if_true, if_false):
                 w = ctx_width or _infer_width(scope, if_true) or _infer_width(scope, if_false)
                 if w is None:
-                    raise ElabError("cannot infer width of conditional expression")
+                    raise ElabError(
+                        f"{scope.at(expr)}cannot infer width of conditional expression")
                 sel = self.synth(scope, cond, 1)
                 a = self.synth(scope, if_true, w)
                 c = self.synth(scope, if_false, w)
@@ -190,7 +238,7 @@ class _Elaborator:
                 total = sum(widths)
                 if ctx_width is not None and total != ctx_width:
                     raise PortWidthMismatch(
-                        f"concat is {total} bits, expected {ctx_width}")
+                        f"{scope.at(expr)}concat is {total} bits, expected {ctx_width}")
                 out = out_handle if out_handle is not None else fresh(total)
                 n = scope.temp()
                 b.add_gate(f"{scope.prefix}__g{n}_concat", "CONCAT", handles, out, total)
@@ -198,7 +246,8 @@ class _Elaborator:
             case Slice(name, msb, lsb):
                 w = msb - lsb + 1
                 if ctx_width is not None and w != ctx_width:
-                    raise PortWidthMismatch(f"slice is {w} bits, expected {ctx_width}")
+                    raise PortWidthMismatch(
+                        f"{scope.at(expr)}slice is {w} bits, expected {ctx_width}")
                 out = out_handle if out_handle is not None else fresh(w)
                 n = scope.temp()
                 b.add_gate(f"{scope.prefix}__g{n}_slice", "SLICE",
@@ -243,8 +292,11 @@ class _Elaborator:
     # -- module expansion --
 
     def expand_all(self):
-        """Expand the top and every instance below it, depth first: each
-        instance is expanded whole before its next sibling is bound."""
+        """Reject recursive instantiation, then expand the top and every
+        instance below it, depth first: each instance is expanded whole
+        before its next sibling is bound."""
+        count = self.expansions(self.check_acyclic())
+        self.repeated = {name for name, n in count.items() if n > 1}
         stack = [self.expand(self.by_name[self.top], "", {})]
         while stack:
             scope, pending = stack[-1]
@@ -259,24 +311,44 @@ class _Elaborator:
     def expand(self, mod: ParsedModule, prefix: str, bindings: dict[str, int]
                ) -> tuple[_Scope, Iterator[Instance]]:
         """Lower one module's own nets, assigns and always blocks; returns
-        its scope and the instances it has left to expand."""
-        scope = _Scope(prefix, mod.origin, mod.declared_widths(), {})
+        its scope and the instances it has left to expand.
+
+        What follows the ports is the same for every instance of a module
+        but for the prefix of its names and the first handle of its nets,
+        so a module expanded more than once records it at its first
+        expansion (the nets, merges and cells, and the temp counter after
+        them, which the instance connections continue) and stamps it at
+        the others."""
+        b = self.builder
+        first = b.net_count
+        scope = _Scope(prefix, mod, mod.declared_widths(), {})
         for p in mod.ports:
-            h = self.builder.add_net(prefix + p.name, p.width)
+            h = b.add_net(prefix + p.name, p.width)
             scope.handles[p.name] = h
             if p.name in bindings:
-                self.builder.merge(bindings[p.name], h,
-                                   f"port {p.name} of {prefix or mod.name}")
+                b.merge(bindings[p.name], h, f"port {p.name} of {prefix or mod.name}")
+        recorded = self.bodies.get(mod.name)
+        if recorded is not None:
+            body, scope.counter = recorded
+            h = first + len(mod.ports)
+            for d in mod.decls:
+                scope.handles[d.name] = h
+                h += 1
+            b.stamp(body, prefix, first)
+            return scope, iter(mod.instances)
+        mark = b.open_body(first) if mod.name in self.repeated else None
         for d in mod.decls:
-            scope.handles[d.name] = self.builder.add_net(prefix + d.name, d.width)
+            scope.handles[d.name] = b.add_net(prefix + d.name, d.width)
         if not prefix:
             for p in mod.ports:
-                self.builder.add_port(p.name, p.direction, p.width, scope.handles[p.name])
+                b.add_port(p.name, p.direction, p.width, scope.handles[p.name])
         for a in mod.assigns:
             self.synth(scope, a.expr, scope.widths[a.target],
                        out_handle=scope.handles[a.target])
         for blk in mod.always_blocks:
             self.lower_always(scope, blk)
+        if mark is not None:
+            self.bodies[mod.name] = b.close_body(mark, prefix), scope.counter
         return scope, iter(mod.instances)
 
     def expand_instance(self, scope: _Scope, inst: Instance
@@ -298,7 +370,7 @@ class _Elaborator:
         self.builder.add_instance(path, inst.module)
         port_dirs = {p.name: p.direction for p in child.ports}
         bindings: dict[str, int] = {}
-        where = f"{scope.origin}:{inst.line}:{inst.column}: {path}"
+        where = f"{scope.mod.origin}:{inst.line}:{inst.column}: {path}"
         for port, expr in inst.conns:
             if port not in port_dirs:
                 raise ElabError(f"{where}: module {inst.module!r} has no port {port!r}")
@@ -317,6 +389,5 @@ class _Elaborator:
 def elaborate(modules: list[ParsedModule], top: str) -> Netlist:
     """Flatten `top` and everything below it into a Netlist."""
     elab = _Elaborator(modules, top)
-    elab.check_acyclic()
     elab.expand_all()
     return elab.builder.finish()

@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .errors import CombinationalLoop, MultipleDrivers, PortWidthMismatch
 
@@ -279,6 +280,34 @@ def _name_rank(name: str) -> tuple[int, int, str]:
     return (name.count("."), len(name), name)
 
 
+class BodyRecord(NamedTuple):
+    """The nets, merges and cells one expansion of a module adds after its
+    ports, in order: names without the instance prefix, handles relative
+    to the instance's first net (see `NetlistBuilder.stamp`)."""
+    names: tuple[str, ...]
+    widths: tuple[int, ...]
+    merges: tuple[tuple[int, int], ...]
+    cells: tuple[tuple, ...]
+
+
+def _relocate(desc: tuple, name: str, moved) -> tuple:
+    """The pending cell `desc` renamed `name`, each net handle `h` replaced
+    by `moved[h]`.  A body holds gates, flops and constants; its black
+    boxes belong to the enclosing scope."""
+    kind = desc[0]
+    if kind == "gate":
+        _, _, op, inputs, out, width, lsb = desc
+        return (kind, name, op, tuple([moved[h] for h in inputs]), moved[out], width, lsb)
+    if kind == "dff":
+        _, _, width, clock, data, out, enable, reset, alow, rv = desc
+        return (kind, name, width, moved[clock], moved[data], moved[out],
+                None if enable is None else moved[enable],
+                None if reset is None else moved[reset], alow, rv)
+    assert kind == "const", kind
+    _, _, value, width, out = desc
+    return (kind, name, value, width, moved[out])
+
+
 class NetlistBuilder:
     """Accumulates cells/nets during elaboration, merges connected nets with
     union-find, then produces a consistent `Netlist`."""
@@ -293,8 +322,14 @@ class NetlistBuilder:
         self._ports: list[tuple[str, str, int, int]] = []
         self._instances: list[InstanceRecord] = []
         self._bb_conns: list[tuple[int, list[int]]] = []  # (cell slot, handle list)
+        self._merges: list[tuple[int, int]] | None = None   # merges being recorded
 
     # nets are identified by handles until finish()
+
+    @property
+    def net_count(self) -> int:
+        """The handle the next net gets."""
+        return len(self._net_names)
 
     def add_net(self, name: str, width: int) -> int:
         if name in self._by_name:
@@ -315,6 +350,8 @@ class NetlistBuilder:
         return root
 
     def merge(self, a: int, b: int, context: str = ""):
+        if self._merges is not None:
+            self._merges.append((a, b))
         ra, rb = self._find(a), self._find(b)
         if ra == rb:
             return
@@ -351,6 +388,49 @@ class NetlistBuilder:
         slot = len(self._cells)
         self._cells.append(("blackbox", name, module))
         self._bb_conns.append((slot, conns))
+
+    # -- a module body, recorded at its first expansion and stamped after --
+
+    def open_body(self, first: int) -> tuple[int, int, int]:
+        """Start recording what is added from here on (nets, merges, cells)
+        as part of the body of an instance whose first net is `first`."""
+        self._merges = []
+        return first, len(self._net_names), len(self._cells)
+
+    def close_body(self, mark: tuple[int, int, int], prefix: str) -> BodyRecord:
+        """What was added since `open_body` returned `mark`, with `prefix`
+        cut from every name and handles taken relative to the instance's
+        first net.  A body names only nets of its own instance."""
+        first, nets_from, cells_from = mark
+        cut = len(prefix)
+        relative = range(-first, len(self._net_names) - first)
+        merges, self._merges = self._merges, None
+        return BodyRecord(
+            tuple(name[cut:] for name in self._net_names[nets_from:]),
+            tuple(self._net_widths[nets_from:]),
+            tuple((a - first, b - first) for a, b in merges),
+            tuple(_relocate(desc, desc[1][cut:], relative)
+                  for desc in self._cells[cells_from:]))
+
+    def stamp(self, body: BodyRecord, prefix: str, first: int):
+        """Add `body` again, for an instance whose names begin with `prefix`
+        and whose first net is `first`: its nets, its merges and its cells
+        in the order its first expansion added them."""
+        names = [prefix + name for name in body.names]
+        if not self._by_name.keys().isdisjoint(names):
+            twice = next(name for name in names if name in self._by_name)
+            raise MultipleDrivers(f"net name {twice!r} declared twice")
+        # one int per handle, shared by every place that holds it
+        base = len(self._net_names)
+        handles = list(range(first, base + len(names)))
+        own = handles[base - first:]
+        self._by_name.update(zip(names, own))
+        self._net_names += names
+        self._net_widths += body.widths
+        self._parent += own
+        for a, b in body.merges:
+            self.merge(handles[a], handles[b], prefix)
+        self._cells += [_relocate(desc, prefix + desc[1], handles) for desc in body.cells]
 
     def finish(self) -> Netlist:
         """Raises MultipleDrivers for a net with two drivers and

@@ -37,13 +37,19 @@ Evaluation is compiled, not interpreted (levelized compiled-code
 simulation).  Each netlist is compiled once into straight-line Python with
 constant masks: the gates, and cone kernels, the enable and data of one
 crossing destination with its sources substituted or one gated flop clock
-with its root substituted.  Kernels are split into functions of at most
-`_CHUNK` gates and cached on the `Netlist`, so every seed and exploration
-branch of a design shares them; the cone kernels an engine needs are
-compiled together, in one `compile`.  A destination without an enable
-whose data net is its only source captures the substituted value itself,
-with no kernel.  The gate interpreter the kernels replace is kept in
-tests/oracles.py as the reference they are tested against.
+with its root substituted.  Kernels are cached on the `Netlist`, so every
+seed and exploration branch of a design shares them; the cone kernels an
+engine needs are compiled together, in one `compile`.  A group of gates
+(below) is cut into runs, consecutive gates of one instance, and a shape
+of run that recurs (the same module's gates in another instance, wired
+alike) is compiled once, with placeholders for its nets; each of its runs
+gets that code with its own net indices put in as constants, which runs
+as if it were compiled for the run alone (`_bound`).  The other gates are
+compiled with constants, in functions of at most `_CHUNK` gates.  A
+destination without an enable whose data net is its only source captures
+the substituted value itself, with no kernel.  The gate interpreter the
+kernels replace is kept in tests/oracles.py as the reference they are
+tested against.
 
 The gates are grouped by activity signature, the set of clock roots and
 input ports in their fan-in (`CombGroups`), and each group is compiled
@@ -99,6 +105,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, groupby
 from operator import ne
+from types import FunctionType
 from typing import NamedTuple
 
 from .checkers import Checker, Verdict
@@ -214,14 +221,15 @@ class _TickPlan(NamedTuple):
 # -- compiled kernels ---------------------------------------------------------
 
 _CHUNK = 256        # gates per exec'd function: bounds the compiler's memory
+_SHARED = 4         # fewest gates of a run whose shape is compiled once for all
 _TERMS = 64         # operands per statement: bounds the compiler's recursion
 _CHAIN_OPS = {"AND": "&", "OR": "|", "XOR": "^", "CONCAT": "|"}
 
 
-def _gate_code(nl: Netlist, g: Gate, ref) -> list[str]:
-    """Statements that store the value of gate `g` in `w[g.out]`; `ref(net)`
-    is the expression that reads a net."""
-    out = f"w[{g.out}]"
+def _gate_code(nl: Netlist, g: Gate, ref, out: str | None = None) -> list[str]:
+    """Statements that store the value of gate `g` in `out`, by default
+    `w[g.out]`; `ref(net)` is the expression that reads a net."""
+    out = out or f"w[{g.out}]"
     mask = (1 << g.width) - 1
     ins = [ref(i) for i in g.inputs]
     if g.op == "NOT":
@@ -316,11 +324,12 @@ class CombGroups(NamedTuple):
     (see `_activity`); a gate's is the OR of its inputs', so a gate's value
     can change only when a net with a bit of its signature does."""
     activity: list[int]     # signature per net
-    # (signature, gate indices, chunk kernels) per group, in (popcount,
-    # signature) order: a gate's inputs have a subset of its signature, so
-    # they come from its own group or an earlier one, and this order is
-    # topological
-    groups: tuple[tuple[int, tuple[int, ...], tuple], ...]
+    # (signature, gate indices, run kernels, gates per kernel) per group, in
+    # (popcount, signature) order: a gate's inputs have a subset of its
+    # signature, so they come from its own group or an earlier one, and this
+    # order is topological.  The kernels run the group's gates in order,
+    # each the next `sizes[k]` of them
+    groups: tuple[tuple[int, tuple[int, ...], tuple, tuple[int, ...]], ...]
     full: object            # `comb(v)`: every group in order
 
     def select(self, mask: int) -> tuple:
@@ -328,7 +337,7 @@ class CombGroups(NamedTuple):
         order, in place on consistent values in which only nets whose
         signatures lie within `mask` changed, they make them consistent."""
         return tuple(chain.from_iterable(
-            kernels for sig, _gates, kernels in self.groups if sig & mask))
+            kernels for sig, _gates, kernels, _sizes in self.groups if sig & mask))
 
 
 def _activity(nl: Netlist) -> list[int]:
@@ -364,6 +373,50 @@ def _run_all(kernels: tuple):
     return comb
 
 
+def _runs(nl: Netlist, gates: list[int]) -> list[list[int]]:
+    """`gates` cut, in order, into runs of consecutive gates of one
+    instance (the gate name up to its last '.'), at most _CHUNK each."""
+    runs: list[list[int]] = []
+    owner = None
+    for i in gates:
+        name = nl.cells[i].name
+        here = name[:name.rfind(".") + 1]
+        if here != owner or len(runs[-1]) == _CHUNK:
+            owner = here
+            runs.append([])
+        runs[-1].append(i)
+    return runs
+
+
+def _shape(nl: Netlist, run: list[int]) -> tuple[tuple, tuple[int, ...]]:
+    """The shape of a run of gates, and its nets in order of first
+    appearance.  Two runs of one shape compile to the same code but for the
+    nets, numbered as they appear: the same ops, widths, slices, CONCAT
+    operand widths and wiring, so two operands tied to one net make
+    another shape than two nets do."""
+    nets = nl.nets
+    local: dict[int, int] = {}
+    number = local.setdefault
+    key = []
+    for i in run:
+        g = nl.cells[i]
+        key.append((g.op, g.width, g.slice_lsb,
+                    tuple([nets[n].width for n in g.inputs]) if g.op == "CONCAT" else (),
+                    tuple([number(n, len(local)) for n in g.inputs]),
+                    number(g.out, len(local))))
+    return tuple(key), tuple(local)
+
+
+def _bound(template, name: str, nets: tuple[int, ...]):
+    """The kernel `template`, compiled with the string constant 'n<j>' in
+    place of its j-th net, with `nets` in their places: the function that
+    compiling it with those nets as constants gives, without a compile."""
+    code = template.__code__
+    consts = tuple(nets[int(c[1:])] if isinstance(c, str) else c for c in code.co_consts)
+    return FunctionType(code.replace(co_consts=consts, co_name=name),
+                        template.__globals__, name)
+
+
 def _compile_comb(nl: Netlist) -> CombGroups:
     activity = _activity(nl)
     members: dict[int, list[int]] = {}
@@ -371,23 +424,56 @@ def _compile_comb(nl: Netlist) -> CombGroups:
         members.setdefault(activity[nl.cells[i].out], []).append(i)
     order = sorted(members, key=lambda sig: (sig.bit_count(), sig))
 
-    def ref(net: int) -> str:
-        return f"v[{net}]"
-
-    # each group's gates in functions `comb<sig>_<k>(v)` of at most _CHUNK
-    # gates, one statement each, compiled one by one: one compile of every
-    # chunk is slower
-    chunks = {sig: [(f"comb{sig}_{k}", members[sig][k:k + _CHUNK])
-                    for k in range(0, len(members[sig]), _CHUNK)]
-              for sig in order}
-    ns = _compile([_define(name, "v", ["w = v"] + [
-        line for i in gates for line in _gate_code(nl, nl.cells[i], ref)])
-        for sig in order for name, gates in chunks[sig]], "comb")
+    # Each group's gates in runs (see `_runs`).  A shape met more than once
+    # (the same module's gates in another instance) is compiled once, into
+    # `shape<j>(v)` with placeholders for its nets, and each of its runs is
+    # a kernel of its own, bound to the run's nets by `_bound`.  A run of
+    # fewer than _SHARED gates is not worth a call of its own in every pass.
+    # Those runs and the runs of a shape met once are compiled with their
+    # nets as constants, consecutive ones together, in functions
+    # `comb<sig>_<k>(v)` of at most _CHUNK gates.  One statement per gate;
+    # the sources are compiled one by one, as one compile of them all is
+    # slower
+    runs = {sig: [(run, *_shape(nl, run)) if len(run) >= _SHARED else (run, None, ())
+                  for run in _runs(nl, members[sig])]
+            for sig in order}
+    first: dict[tuple, tuple[list[int], tuple[int, ...]]] = {}
+    shared: dict[tuple, str] = {}
+    for sig in order:
+        for run, key, nets in runs[sig]:
+            if key is not None and first.setdefault(key, (run, nets))[0] is not run:
+                shared.setdefault(key, f"shape{len(shared)}")
+    sources = []
+    for key, name in shared.items():
+        run, nets = first[key]
+        local = {net: f"'n{j}'" for j, net in enumerate(nets)}
+        sources.append(_define(name, "v", ["w = v"] + [
+            line for i in run
+            for line in _gate_code(nl, nl.cells[i], lambda net: f"v[{local[net]}]",
+                                   f"w[{local[nl.cells[i].out]}]")]))
+    # per group, its kernels as [name, shape or None, nets, gates]
+    parts: dict[int, list[list]] = {sig: [] for sig in order}
+    for sig in order:
+        kernels = parts[sig]
+        for run, key, nets in runs[sig]:
+            shape = shared.get(key)
+            if (shape is None and kernels and kernels[-1][1] is None
+                    and len(kernels[-1][3]) + len(run) <= _CHUNK):
+                kernels[-1][3] += run
+            else:
+                kernels.append([f"comb{sig}_{len(kernels)}", shape, nets, list(run)])
+        sources += [_define(name, "v", ["w = v"] + [
+            line for i in gates
+            for line in _gate_code(nl, nl.cells[i], lambda net: f"v[{net}]")])
+            for name, shape, _nets, gates in kernels if shape is None]
+    ns = _compile(sources, "comb")
     groups = tuple((sig, tuple(members[sig]),
-                    tuple(ns[name] for name, _gates in chunks[sig]))
+                    tuple(ns[name] if shape is None else _bound(ns[shape], name, nets)
+                          for name, shape, nets, _gates in parts[sig]),
+                    tuple(len(gates) for *_rest, gates in parts[sig]))
                    for sig in order)
     return CombGroups(activity, groups, _run_all(tuple(chain.from_iterable(
-        kernels for _sig, _gates, kernels in groups))))
+        kernels for _sig, _gates, kernels, _sizes in groups))))
 
 
 def _cone_sources(nl: Netlist, name: str, targets: tuple[int, ...],

@@ -40,15 +40,22 @@ _STMT_TOO_DEEP = f"statement nested deeper than {MAX_STMT_DEPTH} levels"
 
 # --- expression AST ----------------------------------------------------------
 
+# Ident, Literal, Concat and Slice hold the offset of their first token in
+# the module's text, where a width error inside them is reported; -1 where
+# the elaborator makes one.  It is not compared, so equal expressions stay
+# equal wherever they are written.
+
 @dataclass(frozen=True)
 class Ident:
     name: str
+    offset: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
 class Literal:
     value: int
     width: int | None  # None for unsized literals; width comes from context
+    offset: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,7 @@ class Ternary:
 @dataclass(frozen=True)
 class Concat:
     parts: tuple["Expr", ...]
+    offset: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,7 @@ class Slice:
     name: str
     msb: int
     lsb: int
+    offset: int = field(default=-1, compare=False)
 
 
 Expr = Ident | Literal | Unary | Binary | Ternary | Concat | Slice
@@ -153,6 +162,8 @@ class ParsedModule:
     line: int = field(default=0, compare=False)     # of the `module` token
     column: int = field(default=0, compare=False)
     origin: str = field(default="<input>", compare=False)
+    # `line_starts` of the module's text, to place an expression's offset
+    starts: tuple[int, ...] | list[int] = field(default=(), compare=False, repr=False)
 
     def declared_widths(self) -> dict[str, int]:
         widths = {p.name: p.width for p in self.ports}
@@ -387,7 +398,7 @@ class _Parser:
         self.expect("endmodule")
         return ParsedModule(name, tuple(ports), tuple(decls), tuple(assigns),
                             tuple(always_blocks), tuple(instances),
-                            *self.where(start), self.origin)
+                            *self.where(start), self.origin, self.starts)
 
     def check_names(self, declared: dict[str, int], regs: set[str]) -> None:
         """Reject the module's first name that is undeclared, or that is
@@ -678,13 +689,13 @@ class _Parser:
             while self.accept(","):
                 parts.append(self.parse_expr())
             self.expect("}")
-            return Concat(tuple(parts))
+            return Concat(tuple(parts), tok[2])
         if kind == "sized":
             self.pos += 1
             return self.sized_literal(tok)
         if kind == "number":
             self.pos += 1
-            return Literal(int(text.replace("_", "")), None)
+            return Literal(int(text.replace("_", "")), None, tok[2])
         if kind == "id":
             self.pos += 1
             self.names.append(tok)
@@ -697,8 +708,8 @@ class _Parser:
                 if msb < lsb:
                     self.error("slice msb < lsb", tok)
                 self.slices.append((tok[2], text, msb, lsb))
-                return Slice(text, msb, lsb)
-            return Ident(text)
+                return Slice(text, msb, lsb, tok[2])
+            return Ident(text, tok[2])
         self.error(f"expected expression, found {text!r}", tok, expected="expression")
         raise AssertionError  # unreachable
 
@@ -715,7 +726,7 @@ class _Parser:
             self.error("literal width must be >= 1", tok)
         if value >= (1 << width):
             self.error(f"literal value does not fit in {width} bits", tok)
-        return Literal(value, width)
+        return Literal(value, width, tok[2])
 
 
 def parse_verilog(text: str, origin: str = "<input>") -> list[ParsedModule]:

@@ -47,6 +47,22 @@ def test_analyze_strict_flags_errors(corpus_root, tmp_path):
     assert main(["analyze", *files, "--out", str(tmp_path)]) == 0
 
 
+def test_end_of_options_before_the_command(corpus_root, tmp_path, capsys):
+    """A `--` before the command is dropped; one after it still ends the
+    command's options."""
+    files, _ = _case_args(corpus_root, "missing_sync")
+    assert main(["analyze", *files, "--out", str(tmp_path / "plain")]) == 0
+    plain = capsys.readouterr()
+    assert main(["--", "analyze", *files, "--out", str(tmp_path / "dashed")]) == 0
+    assert capsys.readouterr() == plain
+    for name in ("pairs.json", "findings.json", "syncs.json"):
+        assert ((tmp_path / "dashed" / name).read_text()
+                == (tmp_path / "plain" / name).read_text())
+    # after the command, `--` makes a file of `-missing.v`
+    assert main(["--", "analyze", *files[1:], "--", "-missing.v"]) == 1
+    assert capsys.readouterr().err.startswith("error: -missing.v: ")
+
+
 def test_analyze_bad_syntax_exits_one(tmp_path):
     bad = tmp_path / "bad.v"
     bad.write_text("module m(input a)\nendmodule\n")

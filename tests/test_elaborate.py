@@ -1,12 +1,18 @@
+import importlib.util
+from pathlib import Path
+from unittest import mock
+
+import hypothesis
 import pytest
 
-from cdckit.elaborate import elaborate
+from cdckit.elaborate import _Elaborator, elaborate
 from cdckit.errors import (ElabError, MultipleDrivers, PortWidthMismatch,
                            RecursiveInstantiation, UnresolvedModule)
 from cdckit.netlist import BlackBox, Dff, Gate
 from cdckit.pipeline import (analyze_sources, findings_report, pairs_report,
                              syncs_report)
 from cdckit.verilog import parse_verilog
+from conftest import corpus_designs, generated_designs, hier_sources, load_gen
 from oracles import count_dffs_recursive
 
 SYNC2 = """
@@ -196,3 +202,158 @@ def test_one_operand_concat_keeps_width_rules():
         mods = parse_verilog(f"module top(input [1:0] a, output y);\n  {body}\nendmodule\n")
         with pytest.raises(error):
             elaborate(mods, "top")
+
+
+# -- stamped module bodies ------------------------------------------------------
+
+_spec = importlib.util.spec_from_file_location(
+    "output_digests", Path(__file__).resolve().parent.parent / "scripts" / "output_digests.py")
+_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_digests)
+HIER_TIES = _digests.HIER_TIES
+
+
+def _outcome(mods, top: str):
+    """The elaborated netlist as JSON, or the type and message of the
+    error that rejects it."""
+    try:
+        return elaborate(mods, top).to_json_dict()
+    except ElabError as e:
+        return type(e).__name__, str(e)
+
+
+def _unstamped(mods, top: str):
+    """`_outcome` with every module counted as expanded once, so no body is
+    recorded and every instance is lowered from its module's text."""
+    with mock.patch.object(_Elaborator, "expansions",
+                           lambda self, order: dict.fromkeys(order, 1)):
+        return _outcome(mods, top)
+
+
+def _top(mods) -> str:
+    instantiated = {i.module for m in mods for i in m.instances}
+    [top] = [m.name for m in mods if m.name not in instantiated]
+    return top
+
+
+def _stamp_designs():
+    """(name, rtl.v text) of the corpus, generated hier and flat designs,
+    the benchmark's simulation and exploration designs, and `hier-ties`."""
+    for name, rtl, _cons in corpus_designs():
+        yield name, rtl
+    for name, rtl, _cons in generated_designs(blocks=(1, 2, 3, 5, 8, 24)):
+        yield name, rtl
+    gen = load_gen()
+    for seed in (1, 2, 3):
+        yield f"sim-s{seed}", gen.build("sim", seed, 8, block=gen.SIM_BLOCK, purpose="sim",
+                                        run_edges=30).files["rtl.v"]
+        yield f"explore-s{seed}", gen.build("explore", seed, 8, purpose="explore",
+                                            run_edges=4, gray_sources=2).files["rtl.v"]
+    yield "hier-ties", HIER_TIES
+
+
+def test_stamped_bodies_elaborate_as_every_instance_lowered_again():
+    stamped = 0
+    for name, rtl in _stamp_designs():
+        mods = parse_verilog(rtl, "rtl.v")
+        top = _top(mods)
+        got = _outcome(mods, top)
+        assert isinstance(got, dict), (name, got)
+        assert got == _unstamped(mods, top), name
+        stamped += name.startswith(("hier", "sim", "explore"))
+    assert stamped == 13
+
+
+@hypothesis.given(hier_sources())
+@hypothesis.settings(max_examples=150, deadline=None)
+def test_stamped_bodies_elaborate_as_drawn_hierarchies_lowered_again(rtl):
+    mods = parse_verilog(rtl, "rtl.v")
+    assert _outcome(mods, "top") == _unstamped(mods, "top")
+
+
+def _recorded(rtl: str) -> set[str]:
+    mods = parse_verilog(rtl)
+    elab = _Elaborator(mods, _top(mods))
+    elab.expand_all()
+    return set(elab.bodies)
+
+
+def test_only_modules_expanded_more_than_once_are_recorded():
+    gen = load_gen()
+    assert _recorded(gen.build("flat6", 1, 6, shape="flat").files["rtl.v"]) == set()
+    hier = gen.build("hier6", 1, 6, shape="hier").files["rtl.v"]
+    mods = parse_verilog(hier)
+    uses: dict[str, int] = {}
+    for m in mods:
+        for inst in m.instances:
+            uses[inst.module] = uses.get(inst.module, 0) + 1
+    assert _recorded(hier) == {name for name, n in uses.items() if n > 1} != set()
+    assert _recorded(HIER_TIES) == {"cell", "pair"}
+    assert _recorded(_digests._chain(30)) == set()
+
+
+def test_expansion_counts_multiply_down_the_hierarchy_and_stop_at_two():
+    mods = parse_verilog("""
+module leaf(input a, output y);
+  assign y = a;
+endmodule
+module once(input a, output y);
+  leaf l(.a(a), .y(y));
+endmodule
+module twice(input a, output y);
+  once o(.a(a), .y(y));
+endmodule
+module top(input a, output y, output z, output w);
+  twice t0(.a(a), .y(y));
+  twice t1(.a(a), .y(z));
+  once o(.a(a), .y(w));
+endmodule
+""")
+    elab = _Elaborator(mods, "top")
+    assert elab.expansions(elab.check_acyclic()) == {
+        "top": 1, "twice": 2, "once": 2, "leaf": 2}
+
+
+@pytest.mark.parametrize("levels", [600, 3000])
+def test_deep_chains_elaborate_without_recursion(levels):
+    analysis = analyze_sources([("rtl.v", _digests._chain(levels))],
+                               "clock clk -period 10 -domain A\n"
+                               "clock clk_b -period 7 -domain B\n")
+    assert len(analysis.netlist.instances) == levels - 1
+    assert len(analysis.pairs) == 1
+
+
+# -- width errors carry the position of their expression -------------------------
+
+SUB = "module sub(input a, output y);\n  assign y = a;\nendmodule\n"
+
+
+@pytest.mark.parametrize("body, error, message", [
+    ("assign w = a;", PortWidthMismatch, "rtl.v:2:14: a is 2 bits, expected 1"),
+    ("assign w = 2'd1;", PortWidthMismatch, "rtl.v:2:14: literal is 2 bits, expected 1"),
+    ("assign w = {a[0], a[1]};", PortWidthMismatch,
+     "rtl.v:2:14: concat is 2 bits, expected 1"),
+    ("assign w = a[1:0];", PortWidthMismatch, "rtl.v:2:14: slice is 2 bits, expected 1"),
+    ("sub u(.a(1), .y(w));", ElabError,
+     "rtl.v:2:12: unsized literal 1 needs a width context in top"),
+    ("sub u(.a(~1), .y(w));", ElabError, "rtl.v:2:13: cannot infer width of '~' operand"),
+    ("sub u(.a(1 & 1), .y(w));", ElabError,
+     "rtl.v:2:12: cannot infer width of '&' expression"),
+    ("sub u(.a(a[0] ? 1 : 0), .y(w));", ElabError,
+     "rtl.v:2:12: cannot infer width of conditional expression"),
+])
+def test_width_errors_name_their_position(body, error, message):
+    rtl = f"module m(input clk, input [1:0] a, output w);\n  {body}\nendmodule\n"
+    with pytest.raises(error) as e:
+        analyze_sources([("rtl.v", rtl), ("sub.v", SUB)], "clock clk -period 10 -domain A\n",
+                        top="m")
+    assert str(e.value) == message
+
+
+def test_a_width_error_in_a_repeated_module_names_its_first_instance():
+    sub = "module sub(input [1:0] a, output y);\n  assign y = a;\nendmodule\n"
+    top = ("module top(input clk, input [1:0] a, output p, output q);\n"
+           "  sub u0(.a(a), .y(p));\n  sub u1(.a(a), .y(q));\nendmodule\n")
+    with pytest.raises(PortWidthMismatch) as e:
+        analyze_sources([("top.v", top), ("sub.v", sub)], "clock clk -period 10 -domain A\n")
+    assert str(e.value) == "sub.v:2:14: u0.a is 2 bits, expected 1"

@@ -4,18 +4,47 @@ its gate groups on values where only some clocks' flops or the input ports
 changed, cone kernels on the enable and data of flops and on gated clocks
 with nets substituted."""
 
+import functools
 import random
 
 import hypothesis
 from hypothesis import strategies as st
 
+import cdckit.sim as sim
+from cdckit.elaborate import elaborate
+from cdckit.errors import ElabError
 from cdckit.netlist import Dff, Gate, NetlistBuilder
+from cdckit.pipeline import analyze_sources
 from cdckit.sim import (_CHUNK, _TERMS, PORT_BIT, _gate_code, comb_groups,
                        cone_kernel)
+from cdckit.verilog import parse_verilog
+from conftest import corpus_designs, generated_designs, hier_sources, load_gen
 from oracles import eval_comb, eval_with_subs, random_netlist
 
+# corpus cases, and generated designs whose modules repeat (gen-*)
 CASES = ("async_fifo", "binary_cross", "codegen_full", "cov_toggle",
-         "gray_cross", "mux_sync", "divergence")
+         "gray_cross", "mux_sync", "divergence", "gen-hier", "gen-sim", "gen-explore")
+
+
+@functools.cache
+def _generated(kind: str, blocks: int, seed: int = 1):
+    """The netlist of a design from perfbench/gen.py: `hier`, or the
+    benchmark's `sim` or `explore` design, of `blocks` blocks."""
+    gen = load_gen()
+    if kind == "hier":
+        d = gen.build(f"hier{blocks}", seed, blocks, shape="hier")
+    elif kind == "sim":
+        d = gen.build("sim", seed, blocks, block=gen.SIM_BLOCK, purpose="sim", run_edges=30)
+    else:
+        d = gen.build("explore", seed, blocks, purpose="explore", run_edges=4,
+                      gray_sources=2)
+    return analyze_sources([("rtl.v", d.files["rtl.v"])], d.files["constraints.cdc"]).netlist
+
+
+def _netlist(case_loader, case: str):
+    if case.startswith("gen-"):
+        return _generated(case[4:], 2)
+    return case_loader(case)[0].netlist
 
 
 def _values(rng: random.Random, nl) -> list[int]:
@@ -34,16 +63,29 @@ def _check_comb(nl, values: list[int]):
 def _check_groups(nl):
     """The groups partition the gates, in (popcount, signature) order, and
     each gate's inputs come from its own group, earlier in it, or from an
-    earlier group, with signatures within its own."""
+    earlier group, with signatures within its own.  A group's kernels cover
+    its gates exactly once, in order, at most _CHUNK gates each."""
     comb = comb_groups(nl)
-    order = [i for _sig, gates, _kernels in comb.groups for i in gates]
+    order = [i for _sig, gates, _kernels, _sizes in comb.groups for i in gates]
     assert sorted(order) == sorted(c.index for c in nl.cells if isinstance(c, Gate))
-    sigs = [sig for sig, _gates, _kernels in comb.groups]
+    sigs = [sig for sig, _gates, _kernels, _sizes in comb.groups]
     assert sigs == sorted(set(sigs), key=lambda sig: (sig.bit_count(), sig))
-    place = {nl.cells[i].out: (k, j) for k, (_sig, gates, _kernels)
+    place = {nl.cells[i].out: (k, j) for k, (_sig, gates, _kernels, _sizes)
              in enumerate(comb.groups) for j, i in enumerate(gates)}
-    for k, (sig, gates, kernels) in enumerate(comb.groups):
-        assert len(kernels) == -(-len(gates) // _CHUNK)
+    # each net holds a power of two above its width and no other net's, so
+    # no gate computes the value its output holds: a kernel changes exactly
+    # the outputs of the gates it runs
+    marks = [1 << (n.width + n.index) for n in nl.nets]
+    for k, (sig, gates, kernels, sizes) in enumerate(comb.groups):
+        assert len(sizes) == len(kernels) and sum(sizes) == len(gates)
+        start = 0
+        for kernel, size in zip(kernels, sizes):
+            assert 0 < size <= _CHUNK
+            got = list(marks)
+            kernel(got)
+            assert ({net for net, (a, b) in enumerate(zip(got, marks)) if a != b}
+                    == {nl.cells[i].out for i in gates[start:start + size]})
+            start += size
         for j, i in enumerate(gates):
             g = nl.cells[i]
             assert comb.activity[g.out] == sig
@@ -104,7 +146,7 @@ def _check_cones(nl, rng: random.Random, values: list[int]):
 def test_kernels_equal_interpreter_on_corpus(case_loader, seed):
     rng = random.Random(seed)       # draws the value vectors and substitutions
     for case in CASES:
-        nl = case_loader(case)[0].netlist
+        nl = _netlist(case_loader, case)
         values = _values(rng, nl)
         _check_comb(nl, values)
         _check_passes(nl, rng, values)
@@ -239,3 +281,78 @@ def test_random_concatenation_runs_equal_interpreter(seed):
         total = sum(widths[i] for i in layout)
         layouts.append((layout, rng.randint(1, total)))
     _check_concats(_concat_netlist(widths, layouts), rng, 3)
+
+
+def _check_kernels(nl, rng: random.Random):
+    _check_groups(nl)
+    values = _values(rng, nl)
+    _check_comb(nl, values)
+    _check_passes(nl, rng, values)
+
+
+def test_kernels_equal_interpreter_on_stamped_designs():
+    """The designs whose elaboration stamps module bodies: every corpus
+    case, generated hier and flat designs, and the benchmark's simulation
+    and exploration designs of seeds 1 to 3."""
+    rng = random.Random(3)
+    for name, rtl, cons in [*corpus_designs(), *generated_designs(blocks=(1, 2, 3, 5, 8, 24))]:
+        _check_kernels(analyze_sources([("rtl.v", rtl)], cons).netlist, rng)
+    for seed in (1, 2, 3):
+        _check_kernels(_generated("sim", 8, seed), rng)
+        _check_kernels(_generated("explore", 8, seed), rng)
+
+
+@hypothesis.given(hier_sources(), st.integers(0, 2 ** 32 - 1))
+@hypothesis.settings(max_examples=60, deadline=None)
+def test_kernels_equal_interpreter_on_drawn_hierarchies(rtl, seed):
+    try:
+        nl = elaborate(parse_verilog(rtl), "top")
+    except ElabError:
+        return
+    _check_kernels(nl, random.Random(seed))
+
+
+def _compiled(monkeypatch, nl) -> tuple[int, int]:
+    """How many functions compiling the comb kernels of `nl` compiles, and
+    how many kernels it gives."""
+    sources = []
+    real = sim._compile
+    monkeypatch.setattr(sim, "_compile",
+                        lambda batch, label: sources.extend(batch) or real(batch, label))
+    groups = sim._compile_comb(nl).groups
+    return len(sources), sum(len(kernels) for _sig, _gates, kernels, _sizes in groups)
+
+
+def test_runs_of_a_repeated_shape_compile_once(monkeypatch):
+    """On the 1k-net exploration design the instances of a module share one
+    compiled function per shape; gates outside any instance compile on
+    their own."""
+    compiled, kernels = _compiled(monkeypatch, _generated("explore", 8))
+    assert compiled * 4 < kernels
+    for seed in range(5):
+        nl, _doms = random_netlist(random.Random(seed), n_gates=600)
+        compiled, kernels = _compiled(monkeypatch, nl)
+        assert compiled == kernels
+
+
+def test_tied_operands_make_another_shape():
+    """Runs of one module's gates share a shape unless the instance ties
+    two of its operands to one net; either way they compute what the
+    interpreter does."""
+    rtl = """
+module g(input a, input b, input c, output y);
+  assign y = ((a & b) ^ (b | c)) & ~(a ^ c);
+endmodule
+module top(input p, input q, input r, output y0, output y1, output y2);
+  g u0(.a(p), .b(q), .c(r), .y(y0));
+  g u1(.a(q), .b(r), .c(p), .y(y1));
+  g u2(.a(p), .b(p), .c(r), .y(y2));
+endmodule
+"""
+    nl = elaborate(parse_verilog(rtl), "top")
+    [(_sig, gates, kernels, sizes)] = comb_groups(nl).groups
+    runs = sim._runs(nl, list(gates))
+    assert [len(run) for run in runs] == list(sizes) == [6, 6, 6]
+    shapes = [sim._shape(nl, run)[0] for run in runs]
+    assert shapes[0] == shapes[1] != shapes[2]
+    _check_kernels(nl, random.Random(2))

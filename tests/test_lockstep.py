@@ -13,7 +13,7 @@ import pytest
 
 from cdckit.checkers import build_checkers
 from cdckit.pipeline import analyze_sources
-from cdckit.sim import _CHUNK, Engine, MsiConfig, comb_groups
+from cdckit.sim import Engine, MsiConfig, comb_groups
 from cdckit.stimulus import parse_stimulus
 from conftest import load_gen
 from oracles import ReferenceEngine, reference_simulate
@@ -128,9 +128,8 @@ def test_corpus_lockstep_covers_a_gated_flop_whose_clock_does_not_rise(case_load
 
 
 def _gates_run(analysis, kernels) -> int:
-    size = {kernel: len(gates[k * _CHUNK:(k + 1) * _CHUNK])
-            for _sig, gates, chunk in comb_groups(analysis.netlist).groups
-            for k, kernel in enumerate(chunk)}
+    size = {kernel: n for _sig, _gates, kernels, sizes in comb_groups(analysis.netlist).groups
+            for kernel, n in zip(kernels, sizes)}
     return sum(map(size.__getitem__, kernels))
 
 
@@ -513,3 +512,16 @@ def test_lockstep_on_source_clocks_at_the_edge_of_the_hold_window(hold):
         seen = lockstep(analysis, stim, seed)
         assert seen["skipped"] and seen["events"], seen
     lockstep(analysis, stim, 1, all_taken=True)
+
+
+def test_lockstep_on_a_stamped_hierarchy():
+    """The `hier-ties` design of scripts/output_digests.py, whose repeated
+    modules the elaborator stamps, with its inputs toggling at random."""
+    from test_elaborate import HIER_TIES
+    analysis = analyze_sources([("rtl.v", HIER_TIES)],
+                               "clock clk -period 10 -domain A\n"
+                               "clock clk_b -period 7 -domain B\n")
+    stim = parse_stimulus("random -ports d,e -p 0.4 -seed 1\nrun 60 of clk\n")
+    for seed in (1, 2):
+        assert lockstep(analysis, stim, seed)["events"]
+    lockstep(analysis, stim, 3, all_taken=True)

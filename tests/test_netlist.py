@@ -114,7 +114,6 @@ def _elaborated_builder(rtl: str) -> NetlistBuilder:
     instantiated = {i.module for m in mods for i in m.instances}
     [top] = [m.name for m in mods if m.name not in instantiated]
     elab = _Elaborator(mods, top)
-    elab.check_acyclic()
     elab.expand_all()
     return elab.builder
 
