@@ -31,7 +31,8 @@ undeclared names (`undeclared-order`: three in one expression, of which
 the first must be named; `undeclared-conn`: one in an instance
 connection), on width errors that only the elaborator sees (`width`: an
 assign of two bits to one; `unsized`: an unsized literal as a port
-connection), and on one error of each kind of module shape (a reset arm
+connection; `concat-width`: an unsized literal as a concatenation
+operand; `literal-fits`: a literal wider than the net it drives), and on one error of each kind of module shape (a reset arm
 that is not an `if ... else`, of the wrong polarity, with a value that is
 not a literal or does not fit, a reset wider than one bit, a slice past
 the width, a port connected twice or missing, a port declared twice in
@@ -190,6 +191,10 @@ REJECTED = (
               "  assign w = a;\nendmodule\n"),
     ("unsized", "module sub(input a, output y);\n  assign y = a;\nendmodule\n"
                 "module m(input clk, output w);\n  sub u(.a(1), .y(w));\nendmodule\n"),
+    ("concat-width", "module m(input clk, input a, output w);\n"
+                     "  assign w = {1};\nendmodule\n"),
+    ("literal-fits", "module m(input clk, output [1:0] x);\n"
+                     "  assign x = 5;\nendmodule\n"),
 )
 REJECTED_CONSTRAINTS = "clock clk -period 10 -domain A\n"
 # Latency specs that no checker can be built from, on `msi_latency`.

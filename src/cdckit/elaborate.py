@@ -176,12 +176,13 @@ class _Elaborator:
                 if w is None:
                     raise ElabError(
                         f"{scope.at(expr)}unsized literal {value} needs a width "
-                        f"context in {scope.prefix or 'top'}")
+                        f"context in {scope.prefix or scope.mod.name}")
                 if ctx_width is not None and w != ctx_width:
                     raise PortWidthMismatch(
                         f"{scope.at(expr)}literal is {w} bits, expected {ctx_width}")
                 if value >= (1 << w):
-                    raise ElabError(f"literal {value} does not fit in {w} bits")
+                    raise ElabError(
+                        f"{scope.at(expr)}literal {value} does not fit in {w} bits")
                 out = out_handle if out_handle is not None else fresh(w)
                 n = scope.temp()
                 b.add_const(f"{scope.prefix}__c{n}", value, w, out)
@@ -224,7 +225,8 @@ class _Elaborator:
                 # {x} is x itself, but x still needs an explicit width
                 w = _infer_width(scope, part)
                 if w is None:
-                    raise ElabError("concat operand needs an explicit width")
+                    raise ElabError(
+                        f"{scope.at(part)}concat operand needs an explicit width")
                 return self.synth(scope, part, ctx_width or w, out_handle)
             case Concat(parts):
                 handles = []
@@ -232,7 +234,8 @@ class _Elaborator:
                 for p in parts:
                     w = _infer_width(scope, p)
                     if w is None:
-                        raise ElabError("concat operand needs an explicit width")
+                        raise ElabError(
+                            f"{scope.at(p)}concat operand needs an explicit width")
                     handles.append(self.synth(scope, p, w))
                     widths.append(w)
                 total = sum(widths)

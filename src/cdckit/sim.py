@@ -28,10 +28,22 @@ in place (`commit_tick` writes the tick into the state it is given), and
 explore.py copies the states it keeps.  Given the state its tick commits
 with no injection, the reference, `commit_tick` derives a sibling from
 it: the reference's values with the injected destinations' captures
-redone, through the one capture loop every commit runs.  Only
-`Engine.run` records a run (injection log, coverage, and waves when they
-are to be written); a counterexample is the replay of its branch's
-decision path, exact as exhaustive runs are not random.
+redone, through the one capture loop every commit runs.
+
+`plan_tick` and `commit_tick` are explore's branching steps.  A recorded
+run (`Engine.run`: injection log, coverage, and waves when they are to be
+written) does the same work in one fused loop body per tick, with the
+engine's constants in locals: it builds no plan, draws or reads each
+decision as its opportunity is found, and calls the helpers that do the
+work of some ticks only (`_drive`, `_settle_resets`, `_rises`,
+`_hold_toggles`, `_capture`), which both paths share.  Where the engine's
+class replaces `plan_tick` or `commit_tick` (a subclass, such as
+`ReferenceEngine` in tests/oracles.py, or a wrapper installed on the
+class, as test probes and perfbench/spans.py install), a run steps
+through them instead, so what replaced them sees every tick.
+tests/test_run_loop.py holds the two paths to one result.  A
+counterexample is the replay of its branch's decision path, exact as
+exhaustive runs are not random.
 
 Evaluation is compiled, not interpreted (levelized compiled-code
 simulation).  Each netlist is compiled once into straight-line Python with
@@ -532,10 +544,11 @@ def cone_kernel(nl: Netlist, targets: tuple[int, ...], subs: tuple[int, ...]):
 
 
 def _capture(vals0: list[int], post: list[int], final: list[int],
-             flips: dict[tuple[int, int], int], dsts: Sequence[_Dst]):
+             flips: dict[tuple[int, int], int] | None, dsts: Sequence[_Dst]):
     """Write into `final` what each destination of `dsts` captures from the
     tick's pre-edge values `vals0` and its sources' values in `post`, with
-    the bits of `flips`, per (dst, source net), inverted."""
+    the bits of `flips`, per (dst, source net), inverted; None inverts
+    none."""
     for index, out, enable, srcs, kernel, _pairs in dsts:
         if kernel is None:      # captures its one source as it is
             value = post[srcs[0]]
@@ -750,6 +763,30 @@ class Engine:
 
     # -- tick planning / committing --
 
+    def _drive(self, values: list[int], tick: int,
+               rng: random.Random | None) -> list[int]:
+        """`values` with the ports the tick moves moved: its scheduled sets
+        and, with `rng`, the random port toggles.  When some port moves this
+        is a copy with the gates the input ports reach re-evaluated, else
+        `values` itself."""
+        vals0 = values
+        for net, value in self.sets_at.get(tick, ()):
+            if vals0[net] != value:
+                if vals0 is values:
+                    vals0 = values[:]
+                vals0[net] = value
+        if self.random_nets and rng is not None:
+            probability = self.random_driver.probability
+            for net in self.random_nets:
+                if rng.random() < probability:
+                    if vals0 is values:
+                        vals0 = values[:]
+                    vals0[net] ^= 1
+        if vals0 is not values:
+            for kernel in self.port_comb:
+                kernel(vals0)
+        return vals0
+
     def plan_tick(self, state: _State, tick: int,
                   rng: random.Random | None = None) -> _TickPlan:
         """The tick's pre-edge values, captures and opportunities; `rng`
@@ -757,22 +794,9 @@ class Engine:
         pre-edge values are the state's own list unless the tick writes them
         (a port moves, or a reset is active): then they are a copy."""
         vals0 = state.values
-        driven = False
-        for net, value in self.sets_at.get(tick, ()):
-            if vals0[net] != value:
-                if not driven:
-                    vals0, driven = vals0[:], True
-                vals0[net] = value
-        if self.random_nets and rng is not None:
-            probability = self.random_driver.probability
-            for net in self.random_nets:
-                if rng.random() < probability:
-                    if not driven:
-                        vals0, driven = vals0[:], True
-                    vals0[net] ^= 1
-        if driven:
-            for kernel in self.port_comb:
-                kernel(vals0)
+        if tick in self.sets_at or self.random_nets and rng is not None:
+            vals0 = self._drive(vals0, tick, rng)
+        driven = vals0 is not state.values
 
         edges = self.edge_set[tick]
         # flops held in reset, and gated flops whose clock does not rise,
@@ -955,13 +979,32 @@ class Engine:
         takes `path[i]`, those past the end of `path` keep the reference
         value, and the random ports stay still.  Without `waves` the result
         holds no waves (`None`); its events, verdicts and coverage are the
-        same."""
+        same.
+
+        The ticks run in one fused loop body (`_fused`), unless the class of
+        the engine has a `plan_tick` or `commit_tick` other than `Engine`'s
+        own, a subclass's or a wrapper installed on the class: then each
+        tick steps through them (`_stepped`), so what replaced them sees
+        every tick of the run.  Both give the same result."""
         if seed is None:
             seed = self.msi.seed
         rng = random.Random(seed) if path is None else None
         state = self.initial_state()
-        events: list[MsiEvent] = []
         trace = {n: [(_NEG, v)] for n, v in enumerate(state.values)} if waves else None
+        cls = type(self)
+        ticks = self._fused if (cls.plan_tick is _PLAN_TICK
+                                and cls.commit_tick is _COMMIT_TICK) else self._stepped
+        state, events = ticks(state, rng, path, trace)
+        return self._finish(state, events, trace, seed if rng is not None else None)
+
+    def _stepped(self, state: _State, rng: random.Random | None,
+                 path: Sequence[bool] | None,
+                 trace: dict[int, list[tuple[int, int]]] | None,
+                 ) -> tuple[_State, list[MsiEvent]]:
+        """The run's ticks from `state`, each a `plan_tick` and a
+        `commit_tick` of the decisions drawn from `rng` or read from `path`;
+        returns the state the last commit returned, and the events."""
+        events: list[MsiEvent] = []
         for tick in self.agenda:
             plan = self.plan_tick(state, tick, rng)
             k = len(plan.opps)
@@ -973,12 +1016,142 @@ class Engine:
                 taken = path[state.decisions:state.decisions + k]
                 decisions = [*taken] + [False] * (k - len(taken))
             old = state.values
-            events += self.commit_tick(state, plan, decisions)[1]
+            state, taken = self.commit_tick(state, plan, decisions)
+            events += taken
             if trace is not None:
                 new = state.values
                 for n in compress(range(len(new)), map(ne, new, old)):
                     trace[n].append((tick, new[n]))
-        return self._finish(state, events, trace, seed if rng is not None else None)
+        return state, events
+
+    def _fused(self, state: _State, rng: random.Random | None,
+               path: Sequence[bool] | None,
+               trace: dict[int, list[tuple[int, int]]] | None,
+               ) -> tuple[_State, list[MsiEvent]]:
+        """The run's ticks as `_stepped` runs them, with each tick's
+        `plan_tick` and `commit_tick` in one loop body: each decision is
+        drawn from `rng`, or read from `path`, as its opportunity is found,
+        which is the order `_stepped` draws them in, after the random port
+        toggles.  It builds no plan, decision list or per-tick injection
+        record; a tick with no crossing destination capturing commits into
+        its `post` list, which no other commit shares.  What only some
+        ticks do is left to the helpers that the steps call too."""
+        values, hist = state.values, state.hist
+        checkers, failures = state.checkers, state.failures
+        agenda, edge_set, sets_at = self.agenda, self.edge_set, self.sets_at
+        drive, settle_resets = self._drive, self._settle_resets
+        rises, hold_toggles = self._rises, self._hold_toggles
+        reset_nets, monitored = self.reset_nets, self.monitored
+        setup_window, hold_window = self.setup_window, self.hold_window
+        inject, probability = self.msi.enabled, self.msi.probability
+        moving = bool(self.random_nets) and rng is not None    # ports may move every tick
+        draw = rng.random if rng is not None else None
+        given = len(path) if path is not None else 0
+        decided = state.decisions
+        events: list[MsiEvent] = []
+        new = tuple.__new__
+        for tick in agenda:
+            # the plan: drive the ports, settle an active reset, edge the flops
+            vals0 = drive(values, tick, rng) if moving or tick in sets_at else values
+            driven = vals0 is not values
+            edges = edge_set[tick]
+            flops, dsts, gated, comb, scan, scan_driven, settle, checks = edges
+            skip = ()
+            for net, active in reset_nets:
+                if vals0[net] & 1 == active:
+                    if not driven:
+                        vals0 = vals0[:]
+                    skip = settle_resets(vals0)
+                    break
+            if skip:
+                scan = monitored
+            elif driven:
+                scan = scan_driven
+            for i in gated:
+                if i not in skip and not rises(i, vals0):
+                    skip = {i, *skip}
+            if skip:
+                flops = [f for f in flops if f[0] not in skip]
+                dsts = [d for d in dsts if d.index not in skip]
+            post = vals0[:]
+            for _i, out, data, enable in flops:
+                if enable is None or vals0[enable] & 1:
+                    post[out] = vals0[data]
+
+            # the opportunity search, each decision taken as it is found
+            flips = None
+            recent = tick - setup_window
+            if inject and dsts:
+                lookahead: list[list[int]] = []
+                for dst in dsts:
+                    index = dst.index
+                    for pid, src, full, phase, period in dst.pairs:
+                        setup = post[src] ^ values[src]
+                        for t, flipped in hist[src]:
+                            if t < recent:
+                                break
+                            setup |= flipped
+                        bits = setup & full
+                        if bits != full and \
+                                ((phase - tick) % period or period) <= hold_window:
+                            bits |= hold_toggles(src, tick, post, edges, lookahead) & full
+                        while bits:
+                            low = bits & -bits
+                            bits ^= low
+                            take = draw() < probability if draw is not None \
+                                else decided < given and path[decided]
+                            decided += 1
+                            if take:
+                                if flips is None:
+                                    flips = {}
+                                key = (index, src)
+                                flips[key] = flipped = flips.get(key, 0) | low
+                                bit = low.bit_length() - 1
+                                events.append(new(MsiEvent, (
+                                    tick, pid, bit, "setup" if setup & low else "hold",
+                                    (post[src] ^ flipped) >> bit & 1)))
+
+            # the commit: capture, settle the gates and resets, record flips
+            if dsts:
+                final = post[:]
+                _capture(vals0, post, final, flips, dsts)
+            else:
+                final = post
+            if final != vals0:
+                for kernel in comb:
+                    kernel(final)
+            if settle:
+                for net, active in reset_nets:
+                    if final[net] & 1 == active:
+                        settle_resets(final)
+                        scan = monitored
+                        break
+            for n in scan:
+                if final[n] != values[n]:
+                    entries = hist[n]
+                    for k, (t, _flipped) in enumerate(entries):
+                        if t <= recent:
+                            entries = entries[:k]
+                            break
+                    hist[n] = ((tick, final[n] ^ values[n]),) + entries
+            if checks:
+                get = final.__getitem__
+                for clk, resets, sampling in checks:
+                    in_reset = False
+                    for n, active in resets:
+                        if final[n] & 1 == active:
+                            in_reset = True
+                            break
+                    for ci, sample in sampling:
+                        checkers[ci], message = sample(checkers[ci], clk, get, in_reset)
+                        if message is not None and failures[ci] is None:
+                            failures[ci] = (tick, message)
+            if trace is not None:
+                for n in compress(range(len(final)), map(ne, final, values)):
+                    trace[n].append((tick, final[n]))
+            values = final
+        state.values, state.decisions = values, decided
+        return state, events
 
     def _finish(self, state: _State, events: list[MsiEvent],
                 waves: dict[int, list[tuple[int, int]]] | None,
@@ -994,6 +1167,10 @@ class Engine:
                          [c.verdict(f) for c, f in
                           zip(self.checkers, state.failures)],
                          state.decisions)
+
+
+# `Engine`'s own steps: `Engine.run` fuses them unless they are replaced
+_PLAN_TICK, _COMMIT_TICK = Engine.plan_tick, Engine.commit_tick
 
 
 def simulate(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,

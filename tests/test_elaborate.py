@@ -335,7 +335,10 @@ SUB = "module sub(input a, output y);\n  assign y = a;\nendmodule\n"
      "rtl.v:2:14: concat is 2 bits, expected 1"),
     ("assign w = a[1:0];", PortWidthMismatch, "rtl.v:2:14: slice is 2 bits, expected 1"),
     ("sub u(.a(1), .y(w));", ElabError,
-     "rtl.v:2:12: unsized literal 1 needs a width context in top"),
+     "rtl.v:2:12: unsized literal 1 needs a width context in m"),
+    ("assign w = {1};", ElabError, "rtl.v:2:15: concat operand needs an explicit width"),
+    ("assign w = {a, 1};", ElabError, "rtl.v:2:18: concat operand needs an explicit width"),
+    ("wire [1:0] x; assign x = 5;", ElabError, "rtl.v:2:28: literal 5 does not fit in 2 bits"),
     ("sub u(.a(~1), .y(w));", ElabError, "rtl.v:2:13: cannot infer width of '~' operand"),
     ("sub u(.a(1 & 1), .y(w));", ElabError,
      "rtl.v:2:12: cannot infer width of '&' expression"),

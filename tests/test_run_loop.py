@@ -1,0 +1,252 @@
+"""`Engine.run` ticks in one fused loop body unless the engine's class
+replaces `plan_tick` or `commit_tick`: then each tick steps through them.
+The two paths give the same `SimResult` in full, for seeded runs and for
+replayed decision paths, with and without waves.  An identity wrapper of
+`Engine.plan_tick` on the class, the mechanism that selects the stepped
+path, forces it here."""
+
+import importlib.util
+import sys
+
+import pytest
+
+from cdckit.checkers import build_checkers
+from cdckit.cli import main
+from cdckit.errors import BranchCapExceeded, DecisionBudgetExceeded
+from cdckit.explore import explore_exhaustive
+from cdckit.pipeline import analyze_sources
+from cdckit.sim import Engine, MsiConfig
+from cdckit.stimulus import parse_stimulus
+from conftest import REPO, load_gen
+from oracles import ReferenceEngine
+from test_explore import _label_checkers
+from test_lockstep import (A_B7, PHASES, PHASES_CLOCKS, PHASES_STIMULUS, PORT_SOURCE,
+                           REQ_ACK, _corpus_with_stimulus)
+
+
+def stepped(eng, **kwargs):
+    """`eng.run(**kwargs)` with `Engine.plan_tick` wrapped on the class, so
+    that the run steps through `plan_tick` and `commit_tick`."""
+    plan = Engine.plan_tick
+
+    def identity(*args, **kw):
+        return plan(*args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "plan_tick", identity)
+        return eng.run(**kwargs)
+
+
+def assert_same_result(got, want, what):
+    assert got.events == want.events, what
+    assert got.waves == want.waves, what
+    assert got.verdicts == want.verdicts, what
+    assert got.coverage.to_json() == want.coverage.to_json(), what
+    assert got.decisions == want.decisions, what
+
+
+def counterexample_paths(analysis, stim, checkers) -> list[tuple[bool, ...]]:
+    """The decision path of each counterexample that `explore --budget 16`
+    replays on the design, none when the search passes its budget or cap."""
+    paths = []
+    run = Engine.run
+
+    def replay(eng, path=None, *args, **kwargs):
+        paths.append(tuple(path))
+        return run(eng, path, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "run", replay)
+        try:
+            explore_exhaustive(analysis, stim, checkers, budget=16)
+        except (DecisionBudgetExceeded, BranchCapExceeded):
+            pass
+    return paths
+
+
+def fused_equals_stepped(analysis, stim, checkers, seeds=(1, 2)) -> dict[str, int]:
+    """Compare the two paths on seeded runs and on replays of an empty path,
+    a path shorter than its run's opportunities, one that takes every
+    opportunity and each explore counterexample's path, each with waves
+    and without.  Returns counts of what the runs exercised."""
+    eng = Engine(analysis, stim, MsiConfig(), checkers)
+    every = (True,) * 64
+    while eng.run(path=every, waves=False).decisions > len(every):
+        every *= 4
+    half = (True, False) * (eng.run(path=every, waves=False).decisions // 4)
+    cex = counterexample_paths(analysis, stim, checkers)
+    seen = {"runs": 0, "decisions": 0, "events": 0, "counterexamples": len(cex)}
+    for kwargs in ([{"seed": s} for s in seeds] + [{"path": p} for p in ((), half, every)]
+                   + [{"path": p} for p in cex]):
+        for waves in (True, False):
+            got = eng.run(waves=waves, **kwargs)
+            assert_same_result(got, stepped(eng, waves=waves, **kwargs), (kwargs, waves))
+            seen["runs"] += 1
+            seen["decisions"] += got.decisions
+            seen["events"] += len(got.events)
+    return seen
+
+
+def test_fused_equals_stepped_on_every_corpus_case(corpus_root, case_loader):
+    total = {"runs": 0, "decisions": 0, "events": 0, "counterexamples": 0}
+    cases = _corpus_with_stimulus(corpus_root)
+    assert len(cases) > 20
+    for case in cases:
+        analysis, stim_text = case_loader(case)
+        stim = parse_stimulus(stim_text)
+        for checkers in (_label_checkers(analysis, corpus_root, case),
+                         build_checkers(analysis)):
+            for key, n in fused_equals_stepped(analysis, stim, checkers).items():
+                total[key] += n
+    assert all(total.values()), total
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("purpose", ["sim", "explore"])
+def test_fused_equals_stepped_on_generated_designs(purpose, seed):
+    """The `sim` designs drive random ports, which a seeded run toggles."""
+    gen = load_gen()
+    if purpose == "sim":
+        d = gen.build("sim", seed, 8, block=gen.SIM_BLOCK, purpose="sim", run_edges=30)
+        select = list(gen.SIM_CHECKERS)
+    else:
+        d = gen.build("explore", seed, 8, purpose="explore", run_edges=4, gray_sources=2)
+        select = list(gen.EXPLORE_CHECKERS)
+    analysis = analyze_sources([("rtl.v", d.files["rtl.v"])], d.files["constraints.cdc"])
+    stim = parse_stimulus(d.files["stimulus.stim"])
+    assert bool(stim.random) == (purpose == "sim")
+    seen = fused_equals_stepped(analysis, stim, build_checkers(analysis, select=select))
+    assert seen["events"], seen
+
+
+def test_fused_equals_stepped_on_a_stamped_hierarchy():
+    from test_elaborate import HIER_TIES
+    analysis = analyze_sources([("rtl.v", HIER_TIES)],
+                               "clock clk -period 10 -domain A\n"
+                               "clock clk_b -period 7 -domain B\n")
+    stim = parse_stimulus("random -ports d,e -p 0.4 -seed 1\nrun 60 of clk\n")
+    seen = fused_equals_stepped(analysis, stim, build_checkers(analysis))
+    assert seen["events"], seen
+
+
+# `kill`, decoded from a clk_a counter, resets the clk_b synchronizer: a
+# clk_a edge that asserts it makes the commit settle the resets.
+RESET_BY_FLOP = """
+module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, output q);
+  reg [1:0] cnt;
+  reg src, q1, q2;
+  wire kill;
+  assign kill = cnt[0] & cnt[1];
+  always @(posedge clk_a or negedge rst_a_n)
+    if (!rst_a_n) begin cnt <= 2'b00; src <= 1'b0; end
+    else begin cnt <= {cnt[0], ~cnt[1]}; src <= ~src; end
+  always @(posedge clk_b or posedge kill)
+    if (kill) begin q1 <= 1'b0; q2 <= 1'b0; end
+    else begin q1 <= src; q2 <= q1; end
+  assign q = q2;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("rtl, stimulus", [
+    # clk_a and clk_b edge together at every 70th tick, where `req`
+    # captures and is a crossing source too
+    (REQ_ACK, "at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\nrun 80 of clk_a\n"),
+    # the source port moves one tick before a clk_b edge (ticks 20, 90 and
+    # 160), which reads it from the flip history
+    (PORT_SOURCE, "at clk_a 0 set rst_b_n 1\nat clk_a 2 set rst_a_n 1\n"
+                  "at clk_a 9 set rst_a_n 0\nat clk_a 16 set rst_a_n 1\nrun 20 of clk_a\n"),
+    (RESET_BY_FLOP, "at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\nrun 40 of clk_a\n"),
+], ids=["coincident-captures", "port-source-history", "reset-by-flop"])
+def test_fused_equals_stepped_on_small_designs(rtl, stimulus):
+    analysis = analyze_sources([("t.v", rtl)], A_B7)
+    seen = fused_equals_stepped(analysis, parse_stimulus(stimulus),
+                                build_checkers(analysis, latency=[("*", 1, 3)]))
+    assert seen["events"], seen
+
+
+@pytest.mark.parametrize("hold", [0, 1, 3])
+def test_fused_equals_stepped_through_resets_gating_and_hold_windows(hold):
+    """The lockstep design whose resets assert mid-run, whose gated source
+    stops and whose sources edge at the edge of the hold window."""
+    analysis = analyze_sources([("t.v", PHASES)],
+                               PHASES_CLOCKS + f"option hold_window {hold}\n")
+    seen = fused_equals_stepped(analysis, parse_stimulus(PHASES_STIMULUS),
+                                build_checkers(analysis, latency=[("*", 1, 3)]))
+    assert seen["events"], seen
+
+
+# -- which path a run takes --------------------------------------------------
+
+
+def calls(codes, thunk) -> int:
+    """The calls of functions with the code objects `codes` while `thunk`
+    runs, seen by a profile hook, which replaces nothing."""
+    n = 0
+
+    def profile(frame, event, _arg):
+        nonlocal n
+        if event == "call" and frame.f_code in codes:
+            n += 1
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(before)
+    return n
+
+
+def _gray_cross(case_loader):
+    analysis, stim_text = case_loader("gray_cross")
+    return analysis, parse_stimulus(stim_text)
+
+
+def test_a_run_with_its_own_steps_makes_no_step_call(case_loader):
+    analysis, stim = _gray_cross(case_loader)
+    eng = Engine(analysis, stim, MsiConfig(), build_checkers(analysis))
+    steps = {Engine.plan_tick.__code__, Engine.commit_tick.__code__}
+    assert calls(steps, lambda: eng.run(seed=1)) == 0
+    assert calls(steps, lambda: stepped(eng, seed=1)) == 2 * len(eng.agenda)
+
+
+def test_the_reference_engine_runs_its_own_steps(case_loader):
+    """`ReferenceEngine` replaces both steps, so its run is made of them,
+    and it records the run the engine's fused loop records."""
+    analysis, stim = _gray_cross(case_loader)
+    ref = ReferenceEngine(analysis, stim, MsiConfig(), build_checkers(analysis))
+    own = {ReferenceEngine.plan_tick.__code__, ReferenceEngine.commit_tick.__code__}
+    got = []
+    assert calls(own, lambda: got.append(ref.run(seed=3))) == 2 * len(ref.agenda)
+    eng = Engine(analysis, stim, MsiConfig(), build_checkers(analysis))
+    assert_same_result(got[0], eng.run(seed=3), "reference")
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  REPO / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_the_benchmark_tracer_sees_every_tick_of_a_simulate(corpus_root, case_loader,
+                                                            tmp_path):
+    """With the steps wrapped on the class as perfbench/spans.py wraps them,
+    `simulate --seeds 1..2` plans each agenda tick once per seed, and its
+    plans' opportunities and its commits' injections are those of the
+    fused runs of the same seeds."""
+    spans = _spans()
+    d = corpus_root / "gray_cross"
+    with spans.instrument(spans.Tracer()) as tracer:
+        assert main(["simulate", str(d / "rtl.v"), "-c", str(d / "constraints.cdc"),
+                     "-s", str(d / "stimulus.stim"), "--seeds", "1..2",
+                     "--out", str(tmp_path)]) == 0
+    counts = tracer.counts()
+    analysis, stim = _gray_cross(case_loader)
+    eng = Engine(analysis, stim, MsiConfig(), build_checkers(analysis))
+    runs = [eng.run(seed=seed, waves=False) for seed in (1, 2)]
+    assert counts["sim.ticks"] == 2 * len(eng.agenda)
+    assert counts["sim.opportunities"] == sum(r.decisions for r in runs) > 0
+    assert counts["sim.injections"] == sum(len(r.events) for r in runs) > 0
