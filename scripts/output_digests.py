@@ -32,7 +32,11 @@ the first must be named; `undeclared-conn`: one in an instance
 connection), on width errors that only the elaborator sees (`width`: an
 assign of two bits to one; `unsized`: an unsized literal as a port
 connection; `concat-width`: an unsized literal as a concatenation
-operand; `literal-fits`: a literal wider than the net it drives), and on one error of each kind of module shape (a reset arm
+operand; `literal-fits`: a literal wider than the net it drives), on
+numbers past the widest net of 65536 bits (`literal-wide`,
+`literal-width-digits`, `unsized-digits`, `range-digits`, `slice-digits`,
+`range-wide`: widths, values and bounds of 20 to 5000 digits) and a digit
+outside a literal's base (`literal-digit`), and on one error of each kind of module shape (a reset arm
 that is not an `if ... else`, of the wrong polarity, with a value that is
 not a literal or does not fit, a reset wider than one bit, a slice past
 the width, a port connected twice or missing, a port declared twice in
@@ -195,6 +199,20 @@ REJECTED = (
                      "  assign w = {1};\nendmodule\n"),
     ("literal-fits", "module m(input clk, output [1:0] x);\n"
                      "  assign x = 5;\nendmodule\n"),
+    ("literal-wide", "module m(input clk, output y);\n"
+                     "  assign y = 99999999999999999999999'h1;\nendmodule\n"),
+    ("literal-width-digits", "module m(input clk, output y);\n"
+                             f"  assign y = {'9' * 5000}'h1;\nendmodule\n"),
+    ("unsized-digits", "module m(input clk, output y);\n"
+                       f"  assign y = {'9' * 5000};\nendmodule\n"),
+    ("range-digits", f"module m(input clk, input [{'9' * 5000}:0] a, output y);\n"
+                     "  assign y = a[0];\nendmodule\n"),
+    ("slice-digits", "module m(input clk, input [3:0] a, output y);\n"
+                     f"  assign y = a[{'9' * 5000}:0];\nendmodule\n"),
+    ("range-wide", "module m(input clk, input [99999999999999999999:0] a, output y);\n"
+                   "  assign y = a[0];\nendmodule\n"),
+    ("literal-digit", "module m(input clk, output [3:0] y);\n"
+                      "  assign y = 4'b1021;\nendmodule\n"),
 )
 REJECTED_CONSTRAINTS = "clock clk -period 10 -domain A\n"
 # Latency specs that no checker can be built from, on `msi_latency`.
@@ -222,6 +240,9 @@ CLI_ARGVS = (
     *([command, "--help"] for command in VALID_ARGS),
     *([command] for command in VALID_ARGS),
     *([command, *argv, "--bogus"] for command, argv in VALID_ARGS.items()),
+    ["explore", *VALID_ARGS["explore"], "-h"],
+    ["analyze", *VALID_ARGS["analyze"], "--ou", "o", "--bogus"],
+    ["simulate", *VALID_ARGS["simulate"], "--seed", "1.5"],
 )
 
 

@@ -348,10 +348,13 @@ _COMMANDS = {
 def make_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The parser of every command.  Given the command line `argv`, only
     the command that its first token not starting with '-' names gets its
-    arguments; the others are registered by name and help, which is all
-    that a command line naming that command reads of them, so its parse,
-    messages and help are the full parser's.  When that token names no
-    command, every command gets its arguments.
+    arguments.  When that token starts the line, the parser holds that
+    command alone, and parses the line as the full parser does up to an
+    error, whose usage would then name that command alone: `main` parses
+    again with the full parser.  When options come first, the other
+    commands are registered by name and help, which is all such a line
+    reads of them, so its parse, messages and help are the full parser's.
+    When no token names a command, every command gets its arguments.
 
     Every parser formats with the terminal width read once here: argparse
     makes a formatter for each argument added, and each would read it."""
@@ -362,7 +365,10 @@ def make_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"cdckit {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
     named = next((a for a in argv or () if not a.startswith("-")), None)
+    lean = bool(argv) and argv[0] in _COMMANDS
     for name, (text, fn, add_arguments) in _COMMANDS.items():
+        if lean and name != named:
+            continue
         p = sub.add_parser(name, help=text, formatter_class=formatter)
         if named not in _COMMANDS or name == named:
             add_arguments(p)
@@ -385,7 +391,10 @@ def main(argv: list[str] | None = None) -> int:
                     len(argv))
         if argv[head:head + 1] == ["--"]:
             argv = argv[:head] + argv[head + 1:]
-        args = make_parser(argv).parse_args(argv)
+        try:
+            args = make_parser(argv).parse_args(argv)
+        except ParseError:      # for the message of the full parser
+            args = make_parser().parse_args(argv)
         return args.fn(args)
     except FingerprintMismatch as e:
         print(f"error: {e}", file=sys.stderr)

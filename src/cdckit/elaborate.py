@@ -60,6 +60,15 @@ class _Scope:
         return f"{self.mod.origin}:{line}:{column}: "
 
 
+def _shown(value: int) -> str:
+    """A literal's value in a message: in decimal, or as its bit count where
+    it has more decimal digits than `str` writes."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"of {value.bit_length()} bits"
+
+
 def _infer_width(scope: _Scope, expr: Expr) -> int | None:
     match expr:
         case Ident(name):
@@ -175,14 +184,14 @@ class _Elaborator:
                 w = width if width is not None else ctx_width
                 if w is None:
                     raise ElabError(
-                        f"{scope.at(expr)}unsized literal {value} needs a width "
+                        f"{scope.at(expr)}unsized literal {_shown(value)} needs a width "
                         f"context in {scope.prefix or scope.mod.name}")
                 if ctx_width is not None and w != ctx_width:
                     raise PortWidthMismatch(
                         f"{scope.at(expr)}literal is {w} bits, expected {ctx_width}")
                 if value >= (1 << w):
                     raise ElabError(
-                        f"{scope.at(expr)}literal {value} does not fit in {w} bits")
+                        f"{scope.at(expr)}literal {_shown(value)} does not fit in {w} bits")
                 out = out_handle if out_handle is not None else fresh(w)
                 n = scope.temp()
                 b.add_const(f"{scope.prefix}__c{n}", value, w, out)

@@ -19,7 +19,6 @@ kernels are cached on the netlist in the same way.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import NamedTuple
@@ -127,6 +126,7 @@ class Netlist:
             for alias in net.aliases:
                 self.net_index.setdefault(alias, net.index)
         self.port_index = {p.name: p.index for p in ports}
+        self._dffs = tuple(c for c in cells if isinstance(c, Dff))
         self._cone_cache: dict[int, Cone] = {}
         self._topo: list[int] | None = None
         # compiled simulation kernels, filled on first use by cdckit.sim
@@ -137,8 +137,9 @@ class Netlist:
     def net(self, name: str) -> Net:
         return self.nets[self.net_index[name]]
 
-    def dffs(self) -> list[Dff]:
-        return [c for c in self.cells if isinstance(c, Dff)]
+    def dffs(self) -> tuple[Dff, ...]:
+        """The flops, in cell order."""
+        return self._dffs
 
     # -- traversal --
 
@@ -152,46 +153,38 @@ class Netlist:
         cached = self._cone_cache.get(net_idx)
         if cached is not None:
             return cached
+        nets, cells = self.nets, self.cells
         seq: list[Ref] = []
         gates: list[int] = []
         consts: list[int] = []
         seen: set[int] = set()
-        # Pre-order walk on an explicit stack of the inputs each entered net
-        # has left to visit, so long gate chains do not hit the recursion
-        # limit.  Every net is entered once and drives one reference, so
-        # nothing is listed twice.
-        stack: list[Iterator[int]] = []
-
-        def enter(idx: int):
-            if idx in seen:
-                return
-            seen.add(idx)
-            drv = self.nets[idx].driver
-            inputs: tuple[int, ...] = ()
-            if drv is None:
-                pass  # floating net: reads as 0, and `analyze` rejects it
-            elif drv[0] == "port":
-                seq.append(("port", drv[1], ""))
-            else:
-                cell = self.cells[drv[1]]
-                if isinstance(cell, Dff):
-                    seq.append(("cell", cell.index, "out"))
-                elif isinstance(cell, BlackBox):
-                    seq.append(("cell", cell.index, drv[2]))
-                elif isinstance(cell, Const):
-                    consts.append(cell.index)
-                else:
-                    gates.append(cell.index)
-                    inputs = cell.inputs
-            stack.append(iter(inputs))
-
-        enter(net_idx)
+        # Pre-order walk on an explicit stack, so long gate chains do not hit
+        # the recursion limit: a net is visited when it is popped, and a
+        # gate's inputs are pushed in reverse, so the first is visited next.
+        # Every net is visited once and has one driver, so nothing is listed
+        # twice.
+        stack = [net_idx]
         while stack:
-            nxt = next(stack[-1], None)
-            if nxt is None:
-                stack.pop()
+            idx = stack.pop()
+            if idx in seen:
+                continue
+            seen.add(idx)
+            drv = nets[idx].driver
+            if drv is None:
+                continue  # floating net: reads as 0, and `analyze` rejects it
+            if drv[0] == "port":
+                seq.append(("port", drv[1], ""))
+                continue
+            cell = cells[drv[1]]
+            if isinstance(cell, Gate):
+                gates.append(cell.index)
+                stack.extend(reversed(cell.inputs))
+            elif isinstance(cell, Dff):
+                seq.append(("cell", cell.index, "out"))
+            elif isinstance(cell, BlackBox):
+                seq.append(("cell", cell.index, drv[2]))
             else:
-                enter(nxt)
+                consts.append(cell.index)
         cone = Cone(tuple(seq), tuple(gates), tuple(consts))
         self._cone_cache[net_idx] = cone
         return cone
@@ -204,6 +197,12 @@ class Netlist:
         gate_of_net = [-1] * len(self.nets)
         for g in gates:
             gate_of_net[g.out] = g.index
+        # Elaboration mostly adds a gate after the gates that drive it.  Where
+        # every gate does, index order is the topological order that puts
+        # the ready gate of lowest index first.
+        if all(gate_of_net[n] < g.index for g in gates for n in g.inputs):
+            self._topo = [g.index for g in gates]
+            return self._topo
         indeg = [0] * len(self.cells)
         succs: dict[int, list[int]] = {}
         for g in gates:

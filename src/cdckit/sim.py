@@ -242,7 +242,8 @@ def _gate_code(nl: Netlist, g: Gate, ref, out: str | None = None) -> list[str]:
     """Statements that store the value of gate `g` in `out`, by default
     `w[g.out]`; `ref(net)` is the expression that reads a net."""
     out = out or f"w[{g.out}]"
-    mask = (1 << g.width) - 1
+    # constants in hex: `str` writes no int of more than 4300 decimal digits
+    mask = hex((1 << g.width) - 1)
     ins = [ref(i) for i in g.inputs]
     if g.op == "NOT":
         return [f"{out} = ~{ins[0]} & {mask}"]
@@ -257,7 +258,7 @@ def _gate_code(nl: Netlist, g: Gate, ref, out: str | None = None) -> list[str]:
         raise SimDivergence(f"unknown gate op {g.op}")
     terms = ins
     if g.op == "AND":
-        terms = ins + [str(mask)]
+        terms = ins + [mask]
     elif g.op == "CONCAT":
         # each operand lands above the widths of the operands after it; a
         # run of n adjacent copies of one operand of width w is one term,
@@ -266,10 +267,10 @@ def _gate_code(nl: Netlist, g: Gate, ref, out: str | None = None) -> list[str]:
         for net, run in groupby(reversed(g.inputs)):
             n = len(list(run))
             width = nl.nets[net].width
-            m = (1 << width) - 1
+            m = hex((1 << width) - 1)
             term = f"({ref(net)} & {m})"
             if n > 1:
-                term += f" * {sum(1 << i * width for i in range(n))}"
+                term += f" * {hex(sum(1 << i * width for i in range(n)))}"
             elif not shift:
                 term = f"{ref(net)} & {m}"
             terms.append(f"{term} << {shift}" if shift else term)

@@ -7,11 +7,19 @@ an optional asynchronous reset arm and optional enable arm, nonblocking
 assignments only, and named-port instances.  Expressions cover `& | ^ ~ ?:`,
 concatenation, constant slices, and sized/unsized literals.
 
+The lexer is one `re.split` of the whole text.  The parser reads the tokens
+a production expects by index, and parses the binary operators in one
+precedence-climbing loop; `tests/oracles.py` keeps the parser that took one
+`peek`, `accept` or `expect` per token and one method per precedence, and
+the tests hold the two to the same trees and errors.
+
 Everything outside the subset raises a positioned diagnostic instead of
 being skipped, so a file is either fully understood or rejected.  That
 includes expressions nested deeper than `MAX_EXPR_DEPTH` and statements
 nested deeper than `MAX_STMT_DEPTH`, which would otherwise exhaust the
-recursion of this parser and of the walks over its trees.  The parser also
+recursion of this parser and of the walks over its trees, and widths and
+numbers past `MAX_WIDTH` bits, which would otherwise exhaust `int`'s
+conversions and the formats of later stages.  The parser also
 decides each rule that needs only the module's own text: at `endmodule` it
 rejects the first name error, then the first shape error (reset arms,
 slices, connections), in source order.  docs/subset.md has the rules.
@@ -38,53 +46,64 @@ _TOO_DEEP = f"expression nested deeper than {MAX_EXPR_DEPTH} levels"
 MAX_STMT_DEPTH = 100
 _STMT_TOO_DEEP = f"statement nested deeper than {MAX_STMT_DEPTH} levels"
 
+# Widest net, literal or slice: the least width that IEEE 1364-2005 lets a
+# tool support.  A range or slice bound at or past it, a wider literal and
+# an unsized number of more bits are positioned errors.
+MAX_WIDTH = 65536
+
+# the binary operators, loosest first
+_PRECEDENCE = {"|": 1, "^": 2, "&": 3}
+# a sized literal's base letter -> (base, the digits valid in it)
+_BASES = {"b": (2, "01"), "d": (10, "0123456789"), "h": (16, "0123456789abcdefABCDEF")}
+
 # --- expression AST ----------------------------------------------------------
 
 # Ident, Literal, Concat and Slice hold the offset of their first token in
 # the module's text, where a width error inside them is reported; -1 where
 # the elaborator makes one.  It is not compared, so equal expressions stay
-# equal wherever they are written.
+# equal wherever they are written.  A design holds an expression node per
+# operand and operator, so they have slots and no instance dict.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ident:
     name: str
     offset: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     value: int
     width: int | None  # None for unsized literals; width comes from context
     offset: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unary:
     op: str  # "~"
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binary:
     op: str  # "&", "|", "^"
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ternary:
     cond: "Expr"
     if_true: "Expr"
     if_false: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concat:
     parts: tuple["Expr", ...]
     offset: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slice:
     name: str
     msb: int
@@ -209,21 +228,25 @@ UNSUPPORTED_KEYWORDS = {
 # Characters that open a construct outside the subset.
 _STRAY_CONSTRUCTS = {"`": "compiler directive", "#": "delay control", "$": "system task"}
 
-# Each match skips the whitespace and comments before one token, so a single
-# `finditer` pass yields every token; `\Z` gives the end-of-input token.  An
-# unterminated `/*` is not skipped, and its `/` is a stray character.
-_TOKEN_RE = re.compile(r"""
-    (?:\s+|//[^\n]*|/\*.*?\*/)*
-    (?:
-        (?P<id>[A-Za-z_][A-Za-z0-9_$]*)
-      | (?P<sized>\d+'[bBdDhH][0-9a-fA-F_xzXZ?]+)
-      | (?P<number>\d[\d_]*)
-      | (?P<nba><=)
-      | (?P<punct>[()\[\]{},;:.=@?~!&|^])
-      | (?P<eof>\Z)
-      | (?P<bad>.)
-    )
-""", re.VERBOSE | re.DOTALL)
+# One `re.split` cuts the text into its gaps (the even items) and, captured
+# by the group, its tokens and complete comments (the odd items).  No token
+# or comment starts with whitespace, so a gap holds only whitespace unless
+# the text has a character that starts none of them; an unterminated `/*`
+# leaves its `/` in a gap.  A token's kind follows from its text, so it is
+# worked out once per distinct text.
+_SPLIT_RE = re.compile(r"""(
+    //[^\n]* | /\*.*?\*/
+  | [A-Za-z_][A-Za-z0-9_$]*
+  | \d+'[bBdDhH][0-9a-fA-F_xzXZ?]+
+  | \d[\d_]*
+  | <=
+  | [()\[\]{},;:.=@?~!&|^]
+)""", re.VERBOSE | re.DOTALL)
+
+# a token's kind by its first character; the others start with a digit
+_KIND_OF_FIRST = {
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_", "id"),
+    "/": "comment", "<": "nba", **dict.fromkeys("()[]{},;:.=@?~!&|^", "punct")}
 
 
 # A token is a plain tuple (kind, text, offset): kind is "id", "kw",
@@ -245,28 +268,47 @@ def position(starts: list[int], offset: int) -> tuple[int, int]:
     return line, offset - starts[line - 1] + 1
 
 
+def _kind(text: str) -> str:
+    kind = _KIND_OF_FIRST.get(text[0])
+    if kind is None:
+        return "sized" if "'" in text else "number"
+    if kind == "id" and text in KEYWORDS:
+        return "kw"
+    return kind
+
+
 def tokenize(text: str, origin: str = "<input>") -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        tok_text = m[kind]
-        start = m.start(kind)
-        if kind == "id":
-            if tok_text in KEYWORDS:
-                kind = "kw"
-            elif tok_text in UNSUPPORTED_KEYWORDS:
-                raise UnsupportedConstruct(tok_text, *position(line_starts(text), start),
-                                           origin)
-        elif kind == "bad":
-            where = position(line_starts(text), start)
-            if tok_text in _STRAY_CONSTRUCTS:
-                raise UnsupportedConstruct(_STRAY_CONSTRUCTS[tok_text], *where, origin)
-            raise ParseError(f"unexpected character {tok_text!r}", *where, origin)
-        append((kind, tok_text, start))
-        if kind == "eof":   # a gap before it leaves an empty match to come
-            break
+    parts = _SPLIT_RE.split(text)
+    texts = parts[1::2]
+    kinds = {t: _kind(t) for t in dict.fromkeys(texts)}
+    if "".join(parts[0::2]).strip() or not kinds.keys().isdisjoint(UNSUPPORTED_KEYWORDS):
+        _reject(parts, text, origin)
+    # each token starts where the parts before it end
+    starts = list(islice(accumulate(map(len, parts)), 0, None, 2))
+    del parts   # the gaps go before the tokens are built
+    tokens = list(zip(map(kinds.__getitem__, texts), texts, starts))
+    del texts, starts
+    if "comment" in kinds.values():
+        tokens = [tok for tok in tokens if tok[0] != "comment"]
+    tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def _reject(parts: list[str], text: str, origin: str):
+    """Raise the error of the first gap character that is not whitespace
+    or of the first unsupported keyword, whichever comes first."""
+    offset = 0
+    for i, part in enumerate(parts):
+        if i % 2 == 0 and part.strip():
+            offset += len(part) - len(part.lstrip())
+            where = position(line_starts(text), offset)
+            if text[offset] in _STRAY_CONSTRUCTS:
+                raise UnsupportedConstruct(_STRAY_CONSTRUCTS[text[offset]], *where, origin)
+            raise ParseError(f"unexpected character {text[offset]!r}", *where, origin)
+        if i % 2 and part in UNSUPPORTED_KEYWORDS:
+            raise UnsupportedConstruct(part, *position(line_starts(text), offset), origin)
+        offset += len(part)
+    raise AssertionError("nothing to reject")
 
 
 # --- parser ------------------------------------------------------------------
@@ -458,19 +500,31 @@ class _Parser:
                                 if role == "nb" and name == target), message))
         return errors
 
+    # The productions below that every design repeats (ports, declarations,
+    # statements, operands, an instance's head) read the tokens they expect
+    # by index, and raise at any other token the error that `expect` or
+    # `expect_id` would.
+
     def parse_port_decl(self) -> PortDecl:
-        tok = self.peek()
-        if tok[1] == "inout":
-            self.unsupported("inout port", tok)
-        if tok[1] not in ("input", "output"):
-            self.error(f"expected port direction, found {tok[1]!r}", tok, expected="input/output")
-        direction = "in" if self.next()[1] == "input" else "out"
-        is_reg = bool(self.accept("reg"))
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        direction = tok[1]
+        if direction not in ("input", "output"):
+            if direction == "inout":
+                self.unsupported("inout port", tok)
+            self.error(f"expected port direction, found {direction!r}", tok,
+                       expected="input/output")
+        self.pos += 1
+        is_reg = tokens[self.pos][1] == "reg"
+        self.pos += is_reg
         width = self.parse_range()
-        name = self.expect_id()[1]
-        if is_reg and direction == "in":
+        name_tok = tokens[self.pos]
+        if name_tok[0] != "id":
+            self.expect_id()
+        self.pos += 1
+        if is_reg and direction == "input":
             self.error("input port cannot be reg", tok)
-        return PortDecl(name, direction, width, is_reg)
+        return PortDecl(name_tok[1], "in" if direction == "input" else "out", width, is_reg)
 
     def parse_range(self) -> int:
         if not self.accept("["):
@@ -482,26 +536,34 @@ class _Parser:
         self.expect("]")
         if lsb != 0:
             self.unsupported("declaration range with nonzero lsb", msb_tok)
-        if msb < 0:
-            self.error("bad range", msb_tok)
         return msb + 1
 
     def parse_int(self) -> int:
-        tok = self.peek()
+        """A range or slice bound, which names a bit of a net."""
+        tok = self.tokens[self.pos]
         if tok[0] != "number":
             self.error(f"expected integer, found {tok[1]!r}", tok, expected="integer")
-        self.next()
-        return int(tok[1].replace("_", ""))
+        self.pos += 1
+        value = _decimal(tok[1].replace("_", ""))
+        if value >= MAX_WIDTH:
+            self.error(f"bit index past the widest net of {MAX_WIDTH} bits", tok)
+        return value
 
     def parse_net_decl(self) -> list[NetDecl]:
-        is_reg = self.next()[1] == "reg"
+        tokens = self.tokens
+        is_reg = tokens[self.pos][1] == "reg"
+        self.pos += 1
         width = self.parse_range()
         out = []
         while True:
-            name = self.expect_id()[1]
-            out.append(NetDecl(name, width, is_reg))
-            if not self.accept(","):
+            tok = tokens[self.pos]
+            if tok[0] != "id":
+                self.expect_id()
+            out.append(NetDecl(tok[1], width, is_reg))
+            if tokens[self.pos + 1][1] != ",":
                 break
+            self.pos += 2
+        self.pos += 1
         self.expect(";")
         return out
 
@@ -546,73 +608,82 @@ class _Parser:
         return blk
 
     def parse_stmt_block(self) -> list[Stmt]:
-        if self.accept("begin"):
-            stmts = []
-            while self.peek()[1] != "end":
-                if self.peek()[0] == "eof":
-                    self.error("unexpected end of file inside begin/end")
-                stmts.append(self.parse_stmt())
-            self.expect("end")
-            return stmts
-        return [self.parse_stmt()]
+        tokens = self.tokens
+        if tokens[self.pos][1] != "begin":
+            return [self.parse_stmt()]
+        self.pos += 1
+        stmts = []
+        while True:
+            tok = tokens[self.pos]
+            if tok[1] == "end":
+                self.pos += 1
+                return stmts
+            if tok[0] == "eof":
+                self.error("unexpected end of file inside begin/end")
+            stmts.append(self.parse_stmt())
 
     def parse_stmt(self) -> Stmt:
-        tok = self.peek()
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok[0] == "id":
+            _, target, offset = tok
+            self.names.append(("nb", target, offset))
+            nxt = tokens[self.pos + 1]
+            if nxt[0] != "nba":
+                if nxt[1] == "=":
+                    self.unsupported("blocking assignment in always block", nxt)
+                self.error(f"expected '<=', found {nxt[1]!r}", nxt, expected="<=")
+            self.pos += 2
+            expr = self.parse_expr()
+            self.expect(";")
+            return NbAssign(target, expr)
         if tok[1] == "if":
             self.stmt_depth += 1
             if self.stmt_depth > MAX_STMT_DEPTH:
                 self.error(_STMT_TOO_DEEP, tok)
-            self.next()
+            self.pos += 1
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             then = tuple(self.parse_stmt_block())
             other = None
-            if self.accept("else"):
+            if tokens[self.pos][1] == "else":
+                self.pos += 1
                 other = tuple(self.parse_stmt_block())
             self.stmt_depth -= 1
             return IfStmt(cond, then, other)
-        if tok[0] == "id":
-            _, target, offset = self.next()
-            self.names.append(("nb", target, offset))
-            nxt = self.peek()
-            if nxt[1] == "=":
-                self.unsupported("blocking assignment in always block", nxt)
-            if nxt[0] != "nba":
-                self.error(f"expected '<=', found {nxt[1]!r}", nxt, expected="<=")
-            self.next()
-            expr = self.parse_expr()
-            self.expect(";")
-            return NbAssign(target, expr)
         self.error(f"expected statement, found {tok[1]!r}", tok)
         raise AssertionError  # unreachable
 
     def parse_instance(self) -> Instance:
-        mod_tok = self.expect_id()
-        inst_tok = self.peek()
+        tokens = self.tokens
+        mod_tok = tokens[self.pos]
+        inst_tok = tokens[self.pos + 1]
         if inst_tok[0] != "id":
             # common error shape: `foo = ...` outside assign
             self.error(f"expected instance name after {mod_tok[1]!r}", inst_tok,
                        expected="identifier")
-        inst = self.next()[1]
+        inst = inst_tok[1]
+        self.pos += 2
         self.expect("(")
         conns: list[tuple[str, Expr | None]] = []
         connected = set()
-        if self.peek()[1] != ")":
+        if tokens[self.pos][1] != ")":
             while True:
                 self.expect(".")
                 _, port, offset = self.expect_id()
+                self.expect("(")
                 if port in connected:
                     self.twice.append((offset, f"{inst}: port {port!r} connected twice"))
                 connected.add(port)
-                self.expect("(")
                 expr = None
-                if self.peek()[1] != ")":
+                if tokens[self.pos][1] != ")":
                     expr = self.parse_expr()
                 self.expect(")")
                 conns.append((port, expr))
-                if not self.accept(","):
+                if tokens[self.pos][1] != ",":
                     break
+                self.pos += 1
         self.expect(")")
         self.expect(";")
         return Instance(mod_tok[1], inst, tuple(conns), *self.where(inst_tok))
@@ -628,8 +699,9 @@ class _Parser:
         first = self.pos
         start = self.tokens[first]
         self.nest(start)
-        expr = self.parse_or()
-        if self.accept("?"):
+        expr = self.parse_binary(1)
+        if self.tokens[self.pos][1] == "?":
+            self.pos += 1
             if_true = self.parse_expr()
             self.expect(":")
             if_false = self.parse_expr()
@@ -642,26 +714,18 @@ class _Parser:
             self.error(_TOO_DEEP, start)
         return expr
 
-    def parse_or(self) -> Expr:
-        lhs = self.parse_xor()
-        while self.tokens[self.pos][1] == "|":
-            self.pos += 1
-            lhs = Binary("|", lhs, self.parse_xor())
-        return lhs
-
-    def parse_xor(self) -> Expr:
-        lhs = self.parse_and()
-        while self.tokens[self.pos][1] == "^":
-            self.pos += 1
-            lhs = Binary("^", lhs, self.parse_and())
-        return lhs
-
-    def parse_and(self) -> Expr:
+    def parse_binary(self, lowest: int) -> Expr:
+        """Operands joined by the binary operators of precedence `lowest`
+        and above, each operator left-associative."""
+        tokens = self.tokens
         lhs = self.parse_unary()
-        while self.tokens[self.pos][1] == "&":
+        while True:
+            op = tokens[self.pos][1]
+            prec = _PRECEDENCE.get(op, 0)
+            if prec < lowest:
+                return lhs
             self.pos += 1
-            lhs = Binary("&", lhs, self.parse_unary())
-        return lhs
+            lhs = Binary(op, lhs, self.parse_binary(prec + 1))
 
     def parse_unary(self) -> Expr:
         tok = self.tokens[self.pos]
@@ -674,8 +738,30 @@ class _Parser:
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
-        tok = self.tokens[self.pos]
-        kind, text, _ = tok
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        kind, text, offset = tok
+        if kind == "id":
+            self.names.append(tok)
+            self.pos += 1
+            if tokens[self.pos][1] != "[":
+                return Ident(text, offset)
+            self.pos += 1
+            msb = self.parse_int()
+            lsb = msb
+            if self.accept(":"):
+                lsb = self.parse_int()
+            self.expect("]")
+            if msb < lsb:
+                self.error("slice msb < lsb", tok)
+            self.slices.append((offset, text, msb, lsb))
+            return Slice(text, msb, lsb, offset)
+        if kind == "sized":
+            self.pos += 1
+            return self.sized_literal(tok)
+        if kind == "number":
+            self.pos += 1
+            return self.unsized_literal(tok)
         if text == "(":
             self.pos += 1
             inner = self.parse_expr()
@@ -689,29 +775,15 @@ class _Parser:
             while self.accept(","):
                 parts.append(self.parse_expr())
             self.expect("}")
-            return Concat(tuple(parts), tok[2])
-        if kind == "sized":
-            self.pos += 1
-            return self.sized_literal(tok)
-        if kind == "number":
-            self.pos += 1
-            return Literal(int(text.replace("_", "")), None, tok[2])
-        if kind == "id":
-            self.pos += 1
-            self.names.append(tok)
-            if self.accept("["):
-                msb = self.parse_int()
-                lsb = msb
-                if self.accept(":"):
-                    lsb = self.parse_int()
-                self.expect("]")
-                if msb < lsb:
-                    self.error("slice msb < lsb", tok)
-                self.slices.append((tok[2], text, msb, lsb))
-                return Slice(text, msb, lsb, tok[2])
-            return Ident(text, tok[2])
+            return Concat(tuple(parts), offset)
         self.error(f"expected expression, found {text!r}", tok, expected="expression")
         raise AssertionError  # unreachable
+
+    def unsized_literal(self, tok: Token) -> Literal:
+        value = _decimal(tok[1].replace("_", ""))
+        if value >> MAX_WIDTH:
+            self.error(f"number does not fit in {MAX_WIDTH} bits", tok)
+        return Literal(value, None, tok[2])
 
     def sized_literal(self, tok: Token) -> Literal:
         width_str, rest = tok[1].split("'", 1)
@@ -719,11 +791,15 @@ class _Parser:
         digits = rest[1:].replace("_", "")
         if any(c in "xzXZ?" for c in digits):
             self.unsupported("x/z literal", tok)
-        base = {"b": 2, "d": 10, "h": 16}[base_ch]
-        width = int(width_str)
-        value = int(digits, base)
+        width = _decimal(width_str)
+        if width > MAX_WIDTH:
+            self.error(f"literal wider than {MAX_WIDTH} bits", tok)
         if width < 1:
             self.error("literal width must be >= 1", tok)
+        base, valid = _BASES[base_ch]
+        if not digits or digits.strip(valid):
+            self.error(f"literal digits are not base {base}", tok)
+        value = _decimal(digits) if base == 10 else int(digits, base)
         if value >= (1 << width):
             self.error(f"literal value does not fit in {width} bits", tok)
         return Literal(value, width, tok[2])
@@ -732,6 +808,23 @@ class _Parser:
 def parse_verilog(text: str, origin: str = "<input>") -> list[ParsedModule]:
     """Parse one source file into its module definitions."""
     return _Parser(text, origin).parse_source()
+
+
+def _decimal(digits: str) -> int:
+    """The value of a string of decimal digits, read in pieces where it is
+    longer than `int` reads at once (600 digits stay below 640, the least
+    limit `sys.set_int_max_str_digits` takes).  A value of more than
+    `MAX_WIDTH` bits is read only as far as it takes to pass 2 ** MAX_WIDTH."""
+    try:
+        return int(digits)
+    except ValueError:
+        value = 0
+        for i in range(0, len(digits), 600):
+            piece = digits[i:i + 600]
+            value = value * 10 ** len(piece) + int(piece)
+            if value >> MAX_WIDTH:
+                break
+        return value
 
 
 def _expr_depth(expr: Expr) -> int:

@@ -2,9 +2,12 @@
 
 Everything here deliberately avoids the library's traversal/memoization
 machinery: tokens come from one anchored match per token or skipped gap,
-counts are recursive multiplications over the parsed module tree, a built
+parse trees from `ReferenceParser`, which steps through those tokens one
+`peek`, `accept` or `expect` at a time with a method per operator
+precedence, counts are recursive multiplications over the parsed module tree, a built
 netlist from resolving every pin through the union-find and sorting every
-reader list, cones from naive path enumeration, gate order from a Kahn
+reader list, cones from naive path enumeration and, in order, from the
+walk that enters each net through an iterator of its own, gate order from a Kahn
 loop that re-sorts its ready list, netlist invariants from every driver
 and reader recomputed and compared with the builder's, flop domains from
 exhaustive backward search, net domains from each net's own cone,
@@ -37,16 +40,19 @@ from cdckit.constraints import ConstraintSet
 from cdckit.domains import CdcPair, DomainMap, NetDomain
 from cdckit.errors import (MultipleDrivers, ParseError, SimDivergence,
                            UnsupportedConstruct)
-from cdckit.netlist import (GATE_OPS, BlackBox, Cell, Const, Dff, Gate, Net,
+from cdckit.netlist import (GATE_OPS, BlackBox, Cell, Cone, Const, Dff, Gate, Net,
                             Netlist, NetlistBuilder, Port, Ref, _name_rank)
 from cdckit.sim import (_NEG, Engine, MsiConfig, MsiEvent, Opportunity,
                         SimResult, _State, cone_kernels, simulate)
 from cdckit.syncrec import (SyncInstance, _chains, _fifo_roles, _gray_shape,
                              _net_driver_gate)
 from cdckit.vcd import _var_id
-from cdckit.verilog import (KEYWORDS, UNSUPPORTED_KEYWORDS, Binary, Concat,
-                            Expr, Ident, IfStmt, Literal, NbAssign,
-                            ParsedModule, Slice, Stmt, Ternary, Unary, fold)
+from cdckit.verilog import (_STMT_TOO_DEEP, _TOO_DEEP, KEYWORDS, MAX_EXPR_DEPTH,
+                            MAX_STMT_DEPTH, UNSUPPORTED_KEYWORDS, Binary, Concat,
+                            Expr, Ident, IfStmt, Instance, Literal, NbAssign,
+                            NetDecl, ParsedModule, PortDecl, Slice, Stmt,
+                            Ternary, Unary, _expr_depth, _Parser, fold,
+                            line_starts)
 from sva_interp import evaluate_module, parse_bindings, parse_checker_module
 
 
@@ -112,6 +118,192 @@ def reference_tokenize(text: str, origin: str = "<input>"
         pos = m.end()
     tokens.append(("eof", "", line, pos - line_start + 1))
     return tokens
+
+
+class ReferenceParser(_Parser):
+    """The parser as it stepped through tokens one `peek`, `accept` or
+    `expect` at a time, with one method per binary operator's precedence,
+    on tokens from `reference_tokenize`.  It shares with the parser the
+    productions that were not rewritten, and the integer rules
+    (`parse_int` and the literals)."""
+
+    def __init__(self, text: str, origin: str = "<input>"):
+        starts = line_starts(text)
+        tokens = [(kind, tok, starts[line - 1] + col - 1)
+                  for kind, tok, line, col in reference_tokenize(text, origin)]
+        super().__init__("", origin)
+        self.tokens, self.starts = tokens, starts
+
+    def parse_port_decl(self) -> PortDecl:
+        tok = self.peek()
+        if tok[1] == "inout":
+            self.unsupported("inout port", tok)
+        if tok[1] not in ("input", "output"):
+            self.error(f"expected port direction, found {tok[1]!r}", tok, expected="input/output")
+        direction = "in" if self.next()[1] == "input" else "out"
+        is_reg = bool(self.accept("reg"))
+        width = self.parse_range()
+        name = self.expect_id()[1]
+        if is_reg and direction == "in":
+            self.error("input port cannot be reg", tok)
+        return PortDecl(name, direction, width, is_reg)
+
+    def parse_net_decl(self) -> list[NetDecl]:
+        is_reg = self.next()[1] == "reg"
+        width = self.parse_range()
+        out = []
+        while True:
+            name = self.expect_id()[1]
+            out.append(NetDecl(name, width, is_reg))
+            if not self.accept(","):
+                break
+        self.expect(";")
+        return out
+
+    def parse_stmt_block(self) -> list[Stmt]:
+        if self.accept("begin"):
+            stmts = []
+            while self.peek()[1] != "end":
+                if self.peek()[0] == "eof":
+                    self.error("unexpected end of file inside begin/end")
+                stmts.append(self.parse_stmt())
+            self.expect("end")
+            return stmts
+        return [self.parse_stmt()]
+
+    def parse_stmt(self) -> Stmt:
+        tok = self.peek()
+        if tok[1] == "if":
+            self.stmt_depth += 1
+            if self.stmt_depth > MAX_STMT_DEPTH:
+                self.error(_STMT_TOO_DEEP, tok)
+            self.next()
+            self.expect("(")
+            cond = self.parse_expr()
+            self.expect(")")
+            then = tuple(self.parse_stmt_block())
+            other = None
+            if self.accept("else"):
+                other = tuple(self.parse_stmt_block())
+            self.stmt_depth -= 1
+            return IfStmt(cond, then, other)
+        if tok[0] == "id":
+            _, target, offset = self.next()
+            self.names.append(("nb", target, offset))
+            nxt = self.peek()
+            if nxt[1] == "=":
+                self.unsupported("blocking assignment in always block", nxt)
+            if nxt[0] != "nba":
+                self.error(f"expected '<=', found {nxt[1]!r}", nxt, expected="<=")
+            self.next()
+            expr = self.parse_expr()
+            self.expect(";")
+            return NbAssign(target, expr)
+        self.error(f"expected statement, found {tok[1]!r}", tok)
+        raise AssertionError  # unreachable
+
+    def parse_instance(self) -> Instance:
+        mod_tok = self.expect_id()
+        inst_tok = self.peek()
+        if inst_tok[0] != "id":
+            self.error(f"expected instance name after {mod_tok[1]!r}", inst_tok,
+                       expected="identifier")
+        inst = self.next()[1]
+        self.expect("(")
+        conns: list[tuple[str, Expr | None]] = []
+        connected = set()
+        if self.peek()[1] != ")":
+            while True:
+                self.expect(".")
+                _, port, offset = self.expect_id()
+                if port in connected:
+                    self.twice.append((offset, f"{inst}: port {port!r} connected twice"))
+                connected.add(port)
+                self.expect("(")
+                expr = None
+                if self.peek()[1] != ")":
+                    expr = self.parse_expr()
+                self.expect(")")
+                conns.append((port, expr))
+                if not self.accept(","):
+                    break
+        self.expect(")")
+        self.expect(";")
+        return Instance(mod_tok[1], inst, tuple(conns), *self.where(inst_tok))
+
+    def parse_expr(self) -> Expr:
+        first = self.pos
+        start = self.tokens[first]
+        self.nest(start)
+        expr = self.parse_or()
+        if self.accept("?"):
+            if_true = self.parse_expr()
+            self.expect(":")
+            if_false = self.parse_expr()
+            expr = Ternary(expr, if_true, if_false)
+        self.depth -= 1
+        if (self.depth == 0 and self.pos - first > MAX_EXPR_DEPTH
+                and _expr_depth(expr) > MAX_EXPR_DEPTH):
+            self.error(_TOO_DEEP, start)
+        return expr
+
+    def parse_or(self) -> Expr:
+        lhs = self.parse_xor()
+        while self.accept("|"):
+            lhs = Binary("|", lhs, self.parse_xor())
+        return lhs
+
+    def parse_xor(self) -> Expr:
+        lhs = self.parse_and()
+        while self.accept("^"):
+            lhs = Binary("^", lhs, self.parse_and())
+        return lhs
+
+    def parse_and(self) -> Expr:
+        lhs = self.parse_unary()
+        while self.accept("&"):
+            lhs = Binary("&", lhs, self.parse_unary())
+        return lhs
+
+    def parse_primary(self) -> Expr:
+        tok = self.peek()
+        kind, text, _ = tok
+        if text == "(":
+            self.next()
+            inner = self.parse_expr()
+            self.expect(")")
+            return inner
+        if text == "{":
+            self.next()
+            parts = [self.parse_expr()]
+            if self.peek()[1] == "{":
+                self.unsupported("replication", tok)
+            while self.accept(","):
+                parts.append(self.parse_expr())
+            self.expect("}")
+            return Concat(tuple(parts), tok[2])
+        if kind == "sized":
+            self.next()
+            return self.sized_literal(tok)
+        if kind == "number":
+            self.next()
+            return self.unsized_literal(tok)
+        if kind == "id":
+            self.next()
+            self.names.append(tok)
+            if self.accept("["):
+                msb = self.parse_int()
+                lsb = msb
+                if self.accept(":"):
+                    lsb = self.parse_int()
+                self.expect("]")
+                if msb < lsb:
+                    self.error("slice msb < lsb", tok)
+                self.slices.append((tok[2], text, msb, lsb))
+                return Slice(text, msb, lsb, tok[2])
+            return Ident(text, tok[2])
+        self.error(f"expected expression, found {text!r}", tok, expected="expression")
+        raise AssertionError  # unreachable
 
 
 def expr_idents(expr: Expr) -> set[str]:
@@ -374,6 +566,49 @@ def naive_cone(netlist: Netlist, net_idx: int):
 
     walk(net_idx, frozenset())
     return seq, gates, consts
+
+
+def reference_fanin_cone(netlist: Netlist, net_idx: int) -> Cone:
+    """`Netlist.fanin_cone` as it walked, unmemoized: a net is listed when
+    it is entered, and a stack holds an iterator over the inputs each
+    entered net has left to enter."""
+    seq: list[Ref] = []
+    gates: list[int] = []
+    consts: list[int] = []
+    seen: set[int] = set()
+    stack = []
+
+    def enter(idx: int):
+        if idx in seen:
+            return
+        seen.add(idx)
+        drv = netlist.nets[idx].driver
+        inputs: tuple[int, ...] = ()
+        if drv is None:
+            pass
+        elif drv[0] == "port":
+            seq.append(("port", drv[1], ""))
+        else:
+            cell = netlist.cells[drv[1]]
+            if isinstance(cell, Dff):
+                seq.append(("cell", cell.index, "out"))
+            elif isinstance(cell, BlackBox):
+                seq.append(("cell", cell.index, drv[2]))
+            elif isinstance(cell, Const):
+                consts.append(cell.index)
+            else:
+                gates.append(cell.index)
+                inputs = cell.inputs
+        stack.append(iter(inputs))
+
+    enter(net_idx)
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+        else:
+            enter(nxt)
+    return Cone(tuple(seq), tuple(gates), tuple(consts))
 
 
 def sorted_comb_topo(netlist: Netlist) -> list[int]:

@@ -3,6 +3,7 @@ import gc
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +70,44 @@ def test_analyze_bad_syntax_exits_one(tmp_path):
     cons = tmp_path / "c.cdc"
     cons.write_text("clock a -period 4 -domain A\n")
     assert main(["analyze", str(bad), "-c", str(cons), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["simulate", "--vcd", "t.vcd"]],
+                         ids=["analyze", "simulate-vcd"])
+def test_a_range_past_the_widest_net_exits_one(tmp_path, capsys, monkeypatch, argv):
+    """Such a range once passed `analyze`, and `simulate --vcd` raised
+    while it formatted the net's values."""
+    monkeypatch.chdir(tmp_path)
+    Path("wide.v").write_text("module m(input clk, input [99999999999999999999:0] a,\n"
+                              "         output [1:0] y);\n  assign y = a[1:0];\nendmodule\n")
+    Path("c.cdc").write_text("clock clk -period 10 -domain A\n")
+    Path("s.stim").write_text("run 4 of clk\n")
+    stim = ["-s", "s.stim"] if argv[0] == "simulate" else []
+    assert main([argv[0], "wide.v", "-c", "c.cdc", *stim, *argv[1:], "--out", "o"]) == 1
+    assert capsys.readouterr().err == (
+        "error: wide.v:1:28: bit index past the widest net of 65536 bits\n")
+
+
+def test_the_widest_nets_simulate_and_explore(tmp_path, monkeypatch):
+    """Nets and literals of 65536 bits, whose masks have more decimal digits
+    than `str` writes."""
+    monkeypatch.chdir(tmp_path)
+    Path("w.v").write_text(
+        "module m(input clk, input rst_n, input [65535:0] a, output [65535:0] y,\n"
+        "         output [3:0] s);\n  reg [65535:0] q;\n"
+        "  always @(posedge clk or negedge rst_n)\n"
+        "    if (!rst_n) q <= 65536'hF; else q <= a ^ 65536'd99999999999999999999;\n"
+        "  assign y = ~q & {q[32767:0], q[65535:32768]};\n"
+        "  assign s = {q[65535], q[65535], q[3:2]};\nendmodule\n")
+    Path("c.cdc").write_text("clock clk -period 10 -domain A\n"
+                             "reset rst_n -active_low -domain A\n")
+    Path("s.stim").write_text("at clk 0 set rst_n 1\nrun 3 of clk\n")
+    args = ["w.v", "-c", "c.cdc", "-s", "s.stim"]
+    assert main(["simulate", *args, "--vcd", "t.vcd", "--out", "o"]) == 0
+    vcd = Path("t.vcd").read_text()
+    [s_id] = re.findall(r"\$var wire 4 (\S+) s\[3:0\]", vcd)
+    assert f"b0011 {s_id}\n" in vcd        # q holds 0xF
+    assert main(["explore", *args, "--out", "e"]) == 0
 
 
 def test_analyze_floating_nets_exit_one(tmp_path, capsys):
@@ -430,6 +469,9 @@ def test_a_command_line_builds_only_its_commands_arguments():
         assert arguments(cdckit.cli.make_parser(["--version", command, "x"])) == {
             name: n if name == command else 0 for name, n in full.items()}
     assert arguments(cdckit.cli.make_parser(["-", "frobnicate", "analyze"])) == full
+    # a command line that starts with its command gets that command only
+    for command in COMMANDS:
+        assert arguments(cdckit.cli.make_parser([command, "x"])) == {command: full[command]}
 
 
 @pytest.mark.parametrize("role, text", [
@@ -966,7 +1008,8 @@ def test_gc_is_paused_for_the_command_and_restored_on_exit(
         corpus_root, tmp_path, monkeypatch, capsys, gc_enabled, code):
     seen = _watch_gc(monkeypatch)
     assert main(_exit_code_argv(corpus_root, tmp_path, code)) == code
-    assert seen == [False]
+    # a usage error is parsed again by the parser of every command
+    assert seen == [False] * (2 if code == 1 else 1)
     assert gc.isenabled()
 
 

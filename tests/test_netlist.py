@@ -9,7 +9,7 @@ from cdckit.pipeline import analyze_sources
 from cdckit.verilog import parse_verilog
 from conftest import corpus_designs, generated_designs
 from oracles import (naive_cone, netlist_issues, random_builder, random_netlist,
-                     reference_finish, sorted_comb_topo)
+                     reference_fanin_cone, reference_finish, sorted_comb_topo)
 
 
 def build_xor_of_two_flops():
@@ -53,6 +53,22 @@ def test_random_dag_cone_matches_path_enumeration_oracle():
         assert set(cone.seq) == seq, net.name
         assert set(cone.gates) == gates, net.name
         assert set(cone.consts) == consts, net.name
+
+
+def test_cones_list_in_the_order_of_the_iterator_walk():
+    """Every cone of the corpus, the generated designs and random DAGs holds
+    its boundary, gates and constants in the order the walk that entered
+    each net through an iterator of its own listed them."""
+    netlists = [random_netlist(random.Random(seed), n_flops=8, n_gates=30,
+                               n_domains=1 + seed % 3)[0] for seed in range(20)]
+    netlists += [analyze_sources([("rtl.v", rtl)], cons).netlist
+                 for _name, rtl, cons in (*corpus_designs(), *generated_designs())]
+    cones = 0
+    for nl in netlists:
+        for net in nl.nets:
+            assert nl.fanin_cone(net.index) == reference_fanin_cone(nl, net.index), net.name
+            cones += len(nl.fanin_cone(net.index).gates) > 1
+    assert cones > 1000, cones
 
 
 def test_memoized_equals_fresh_on_many_random_netlists():

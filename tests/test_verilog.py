@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from collections import Counter
 
 import hypothesis
@@ -12,9 +13,9 @@ from cdckit.errors import CdcError, DuplicateModule, ParseError, UnsupportedCons
 from cdckit.pipeline import analyze_sources
 from cdckit.verilog import (Binary, Ident, Literal, Ternary, Unary, line_starts,
                             parse_verilog, position, tokenize)
-from conftest import corpus_designs, generated_designs
-from oracles import (expr_idents, reference_check_module, reference_shape_errors,
-                     reference_tokenize, to_source)
+from conftest import corpus_designs, generated_designs, load_gen
+from oracles import (ReferenceParser, expr_idents, reference_check_module,
+                     reference_shape_errors, reference_tokenize, to_source)
 
 SYNC2 = """
 module sync2(input clk, input rst_n, input d, output q);
@@ -176,6 +177,11 @@ def test_tokenize_equals_reference(designs):
     "a /* x\n y */ $b", "a\n  /* x\n */ %", "/*", "a\n /* no end\n", "/*/ a */", "/**/",
     "`define X", "x #1", "a\r\nb\r\n", "reg [3:0] q <= 4'hF;", "wire initial;",
     "8'bx1 12_3 q$1", "a\x0bb\x0cc",
+    # the first error of two: a stray character and an unsupported keyword,
+    # in either order, an unterminated comment before a keyword, and `$`
+    # starting an identifier or inside one
+    "a % initial", "a initial %", "wire x;\n  @ % `x initial", "case\n /* x */ $y",
+    "a /* never closed initial", "/*\n initial */ initial", "$a b", "a$b $c d", "q$ $",
 ])
 def test_tokenize_equals_reference_on_edge_texts(text):
     _assert_same_tokens(text)
@@ -199,6 +205,104 @@ _GAPS = st.sampled_from([
 @hypothesis.settings(max_examples=400, deadline=None)
 def test_tokenize_equals_reference_on_drawn_text(parts, final_newline):
     _assert_same_tokens("".join(parts) + ("\n" if final_newline else ""))
+
+
+# --- the parser against the token-by-token reference ------------------------
+
+def _parsed(parse, text):
+    """`repr` of the modules that `parse` makes of `text`, which shows every
+    offset, line and column; or the error's type, message and position."""
+    try:
+        return repr(parse(text, "t.v"))
+    except CdcError as e:
+        return type(e), str(e), e.line, e.column
+
+
+def _reference_parse(text, origin):
+    return ReferenceParser(text, origin).parse_source()
+
+
+def _assert_same_parse(text):
+    assert _parsed(parse_verilog, text) == _parsed(_reference_parse, text), text
+
+
+def _every_design():
+    """The corpus, and the generated hier, flat, simulation and
+    exploration designs of seeds 1 to 3."""
+    yield from corpus_designs()
+    yield from generated_designs(seeds=(1, 2, 3))
+    gen = load_gen()
+    for seed in (1, 2, 3):
+        for d in (gen.build("sim", seed, 8, block=gen.SIM_BLOCK, purpose="sim", run_edges=30),
+                  gen.build("explore", seed, 8, purpose="explore", run_edges=4,
+                            gray_sources=2)):
+            yield f"{d.name}-s{seed}", d.files["rtl.v"], d.files["constraints.cdc"]
+
+
+def test_parse_equals_reference_on_designs():
+    for name, rtl, _cons in _every_design():
+        assert parse_verilog(rtl, "t.v"), name
+        _assert_same_parse(rtl)
+
+
+def test_parse_equals_reference_on_single_defect_edits():
+    edits = 0
+    for name, rtl, _cons in (*corpus_designs(), *generated_designs()):
+        rng = random.Random(name)
+        texts = [text for text, _renamed in _name_edits(rtl, rng)]
+        texts += [text for _kind, text, _inst in _shape_edits(rtl, rng)]
+        for text in texts:
+            _assert_same_parse(text)
+        edits += len(texts)
+    assert edits > 700, edits
+
+
+HIER = SYNC2 + """
+module top(input clk, input rst_n, input [3:0] d, output q, output [1:0] w);
+  wire [1:0] t;
+  sync2 u0(.clk(clk), .rst_n(rst_n), .d(d[0] & ~d[1] | d[2] ^ d[3]), .q(q));
+  sync2 u1(.clk(clk), .rst_n(), .d(d[3] ? {d[2]} : 1'b0), .q(t[0]));
+  assign w = {t[0], !t[1:1]};
+endmodule
+"""
+
+
+def test_parse_equals_reference_on_cut_and_dropped_tokens():
+    """Each text cut before one of its tokens, or without that token: the
+    parse stops in every production, with every error it can give there."""
+    designs = dict((n, r) for n, r, _c in corpus_designs())
+    for rtl in (designs["gray_cross"], designs["blackbox_clean"], HIER):
+        for _kind, tok, offset in tokenize(rtl):
+            _assert_same_parse(rtl[:offset])
+            _assert_same_parse(rtl[:offset] + rtl[offset + len(tok):])
+
+
+_NAMES = st.sampled_from(["a", "b", "c", "a[3]", "b[7:4]", "c[0:0]"])
+_LITERALS = st.sampled_from(["1'b1", "8'hA5", "4'd9", "3", "0", "8'b1010_0101", "2'h3"])
+
+
+def _operators(inner):
+    binary = st.tuples(inner, st.sampled_from(["&", "|", "^"]), inner, st.booleans()).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})" if t[3] else f"{t[0]} {t[1]} {t[2]}")
+    return st.one_of(
+        binary,
+        st.tuples(st.sampled_from(["~", "!"]), inner).map("".join),
+        st.tuples(inner, inner, inner).map(lambda t: f"{t[0]} ? {t[1]} : {t[2]}"),
+        st.lists(inner, min_size=1, max_size=3).map(lambda ps: "{" + ", ".join(ps) + "}"),
+        inner.map(lambda e: f"({e})"))
+
+
+@hypothesis.given(st.recursive(st.one_of(_NAMES, _LITERALS), _operators, max_leaves=12),
+                  st.integers(min_value=0, max_value=3))
+@hypothesis.settings(max_examples=300, deadline=None)
+def test_parse_equals_reference_on_drawn_expressions(expr, cut):
+    """Expressions over `| ^ & ~ ! ?:`, concatenations, slices and literals,
+    with and without parentheses, whole or with their last tokens cut."""
+    text = ("module m(input [7:0] a, input [7:0] b, input c, output [7:0] y);\n"
+            f"  assign y = {expr};\nendmodule\n")
+    _assert_same_parse(text)
+    tokens = tokenize(text)
+    _assert_same_parse(text[:tokens[-4 - cut][2]])
 
 
 # --- names: the parser against the elaborator's old check -------------------
@@ -443,3 +547,79 @@ def test_shape_checks_reach_what_elaboration_skipped(monkeypatch, module, line):
     headers = [row for row in text.split("\n")[:e.value.line] if row.startswith("module ")]
     assert headers[-1].startswith(f"module {module}(")
     assert _reference_shape_errors(text, monkeypatch, top="top") == []
+
+
+# --- numbers: every integer token is a value or a positioned error ----------
+
+BIG = "9" * 5000    # more digits than `int` reads at once
+
+
+def _decimal_digits(n):
+    """`str(n)`, past the interpreter's limit on the digits it writes."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+WIDEST = _decimal_digits(2 ** 65536 - 1)    # 19729 digits
+
+
+@pytest.mark.parametrize("decl, expr, message, line, column", [
+    ("", "99999999999999999999999'h1", "literal wider than 65536 bits", 2, 14),
+    ("", BIG + "'h1", "literal wider than 65536 bits", 2, 14),
+    ("", "65537'h0", "literal wider than 65536 bits", 2, 14),
+    ("[" + BIG + ":0] ", "a[0]", "bit index past the widest net of 65536 bits", 1, 17),
+    ("[99999999999999999999:0] ", "a[0]", "bit index past the widest net of 65536 bits",
+     1, 17),
+    ("[65536:0] ", "a[0]", "bit index past the widest net of 65536 bits", 1, 17),
+    ("[3:0] ", "a[" + BIG + ":0]", "bit index past the widest net of 65536 bits", 2, 16),
+    ("[3:0] ", "a[65536]", "bit index past the widest net of 65536 bits", 2, 16),
+    ("[3:0] ", "a[3:" + BIG + "]", "bit index past the widest net of 65536 bits", 2, 18),
+    ("", "9" * 19729, "number does not fit in 65536 bits", 2, 14),
+    ("", _decimal_digits(2 ** 65536), "number does not fit in 65536 bits", 2, 14),
+    ("", f"65536'd{_decimal_digits(2 ** 65536)}", "literal value does not fit in 65536 bits",
+     2, 14),
+    ("", "2'd" + BIG, "literal value does not fit in 2 bits", 2, 14),
+    ("", "65536'd" + "9" * 19729, "literal value does not fit in 65536 bits", 2, 14),
+    ("", "4'b9", "literal digits are not base 2", 2, 14),
+    ("", "4'dA", "literal digits are not base 10", 2, 14),
+    ("", "4'b_", "literal digits are not base 2", 2, 14),
+], ids=["wide-literal", "long-literal-width", "literal-past-max", "long-range",
+        "wide-range", "range-past-max", "long-slice", "slice-past-max", "long-slice-lsb",
+        "unsized-past-max", "unsized-one-past-max", "decimal-one-past-max",
+        "long-decimal", "decimal-past-max", "binary-digit",
+        "decimal-digit", "no-digit"])
+def test_numbers_past_the_widest_net_are_positioned_errors(decl, expr, message, line,
+                                                            column):
+    text = f"module m(input {decl}a, output y);\n  assign y = {expr};\nendmodule\n"
+    with pytest.raises(ParseError) as e:
+        parse_verilog(text, "t.v")
+    assert (str(e.value), e.value.line, e.value.column) == (f"t.v:{line}:{column}: {message}",
+                                                            line, column)
+    _assert_same_parse(text)
+
+
+def test_numbers_up_to_the_widest_net_are_values():
+    huge = 10 ** 5000 - 1
+    text = ("module m(input [65535:0] a, output [65535:0] y, output z, output w);\n"
+            f"  assign y = a[65535:0] ^ 65536'hF_F ^ 65536'd{BIG} ^ {BIG};\n"
+            f"  assign z = a[65535] ^ {WIDEST};\n  assign w = {'9' * 19728};\nendmodule\n")
+    [mod] = parse_verilog(text)
+    assert [p.width for p in mod.ports] == [65536, 65536, 1, 1]
+    xor = mod.assigns[0].expr
+    assert xor.rhs == Literal(huge, None) and xor.lhs.rhs == Literal(huge, 65536)
+    assert xor.lhs.lhs.rhs == Literal(255, 65536)
+    assert mod.assigns[1].expr.rhs == Literal(2 ** 65536 - 1, None)
+    assert mod.assigns[2].expr == Literal(10 ** 19728 - 1, None)
+    # `repr` cannot write these values in decimal
+    assert [mod] == _reference_parse(text, "<input>")
+
+
+def test_a_long_number_in_a_width_error_is_named_by_its_bits():
+    text = f"module m(input clk, output y);\n  assign y = {BIG};\nendmodule\n"
+    with pytest.raises(CdcError) as e:
+        analyze_sources([("rtl.v", text)], "clock clk -period 10 -domain A\n")
+    assert str(e.value) == "rtl.v:2:14: literal of 16610 bits does not fit in 1 bits"
