@@ -51,6 +51,18 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _write_ir(path: Path, netlist) -> None:
+    """The netlist as JSON.  A constant or reset value of up to `MAX_WIDTH`
+    bits has more decimal digits than `str` writes by default, so that limit
+    is lifted while the IR is written."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        _write_json(path, netlist.to_json_dict())
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _write_text(path: Path, text: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
@@ -108,7 +120,7 @@ def cmd_analyze(args) -> int:
     _write_json(out / "syncs.json", sr)
     _write_json(out / "findings.json", fr)
     if args.dump_ir:
-        _write_json(Path(args.dump_ir), analysis.netlist.to_json_dict())
+        _write_ir(Path(args.dump_ir), analysis.netlist)
     _write_json(out / "manifest.json",
                 _manifest(args, "analyze", analysis, outputs,
                           options={"strict": args.strict}))

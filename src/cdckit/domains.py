@@ -161,28 +161,37 @@ def assign_domains(netlist: Netlist, constraints: ConstraintSet) -> DomainMap:
             raise AnalysisError(f"declared static signal {name!r} not found")
 
     dm = DomainMap({}, {}, {}, port_domain)
+    cells, nets = netlist.cells, netlist.nets
 
+    # A clock net's cone is judged once, for the first flop it clocks: its
+    # domain, root clock and multi-input gates hold for every flop after.
+    judged: dict[int, tuple[str, str, int, list[int]]] = {}
     for flop in netlist.dffs():
-        cone = netlist.fanin_cone(flop.clock)
-        roots = [ref for ref in cone.seq if ref[0] == "port" and ref[1] in clock_ports]
-        other_ports = [ref for ref in cone.seq if ref[0] == "port" and ref[1] not in clock_ports]
-        boxes = [ref for ref in cone.seq if ref[0] == "cell"
-                 and isinstance(netlist.cells[ref[1]], BlackBox)]
-        # gating enables (ports, flops) may share the cone; exactly one
-        # declared clock must be reachable, and black boxes never are
-        if len(roots) != 1 or boxes:
-            offend = ([_ref_name(netlist, r) for r in boxes]
-                      or [_ref_name(netlist, r) for r in other_ports + roots])
-            raise UndeclaredClock(
-                f"clock of flop {flop.name!r} does not resolve to exactly one "
-                f"declared clock (cone reaches {offend or 'nothing'})")
-        root = roots[0]
-        root_net = netlist.ports[root[1]].net
-        dm.flop_domain[flop.index] = clock_ports[root[1]]
-        dm.clock_root[flop.index] = netlist.nets[root_net].name
-        for g in cone.gates:
-            if len(netlist.cells[g].inputs) > 1:
-                dm.gate_notes.append(ClockGateNote(flop.name, g, root_net))
+        verdict = judged.get(flop.clock)
+        if verdict is None:
+            cone = netlist.fanin_cone(flop.clock)
+            roots = [ref for ref in cone.seq if ref[0] == "port" and ref[1] in clock_ports]
+            boxes = [ref for ref in cone.seq if ref[0] == "cell"
+                     and isinstance(cells[ref[1]], BlackBox)]
+            # gating enables (ports, flops) may share the cone; exactly one
+            # declared clock must be reachable, and black boxes never are
+            if len(roots) != 1 or boxes:
+                other_ports = [ref for ref in cone.seq
+                               if ref[0] == "port" and ref[1] not in clock_ports]
+                offend = ([_ref_name(netlist, r) for r in boxes]
+                          or [_ref_name(netlist, r) for r in other_ports + roots])
+                raise UndeclaredClock(
+                    f"clock of flop {flop.name!r} does not resolve to exactly one "
+                    f"declared clock (cone reaches {offend or 'nothing'})")
+            root_net = netlist.ports[roots[0][1]].net
+            verdict = judged[flop.clock] = (
+                clock_ports[roots[0][1]], nets[root_net].name, root_net,
+                [g for g in cone.gates if len(cells[g].inputs) > 1])
+        domain, root_name, root_net, gated = verdict
+        dm.flop_domain[flop.index] = domain
+        dm.clock_root[flop.index] = root_name
+        for g in gated:
+            dm.gate_notes.append(ClockGateNote(flop.name, g, root_net))
 
     # Net domains in one topological pass: a flop, black box or port drives
     # its own domain (unclocked without one), a const or floating net is
@@ -191,9 +200,8 @@ def assign_domains(netlist: Netlist, constraints: ConstraintSet) -> DomainMap:
     by_domain = {d: NetDomain(frozenset((d,)))
                  for d in {*dm.flop_domain.values(), *port_domain.values()}}
     unclocked = NetDomain(frozenset(), unclocked=True)
-    cells = netlist.cells
     net_domain: list[NetDomain] = []
-    for net in netlist.nets:
+    for net in nets:
         drv = net.driver
         if drv is None:
             d = constant        # floating: reads as 0, and `analyze` rejects it
@@ -204,16 +212,24 @@ def assign_domains(netlist: Netlist, constraints: ConstraintSet) -> DomainMap:
         else:   # Gate outputs are overwritten below, in topological order
             d = by_domain.get(dm.flop_domain.get(drv[1]), unclocked)
         net_domain.append(d)
-    for g in netlist.comb_topo():
-        gate = cells[g]
-        ins = [net_domain[n] for n in gate.inputs]
-        first = ins[0]
-        if all(d is first for d in ins):
-            net_domain[gate.out] = first
-        else:
-            net_domain[gate.out] = NetDomain(
-                frozenset().union(*(d.domains for d in ins)),
-                any(d.unclocked for d in ins), all(d.constant for d in ins))
+    # The join of two domains is made once per distinct pair.  It is keyed
+    # by the pair's ids: every domain joined lives in `net_domain` or in
+    # `joined` until the pass ends, so no id is reused meanwhile.
+    joined: dict[tuple[int, int], NetDomain] = {}
+    for gate in map(cells.__getitem__, netlist.comb_topo()):
+        inputs = gate.inputs
+        d = net_domain[inputs[0]]
+        for n in inputs:
+            e = net_domain[n]
+            if e is not d:
+                key = (id(d), id(e))
+                j = joined.get(key)
+                if j is None:
+                    j = joined[key] = NetDomain(d.domains | e.domains,
+                                                d.unclocked or e.unclocked,
+                                                d.constant and e.constant)
+                d = j
+        net_domain[gate.out] = d
     dm.net_domain = dict(enumerate(net_domain))
     return dm
 

@@ -6,14 +6,16 @@ recursion limit.  Port connections merge parent and child nets, keeping the
 topmost name as the canonical one.  A module's body (what follows its
 ports) lowers the same way in every instance, so a module expanded more
 than once, as the instance graph counts it, is recorded at its first
-expansion and stamped at the others: its nets, merges and cells are added
-again under the instance's prefix, with no expression lowered twice.
+expansion and stamped at the others: its nets and merges are added again
+under the instance's prefix, with no expression lowered twice, and its
+cells are built by `NetlistBuilder.finish` straight from the recorded body.
 
-Expressions lower to AND/OR/XOR/NOT/BUF/MUX/CONCAT/SLICE gates and
-constant cells; a one-operand concatenation `{x}` is `x` itself.
-Sequential blocks lower to one Dff per assigned register: if/else arms
-fold into mux expressions, a top-level `if (en) r <= e;` shape becomes the
-flop's enable pin, and the async reset arm supplies the reset value.
+Expressions lower, through a table keyed by node type (`_SYNTH`), to
+AND/OR/XOR/NOT/BUF/MUX/CONCAT/SLICE gates and constant cells; a one-operand
+concatenation `{x}` is `x` itself.  Sequential blocks lower to one Dff per
+assigned register: if/else arms fold into mux expressions, a top-level
+`if (en) r <= e;` shape becomes the flop's enable pin, and the async reset
+arm supplies the reset value.
 
 The parser has checked what each module's own text decides, so the errors
 left here need another module or the widths of expressions.  A width error
@@ -36,17 +38,14 @@ from .verilog import (AlwaysBlock, Binary, Concat, Expr, Ident, Instance,
                       position)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Scope:
     prefix: str
     mod: ParsedModule
     widths: dict[str, int]
+    temp_names: bool        # the module declares a name that begins `__t`
     handles: dict[str, int]
     counter: int = 0
-
-    def temp(self) -> int:
-        self.counter += 1
-        return self.counter
 
     def at(self, expr: Expr) -> str:
         """`origin:line:col: ` of the leftmost operand of `expr`, or nothing
@@ -105,6 +104,9 @@ class _Elaborator:
         # each body with the scope's temp counter after it
         self.repeated: set[str] = set()
         self.bodies: dict[str, tuple[BodyRecord, int]] = {}
+        # each module's declared widths, and whether it declares a name of
+        # the form the elaborator gives its temporaries
+        self.declared: dict[str, tuple[dict[str, int], bool]] = {}
 
     # -- recursion guard --
 
@@ -156,116 +158,141 @@ class _Elaborator:
     def synth(self, scope: _Scope, expr: Expr, ctx_width: int | None,
               out_handle: int | None = None) -> int:
         """Lower an expression to gates; returns the net handle carrying its
-        value.  When `out_handle` is given, the expression drives that net."""
-        b = self.builder
+        value.  When `out_handle` is given, the expression drives that net.
+        Each node kind lowers in a method of its own, found by `type(expr)`
+        in `_SYNTH`; operands recurse through the table directly."""
+        return _SYNTH[type(expr)](self, scope, expr, ctx_width, out_handle)
 
-        def fresh(width: int) -> int:
-            n = scope.temp()
-            while f"__t{n}" in scope.widths:    # a name the module declares
-                n = scope.temp()
-            return b.add_net(f"{scope.prefix}__t{n}", width)
+    def _fresh(self, scope: _Scope, width: int) -> int:
+        """A temporary net of the next temp number that the module does not
+        declare as a name."""
+        scope.counter += 1
+        n = scope.counter
+        if scope.temp_names:
+            while f"__t{n}" in scope.widths:
+                scope.counter += 1
+                n = scope.counter
+        return self.builder.add_net(f"{scope.prefix}__t{n}", width)
 
-        def finish(handle: int) -> int:
-            if out_handle is not None and handle != out_handle:
-                b.merge(out_handle, handle, scope.prefix or "top")
-                return out_handle
-            return handle
+    def _ident(self, scope: _Scope, expr: Ident, ctx_width: int | None,
+               out_handle: int | None) -> int:
+        name = expr.name
+        w = scope.widths[name]
+        if ctx_width is not None and w != ctx_width:
+            raise PortWidthMismatch(
+                f"{scope.at(expr)}{scope.prefix}{name} is {w} bits, "
+                f"expected {ctx_width}")
+        h = scope.handles[name]
+        if out_handle is not None and h != out_handle:
+            self.builder.merge(out_handle, h, scope.prefix or "top")
+            return out_handle
+        return h
 
-        match expr:
-            case Ident(name):
-                h = scope.handles[name]
-                w = scope.widths[name]
-                if ctx_width is not None and w != ctx_width:
-                    raise PortWidthMismatch(
-                        f"{scope.at(expr)}{scope.prefix}{name} is {w} bits, "
-                        f"expected {ctx_width}")
-                return finish(h)
-            case Literal(value, width):
-                w = width if width is not None else ctx_width
-                if w is None:
-                    raise ElabError(
-                        f"{scope.at(expr)}unsized literal {_shown(value)} needs a width "
-                        f"context in {scope.prefix or scope.mod.name}")
-                if ctx_width is not None and w != ctx_width:
-                    raise PortWidthMismatch(
-                        f"{scope.at(expr)}literal is {w} bits, expected {ctx_width}")
-                if value >= (1 << w):
-                    raise ElabError(
-                        f"{scope.at(expr)}literal {_shown(value)} does not fit in {w} bits")
-                out = out_handle if out_handle is not None else fresh(w)
-                n = scope.temp()
-                b.add_const(f"{scope.prefix}__c{n}", value, w, out)
-                return out
-            case Unary(_, operand):
-                w = ctx_width or _infer_width(scope, operand)
-                if w is None:
-                    raise ElabError(f"{scope.at(expr)}cannot infer width of '~' operand")
-                a = self.synth(scope, operand, w)
-                out = out_handle if out_handle is not None else fresh(w)
-                n = scope.temp()
-                b.add_gate(f"{scope.prefix}__g{n}_not", "NOT", [a], out, w)
-                return out
-            case Binary(op, lhs, rhs):
-                w = ctx_width or _infer_width(scope, lhs) or _infer_width(scope, rhs)
-                if w is None:
-                    raise ElabError(
-                        f"{scope.at(expr)}cannot infer width of '{op}' expression")
-                a = self.synth(scope, lhs, w)
-                c = self.synth(scope, rhs, w)
-                out = out_handle if out_handle is not None else fresh(w)
-                gate_op = {"&": "AND", "|": "OR", "^": "XOR"}[op]
-                n = scope.temp()
-                b.add_gate(f"{scope.prefix}__g{n}_{gate_op.lower()}", gate_op,
-                           [a, c], out, w)
-                return out
-            case Ternary(cond, if_true, if_false):
-                w = ctx_width or _infer_width(scope, if_true) or _infer_width(scope, if_false)
-                if w is None:
-                    raise ElabError(
-                        f"{scope.at(expr)}cannot infer width of conditional expression")
-                sel = self.synth(scope, cond, 1)
-                a = self.synth(scope, if_true, w)
-                c = self.synth(scope, if_false, w)
-                out = out_handle if out_handle is not None else fresh(w)
-                n = scope.temp()
-                b.add_gate(f"{scope.prefix}__g{n}_mux", "MUX", [sel, a, c], out, w)
-                return out
-            case Concat([part]):
-                # {x} is x itself, but x still needs an explicit width
-                w = _infer_width(scope, part)
-                if w is None:
-                    raise ElabError(
-                        f"{scope.at(part)}concat operand needs an explicit width")
-                return self.synth(scope, part, ctx_width or w, out_handle)
-            case Concat(parts):
-                handles = []
-                widths = []
-                for p in parts:
-                    w = _infer_width(scope, p)
-                    if w is None:
-                        raise ElabError(
-                            f"{scope.at(p)}concat operand needs an explicit width")
-                    handles.append(self.synth(scope, p, w))
-                    widths.append(w)
-                total = sum(widths)
-                if ctx_width is not None and total != ctx_width:
-                    raise PortWidthMismatch(
-                        f"{scope.at(expr)}concat is {total} bits, expected {ctx_width}")
-                out = out_handle if out_handle is not None else fresh(total)
-                n = scope.temp()
-                b.add_gate(f"{scope.prefix}__g{n}_concat", "CONCAT", handles, out, total)
-                return out
-            case Slice(name, msb, lsb):
-                w = msb - lsb + 1
-                if ctx_width is not None and w != ctx_width:
-                    raise PortWidthMismatch(
-                        f"{scope.at(expr)}slice is {w} bits, expected {ctx_width}")
-                out = out_handle if out_handle is not None else fresh(w)
-                n = scope.temp()
-                b.add_gate(f"{scope.prefix}__g{n}_slice", "SLICE",
-                           [scope.handles[name]], out, w, slice_lsb=lsb)
-                return out
-        raise AssertionError(expr)
+    def _literal(self, scope: _Scope, expr: Literal, ctx_width: int | None,
+                 out_handle: int | None) -> int:
+        value, w = expr.value, expr.width
+        if w is None:
+            w = ctx_width
+            if w is None:
+                raise ElabError(
+                    f"{scope.at(expr)}unsized literal {_shown(value)} needs a width "
+                    f"context in {scope.prefix or scope.mod.name}")
+        elif ctx_width is not None and w != ctx_width:
+            raise PortWidthMismatch(
+                f"{scope.at(expr)}literal is {w} bits, expected {ctx_width}")
+        if value.bit_length() > w:
+            raise ElabError(
+                f"{scope.at(expr)}literal {_shown(value)} does not fit in {w} bits")
+        out = out_handle if out_handle is not None else self._fresh(scope, w)
+        scope.counter += 1
+        self.builder.add_const(f"{scope.prefix}__c{scope.counter}", value, w, out)
+        return out
+
+    def _unary(self, scope: _Scope, expr: Unary, ctx_width: int | None,
+               out_handle: int | None) -> int:
+        operand = expr.operand
+        w = ctx_width or _infer_width(scope, operand)
+        if w is None:
+            raise ElabError(f"{scope.at(expr)}cannot infer width of '~' operand")
+        a = _SYNTH[type(operand)](self, scope, operand, w, None)
+        out = out_handle if out_handle is not None else self._fresh(scope, w)
+        scope.counter += 1
+        self.builder.add_gate(f"{scope.prefix}__g{scope.counter}_not", "NOT", [a], out, w)
+        return out
+
+    def _binary(self, scope: _Scope, expr: Binary, ctx_width: int | None,
+                out_handle: int | None) -> int:
+        lhs, rhs = expr.lhs, expr.rhs
+        w = ctx_width or _infer_width(scope, lhs) or _infer_width(scope, rhs)
+        if w is None:
+            raise ElabError(
+                f"{scope.at(expr)}cannot infer width of '{expr.op}' expression")
+        a = _SYNTH[type(lhs)](self, scope, lhs, w, None)
+        c = _SYNTH[type(rhs)](self, scope, rhs, w, None)
+        out = out_handle if out_handle is not None else self._fresh(scope, w)
+        gate_op, suffix = _GATE_OF[expr.op]
+        scope.counter += 1
+        self.builder.add_gate(f"{scope.prefix}__g{scope.counter}{suffix}", gate_op,
+                              [a, c], out, w)
+        return out
+
+    def _ternary(self, scope: _Scope, expr: Ternary, ctx_width: int | None,
+                 out_handle: int | None) -> int:
+        cond, if_true, if_false = expr.cond, expr.if_true, expr.if_false
+        w = ctx_width or _infer_width(scope, if_true) or _infer_width(scope, if_false)
+        if w is None:
+            raise ElabError(
+                f"{scope.at(expr)}cannot infer width of conditional expression")
+        sel = _SYNTH[type(cond)](self, scope, cond, 1, None)
+        a = _SYNTH[type(if_true)](self, scope, if_true, w, None)
+        c = _SYNTH[type(if_false)](self, scope, if_false, w, None)
+        out = out_handle if out_handle is not None else self._fresh(scope, w)
+        scope.counter += 1
+        self.builder.add_gate(f"{scope.prefix}__g{scope.counter}_mux", "MUX",
+                              [sel, a, c], out, w)
+        return out
+
+    def _concat(self, scope: _Scope, expr: Concat, ctx_width: int | None,
+                out_handle: int | None) -> int:
+        parts = expr.parts
+        if len(parts) == 1:
+            # {x} is x itself, but x still needs an explicit width
+            part = parts[0]
+            w = _infer_width(scope, part)
+            if w is None:
+                raise ElabError(
+                    f"{scope.at(part)}concat operand needs an explicit width")
+            return _SYNTH[type(part)](self, scope, part, ctx_width or w, out_handle)
+        handles = []
+        total = 0
+        for p in parts:
+            w = _infer_width(scope, p)
+            if w is None:
+                raise ElabError(
+                    f"{scope.at(p)}concat operand needs an explicit width")
+            handles.append(_SYNTH[type(p)](self, scope, p, w, None))
+            total += w
+        if ctx_width is not None and total != ctx_width:
+            raise PortWidthMismatch(
+                f"{scope.at(expr)}concat is {total} bits, expected {ctx_width}")
+        out = out_handle if out_handle is not None else self._fresh(scope, total)
+        scope.counter += 1
+        self.builder.add_gate(f"{scope.prefix}__g{scope.counter}_concat", "CONCAT",
+                              handles, out, total)
+        return out
+
+    def _slice(self, scope: _Scope, expr: Slice, ctx_width: int | None,
+               out_handle: int | None) -> int:
+        lsb = expr.lsb
+        w = expr.msb - lsb + 1
+        if ctx_width is not None and w != ctx_width:
+            raise PortWidthMismatch(
+                f"{scope.at(expr)}slice is {w} bits, expected {ctx_width}")
+        out = out_handle if out_handle is not None else self._fresh(scope, w)
+        scope.counter += 1
+        self.builder.add_gate(f"{scope.prefix}__g{scope.counter}_slice", "SLICE",
+                              [scope.handles[expr.name]], out, w, slice_lsb=lsb)
+        return out
 
     # -- always-block lowering --
 
@@ -333,7 +360,12 @@ class _Elaborator:
         the others."""
         b = self.builder
         first = b.net_count
-        scope = _Scope(prefix, mod, mod.declared_widths(), {})
+        declared = self.declared.get(mod.name)
+        if declared is None:
+            widths = mod.declared_widths()
+            declared = self.declared[mod.name] = (
+                widths, any(name.startswith("__t") for name in widths))
+        scope = _Scope(prefix, mod, *declared, {})
         for p in mod.ports:
             h = b.add_net(prefix + p.name, p.width)
             scope.handles[p.name] = h
@@ -396,6 +428,13 @@ class _Elaborator:
                 w = _infer_width(scope, expr)
                 bindings[port] = self.synth(scope, expr, w)
         return self.expand(child, path + ".", bindings)
+
+
+_SYNTH = {Ident: _Elaborator._ident, Literal: _Elaborator._literal,
+          Unary: _Elaborator._unary, Binary: _Elaborator._binary,
+          Ternary: _Elaborator._ternary, Concat: _Elaborator._concat,
+          Slice: _Elaborator._slice}
+_GATE_OF = {"&": ("AND", "_and"), "|": ("OR", "_or"), "^": ("XOR", "_xor")}
 
 
 def elaborate(modules: list[ParsedModule], top: str) -> Netlist:

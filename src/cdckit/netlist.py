@@ -12,6 +12,10 @@ References into the graph are `(kind, index, pin)` triples where kind is
 "cell" or "port".  Cell indices point into `Netlist.cells`, port indices
 into `Netlist.ports`.
 
+`NetlistBuilder.finish` builds every cell, those of stamped module bodies
+too: a stamped body stays one record until then, and each of its cells is
+made from the record, the instance's name prefix and its first net handle.
+
 Backward cones are memoized per netlist: repeated queries for the logic
 feeding a net do not recompute shared cones.  The simulator's compiled
 kernels are cached on the netlist in the same way.
@@ -19,6 +23,7 @@ kernels are cached on the netlist in the same way.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import NamedTuple
@@ -31,7 +36,7 @@ GATE_OPS = ("AND", "OR", "XOR", "NOT", "BUF", "MUX", "CONCAT", "SLICE")
 _ARITY = {"NOT": 1, "BUF": 1, "SLICE": 1, "MUX": 3}    # the others take two or more
 
 
-@dataclass
+@dataclass(slots=True)
 class Net:
     index: int
     name: str               # canonical hierarchical name, e.g. "u0.sync.q1"
@@ -41,7 +46,7 @@ class Net:
     readers: tuple[Ref, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class Dff:
     index: int
     name: str
@@ -55,7 +60,7 @@ class Dff:
     reset_value: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Gate:
     index: int
     name: str
@@ -66,7 +71,7 @@ class Gate:
     slice_lsb: int = 0      # SLICE only
 
 
-@dataclass
+@dataclass(slots=True)
 class Const:
     index: int
     name: str
@@ -75,7 +80,7 @@ class Const:
     out: int
 
 
-@dataclass
+@dataclass(slots=True)
 class BlackBox:
     """Instance of a module with no definition; port directions are
     resolved by driver availability at build time."""
@@ -89,7 +94,7 @@ class BlackBox:
 Cell = Dff | Gate | Const | BlackBox
 
 
-@dataclass
+@dataclass(slots=True)
 class Port:
     index: int
     name: str
@@ -309,7 +314,15 @@ def _relocate(desc: tuple, name: str, moved) -> tuple:
 
 class NetlistBuilder:
     """Accumulates cells/nets during elaboration, merges connected nets with
-    union-find, then produces a consistent `Netlist`."""
+    union-find, then produces a consistent `Netlist`.
+
+    Pending cells are kept in runs, in cell order: `_cells` is the run being
+    added to, one description per cell, and `_runs` holds the runs before it
+    as `(prefix, first, span, descriptions)`.  A plain run has span None and
+    builder handles; a stamped body is one run whose descriptions are its
+    `BodyRecord.cells`, with names that `prefix` begins and handles relative
+    to `first` (`span` handles from it), and `finish` builds its cells from
+    them directly."""
 
     def __init__(self, name: str):
         self.name = name
@@ -318,6 +331,8 @@ class NetlistBuilder:
         self._parent: list[int] = []
         self._by_name: dict[str, int] = {}
         self._cells: list[tuple] = []   # pending cell descriptions
+        self._runs: list[tuple[str, int, int | None, Sequence[tuple]]] = []
+        self._run_cells = 0             # cells in `_runs`
         self._ports: list[tuple[str, str, int, int]] = []
         self._instances: list[InstanceRecord] = []
         self._bb_conns: list[tuple[int, list[int]]] = []  # (cell slot, handle list)
@@ -384,7 +399,7 @@ class NetlistBuilder:
         self._cells.append(("const", name, value, width, out))
 
     def add_blackbox(self, name: str, module: str, conns: list[int]):
-        slot = len(self._cells)
+        slot = self._run_cells + len(self._cells)
         self._cells.append(("blackbox", name, module))
         self._bb_conns.append((slot, conns))
 
@@ -413,23 +428,29 @@ class NetlistBuilder:
 
     def stamp(self, body: BodyRecord, prefix: str, first: int):
         """Add `body` again, for an instance whose names begin with `prefix`
-        and whose first net is `first`: its nets, its merges and its cells
-        in the order its first expansion added them."""
+        and whose first net is `first`: its nets, its merges and, as one run
+        that `finish` builds, its cells.  The nets get the handles that
+        follow `first` and the instance's ports, so each relative handle `h`
+        of the body is `first + h`."""
         names = [prefix + name for name in body.names]
         if not self._by_name.keys().isdisjoint(names):
             twice = next(name for name in names if name in self._by_name)
             raise MultipleDrivers(f"net name {twice!r} declared twice")
-        # one int per handle, shared by every place that holds it
         base = len(self._net_names)
-        handles = list(range(first, base + len(names)))
-        own = handles[base - first:]
+        own = range(base, base + len(names))
         self._by_name.update(zip(names, own))
         self._net_names += names
         self._net_widths += body.widths
         self._parent += own
         for a, b in body.merges:
-            self.merge(handles[a], handles[b], prefix)
-        self._cells += [_relocate(desc, prefix + desc[1], handles) for desc in body.cells]
+            self.merge(first + a, first + b, prefix)
+        if body.cells:
+            if self._cells:
+                self._runs.append(("", 0, None, self._cells))
+                self._run_cells += len(self._cells)
+                self._cells = []
+            self._runs.append((prefix, first, own.stop - first, body.cells))
+            self._run_cells += len(body.cells)
 
     def finish(self) -> Netlist:
         """Raises MultipleDrivers for a net with two drivers and
@@ -478,36 +499,49 @@ class NetlistBuilder:
                 claim(p.net, ("port", p.index, ""))
             else:
                 readers[p.net].append(("port", p.index, ""))
+        runs = [*self._runs, ("", 0, None, self._cells)]
         pins = [f"in{i}" for i in range(
-            max((len(d[3]) for d in self._cells if d[0] == "gate"), default=0))]
-        for idx, desc in enumerate(self._cells):
-            kind = desc[0]
-            if kind == "gate":
-                _, name, op, inputs, out, width, lsb = desc
-                ins = tuple(map(canon.__getitem__, inputs))
-                for pin, n in zip(pins, ins):
-                    readers[n].append(("cell", idx, pin))
-                cell: Cell = Gate(idx, name, op, ins, canon[out], width, lsb)
-            elif kind == "dff":
-                _, name, width, clock, data, out, enable, reset, alow, rv = desc
-                cell = Dff(idx, name, width, canon[clock], canon[data], canon[out],
-                           None if enable is None else canon[enable],
-                           None if reset is None else canon[reset], alow, rv)
-                readers[cell.clock].append(("cell", idx, "clock"))
-                readers[cell.data].append(("cell", idx, "data"))
-                if cell.enable is not None:
-                    readers[cell.enable].append(("cell", idx, "enable"))
-                if cell.reset is not None:
-                    readers[cell.reset].append(("cell", idx, "reset"))
-            elif kind == "const":
-                _, name, value, width, out = desc
-                cell = Const(idx, name, value, width, canon[out])
-            else:
-                _, name, module = desc
-                cells.append(BlackBox(idx, name, module))
-                continue
-            cells.append(cell)
-            claim(cell.out, ("cell", idx, "out"))
+            max((len(d[3]) for run in runs for d in run[3] if d[0] == "gate"), default=0))]
+        idx = 0
+        for prefix, first, span, descs in runs:
+            # a stamped run's handle `h` is the builder's handle `first + h`
+            local = canon if span is None else canon[first:first + span]
+            resolve = local.__getitem__
+            for desc in descs:
+                kind = desc[0]
+                if kind == "gate":
+                    _, name, op, inputs, out, width, lsb = desc
+                    ins = tuple(map(resolve, inputs))
+                    for pin, n in zip(pins, ins):
+                        readers[n].append(("cell", idx, pin))
+                    out = local[out]
+                    cells.append(Gate(idx, prefix + name, op, ins, out, width, lsb))
+                elif kind == "dff":
+                    _, name, width, clock, data, out, enable, reset, alow, rv = desc
+                    clock, data, out = local[clock], local[data], local[out]
+                    readers[clock].append(("cell", idx, "clock"))
+                    readers[data].append(("cell", idx, "data"))
+                    if enable is not None:
+                        enable = local[enable]
+                        readers[enable].append(("cell", idx, "enable"))
+                    if reset is not None:
+                        reset = local[reset]
+                        readers[reset].append(("cell", idx, "reset"))
+                    cells.append(Dff(idx, prefix + name, width, clock, data, out,
+                                     enable, reset, alow, rv))
+                elif kind == "const":
+                    _, name, value, width, out = desc
+                    out = local[out]
+                    cells.append(Const(idx, prefix + name, value, width, out))
+                else:
+                    _, name, module = desc
+                    cells.append(BlackBox(idx, name, module))
+                    idx += 1
+                    continue
+                if driver[out] is not None:
+                    claim(out, ("cell", idx, "out"))
+                driver[out] = ("cell", idx, "out")
+                idx += 1
 
         # black-box connections: undriven nets become outputs, in slot order
         for slot, conns in self._bb_conns:

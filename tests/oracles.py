@@ -4,14 +4,17 @@ Everything here deliberately avoids the library's traversal/memoization
 machinery: tokens come from one anchored match per token or skipped gap,
 parse trees from `ReferenceParser`, which steps through those tokens one
 `peek`, `accept` or `expect` at a time with a method per operator
-precedence, counts are recursive multiplications over the parsed module tree, a built
-netlist from resolving every pin through the union-find and sorting every
+precedence, counts are recursive multiplications over the parsed module tree,
+expressions lowered by the elaborator's first `match` over the node classes
+(`ReferenceElaborator`), a built netlist from resolving every pin through
+the union-find, each stamped cell relocated on its own, and sorting every
 reader list, cones from naive path enumeration and, in order, from the
 walk that enters each net through an iterator of its own, gate order from a Kahn
 loop that re-sorts its ready list, netlist invariants from every driver
 and reader recomputed and compared with the builder's, flop domains from
-exhaustive backward search, net domains from each net's own cone,
-crossing pairs from brute-force path walks, and synchronizers from the
+exhaustive backward search and, with root clocks and clock-gate notes,
+from each flop's clock cone judged again per flop, net domains from each
+net's own cone, crossing pairs from brute-force path walks, and synchronizers from the
 first-written matchers, which scan every cell and chain.  Gate values come
 from a string-dispatch interpreter, the reference for the simulator's
 compiled kernels; ticks from `ReferenceEngine`, which recomputes each
@@ -37,8 +40,10 @@ from functools import lru_cache
 from cdckit.checkers import build_checkers
 from cdckit.codegen import generate_all
 from cdckit.constraints import ConstraintSet
-from cdckit.domains import CdcPair, DomainMap, NetDomain
-from cdckit.errors import (MultipleDrivers, ParseError, SimDivergence,
+from cdckit.domains import CdcPair, ClockGateNote, DomainMap, NetDomain, _ref_name
+from cdckit.elaborate import _Elaborator, _infer_width, _Scope, _shown
+from cdckit.errors import (ElabError, MultipleDrivers, ParseError,
+                           PortWidthMismatch, SimDivergence, UndeclaredClock,
                            UnsupportedConstruct)
 from cdckit.netlist import (GATE_OPS, BlackBox, Cell, Cone, Const, Dff, Gate, Net,
                             Netlist, NetlistBuilder, Port, Ref, _name_rank)
@@ -653,6 +658,163 @@ def _cell_inputs(cell: Cell) -> list[tuple[str, int]]:
     return []
 
 
+class ReferenceElaborator(_Elaborator):
+    """The elaborator with expressions lowered by one `match` over the node
+    classes, making a `fresh` and a `finish` closure per call and scanning
+    the module's names for every temporary."""
+
+    def synth(self, scope: _Scope, expr: Expr, ctx_width: int | None,
+              out_handle: int | None = None) -> int:
+        b = self.builder
+
+        def temp() -> int:
+            scope.counter += 1
+            return scope.counter
+
+        def fresh(width: int) -> int:
+            n = temp()
+            while f"__t{n}" in scope.widths:    # a name the module declares
+                n = temp()
+            return b.add_net(f"{scope.prefix}__t{n}", width)
+
+        def finish(handle: int) -> int:
+            if out_handle is not None and handle != out_handle:
+                b.merge(out_handle, handle, scope.prefix or "top")
+                return out_handle
+            return handle
+
+        match expr:
+            case Ident(name):
+                h = scope.handles[name]
+                w = scope.widths[name]
+                if ctx_width is not None and w != ctx_width:
+                    raise PortWidthMismatch(
+                        f"{scope.at(expr)}{scope.prefix}{name} is {w} bits, "
+                        f"expected {ctx_width}")
+                return finish(h)
+            case Literal(value, width):
+                w = width if width is not None else ctx_width
+                if w is None:
+                    raise ElabError(
+                        f"{scope.at(expr)}unsized literal {_shown(value)} needs a width "
+                        f"context in {scope.prefix or scope.mod.name}")
+                if ctx_width is not None and w != ctx_width:
+                    raise PortWidthMismatch(
+                        f"{scope.at(expr)}literal is {w} bits, expected {ctx_width}")
+                if value >= (1 << w):
+                    raise ElabError(
+                        f"{scope.at(expr)}literal {_shown(value)} does not fit in {w} bits")
+                out = out_handle if out_handle is not None else fresh(w)
+                n = temp()
+                b.add_const(f"{scope.prefix}__c{n}", value, w, out)
+                return out
+            case Unary(_, operand):
+                w = ctx_width or _infer_width(scope, operand)
+                if w is None:
+                    raise ElabError(f"{scope.at(expr)}cannot infer width of '~' operand")
+                a = self.synth(scope, operand, w)
+                out = out_handle if out_handle is not None else fresh(w)
+                n = temp()
+                b.add_gate(f"{scope.prefix}__g{n}_not", "NOT", [a], out, w)
+                return out
+            case Binary(op, lhs, rhs):
+                w = ctx_width or _infer_width(scope, lhs) or _infer_width(scope, rhs)
+                if w is None:
+                    raise ElabError(
+                        f"{scope.at(expr)}cannot infer width of '{op}' expression")
+                a = self.synth(scope, lhs, w)
+                c = self.synth(scope, rhs, w)
+                out = out_handle if out_handle is not None else fresh(w)
+                gate_op = {"&": "AND", "|": "OR", "^": "XOR"}[op]
+                n = temp()
+                b.add_gate(f"{scope.prefix}__g{n}_{gate_op.lower()}", gate_op,
+                           [a, c], out, w)
+                return out
+            case Ternary(cond, if_true, if_false):
+                w = ctx_width or _infer_width(scope, if_true) or _infer_width(scope, if_false)
+                if w is None:
+                    raise ElabError(
+                        f"{scope.at(expr)}cannot infer width of conditional expression")
+                sel = self.synth(scope, cond, 1)
+                a = self.synth(scope, if_true, w)
+                c = self.synth(scope, if_false, w)
+                out = out_handle if out_handle is not None else fresh(w)
+                n = temp()
+                b.add_gate(f"{scope.prefix}__g{n}_mux", "MUX", [sel, a, c], out, w)
+                return out
+            case Concat([part]):
+                # {x} is x itself, but x still needs an explicit width
+                w = _infer_width(scope, part)
+                if w is None:
+                    raise ElabError(
+                        f"{scope.at(part)}concat operand needs an explicit width")
+                return self.synth(scope, part, ctx_width or w, out_handle)
+            case Concat(parts):
+                handles = []
+                widths = []
+                for p in parts:
+                    w = _infer_width(scope, p)
+                    if w is None:
+                        raise ElabError(
+                            f"{scope.at(p)}concat operand needs an explicit width")
+                    handles.append(self.synth(scope, p, w))
+                    widths.append(w)
+                total = sum(widths)
+                if ctx_width is not None and total != ctx_width:
+                    raise PortWidthMismatch(
+                        f"{scope.at(expr)}concat is {total} bits, expected {ctx_width}")
+                out = out_handle if out_handle is not None else fresh(total)
+                n = temp()
+                b.add_gate(f"{scope.prefix}__g{n}_concat", "CONCAT", handles, out, total)
+                return out
+            case Slice(name, msb, lsb):
+                w = msb - lsb + 1
+                if ctx_width is not None and w != ctx_width:
+                    raise PortWidthMismatch(
+                        f"{scope.at(expr)}slice is {w} bits, expected {ctx_width}")
+                out = out_handle if out_handle is not None else fresh(w)
+                n = temp()
+                b.add_gate(f"{scope.prefix}__g{n}_slice", "SLICE",
+                           [scope.handles[name]], out, w, slice_lsb=lsb)
+                return out
+        raise AssertionError(expr)
+
+
+def reference_elaborate(modules: list[ParsedModule], top: str) -> Netlist:
+    """`elaborate` through `ReferenceElaborator` and `reference_finish`."""
+    elab = ReferenceElaborator(modules, top)
+    elab.expand_all()
+    return reference_finish(elab.builder)
+
+
+# the positions of the net handles in each kind of pending cell description
+_HANDLE_FIELDS = {"gate": (4,), "dff": (3, 4, 5, 6, 7), "const": (4,)}
+
+
+def pending_cells(b: NetlistBuilder) -> list[tuple]:
+    """A builder's pending cell descriptions in cell order, each stamped
+    body's cells relocated one description at a time: the instance prefix
+    put before the name and the instance's first handle added to every
+    handle."""
+    out: list[tuple] = []
+    for prefix, first, span, descs in [*b._runs, ("", 0, None, b._cells)]:
+        if span is None:
+            out += descs
+            continue
+        for desc in descs:
+            moved = list(desc)
+            moved[1] = prefix + desc[1]
+            if desc[0] == "gate":
+                assert all(0 <= h < span for h in desc[3])
+                moved[3] = tuple(first + h for h in desc[3])
+            for i in _HANDLE_FIELDS[desc[0]]:
+                if desc[i] is not None:
+                    assert 0 <= desc[i] < span
+                    moved[i] = first + desc[i]
+            out.append(tuple(moved))
+    return out
+
+
 def reference_finish(b: NetlistBuilder) -> Netlist:
     """The netlist a builder describes, resolving every pin through the
     union-find, with readers collected from each cell's pin list and every
@@ -674,7 +836,7 @@ def reference_finish(b: NetlistBuilder) -> Netlist:
 
     cells: list[Cell] = []
     bb_pending = {slot: [res(c) for c in conns] for slot, conns in b._bb_conns}
-    for desc in b._cells:
+    for desc in pending_cells(b):
         kind = desc[0]
         idx = len(cells)
         if kind == "dff":
@@ -840,6 +1002,42 @@ def exhaustive_flop_domains(netlist: Netlist, clock_domains: dict[str, str]) -> 
         assert len(found) == 1, f"flop {cell.name} clock resolves to {found}"
         out[cell.index] = next(iter(found))
     return out
+
+
+def reference_clock_domains(netlist: Netlist, constraints: ConstraintSet
+                            ) -> tuple[dict[int, str], dict[int, str], list[ClockGateNote]]:
+    """`assign_domains`'s flop domains, root clock names and clock-gate
+    notes, each flop's clock cone judged again for every flop.  Raises
+    `UndeclaredClock` for the first flop whose cone does not reach exactly
+    one declared clock, or reaches a black box."""
+    clock_ports = {}
+    for spec in constraints.clocks:
+        port = next(p for p in netlist.ports
+                    if p.direction == "in" and netlist.nets[p.net].name == spec.name)
+        clock_ports[port.index] = spec.domain
+    flop_domain: dict[int, str] = {}
+    clock_root: dict[int, str] = {}
+    notes: list[ClockGateNote] = []
+    for flop in netlist.dffs():
+        cone = netlist.fanin_cone(flop.clock)
+        roots = [ref for ref in cone.seq if ref[0] == "port" and ref[1] in clock_ports]
+        other_ports = [ref for ref in cone.seq if ref[0] == "port" and ref[1] not in clock_ports]
+        boxes = [ref for ref in cone.seq if ref[0] == "cell"
+                 and isinstance(netlist.cells[ref[1]], BlackBox)]
+        if len(roots) != 1 or boxes:
+            offend = ([_ref_name(netlist, r) for r in boxes]
+                      or [_ref_name(netlist, r) for r in other_ports + roots])
+            raise UndeclaredClock(
+                f"clock of flop {flop.name!r} does not resolve to exactly one "
+                f"declared clock (cone reaches {offend or 'nothing'})")
+        root = roots[0]
+        root_net = netlist.ports[root[1]].net
+        flop_domain[flop.index] = clock_ports[root[1]]
+        clock_root[flop.index] = netlist.nets[root_net].name
+        for g in cone.gates:
+            if len(netlist.cells[g].inputs) > 1:
+                notes.append(ClockGateNote(flop.name, g, root_net))
+    return flop_domain, clock_root, notes
 
 
 def reference_net_domains(netlist: Netlist, dm: DomainMap) -> dict[int, NetDomain]:

@@ -137,6 +137,28 @@ def test_dump_ir(corpus_root, tmp_path):
     assert {c["kind"] for c in ir["cells"]} == {"dff"}
 
 
+def test_dump_ir_writes_a_constant_of_the_widest_net(tmp_path):
+    """A 65536-bit constant has 19729 decimal digits, past the limit `str`
+    keeps by default; the IR holds it exactly and the limit is restored."""
+    rtl = tmp_path / "rtl.v"
+    rtl.write_text("module top(input clk, output [65535:0] y);\n"
+                   f"  assign y = 65536'h{'F' * 16384};\nendmodule\n")
+    cons = tmp_path / "c.cdc"
+    cons.write_text("clock clk -period 10 -domain A\n")
+    limit = sys.get_int_max_str_digits()
+    out = tmp_path / "ir.json"
+    assert main(["analyze", str(rtl), "-c", str(cons), "--out", str(tmp_path / "o"),
+                 "--dump-ir", str(out)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        ir = json.loads(out.read_text())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    [const] = [c for c in ir["cells"] if c["kind"] == "const"]
+    assert const["width"] == 65536 and const["value"] == (1 << 65536) - 1
+
+
 def test_simulate_checker_failure_exits_three(corpus_root, tmp_path):
     files, stim = _case_args(corpus_root, "wide_pulse")
     rc = main(["simulate", *files, "-s", stim, "--no-msi",

@@ -11,7 +11,7 @@ from cdckit.pipeline import analyze_sources
 from cdckit.verilog import parse_verilog
 from conftest import corpus_designs, generated_designs
 from oracles import (brute_force_pairs, exhaustive_flop_domains, random_netlist,
-                     reference_net_domains)
+                     reference_clock_domains, reference_net_domains)
 
 AB = """clock clk_a -period 10 -domain A
 clock clk_b -period 10 -domain B
@@ -250,3 +250,89 @@ def test_assign_domains_walks_only_clock_cones(monkeypatch):
         walked.clear()
         assign_domains(nl, parse_constraints(cons))
         assert walked and set(walked) <= {f.clock for f in nl.dffs()}, name
+
+
+# Clock cones that `assign_domains` rejects or that several flops share: a
+# gated clock shared by three flops, a bad clock net shared by three flops
+# after a good one, a black box on a clock path, and two declared clocks
+# reaching one flop through a gate.
+CLOCK_CASES = {
+    "shared-gated-clock": """
+module top(input clk_a, input clk_b, input en, input d, output q);
+  wire gclk;
+  reg e, r0, r1, r2, s;
+  always @(posedge clk_a) e <= en;
+  assign gclk = clk_a & e;
+  always @(posedge gclk) begin r0 <= d; r1 <= r0; r2 <= r1; end
+  always @(posedge clk_b) s <= r2;
+  assign q = s;
+endmodule
+""",
+    "shared-bad-clock": """
+module top(input clk_a, input clk_b, input clk_x, input d, output q);
+  reg r0, r1, r2, r3;
+  always @(posedge clk_a) r0 <= d;
+  always @(posedge clk_x) begin r1 <= r0; r2 <= r1; r3 <= r2; end
+  assign q = r3;
+endmodule
+""",
+    "blackbox-clock": """
+module top(input clk_a, input clk_b, input d, output q);
+  wire gclk;
+  reg r0, r1, r2;
+  always @(posedge clk_b) r0 <= d;
+  mystery u0(.i(clk_a), .o(gclk));
+  always @(posedge gclk) begin r1 <= r0; r2 <= r1; end
+  assign q = r2;
+endmodule
+""",
+    "two-clocks": """
+module top(input clk_a, input clk_b, input en, input d, output q);
+  wire gclk, hclk;
+  reg r0, r1, r2;
+  assign hclk = clk_a & en;
+  always @(posedge hclk) r0 <= d;
+  assign gclk = hclk ^ clk_b;
+  always @(posedge gclk) begin r1 <= r0; r2 <= r1; end
+  assign q = r2;
+endmodule
+""",
+}
+
+
+def _clock_outcome(judge, nl: Netlist, cs: ConstraintSet):
+    try:
+        return judge(nl, cs)
+    except UndeclaredClock as e:
+        return str(e)
+
+
+def _assigned(nl: Netlist, cs: ConstraintSet):
+    dm = assign_domains(nl, cs)
+    return dm.flop_domain, dm.clock_root, dm.gate_notes
+
+
+def test_clock_domains_equal_the_per_flop_reference():
+    cons = "clock clk_a -period 10 -domain A\nclock clk_b -period 7 -domain B\n"
+    designs = [(name, rtl, cons) for name, rtl in CLOCK_CASES.items()]
+    designs += [*corpus_designs(), *generated_designs(blocks=(1, 6), seeds=(1, 2))]
+    rejected = []
+    for name, rtl, cs_text in designs:
+        modules = parse_verilog(rtl)
+        inner = {i.module for m in modules for i in m.instances}
+        nl = elaborate(modules, next(m.name for m in modules if m.name not in inner))
+        cs = parse_constraints(cs_text)
+        got = _clock_outcome(_assigned, nl, cs)
+        assert got == _clock_outcome(reference_clock_domains, nl, cs), name
+        if isinstance(got, str):
+            rejected.append((name, got))
+        elif name == "shared-gated-clock":
+            assert [n.flop for n in got[2]] == ["r0", "r1", "r2"]
+    assert rejected == [
+        ("shared-bad-clock", "clock of flop 'r1' does not resolve to exactly one "
+                             "declared clock (cone reaches ['clk_x'])"),
+        ("blackbox-clock", "clock of flop 'r1' does not resolve to exactly one "
+                           "declared clock (cone reaches ['u0'])"),
+        ("two-clocks", "clock of flop 'r1' does not resolve to exactly one "
+                       "declared clock (cone reaches ['en', 'clk_a', 'clk_b'])"),
+    ]

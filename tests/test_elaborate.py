@@ -13,7 +13,7 @@ from cdckit.pipeline import (analyze_sources, findings_report, pairs_report,
                              syncs_report)
 from cdckit.verilog import parse_verilog
 from conftest import corpus_designs, generated_designs, hier_sources, load_gen
-from oracles import count_dffs_recursive
+from oracles import count_dffs_recursive, reference_elaborate
 
 SYNC2 = """
 module sync2(input clk, input rst_n, input d, output q);
@@ -321,6 +321,45 @@ def test_deep_chains_elaborate_without_recursion(levels):
                                "clock clk_b -period 7 -domain B\n")
     assert len(analysis.netlist.instances) == levels - 1
     assert len(analysis.pairs) == 1
+
+
+# -- the elaborator against the reference elaborator ---------------------------
+
+def _elaborated(elab, mods, top: str):
+    """The netlist as JSON with every net's readers, or the type and message
+    of the error that rejects it."""
+    try:
+        nl = elab(mods, top)
+    except ElabError as e:
+        return type(e).__name__, str(e)
+    return nl.to_json_dict(), [n.readers for n in nl.nets]
+
+
+def _oracle_designs():
+    """(name, rtl.v text) of the corpus, the static ladder's generated hier
+    and flat designs of seeds 1-3, `hier-ties`, `temp-name` and the sources
+    only the elaborator rejects for a width."""
+    for name, rtl, _cons in corpus_designs():
+        yield name, rtl
+    for name, rtl, _cons in generated_designs(blocks=(1, 2, 3, 6, 12, 24), seeds=(1, 2, 3)):
+        yield name, rtl
+    yield "hier-ties", HIER_TIES
+    yield "temp-name", dict(_digests.INLINE)["temp-name"]
+    rejected = dict(_digests.REJECTED)
+    for name in ("width", "unsized", "concat-width", "literal-fits"):
+        yield name, rejected[name]
+
+
+def test_elaborate_equals_reference_elaborator():
+    errors = []
+    for name, rtl in _oracle_designs():
+        mods = parse_verilog(rtl, "rtl.v")
+        top = _top(mods)
+        got = _elaborated(elaborate, mods, top)
+        assert got == _elaborated(reference_elaborate, mods, top), name
+        if isinstance(got[0], str):
+            errors.append(name)
+    assert errors == ["width", "unsized", "concat-width", "literal-fits"]
 
 
 # -- width errors carry the position of their expression -------------------------

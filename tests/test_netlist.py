@@ -8,6 +8,7 @@ from cdckit.netlist import Dff, Netlist, NetlistBuilder
 from cdckit.pipeline import analyze_sources
 from cdckit.verilog import parse_verilog
 from conftest import corpus_designs, generated_designs
+from test_elaborate import HIER_TIES
 from oracles import (naive_cone, netlist_issues, random_builder, random_netlist,
                      reference_fanin_cone, reference_finish, sorted_comb_topo)
 
@@ -140,10 +141,41 @@ def _same_finish(b: NetlistBuilder, label: str):
     assert [n.readers for n in got.nets] == [n.readers for n in want.nets], label
 
 
+# A repeated module whose stamped body holds constants and flops with and
+# without an enable or a reset, and whose black-box instance is added after
+# the stamped cells of each instance.
+STAMPED_CORNERS = """
+module leaf(input clk, input rst, input en, input a, output q);
+  wire y;
+  reg r, s, t;
+  always @(posedge clk) if (en) r <= a & 1'b1;
+  always @(posedge clk or posedge rst) if (rst) s <= 1'b1; else s <= r ^ y;
+  always @(posedge clk) t <= 1'b1 ? s : {1'b0};
+  mystery m0(.i(r), .o(y));
+  assign q = t | 1'b0;
+endmodule
+module top(input clk, input rst, input en, input a, output q, output w);
+  wire p;
+  leaf l0(.clk(clk), .rst(rst), .en(en), .a(a), .q(p));
+  leaf l1(.clk(clk), .rst(rst), .en(p), .a(p), .q(q));
+  leaf l2(.clk(clk), .rst(rst), .en(en), .a(q), .q(w));
+endmodule
+"""
+
+
 def test_finish_equals_reference_finish():
-    designs = [*corpus_designs(), *generated_designs(blocks=(1, 3, 6), seeds=(1, 2, 3))]
-    for name, rtl, _cons in designs:
-        _same_finish(_elaborated_builder(rtl), name)
+    """Also on designs whose repeated modules are stamped, whose cells
+    `finish` builds from the recorded bodies."""
+    designs = [*corpus_designs(), *generated_designs(blocks=(1, 3, 6), seeds=(1, 2, 3)),
+               *generated_designs(blocks=(12, 24), seeds=(1,))]
+    designs = [(name, rtl) for name, rtl, _cons in designs] + [
+        ("hier-ties", HIER_TIES), ("stamped-corners", STAMPED_CORNERS)]
+    stamped = 0
+    for name, rtl in designs:
+        b = _elaborated_builder(rtl)
+        stamped += any(span is not None for _prefix, _first, span, _descs in b._runs)
+        _same_finish(b, name)
+    assert stamped == 13
     for seed in range(20):
         _same_finish(random_builder(random.Random(seed))[0], f"seed {seed}")
 
