@@ -54,13 +54,14 @@ def _activate(modules: dict) -> None:
     sys.modules.update(modules)
 
 
-def load_side(root: Path) -> dict:
-    """Import `root`'s cdckit and return its modules by name."""
+def load_side(root: Path, names=("pipeline", "elaborate", "verilog", "domains",
+                                  "syncrec", "rules", "constraints", "sim")) -> dict:
+    """Import `root`'s cdckit modules `names`, with what they import, and
+    return them all by name."""
     _activate({})
     sys.path.insert(0, str(root / "src"))
     try:
-        for name in ("pipeline", "elaborate", "verilog", "domains", "syncrec",
-                     "rules", "constraints", "sim"):
+        for name in names:
             importlib.import_module(f"cdckit.{name}")
         modules = _cdckit_modules()
     finally:

@@ -2,13 +2,13 @@
 """Run every labeled corpus expectation and write the pass/fail matrix."""
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cdckit.corpus import matrix_to_json, run_corpus  # noqa: E402
+from cdckit.jsonout import dumps  # noqa: E402
 
 
 def main() -> int:
@@ -20,7 +20,7 @@ def main() -> int:
 
     rows = run_corpus(args.corpus, args.filter)
     matrix = matrix_to_json(rows)
-    Path(args.out).write_text(json.dumps(matrix, indent=2, sort_keys=True) + "\n")
+    Path(args.out).write_text(dumps(matrix) + "\n")
     width = max(len(r.case) for r in rows)
     for r in rows:
         mark = "pass" if r.ok else "FAIL"

@@ -33,6 +33,10 @@ from .rules import Analysis
 
 Getter = Callable[[int], int]
 
+# every checker kind; a checker's id is `<kind>:<what it checks>`
+KINDS = ("stability", "gray_code", "pulse_width", "mux_enable", "fifo", "static",
+         "clock_gate", "latency")
+
 
 @dataclass
 class Verdict:
@@ -309,8 +313,14 @@ def build_checkers(analysis: Analysis,
     `latency` entries are (pair id or "*", min, max); a pair id that names
     no crossing pair, or a suppressed one, is a ParseError, and "*" skips
     the suppressed pairs.  `select`, when given, keeps only
-    checkers whose id starts with one of the entries.
+    checkers whose id starts with one of the entries.  An entry must be a
+    prefix of a kind of `KINDS` or begin with `<kind>:`, else it is a
+    ParseError; one that this design has no checker of is legal.
     """
+    for s in select or ():
+        if not any(k.startswith(s) or s.startswith(k + ":") for k in KINDS):
+            raise ParseError(f"checker selection {s!r} names no checker kind: use a "
+                             f"prefix of one of {', '.join(KINDS)}, or <kind>:<id>")
     a = analysis
     nl = a.netlist
     cs = a.constraints

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import json
 import os
 import shutil
 import sys
@@ -26,6 +25,7 @@ from .domains import pairs_fingerprint
 from .errors import (BranchCapExceeded, CdcError, DecisionBudgetExceeded,
                      FingerprintMismatch, ParseError)
 from .explore import explore_exhaustive
+from .jsonout import dumps
 from .pipeline import (analyze_sources, findings_report, pairs_report,
                        syncs_report)
 # `simulate` is unused here but stays a name of this module, where
@@ -48,7 +48,7 @@ def _read(path: str) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_text(path, dumps(obj) + "\n")
 
 
 def _write_ir(path: Path, netlist) -> None:
@@ -64,14 +64,22 @@ def _write_ir(path: Path, netlist) -> None:
 
 
 def _write_text(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
+    """Write `text` to `path` through a temporary file beside it, which
+    `os.replace` moves into place.  The parent directory is made only when
+    opening that file finds it missing."""
+    tmp = f"{path}.tmp"
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text, encoding="utf-8")
+        try:
+            f = open(tmp, "w", encoding="utf-8")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            f = open(tmp, "w", encoding="utf-8")
+        with f:
+            f.write(text)
         os.replace(tmp, path)
     except OSError as e:
-        if tmp.is_file():
-            tmp.unlink()
+        if os.path.isfile(tmp):
+            os.unlink(tmp)
         raise CdcError(f"{path}: {e.strerror or e}") from None
 
 
@@ -178,7 +186,7 @@ def cmd_simulate(args) -> int:
                              "kind": e.kind, "resolved": e.resolved}
                             for e in first.events]})
     if args.vcd:
-        _write_text(Path(args.vcd), write_vcd(analysis.netlist, first.waves))
+        _write_text(Path(args.vcd), write_vcd(analysis.netlist, first.ticks, first.frames))
     _write_json(out / "manifest.json",
                 _manifest(args, "simulate", analysis, outputs, seeds,
                           {"probability": args.probability,
@@ -209,7 +217,7 @@ def cmd_explore(args) -> int:
     cex_files = {}
     for cid, res in sorted(outcome.counterexamples.items()):
         name = f"cex_{cid.replace(':', '_')}.vcd"
-        _write_text(out / name, write_vcd(analysis.netlist, res.waves))
+        _write_text(out / name, write_vcd(analysis.netlist, res.ticks, res.frames))
         cex_files[cid] = name
         outputs.append(name)
     _write_json(out / "verdicts.json",
@@ -258,7 +266,7 @@ def cmd_report(args) -> int:
         raise FingerprintMismatch("coverage database does not match the pairs report")
     rep = report(db, pairs["pairs"])
     if args.format == "json":
-        text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
+        text = dumps(rep) + "\n"
     else:
         text = format_report_text(rep)
     if args.out:

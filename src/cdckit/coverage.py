@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import FingerprintMismatch, ParseError, UnknownPair
+from .jsonout import dumps
 
 BINS = ("setup0", "setup1", "hold0", "hold1")
 
@@ -59,7 +60,7 @@ class CoverageDb:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return dumps(self.to_json_dict()) + "\n"
 
     @staticmethod
     def from_json_dict(d: dict) -> "CoverageDb":

@@ -31,10 +31,10 @@ it: the reference's values with the injected destinations' captures
 redone, through the one capture loop every commit runs.
 
 `plan_tick` and `commit_tick` are explore's branching steps.  A recorded
-run (`Engine.run`: injection log, coverage, and waves when they are to be
-written) does the same work in one fused loop body per tick, with the
-engine's constants in locals: it builds no plan, draws or reads each
-decision as its opportunity is found, and calls the helpers that do the
+run (`Engine.run`: injection log, coverage, and the frames of its waves
+when they are to be written) does the same work in one fused loop body
+per tick, with the engine's constants in locals: it builds no plan, draws
+or reads each decision as its opportunity is found, and calls the helpers that do the
 work of some ticks only (`_drive`, `_settle_resets`, `_rises`,
 `_hold_toggles`, `_capture`), which both paths share.  Where the engine's
 class replaces `plan_tick` or `commit_tick` (a subclass, such as
@@ -115,8 +115,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, groupby
-from operator import ne
+from itertools import chain, groupby
 from types import FunctionType
 from typing import NamedTuple
 
@@ -127,9 +126,7 @@ from .domains import CdcPair, pairs_fingerprint
 from .errors import ParseError, SimDivergence, StimulusOutOfRange
 from .netlist import Const, Dff, Gate, Netlist
 from .rules import Analysis
-from .stimulus import Stimulus
-
-_NEG = -(10 ** 9)
+from .stimulus import Stimulus, run_clock_edges
 
 
 @dataclass
@@ -169,7 +166,8 @@ class Opportunity(NamedTuple):
 
 @dataclass
 class SimResult:
-    waves: dict[int, list[tuple[int, int]]] | None  # net -> [(tick, value)]
+    frames: list[list[int]] | None  # values before `ticks`, then after each
+    ticks: Sequence[int]            # the run's agenda
     events: list[MsiEvent]
     coverage: CoverageDb
     verdicts: list[Verdict]
@@ -582,14 +580,13 @@ class Engine:
         if run_clock is None:
             raise StimulusOutOfRange(f"run clock {stimulus.run_clock!r} is not declared")
         self.end_tick = run_clock.edge_tick(stimulus.run_edges - 1)
+        self.edges_per_clock = run_clock_edges(stimulus, cs.clocks, self.end_tick)
         # the clocks that edge at each tick, bit i for cs.clocks[i]
         edge_mask: dict[int, int] = {}
         for bit, c in enumerate(cs.clocks):
             for t in range(c.phase, self.end_tick + 1, c.period):
                 edge_mask[t] = edge_mask.get(t, 0) | 1 << bit
         self.agenda = sorted(edge_mask)
-        self.edges_per_clock = {c.name: len(range(c.phase, self.end_tick + 1, c.period))
-                                for c in cs.clocks}
 
         # port driving
         self.port_net = {p.name: p.net for p in self.nl.ports if p.direction == "in"}
@@ -978,9 +975,10 @@ class Engine:
         (`msi.seed` by default) draws every decision and drives the random
         stimulus ports.  With a `path`, even an empty one, opportunity i
         takes `path[i]`, those past the end of `path` keep the reference
-        value, and the random ports stay still.  Without `waves` the result
-        holds no waves (`None`); its events, verdicts and coverage are the
-        same.
+        value, and the random ports stay still.  With `waves` the result
+        keeps as frames the values list of every tick, which no tick writes
+        once a state holds it; without, its frames are None and its events,
+        verdicts and coverage are the same.
 
         The ticks run in one fused loop body (`_fused`), unless the class of
         the engine has a `plan_tick` or `commit_tick` other than `Engine`'s
@@ -991,16 +989,15 @@ class Engine:
             seed = self.msi.seed
         rng = random.Random(seed) if path is None else None
         state = self.initial_state()
-        trace = {n: [(_NEG, v)] for n, v in enumerate(state.values)} if waves else None
+        frames = [state.values] if waves else None
         cls = type(self)
         ticks = self._fused if (cls.plan_tick is _PLAN_TICK
                                 and cls.commit_tick is _COMMIT_TICK) else self._stepped
-        state, events = ticks(state, rng, path, trace)
-        return self._finish(state, events, trace, seed if rng is not None else None)
+        state, events = ticks(state, rng, path, frames)
+        return self._finish(state, events, frames, seed if rng is not None else None)
 
     def _stepped(self, state: _State, rng: random.Random | None,
-                 path: Sequence[bool] | None,
-                 trace: dict[int, list[tuple[int, int]]] | None,
+                 path: Sequence[bool] | None, frames: list[list[int]] | None,
                  ) -> tuple[_State, list[MsiEvent]]:
         """The run's ticks from `state`, each a `plan_tick` and a
         `commit_tick` of the decisions drawn from `rng` or read from `path`;
@@ -1016,18 +1013,14 @@ class Engine:
             else:
                 taken = path[state.decisions:state.decisions + k]
                 decisions = [*taken] + [False] * (k - len(taken))
-            old = state.values
             state, taken = self.commit_tick(state, plan, decisions)
             events += taken
-            if trace is not None:
-                new = state.values
-                for n in compress(range(len(new)), map(ne, new, old)):
-                    trace[n].append((tick, new[n]))
+            if frames is not None:
+                frames.append(state.values)
         return state, events
 
     def _fused(self, state: _State, rng: random.Random | None,
-               path: Sequence[bool] | None,
-               trace: dict[int, list[tuple[int, int]]] | None,
+               path: Sequence[bool] | None, frames: list[list[int]] | None,
                ) -> tuple[_State, list[MsiEvent]]:
         """The run's ticks as `_stepped` runs them, with each tick's
         `plan_tick` and `commit_tick` in one loop body: each decision is
@@ -1147,16 +1140,14 @@ class Engine:
                         checkers[ci], message = sample(checkers[ci], clk, get, in_reset)
                         if message is not None and failures[ci] is None:
                             failures[ci] = (tick, message)
-            if trace is not None:
-                for n in compress(range(len(final)), map(ne, final, values)):
-                    trace[n].append((tick, final[n]))
+            if frames is not None:
+                frames.append(final)
             values = final
         state.values, state.decisions = values, decided
         return state, events
 
     def _finish(self, state: _State, events: list[MsiEvent],
-                waves: dict[int, list[tuple[int, int]]] | None,
-                seed: int | None) -> SimResult:
+                frames: list[list[int]] | None, seed: int | None) -> SimResult:
         coverage = CoverageDb(self.fingerprint, self.scope,
                               tuple(p.id for p in self.a.pairs))
         for e in events:
@@ -1164,7 +1155,7 @@ class Engine:
         if seed is not None:
             coverage.seeds.append(seed)
         coverage.edges = dict(self.edges_per_clock)
-        return SimResult(waves, events, coverage,
+        return SimResult(frames, self.agenda, events, coverage,
                          [c.verdict(f) for c, f in
                           zip(self.checkers, state.failures)],
                          state.decisions)

@@ -9,14 +9,17 @@ evaluate, so a flop clocked at the same tick captures the new value.
 `random` toggles each listed port with probability `-p` at every tick,
 drawn from the simulation seed's RNG; `-seed` is checked but not used.
 Exactly one `run` directive is required; simulation covers every clock edge
-up to and including the run clock's last requested posedge.
+up to and including the run clock's last requested posedge.  Those edges,
+summed over the declared clocks, may number at most `MAX_RUN_EDGES`
+(`run_clock_edges`, which the engine calls once the constraints give the
+clocks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .constraints import parse_int, take_flag
+from .constraints import ClockSpec, parse_int, take_flag
 from .errors import ParseError
 
 
@@ -34,16 +37,23 @@ class RandomDriver:
     probability: float
 
 
+# the most clock edges a run may imply, summed over the clocks: the engine
+# keeps a few hundred bytes per edge tick before it simulates one
+MAX_RUN_EDGES = 1_000_000
+
+
 @dataclass
 class Stimulus:
     sets: list[SetDirective] = field(default_factory=list)
     random: RandomDriver | None = None
     run_clock: str = ""
     run_edges: int = 0
+    run_line: int = 0               # the line of the `run` directive
+    origin: str = "<stimulus>"
 
 
 def parse_stimulus(text: str, origin: str = "<stimulus>") -> Stimulus:
-    st = Stimulus()
+    st = Stimulus(origin=origin)
     last_edge: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -90,6 +100,7 @@ def parse_stimulus(text: str, origin: str = "<stimulus>") -> Stimulus:
                 raise ParseError("duplicate run directive", line_no, 0, origin)
             st.run_edges = parse_int(parts[1], "run", line_no, origin)
             st.run_clock = parts[3]
+            st.run_line = line_no
             if st.run_edges < 1:
                 raise ParseError("run length must be >= 1 edge", line_no, 0, origin)
         else:
@@ -97,3 +108,16 @@ def parse_stimulus(text: str, origin: str = "<stimulus>") -> Stimulus:
     if not st.run_clock:
         raise ParseError(f"{origin}: stimulus needs a run directive", origin=origin)
     return st
+
+
+def run_clock_edges(st: Stimulus, clocks: list[ClockSpec], end_tick: int) -> dict[str, int]:
+    """Each clock's edges up to `end_tick`, the run's last tick, counted
+    without listing them; a ParseError at the `run` line when they sum to
+    more than `MAX_RUN_EDGES`."""
+    edges = {c.name: max(0, (end_tick - c.phase) // c.period + 1) for c in clocks}
+    total = sum(edges.values())
+    if total > MAX_RUN_EDGES:
+        raise ParseError(f"run of {st.run_edges} {st.run_clock} edges implies {total} "
+                         f"clock edges; a run may imply at most {MAX_RUN_EDGES}",
+                         st.run_line, 0, st.origin)
+    return edges

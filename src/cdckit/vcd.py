@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from itertools import compress
+from operator import getitem, itemgetter, ne
+
 from .netlist import Netlist
 
 _ID_CHARS = "".join(chr(c) for c in range(33, 127))
@@ -16,47 +20,63 @@ def _var_id(n: int) -> str:
             return out
 
 
-def _formatter(width: int, vid: str):
-    """The value-change line of a net of `width` bits and id `vid`, as a
-    function of its value, built once per net."""
-    if width == 1:
-        return ("0" + vid, "1" + vid).__getitem__
-    braced = vid.replace("{", "{{").replace("}", "}}")
-    return f"b{{:0{width}b}} {braced}".format
+class _Lines(dict):
+    """The value-change lines of one net wider than a bit, by value, each
+    formatted on its first use."""
+    __slots__ = ("format",)
+
+    def __init__(self, width: int, vid: str):
+        braced = vid.replace("{", "{{").replace("}", "}}")
+        self.format = f"b{{:0{width}b}} {braced}".format
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = self.format(value)
+        return text
 
 
-def write_vcd(netlist: Netlist, waves: dict[int, list[tuple[int, int]]],
+def write_vcd(netlist: Netlist, ticks: Sequence[int], frames: list[list[int]],
               timescale: str = "1ns") -> str:
-    """Render waveforms (net index -> [(tick, value)]) as VCD text.
+    """Render a run's frames as VCD text: `frames[0]` holds every net's
+    value before the first tick, the time-zero dump, and `frames[i + 1]`
+    the values after tick `ticks[i]`.
 
-    Initial values (recorded at a negative tick) land in the time-zero dump;
-    hierarchical separators in net names are kept as dots, which common
-    viewers split into scopes themselves.
+    One pass in tick order puts each frame in net-name order (one
+    `itemgetter`), dumps the nets whose value differs from the frame
+    before, and takes each change line from its net's table of value ->
+    line: a pair for a 1-bit net, and for a wider one a dict that a value
+    fills on its first use.  Hierarchical separators in net names are kept
+    as dots, which common viewers split into scopes themselves.
     """
-    nets = sorted(waves, key=lambda i: netlist.nets[i].name)
-    ids = {n: _var_id(k) for k, n in enumerate(nets)}
+    nets = netlist.nets
+    order = sorted(range(len(nets)), key=lambda i: nets[i].name)
     lines = ["$version cdckit $end", f"$timescale {timescale} $end",
              f"$scope module {netlist.name} $end"]
-    for n in nets:
-        net = netlist.nets[n]
+    tables: list = []       # per net in name order
+    for k, n in enumerate(order):
+        net = nets[n]
+        vid = _var_id(k)
         ref = net.name if net.width == 1 else f"{net.name}[{net.width - 1}:0]"
-        lines.append(f"$var wire {net.width} {ids[n]} {ref} $end")
+        lines.append(f"$var wire {net.width} {vid} {ref} $end")
+        tables.append(("0" + vid, "1" + vid) if net.width == 1 else _Lines(net.width, vid))
     lines.append("$upscope $end")
     lines.append("$enddefinitions $end")
 
-    by_tick: dict[int, list[str]] = {}
-    initials = []
-    for n in nets:
-        fmt = _formatter(netlist.nets[n].width, ids[n])
-        for tick, value in waves[n]:
-            if tick < 0:
-                initials.append(fmt(value))
-            else:
-                by_tick.setdefault(tick, []).append(fmt(value))
+    if len(order) > 1:
+        permute = itemgetter(*order)
+    else:       # itemgetter of one index gives the item, not a tuple
+        def permute(values):
+            return tuple(values[n] for n in order)
+    prev = permute(frames[0])
     lines.append("$dumpvars")
-    lines.extend(initials)
+    lines.extend(map(getitem, tables, prev))
     lines.append("$end")
-    for tick in sorted(by_tick):
-        lines.append(f"#{tick}")
-        lines.extend(by_tick[tick])
+    in_order = range(len(order))
+    append = lines.append
+    for tick, frame in zip(ticks, frames[1:]):
+        cur = permute(frame)
+        if cur != prev:
+            append(f"#{tick}")
+            for k in compress(in_order, map(ne, cur, prev)):
+                append(tables[k][cur[k]])
+        prev = cur
     return "\n".join(lines) + "\n"

@@ -20,7 +20,9 @@ from a string-dispatch interpreter, the reference for the simulator's
 compiled kernels; ticks from `ReferenceEngine`, which recomputes each
 tick's edging flops, captures and sampling checkers, the reference for the
 engine's per-edge-set schedules, with a flip history of the last flip tick
-per bit; exhaustive exploration is redone by replaying every decision path
+per bit; waves from `WaveRecorder`, which compares every net after each
+commit and keeps per-net change lists, the reference for a run's frames;
+exhaustive exploration is redone by replaying every decision path
 from the start; and VCD text from the writer that formats each value change
 through a call of its own.  A module's names are checked
 as the elaborator once did, over the parsed tree, assigns before always
@@ -36,6 +38,8 @@ import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import ne
 
 from cdckit.checkers import build_checkers
 from cdckit.codegen import generate_all
@@ -47,7 +51,7 @@ from cdckit.errors import (ElabError, MultipleDrivers, ParseError,
                            UnsupportedConstruct)
 from cdckit.netlist import (GATE_OPS, BlackBox, Cell, Cone, Const, Dff, Gate, Net,
                             Netlist, NetlistBuilder, Port, Ref, _name_rank)
-from cdckit.sim import (_NEG, Engine, MsiConfig, MsiEvent, Opportunity,
+from cdckit.sim import (Engine, MsiConfig, MsiEvent, Opportunity,
                         SimResult, _State, cone_kernels, simulate)
 from cdckit.syncrec import (SyncInstance, _chains, _fifo_roles, _gray_shape,
                              _net_driver_gate)
@@ -68,9 +72,49 @@ def reference_simulate(analysis, stimulus, checkers=None,
                     checkers or [], scope)
 
 
+_NEG = -(10 ** 9)      # the tick of a net's initial value in its wave
+
+
+def frame_waves(ticks, frames: list[list[int]]) -> dict[int, list[tuple[int, int]]]:
+    """Per-net waves from frames (the values before `ticks[0]`, then after
+    each tick): per net, its first value at tick `_NEG`, then (tick, value)
+    at each tick that changed it."""
+    waves = {n: [(_NEG, v)] for n, v in enumerate(frames[0])}
+    for tick, old, new in zip(ticks, frames, frames[1:]):
+        for n in compress(range(len(new)), map(ne, new, old)):
+            waves[n].append((tick, new[n]))
+    return waves
+
+
+def run_waves(res: SimResult) -> dict[int, list[tuple[int, int]]]:
+    """A recorded run's waves, net -> [(tick, value)], from its frames."""
+    return frame_waves(res.ticks, res.frames)
+
+
 def wave_by_name(res: SimResult, netlist: Netlist) -> dict[str, list[tuple[int, int]]]:
     """A run's waves keyed by net name."""
-    return {netlist.nets[i].name: w for i, w in res.waves.items()}
+    return {netlist.nets[i].name: w for i, w in run_waves(res).items()}
+
+
+class WaveRecorder(Engine):
+    """`Engine` with the per-net change recorder that frames replaced, the
+    reference they are tested against: after each commit it compares
+    every net with its value before the tick and appends (tick, value) to
+    `waves[net]` for each one that changed.  Replacing `commit_tick` makes
+    `run` step through it."""
+
+    def initial_state(self) -> _State:
+        state = super().initial_state()
+        self.waves = {n: [(_NEG, v)] for n, v in enumerate(state.values)}
+        return state
+
+    def commit_tick(self, state, plan, decisions, reference=None):
+        old = state.values
+        state, events = super().commit_tick(state, plan, decisions, reference)
+        new = state.values
+        for n in compress(range(len(new)), map(ne, new, old)):
+            self.waves[n].append((plan.tick, new[n]))
+        return state, events
 
 
 _REF_TOKEN_RE = re.compile(r"""

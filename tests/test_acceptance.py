@@ -23,7 +23,7 @@ from cdckit.sim import MsiConfig, simulate
 from cdckit.stimulus import parse_stimulus
 from conftest import load_case
 from oracles import (brute_force_pairs, gray_neighbor_sets, mirror_verdicts,
-                     random_netlist, reference_simulate)
+                     random_netlist, reference_simulate, run_waves)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -90,7 +90,7 @@ def test_criterion_3_msi_off_equivalence(corpus_root, case_loader):
         stim = parse_stimulus(stim_text)
         ref = reference_simulate(analysis, stim)
         off = simulate(analysis, stim, MsiConfig(enabled=False), [])
-        assert off.waves == ref.waves, case
+        assert off.frames == ref.frames, case
         assert off.events == []
     _accept(3, "injection-off equivalence on every corpus case")
 
@@ -108,7 +108,7 @@ def test_criterion_4_coverage_saturation(case_loader):
             assert r.coverage.count(pair.id, bit, name) > 0, name
     assert runs[0].coverage.to_json() == runs[1].coverage.to_json()
     assert runs[0].events == runs[1].events
-    assert runs[0].waves == runs[1].waves
+    assert runs[0].frames == runs[1].frames
     _accept(4, "all four bins within 500 destination edges, bit-reproducible")
 
 
@@ -140,8 +140,9 @@ def _sampled_words(analysis, res, edges):
     pair = analysis.pairs[0]
     dst = nl.cells[pair.dst]
     spec = analysis.constraints.clock_by_name("clk_b")
-    neighbors = gray_neighbor_sets(res.waves[pair.src_net])
-    timeline = res.waves[dst.out]
+    waves = run_waves(res)
+    neighbors = gray_neighbor_sets(waves[pair.src_net])
+    timeline = waves[dst.out]
     v = timeline[0][1]
     k = 0
     outside = 0

@@ -357,6 +357,19 @@ def test_unwritable_output_path_exits_one(corpus_root, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile", "o"]
 
 
+def test_an_output_path_with_an_empty_name_exits_one(corpus_root, tmp_path, capsys,
+                                                    monkeypatch):
+    """`--vcd .` names the working directory: no file can go there, and the
+    temporary file beside it is removed."""
+    files, stim = _case_args(corpus_root, "msi_latency")
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", *files, "-s", stim, "--checkers", "none",
+                 "--out", "o", "--vcd", "."]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: .: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
+
+
 def test_manifest_reproducibility(corpus_root, tmp_path):
     files, _ = _case_args(corpus_root, "missing_sync")
     out1, out2 = tmp_path / "m1", tmp_path / "m2"
@@ -760,6 +773,60 @@ def test_stimulus_without_run_names_its_file(corpus_root, tmp_path, capsys):
     rc = main(["simulate", *files, "-s", str(stim), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {stim}: stimulus needs a run directive\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "explore"])
+def test_a_checkers_entry_naming_no_kind_exits_one(corpus_root, tmp_path, capsys,
+                                                   command):
+    """An entry must be a prefix of a checker kind or begin with `<kind>:`;
+    a kind that this design has no checker of stays legal, as does `none`."""
+    files, stim = _case_args(corpus_root, "msi_latency")
+    for entry in ("bogus", "stabilty", "latency,fifoo", "gray_code_", "latencyx:cdc0"):
+        rc = main([command, *files, "-s", stim, "--checkers", entry,
+                   "--out", str(tmp_path / "bad")])
+        err = capsys.readouterr().err
+        assert rc == 1, entry
+        assert err.startswith(f"error: checker selection {entry.split(',')[-1]!r} "
+                              "names no checker kind"), err
+    assert not (tmp_path / "bad").exists()
+    legal = {"none": [], "fifo": [], "stability:nosuch": [],
+             "": ["latency:cdc0", "stability:cdc0"], "lat": ["latency:cdc0"], "latency:": ["latency:cdc0"],
+             "latency:cdc0,fifo": ["latency:cdc0"]}
+    for i, (entry, checkers) in enumerate(legal.items()):
+        out = tmp_path / f"ok{i}"
+        assert main([command, *files, "-s", stim, "--checkers", entry,
+                     "--latency", "cdc0:1:3", "--out", str(out)]) == 0, entry
+        verdicts = json.loads((out / "verdicts.json").read_text())["verdicts"]
+        names = sorted(v["checker"] for v in verdicts) if command == "simulate" \
+            else sorted(verdicts)
+        assert names == checkers, entry
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["simulate", "explore"])
+def test_a_run_past_the_edge_bound_is_a_positioned_error(corpus_root, tmp_path, capsys,
+                                                         monkeypatch, command):
+    """The bound is checked before the engine builds its agenda: a run of
+    10^20 edges fails at once.  Against a bound lowered to 26 edges, a run
+    implying exactly 26 edges over both clocks runs and a longer one fails."""
+    files, _ = _case_args(corpus_root, "gray_cross")
+    stim = tmp_path / "s.stim"
+    stim.write_text("at clk_a 0 set rst_a_n 1\nrun 99999999999999999999 of clk_b\n")
+    argv = [command, *files, "-s", str(stim), "--checkers", "none",
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {stim}:2:0: run of 99999999999999999999 clk_b edges implies "
+        "274999999999999999996 clock edges; a run may imply at most 1000000\n")
+    # clk_a has period 4 and clk_b 7 (gray_cross): 10 edges of clk_b end at
+    # tick 63, by which clk_a has edged 16 times; 11 end at 70, after 18
+    monkeypatch.setattr("cdckit.stimulus.MAX_RUN_EDGES", 26)
+    stim.write_text("run 10 of clk_b\n")
+    assert main(argv) == 0
+    stim.write_text("run 11 of clk_b\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {stim}:1:0: run of 11 clk_b edges "
+                                              "implies 29 clock edges")
 
 
 def test_static_repeated_across_options_and_constraints_exits_one(

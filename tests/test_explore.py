@@ -116,7 +116,7 @@ def _explore_equals_replay(analysis, stim, checkers):
     for cid, res in cex.items():
         got = out.counterexamples[cid]
         assert got.events == res.events, cid
-        assert got.waves == res.waves, cid
+        assert got.frames == res.frames, cid
     return out
 
 

@@ -16,7 +16,7 @@ from cdckit.pipeline import analyze_sources
 from cdckit.sim import Engine, MsiConfig, comb_groups
 from cdckit.stimulus import parse_stimulus
 from conftest import load_gen
-from oracles import ReferenceEngine, reference_simulate
+from oracles import ReferenceEngine, reference_simulate, run_waves
 from test_sim import AB, RESET_THROUGH_LOGIC
 
 
@@ -262,7 +262,7 @@ def test_a_bit_two_pairs_take_on_one_source_net_is_injected_once():
     assert shared
     q1 = analysis.netlist.net_index["q1"]
     run = eng.run()
-    assert run.waves[q1] != reference_simulate(analysis, stim).waves[q1]
+    assert run_waves(run)[q1] != run_waves(reference_simulate(analysis, stim))[q1]
 
 
 def test_lockstep_on_a_port_source_inside_a_hold_window():

@@ -39,7 +39,7 @@ def stepped(eng, **kwargs):
 
 def assert_same_result(got, want, what):
     assert got.events == want.events, what
-    assert got.waves == want.waves, what
+    assert got.frames == want.frames, what
     assert got.verdicts == want.verdicts, what
     assert got.coverage.to_json() == want.coverage.to_json(), what
     assert got.decisions == want.decisions, what

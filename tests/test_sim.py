@@ -11,8 +11,8 @@ from cdckit.sim import Engine, MsiConfig, simulate
 from cdckit.stimulus import parse_stimulus
 from cdckit.vcd import write_vcd
 from conftest import load_gen
-from oracles import (gray_neighbor_sets, reference_simulate,
-                     reference_write_vcd, wave_by_name)
+from oracles import (frame_waves, gray_neighbor_sets, reference_simulate,
+                     reference_write_vcd, run_waves, wave_by_name)
 
 AB = """clock clk_a -period 10 -domain A
 clock clk_b -period 10 -domain B
@@ -43,7 +43,7 @@ def test_constant_input_flop():
                             "reset rst_a_n -active_low -domain A\n")
     stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nrun 5 of clk_a\n")
     res = reference_simulate(a, stim)
-    wave = res.waves[a.netlist.net("r").index]
+    wave = run_waves(res)[a.netlist.net("r").index]
     assert wave[0][1] == 0          # reset value
     assert wave[-1] == (0, 1)       # rises at the first edge, stays 1
 
@@ -53,7 +53,8 @@ def test_two_dff_pipeline_depth(case_loader):
     stim = parse_stimulus(stim_text)
     res = reference_simulate(analysis, stim)
     nl = analysis.netlist
-    w = {n: res.waves[nl.net(n).index] for n in ("src", "q1", "q2")}
+    waves = run_waves(res)
+    w = {n: waves[nl.net(n).index] for n in ("src", "q1", "q2")}
     # src rises at edge 2 (tick 20); the crossing capture at the same tick
     # sees the new value, and the second stage follows one edge later
     assert (20, 1) in w["src"]
@@ -66,7 +67,7 @@ def test_reference_determinism(case_loader):
     stim = parse_stimulus(stim_text)
     r1 = reference_simulate(analysis, stim)
     r2 = reference_simulate(analysis, stim)
-    assert r1.waves == r2.waves
+    assert r1.frames == r2.frames
 
 
 def test_msi_off_equals_reference_everywhere(corpus_root, case_loader):
@@ -77,7 +78,7 @@ def test_msi_off_equals_reference_everywhere(corpus_root, case_loader):
         stim = parse_stimulus(stim_text)
         ref = reference_simulate(analysis, stim)
         off = simulate(analysis, stim, MsiConfig(enabled=False), [])
-        assert off.waves == ref.waves, case
+        assert off.frames == ref.frames, case
         assert off.events == [] and off.coverage.total() == 0, case
 
 
@@ -101,8 +102,8 @@ endmodule
     ref = reference_simulate(a, stim)
     msi = simulate(a, stim, MsiConfig(probability=1.0, seed=5), [])
     dst_net = a.netlist.net("dst").index
-    rw = ref.waves[dst_net]
-    mw = msi.waves[dst_net]
+    rw = run_waves(ref)[dst_net]
+    mw = run_waves(msi)[dst_net]
     shifted = {(t + 10, v) for t, v in rw}
     assert all((t, v) in shifted for t, v in mw if t >= 0)
     assert all(e.kind == "setup" for e in msi.events)
@@ -114,7 +115,7 @@ def test_seed_reproducibility(case_loader):
     r1 = simulate(analysis, stim, MsiConfig(probability=0.5, seed=42), [])
     r2 = simulate(analysis, stim, MsiConfig(probability=0.5, seed=42), [])
     assert r1.events == r2.events
-    assert r1.waves == r2.waves
+    assert r1.frames == r2.frames
     assert r1.coverage.to_json() == r2.coverage.to_json()
     r3 = simulate(analysis, stim, MsiConfig(probability=0.5, seed=43), [])
     assert r3.events != r1.events
@@ -126,7 +127,7 @@ def test_every_resolution_is_old_or_new(case_loader):
     res = simulate(analysis, stim, MsiConfig(probability=0.7, seed=9), [])
     src_net = analysis.pairs[0].src_net
     wave = dict()
-    timeline = res.waves[src_net]
+    timeline = run_waves(res)[src_net]
 
     def src_at(t):
         v = timeline[0][1]
@@ -156,7 +157,7 @@ def test_displacement_bound_one_bit(case_loader):
 
     def captures(res):
         out = []
-        timeline = res.waves[dst.out]
+        timeline = run_waves(res)[dst.out]
         k = 0
         for i in range(res.coverage.edges["clk_b"]):
             t = spec.edge_tick(i)
@@ -205,8 +206,9 @@ def test_gray_sampling_stays_on_neighbor_codewords(case_loader):
     spec = analysis.constraints.clock_by_name("clk_b")
     for seed in range(1, 4):
         res = simulate(analysis, stim, MsiConfig(probability=0.5, seed=seed), [])
-        neighbors = gray_neighbor_sets(res.waves[pair.src_net])
-        timeline = res.waves[dst.out]
+        waves = run_waves(res)
+        neighbors = gray_neighbor_sets(waves[pair.src_net])
+        timeline = waves[dst.out]
         v = timeline[0][1]
         k = 0
         for i in range(300):
@@ -225,8 +227,9 @@ def test_binary_sampling_escapes_neighbors(case_loader):
     dst = nl.cells[pair.dst]
     spec = analysis.constraints.clock_by_name("clk_b")
     res = simulate(analysis, stim, MsiConfig(probability=0.5, seed=7), [])
-    neighbors = gray_neighbor_sets(res.waves[pair.src_net])
-    timeline = res.waves[dst.out]
+    waves = run_waves(res)
+    neighbors = gray_neighbor_sets(waves[pair.src_net])
+    timeline = waves[dst.out]
     v = timeline[0][1]
     k = 0
     bad = 0
@@ -258,8 +261,8 @@ def test_random_driver_is_seeded(case_loader):
                           "random -ports d -p 0.4 -seed 3\nrun 40 of clk_b\n")
     r1 = reference_simulate(analysis, stim)
     r2 = reference_simulate(analysis, stim)
-    assert r1.waves == r2.waves
-    assert len(r1.waves[analysis.netlist.net("d").index]) > 2
+    assert r1.frames == r2.frames
+    assert len(run_waves(r1)[analysis.netlist.net("d").index]) > 2
 
 
 def test_suppressed_pairs_get_no_injection(case_loader):
@@ -362,8 +365,8 @@ def test_run_without_waves_equals_the_recorded_run(corpus_root, case_loader):
         for seed in (1, 2):
             full = simulate(analysis, stim, MsiConfig(seed=seed), checkers)
             bare = simulate(analysis, stim, MsiConfig(seed=seed), checkers, waves=False)
-            assert bare.waves is None and full.waves, case
-            assert replace(bare, waves=full.waves) == full, (case, seed)
+            assert bare.frames is None and full.frames, case
+            assert replace(bare, frames=full.frames) == full, (case, seed)
         cases += 1
     assert cases > 20
 
@@ -399,16 +402,34 @@ def _vcd_netlist(n_nets: int):
     return b.finish()
 
 
+def _random_frames(nl, rng: random.Random, n_ticks: int):
+    """Ticks and frames in which each net takes a random value on about
+    one tick in eight, and every fifth tick changes nothing."""
+    ticks = sorted(rng.sample(range(4 * n_ticks), n_ticks))
+    frames = [[0] * len(nl.nets)]
+    for k in range(n_ticks):
+        frame = frames[-1][:]
+        for n, net in enumerate(nl.nets):
+            if k % 5 and rng.random() < 0.125:
+                frame[n] = rng.randrange(1 << net.width)
+        frames.append(frame)
+    return ticks, frames
+
+
 def test_vcd_equals_reference_writer():
     """Ids run past one character and take `{` and `}` (_ID_CHARS indices
-    90 and 92), on nets of one bit and of several."""
-    nl = _vcd_netlist(200)
+    90 and 92), on nets of one bit and of several; a design of one net
+    and one of none are rendered too."""
     rng = random.Random(3)
-    waves = {n: [(-(10 ** 9), 0)] + [(t, rng.randrange(1 << net.width))
-                                     for t in sorted(rng.sample(range(50), 6))]
-             for n, net in enumerate(nl.nets)}
-    text = write_vcd(nl, waves)
-    assert text == reference_write_vcd(nl, waves)
+    for n_nets in (0, 1, 2):
+        nl = _vcd_netlist(n_nets)
+        ticks, frames = _random_frames(nl, rng, 20)
+        assert write_vcd(nl, ticks, frames) == \
+            reference_write_vcd(nl, frame_waves(ticks, frames)), n_nets
+    nl = _vcd_netlist(200)
+    ticks, frames = _random_frames(nl, rng, 50)
+    text = write_vcd(nl, ticks, frames)
+    assert text == reference_write_vcd(nl, frame_waves(ticks, frames))
     ids = {line.split()[3]: int(line.split()[2]) for line in text.splitlines()
            if line.startswith("$var")}
     assert max(map(len, ids)) == 2
@@ -424,5 +445,5 @@ def test_vcd_of_a_generated_run_equals_reference_writer():
     res = simulate(analysis, parse_stimulus(d.files["stimulus.stim"]),
                    MsiConfig(seed=1), [])
     nl = analysis.netlist
-    assert len(res.waves) > 93 and max(n.width for n in nl.nets) > 8
-    assert write_vcd(nl, res.waves) == reference_write_vcd(nl, res.waves)
+    assert len(res.frames[0]) > 93 and max(n.width for n in nl.nets) > 8
+    assert write_vcd(nl, res.ticks, res.frames) == reference_write_vcd(nl, run_waves(res))
