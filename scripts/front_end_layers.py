@@ -16,14 +16,19 @@ and a full collection before it.  Per design a side times:
     syncrec  recognize and classify_pairs
     reports  pairs_report, syncs_report and findings_report
 
+and, timed apart and left out of the total, the part of `parse` that is the
+lexer:
+
+    tokenize verilog.tokenize of the design's source
+
 `expand` and `finish` drive the elaborator's private names
 (`_Elaborator(modules, top).expand_all()` and its `builder.finish()`), so
 both checkouts must have them; a tree that renames them needs this script
 changed with it.
 
-For each layer it prints the median over rounds of each side's ladder time,
-the median paired ratio (this checkout over the baseline) and in how many
-rounds this checkout was faster:
+For each layer, the total and `tokenize` it prints the median over rounds
+of each side's ladder time, the median paired ratio (this checkout over the
+baseline) and in how many rounds this checkout was faster:
 
     python scripts/front_end_layers.py --root ../parent-checkout
 """
@@ -42,6 +47,8 @@ from time import perf_counter
 SEED = 21
 ROUNDS = 15
 LAYERS = ("parse", "expand", "finish", "assign", "pairs", "syncrec", "reports")
+# timed on its own, outside the layers that make up the total
+APART = ("tokenize",)
 
 
 def _cdckit_modules() -> dict:
@@ -96,12 +103,15 @@ def run_side(modules: dict, designs) -> dict[str, float]:
     domains, syncrec = modules["cdckit.domains"], modules["cdckit.syncrec"]
     pipeline, rules = modules["cdckit.pipeline"], modules["cdckit.rules"]
     constraints = modules["cdckit.constraints"]
-    spent = dict.fromkeys(LAYERS, 0.0)
+    spent = dict.fromkeys(LAYERS + APART, 0.0)
     gc.collect()
     gc.disable()
     try:
         for name, rtl, cdc in designs:
             cs = constraints.parse_constraint_texts([("constraints.cdc", cdc)])
+            t0 = perf_counter()
+            verilog.tokenize(rtl, "rtl.v")
+            spent["tokenize"] += perf_counter() - t0
             t0 = perf_counter()
             mods = verilog.parse_verilog(rtl, "rtl.v")
             t1 = perf_counter()
@@ -149,9 +159,9 @@ def main(argv: list[str] | None = None) -> int:
             runs[side].append(run_side(sides[side], designs))
     print(f"{len(designs)} designs, seed {SEED}, {ROUNDS} rounds")
     print(f"{'layer':9s} {'base ms':>9s} {'this ms':>9s} {'ratio':>7s} {'faster':>7s}")
-    for layer in (*LAYERS, "total"):
+    for layer in (*LAYERS, "total", *APART):
         def pick(run):
-            return sum(run.values()) if layer == "total" else run[layer]
+            return sum(run[k] for k in LAYERS) if layer == "total" else run[layer]
         a = [pick(run) for run in runs[0]]
         b = [pick(run) for run in runs[1]]
         ratios = [y / x for x, y in zip(a, b)]

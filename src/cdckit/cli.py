@@ -35,6 +35,8 @@ from .stimulus import parse_stimulus
 from .vcd import write_vcd
 
 OPTIONS_ENV = "CDCKIT_OPTIONS"
+# how `_write_text` opens its temporary file: made if missing, else emptied
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 
 
 def _read(path: str) -> str:
@@ -66,16 +68,23 @@ def _write_ir(path: Path, netlist) -> None:
 def _write_text(path: Path, text: str) -> None:
     """Write `text` to `path` through a temporary file beside it, which
     `os.replace` moves into place.  The parent directory is made only when
-    opening that file finds it missing."""
+    opening that file finds it missing.  The UTF-8 bytes go straight to the
+    file descriptor: a text-mode file object costs more to set up than a
+    small file costs to write."""
+    data = text.encode()
     tmp = f"{path}.tmp"
     try:
         try:
-            f = open(tmp, "w", encoding="utf-8")
+            fd = os.open(tmp, _WRITE_FLAGS, 0o666)
         except FileNotFoundError:
             path.parent.mkdir(parents=True, exist_ok=True)
-            f = open(tmp, "w", encoding="utf-8")
-        with f:
-            f.write(text)
+            fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+        try:
+            written = os.write(fd, data)
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except OSError as e:
         if os.path.isfile(tmp):

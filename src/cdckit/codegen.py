@@ -40,7 +40,7 @@ from .rules import Analysis
 HEADER = f"// generated-by: cdckit {__version__}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GeneratedFile:
     path: str
     text: str

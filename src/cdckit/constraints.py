@@ -21,7 +21,7 @@ from .errors import BadPeriod, DuplicateClock, ParseError, UnknownOption
 from .findings import NOTE_IDS, RULES, SEVERITIES
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ClockSpec:
     name: str
     period: int
@@ -32,14 +32,14 @@ class ClockSpec:
         return self.phase + index * self.period
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ResetSpec:
     net: str
     active_low: bool
     domain: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FalsePath:
     src: str
     dst: str

@@ -22,14 +22,14 @@ from .errors import AnalysisError, UndeclaredClock
 from .netlist import BlackBox, Cone, Const, Dff, Gate, Netlist, Ref
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NetDomain:
     domains: frozenset[str]
     unclocked: bool = False
     constant: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ClockGateNote:
     flop: str
     gate: int                  # multi-input gate cell in the flop's clock cone
@@ -70,7 +70,7 @@ def gate_enable(netlist: Netlist, note: ClockGateNote,
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CdcPair:
     id: str
     src: Ref                   # flop output or declared input port
@@ -101,7 +101,7 @@ class CdcPair:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RdcPair:
     id: str
     src: Ref

@@ -24,7 +24,7 @@ NOTE_IDS = {"DATA_ON_CLOCK"}
 SEVERITIES = ("error", "warning", "info")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Finding:
     rule: str
     severity: str

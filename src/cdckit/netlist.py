@@ -103,13 +103,13 @@ class Port:
     net: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class InstanceRecord:
     path: str       # hierarchical instance prefix, e.g. "u0.sync"
     module: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Cone:
     """Backward cone of a net: sequential boundary plus traversed logic."""
     seq: tuple[Ref, ...]        # Dff outputs, input ports, black-box outputs

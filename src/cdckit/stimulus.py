@@ -23,7 +23,7 @@ from .constraints import ClockSpec, parse_int, take_flag
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SetDirective:
     clock: str
     edge: int
@@ -31,7 +31,7 @@ class SetDirective:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RandomDriver:
     ports: tuple[str, ...]
     probability: float

@@ -38,7 +38,7 @@ from .domains import CdcPair, DomainMap
 from .netlist import Dff, Gate, Netlist
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SyncInstance:
     id: str
     kind: str                       # "ndff" | "pulse" | "mux" | "fifo" | "user"
@@ -66,7 +66,7 @@ class SyncInstance:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PairStatus:
     state: str                  # "synchronized" | "unsynchronized" | "suppressed"
     sync_id: str | None = None

@@ -7,11 +7,13 @@ an optional asynchronous reset arm and optional enable arm, nonblocking
 assignments only, and named-port instances.  Expressions cover `& | ^ ~ ?:`,
 concatenation, constant slices, and sized/unsized literals.
 
-The lexer is one `re.split` of the whole text.  The parser reads the tokens
-a production expects by index, and parses the binary operators in one
-precedence-climbing loop; `tests/oracles.py` keeps the parser that took one
-`peek`, `accept` or `expect` per token and one method per precedence, and
-the tests hold the two to the same trees and errors.
+The lexer is one `re.split` of the whole text, and gives the tokens as three
+parallel lists (kinds, texts and offsets) with no object per token.  The
+parser reads the tokens a production expects by index, and parses the
+binary operators in one precedence-climbing loop; `tests/oracles.py` keeps
+the parser that took one `peek`, `accept` or `expect` per token and one
+method per precedence, and the tests hold the two to the same trees and
+errors.
 
 Everything outside the subset raises a positioned diagnostic instead of
 being skipped, so a file is either fully understood or rejected.  That
@@ -21,8 +23,9 @@ recursion of this parser and of the walks over its trees, and widths and
 numbers past `MAX_WIDTH` bits, which would otherwise exhaust `int`'s
 conversions and the formats of later stages.  The parser also
 decides each rule that needs only the module's own text: at `endmodule` it
-rejects the first name error, then the first shape error (reset arms,
-slices, connections), in source order.  docs/subset.md has the rules.
+rejects the first name error (an undeclared name, a target of the wrong
+kind, a second driver), then the first shape error (reset arms, slices,
+connections), in source order.  docs/subset.md has the rules.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
 
 from .errors import ParseError, UnsupportedConstruct
 
@@ -62,48 +65,51 @@ _BASES = {"b": (2, "01"), "d": (10, "0123456789"), "h": (16, "0123456789abcdefAB
 # the module's text, where a width error inside them is reported; -1 where
 # the elaborator makes one.  It is not compared, so equal expressions stay
 # equal wherever they are written.  A design holds an expression node per
-# operand and operator, so they have slots and no instance dict.
+# operand and operator, so the records have slots and no instance dict.
+# They are not frozen, because a frozen `__init__` writes each field through
+# `object.__setattr__`; no stage writes to a record once it is made, which
+# tests/test_records.py checks.
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Ident:
     name: str
     offset: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Literal:
     value: int
     width: int | None  # None for unsized literals; width comes from context
     offset: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Unary:
     op: str  # "~"
     operand: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Binary:
     op: str  # "&", "|", "^"
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Ternary:
     cond: "Expr"
     if_true: "Expr"
     if_false: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Concat:
     parts: tuple["Expr", ...]
     offset: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Slice:
     name: str
     msb: int
@@ -116,13 +122,13 @@ Expr = Ident | Literal | Unary | Binary | Ternary | Concat | Slice
 
 # --- statement / module AST --------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NbAssign:
     target: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IfStmt:
     cond: Expr
     then: tuple["Stmt", ...]
@@ -132,7 +138,7 @@ class IfStmt:
 Stmt = NbAssign | IfStmt
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AlwaysBlock:
     clock: str
     reset: str | None          # reset signal name, or None
@@ -140,13 +146,13 @@ class AlwaysBlock:
     body: tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AssignItem:
     target: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Instance:
     module: str
     name: str
@@ -155,7 +161,7 @@ class Instance:
     column: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PortDecl:
     name: str
     direction: str  # "in" | "out"
@@ -163,14 +169,14 @@ class PortDecl:
     is_reg: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NetDecl:
     name: str
     width: int
     is_reg: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ParsedModule:
     name: str
     ports: tuple[PortDecl, ...]
@@ -232,15 +238,16 @@ _STRAY_CONSTRUCTS = {"`": "compiler directive", "#": "delay control", "$": "syst
 # by the group, its tokens and complete comments (the odd items).  No token
 # or comment starts with whitespace, so a gap holds only whitespace unless
 # the text has a character that starts none of them; an unterminated `/*`
-# leaves its `/` in a gap.  A token's kind follows from its text, so it is
+# leaves its `/` in a gap.  The alternatives start with disjoint characters,
+# so their order decides nothing but how many a token tries: the most
+# frequent come first.  A token's kind follows from its text, so it is
 # worked out once per distinct text.
 _SPLIT_RE = re.compile(r"""(
-    //[^\n]* | /\*.*?\*/
-  | [A-Za-z_][A-Za-z0-9_$]*
-  | \d+'[bBdDhH][0-9a-fA-F_xzXZ?]+
-  | \d[\d_]*
-  | <=
+    [A-Za-z_][A-Za-z0-9_$]*
   | [()\[\]{},;:.=@?~!&|^]
+  | \d+(?:'[bBdDhH][0-9a-fA-F_xzXZ?]+)?[\d_]*
+  | <=
+  | //[^\n]* | /\*.*?\*/
 )""", re.VERBOSE | re.DOTALL)
 
 # a token's kind by its first character; the others start with a digit
@@ -249,11 +256,12 @@ _KIND_OF_FIRST = {
     "/": "comment", "<": "nba", **dict.fromkeys("()[]{},;:.=@?~!&|^", "punct")}
 
 
-# A token is a plain tuple (kind, text, offset): kind is "id", "kw",
-# "number", "sized", "punct", "nba" or "eof", and offset is where its text
-# starts.  A subclass of tuple would keep every token tracked by the garbage
-# collector; line and column are computed only where they are needed.
-Token = tuple[str, str, int]
+# The tokens of a text are three parallel lists, indexed by token: their
+# kinds ("id", "kw", "number", "sized", "punct", "nba", and "eof" last),
+# their texts and the offsets where their texts start.  No token is an
+# object of its own; line and column are computed only where they are
+# needed.
+Tokens = tuple[list[str], list[str], list[int]]
 
 
 def line_starts(text: str) -> list[int]:
@@ -277,21 +285,23 @@ def _kind(text: str) -> str:
     return kind
 
 
-def tokenize(text: str, origin: str = "<input>") -> list[Token]:
+def tokenize(text: str, origin: str = "<input>") -> Tokens:
     parts = _SPLIT_RE.split(text)
     texts = parts[1::2]
-    kinds = {t: _kind(t) for t in dict.fromkeys(texts)}
-    if "".join(parts[0::2]).strip() or not kinds.keys().isdisjoint(UNSUPPORTED_KEYWORDS):
+    kind_of = {t: _kind(t) for t in dict.fromkeys(texts)}
+    if "".join(parts[0::2]).strip() or not kind_of.keys().isdisjoint(UNSUPPORTED_KEYWORDS):
         _reject(parts, text, origin)
-    # each token starts where the parts before it end
-    starts = list(islice(accumulate(map(len, parts)), 0, None, 2))
-    del parts   # the gaps go before the tokens are built
-    tokens = list(zip(map(kinds.__getitem__, texts), texts, starts))
-    del texts, starts
-    if "comment" in kinds.values():
-        tokens = [tok for tok in tokens if tok[0] != "comment"]
-    tokens.append(("eof", "", len(text)))
-    return tokens
+    # each token starts where the parts before it end, and the last of
+    # these offsets is the end of the text, where "eof" is
+    offsets = list(islice(accumulate(map(len, parts)), 0, None, 2))
+    del parts   # the gaps go before the kinds are listed
+    kinds = list(map(kind_of.__getitem__, texts))
+    kinds.append("eof")
+    texts.append("")
+    if "comment" in kind_of.values():
+        keep = [kind != "comment" for kind in kinds]
+        kinds, texts, offsets = (list(compress(c, keep)) for c in (kinds, texts, offsets))
+    return kinds, texts, offsets
 
 
 def _reject(parts: list[str], text: str, origin: str):
@@ -314,65 +324,63 @@ def _reject(parts: list[str], text: str, origin: str):
 # --- parser ------------------------------------------------------------------
 
 class _Parser:
+    """A parser over the tokens of one text.  A token is named by its index
+    in the token lists, and `pos` is the index of the next one to read."""
+
     def __init__(self, text: str, origin: str):
-        self.tokens = tokenize(text, origin)
+        self.kinds, self.texts, self.offsets = tokenize(text, origin)
         self.starts = line_starts(text)
         self.pos = 0
         self.origin = origin
         self.depth = 0          # expression nesting at the current token
         self.stmt_depth = 0     # `if` nesting at the current token
-        # every name the current module reads or drives, in source order,
-        # as a token whose kind is its role: "id" for a read, a clock or a
-        # reset, "assign" or "nb" for the target of that assignment
-        self.names: list[Token] = []
+        # the token of every name the current module reads or drives, in
+        # source order; `check_names` reads each one's role off its
+        # neighbouring tokens
+        self.names: list[int] = []
         # what the current module's shape check reads: each always block
-        # with a reset, as (reset token, index of the body's first token,
-        # length of `names` before the body, block); each slice, as (offset,
-        # name, msb, lsb); each port connected again, as (offset, message)
-        self.resets: list[tuple[Token, int, int, AlwaysBlock]] = []
+        # with a reset, as (reset token, the body's first token, length of
+        # `names` before the body, block); each slice, as (offset, name,
+        # msb, lsb); each port connected again, as (offset, message)
+        self.resets: list[tuple[int, int, int, AlwaysBlock]] = []
         self.slices: list[tuple[int, str, int, int]] = []
         self.twice: list[tuple[int, str]] = []
 
-    def where(self, tok: Token) -> tuple[int, int]:
-        return position(self.starts, tok[2])
+    def where(self, tok: int) -> tuple[int, int]:
+        return position(self.starts, self.offsets[tok])
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The text of the next token."""
+        return self.texts[self.pos]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
+    def error(self, message: str, tok: int | None = None, expected: str | None = None):
+        raise ParseError(message, *self.where(self.pos if tok is None else tok),
+                         self.origin, expected)
 
-    def error(self, message: str, tok: Token | None = None, expected: str | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, *self.where(tok), self.origin, expected)
-
-    def unsupported(self, construct: str, tok: Token):
+    def unsupported(self, construct: str, tok: int):
         raise UnsupportedConstruct(construct, *self.where(tok), self.origin)
 
-    # Below, a method that has matched a token other than the end of input
-    # steps past it with `self.pos += 1`, without `next`'s check.
+    # A method steps past a token only once it has matched it, so `pos`
+    # never passes the end of input.
 
-    def expect(self, text: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok[1] != text:
-            self.error(f"expected {text!r}, found {tok[1]!r}", tok, expected=text)
+    def expect(self, text: str) -> int:
+        tok = self.pos
+        if self.texts[tok] != text:
+            self.error(f"expected {text!r}, found {self.texts[tok]!r}", tok, expected=text)
         self.pos += 1
         return tok
 
-    def accept(self, text: str) -> Token | None:
-        tok = self.tokens[self.pos]
-        if tok[1] == text:
+    def accept(self, text: str) -> bool:
+        if self.texts[self.pos] == text:
             self.pos += 1
-            return tok
-        return None
+            return True
+        return False
 
-    def expect_id(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != "id":
-            self.error(f"expected identifier, found {tok[1]!r}", tok, expected="identifier")
+    def expect_id(self) -> int:
+        tok = self.pos
+        if self.kinds[tok] != "id":
+            self.error(f"expected identifier, found {self.texts[tok]!r}", tok,
+                       expected="identifier")
         self.pos += 1
         return tok
 
@@ -380,22 +388,21 @@ class _Parser:
 
     def parse_source(self) -> list[ParsedModule]:
         modules: list[ParsedModule] = []
-        while self.peek()[0] != "eof":
-            tok = self.peek()
-            if tok[1] != "module":
-                self.error(f"expected 'module', found {tok[1]!r}", tok, expected="module")
+        while self.kinds[self.pos] != "eof":
+            if self.peek() != "module":
+                self.error(f"expected 'module', found {self.peek()!r}", expected="module")
             modules.append(self.parse_module())
         return modules
 
     def parse_module(self) -> ParsedModule:
         start = self.expect("module")
-        name = self.expect_id()[1]
+        name = self.texts[self.expect_id()]
         ports: list[PortDecl] = []
         widths: dict[str, int] = {}
         self.expect("(")
-        if self.peek()[1] != ")":
+        if self.peek() != ")":
             while True:
-                tok = self.peek()
+                tok = self.pos
                 port = self.parse_port_decl()
                 if port.name in widths:
                     self.error(f"{port.name!r} already declared", tok)
@@ -412,9 +419,10 @@ class _Parser:
         instances: list[Instance] = []
         self.names, self.resets, self.slices, self.twice = [], [], [], []
 
-        while self.peek()[1] != "endmodule":
-            tok = self.peek()
-            kind, text, _ = tok
+        kinds, texts = self.kinds, self.texts
+        while (text := texts[self.pos]) != "endmodule":
+            tok = self.pos
+            kind = kinds[tok]
             if kind == "eof":
                 self.error("unexpected end of file inside module", tok, expected="endmodule")
             if text in ("wire", "reg"):
@@ -435,27 +443,58 @@ class _Parser:
                 self.error(f"unexpected {text!r} in module body", tok)
 
         self.check_names(widths, {p.name for p in ports if p.is_reg}
-                         | {d.name for d in decls if d.is_reg})
+                         | {d.name for d in decls if d.is_reg},
+                         [p.name for p in ports if p.direction == "in"])
         self.check_shape(widths)
         self.expect("endmodule")
         return ParsedModule(name, tuple(ports), tuple(decls), tuple(assigns),
                             tuple(always_blocks), tuple(instances),
                             *self.where(start), self.origin, self.starts)
 
-    def check_names(self, declared: dict[str, int], regs: set[str]) -> None:
-        """Reject the module's first name that is undeclared, or that is
-        an `assign` target declared `reg` or a nonblocking target that is
-        not; a name may be used before its declaration."""
-        for role, name, offset in self.names:
+    def check_names(self, declared: dict[str, int], regs: set[str],
+                    inputs: list[str]) -> None:
+        """Reject the module's first name that is undeclared, that is an
+        `assign` target declared `reg` or a nonblocking target that is not,
+        or that gets a second driver; a name may be used before its
+        declaration.  An input port is driven from outside the module, an
+        `assign` drives its target and an always block its nonblocking
+        targets.  A name's role follows from its neighbours: an `assign`
+        target comes after `assign`, a nonblocking target before `<=`, and
+        an always block's clock and reset after their edges."""
+        texts, kinds = self.texts, self.kinds
+        # name -> (what drives it: its `assign`'s target, its always block's
+        # last edged name, or -1 for an input port; its first driven token)
+        drivers = dict.fromkeys(inputs, (-1, -1))
+        block = -1
+        for tok in self.names:
+            name = texts[tok]
+            before = texts[tok - 1]
             if name not in declared:
                 message = f"undeclared identifier {name!r}"
-            elif role == "assign" and name in regs:
-                message = f"assign target {name!r} is a reg"
-            elif role == "nb" and name not in regs:
-                message = f"nonblocking target {name!r} is not a reg"
+            elif before == "assign":
+                if name in regs:
+                    message = f"assign target {name!r} is a reg"
+                elif (first := drivers.setdefault(name, (tok, tok)))[0] == tok:
+                    continue
+                else:
+                    message = self.driven_twice(name, first[1])
+            elif kinds[tok + 1] == "nba":
+                if name not in regs:
+                    message = f"nonblocking target {name!r} is not a reg"
+                elif (first := drivers.setdefault(name, (block, tok)))[0] == block:
+                    continue
+                else:
+                    message = self.driven_twice(name, first[1])
             else:
+                if before in ("posedge", "negedge"):
+                    block = tok
                 continue
-            raise ParseError(message, *position(self.starts, offset), self.origin)
+            raise ParseError(message, *self.where(tok), self.origin)
+
+    def driven_twice(self, name: str, first: int) -> str:
+        if first < 0:
+            return f"assign target {name!r} is an input port"
+        return f"{name!r} already driven at line {self.where(first)[0]}"
 
     def check_shape(self, widths: dict[str, int]) -> None:
         """Reject the module's first shape error in source order: a bad
@@ -469,24 +508,25 @@ class _Parser:
             offset, message = min(errors, key=lambda e: e[0])
             raise ParseError(message, *position(self.starts, offset), self.origin)
 
-    def reset_errors(self, widths: dict[str, int], reset_tok: Token, first: int,
+    def reset_errors(self, widths: dict[str, int], reset_tok: int, first: int,
                      n_names: int, blk: AlwaysBlock) -> list[tuple[int, str]]:
         """The (offset, message) errors of an always block with an async
         reset: of its width, of its body's shape, of its condition's
         polarity, or else of each reset value that is no literal or too wide."""
-        _, reset, offset = reset_tok
+        texts, offsets = self.texts, self.offsets
+        reset = texts[reset_tok]
         if widths[reset] != 1:
-            return [(offset, f"reset {reset!r} must be 1 bit wide")]
+            return [(offsets[reset_tok], f"reset {reset!r} must be 1 bit wide")]
         body = blk.body
         if len(body) != 1 or not isinstance(body[0], IfStmt) or body[0].other is None:
-            return [(self.tokens[first][2],
+            return [(offsets[first],
                      "always block with async reset must be 'if (reset) ... else ...'")]
         want = Unary("~", Ident(reset)) if blk.reset_edge == "negedge" else Ident(reset)
         if body[0].cond != want:
             # `if (` or `begin if (` comes before the condition
-            cond = first + (3 if self.tokens[first][1] == "begin" else 2)
-            return [(self.tokens[cond][2], f"reset condition must test {reset!r} "
-                                           "with the polarity of its edge event")]
+            cond = first + (3 if texts[first] == "begin" else 2)
+            return [(offsets[cond], f"reset condition must test {reset!r} "
+                                    "with the polarity of its edge event")]
         errors = []
         for target, value in fold(body[0].then, {}).items():
             if not isinstance(value, Literal):
@@ -496,8 +536,9 @@ class _Parser:
             else:
                 continue
             # the reset arm is the first of the block to assign its targets
-            errors.append((next(o for role, name, o in islice(self.names, n_names, None)
-                                if role == "nb" and name == target), message))
+            errors.append((next(offsets[tok] for tok in islice(self.names, n_names, None)
+                                if texts[tok] == target and self.kinds[tok + 1] == "nba"),
+                           message))
         return errors
 
     # The productions below that every design repeats (ports, declarations,
@@ -506,30 +547,30 @@ class _Parser:
     # `expect_id` would.
 
     def parse_port_decl(self) -> PortDecl:
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        direction = tok[1]
+        texts = self.texts
+        tok = self.pos
+        direction = texts[tok]
         if direction not in ("input", "output"):
             if direction == "inout":
                 self.unsupported("inout port", tok)
             self.error(f"expected port direction, found {direction!r}", tok,
                        expected="input/output")
         self.pos += 1
-        is_reg = tokens[self.pos][1] == "reg"
+        is_reg = texts[self.pos] == "reg"
         self.pos += is_reg
         width = self.parse_range()
-        name_tok = tokens[self.pos]
-        if name_tok[0] != "id":
+        name = self.pos
+        if self.kinds[name] != "id":
             self.expect_id()
         self.pos += 1
         if is_reg and direction == "input":
             self.error("input port cannot be reg", tok)
-        return PortDecl(name_tok[1], "in" if direction == "input" else "out", width, is_reg)
+        return PortDecl(texts[name], "in" if direction == "input" else "out", width, is_reg)
 
     def parse_range(self) -> int:
         if not self.accept("["):
             return 1
-        msb_tok = self.peek()
+        msb_tok = self.pos
         msb = self.parse_int()
         self.expect(":")
         lsb = self.parse_int()
@@ -540,27 +581,27 @@ class _Parser:
 
     def parse_int(self) -> int:
         """A range or slice bound, which names a bit of a net."""
-        tok = self.tokens[self.pos]
-        if tok[0] != "number":
-            self.error(f"expected integer, found {tok[1]!r}", tok, expected="integer")
+        tok = self.pos
+        if self.kinds[tok] != "number":
+            self.error(f"expected integer, found {self.texts[tok]!r}", tok, expected="integer")
         self.pos += 1
-        value = _decimal(tok[1].replace("_", ""))
+        value = _decimal(self.texts[tok].replace("_", ""))
         if value >= MAX_WIDTH:
             self.error(f"bit index past the widest net of {MAX_WIDTH} bits", tok)
         return value
 
     def parse_net_decl(self) -> list[NetDecl]:
-        tokens = self.tokens
-        is_reg = tokens[self.pos][1] == "reg"
+        kinds, texts = self.kinds, self.texts
+        is_reg = texts[self.pos] == "reg"
         self.pos += 1
         width = self.parse_range()
         out = []
         while True:
-            tok = tokens[self.pos]
-            if tok[0] != "id":
+            tok = self.pos
+            if kinds[tok] != "id":
                 self.expect_id()
-            out.append(NetDecl(tok[1], width, is_reg))
-            if tokens[self.pos + 1][1] != ",":
+            out.append(NetDecl(texts[tok], width, is_reg))
+            if texts[tok + 1] != ",":
                 break
             self.pos += 2
         self.pos += 1
@@ -569,75 +610,74 @@ class _Parser:
 
     def parse_assign(self) -> AssignItem:
         start = self.expect("assign")
-        _, target, offset = self.expect_id()
-        self.names.append(("assign", target, offset))
-        if self.peek()[1] == "[":
+        target = self.expect_id()
+        self.names.append(target)
+        if self.peek() == "[":
             self.unsupported("assignment to a slice", start)
         self.expect("=")
         expr = self.parse_expr()
         self.expect(";")
-        return AssignItem(target, expr)
+        return AssignItem(self.texts[target], expr)
 
     def parse_always(self) -> AlwaysBlock:
+        texts = self.texts
         self.expect("always")
         self.expect("@")
         self.expect("(")
-        edge_tok = self.peek()
-        if edge_tok[1] == "negedge":
-            self.unsupported("negedge clock", edge_tok)
-        if edge_tok[1] != "posedge":
-            self.unsupported("combinational always block", edge_tok)
-        self.next()
-        clock_tok = self.expect_id()
-        self.names.append(clock_tok)
-        clock = clock_tok[1]
+        edge = self.pos
+        if texts[edge] == "negedge":
+            self.unsupported("negedge clock", edge)
+        if texts[edge] != "posedge":
+            self.unsupported("combinational always block", edge)
+        self.pos += 1
+        clock = self.expect_id()
+        self.names.append(clock)
         reset = reset_edge = reset_tok = None
         if self.accept("or"):
-            rtok = self.peek()
-            if rtok[1] not in ("posedge", "negedge"):
-                self.error("expected posedge/negedge in event list", rtok)
-            reset_edge = self.next()[1]
+            reset_edge = self.peek()
+            if reset_edge not in ("posedge", "negedge"):
+                self.error("expected posedge/negedge in event list")
+            self.pos += 1
             reset_tok = self.expect_id()
             self.names.append(reset_tok)
-            reset = reset_tok[1]
+            reset = texts[reset_tok]
         self.expect(")")
         first, n_names = self.pos, len(self.names)
-        blk = AlwaysBlock(clock, reset, reset_edge, tuple(self.parse_stmt_block()))
+        blk = AlwaysBlock(texts[clock], reset, reset_edge, tuple(self.parse_stmt_block()))
         if reset_tok is not None:
             self.resets.append((reset_tok, first, n_names, blk))
         return blk
 
     def parse_stmt_block(self) -> list[Stmt]:
-        tokens = self.tokens
-        if tokens[self.pos][1] != "begin":
+        kinds, texts = self.kinds, self.texts
+        if texts[self.pos] != "begin":
             return [self.parse_stmt()]
         self.pos += 1
         stmts = []
         while True:
-            tok = tokens[self.pos]
-            if tok[1] == "end":
+            tok = self.pos
+            if texts[tok] == "end":
                 self.pos += 1
                 return stmts
-            if tok[0] == "eof":
+            if kinds[tok] == "eof":
                 self.error("unexpected end of file inside begin/end")
             stmts.append(self.parse_stmt())
 
     def parse_stmt(self) -> Stmt:
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        if tok[0] == "id":
-            _, target, offset = tok
-            self.names.append(("nb", target, offset))
-            nxt = tokens[self.pos + 1]
-            if nxt[0] != "nba":
-                if nxt[1] == "=":
+        kinds, texts = self.kinds, self.texts
+        tok = self.pos
+        if kinds[tok] == "id":
+            self.names.append(tok)
+            nxt = tok + 1
+            if kinds[nxt] != "nba":
+                if texts[nxt] == "=":
                     self.unsupported("blocking assignment in always block", nxt)
-                self.error(f"expected '<=', found {nxt[1]!r}", nxt, expected="<=")
+                self.error(f"expected '<=', found {texts[nxt]!r}", nxt, expected="<=")
             self.pos += 2
             expr = self.parse_expr()
             self.expect(";")
-            return NbAssign(target, expr)
-        if tok[1] == "if":
+            return NbAssign(texts[tok], expr)
+        if texts[tok] == "if":
             self.stmt_depth += 1
             if self.stmt_depth > MAX_STMT_DEPTH:
                 self.error(_STMT_TOO_DEEP, tok)
@@ -647,60 +687,61 @@ class _Parser:
             self.expect(")")
             then = tuple(self.parse_stmt_block())
             other = None
-            if tokens[self.pos][1] == "else":
+            if texts[self.pos] == "else":
                 self.pos += 1
                 other = tuple(self.parse_stmt_block())
             self.stmt_depth -= 1
             return IfStmt(cond, then, other)
-        self.error(f"expected statement, found {tok[1]!r}", tok)
+        self.error(f"expected statement, found {texts[tok]!r}", tok)
         raise AssertionError  # unreachable
 
     def parse_instance(self) -> Instance:
-        tokens = self.tokens
-        mod_tok = tokens[self.pos]
-        inst_tok = tokens[self.pos + 1]
-        if inst_tok[0] != "id":
+        kinds, texts = self.kinds, self.texts
+        mod_tok = self.pos
+        inst_tok = mod_tok + 1
+        if kinds[inst_tok] != "id":
             # common error shape: `foo = ...` outside assign
-            self.error(f"expected instance name after {mod_tok[1]!r}", inst_tok,
+            self.error(f"expected instance name after {texts[mod_tok]!r}", inst_tok,
                        expected="identifier")
-        inst = inst_tok[1]
+        inst = texts[inst_tok]
         self.pos += 2
         self.expect("(")
         conns: list[tuple[str, Expr | None]] = []
         connected = set()
-        if tokens[self.pos][1] != ")":
+        if texts[self.pos] != ")":
             while True:
                 self.expect(".")
-                _, port, offset = self.expect_id()
+                port_tok = self.expect_id()
+                port = texts[port_tok]
                 self.expect("(")
                 if port in connected:
-                    self.twice.append((offset, f"{inst}: port {port!r} connected twice"))
+                    self.twice.append((self.offsets[port_tok],
+                                       f"{inst}: port {port!r} connected twice"))
                 connected.add(port)
                 expr = None
-                if tokens[self.pos][1] != ")":
+                if texts[self.pos] != ")":
                     expr = self.parse_expr()
                 self.expect(")")
                 conns.append((port, expr))
-                if tokens[self.pos][1] != ",":
+                if texts[self.pos] != ",":
                     break
                 self.pos += 1
         self.expect(")")
         self.expect(";")
-        return Instance(mod_tok[1], inst, tuple(conns), *self.where(inst_tok))
+        return Instance(texts[mod_tok], inst, tuple(conns), *self.where(inst_tok))
 
     # -- expressions (precedence: ?: < | < ^ < & < unary < primary) --
 
-    def nest(self, tok: Token):
+    def nest(self, tok: int):
         self.depth += 1
         if self.depth > MAX_EXPR_DEPTH:
             self.error(_TOO_DEEP, tok)
 
     def parse_expr(self) -> Expr:
         first = self.pos
-        start = self.tokens[first]
-        self.nest(start)
+        self.nest(first)
         expr = self.parse_binary(1)
-        if self.tokens[self.pos][1] == "?":
+        if self.texts[self.pos] == "?":
             self.pos += 1
             if_true = self.parse_expr()
             self.expect(":")
@@ -711,16 +752,16 @@ class _Parser:
         # expression of at most MAX_EXPR_DEPTH tokens needs no walk
         if (self.depth == 0 and self.pos - first > MAX_EXPR_DEPTH
                 and _expr_depth(expr) > MAX_EXPR_DEPTH):
-            self.error(_TOO_DEEP, start)
+            self.error(_TOO_DEEP, first)
         return expr
 
     def parse_binary(self, lowest: int) -> Expr:
         """Operands joined by the binary operators of precedence `lowest`
         and above, each operator left-associative."""
-        tokens = self.tokens
+        texts = self.texts
         lhs = self.parse_unary()
         while True:
-            op = tokens[self.pos][1]
+            op = texts[self.pos]
             prec = _PRECEDENCE.get(op, 0)
             if prec < lowest:
                 return lhs
@@ -728,8 +769,8 @@ class _Parser:
             lhs = Binary(op, lhs, self.parse_binary(prec + 1))
 
     def parse_unary(self) -> Expr:
-        tok = self.tokens[self.pos]
-        if tok[1] in ("~", "!"):
+        tok = self.pos
+        if self.texts[tok] in ("~", "!"):
             self.pos += 1
             self.nest(tok)
             operand = self.parse_unary()
@@ -738,14 +779,14 @@ class _Parser:
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        kind, text, offset = tok
+        texts = self.texts
+        tok = self.pos
+        kind = self.kinds[tok]
         if kind == "id":
             self.names.append(tok)
             self.pos += 1
-            if tokens[self.pos][1] != "[":
-                return Ident(text, offset)
+            if texts[tok + 1] != "[":
+                return Ident(texts[tok], self.offsets[tok])
             self.pos += 1
             msb = self.parse_int()
             lsb = msb
@@ -754,14 +795,16 @@ class _Parser:
             self.expect("]")
             if msb < lsb:
                 self.error("slice msb < lsb", tok)
-            self.slices.append((offset, text, msb, lsb))
-            return Slice(text, msb, lsb, offset)
+            name, offset = texts[tok], self.offsets[tok]
+            self.slices.append((offset, name, msb, lsb))
+            return Slice(name, msb, lsb, offset)
         if kind == "sized":
             self.pos += 1
             return self.sized_literal(tok)
         if kind == "number":
             self.pos += 1
             return self.unsized_literal(tok)
+        text = texts[tok]
         if text == "(":
             self.pos += 1
             inner = self.parse_expr()
@@ -770,23 +813,23 @@ class _Parser:
         if text == "{":
             self.pos += 1
             parts = [self.parse_expr()]
-            if self.peek()[1] == "{":
+            if self.peek() == "{":
                 self.unsupported("replication", tok)
             while self.accept(","):
                 parts.append(self.parse_expr())
             self.expect("}")
-            return Concat(tuple(parts), offset)
+            return Concat(tuple(parts), self.offsets[tok])
         self.error(f"expected expression, found {text!r}", tok, expected="expression")
         raise AssertionError  # unreachable
 
-    def unsized_literal(self, tok: Token) -> Literal:
-        value = _decimal(tok[1].replace("_", ""))
+    def unsized_literal(self, tok: int) -> Literal:
+        value = _decimal(self.texts[tok].replace("_", ""))
         if value >> MAX_WIDTH:
             self.error(f"number does not fit in {MAX_WIDTH} bits", tok)
-        return Literal(value, None, tok[2])
+        return Literal(value, None, self.offsets[tok])
 
-    def sized_literal(self, tok: Token) -> Literal:
-        width_str, rest = tok[1].split("'", 1)
+    def sized_literal(self, tok: int) -> Literal:
+        width_str, rest = self.texts[tok].split("'", 1)
         base_ch = rest[0].lower()
         digits = rest[1:].replace("_", "")
         if any(c in "xzXZ?" for c in digits):
@@ -802,7 +845,7 @@ class _Parser:
         value = _decimal(digits) if base == 10 else int(digits, base)
         if value >= (1 << width):
             self.error(f"literal value does not fit in {width} bits", tok)
-        return Literal(value, width, tok[2])
+        return Literal(value, width, self.offsets[tok])
 
 
 def parse_verilog(text: str, origin: str = "<input>") -> list[ParsedModule]:

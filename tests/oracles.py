@@ -178,31 +178,42 @@ class ReferenceParser(_Parser):
 
     def __init__(self, text: str, origin: str = "<input>"):
         starts = line_starts(text)
-        tokens = [(kind, tok, starts[line - 1] + col - 1)
-                  for kind, tok, line, col in reference_tokenize(text, origin)]
+        tokens = reference_tokenize(text, origin)
         super().__init__("", origin)
-        self.tokens, self.starts = tokens, starts
+        self.kinds = [kind for kind, _tok, _line, _col in tokens]
+        self.texts = [tok for _kind, tok, _line, _col in tokens]
+        self.offsets = [starts[line - 1] + col - 1 for _kind, _tok, line, col in tokens]
+        self.starts = starts
+
+    def next(self) -> int:
+        """Step past the next token, unless it is the end of input, and
+        return its index."""
+        tok = self.pos
+        if self.kinds[tok] != "eof":
+            self.pos += 1
+        return tok
 
     def parse_port_decl(self) -> PortDecl:
-        tok = self.peek()
-        if tok[1] == "inout":
+        tok = self.pos
+        if self.peek() == "inout":
             self.unsupported("inout port", tok)
-        if tok[1] not in ("input", "output"):
-            self.error(f"expected port direction, found {tok[1]!r}", tok, expected="input/output")
-        direction = "in" if self.next()[1] == "input" else "out"
-        is_reg = bool(self.accept("reg"))
+        if self.peek() not in ("input", "output"):
+            self.error(f"expected port direction, found {self.peek()!r}", tok,
+                       expected="input/output")
+        direction = "in" if self.texts[self.next()] == "input" else "out"
+        is_reg = self.accept("reg")
         width = self.parse_range()
-        name = self.expect_id()[1]
+        name = self.texts[self.expect_id()]
         if is_reg and direction == "in":
             self.error("input port cannot be reg", tok)
         return PortDecl(name, direction, width, is_reg)
 
     def parse_net_decl(self) -> list[NetDecl]:
-        is_reg = self.next()[1] == "reg"
+        is_reg = self.texts[self.next()] == "reg"
         width = self.parse_range()
         out = []
         while True:
-            name = self.expect_id()[1]
+            name = self.texts[self.expect_id()]
             out.append(NetDecl(name, width, is_reg))
             if not self.accept(","):
                 break
@@ -212,8 +223,8 @@ class ReferenceParser(_Parser):
     def parse_stmt_block(self) -> list[Stmt]:
         if self.accept("begin"):
             stmts = []
-            while self.peek()[1] != "end":
-                if self.peek()[0] == "eof":
+            while self.peek() != "end":
+                if self.kinds[self.pos] == "eof":
                     self.error("unexpected end of file inside begin/end")
                 stmts.append(self.parse_stmt())
             self.expect("end")
@@ -221,8 +232,8 @@ class ReferenceParser(_Parser):
         return [self.parse_stmt()]
 
     def parse_stmt(self) -> Stmt:
-        tok = self.peek()
-        if tok[1] == "if":
+        tok = self.pos
+        if self.peek() == "if":
             self.stmt_depth += 1
             if self.stmt_depth > MAX_STMT_DEPTH:
                 self.error(_STMT_TOO_DEEP, tok)
@@ -236,41 +247,43 @@ class ReferenceParser(_Parser):
                 other = tuple(self.parse_stmt_block())
             self.stmt_depth -= 1
             return IfStmt(cond, then, other)
-        if tok[0] == "id":
-            _, target, offset = self.next()
-            self.names.append(("nb", target, offset))
-            nxt = self.peek()
-            if nxt[1] == "=":
+        if self.kinds[tok] == "id":
+            target = self.texts[self.next()]
+            self.names.append(tok)
+            nxt = self.pos
+            if self.peek() == "=":
                 self.unsupported("blocking assignment in always block", nxt)
-            if nxt[0] != "nba":
-                self.error(f"expected '<=', found {nxt[1]!r}", nxt, expected="<=")
+            if self.kinds[nxt] != "nba":
+                self.error(f"expected '<=', found {self.peek()!r}", nxt, expected="<=")
             self.next()
             expr = self.parse_expr()
             self.expect(";")
             return NbAssign(target, expr)
-        self.error(f"expected statement, found {tok[1]!r}", tok)
+        self.error(f"expected statement, found {self.peek()!r}", tok)
         raise AssertionError  # unreachable
 
     def parse_instance(self) -> Instance:
-        mod_tok = self.expect_id()
-        inst_tok = self.peek()
-        if inst_tok[0] != "id":
-            self.error(f"expected instance name after {mod_tok[1]!r}", inst_tok,
+        mod = self.texts[self.expect_id()]
+        inst_tok = self.pos
+        if self.kinds[inst_tok] != "id":
+            self.error(f"expected instance name after {mod!r}", inst_tok,
                        expected="identifier")
-        inst = self.next()[1]
+        inst = self.texts[self.next()]
         self.expect("(")
         conns: list[tuple[str, Expr | None]] = []
         connected = set()
-        if self.peek()[1] != ")":
+        if self.peek() != ")":
             while True:
                 self.expect(".")
-                _, port, offset = self.expect_id()
+                port_tok = self.expect_id()
+                port = self.texts[port_tok]
                 if port in connected:
-                    self.twice.append((offset, f"{inst}: port {port!r} connected twice"))
+                    self.twice.append((self.offsets[port_tok],
+                                       f"{inst}: port {port!r} connected twice"))
                 connected.add(port)
                 self.expect("(")
                 expr = None
-                if self.peek()[1] != ")":
+                if self.peek() != ")":
                     expr = self.parse_expr()
                 self.expect(")")
                 conns.append((port, expr))
@@ -278,12 +291,11 @@ class ReferenceParser(_Parser):
                     break
         self.expect(")")
         self.expect(";")
-        return Instance(mod_tok[1], inst, tuple(conns), *self.where(inst_tok))
+        return Instance(mod, inst, tuple(conns), *self.where(inst_tok))
 
     def parse_expr(self) -> Expr:
         first = self.pos
-        start = self.tokens[first]
-        self.nest(start)
+        self.nest(first)
         expr = self.parse_or()
         if self.accept("?"):
             if_true = self.parse_expr()
@@ -293,7 +305,7 @@ class ReferenceParser(_Parser):
         self.depth -= 1
         if (self.depth == 0 and self.pos - first > MAX_EXPR_DEPTH
                 and _expr_depth(expr) > MAX_EXPR_DEPTH):
-            self.error(_TOO_DEEP, start)
+            self.error(_TOO_DEEP, first)
         return expr
 
     def parse_or(self) -> Expr:
@@ -315,8 +327,8 @@ class ReferenceParser(_Parser):
         return lhs
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
-        kind, text, _ = tok
+        tok = self.pos
+        kind, text, offset = self.kinds[tok], self.peek(), self.offsets[tok]
         if text == "(":
             self.next()
             inner = self.parse_expr()
@@ -325,12 +337,12 @@ class ReferenceParser(_Parser):
         if text == "{":
             self.next()
             parts = [self.parse_expr()]
-            if self.peek()[1] == "{":
+            if self.peek() == "{":
                 self.unsupported("replication", tok)
             while self.accept(","):
                 parts.append(self.parse_expr())
             self.expect("}")
-            return Concat(tuple(parts), tok[2])
+            return Concat(tuple(parts), offset)
         if kind == "sized":
             self.next()
             return self.sized_literal(tok)
@@ -348,9 +360,9 @@ class ReferenceParser(_Parser):
                 self.expect("]")
                 if msb < lsb:
                     self.error("slice msb < lsb", tok)
-                self.slices.append((tok[2], text, msb, lsb))
-                return Slice(text, msb, lsb, tok[2])
-            return Ident(text, tok[2])
+                self.slices.append((offset, text, msb, lsb))
+                return Slice(text, msb, lsb, offset)
+            return Ident(text, offset)
         self.error(f"expected expression, found {text!r}", tok, expected="expression")
         raise AssertionError  # unreachable
 

@@ -118,10 +118,14 @@ def test_port_width_mismatch():
 
 
 def test_multiple_drivers_rejected_at_build():
+    """An instance's output and an `assign` of its parent drive one net.
+    The parser rejects a second driver within a module, but it does not
+    know a child's port directions, so only the netlist builder sees this."""
     mods = parse_verilog(
+        "module sub(input a, output y); assign y = a; endmodule\n"
         "module top(input a, input b, output w);\n"
-        "  assign w = a;\n  assign w = b;\nendmodule\n")
-    with pytest.raises(MultipleDrivers):
+        "  sub u(.a(a), .y(w));\n  assign w = b;\nendmodule\n")
+    with pytest.raises(MultipleDrivers, match="driven by both"):
         elaborate(mods, "top")
 
 

@@ -151,7 +151,7 @@ def _positioned(text, origin="<input>"):
     text's line starts."""
     starts = line_starts(text)
     return [(kind, tok, *position(starts, offset))
-            for kind, tok, offset in tokenize(text, origin)]
+            for kind, tok, offset in zip(*tokenize(text, origin))]
 
 
 def _tokens_or_error(fn, text):
@@ -272,7 +272,7 @@ def test_parse_equals_reference_on_cut_and_dropped_tokens():
     parse stops in every production, with every error it can give there."""
     designs = dict((n, r) for n, r, _c in corpus_designs())
     for rtl in (designs["gray_cross"], designs["blackbox_clean"], HIER):
-        for _kind, tok, offset in tokenize(rtl):
+        for _kind, tok, offset in zip(*tokenize(rtl)):
             _assert_same_parse(rtl[:offset])
             _assert_same_parse(rtl[:offset] + rtl[offset + len(tok):])
 
@@ -301,8 +301,8 @@ def test_parse_equals_reference_on_drawn_expressions(expr, cut):
     text = ("module m(input [7:0] a, input [7:0] b, input c, output [7:0] y);\n"
             f"  assign y = {expr};\nendmodule\n")
     _assert_same_parse(text)
-    tokens = tokenize(text)
-    _assert_same_parse(text[:tokens[-4 - cut][2]])
+    _kinds, _texts, offsets = tokenize(text)
+    _assert_same_parse(text[:offsets[-4 - cut]])
 
 
 # --- names: the parser against the elaborator's old check -------------------
@@ -322,7 +322,7 @@ def _reference_rejection(text, monkeypatch):
     None, and the names read in instance connections, which it does not
     check."""
     with monkeypatch.context() as m:
-        m.setattr(verilog._Parser, "check_names", lambda self, declared, regs: None)
+        m.setattr(verilog._Parser, "check_names", lambda self, declared, regs, inputs: None)
         m.setattr(verilog._Parser, "check_shape", lambda self, widths: None)
         modules = parse_verilog(text, "t.v")
     conn_names = {name for mod in modules for inst in mod.instances
@@ -395,6 +395,32 @@ def test_name_check_equals_reference_on_single_defect_edits(monkeypatch):
             named = re.search(r"'(\w+)'", got[0])[1]
             assert ("id", named, got[1], got[2]) in reference_tokenize(text), name
     assert edits > 400 and rejected > 350 and in_conns, (edits, rejected, in_conns)
+
+
+@pytest.mark.parametrize("body, message, line, column", [
+    ("  assign a = 1'b1;\n  assign y = a;\n", "assign target 'a' is an input port", 2, 10),
+    ("  assign y = a;\n  assign y = b;\n", "'y' already driven at line 2", 3, 10),
+    ("  assign y = a;\n  assign y = a;\n", "'y' already driven at line 2", 3, 10),
+    ("  always @(posedge clk) q <= a;\n  always @(posedge clk) q <= b;\n  assign y = q;\n",
+     "'q' already driven at line 2", 3, 25),
+    ("  always @(posedge clk or posedge rst) if (rst) q <= 1'b0; else q <= a;\n"
+     "  always @(posedge clk) if (b) q <= b;\n  assign y = q;\n",
+     "'q' already driven at line 2", 3, 32),
+    # the first name error in source order, a driver's or another
+    ("  assign y = a;\n  assign y = b;\n  assign w = nope;\n",
+     "'y' already driven at line 2", 3, 10),
+    ("  assign w = nope;\n  assign y = a;\n  assign y = b;\n",
+     "undeclared identifier 'nope'", 2, 14),
+], ids=["input", "two-assigns", "same-assign-twice", "two-blocks", "two-blocks-reset",
+        "driver-first", "undeclared-first"])
+def test_a_second_driver_is_a_positioned_error(body, message, line, column):
+    text = ("module m(input clk, input rst, input a, input b, output y); reg q; wire w;\n"
+            + body + "endmodule\n")
+    with pytest.raises(ParseError) as e:
+        parse_verilog(text, "t.v")
+    assert (str(e.value), e.value.line, e.value.column) == (f"t.v:{line}:{column}: {message}",
+                                                            line, column)
+    _assert_same_parse(text)
 
 
 # --- shapes: the parser against the elaborator's old checks -----------------
