@@ -17,18 +17,23 @@ and a full collection before it.  Per design a side times:
     reports  pairs_report, syncs_report and findings_report
 
 and, timed apart and left out of the total, the part of `parse` that is the
-lexer:
+lexer, and what a diagnostic adds to it:
 
-    tokenize verilog.tokenize of the design's source
+    tokenize   verilog.tokenize of the design's source
+    positions  the line and column of every token of the source, as a
+               diagnostic places them: the tokens' `Positions` where the
+               tree has them, else `position` over the offsets `tokenize`
+               returned and the text's `line_starts`
 
 `expand` and `finish` drive the elaborator's private names
 (`_Elaborator(modules, top).expand_all()` and its `builder.finish()`), so
 both checkouts must have them; a tree that renames them needs this script
 changed with it.
 
-For each layer, the total and `tokenize` it prints the median over rounds
-of each side's ladder time, the median paired ratio (this checkout over the
-baseline) and in how many rounds this checkout was faster:
+For each layer, the total, its hier and flat parts, `tokenize` and
+`positions` it prints the median over rounds of each side's ladder time,
+the median paired ratio (this checkout over the baseline) and in how many
+rounds this checkout was faster:
 
     python scripts/front_end_layers.py --root ../parent-checkout
 """
@@ -47,8 +52,9 @@ from time import perf_counter
 SEED = 21
 ROUNDS = 15
 LAYERS = ("parse", "expand", "finish", "assign", "pairs", "syncrec", "reports")
-# timed on its own, outside the layers that make up the total
-APART = ("tokenize",)
+# timed on their own, outside the layers that make up the total
+APART = ("tokenize", "positions")
+SHAPES = ("hier", "flat")
 
 
 def _cdckit_modules() -> dict:
@@ -96,22 +102,40 @@ def ladder(root: Path, seed: int) -> list[tuple[str, str, str]]:
     return designs
 
 
-def run_side(modules: dict, designs) -> dict[str, float]:
-    """Seconds per layer over the ladder."""
+def place_all(verilog, rtl: str) -> float:
+    """The line and column of every token of `rtl`, placed as a diagnostic
+    places one; timed from after `tokenize`."""
+    kinds, _texts, places = verilog.tokenize(rtl, "rtl.v")
+    t0 = perf_counter()
+    if hasattr(places, "where"):
+        for tok in range(len(kinds)):
+            places.where(tok)
+    else:   # a tree whose `tokenize` returns the offsets
+        starts = verilog.line_starts(rtl)
+        for offset in places:
+            verilog.position(starts, offset)
+    return perf_counter() - t0
+
+
+def run_side(modules: dict, designs) -> dict[tuple[str, str], float]:
+    """Seconds per (shape, layer) over the ladder."""
     _activate(modules)
     verilog, elaborate = modules["cdckit.verilog"], modules["cdckit.elaborate"]
     domains, syncrec = modules["cdckit.domains"], modules["cdckit.syncrec"]
     pipeline, rules = modules["cdckit.pipeline"], modules["cdckit.rules"]
     constraints = modules["cdckit.constraints"]
-    spent = dict.fromkeys(LAYERS + APART, 0.0)
+    spent = dict.fromkeys([(shape, layer) for shape in SHAPES for layer in LAYERS + APART],
+                          0.0)
     gc.collect()
     gc.disable()
     try:
         for name, rtl, cdc in designs:
+            shape = name[:4]
             cs = constraints.parse_constraint_texts([("constraints.cdc", cdc)])
             t0 = perf_counter()
             verilog.tokenize(rtl, "rtl.v")
-            spent["tokenize"] += perf_counter() - t0
+            spent[shape, "tokenize"] += perf_counter() - t0
+            spent[shape, "positions"] += place_all(verilog, rtl)
             t0 = perf_counter()
             mods = verilog.parse_verilog(rtl, "rtl.v")
             t1 = perf_counter()
@@ -138,7 +162,7 @@ def run_side(modules: dict, designs) -> dict[str, float]:
             t8 = perf_counter()
             for layer, dt in zip(LAYERS, (t1 - t0, t3 - t2, t4 - t3, t5 - t4,
                                           t6 - t5, t7 - t6, t8 - t7)):
-                spent[layer] += dt
+                spent[shape, layer] += dt
     finally:
         gc.enable()
     return spent
@@ -159,9 +183,12 @@ def main(argv: list[str] | None = None) -> int:
             runs[side].append(run_side(sides[side], designs))
     print(f"{len(designs)} designs, seed {SEED}, {ROUNDS} rounds")
     print(f"{'layer':9s} {'base ms':>9s} {'this ms':>9s} {'ratio':>7s} {'faster':>7s}")
-    for layer in (*LAYERS, "total", *APART):
+    for layer in (*LAYERS, "total", *SHAPES, *APART):
         def pick(run):
-            return sum(run[k] for k in LAYERS) if layer == "total" else run[layer]
+            if layer == "total" or layer in SHAPES:
+                return sum(run[shape, k] for shape in SHAPES for k in LAYERS
+                           if layer in ("total", shape))
+            return sum(run[shape, layer] for shape in SHAPES)
         a = [pick(run) for run in runs[0]]
         b = [pick(run) for run in runs[1]]
         ratios = [y / x for x, y in zip(a, b)]

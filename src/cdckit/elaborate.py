@@ -34,8 +34,7 @@ from .errors import (ElabError, PortWidthMismatch, RecursiveInstantiation,
                      UnresolvedModule)
 from .netlist import BodyRecord, Netlist, NetlistBuilder
 from .verilog import (AlwaysBlock, Binary, Concat, Expr, Ident, Instance,
-                      Literal, ParsedModule, Slice, Ternary, Unary, fold,
-                      position)
+                      Literal, ParsedModule, Slice, Ternary, Unary, fold)
 
 
 @dataclass(slots=True)
@@ -53,9 +52,11 @@ class _Scope:
         while isinstance(expr, (Unary, Binary, Ternary)):
             expr = (expr.operand if isinstance(expr, Unary)
                     else expr.lhs if isinstance(expr, Binary) else expr.cond)
-        if expr.offset < 0 or not self.mod.starts:
-            return ""
-        line, column = position(self.mod.starts, expr.offset)
+        return "" if expr.token < 0 else self.place(expr.token)
+
+    def place(self, tok: int) -> str:
+        """`origin:line:col: ` of token `tok` of the module's text."""
+        line, column = self.mod.positions.where(tok)
         return f"{self.mod.origin}:{line}:{column}: "
 
 
@@ -414,17 +415,18 @@ class _Elaborator:
         self.builder.add_instance(path, inst.module)
         port_dirs = {p.name: p.direction for p in child.ports}
         bindings: dict[str, int] = {}
-        where = f"{scope.mod.origin}:{inst.line}:{inst.column}: {path}"
         for port, expr in inst.conns:
             if port not in port_dirs:
-                raise ElabError(f"{where}: module {inst.module!r} has no port {port!r}")
+                raise ElabError(f"{scope.place(inst.token)}{path}: module "
+                                f"{inst.module!r} has no port {port!r}")
             if expr is None:
                 continue
             if isinstance(expr, Ident):
                 bindings[port] = scope.handles[expr.name]
             else:
                 if port_dirs[port] == "out":
-                    raise ElabError(f"{where}: output port {port!r} must connect to a plain net")
+                    raise ElabError(f"{scope.place(inst.token)}{path}: output port "
+                                    f"{port!r} must connect to a plain net")
                 w = _infer_width(scope, expr)
                 bindings[port] = self.synth(scope, expr, w)
         return self.expand(child, path + ".", bindings)

@@ -489,9 +489,7 @@ class NetlistBuilder:
         def claim(net_idx: int, ref: Ref):
             prev = driver[net_idx]
             if prev is not None:
-                raise MultipleDrivers(
-                    f"net {nets[net_idx].name!r} driven by both "
-                    f"{self._ref_name(prev, cells, ports)} and {self._ref_name(ref, cells, ports)}")
+                raise MultipleDrivers(self._two_drivers(nets[net_idx], prev, ref, cells, ports))
             driver[net_idx] = ref
 
         for p in ports:
@@ -569,6 +567,19 @@ class NetlistBuilder:
         return netlist
 
     @staticmethod
-    def _ref_name(ref: Ref, cells: list[Cell], ports: list[Port]) -> str:
-        kind, idx, _pin = ref
-        return ports[idx].name if kind == "port" else cells[idx].name
+    def _two_drivers(net: Net, first: Ref, second: Ref, cells: list[Cell],
+                     ports: list[Port]) -> str:
+        """The message for a net with two drivers: its names, and each
+        driver's kind and name."""
+        def driver(ref: Ref) -> str:
+            kind, idx, _pin = ref
+            if kind == "port":
+                return f"input port {ports[idx].name}"
+            cell = cells[idx]
+            what = (f"{cell.op} gate" if isinstance(cell, Gate)
+                    else "flop" if isinstance(cell, Dff)
+                    else "constant" if isinstance(cell, Const) else "black box")
+            return f"{what} {cell.name}"
+
+        also = f" (also {', '.join(map(repr, net.aliases))})" if net.aliases else ""
+        return f"net {net.name!r}{also} driven by both {driver(first)} and {driver(second)}"

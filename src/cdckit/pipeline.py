@@ -36,10 +36,10 @@ def analyze_sources(sources: list[tuple[str, str]],
         for mod in parse_verilog(text, origin):
             first = by_name.setdefault(mod.name, mod)
             if first is not mod:
-                where = (f"line {first.line}" if first.origin == origin
-                         else f"{first.origin}:{first.line}")
+                line = first.positions.where(first.token)[0]
+                where = f"line {line}" if first.origin == origin else f"{first.origin}:{line}"
                 raise DuplicateModule(f"module {mod.name!r} already defined at {where}",
-                                      mod.line, mod.column, origin)
+                                      *mod.positions.where(mod.token), origin)
     modules = list(by_name.values())
     if isinstance(constraints, str):
         constraints = [("<constraints>", constraints)]

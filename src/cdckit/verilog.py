@@ -7,13 +7,16 @@ an optional asynchronous reset arm and optional enable arm, nonblocking
 assignments only, and named-port instances.  Expressions cover `& | ^ ~ ?:`,
 concatenation, constant slices, and sized/unsized literals.
 
-The lexer is one `re.split` of the whole text, and gives the tokens as three
-parallel lists (kinds, texts and offsets) with no object per token.  The
-parser reads the tokens a production expects by index, and parses the
-binary operators in one precedence-climbing loop; `tests/oracles.py` keeps
-the parser that took one `peek`, `accept` or `expect` per token and one
-method per precedence, and the tests hold the two to the same trees and
-errors.
+The lexer cuts the text with a few whole-text string passes (comments out,
+spaces around the one-character tokens, `str.split`), and gives the tokens
+as two parallel lists (kinds and texts) with no object per token.  Where a
+token is in the text is worked out only when a diagnostic asks (`Positions`),
+so a text that parses places none of its tokens; the records name their
+tokens by index.  The parser reads the tokens a production expects by index,
+and parses the binary operators in one precedence-climbing loop;
+`tests/oracles.py` keeps the parser that took one `peek`, `accept` or
+`expect` per token and one method per precedence, and the tests hold the
+two to the same trees and errors.
 
 Everything outside the subset raises a positioned diagnostic instead of
 being skipped, so a file is either fully understood or rejected.  That
@@ -61,7 +64,7 @@ _BASES = {"b": (2, "01"), "d": (10, "0123456789"), "h": (16, "0123456789abcdefAB
 
 # --- expression AST ----------------------------------------------------------
 
-# Ident, Literal, Concat and Slice hold the offset of their first token in
+# Ident, Literal, Concat and Slice hold the index of their first token in
 # the module's text, where a width error inside them is reported; -1 where
 # the elaborator makes one.  It is not compared, so equal expressions stay
 # equal wherever they are written.  A design holds an expression node per
@@ -73,14 +76,14 @@ _BASES = {"b": (2, "01"), "d": (10, "0123456789"), "h": (16, "0123456789abcdefAB
 @dataclass(slots=True, unsafe_hash=True)
 class Ident:
     name: str
-    offset: int = field(default=-1, compare=False)
+    token: int = field(default=-1, compare=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Literal:
     value: int
     width: int | None  # None for unsized literals; width comes from context
-    offset: int = field(default=-1, compare=False)
+    token: int = field(default=-1, compare=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -106,7 +109,7 @@ class Ternary:
 @dataclass(slots=True, unsafe_hash=True)
 class Concat:
     parts: tuple["Expr", ...]
-    offset: int = field(default=-1, compare=False)
+    token: int = field(default=-1, compare=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -114,7 +117,7 @@ class Slice:
     name: str
     msb: int
     lsb: int
-    offset: int = field(default=-1, compare=False)
+    token: int = field(default=-1, compare=False)
 
 
 Expr = Ident | Literal | Unary | Binary | Ternary | Concat | Slice
@@ -157,8 +160,7 @@ class Instance:
     module: str
     name: str
     conns: tuple[tuple[str, Expr | None], ...]
-    line: int = field(default=0, compare=False)     # of the instance name
-    column: int = field(default=0, compare=False)
+    token: int = field(default=-1, compare=False)   # the instance name
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -184,11 +186,13 @@ class ParsedModule:
     assigns: tuple[AssignItem, ...]
     always_blocks: tuple[AlwaysBlock, ...]
     instances: tuple[Instance, ...]
-    line: int = field(default=0, compare=False)     # of the `module` token
-    column: int = field(default=0, compare=False)
-    origin: str = field(default="<input>", compare=False)
-    # `line_starts` of the module's text, to place an expression's offset
-    starts: tuple[int, ...] | list[int] = field(default=(), compare=False, repr=False)
+    token: int = field(compare=False)     # the `module` token
+    # where the tokens of the module's text are, which places its diagnostics
+    positions: Positions = field(compare=False, repr=False)
+
+    @property
+    def origin(self) -> str:
+        return self.positions.origin
 
     def declared_widths(self) -> dict[str, int]:
         widths = {p.name: p.width for p in self.ports}
@@ -234,34 +238,40 @@ UNSUPPORTED_KEYWORDS = {
 # Characters that open a construct outside the subset.
 _STRAY_CONSTRUCTS = {"`": "compiler directive", "#": "delay control", "$": "system task"}
 
-# One `re.split` cuts the text into its gaps (the even items) and, captured
-# by the group, its tokens and complete comments (the odd items).  No token
-# or comment starts with whitespace, so a gap holds only whitespace unless
-# the text has a character that starts none of them; an unterminated `/*`
-# leaves its `/` in a gap.  The alternatives start with disjoint characters,
-# so their order decides nothing but how many a token tries: the most
-# frequent come first.  A token's kind follows from its text, so it is
-# worked out once per distinct text.
-_SPLIT_RE = re.compile(r"""(
-    [A-Za-z_][A-Za-z0-9_$]*
+# The tokens other than comments, which start with disjoint characters: a
+# chunk of text without whitespace that this matches whole is one token,
+# and one that its `split` leaves no gap in is several with no gap between
+# them (`a<=b`).  `_SPLIT_RE` adds the comments, and is the one definition
+# of where tokens are and of what is rejected: it cuts a whole text into
+# its gaps (the even items) and, captured by the group, its tokens and
+# complete comments (the odd items).  No token or comment starts with
+# whitespace, so a gap holds only whitespace unless the text has a
+# character that starts none of them; an unterminated `/*` leaves its `/`
+# in a gap.
+_TOKEN = r"""[A-Za-z_][A-Za-z0-9_$]*
   | [()\[\]{},;:.=@?~!&|^]
   | \d+(?:'[bBdDhH][0-9a-fA-F_xzXZ?]+)?[\d_]*
-  | <=
-  | //[^\n]* | /\*.*?\*/
-)""", re.VERBOSE | re.DOTALL)
+  | <="""
+_COMMENT = r"//[^\n]* | /\*.*?\*/"
+_TOKEN_RE = re.compile(f"({_TOKEN})", re.VERBOSE)
+_SPLIT_RE = re.compile(f"({_TOKEN} | {_COMMENT})", re.VERBOSE | re.DOTALL)
+_COMMENT_RE = re.compile(_COMMENT, re.VERBOSE | re.DOTALL)
+# The one-character tokens that no other token contains: spaced apart, they
+# end the chunks that `str.split` cuts.  `=`, `<`, `?` and `'` are left, since
+# `<=` and sized literals (`4'b1?0?`) hold them.
+_SPACED = "()[]{},;:.@~!&|^"
 
 # a token's kind by its first character; the others start with a digit
 _KIND_OF_FIRST = {
     **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_", "id"),
-    "/": "comment", "<": "nba", **dict.fromkeys("()[]{},;:.=@?~!&|^", "punct")}
+    "<": "nba", **dict.fromkeys("()[]{},;:.=@?~!&|^", "punct")}
 
 
-# The tokens of a text are three parallel lists, indexed by token: their
-# kinds ("id", "kw", "number", "sized", "punct", "nba", and "eof" last),
-# their texts and the offsets where their texts start.  No token is an
-# object of its own; line and column are computed only where they are
-# needed.
-Tokens = tuple[list[str], list[str], list[int]]
+# The tokens of a text are two parallel lists, indexed by token: their kinds
+# ("id", "kw", "number", "sized", "punct", "nba", and "eof" last) and their
+# texts, with the text's `Positions`.  No token is an object of its own, and
+# none is placed until a diagnostic asks where it is.
+Tokens = tuple[list[str], list[str], "Positions"]
 
 
 def line_starts(text: str) -> list[int]:
@@ -276,6 +286,36 @@ def position(starts: list[int], offset: int) -> tuple[int, int]:
     return line, offset - starts[line - 1] + 1
 
 
+class Positions:
+    """Where the tokens of one text are, worked out on the first request:
+    the offsets where `_SPLIT_RE` starts them, comments dropped, and the
+    end of the text for "eof"."""
+
+    __slots__ = ("text", "origin", "_offsets", "_starts")
+
+    def __init__(self, text: str, origin: str):
+        self.text = text
+        self.origin = origin
+        self._offsets: list[int] | None = None
+        self._starts: list[int] = []
+
+    def offsets(self) -> list[int]:
+        if self._offsets is None:
+            parts = _SPLIT_RE.split(self.text)
+            keep = [part[0] != "/" for part in parts[1::2]]
+            keep.append(True)
+            # each token starts where the parts before it end
+            self._offsets = list(compress(islice(accumulate(map(len, parts)), 0, None, 2),
+                                          keep))
+            self._starts = line_starts(self.text)
+        return self._offsets
+
+    def where(self, tok: int) -> tuple[int, int]:
+        """1-based line and column of token `tok`."""
+        offset = self.offsets()[tok]
+        return position(self._starts, offset)
+
+
 def _kind(text: str) -> str:
     kind = _KIND_OF_FIRST.get(text[0])
     if kind is None:
@@ -286,34 +326,52 @@ def _kind(text: str) -> str:
 
 
 def tokenize(text: str, origin: str = "<input>") -> Tokens:
-    parts = _SPLIT_RE.split(text)
-    texts = parts[1::2]
-    kind_of = {t: _kind(t) for t in dict.fromkeys(texts)}
-    if "".join(parts[0::2]).strip() or not kind_of.keys().isdisjoint(UNSUPPORTED_KEYWORDS):
-        _reject(parts, text, origin)
-    # each token starts where the parts before it end, and the last of
-    # these offsets is the end of the text, where "eof" is
-    offsets = list(islice(accumulate(map(len, parts)), 0, None, 2))
-    del parts   # the gaps go before the kinds are listed
+    """The tokens of `text`, cut by whole-text string passes; each distinct
+    chunk that is not one token is split once.  They are the tokens of
+    `_SPLIT_RE`: the comments it finds are the ones `_COMMENT_RE` does,
+    since no token holds a `/`; no token spans an inserted space, since the
+    spaced characters are whole tokens; and `str.split` cuts at the
+    whitespace that `_reject`'s `str.strip` passes over.  Any text these
+    passes do not take apart cleanly (a stray character, an unterminated
+    comment, an unsupported keyword) goes to `_reject`."""
+    spaced = _COMMENT_RE.sub(" ", text) if "/" in text else text
+    for char in _SPACED:
+        spaced = spaced.replace(char, f" {char} ")
+    texts = spaced.split()
+    kind_of: dict[str, str] = {}
+    several: dict[str, list[str]] = {}
+    for chunk in set(texts):
+        if _TOKEN_RE.fullmatch(chunk):
+            kind_of[chunk] = _kind(chunk)
+            continue
+        parts = _TOKEN_RE.split(chunk)
+        if any(parts[0::2]):
+            _reject(text, origin)
+        several[chunk] = parts[1::2]
+        for tok in parts[1::2]:
+            kind_of[tok] = _kind(tok)
+    if not kind_of.keys().isdisjoint(UNSUPPORTED_KEYWORDS):
+        _reject(text, origin)
+    if several:
+        texts = [tok for chunk in texts for tok in several.get(chunk, (chunk,))]
     kinds = list(map(kind_of.__getitem__, texts))
     kinds.append("eof")
     texts.append("")
-    if "comment" in kind_of.values():
-        keep = [kind != "comment" for kind in kinds]
-        kinds, texts, offsets = (list(compress(c, keep)) for c in (kinds, texts, offsets))
-    return kinds, texts, offsets
+    return kinds, texts, Positions(text, origin)
 
 
-def _reject(parts: list[str], text: str, origin: str):
+def _reject(text: str, origin: str):
     """Raise the error of the first gap character that is not whitespace
     or of the first unsupported keyword, whichever comes first."""
     offset = 0
-    for i, part in enumerate(parts):
+    for i, part in enumerate(_SPLIT_RE.split(text)):
         if i % 2 == 0 and part.strip():
             offset += len(part) - len(part.lstrip())
             where = position(line_starts(text), offset)
             if text[offset] in _STRAY_CONSTRUCTS:
                 raise UnsupportedConstruct(_STRAY_CONSTRUCTS[text[offset]], *where, origin)
+            if text.startswith("/*", offset):
+                raise ParseError("unterminated comment", *where, origin)
             raise ParseError(f"unexpected character {text[offset]!r}", *where, origin)
         if i % 2 and part in UNSUPPORTED_KEYWORDS:
             raise UnsupportedConstruct(part, *position(line_starts(text), offset), origin)
@@ -328,8 +386,7 @@ class _Parser:
     in the token lists, and `pos` is the index of the next one to read."""
 
     def __init__(self, text: str, origin: str):
-        self.kinds, self.texts, self.offsets = tokenize(text, origin)
-        self.starts = line_starts(text)
+        self.kinds, self.texts, self.positions = tokenize(text, origin)
         self.pos = 0
         self.origin = origin
         self.depth = 0          # expression nesting at the current token
@@ -340,14 +397,14 @@ class _Parser:
         self.names: list[int] = []
         # what the current module's shape check reads: each always block
         # with a reset, as (reset token, the body's first token, length of
-        # `names` before the body, block); each slice, as (offset, name,
-        # msb, lsb); each port connected again, as (offset, message)
+        # `names` before the body, block); each slice, as (token, name,
+        # msb, lsb); each port connected again, as (token, message)
         self.resets: list[tuple[int, int, int, AlwaysBlock]] = []
         self.slices: list[tuple[int, str, int, int]] = []
         self.twice: list[tuple[int, str]] = []
 
     def where(self, tok: int) -> tuple[int, int]:
-        return position(self.starts, self.offsets[tok])
+        return self.positions.where(tok)
 
     def peek(self) -> str:
         """The text of the next token."""
@@ -448,8 +505,7 @@ class _Parser:
         self.check_shape(widths)
         self.expect("endmodule")
         return ParsedModule(name, tuple(ports), tuple(decls), tuple(assigns),
-                            tuple(always_blocks), tuple(instances),
-                            *self.where(start), self.origin, self.starts)
+                            tuple(always_blocks), tuple(instances), start, self.positions)
 
     def check_names(self, declared: dict[str, int], regs: set[str],
                     inputs: list[str]) -> None:
@@ -501,32 +557,32 @@ class _Parser:
         async reset arm (at most one per always block), a slice past its
         net's width, or an instance port connected twice."""
         errors = [e for r in self.resets for e in self.reset_errors(widths, *r)]
-        errors += [(offset, f"slice [{msb}:{lsb}] out of range for {name} ({widths[name]} bits)")
-                   for offset, name, msb, lsb in self.slices if msb >= widths[name]]
+        errors += [(tok, f"slice [{msb}:{lsb}] out of range for {name} ({widths[name]} bits)")
+                   for tok, name, msb, lsb in self.slices if msb >= widths[name]]
         errors += self.twice
         if errors:
-            offset, message = min(errors, key=lambda e: e[0])
-            raise ParseError(message, *position(self.starts, offset), self.origin)
+            tok, message = min(errors, key=lambda e: e[0])
+            raise ParseError(message, *self.where(tok), self.origin)
 
     def reset_errors(self, widths: dict[str, int], reset_tok: int, first: int,
                      n_names: int, blk: AlwaysBlock) -> list[tuple[int, str]]:
-        """The (offset, message) errors of an always block with an async
+        """The (token, message) errors of an always block with an async
         reset: of its width, of its body's shape, of its condition's
         polarity, or else of each reset value that is no literal or too wide."""
-        texts, offsets = self.texts, self.offsets
+        texts = self.texts
         reset = texts[reset_tok]
         if widths[reset] != 1:
-            return [(offsets[reset_tok], f"reset {reset!r} must be 1 bit wide")]
+            return [(reset_tok, f"reset {reset!r} must be 1 bit wide")]
         body = blk.body
         if len(body) != 1 or not isinstance(body[0], IfStmt) or body[0].other is None:
-            return [(offsets[first],
+            return [(first,
                      "always block with async reset must be 'if (reset) ... else ...'")]
         want = Unary("~", Ident(reset)) if blk.reset_edge == "negedge" else Ident(reset)
         if body[0].cond != want:
             # `if (` or `begin if (` comes before the condition
             cond = first + (3 if texts[first] == "begin" else 2)
-            return [(offsets[cond], f"reset condition must test {reset!r} "
-                                    "with the polarity of its edge event")]
+            return [(cond, f"reset condition must test {reset!r} "
+                           "with the polarity of its edge event")]
         errors = []
         for target, value in fold(body[0].then, {}).items():
             if not isinstance(value, Literal):
@@ -536,7 +592,7 @@ class _Parser:
             else:
                 continue
             # the reset arm is the first of the block to assign its targets
-            errors.append((next(offsets[tok] for tok in islice(self.names, n_names, None)
+            errors.append((next(tok for tok in islice(self.names, n_names, None)
                                 if texts[tok] == target and self.kinds[tok + 1] == "nba"),
                            message))
         return errors
@@ -715,7 +771,7 @@ class _Parser:
                 port = texts[port_tok]
                 self.expect("(")
                 if port in connected:
-                    self.twice.append((self.offsets[port_tok],
+                    self.twice.append((port_tok,
                                        f"{inst}: port {port!r} connected twice"))
                 connected.add(port)
                 expr = None
@@ -728,7 +784,7 @@ class _Parser:
                 self.pos += 1
         self.expect(")")
         self.expect(";")
-        return Instance(texts[mod_tok], inst, tuple(conns), *self.where(inst_tok))
+        return Instance(texts[mod_tok], inst, tuple(conns), inst_tok)
 
     # -- expressions (precedence: ?: < | < ^ < & < unary < primary) --
 
@@ -786,7 +842,7 @@ class _Parser:
             self.names.append(tok)
             self.pos += 1
             if texts[tok + 1] != "[":
-                return Ident(texts[tok], self.offsets[tok])
+                return Ident(texts[tok], tok)
             self.pos += 1
             msb = self.parse_int()
             lsb = msb
@@ -795,9 +851,9 @@ class _Parser:
             self.expect("]")
             if msb < lsb:
                 self.error("slice msb < lsb", tok)
-            name, offset = texts[tok], self.offsets[tok]
-            self.slices.append((offset, name, msb, lsb))
-            return Slice(name, msb, lsb, offset)
+            name = texts[tok]
+            self.slices.append((tok, name, msb, lsb))
+            return Slice(name, msb, lsb, tok)
         if kind == "sized":
             self.pos += 1
             return self.sized_literal(tok)
@@ -818,7 +874,7 @@ class _Parser:
             while self.accept(","):
                 parts.append(self.parse_expr())
             self.expect("}")
-            return Concat(tuple(parts), self.offsets[tok])
+            return Concat(tuple(parts), tok)
         self.error(f"expected expression, found {text!r}", tok, expected="expression")
         raise AssertionError  # unreachable
 
@@ -826,7 +882,7 @@ class _Parser:
         value = _decimal(self.texts[tok].replace("_", ""))
         if value >> MAX_WIDTH:
             self.error(f"number does not fit in {MAX_WIDTH} bits", tok)
-        return Literal(value, None, self.offsets[tok])
+        return Literal(value, None, tok)
 
     def sized_literal(self, tok: int) -> Literal:
         width_str, rest = self.texts[tok].split("'", 1)
@@ -845,7 +901,7 @@ class _Parser:
         value = _decimal(digits) if base == 10 else int(digits, base)
         if value >= (1 << width):
             self.error(f"literal value does not fit in {width} bits", tok)
-        return Literal(value, width, self.offsets[tok])
+        return Literal(value, width, tok)
 
 
 def parse_verilog(text: str, origin: str = "<input>") -> list[ParsedModule]:

@@ -60,8 +60,7 @@ from cdckit.verilog import (_STMT_TOO_DEEP, _TOO_DEEP, KEYWORDS, MAX_EXPR_DEPTH,
                             MAX_STMT_DEPTH, UNSUPPORTED_KEYWORDS, Binary, Concat,
                             Expr, Ident, IfStmt, Instance, Literal, NbAssign,
                             NetDecl, ParsedModule, PortDecl, Slice, Stmt,
-                            Ternary, Unary, _expr_depth, _Parser, fold,
-                            line_starts)
+                            Ternary, Unary, _expr_depth, _Parser, fold)
 from sva_interp import evaluate_module, parse_bindings, parse_checker_module
 
 
@@ -156,6 +155,8 @@ def reference_tokenize(text: str, origin: str = "<input>"
                 raise UnsupportedConstruct("delay control", line, col, origin)
             if ch == "$":
                 raise UnsupportedConstruct("system task", line, col, origin)
+            if text.startswith("/*", pos):
+                raise ParseError("unterminated comment", line, col, origin)
             raise ParseError(f"unexpected character {ch!r}", line, col, origin)
         elif kind == "id":
             if tok_text in UNSUPPORTED_KEYWORDS:
@@ -169,6 +170,17 @@ def reference_tokenize(text: str, origin: str = "<input>"
     return tokens
 
 
+@dataclass
+class _TokenPlaces:
+    """The line and column of each token, as `reference_tokenize` gave them,
+    in place of the parser's `Positions`."""
+    origin: str
+    places: list[tuple[int, int]]
+
+    def where(self, tok: int) -> tuple[int, int]:
+        return self.places[tok]
+
+
 class ReferenceParser(_Parser):
     """The parser as it stepped through tokens one `peek`, `accept` or
     `expect` at a time, with one method per binary operator's precedence,
@@ -177,13 +189,11 @@ class ReferenceParser(_Parser):
     (`parse_int` and the literals)."""
 
     def __init__(self, text: str, origin: str = "<input>"):
-        starts = line_starts(text)
         tokens = reference_tokenize(text, origin)
         super().__init__("", origin)
         self.kinds = [kind for kind, _tok, _line, _col in tokens]
         self.texts = [tok for _kind, tok, _line, _col in tokens]
-        self.offsets = [starts[line - 1] + col - 1 for _kind, _tok, line, col in tokens]
-        self.starts = starts
+        self.positions = _TokenPlaces(origin, [(line, col) for _kind, _tok, line, col in tokens])
 
     def next(self) -> int:
         """Step past the next token, unless it is the end of input, and
@@ -278,7 +288,7 @@ class ReferenceParser(_Parser):
                 port_tok = self.expect_id()
                 port = self.texts[port_tok]
                 if port in connected:
-                    self.twice.append((self.offsets[port_tok],
+                    self.twice.append((port_tok,
                                        f"{inst}: port {port!r} connected twice"))
                 connected.add(port)
                 self.expect("(")
@@ -291,7 +301,7 @@ class ReferenceParser(_Parser):
                     break
         self.expect(")")
         self.expect(";")
-        return Instance(mod, inst, tuple(conns), *self.where(inst_tok))
+        return Instance(mod, inst, tuple(conns), inst_tok)
 
     def parse_expr(self) -> Expr:
         first = self.pos
@@ -328,7 +338,7 @@ class ReferenceParser(_Parser):
 
     def parse_primary(self) -> Expr:
         tok = self.pos
-        kind, text, offset = self.kinds[tok], self.peek(), self.offsets[tok]
+        kind, text = self.kinds[tok], self.peek()
         if text == "(":
             self.next()
             inner = self.parse_expr()
@@ -342,7 +352,7 @@ class ReferenceParser(_Parser):
             while self.accept(","):
                 parts.append(self.parse_expr())
             self.expect("}")
-            return Concat(tuple(parts), offset)
+            return Concat(tuple(parts), tok)
         if kind == "sized":
             self.next()
             return self.sized_literal(tok)
@@ -360,9 +370,9 @@ class ReferenceParser(_Parser):
                 self.expect("]")
                 if msb < lsb:
                     self.error("slice msb < lsb", tok)
-                self.slices.append((offset, text, msb, lsb))
-                return Slice(text, msb, lsb, offset)
-            return Ident(text, offset)
+                self.slices.append((tok, text, msb, lsb))
+                return Slice(text, msb, lsb, tok)
+            return Ident(text, tok)
         self.error(f"expected expression, found {text!r}", tok, expected="expression")
         raise AssertionError  # unreachable
 
@@ -917,9 +927,7 @@ def reference_finish(b: NetlistBuilder) -> Netlist:
     def claim(net_idx: int, ref: Ref):
         prev = driven.get(net_idx)
         if prev is not None:
-            raise MultipleDrivers(
-                f"net {nets[net_idx].name!r} driven by both "
-                f"{b._ref_name(prev, cells, ports)} and {b._ref_name(ref, cells, ports)}")
+            raise MultipleDrivers(b._two_drivers(nets[net_idx], prev, ref, cells, ports))
         driven[net_idx] = ref
 
     for p in ports:

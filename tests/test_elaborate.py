@@ -129,6 +129,24 @@ def test_multiple_drivers_rejected_at_build():
         elaborate(mods, "top")
 
 
+@pytest.mark.parametrize("child, parent, message", [
+    ("assign y = a;", "assign w = b;",
+     "net 'a' (also 'b', 'w', 'u.a', 'u.y') driven by both input port a and input port b"),
+    ("assign y = 1'b1;", "assign w = a & b;",
+     "net 'w' (also 'u.y') driven by both AND gate __g1_and and constant u.__c1"),
+], ids=["two-inputs", "gate-and-constant"])
+def test_multiple_drivers_name_the_net_and_each_driver(child, parent, message):
+    """The net's other names show the child's port and the parent's net that
+    the two drivers meet on, and each driver is named with its kind."""
+    mods = parse_verilog(
+        f"module sub(input a, output y); {child} endmodule\n"
+        "module top(input a, input b, output w);\n"
+        f"  sub u(.a(a), .y(w));\n  {parent}\nendmodule\n")
+    with pytest.raises(MultipleDrivers) as e:
+        elaborate(mods, "top")
+    assert str(e.value) == message
+
+
 def test_enable_arm_becomes_enable_pin():
     mods = parse_verilog(
         "module top(input clk, input en, input d, output reg q);\n"

@@ -181,8 +181,8 @@ def test_finish_equals_reference_finish():
 
 
 @pytest.mark.parametrize("drive_x, message", [
-    ("port", "net 'x' driven by both x and f"),
-    ("gate", "net 'x' driven by both f and g2"),
+    ("port", "net 'x' driven by both input port x and flop f"),
+    ("gate", "net 'x' driven by both flop f and BUF gate g2"),
 ])
 def test_finish_names_the_same_two_drivers_as_the_reference(drive_x, message):
     b = NetlistBuilder("t")

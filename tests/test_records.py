@@ -96,5 +96,6 @@ def test_equal_modules_written_at_other_places_are_equal():
     text = "module m(input a, input b, output y);\n  assign y = a & ~b;\nendmodule\n"
     [m1] = parse_verilog(text, "one.v")
     [m2] = parse_verilog("\n\n" + text.replace("  assign", "assign"), "two.v")
-    assert (m1.line, m1.origin) != (m2.line, m2.origin)
+    assert ((m1.positions.where(m1.token), m1.origin)
+            != (m2.positions.where(m2.token), m2.origin))
     assert m1 == m2 and hash(m1) == hash(m2)

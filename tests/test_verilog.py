@@ -12,7 +12,7 @@ from cdckit.elaborate import elaborate
 from cdckit.errors import CdcError, DuplicateModule, ParseError, UnsupportedConstruct
 from cdckit.pipeline import analyze_sources
 from cdckit.verilog import (Binary, Ident, Literal, Ternary, Unary, line_starts,
-                            parse_verilog, position, tokenize)
+                            parse_verilog, tokenize)
 from conftest import corpus_designs, generated_designs, load_gen
 from oracles import (ReferenceParser, expr_idents, reference_check_module,
                      reference_shape_errors, reference_tokenize, to_source)
@@ -147,11 +147,16 @@ def test_parser_total_on_bytes(data):
 
 
 def _positioned(text, origin="<input>"):
-    """Each token as (kind, text, line, column), its offset looked up in the
-    text's line starts."""
-    starts = line_starts(text)
-    return [(kind, tok, *position(starts, offset))
-            for kind, tok, offset in zip(*tokenize(text, origin))]
+    """Each token as (kind, text, line, column), placed by the text's
+    `Positions`."""
+    kinds, texts, positions = tokenize(text, origin)
+    return [(kind, tok, *positions.where(i)) for i, (kind, tok) in enumerate(zip(kinds, texts))]
+
+
+def _offsets(text):
+    """Each token as (text, offset)."""
+    _kinds, texts, positions = tokenize(text)
+    return list(zip(texts, positions.offsets()))
 
 
 def _tokens_or_error(fn, text):
@@ -205,6 +210,61 @@ _GAPS = st.sampled_from([
 @hypothesis.settings(max_examples=400, deadline=None)
 def test_tokenize_equals_reference_on_drawn_text(parts, final_newline):
     _assert_same_tokens("".join(parts) + ("\n" if final_newline else ""))
+
+
+# tokens written with no gap between them, which one chunk of `str.split`
+# holds together, and pieces that only the rejecting path takes
+_JOINED = st.sampled_from([
+    "a<=b", "a=b", "x?y:z", "4'b1?0_?", "8'hFF&x", "1a", "q<=", "<=d", "(a)", "{a,b}",
+    "c[3:0]", "~a|b^c", "!x", "u.y", "@(", "12_3", "reg", "wire", "end", "a", "_n1",
+])
+_SPACES = st.sampled_from(["", "", " ", "\t", "\r\n", "\n", "\xa0", "\u2028", "\x1c", "\x0b"])
+_COMMENTS = st.sampled_from([
+    "//c\n", "// x /* y\n", "/*z*/", "/* // */", "/*\n*/", "/**/", "/*/", "/* open", "//",
+])
+_STRAYS = st.sampled_from([
+    "#", "`", "$x", "'h0", "<", ">", "\ufeff", "/", "*", "initial", "case", "signed",
+])
+
+
+def test_fast_tokenize_equals_reference_on_joined_tokens(monkeypatch):
+    """Tokens written together, gaps of every whitespace character, comments
+    next to tokens and stray characters: the tokens, or the error's class,
+    message, line and column, are those of `reference_tokenize`, whether
+    the string passes finish or hand the text to `_reject`."""
+    runs = Counter()
+    reject = verilog._reject
+
+    def counted(text, origin):
+        runs["rejected"] += 1
+        reject(text, origin)
+
+    monkeypatch.setattr(verilog, "_reject", counted)
+
+    @hypothesis.given(st.lists(st.one_of(_JOINED, _JOINED, _SPACES, _COMMENTS, _STRAYS),
+                               max_size=30))
+    @hypothesis.settings(max_examples=600, deadline=None)
+    def check(parts):
+        text = "".join(parts)
+        got = _tokens_or_error(_positioned, text)
+        runs["tokenized"] += isinstance(got, list)
+        assert got == _tokens_or_error(reference_tokenize, text), text
+
+    check()
+    assert runs["tokenized"] > 100 and runs["rejected"] > 100, runs
+
+
+def test_a_design_that_parses_places_no_token(monkeypatch):
+    """Only a diagnostic asks where a token is: parsing, elaborating and
+    analyzing the corpus and the static ladder of perfbench/workloads.py
+    never does."""
+    def placed(self):
+        raise AssertionError("a token was placed")
+
+    monkeypatch.setattr(verilog.Positions, "offsets", placed)
+    designs = [*corpus_designs(), *generated_designs(blocks=(1, 2, 3, 6, 12, 24), seeds=(21,))]
+    for name, rtl, cons in designs:
+        assert analyze_sources([("rtl.v", rtl)], [("constraints.cdc", cons)]).pairs is not None, name
 
 
 # --- the parser against the token-by-token reference ------------------------
@@ -272,7 +332,7 @@ def test_parse_equals_reference_on_cut_and_dropped_tokens():
     parse stops in every production, with every error it can give there."""
     designs = dict((n, r) for n, r, _c in corpus_designs())
     for rtl in (designs["gray_cross"], designs["blackbox_clean"], HIER):
-        for _kind, tok, offset in zip(*tokenize(rtl)):
+        for tok, offset in _offsets(rtl):
             _assert_same_parse(rtl[:offset])
             _assert_same_parse(rtl[:offset] + rtl[offset + len(tok):])
 
@@ -301,8 +361,7 @@ def test_parse_equals_reference_on_drawn_expressions(expr, cut):
     text = ("module m(input [7:0] a, input [7:0] b, input c, output [7:0] y);\n"
             f"  assign y = {expr};\nendmodule\n")
     _assert_same_parse(text)
-    _kinds, _texts, offsets = tokenize(text)
-    _assert_same_parse(text[:offsets[-4 - cut]])
+    _assert_same_parse(text[:_offsets(text)[-4 - cut][1]])
 
 
 # --- names: the parser against the elaborator's old check -------------------
