@@ -314,10 +314,12 @@ def build_checkers(analysis: Analysis,
     no crossing pair, or a suppressed one, is a ParseError, and "*" skips
     the suppressed pairs.  `select`, when given, keeps only
     checkers whose id starts with one of the entries.  An entry must be a
-    prefix of a kind of `KINDS` or begin with `<kind>:`, else it is a
-    ParseError; one that this design has no checker of is legal.
+    non-empty prefix of a kind of `KINDS` or begin with `<kind>:`, else it
+    is a ParseError; one that this design has no checker of is legal.
     """
     for s in select or ():
+        if not s:
+            raise ParseError("checker selection has an empty entry")
         if not any(k.startswith(s) or s.startswith(k + ":") for k in KINDS):
             raise ParseError(f"checker selection {s!r} names no checker kind: use a "
                              f"prefix of one of {', '.join(KINDS)}, or <kind>:<id>")

@@ -37,9 +37,6 @@ Otherwise the sibling is committed in full.  Either way it goes through
 those of a search that derives nothing, and its child is keyed like any
 other state.  `ExploreOutcome` counts the branch commits, the derived ones
 and the merged states.
-
-The level search of ROADMAP item 1 (one dict of distinct states per agenda
-tick) belongs here too.
 """
 
 from __future__ import annotations

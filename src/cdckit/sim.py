@@ -33,17 +33,15 @@ redone, through the one capture loop every commit runs.
 `plan_tick` and `commit_tick` are explore's branching steps.  A recorded
 run (`Engine.run`: injection log, coverage, and the frames of its waves
 when they are to be written) does the same work in one fused loop body
-per tick, with the engine's constants in locals: it builds no plan, draws
-or reads each decision as its opportunity is found, and calls the helpers that do the
-work of some ticks only (`_drive`, `_settle_resets`, `_rises`,
-`_hold_toggles`, `_capture`), which both paths share.  Where the engine's
-class replaces `plan_tick` or `commit_tick` (a subclass, such as
-`ReferenceEngine` in tests/oracles.py, or a wrapper installed on the
-class, as test probes and perfbench/spans.py install), a run steps
-through them instead, so what replaced them sees every tick.
-tests/test_run_loop.py holds the two paths to one result.  A
-counterexample is the replay of its branch's decision path, exact as
-exhaustive runs are not random.
+per tick, with the engine's constants in locals, and calls neither step:
+it builds no plan, draws or reads each decision as its opportunity is
+found, and calls the helpers that do the work of some ticks only
+(`_drive`, `_settle_resets`, `_rises`, `_hold_toggles`, `_capture`),
+which the steps call too.  tests/oracles.py keeps the driver that records
+a run through the two steps, a plan and a commit per tick, and
+tests/test_run_loop.py holds the fused loop to it and to
+`ReferenceEngine`.  A counterexample is the replay of its branch's
+decision path, exact as exhaustive runs are not random.
 
 Evaluation is compiled, not interpreted (levelized compiled-code
 simulation).  Each netlist is compiled once into straight-line Python with
@@ -136,16 +134,23 @@ class MsiConfig:
     seed: int = 0
 
 
+MAX_SEEDS = 1_000_000     # seeds one range may name
+
+
 def parse_seed_range(spec: str) -> list[int]:
-    """Injection seeds of a range `a..b` (inclusive, a <= b)."""
+    """Injection seeds of a range `a..b` (inclusive, a <= b), at most
+    `MAX_SEEDS` of them, a bound checked before the list is built."""
     lo, _, hi = spec.partition("..")
+    bad = f"bad seed range {spec!r}; use a..b with a <= b"
     try:
-        seeds = list(range(int(lo), int(hi) + 1))
+        first, last = int(lo), int(hi)
     except ValueError:
-        seeds = []
-    if not seeds:
-        raise ParseError(f"bad seed range {spec!r}; use a..b with a <= b")
-    return seeds
+        raise ParseError(bad) from None
+    if first > last:
+        raise ParseError(bad)
+    if last - first >= MAX_SEEDS:
+        raise ParseError(f"seed range {spec!r} names more than {MAX_SEEDS:,} seeds")
+    return list(range(first, last + 1))
 
 
 class MsiEvent(NamedTuple):
@@ -172,9 +177,6 @@ class SimResult:
     coverage: CoverageDb
     verdicts: list[Verdict]
     decisions: int
-
-    def failed(self) -> list[Verdict]:
-        return [v for v in self.verdicts if not v.passed]
 
 
 class _State:
@@ -978,58 +980,29 @@ class Engine:
         value, and the random ports stay still.  With `waves` the result
         keeps as frames the values list of every tick, which no tick writes
         once a state holds it; without, its frames are None and its events,
-        verdicts and coverage are the same.
-
-        The ticks run in one fused loop body (`_fused`), unless the class of
-        the engine has a `plan_tick` or `commit_tick` other than `Engine`'s
-        own, a subclass's or a wrapper installed on the class: then each
-        tick steps through them (`_stepped`), so what replaced them sees
-        every tick of the run.  Both give the same result."""
+        verdicts and coverage are the same.  The ticks run in one fused
+        loop body (`_fused`), which makes no `plan_tick` or `commit_tick`
+        call."""
         if seed is None:
             seed = self.msi.seed
         rng = random.Random(seed) if path is None else None
         state = self.initial_state()
         frames = [state.values] if waves else None
-        cls = type(self)
-        ticks = self._fused if (cls.plan_tick is _PLAN_TICK
-                                and cls.commit_tick is _COMMIT_TICK) else self._stepped
-        state, events = ticks(state, rng, path, frames)
+        state, events = self._fused(state, rng, path, frames)
         return self._finish(state, events, frames, seed if rng is not None else None)
-
-    def _stepped(self, state: _State, rng: random.Random | None,
-                 path: Sequence[bool] | None, frames: list[list[int]] | None,
-                 ) -> tuple[_State, list[MsiEvent]]:
-        """The run's ticks from `state`, each a `plan_tick` and a
-        `commit_tick` of the decisions drawn from `rng` or read from `path`;
-        returns the state the last commit returned, and the events."""
-        events: list[MsiEvent] = []
-        for tick in self.agenda:
-            plan = self.plan_tick(state, tick, rng)
-            k = len(plan.opps)
-            if not k:
-                decisions = ()
-            elif rng is not None:
-                decisions = [rng.random() < self.msi.probability for _ in range(k)]
-            else:
-                taken = path[state.decisions:state.decisions + k]
-                decisions = [*taken] + [False] * (k - len(taken))
-            state, taken = self.commit_tick(state, plan, decisions)
-            events += taken
-            if frames is not None:
-                frames.append(state.values)
-        return state, events
 
     def _fused(self, state: _State, rng: random.Random | None,
                path: Sequence[bool] | None, frames: list[list[int]] | None,
                ) -> tuple[_State, list[MsiEvent]]:
-        """The run's ticks as `_stepped` runs them, with each tick's
-        `plan_tick` and `commit_tick` in one loop body: each decision is
-        drawn from `rng`, or read from `path`, as its opportunity is found,
-        which is the order `_stepped` draws them in, after the random port
-        toggles.  It builds no plan, decision list or per-tick injection
-        record; a tick with no crossing destination capturing commits into
-        its `post` list, which no other commit shares.  What only some
-        ticks do is left to the helpers that the steps call too."""
+        """The run's ticks from `state`, each the work of a `plan_tick` and
+        a `commit_tick` in one loop body; returns the state and the events.
+        Each decision is drawn from `rng`, or read from `path`, as its
+        opportunity is found, after the random port toggles: the order in
+        which a plan lists them.  It builds no plan, decision list or
+        per-tick injection record; a tick with no crossing destination
+        capturing commits into its `post` list, which no other commit
+        shares.  What only some ticks do is left to the helpers that the
+        steps call too."""
         values, hist = state.values, state.hist
         checkers, failures = state.checkers, state.failures
         agenda, edge_set, sets_at = self.agenda, self.edge_set, self.sets_at
@@ -1159,10 +1132,6 @@ class Engine:
                          [c.verdict(f) for c, f in
                           zip(self.checkers, state.failures)],
                          state.decisions)
-
-
-# `Engine`'s own steps: `Engine.run` fuses them unless they are replaced
-_PLAN_TICK, _COMMIT_TICK = Engine.plan_tick, Engine.commit_tick
 
 
 def simulate(analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,

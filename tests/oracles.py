@@ -20,8 +20,10 @@ from a string-dispatch interpreter, the reference for the simulator's
 compiled kernels; ticks from `ReferenceEngine`, which recomputes each
 tick's edging flops, captures and sampling checkers, the reference for the
 engine's per-edge-set schedules, with a flip history of the last flip tick
-per bit; waves from `WaveRecorder`, which compares every net after each
-commit and keeps per-net change lists, the reference for a run's frames;
+per bit; recorded runs from `stepped_run`, a plan and a commit per tick,
+the reference for `Engine.run`'s fused loop; waves from `WaveRecorder`,
+which compares every net after each commit and keeps per-net change
+lists, the reference for a run's frames;
 exhaustive exploration is redone by replaying every decision path
 from the start; and VCD text from the writer that formats each value change
 through a call of its own.  A module's names are checked
@@ -95,12 +97,44 @@ def wave_by_name(res: SimResult, netlist: Netlist) -> dict[str, list[tuple[int, 
     return {netlist.nets[i].name: w for i, w in run_waves(res).items()}
 
 
+def stepped_run(eng: Engine, path=None, waves: bool = True,
+                seed: int | None = None) -> SimResult:
+    """`eng.run(path, waves, seed)` with each tick a `plan_tick` and a
+    `commit_tick` of the decisions drawn from the seeded RNG or read from
+    `path`, the stepped driver that the fused loop of `Engine.run` is held
+    to.  The steps are looked up on the engine, so a subclass's or a
+    wrapper installed on the class sees every tick."""
+    if seed is None:
+        seed = eng.msi.seed
+    rng = random.Random(seed) if path is None else None
+    state = eng.initial_state()
+    frames = [state.values] if waves else None
+    events: list[MsiEvent] = []
+    for tick in eng.agenda:
+        plan = eng.plan_tick(state, tick, rng)
+        k = len(plan.opps)
+        if not k:
+            decisions = ()
+        elif rng is not None:
+            decisions = [rng.random() < eng.msi.probability for _ in range(k)]
+        else:
+            taken = path[state.decisions:state.decisions + k]
+            decisions = [*taken] + [False] * (k - len(taken))
+        state, taken = eng.commit_tick(state, plan, decisions)
+        events += taken
+        if frames is not None:
+            frames.append(state.values)
+    return eng._finish(state, events, frames, seed if rng is not None else None)
+
+
 class WaveRecorder(Engine):
     """`Engine` with the per-net change recorder that frames replaced, the
     reference they are tested against: after each commit it compares
     every net with its value before the tick and appends (tick, value) to
-    `waves[net]` for each one that changed.  Replacing `commit_tick` makes
-    `run` step through it."""
+    `waves[net]` for each one that changed.  Its `run` is the stepped
+    driver, so every tick goes through that commit."""
+
+    run = stepped_run
 
     def initial_state(self) -> _State:
         state = super().initial_state()
@@ -1633,8 +1667,11 @@ class ReferenceEngine(Engine):
     finds the checkers to sample per edging clock.  The agenda and the edges
     per clock are counted tick by tick.  Its flip history keeps, per bit of
     each monitored net, the last tick that bit flipped, and every monitored
-    net is checked for flips on every tick.  Resets, gated clocks and the
-    recorded run are `Engine`'s own."""
+    net is checked for flips on every tick.  Its `run` is the stepped
+    driver, through its own steps; resets, gated clocks and the recorded
+    run's result are `Engine`'s own."""
+
+    run = stepped_run
 
     def __init__(self, analysis, stimulus, msi, checkers, scope: str = "sim"):
         super().__init__(analysis, stimulus, msi, checkers, scope)

@@ -778,20 +778,26 @@ def test_stimulus_without_run_names_its_file(corpus_root, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["simulate", "explore"])
 def test_a_checkers_entry_naming_no_kind_exits_one(corpus_root, tmp_path, capsys,
                                                    command):
-    """An entry must be a prefix of a checker kind or begin with `<kind>:`;
-    a kind that this design has no checker of stays legal, as does `none`."""
+    """An entry must be a non-empty prefix of a checker kind or begin with
+    `<kind>:`; a kind that this design has no checker of stays legal, as
+    does `none`."""
     files, stim = _case_args(corpus_root, "msi_latency")
-    for entry in ("bogus", "stabilty", "latency,fifoo", "gray_code_", "latencyx:cdc0"):
+    for entry in ("bogus", "stabilty", "latency,fifoo", "gray_code_", "latencyx:cdc0",
+                  "", ",", "stability,", "stability,,latency"):
         rc = main([command, *files, "-s", stim, "--checkers", entry,
                    "--out", str(tmp_path / "bad")])
         err = capsys.readouterr().err
         assert rc == 1, entry
-        assert err.startswith(f"error: checker selection {entry.split(',')[-1]!r} "
-                              "names no checker kind"), err
+        if "" in entry.split(","):
+            assert err == "error: checker selection has an empty entry\n", err
+        else:
+            assert err.startswith(f"error: checker selection {entry.split(',')[-1]!r} "
+                                  "names no checker kind"), err
     assert not (tmp_path / "bad").exists()
     legal = {"none": [], "fifo": [], "stability:nosuch": [],
-             "": ["latency:cdc0", "stability:cdc0"], "lat": ["latency:cdc0"], "latency:": ["latency:cdc0"],
-             "latency:cdc0,fifo": ["latency:cdc0"]}
+             "lat": ["latency:cdc0"], "latency:": ["latency:cdc0"],
+             "latency:cdc0,fifo": ["latency:cdc0"],
+             "latency,stability": ["latency:cdc0", "stability:cdc0"]}
     for i, (entry, checkers) in enumerate(legal.items()):
         out = tmp_path / f"ok{i}"
         assert main([command, *files, "-s", stim, "--checkers", entry,
@@ -801,6 +807,28 @@ def test_a_checkers_entry_naming_no_kind_exits_one(corpus_root, tmp_path, capsys
             else sorted(verdicts)
         assert names == checkers, entry
     capsys.readouterr()
+
+
+def test_a_seed_range_past_its_bound_exits_one(corpus_root, tmp_path, capsys,
+                                               monkeypatch):
+    """A range of more than 1,000,000 seeds is rejected before its list is
+    built, a range of 10^20 too.  Against a bound lowered to 3 seeds,
+    `1..3` runs and `1..4` fails."""
+    files, stim = _case_args(corpus_root, "gray_cross")
+
+    def argv(seeds):
+        return ["simulate", *files, "-s", stim, "--seeds", seeds, "--checkers", "none",
+                "--out", str(tmp_path / "o")]
+
+    for seeds in ("1..100000000000000000000", "0..1000000"):
+        assert main(argv(seeds)) == 1
+        assert capsys.readouterr().err == (
+            f"error: seed range {seeds!r} names more than 1,000,000 seeds\n")
+    monkeypatch.setattr("cdckit.sim.MAX_SEEDS", 3)
+    assert main(argv("1..3")) == 0
+    assert main(argv("1..4")) == 1
+    assert capsys.readouterr().err == (
+        "error: seed range '1..4' names more than 3 seeds\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "explore"])

@@ -12,7 +12,7 @@ from cdckit.pipeline import analyze_sources
 from cdckit.sim import Engine, MsiConfig, _State, simulate
 from cdckit.stimulus import parse_stimulus
 from conftest import load_gen
-from oracles import ReferenceEngine, replay_explore
+from oracles import ReferenceEngine, replay_explore, stepped_run
 from test_lockstep import (A2_B7, A_B7, FAST_SOURCE, REQ_ACK, WINDOWS,
                            _corpus_with_stimulus, _with_windows)
 
@@ -237,15 +237,13 @@ class DerivationCheck:
     states' fields are.  It also records each sibling
     vector the search committed in full, a declined derivation, as (whether
     the tick's commit settles resets, the injected destinations' outputs).
-    Commits of `Engine.run`, which replays counterexamples, are not the
-    search's and are left out."""
+    `Engine.run`, which replays counterexamples, makes no commit call."""
 
     def __init__(self, monkeypatch):
         self.derived = 0
         self.declined: list[tuple[bool, set[int]]] = []
         self.keyed: dict[int, list[tuple[tuple, dict]]] = {}
-        self.replaying = False
-        commit, key, run = Engine.commit_tick, explore_mod.merge_key, Engine.run
+        commit, key = Engine.commit_tick, explore_mod.merge_key
 
         def commit_tick(eng, state, plan, decisions, reference=None):
             if reference is not None:
@@ -255,7 +253,7 @@ class DerivationCheck:
                 assert fields(got[0]) == fields(want[0]), plan.tick
                 assert got[1] == want[1], plan.tick
                 self.derived += 1
-            elif any(decisions) and not self.replaying:
+            elif any(decisions):
                 self.declined.append((plan.edges.settle, {
                     eng.dsts[o.dst].out for o, take in zip(plan.opps, decisions)
                     if take}))
@@ -270,15 +268,7 @@ class DerivationCheck:
                 seen.append((got, now))
             return got
 
-        def replay(eng, *args, **kwargs):
-            self.replaying = True
-            try:
-                return run(eng, *args, **kwargs)
-            finally:
-                self.replaying = False
-
         monkeypatch.setattr(Engine, "commit_tick", commit_tick)
-        monkeypatch.setattr(Engine, "run", replay)
         monkeypatch.setattr(explore_mod, "merge_key", merge_key)
 
     def explore(self, analysis, stim, checkers):
@@ -303,15 +293,13 @@ class KeptStateCheck:
     equal its deep copy.  And no state that the search commits into is
     kept, or holds the history dict, checker list or failure list of a
     kept state (the values list, which no commit writes, may be shared).
-    Plans and commits of `Engine.run`, which replays counterexamples, are
-    not the search's and are left out."""
+    `Engine.run`, which replays counterexamples, makes no plan or commit
+    call."""
 
     def __init__(self, monkeypatch):
         self.kept: dict[int, tuple] = {}
         self.uses = {"pre-state": 0, "reference": 0}
-        self.replaying = False
-        plan, commit, run, keep = (Engine.plan_tick, Engine.commit_tick, Engine.run,
-                                   explore_mod._copy)
+        plan, commit, keep = Engine.plan_tick, Engine.commit_tick, explore_mod._copy
 
         def hold(state):
             self.kept[id(state)] = (state, copy.deepcopy(state))
@@ -324,7 +312,7 @@ class KeptStateCheck:
 
         def plan_tick(eng, state, tick, rng=None):
             got = plan(eng, state, tick, rng)
-            if got.opps and not self.replaying:
+            if got.opps:
                 hold(state)
             return got
 
@@ -340,23 +328,14 @@ class KeptStateCheck:
             if reference is not None:
                 check(reference, "reference")
             got = commit(eng, state, plan, decisions, reference)
-            if not self.replaying:
-                parts = {id(part) for part in (state.hist, state.checkers, state.failures)}
-                for other, _snapshot in self.kept.values():
-                    assert other is not state and parts.isdisjoint(
-                        map(id, (other.hist, other.checkers, other.failures))), plan.tick
+            parts = {id(part) for part in (state.hist, state.checkers, state.failures)}
+            for other, _snapshot in self.kept.values():
+                assert other is not state and parts.isdisjoint(
+                    map(id, (other.hist, other.checkers, other.failures))), plan.tick
             return got
-
-        def replay(eng, *args, **kwargs):
-            self.replaying = True
-            try:
-                return run(eng, *args, **kwargs)
-            finally:
-                self.replaying = False
 
         monkeypatch.setattr(Engine, "plan_tick", plan_tick)
         monkeypatch.setattr(Engine, "commit_tick", commit_tick)
-        monkeypatch.setattr(Engine, "run", replay)
         monkeypatch.setattr(explore_mod, "_copy", copy_state)
 
     def explore(self, analysis, stim, checkers):
@@ -413,8 +392,8 @@ def test_kept_states_stay_as_kept_on_a_fast_source(constraints, monkeypatch):
 
 
 class PlanCheck:
-    """Checks what a tick skips while it is installed, on `run` and
-    `explore`.  A plan takes the state's own values list as its pre-edge
+    """Checks what a tick skips while it is installed, on the stepped
+    driver's runs and on `explore`.  A plan takes the state's own values list as its pre-edge
     values unless it writes them, so each values list that a plan or a
     commit is given, the reference's too, is snapshotted: no plan or
     commit may change it (a commit replaces the values).  And a plan looks ahead for hold flips only when the source's
@@ -489,13 +468,14 @@ class PlanCheck:
                     assert plan.tick < nxt <= plan.tick + eng.hold_window, (pid, plan.tick)
 
     def check(self, analysis, stim, checkers):
-        """One checked search and two seeded runs."""
+        """One checked search and two seeded runs of the stepped driver,
+        which steps through the checked plans and commits."""
         self.watched.clear()
         ref = ReferenceEngine(analysis, stim, MsiConfig(), [])
         self.ref = ref, {p.id: p for p in ref.pairs}
         eng = Engine(analysis, stim, MsiConfig(), checkers)
         for seed in (1, 2):
-            eng.run(waves=False, seed=seed)
+            stepped_run(eng, waves=False, seed=seed)
         try:
             explore_exhaustive(analysis, stim, checkers, budget=16)
         except DecisionBudgetExceeded:

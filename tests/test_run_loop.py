@@ -1,9 +1,9 @@
-"""`Engine.run` ticks in one fused loop body unless the engine's class
-replaces `plan_tick` or `commit_tick`: then each tick steps through them.
-The two paths give the same `SimResult` in full, for seeded runs and for
-replayed decision paths, with and without waves.  An identity wrapper of
-`Engine.plan_tick` on the class, the mechanism that selects the stepped
-path, forces it here."""
+"""`Engine.run` ticks in one fused loop body and calls neither
+`plan_tick` nor `commit_tick`.  It is held to two oracles in full, for
+seeded runs and for replayed decision paths, with and without waves: the
+stepped driver `stepped_run`, which records the run through the engine's
+own steps, a plan and a commit per tick, and `ReferenceEngine.run`, which
+steps through the reference engine's."""
 
 import importlib.util
 import sys
@@ -18,23 +18,10 @@ from cdckit.pipeline import analyze_sources
 from cdckit.sim import Engine, MsiConfig
 from cdckit.stimulus import parse_stimulus
 from conftest import REPO, load_gen
-from oracles import ReferenceEngine
+from oracles import ReferenceEngine, stepped_run
 from test_explore import _label_checkers
 from test_lockstep import (A_B7, PHASES, PHASES_CLOCKS, PHASES_STIMULUS, PORT_SOURCE,
                            REQ_ACK, _corpus_with_stimulus)
-
-
-def stepped(eng, **kwargs):
-    """`eng.run(**kwargs)` with `Engine.plan_tick` wrapped on the class, so
-    that the run steps through `plan_tick` and `commit_tick`."""
-    plan = Engine.plan_tick
-
-    def identity(*args, **kw):
-        return plan(*args, **kw)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Engine, "plan_tick", identity)
-        return eng.run(**kwargs)
 
 
 def assert_same_result(got, want, what):
@@ -65,11 +52,13 @@ def counterexample_paths(analysis, stim, checkers) -> list[tuple[bool, ...]]:
 
 
 def fused_equals_stepped(analysis, stim, checkers, seeds=(1, 2)) -> dict[str, int]:
-    """Compare the two paths on seeded runs and on replays of an empty path,
-    a path shorter than its run's opportunities, one that takes every
-    opportunity and each explore counterexample's path, each with waves
-    and without.  Returns counts of what the runs exercised."""
+    """Compare `Engine.run` with the stepped driver and with the reference
+    engine on seeded runs and on replays of an empty path, a path shorter
+    than its run's opportunities, one that takes every opportunity and each
+    explore counterexample's path, each with waves and without.  Returns
+    counts of what the runs exercised."""
     eng = Engine(analysis, stim, MsiConfig(), checkers)
+    ref = ReferenceEngine(analysis, stim, MsiConfig(), checkers)
     every = (True,) * 64
     while eng.run(path=every, waves=False).decisions > len(every):
         every *= 4
@@ -80,7 +69,10 @@ def fused_equals_stepped(analysis, stim, checkers, seeds=(1, 2)) -> dict[str, in
                    + [{"path": p} for p in cex]):
         for waves in (True, False):
             got = eng.run(waves=waves, **kwargs)
-            assert_same_result(got, stepped(eng, waves=waves, **kwargs), (kwargs, waves))
+            assert_same_result(got, stepped_run(eng, waves=waves, **kwargs),
+                               ("stepped", kwargs, waves))
+            assert_same_result(got, ref.run(waves=waves, **kwargs),
+                               ("reference", kwargs, waves))
             seen["runs"] += 1
             seen["decisions"] += got.decisions
             seen["events"] += len(got.events)
@@ -176,7 +168,7 @@ def test_fused_equals_stepped_through_resets_gating_and_hold_windows(hold):
     assert seen["events"], seen
 
 
-# -- which path a run takes --------------------------------------------------
+# -- the steps a run calls ----------------------------------------------------
 
 
 def calls(codes, thunk) -> int:
@@ -203,17 +195,31 @@ def _gray_cross(case_loader):
     return analysis, parse_stimulus(stim_text)
 
 
-def test_a_run_with_its_own_steps_makes_no_step_call(case_loader):
+def test_a_run_makes_no_step_call_even_with_the_steps_wrapped(case_loader, monkeypatch):
+    """With both steps wrapped on the class, a seeded run and a replay call
+    neither the wrappers nor the steps; the stepped driver calls each once
+    per tick through its wrapper."""
     analysis, stim = _gray_cross(case_loader)
     eng = Engine(analysis, stim, MsiConfig(), build_checkers(analysis))
     steps = {Engine.plan_tick.__code__, Engine.commit_tick.__code__}
-    assert calls(steps, lambda: eng.run(seed=1)) == 0
-    assert calls(steps, lambda: stepped(eng, seed=1)) == 2 * len(eng.agenda)
+
+    def wrap(step):
+        def wrapped(*args, **kw):
+            return step(*args, **kw)
+        return wrapped
+
+    for name in ("plan_tick", "commit_tick"):
+        monkeypatch.setattr(Engine, name, wrap(getattr(Engine, name)))
+    wrappers = {Engine.plan_tick.__code__, Engine.commit_tick.__code__}
+    for run in ({"seed": 1}, {"path": (True,) * 64, "waves": False}):
+        assert calls(steps | wrappers, lambda: eng.run(**run)) == 0, run
+    for codes in (steps, wrappers):
+        assert calls(codes, lambda: stepped_run(eng, seed=1)) == 2 * len(eng.agenda)
 
 
 def test_the_reference_engine_runs_its_own_steps(case_loader):
-    """`ReferenceEngine` replaces both steps, so its run is made of them,
-    and it records the run the engine's fused loop records."""
+    """`ReferenceEngine.run` is the stepped driver over its own steps, and
+    it records the run the engine's fused loop records."""
     analysis, stim = _gray_cross(case_loader)
     ref = ReferenceEngine(analysis, stim, MsiConfig(), build_checkers(analysis))
     own = {ReferenceEngine.plan_tick.__code__, ReferenceEngine.commit_tick.__code__}
@@ -231,22 +237,33 @@ def _spans():
     return spans
 
 
-def test_the_benchmark_tracer_sees_every_tick_of_a_simulate(corpus_root, case_loader,
-                                                            tmp_path):
-    """With the steps wrapped on the class as perfbench/spans.py wraps them,
-    `simulate --seeds 1..2` plans each agenda tick once per seed, and its
-    plans' opportunities and its commits' injections are those of the
-    fused runs of the same seeds."""
+def test_the_benchmark_tracer_times_the_steps_of_a_search_only(corpus_root, tmp_path):
+    """perfbench/spans.py wraps the steps on the class.  A traced
+    `simulate --seeds 1..2` on `gray_cross` writes the bytes an untraced
+    one writes and records no `sim.plan_tick` span, since its runs take the
+    fused loop.  A traced `explore`, the benchmark's `msi_latency` probe,
+    records one per plan the search makes."""
     spans = _spans()
-    d = corpus_root / "gray_cross"
+
+    def case_args(case):
+        d = corpus_root / case
+        return [str(d / "rtl.v"), "-c", str(d / "constraints.cdc"),
+                "-s", str(d / "stimulus.stim")]
+
+    out = tmp_path / "sim"
+    simulate = ["simulate", *case_args("gray_cross"), "--seeds", "1..2", "--out", str(out)]
+    assert main(simulate) == 0
+    untraced = {p.name: p.read_bytes() for p in out.iterdir()}
     with spans.instrument(spans.Tracer()) as tracer:
-        assert main(["simulate", str(d / "rtl.v"), "-c", str(d / "constraints.cdc"),
-                     "-s", str(d / "stimulus.stim"), "--seeds", "1..2",
-                     "--out", str(tmp_path)]) == 0
-    counts = tracer.counts()
-    analysis, stim = _gray_cross(case_loader)
-    eng = Engine(analysis, stim, MsiConfig(), build_checkers(analysis))
-    runs = [eng.run(seed=seed, waves=False) for seed in (1, 2)]
-    assert counts["sim.ticks"] == 2 * len(eng.agenda)
-    assert counts["sim.opportunities"] == sum(r.decisions for r in runs) > 0
-    assert counts["sim.injections"] == sum(len(r.events) for r in runs) > 0
+        assert main(simulate) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == untraced
+    assert tracer.counts()["sim.ticks"] == 0
+
+    explore = ["explore", *case_args("msi_latency"), "--budget", "16",
+               "--latency", "cdc0:2:2", "--checkers", "latency",
+               "--out", str(tmp_path / "explore")]
+    plan, codes = Engine.plan_tick.__code__, []
+    with spans.instrument(spans.Tracer()) as tracer:
+        plans = calls({plan}, lambda: codes.append(main(explore)))
+    assert codes == [3]
+    assert tracer.counts()["sim.ticks"] == plans > 0
