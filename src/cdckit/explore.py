@@ -1,12 +1,14 @@
 """Bounded exhaustive exploration of metastability resolutions.
 
-`explore_exhaustive` enumerates every resolution of every injection
-opportunity that `Engine.plan_tick` finds, depth first with the reference
-resolution (no injection) first, so each checker's first counterexample is
-on the lexicographically first failing path, and replays that path with
-`Engine.run` to record it.  It runs on an explicit stack of branching
-ticks, one frame per tick on the current path that has opportunities, and
-stops once every checker has a counterexample.
+`explore_exhaustive` resolves every injection opportunity that
+`Engine.plan_tick` finds, in every way.  Where no decision can reach a
+checker or change a later tick's opportunities it counts the tree
+(Counted trees, below); elsewhere `walk_tree` walks it, depth first with
+the reference resolution (no injection) first, so each checker's first
+counterexample is on the lexicographically first failing path, and
+replays that path with `Engine.run` to record it.  The walk runs on an
+explicit stack of branching ticks, one frame per tick on the current path
+that has opportunities, and stops once every checker has a counterexample.
 
 A commit advances the state it is given in place, so the search copies
 only the states it keeps: a branching tick's state, for each decision
@@ -37,6 +39,30 @@ Otherwise the sibling is committed in full.  Either way it goes through
 those of a search that derives nothing, and its child is keyed like any
 other state.  `ExploreOutcome` counts the branch commits, the derived ones
 and the merged states.
+
+Counted trees.  Before any walk the search computes the decision reach R
+(`decision_reach`): the outputs of the injectable destinations, closed
+forward through every gate and flop input.  A black box's outputs never
+change, so they stay out of R.  The tree is counted, not walked, when
+
+* no checker reads a net in R, neither one of its `nets` nor a reset of
+  its clocks' domains, and
+* no net that shapes a tick's opportunities is in R: the monitored
+  crossing sources, the reset nets and each destination flop's clock.
+
+A net outside R is driven only by nets outside R, and a tick reads only
+nets outside R to decide which flops capture, which resets hold and which
+bits flip near a capture.  So, by induction over the ticks, every net
+outside R has the same value on every path: each checker's samples and
+each tick's opportunity list are those of the reference path.  The tree
+is then complete over the reference path's D decisions, and it has 2**D
+leaves, each with the reference path's verdicts.  The search walks the
+reference path once, with the walk's own `plan_tick` and `commit_tick`
+and its budget check, and replays it once as the counterexample of every
+checker that fails there.  Its `branches` is 1 when every checker fails
+(the walk stops at its first leaf) and 2**D otherwise.  It commits no
+decision vector at a branching tick, so it derives and merges nothing:
+`commits`, `derived` and `merged` are 0.
 """
 
 from __future__ import annotations
@@ -46,7 +72,7 @@ from itertools import product
 
 from .checkers import Checker
 from .errors import BranchCapExceeded, DecisionBudgetExceeded
-from .netlist import Gate
+from .netlist import Dff, Gate
 from .rules import Analysis
 from .sim import Engine, MsiConfig, SimResult, _State
 from .stimulus import Stimulus
@@ -96,8 +122,70 @@ def derivable_outputs(eng: Engine, checkers: list[Checker]) -> set[int]:
                 for kind, i, _pin in nl.nets[d.out].readers)}
 
 
+def decision_reach(eng: Engine) -> set[int]:
+    """The nets that a decision can change: the injectable destinations'
+    outputs, closed forward through every gate and flop input.  A black
+    box's outputs never change."""
+    nl = eng.nl
+    reach: set[int] = set()
+    todo = [d.out for d in eng.dsts.values()]
+    while todo:
+        net = todo.pop()
+        if net not in reach:
+            reach.add(net)
+            todo.extend(nl.cells[i].out for kind, i, _pin in nl.nets[net].readers
+                        if kind == "cell" and isinstance(nl.cells[i], (Gate, Dff)))
+    return reach
+
+
+def countable(eng: Engine) -> bool:
+    """Whether the decision reach holds no net that a checker reads (its
+    `nets` and its clocks' domain resets) and none that shapes a tick's
+    opportunities (a monitored crossing source, a reset net or a
+    destination flop's clock), so that the tree is counted."""
+    read = [net for c in eng.checkers for net in c.nets]
+    read += [net for c in eng.checkers for clk in c.clocks
+             for net, _active in eng.clock_resets[clk]]
+    read += eng.monitored
+    read += [net for net, _active in eng.reset_nets]
+    read += [eng.nl.cells[i].clock for i in eng.dsts]
+    return decision_reach(eng).isdisjoint(read)
+
+
 def explore_exhaustive(analysis: Analysis, stimulus: Stimulus,
                        checkers: list[Checker], budget: int) -> ExploreOutcome:
+    """Resolve every opportunity in every way, until every checker has a
+    counterexample: `count_tree` when the tree is `countable`, else
+    `walk_tree`.  A path of more than `budget` decisions raises
+    DecisionBudgetExceeded, and more than _BRANCH_CAP leaves raise
+    BranchCapExceeded."""
+    eng = Engine(analysis, stimulus, MsiConfig(), checkers, scope="explore")
+    return (count_tree if countable(eng) else walk_tree)(eng, budget)
+
+
+def count_tree(eng: Engine, budget: int) -> ExploreOutcome:
+    """The outcome of `walk_tree` on a `countable` tree, from its reference
+    path alone (module docstring, Counted trees)."""
+    state = eng.initial_state()
+    for tick in eng.agenda:
+        plan = eng.plan_tick(state, tick)
+        k = len(plan.opps)
+        if state.decisions + k > budget:
+            raise DecisionBudgetExceeded(state.decisions + k, budget)
+        eng.commit_tick(state, plan, (False,) * k)
+    ids = [c.id for c in eng.checkers]
+    failed = [cid for cid, failure in zip(ids, state.failures) if failure is not None]
+    # every path fails the checkers that the reference path fails, and the
+    # walk stops at its first leaf once that is every checker
+    branches = 1 if ids and len(failed) == len(ids) else 1 << state.decisions
+    if branches > _BRANCH_CAP:
+        raise BranchCapExceeded(_BRANCH_CAP)
+    cex = dict.fromkeys(failed, eng.run(())) if failed else {}
+    verdicts = {cid: ("counterexample" if cid in cex else "proven") for cid in ids}
+    return ExploreOutcome(verdicts, cex, branches, 0, 0, 0)
+
+
+def walk_tree(eng: Engine, budget: int) -> ExploreOutcome:
     """Enumerate every resolution of every opportunity, depth first with the
     reference resolution explored first, until every checker has a
     counterexample.  A path of more than `budget` decisions raises
@@ -116,7 +204,7 @@ def explore_exhaustive(analysis: Analysis, stimulus: Stimulus,
     The search runs on an explicit stack of branching ticks, one frame per
     tick on the current path that has opportunities, so its depth is
     bounded by the budget, not by the interpreter's recursion limit."""
-    eng = Engine(analysis, stimulus, MsiConfig(), checkers, scope="explore")
+    checkers = eng.checkers
     derivable = derivable_outputs(eng, checkers)
     branches = commits = derived = merged = 0
     cex: dict[str, SimResult] = {}

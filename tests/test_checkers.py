@@ -6,8 +6,10 @@ import cdckit.checkers as checkers_mod
 from cdckit.checkers import Checker, build_checkers
 from cdckit.errors import ParseError
 from cdckit.explore import explore_exhaustive
+from cdckit.pipeline import analyze_sources
 from cdckit.sim import Engine, MsiConfig, simulate
 from cdckit.stimulus import parse_stimulus
+from conftest import load_gen
 from oracles import reference_simulate
 
 
@@ -198,12 +200,11 @@ def test_one_checker_list_serves_every_run(case_loader):
         assert explored == _explore_verdicts(analysis, stim, fresh()), name
 
 
-def test_each_sample_reads_only_its_checkers_nets(corpus_root, case_loader):
-    """`Checker.nets` holds every net `sample` reads: a recording getter
-    sees no other net on any sample of a `simulate` run of any corpus case,
-    with every kind of checker built."""
-    kinds: dict[str, int] = {}
-
+def _record_reads(checkers, kinds: dict[str, int]):
+    """Give each checker a `sample` whose getter records the nets it reads
+    and asserts that they lie within `Checker.nets`; `kinds` counts, per
+    checker kind, the samples that read a net.  An engine made afterwards
+    binds these."""
     def recording(checker):
         sample = checker.sample
 
@@ -220,17 +221,49 @@ def test_each_sample_reads_only_its_checkers_nets(corpus_root, case_loader):
             return result
         return recorded
 
+    for c in checkers:
+        c.sample = recording(c)
+
+
+def test_each_sample_reads_only_its_checkers_nets(corpus_root, case_loader):
+    """`Checker.nets` holds every net `sample` reads: a recording getter
+    sees no other net on any sample of a `simulate` run of any corpus case,
+    with every kind of checker built."""
+    kinds: dict[str, int] = {}
     for case in sorted(p.name for p in corpus_root.iterdir() if p.is_dir()):
         analysis, stim_text = case_loader(case)
         if not stim_text:
             continue
         checkers = build_checkers(analysis, latency=[("*", 1, 3)])
-        for c in checkers:
-            c.sample = recording(c)     # bound by the engine made below
+        _record_reads(checkers, kinds)
         simulate(analysis, parse_stimulus(stim_text),
                  MsiConfig(probability=0.5, seed=1), checkers)
     assert kinds.keys() == {"stability", "pulse_width", "gray_code", "static",
                             "mux_enable", "fifo", "clock_gate", "latency"}, kinds
+    assert all(kinds.values()), kinds
+
+
+@pytest.mark.parametrize("purpose", ["sim", "explore"])
+def test_each_sample_reads_only_its_checkers_nets_on_generated_designs(purpose):
+    """The benchmark's generated simulation and exploration designs, with
+    the default suite and `--latency 1:3`, on a seeded run and, on the
+    exploration design, on `explore`."""
+    gen = load_gen()
+    if purpose == "sim":
+        d = gen.build("sim", 1, 8, block=gen.SIM_BLOCK, purpose="sim", run_edges=30)
+        want = {*gen.SIM_CHECKERS, "latency"}
+    else:
+        d = gen.build("explore", 1, 8, purpose="explore", run_edges=4, gray_sources=2)
+        want = {*gen.EXPLORE_CHECKERS, "latency"}
+    analysis = analyze_sources([("rtl.v", d.files["rtl.v"])], d.files["constraints.cdc"])
+    stim = parse_stimulus(d.files["stimulus.stim"])
+    checkers = build_checkers(analysis, latency=[("*", 1, 3)])
+    kinds: dict[str, int] = {}
+    _record_reads(checkers, kinds)
+    simulate(analysis, stim, MsiConfig(probability=0.5, seed=1), checkers)
+    if purpose == "explore":
+        explore_exhaustive(analysis, stim, checkers, budget=16)
+    assert kinds.keys() == want, kinds
     assert all(kinds.values()), kinds
 
 

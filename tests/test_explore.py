@@ -5,16 +5,23 @@ import pytest
 
 import cdckit.explore as explore_mod
 from cdckit.checkers import LatencyChecker, build_checkers, parse_latency
-from cdckit.errors import DecisionBudgetExceeded
-from cdckit.explore import derivable_outputs, explore_exhaustive, merge_key
+from cdckit.errors import BranchCapExceeded, DecisionBudgetExceeded
+from cdckit.explore import (count_tree, countable, derivable_outputs, explore_exhaustive,
+                            merge_key, walk_tree)
 from cdckit.netlist import Gate
 from cdckit.pipeline import analyze_sources
 from cdckit.sim import Engine, MsiConfig, _State, simulate
 from cdckit.stimulus import parse_stimulus
 from conftest import load_gen
 from oracles import ReferenceEngine, replay_explore, stepped_run
-from test_lockstep import (A2_B7, A_B7, FAST_SOURCE, REQ_ACK, WINDOWS,
+from test_lockstep import (A2_B7, A_B7, ENABLED_DST, FAST_SOURCE, REQ_ACK, WINDOWS,
                            _corpus_with_stimulus, _with_windows)
+
+
+def walked(analysis, stim, checkers, budget):
+    """The depth-first walk's outcome, also where `explore_exhaustive`
+    would count the tree."""
+    return walk_tree(Engine(analysis, stim, MsiConfig(), checkers, scope="explore"), budget)
 
 
 def test_clean_design_proven(case_loader):
@@ -197,10 +204,10 @@ def test_explore_counts_commits_derivations_and_merges(case_loader, monkeypatch)
         return commit_tick(eng, state, plan, decisions, *reference)
 
     monkeypatch.setattr(Engine, "commit_tick", counted)
-    out = explore_exhaustive(analysis, stim, [], budget=16)
+    out = walked(analysis, stim, [], budget=16)
     assert out.branches == 64
     assert (out.commits, out.derived, out.merged) == (vectors, 27, 24)
-    again = explore_exhaustive(analysis, stim, [], budget=16)
+    again = walked(analysis, stim, [], budget=16)
     assert (again.commits, again.derived, again.merged) == (36, 27, 24)
 
 
@@ -276,7 +283,7 @@ class DerivationCheck:
         derivations it declined."""
         self.derived, self.declined, self.keyed = 0, [], {}
         try:
-            out = explore_exhaustive(analysis, stim, checkers, budget=16)
+            out = walked(analysis, stim, checkers, budget=16)
         except DecisionBudgetExceeded:
             return None, self.declined
         assert out.derived == self.derived
@@ -342,7 +349,7 @@ class KeptStateCheck:
         """The outcome of one checked search, None past the budget."""
         self.kept = {}
         try:
-            return explore_exhaustive(analysis, stim, checkers, budget=16)
+            return walked(analysis, stim, checkers, budget=16)
         except DecisionBudgetExceeded:
             return None
 
@@ -701,3 +708,123 @@ def test_states_that_differ_only_in_checker_states_are_kept_apart(monkeypatch):
                for i, (_key, a) in enumerate(seen) for _other, b in seen[:i]), out
     monkeypatch.undo()
     assert _explore_equals_replay(analysis, stim, checkers).branches == out.branches
+
+
+def _search(search, analysis, stim, checkers):
+    """A search's outcome, or the type and message of what it raised."""
+    try:
+        return search(analysis, stim, checkers, budget=16)
+    except (DecisionBudgetExceeded, BranchCapExceeded) as e:
+        return type(e), str(e)
+
+
+def _counted_equals_walk(analysis, stim, checkers) -> tuple:
+    """`explore_exhaustive` equals the walk: in verdicts, branches, what it
+    raises, and counterexample events, frames and decisions, and, where the
+    walk takes at most 64 branches, the replay oracle too.  Returns whether
+    the tree was counted, and the outcome."""
+    counted = countable(Engine(analysis, stim, MsiConfig(), checkers, scope="explore"))
+    got = _search(explore_exhaustive, analysis, stim, checkers)
+    want = _search(walked, analysis, stim, checkers)
+    if isinstance(want, tuple):
+        assert got == want
+        return counted, got
+    assert (got.verdicts, got.branches) == (want.verdicts, want.branches)
+    assert got.counterexamples.keys() == want.counterexamples.keys()
+    for cid, res in want.counterexamples.items():
+        cex = got.counterexamples[cid]
+        assert (cex.events, cex.frames, cex.decisions) == \
+            (res.events, res.frames, res.decisions), cid
+    if counted:
+        assert (got.commits, got.derived, got.merged) == (0, 0, 0)
+    if want.branches <= 64:
+        _explore_equals_replay(analysis, stim, checkers)
+    return counted, got
+
+
+@pytest.mark.parametrize("latency", [None, "1:3", "2:2"])
+def test_counted_trees_equal_the_walk_on_the_corpus(corpus_root, case_loader, latency):
+    """Every corpus case with the default suite, with no checkers and with
+    its label's checkers, each with the latency spec.  Many trees are
+    counted, among them some whose every checker fails on the reference
+    path, and many are walked."""
+    paths = {True: 0, False: 0}
+    refuted = 0
+    for case in _corpus_with_stimulus(corpus_root):
+        analysis, stim_text = case_loader(case)
+        stim = parse_stimulus(stim_text)
+        labels = corpus_root / case / "labels.json"
+        lab = json.loads(labels.read_text()).get("explore", {}) if labels.exists() else {}
+        suites = {}
+        for select in (None, [], lab.get("checkers")):
+            checkers = build_checkers(analysis, latency=parse_latency(
+                [latency] if latency else None), select=select)
+            suites[tuple(c.id for c in checkers)] = checkers
+        for checkers in suites.values():
+            counted, out = _counted_equals_walk(analysis, stim, checkers)
+            paths[counted] += 1
+            refuted += counted and not isinstance(out, tuple) and out.branches == 1 \
+                and bool(out.counterexamples)
+    assert paths[True] > 30 and paths[False] > 5 and refuted, (paths, refuted)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_counted_trees_equal_the_walk_on_generated_designs(seed):
+    """The benchmark's exploration designs are counted, with and without
+    their checkers."""
+    gen = load_gen()
+    d = gen.build("explore", seed, 8, purpose="explore", run_edges=4, gray_sources=2)
+    analysis = analyze_sources([("rtl.v", d.files["rtl.v"])], d.files["constraints.cdc"])
+    stim = parse_stimulus(d.files["stimulus.stim"])
+    for select in (list(gen.EXPLORE_CHECKERS), []):
+        checkers = build_checkers(analysis, select=select)
+        assert _counted_equals_walk(analysis, stim, checkers)[0]
+
+
+@pytest.mark.parametrize("source", ["REQ_ACK", "ENABLED_DST"])
+@pytest.mark.parametrize("edges", [8, 16])
+def test_counted_trees_equal_the_walk_on_feedback_and_enables(source, edges):
+    analysis = analyze_sources([("t.v", {"REQ_ACK": REQ_ACK,
+                                          "ENABLED_DST": ENABLED_DST}[source])], A_B7)
+    stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
+                          f"run {edges} of clk_a\n")
+    for latency in (None, [("*", 1, 3)]):
+        for select in (None, []):
+            _counted_equals_walk(analysis, stim, build_checkers(
+                analysis, latency=latency, select=select))
+
+
+def test_which_trees_are_counted(corpus_root, case_loader):
+    """`freq_data_loss_clean`'s stability checker samples only its source.
+    In the request/acknowledge loop, req is a crossing source that reads
+    ack2, which a decision at ack1 reaches: with no checker to see it,
+    decisions still change later ticks' opportunities, so the walk takes 28
+    paths at 8 edges where the reference path's 4 decisions make 16.  And
+    `msi_latency`'s latency checker observes a destination."""
+    def engine(analysis, stim, checkers):
+        return Engine(analysis, stim, MsiConfig(), checkers, scope="explore")
+
+    analysis, stim_text = case_loader("freq_data_loss_clean")
+    stim = parse_stimulus(stim_text)
+    assert countable(engine(analysis, stim, build_checkers(analysis, select=["stability"])))
+    analysis = analyze_sources([("t.v", REQ_ACK)], A_B7)
+    stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
+                          "run 8 of clk_a\n")
+    assert not countable(engine(analysis, stim, []))
+    assert walked(analysis, stim, [], budget=16).branches == 28
+    assert count_tree(engine(analysis, stim, []), 16).branches == 16
+    analysis, stim_text = case_loader("msi_latency")
+    checkers = _label_checkers(analysis, corpus_root, "msi_latency")
+    assert [c.kind for c in checkers] == ["latency"]
+    assert not countable(engine(analysis, parse_stimulus(stim_text), checkers))
+
+
+def test_a_counted_tree_past_the_branch_cap_raises_as_the_walk_does(case_loader,
+                                                                    monkeypatch):
+    monkeypatch.setattr(explore_mod, "_BRANCH_CAP", 4)
+    analysis, stim_text = case_loader("freq_data_loss_clean")
+    stim = parse_stimulus(stim_text)
+    checkers = build_checkers(analysis, select=["stability"])
+    assert _counted_equals_walk(analysis, stim, checkers)[0]
+    assert _search(explore_exhaustive, analysis, stim, checkers) == (
+        BranchCapExceeded, str(BranchCapExceeded(4)))
