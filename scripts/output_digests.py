@@ -2,7 +2,9 @@
 """Print one digest line per CLI command over every corpus case.
 
 For each case it runs `analyze`, `generate`, `simulate --seeds 1..3 --vcd`,
-`simulate --no-msi`, `explore` and `explore --latency 1:3` in process, and
+`simulate --seeds 1..20 --probability 0.3` (no waves, so a first seed
+whose later seeds share its path records none), `simulate --no-msi`,
+`explore` and `explore --latency 1:3` in process, and
 hashes the exit code, stdout, stderr and every file the command wrote;
 on `gray_cross` it also runs `explore --budget 500`, whose first path is
 deeper than a recursive search goes.  It then runs `analyze --strict` and
@@ -72,6 +74,7 @@ COMMANDS = (
     ("analyze", ["analyze"]),
     ("generate", ["generate"]),
     ("simulate-seeds", ["simulate", "--seeds", "1..3", "--vcd", "{out}/trace.vcd"]),
+    ("simulate-many", ["simulate", "--seeds", "1..20", "--probability", "0.3"]),
     ("simulate-no-msi", ["simulate", "--no-msi"]),
     ("explore", ["explore"]),
     ("explore-latency", ["explore", "--latency", "1:3"]),

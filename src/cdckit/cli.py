@@ -168,17 +168,18 @@ def cmd_simulate(args) -> int:
     seeds = parse_seed_range(args.seeds) if args.seeds else [args.seed]
     checkers = build_checkers(analysis, latency=parse_latency(args.latency),
                               select=_select(args.checkers))
-    # Every seed runs on one engine.  Only the first seed's events and waves
-    # are written, so only its run records waves, and only under --vcd;
-    # every later result is released once its verdicts and coverage are
-    # taken.
+    # Every seed runs on one engine, through `run_seeds`: where the seeds
+    # share a path, only the first seed runs its ticks and each later one
+    # draws its injections over the first's opportunities.  Only the first
+    # seed's events and waves are written, so only its run records waves,
+    # and only under --vcd; every later result is released once its
+    # verdicts and coverage are taken.
     engine = Engine(analysis, stim,
                     MsiConfig(enabled=not args.no_msi, probability=args.probability),
                     checkers, scope=args.scope)
     first = db = None
     verdicts = []
-    for seed in seeds:
-        r = engine.run(waves=first is None and args.vcd is not None, seed=seed)
+    for seed, r in zip(seeds, engine.run_seeds(seeds, waves=args.vcd is not None)):
         db = r.coverage if db is None else merge(db, r.coverage)
         for v in r.verdicts:
             d = v.to_dict()

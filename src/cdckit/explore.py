@@ -41,14 +41,17 @@ other state.  `ExploreOutcome` counts the branch commits, the derived ones
 and the merged states.
 
 Counted trees.  Before any walk the search computes the decision reach R
-(`decision_reach`): the outputs of the injectable destinations, closed
-forward through every gate and flop input.  A black box's outputs never
-change, so they stay out of R.  The tree is counted, not walked, when
+(`Engine.decision_reach`): the outputs of the injectable destinations,
+closed forward through every gate and flop input.  A black box's outputs
+never change, so they stay out of R.  The tree is counted, not walked, when
 
 * no checker reads a net in R, neither one of its `nets` nor a reset of
   its clocks' domains, and
 * no net that shapes a tick's opportunities is in R: the monitored
   crossing sources, the reset nets and each destination flop's clock.
+
+`Engine.decisions_unseen` tests both, and `Engine.run_seeds` relies on
+the same induction.
 
 A net outside R is driven only by nets outside R, and a tick reads only
 nets outside R to decide which flops capture, which resets hold and which
@@ -72,7 +75,7 @@ from itertools import product
 
 from .checkers import Checker
 from .errors import BranchCapExceeded, DecisionBudgetExceeded
-from .netlist import Dff, Gate
+from .netlist import Gate
 from .rules import Analysis
 from .sim import Engine, MsiConfig, SimResult, _State
 from .stimulus import Stimulus
@@ -122,50 +125,21 @@ def derivable_outputs(eng: Engine, checkers: list[Checker]) -> set[int]:
                 for kind, i, _pin in nl.nets[d.out].readers)}
 
 
-def decision_reach(eng: Engine) -> set[int]:
-    """The nets that a decision can change: the injectable destinations'
-    outputs, closed forward through every gate and flop input.  A black
-    box's outputs never change."""
-    nl = eng.nl
-    reach: set[int] = set()
-    todo = [d.out for d in eng.dsts.values()]
-    while todo:
-        net = todo.pop()
-        if net not in reach:
-            reach.add(net)
-            todo.extend(nl.cells[i].out for kind, i, _pin in nl.nets[net].readers
-                        if kind == "cell" and isinstance(nl.cells[i], (Gate, Dff)))
-    return reach
-
-
-def countable(eng: Engine) -> bool:
-    """Whether the decision reach holds no net that a checker reads (its
-    `nets` and its clocks' domain resets) and none that shapes a tick's
-    opportunities (a monitored crossing source, a reset net or a
-    destination flop's clock), so that the tree is counted."""
-    read = [net for c in eng.checkers for net in c.nets]
-    read += [net for c in eng.checkers for clk in c.clocks
-             for net, _active in eng.clock_resets[clk]]
-    read += eng.monitored
-    read += [net for net, _active in eng.reset_nets]
-    read += [eng.nl.cells[i].clock for i in eng.dsts]
-    return decision_reach(eng).isdisjoint(read)
-
-
 def explore_exhaustive(analysis: Analysis, stimulus: Stimulus,
                        checkers: list[Checker], budget: int) -> ExploreOutcome:
     """Resolve every opportunity in every way, until every checker has a
-    counterexample: `count_tree` when the tree is `countable`, else
-    `walk_tree`.  A path of more than `budget` decisions raises
-    DecisionBudgetExceeded, and more than _BRANCH_CAP leaves raise
-    BranchCapExceeded."""
+    counterexample: `count_tree` when no decision is seen
+    (`Engine.decisions_unseen`), else `walk_tree`.  A path of more than
+    `budget` decisions raises DecisionBudgetExceeded, and more than
+    _BRANCH_CAP leaves raise BranchCapExceeded."""
     eng = Engine(analysis, stimulus, MsiConfig(), checkers, scope="explore")
-    return (count_tree if countable(eng) else walk_tree)(eng, budget)
+    return (count_tree if eng.decisions_unseen() else walk_tree)(eng, budget)
 
 
 def count_tree(eng: Engine, budget: int) -> ExploreOutcome:
-    """The outcome of `walk_tree` on a `countable` tree, from its reference
-    path alone (module docstring, Counted trees)."""
+    """The outcome of `walk_tree` on a tree whose decisions are unseen
+    (`Engine.decisions_unseen`), from its reference path alone (module
+    docstring, Counted trees)."""
     state = eng.initial_state()
     for tick in eng.agenda:
         plan = eng.plan_tick(state, tick)

@@ -106,6 +106,30 @@ reset net (`_EdgeSet.settle`, from the activity signatures).  Otherwise the
 reset nets keep the values the plan's settle saw, so every flop a reset
 holds is at its reset value already and did not capture: the settle would
 change nothing.
+
+Seeds that share a path.  The decision reach R (`Engine.decision_reach`)
+is the set of nets that a decision can change: the injectable
+destinations' outputs, closed forward through every gate and flop input.
+`Engine.decisions_unseen` holds when no checker reads a net of R, neither
+one of its `nets` nor a reset of its clocks' domains, and R holds no net
+that shapes a tick's opportunities: no monitored crossing source, reset
+net or destination flop clock.  Then, by the induction of explore.py's
+Counted trees, every net outside R has the same value on every decision
+path: each checker's samples, and each tick's opportunity list with each
+opportunity's kind and its source's post-edge value, are those of any
+other path.  A seed picks a path only through its decisions when the
+stimulus has no `random` ports; a random port is driven by the seed's own
+RNG, which moves nets outside R apart from seed to seed, so such a design
+runs every seed.  Otherwise a seeded run draws from its RNG only at
+opportunities, one draw each, in the order the run finds them.  So
+`Engine.run_seeds` runs the first seed's ticks once, tracing every
+opportunity as the event that taking it gives, and each later seed's
+events are the traced events that its own draws take, with the first
+run's failures and decision count.  With injection off there are no
+opportunities, and every seed is the first seed's run.  A traced event's
+`resolved` bit is `(post[src] >> bit & 1) ^ 1`: an injection inverts the
+bit it captures, and it is the bit `(post[src] ^ flipped) >> bit & 1`
+that a run records, because `flipped` holds that bit.
 """
 
 from __future__ import annotations
@@ -761,6 +785,35 @@ class Engine:
         clock = self.clock_cone[flop]
         return (clock(values, 0) & 1) == 0 and (clock(values, 1) & 1) == 1
 
+    def decision_reach(self) -> set[int]:
+        """The nets that a decision can change: the injectable destinations'
+        outputs, closed forward through every gate and flop input.  A black
+        box's outputs never change."""
+        nl = self.nl
+        reach: set[int] = set()
+        todo = [d.out for d in self.dsts.values()]
+        while todo:
+            net = todo.pop()
+            if net not in reach:
+                reach.add(net)
+                todo.extend(nl.cells[i].out for kind, i, _pin in nl.nets[net].readers
+                            if kind == "cell" and isinstance(nl.cells[i], (Gate, Dff)))
+        return reach
+
+    def decisions_unseen(self) -> bool:
+        """Whether the decision reach holds no net that a checker reads (its
+        `nets` and its clocks' domain resets) and none that shapes a tick's
+        opportunities (a monitored crossing source, a reset net or a
+        destination flop's clock), so that every path shares the values of
+        every net outside it (module docstring, Seeds that share a path)."""
+        read = [net for c in self.checkers for net in c.nets]
+        read += [net for c in self.checkers for clk in c.clocks
+                 for net, _active in self.clock_resets[clk]]
+        read += self.monitored
+        read += [net for net, _active in self.reset_nets]
+        read += [self.nl.cells[i].clock for i in self.dsts]
+        return self.decision_reach().isdisjoint(read)
+
     # -- tick planning / committing --
 
     def _drive(self, values: list[int], tick: int,
@@ -991,18 +1044,43 @@ class Engine:
         state, events = self._fused(state, rng, path, frames)
         return self._finish(state, events, frames, seed if rng is not None else None)
 
+    def run_seeds(self, seeds: Sequence[int], waves: bool = True):
+        """Yield, in order, the result that `run(seed=s, waves=...)` gives
+        for each seed of `seeds`, with waves for the first seed only.  When
+        the seeds share a path (module docstring) only the first seed runs
+        its ticks: it traces every opportunity it finds, and each later
+        seed takes, of that trace, those its own RNG's draws take."""
+        if len(seeds) < 2 or self.random_nets or \
+                self.msi.enabled and not self.decisions_unseen():
+            for k, seed in enumerate(seeds):
+                yield self.run(waves=waves and not k, seed=seed)
+            return
+        trace: list[MsiEvent] = []
+        state = self.initial_state()
+        frames = [state.values] if waves else None
+        state, events = self._fused(state, random.Random(seeds[0]), None, frames, trace)
+        yield self._finish(state, events, frames, seeds[0])
+        probability = self.msi.probability
+        for seed in seeds[1:]:
+            draw = random.Random(seed).random
+            yield self._finish(state, [e for e in trace if draw() < probability],
+                               None, seed)
+
     def _fused(self, state: _State, rng: random.Random | None,
                path: Sequence[bool] | None, frames: list[list[int]] | None,
+               trace: list[MsiEvent] | None = None,
                ) -> tuple[_State, list[MsiEvent]]:
         """The run's ticks from `state`, each the work of a `plan_tick` and
         a `commit_tick` in one loop body; returns the state and the events.
         Each decision is drawn from `rng`, or read from `path`, as its
         opportunity is found, after the random port toggles: the order in
-        which a plan lists them.  It builds no plan, decision list or
-        per-tick injection record; a tick with no crossing destination
-        capturing commits into its `post` list, which no other commit
-        shares.  What only some ticks do is left to the helpers that the
-        steps call too."""
+        which a plan lists them.  With `trace`, each opportunity found is
+        appended to it as the event that taking it gives, and a decision
+        that takes it appends that same event to the events.  It builds no
+        plan, decision list or per-tick injection record; a tick with no
+        crossing destination capturing commits into its `post` list, which
+        no other commit shares.  What only some ticks do is left to the
+        helpers that the steps call too."""
         values, hist = state.values, state.hist
         checkers, failures = state.checkers, state.failures
         agenda, edge_set, sets_at = self.agenda, self.edge_set, self.sets_at
@@ -1068,15 +1146,20 @@ class Engine:
                             take = draw() < probability if draw is not None \
                                 else decided < given and path[decided]
                             decided += 1
+                            if take or trace is not None:
+                                # the resolved bit is the captured one inverted
+                                bit = low.bit_length() - 1
+                                event = new(MsiEvent, (
+                                    tick, pid, bit, "setup" if setup & low else "hold",
+                                    (post[src] >> bit & 1) ^ 1))
+                                if trace is not None:
+                                    trace.append(event)
                             if take:
                                 if flips is None:
                                     flips = {}
                                 key = (index, src)
-                                flips[key] = flipped = flips.get(key, 0) | low
-                                bit = low.bit_length() - 1
-                                events.append(new(MsiEvent, (
-                                    tick, pid, bit, "setup" if setup & low else "hold",
-                                    (post[src] ^ flipped) >> bit & 1)))
+                                flips[key] = flips.get(key, 0) | low
+                                events.append(event)
 
             # the commit: capture, settle the gates and resets, record flips
             if dsts:

@@ -1161,9 +1161,10 @@ def test_gc_stays_off_for_a_caller_that_turned_it_off(corpus_root, tmp_path, cap
             gc.enable()
 
 
-def test_cyclic_garbage_does_not_grow_with_the_design(tmp_path, capsys):
+def test_cyclic_garbage_does_not_grow_with_the_design(corpus_root, tmp_path, capsys):
     # what `gc.collect()` finds after a command, with the collector paused
-    # as `main` pauses it, is the same for a 1-block and a 12-block design
+    # as `main` pauses it, is the same for a 1-block and a 12-block design,
+    # and for a `simulate` of 2 and of 20 seeds that share a path
     gen = load_gen()
     found = {}
     was = gc.isenabled()
@@ -1181,11 +1182,19 @@ def test_cyclic_garbage_does_not_grow_with_the_design(tmp_path, capsys):
                              str(work / "constraints.cdc"),
                              "--out", str(work / command)]) == 0
                 found[command, blocks] = gc.collect()
+        case = corpus_root / "binary_cross"
+        for seeds in ("1..2", "1..2", "1..20"):
+            gc.collect()
+            assert main(["simulate", str(case / "rtl.v"), "-c", str(case / "constraints.cdc"),
+                         "-s", str(case / "stimulus.stim"), "--seeds", seeds,
+                         "--out", str(tmp_path / "sim")]) == 3   # gray_code fails
+            found["simulate", seeds] = gc.collect()
     finally:
         if was:
             gc.enable()
     assert found["analyze", 12] == found["analyze", 1]
     assert found["generate", 12] == found["generate", 1]
+    assert found["simulate", "1..20"] == found["simulate", "1..2"]
 
 
 # --- SystemVerilog keywords as net names ----------------------------------------

@@ -6,7 +6,7 @@ import pytest
 import cdckit.explore as explore_mod
 from cdckit.checkers import LatencyChecker, build_checkers, parse_latency
 from cdckit.errors import BranchCapExceeded, DecisionBudgetExceeded
-from cdckit.explore import (count_tree, countable, derivable_outputs, explore_exhaustive,
+from cdckit.explore import (count_tree, derivable_outputs, explore_exhaustive,
                             merge_key, walk_tree)
 from cdckit.netlist import Gate
 from cdckit.pipeline import analyze_sources
@@ -723,7 +723,7 @@ def _counted_equals_walk(analysis, stim, checkers) -> tuple:
     raises, and counterexample events, frames and decisions, and, where the
     walk takes at most 64 branches, the replay oracle too.  Returns whether
     the tree was counted, and the outcome."""
-    counted = countable(Engine(analysis, stim, MsiConfig(), checkers, scope="explore"))
+    counted = Engine(analysis, stim, MsiConfig(), checkers, scope="explore").decisions_unseen()
     got = _search(explore_exhaustive, analysis, stim, checkers)
     want = _search(walked, analysis, stim, checkers)
     if isinstance(want, tuple):
@@ -806,17 +806,17 @@ def test_which_trees_are_counted(corpus_root, case_loader):
 
     analysis, stim_text = case_loader("freq_data_loss_clean")
     stim = parse_stimulus(stim_text)
-    assert countable(engine(analysis, stim, build_checkers(analysis, select=["stability"])))
+    assert engine(analysis, stim, build_checkers(analysis, select=["stability"])).decisions_unseen()
     analysis = analyze_sources([("t.v", REQ_ACK)], A_B7)
     stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
                           "run 8 of clk_a\n")
-    assert not countable(engine(analysis, stim, []))
+    assert not engine(analysis, stim, []).decisions_unseen()
     assert walked(analysis, stim, [], budget=16).branches == 28
     assert count_tree(engine(analysis, stim, []), 16).branches == 16
     analysis, stim_text = case_loader("msi_latency")
     checkers = _label_checkers(analysis, corpus_root, "msi_latency")
     assert [c.kind for c in checkers] == ["latency"]
-    assert not countable(engine(analysis, parse_stimulus(stim_text), checkers))
+    assert not engine(analysis, parse_stimulus(stim_text), checkers).decisions_unseen()
 
 
 def test_a_counted_tree_past_the_branch_cap_raises_as_the_walk_does(case_loader,

@@ -3,7 +3,8 @@
 seeded runs and for replayed decision paths, with and without waves: the
 stepped driver `stepped_run`, which records the run through the engine's
 own steps, a plan and a commit per tick, and `ReferenceEngine.run`, which
-steps through the reference engine's."""
+steps through the reference engine's.  `Engine.run_seeds` is held to one
+`run` per seed, where it takes its shortcut and where it does not."""
 
 import importlib.util
 import sys
@@ -166,6 +167,139 @@ def test_fused_equals_stepped_through_resets_gating_and_hold_windows(hold):
     seen = fused_equals_stepped(analysis, parse_stimulus(PHASES_STIMULUS),
                                 build_checkers(analysis, latency=[("*", 1, 3)]))
     assert seen["events"], seen
+
+
+# -- seeds that share a path ---------------------------------------------------
+
+SEEDS = (1, 2, 3)
+MSI_CONFIGS = [MsiConfig(probability=p) for p in (0.0, 0.2, 0.5, 1.0)] + [
+    MsiConfig(enabled=False)]
+
+
+def run_seeds_equals_runs(eng, waves=(True, False)) -> bool:
+    """`Engine.run_seeds` over SEEDS gives, seed by seed, the result that
+    `run` gives, waves on the first seed only, for each of `waves`.
+    Returns whether it ran the ticks of the first seed alone."""
+    fused, ran = Engine._fused, []
+
+    def counted(self, *args):
+        ran.append(self)
+        return fused(self, *args)
+
+    shared = set()
+    for w in waves:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Engine, "_fused", counted)
+            got = list(eng.run_seeds(list(SEEDS), w))
+        shared.add(len(ran) == 1)
+        ran.clear()
+        want = [eng.run(seed=s, waves=w and s == SEEDS[0]) for s in SEEDS]
+        assert len(got) == len(want)
+        for s, g, r in zip(SEEDS, got, want):
+            assert_same_result(g, r, (s, w))
+    assert len(shared) == 1
+    return shared.pop()
+
+
+def test_seeds_that_share_a_path_equal_their_runs_on_every_corpus_case(corpus_root,
+                                                                       case_loader):
+    """Every corpus case with the default suite, no checkers, the label's
+    checkers and the default suite with `--latency *:1:3`, each at
+    probabilities 0, 0.2, 0.5 and 1 and with injection off.  Under the
+    default suite at 0.5, the cases whose checkers read no net a decision
+    reaches take the shortcut, and those with fifo or mux_enable checkers
+    run every seed."""
+    shared = {}
+    for case in _corpus_with_stimulus(corpus_root):
+        analysis, stim_text = case_loader(case)
+        stim = parse_stimulus(stim_text)
+        suites = {}
+        for checkers in (build_checkers(analysis), [],
+                         _label_checkers(analysis, corpus_root, case),
+                         build_checkers(analysis, latency=[("*", 1, 3)])):
+            suites.setdefault(tuple(c.id for c in checkers), checkers)
+        for k, checkers in enumerate(suites.values()):
+            for msi in MSI_CONFIGS:
+                eng = Engine(analysis, stim, msi, checkers)
+                if k or msi != MsiConfig():
+                    run_seeds_equals_runs(eng, waves=(msi.probability == 0.2,))
+                else:
+                    shared[case] = run_seeds_equals_runs(eng)
+    assert all(shared[c] for c in ("binary_cross", "gray_cross", "cov_toggle"))
+    assert not any(shared[c] for c in ("async_fifo", "async_fifo_bug", "codegen_full",
+                                       "mux_sync", "mux_sync_bug"))
+    assert sum(shared.values()) > 30, shared
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("purpose", ["sim", "explore"])
+def test_seeds_that_share_a_path_equal_their_runs_on_generated_designs(purpose, seed):
+    """The `sim` designs drive random ports, so every seed runs; the
+    `explore` designs' checkers read no net a decision reaches."""
+    gen = load_gen()
+    if purpose == "sim":
+        d = gen.build("sim", seed, 8, block=gen.SIM_BLOCK, purpose="sim", run_edges=30)
+        select = list(gen.SIM_CHECKERS)
+    else:
+        d = gen.build("explore", seed, 8, purpose="explore", run_edges=4, gray_sources=2)
+        select = list(gen.EXPLORE_CHECKERS)
+    analysis = analyze_sources([("rtl.v", d.files["rtl.v"])], d.files["constraints.cdc"])
+    eng = Engine(analysis, parse_stimulus(d.files["stimulus.stim"]), MsiConfig(),
+                 build_checkers(analysis, select=select))
+    assert run_seeds_equals_runs(eng) == (purpose == "explore")
+
+
+def test_a_random_port_makes_every_seed_run(case_loader):
+    """`binary_cross` shares a path across seeds until its stimulus toggles
+    a port at random, which each seed's RNG drives apart."""
+    analysis, stim_text = case_loader("binary_cross")
+    checkers = build_checkers(analysis)
+    for text, shared in ((stim_text, True),
+                         ("random -ports rst_a_n -p 0.01 -seed 1\n" + stim_text, False)):
+        eng = Engine(analysis, parse_stimulus(text), MsiConfig(), checkers)
+        assert run_seeds_equals_runs(eng, waves=(False,)) == shared
+
+
+# d1 accumulates its source, so a decision at d1 moves it for the rest of
+# the run.  It reaches d2's reset, or d2's gated clock: either way it
+# decides whether d2 captures, so it changes d2's later opportunities.
+RESET_BY_DST = """
+module top(input clk_a, input clk_b, output q);
+  reg src, d1, d2;
+  always @(posedge clk_a) src <= ~src;
+  always @(posedge clk_b) d1 <= d1 ^ src;
+  always @(posedge clk_b or posedge d1)
+    if (d1) d2 <= 1'b0; else d2 <= src;
+  assign q = d2;
+endmodule
+"""
+CLOCK_BY_DST = """
+module top(input clk_a, input clk_b, output q);
+  reg src, d1, d2;
+  wire gclk;
+  assign gclk = clk_b & d1;
+  always @(posedge clk_a) src <= ~src;
+  always @(posedge clk_b) d1 <= d1 ^ src;
+  always @(posedge gclk) d2 <= src;
+  assign q = d2;
+endmodule
+"""
+AB = "clock clk_a -period 10 -domain A\nclock clk_b -period 7 -domain B\n"
+
+
+@pytest.mark.parametrize("rtl, constraints, stimulus", [
+    (REQ_ACK, A_B7, "at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\nrun 40 of clk_a\n"),
+    (RESET_BY_DST, AB, "run 40 of clk_a\n"),
+    (CLOCK_BY_DST, AB, "run 40 of clk_a\n"),
+], ids=["monitored-source", "reset-net", "destination-clock"])
+def test_a_decision_that_shapes_later_opportunities_makes_every_seed_run(
+        rtl, constraints, stimulus):
+    """With no checker to see a decision, one still moves a crossing
+    source, a reset net or a destination's clock, and every seed runs.
+    Were the shortcut taken, the later seeds' events would differ."""
+    analysis = analyze_sources([("t.v", rtl)], constraints)
+    eng = Engine(analysis, parse_stimulus(stimulus), MsiConfig(), [])
+    assert not run_seeds_equals_runs(eng)
 
 
 # -- the steps a run calls ----------------------------------------------------
