@@ -179,6 +179,7 @@ def walk_tree(eng: Engine, budget: int) -> ExploreOutcome:
     tick on the current path that has opportunities, so its depth is
     bounded by the budget, not by the interpreter's recursion limit."""
     checkers = eng.checkers
+    agenda = list(eng.agenda)   # indexed on every tick of every path
     derivable = derivable_outputs(eng, checkers)
     branches = commits = derived = merged = 0
     cex: dict[str, SimResult] = {}
@@ -216,8 +217,8 @@ def walk_tree(eng: Engine, budget: int) -> ExploreOutcome:
             count(below)
             return None
         start = branches
-        for i in range(agenda_idx, len(eng.agenda)):
-            plan = eng.plan_tick(state, eng.agenda[i])
+        for i in range(agenda_idx, len(agenda)):
+            plan = eng.plan_tick(state, agenda[i])
             k = len(plan.opps)
             if state.decisions + k > budget:
                 raise DecisionBudgetExceeded(state.decisions + k, budget)

@@ -75,8 +75,13 @@ Scheduling is done once per engine, not per tick.  What a tick does that
 depends only on which clocks edge at it (the flops that capture, the
 crossing destinations among them, the gated flops whose clock must be
 checked, and the checkers that sample) is one `_EdgeSet`, built in
-`Engine.__init__` for each distinct set of clocks that edge together; the
-agenda maps each tick to its edge set.  A tick's plan holds its values as
+`Engine.__init__` for each distinct set of clocks that edge together.  A
+clock edges at its phase plus each multiple of its period, with 0 <= phase
+< period, so which clocks edge at a tick depends only on the tick modulo
+the hyperperiod, the least common multiple of the periods: the engine maps
+each tick of one hyperperiod to its edge set, and the agenda and the run
+go over that map once per hyperperiod, so nothing of the schedule grows
+with the run's length.  A tick's plan holds its values as
 lists: the pre-edge values, which are the state's own list unless a port
 moves or a reset is active (those write into a copy), and `post`, those
 with each edged flop's next value written in, so a commit copies `post`,
@@ -122,22 +127,57 @@ stimulus has no `random` ports; a random port is driven by the seed's own
 RNG, which moves nets outside R apart from seed to seed, so such a design
 runs every seed.  Otherwise a seeded run draws from its RNG only at
 opportunities, one draw each, in the order the run finds them.  So
-`Engine.run_seeds` runs the first seed's ticks once, tracing every
-opportunity as the event that taking it gives, and each later seed's
-events are the traced events that its own draws take, with the first
-run's failures and decision count.  With injection off there are no
+`Engine.run_seeds` runs the ticks once.  With waves it runs the first
+seed's, tracing every opportunity as the event that taking it gives, and
+each later seed's events are the traced events that its own draws take,
+with the first run's failures and decision count (without waves, see A
+run that repeats).  With injection off there are no
 opportunities, and every seed is the first seed's run.  A traced event's
 `resolved` bit is `(post[src] >> bit & 1) ^ 1`: an injection inverts the
 bit it captures, and it is the bit `(post[src] ^ flipped) >> bit & 1`
 that a run records, because `flipped` holds that bit.
+
+A run that repeats.  Without waves, seeds that share a path need of the
+run only its verdicts and its opportunities, and those of the reference
+path (no injection) serve: `run_seeds` traces that path, and every seed,
+the first one too, draws over the trace.  Once the stimulus runs free,
+after the last scheduled `set` (and there are no random ports), what a
+tick does depends only on the state and on the tick modulo the
+hyperperiod: the edge sets repeat, the hold lookahead reads `(phase -
+tick) % period`, and no port moves.  So at a hyperperiod boundary B the
+rest of the run is fixed by the state's key at B:
+* the values of the nets outside R, which no decision moves and which no
+  net of R feeds, or of every net with injection off, since then R is
+  seen by nobody but may be read by a checker;
+* each monitored net's flips that a tick at or after B can read, those at
+  or after B - `setup_window`, as (B - tick, flipped bits);
+* the checker states.
+When the key at a boundary B' equals the key at an earlier boundary B,
+the run from B' is the run from B shifted by P = B' - B, and so on to the
+end: each opportunity of [B, B') recurs every P ticks.  The run stops
+there and every seed draws over the trace, then over its repeats, built
+only when taken (`_extend`); the decision count is the extended trace's
+length.  Each verdict and first failure are those at B': a checker's
+messages after B' repeat those it gave in [B, B'), so each has been
+latched already, and the key needs no failures.  The run goes in steps
+of whole hyperperiods, of at least `_REPEAT_TICKS` ticks, and compares
+the key after each step with one saved key, replaced at power-of-two step
+counts (Brent, "An improved Monte Carlo factorization algorithm", BIT
+1980), so the search holds two keys whatever the run's length; a run of
+fewer than two steps past its stimulus makes no search.  With waves every
+tick is written, and the run goes to the end.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, groupby
+from math import lcm
+from operator import itemgetter
 from types import FunctionType
 from typing import NamedTuple
 
@@ -159,6 +199,9 @@ class MsiConfig:
 
 
 MAX_SEEDS = 1_000_000     # seeds one range may name
+# fewest ticks between two checks for a repeat of a run's state: a check
+# costs about as much as a tick of a small design
+_REPEAT_TICKS = 32
 
 
 def parse_seed_range(spec: str) -> list[int]:
@@ -242,6 +285,43 @@ class _EdgeSet(NamedTuple):
     # value), (checker index, bound `sample`) of each checker sampling on it)
     checks: tuple[tuple[str, tuple[tuple[int, int], ...],
                         tuple[tuple[int, object], ...]], ...]
+
+
+class _Agenda(Sequence):
+    """The ticks at which some clock edges, up to the run's last tick `end`:
+    those of one hyperperiod, `offsets`, repeated every `period` ticks.  It
+    holds no list of the run's ticks."""
+    __slots__ = ("offsets", "period", "end", "_len")
+
+    def __init__(self, offsets: tuple[int, ...], period: int, end: int):
+        self.offsets, self.period, self.end = offsets, period, end
+        blocks, rest = divmod(end + 1, period)
+        self._len = blocks * len(offsets) + bisect_left(offsets, rest)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> int:
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("agenda index out of range")
+        block, k = divmod(i, len(self.offsets))
+        return block * self.period + self.offsets[k]
+
+    def __iter__(self):
+        offsets, end = self.offsets, self.end
+        for base in range(0, end + 1, self.period):
+            for offset in offsets:
+                if base + offset > end:
+                    return
+                yield base + offset
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and len(self) == len(other) and \
+            all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
 
 
 class _TickPlan(NamedTuple):
@@ -607,12 +687,16 @@ class Engine:
             raise StimulusOutOfRange(f"run clock {stimulus.run_clock!r} is not declared")
         self.end_tick = run_clock.edge_tick(stimulus.run_edges - 1)
         self.edges_per_clock = run_clock_edges(stimulus, cs.clocks, self.end_tick)
-        # the clocks that edge at each tick, bit i for cs.clocks[i]
+        # the clocks that edge at each tick of one hyperperiod, bit i for
+        # cs.clocks[i].  A clock edges at its phase plus each multiple of
+        # its period, and 0 <= phase < period, so the pattern repeats every
+        # hyperperiod from tick 0; a run shorter than one is one block
+        self.hyperperiod = lcm(*(c.period for c in cs.clocks))
         edge_mask: dict[int, int] = {}
         for bit, c in enumerate(cs.clocks):
-            for t in range(c.phase, self.end_tick + 1, c.period):
+            for t in range(c.phase, min(self.hyperperiod, self.end_tick + 1), c.period):
                 edge_mask[t] = edge_mask.get(t, 0) | 1 << bit
-        self.agenda = sorted(edge_mask)
+        self.agenda = _Agenda(tuple(sorted(edge_mask)), self.hyperperiod, self.end_tick)
 
         # port driving
         self.port_net = {p.name: p.net for p in self.nl.ports if p.direction == "in"}
@@ -636,6 +720,12 @@ class Engine:
             self.port_schedule.setdefault(net, []).append((tick, s.value))
         for sched in self.port_schedule.values():
             sched.sort()
+        # the first hyperperiod boundary after every scheduled set, from
+        # which the stimulus runs free, and the whole hyperperiods between
+        # two checks for a repeat of the run's state from there
+        self.free_from = (max(self.sets_at, default=-1) // self.hyperperiod + 1) \
+            * self.hyperperiod
+        self.repeat_step = self.hyperperiod * -(-_REPEAT_TICKS // len(self.agenda.offsets))
         self.random_driver = stimulus.random
         self.random_nets: list[int] = []
         if self.random_driver:
@@ -717,7 +807,8 @@ class Engine:
         edge_sets = {m: self._edge_set([c.name for bit, c in enumerate(cs.clocks)
                                         if m >> bit & 1], sampling, comb)
                      for m in sorted(set(edge_mask.values()))}
-        self.edge_set = {t: edge_sets[m] for t, m in edge_mask.items()}
+        # tick modulo the hyperperiod -> its edge set, in tick order
+        self.edge_set = {t: edge_sets[edge_mask[t]] for t in self.agenda.offsets}
         self.fingerprint = pairs_fingerprint(analysis.pairs)
 
     def _edge_set(self, clocks: list[str],
@@ -785,7 +876,8 @@ class Engine:
         clock = self.clock_cone[flop]
         return (clock(values, 0) & 1) == 0 and (clock(values, 1) & 1) == 1
 
-    def decision_reach(self) -> set[int]:
+    @cached_property
+    def decision_reach(self) -> frozenset[int]:
         """The nets that a decision can change: the injectable destinations'
         outputs, closed forward through every gate and flop input.  A black
         box's outputs never change."""
@@ -798,7 +890,7 @@ class Engine:
                 reach.add(net)
                 todo.extend(nl.cells[i].out for kind, i, _pin in nl.nets[net].readers
                             if kind == "cell" and isinstance(nl.cells[i], (Gate, Dff)))
-        return reach
+        return frozenset(reach)
 
     def decisions_unseen(self) -> bool:
         """Whether the decision reach holds no net that a checker reads (its
@@ -812,7 +904,27 @@ class Engine:
         read += self.monitored
         read += [net for net, _active in self.reset_nets]
         read += [self.nl.cells[i].clock for i in self.dsts]
-        return self.decision_reach().isdisjoint(read)
+        return self.decision_reach.isdisjoint(read)
+
+    @cached_property
+    def _repeat_values(self):
+        """The getter of the values that a repeat compares (module
+        docstring, A run that repeats): those of the nets outside the
+        decision reach, or of every net with injection off."""
+        nets = range(len(self.nl.nets))
+        if self.msi.enabled:
+            nets = [n for n in nets if n not in self.decision_reach]
+        return itemgetter(*nets)
+
+    def _repeat_rest(self, state: _State, boundary: int) -> tuple:
+        """What a repeat compares at the hyperperiod boundary `boundary`
+        besides the values: each monitored net's flips that a tick at or
+        after it can read, as (boundary - tick, flipped bits), and the
+        checker states."""
+        horizon = boundary - self.setup_window
+        return (tuple(tuple((boundary - t, flipped) for t, flipped in state.hist[n]
+                            if t >= horizon) for n in self.monitored),
+                tuple(state.checkers))
 
     # -- tick planning / committing --
 
@@ -851,7 +963,7 @@ class Engine:
             vals0 = self._drive(vals0, tick, rng)
         driven = vals0 is not state.values
 
-        edges = self.edge_set[tick]
+        edges = self.edge_set[tick % self.hyperperiod]
         # flops held in reset, and gated flops whose clock does not rise,
         # do not capture
         skip = ()
@@ -1047,31 +1159,103 @@ class Engine:
     def run_seeds(self, seeds: Sequence[int], waves: bool = True):
         """Yield, in order, the result that `run(seed=s, waves=...)` gives
         for each seed of `seeds`, with waves for the first seed only.  When
-        the seeds share a path (module docstring) only the first seed runs
-        its ticks: it traces every opportunity it finds, and each later
-        seed takes, of that trace, those its own RNG's draws take."""
-        if len(seeds) < 2 or self.random_nets or \
+        the seeds share a path (module docstring) their ticks run once:
+        with waves, the first seed's run traces every opportunity it finds,
+        and each later seed takes, of that trace, those its own RNG's draws
+        take; without, the reference path's run traces them, up to the end
+        or to a repeat of its state (`_reference_trace`), and every seed
+        draws over that trace."""
+        stops = not waves and \
+            self.end_tick + 1 - self.free_from >= 2 * self.repeat_step
+        if len(seeds) < (1 if stops else 2) or self.random_nets or \
                 self.msi.enabled and not self.decisions_unseen():
             for k, seed in enumerate(seeds):
                 yield self.run(waves=waves and not k, seed=seed)
             return
         trace: list[MsiEvent] = []
-        state = self.initial_state()
-        frames = [state.values] if waves else None
-        state, events = self._fused(state, random.Random(seeds[0]), None, frames, trace)
-        yield self._finish(state, events, frames, seeds[0])
+        if waves:
+            state = self.initial_state()
+            frames = [state.values]
+            state, events = self._fused(state, random.Random(seeds[0]), None, frames, trace)
+            yield self._finish(state, events, frames, seeds[0])
+            seeds, repeat = seeds[1:], None
+        else:
+            state, repeat = self._reference_trace(trace, stops)
         probability = self.msi.probability
-        for seed in seeds[1:]:
+        for seed in seeds:
             draw = random.Random(seed).random
-            yield self._finish(state, [e for e in trace if draw() < probability],
-                               None, seed)
+            events = [e for e in trace if draw() < probability]
+            if repeat is not None:
+                self._extend(events, *repeat, draw)
+            yield self._finish(state, events, None, seed)
+
+    def _reference_trace(self, trace: list[MsiEvent], stops: bool,
+                         ) -> tuple[_State, tuple[list[MsiEvent], int] | None]:
+        """Run the reference path, appending each opportunity it finds to
+        `trace` as the event that taking it gives, and return its state at
+        the end of the run, or at a repeat (module docstring, A run that
+        repeats) when `stops`.  Then the state's decision count is the
+        whole run's, and the second value is (segment, P): the trace's
+        last P ticks, which repeat every P ticks to the end of the run;
+        else it is None.
+
+        From the first hyperperiod boundary at which the stimulus runs free
+        the run goes `repeat_step` ticks at a time, and after each step its
+        state is compared with one saved state, which is replaced at the
+        power-of-two step counts (Brent's cycle detection), so the search
+        keeps two states whatever the run's length."""
+        state = self.initial_state()
+        if not stops:
+            self._fused(state, None, (), None, trace)
+            return state, None
+        period, end = self.repeat_step, self.end_tick
+        base = self.free_from
+        self._fused(state, None, (), None, trace, 0, base)
+        values, rest = self._repeat_values, self._repeat_rest
+        # the saved key, its values and the rest, with its boundary and the
+        # trace's length there
+        saved = (values(state.values), rest(state, base), base, len(trace))
+        power = blocks = 1
+        while base + 2 * period <= end + 1:
+            self._fused(state, None, (), None, trace, base, base + period)
+            base += period
+            now = values(state.values)
+            if now == saved[0] and rest(state, base) == saved[1]:
+                segment, repeat = trace[saved[3]:], base - saved[2]
+                state.decisions += sum((end - e.tick) // repeat for e in segment)
+                return state, (segment, repeat)
+            if blocks == power:
+                saved = (now, rest(state, base), base, len(trace))
+                power *= 2
+                blocks = 0
+            blocks += 1
+        self._fused(state, None, (), None, trace, base)
+        return state, None
+
+    def _extend(self, events: list[MsiEvent], segment: list[MsiEvent], repeat: int,
+                draw):
+        """Append to `events` those of the repeats of `segment`, every
+        `repeat` ticks up to the end of the run, that `draw` takes, one draw
+        per opportunity in tick order; only a taken event is built."""
+        end, probability, new = self.end_tick, self.msi.probability, tuple.__new__
+        shift = repeat
+        while segment and segment[0].tick + shift <= end:
+            for e in segment:
+                tick = e.tick + shift
+                if tick > end:
+                    break
+                if draw() < probability:
+                    events.append(new(MsiEvent, (tick, *e[1:])))
+            shift += repeat
 
     def _fused(self, state: _State, rng: random.Random | None,
                path: Sequence[bool] | None, frames: list[list[int]] | None,
-               trace: list[MsiEvent] | None = None,
-               ) -> tuple[_State, list[MsiEvent]]:
-        """The run's ticks from `state`, each the work of a `plan_tick` and
-        a `commit_tick` in one loop body; returns the state and the events.
+               trace: list[MsiEvent] | None = None, start: int = 0,
+               stop: int | None = None) -> tuple[_State, list[MsiEvent]]:
+        """The run's ticks from `state`, those at or after `start`, a
+        multiple of the hyperperiod, and before `stop` (by default every
+        one), each the work of a `plan_tick` and a `commit_tick` in one loop
+        body; returns the state and the events.
         Each decision is drawn from `rng`, or read from `path`, as its
         opportunity is found, after the random port toggles: the order in
         which a plan lists them.  With `trace`, each opportunity found is
@@ -1083,7 +1267,9 @@ class Engine:
         helpers that the steps call too."""
         values, hist = state.values, state.hist
         checkers, failures = state.checkers, state.failures
-        agenda, edge_set, sets_at = self.agenda, self.edge_set, self.sets_at
+        phases, hyper = tuple(self.edge_set.items()), self.hyperperiod
+        sets_at = self.sets_at
+        stop = self.end_tick + 1 if stop is None else min(stop, self.end_tick + 1)
         drive, settle_resets = self._drive, self._settle_resets
         rises, hold_toggles = self._rises, self._hold_toggles
         reset_nets, monitored = self.reset_nets, self.monitored
@@ -1095,110 +1281,112 @@ class Engine:
         decided = state.decisions
         events: list[MsiEvent] = []
         new = tuple.__new__
-        for tick in agenda:
-            # the plan: drive the ports, settle an active reset, edge the flops
-            vals0 = drive(values, tick, rng) if moving or tick in sets_at else values
-            driven = vals0 is not values
-            edges = edge_set[tick]
-            flops, dsts, gated, comb, scan, scan_driven, settle, checks = edges
-            skip = ()
-            for net, active in reset_nets:
-                if vals0[net] & 1 == active:
-                    if not driven:
-                        vals0 = vals0[:]
-                    skip = settle_resets(vals0)
-                    break
-            if skip:
-                scan = monitored
-            elif driven:
-                scan = scan_driven
-            for i in gated:
-                if i not in skip and not rises(i, vals0):
-                    skip = {i, *skip}
-            if skip:
-                flops = [f for f in flops if f[0] not in skip]
-                dsts = [d for d in dsts if d.index not in skip]
-            post = vals0[:]
-            for _i, out, data, enable in flops:
-                if enable is None or vals0[enable] & 1:
-                    post[out] = vals0[data]
-
-            # the opportunity search, each decision taken as it is found
-            flips = None
-            recent = tick - setup_window
-            if inject and dsts:
-                lookahead: list[list[int]] = []
-                for dst in dsts:
-                    index = dst.index
-                    for pid, src, full, phase, period in dst.pairs:
-                        setup = post[src] ^ values[src]
-                        for t, flipped in hist[src]:
-                            if t < recent:
-                                break
-                            setup |= flipped
-                        bits = setup & full
-                        if bits != full and \
-                                ((phase - tick) % period or period) <= hold_window:
-                            bits |= hold_toggles(src, tick, post, edges, lookahead) & full
-                        while bits:
-                            low = bits & -bits
-                            bits ^= low
-                            take = draw() < probability if draw is not None \
-                                else decided < given and path[decided]
-                            decided += 1
-                            if take or trace is not None:
-                                # the resolved bit is the captured one inverted
-                                bit = low.bit_length() - 1
-                                event = new(MsiEvent, (
-                                    tick, pid, bit, "setup" if setup & low else "hold",
-                                    (post[src] >> bit & 1) ^ 1))
-                                if trace is not None:
-                                    trace.append(event)
-                            if take:
-                                if flips is None:
-                                    flips = {}
-                                key = (index, src)
-                                flips[key] = flips.get(key, 0) | low
-                                events.append(event)
-
-            # the commit: capture, settle the gates and resets, record flips
-            if dsts:
-                final = post[:]
-                _capture(vals0, post, final, flips, dsts)
-            else:
-                final = post
-            if final != vals0:
-                for kernel in comb:
-                    kernel(final)
-            if settle:
+        for base in range(start, stop, hyper):
+            for offset, edges in (phases if base + hyper <= stop else
+                                  [p for p in phases if base + p[0] < stop]):
+                tick = base + offset
+                # the plan: drive the ports, settle an active reset, edge the flops
+                vals0 = drive(values, tick, rng) if moving or tick in sets_at else values
+                driven = vals0 is not values
+                flops, dsts, gated, comb, scan, scan_driven, settle, checks = edges
+                skip = ()
                 for net, active in reset_nets:
-                    if final[net] & 1 == active:
-                        settle_resets(final)
-                        scan = monitored
+                    if vals0[net] & 1 == active:
+                        if not driven:
+                            vals0 = vals0[:]
+                        skip = settle_resets(vals0)
                         break
-            for n in scan:
-                if final[n] != values[n]:
-                    entries = hist[n]
-                    for k, (t, _flipped) in enumerate(entries):
-                        if t <= recent:
-                            entries = entries[:k]
+                if skip:
+                    scan = monitored
+                elif driven:
+                    scan = scan_driven
+                for i in gated:
+                    if i not in skip and not rises(i, vals0):
+                        skip = {i, *skip}
+                if skip:
+                    flops = [f for f in flops if f[0] not in skip]
+                    dsts = [d for d in dsts if d.index not in skip]
+                post = vals0[:]
+                for _i, out, data, enable in flops:
+                    if enable is None or vals0[enable] & 1:
+                        post[out] = vals0[data]
+
+                # the opportunity search, each decision taken as it is found
+                flips = None
+                recent = tick - setup_window
+                if inject and dsts:
+                    lookahead: list[list[int]] = []
+                    for dst in dsts:
+                        index = dst.index
+                        for pid, src, full, phase, period in dst.pairs:
+                            setup = post[src] ^ values[src]
+                            for t, flipped in hist[src]:
+                                if t < recent:
+                                    break
+                                setup |= flipped
+                            bits = setup & full
+                            if bits != full and \
+                                    ((phase - tick) % period or period) <= hold_window:
+                                bits |= hold_toggles(src, tick, post, edges, lookahead) & full
+                            while bits:
+                                low = bits & -bits
+                                bits ^= low
+                                take = draw() < probability if draw is not None \
+                                    else decided < given and path[decided]
+                                decided += 1
+                                if take or trace is not None:
+                                    # the resolved bit is the captured one inverted
+                                    bit = low.bit_length() - 1
+                                    event = new(MsiEvent, (
+                                        tick, pid, bit, "setup" if setup & low else "hold",
+                                        (post[src] >> bit & 1) ^ 1))
+                                    if trace is not None:
+                                        trace.append(event)
+                                if take:
+                                    if flips is None:
+                                        flips = {}
+                                    key = (index, src)
+                                    flips[key] = flips.get(key, 0) | low
+                                    events.append(event)
+
+                # the commit: capture, settle the gates and resets, record flips
+                if dsts:
+                    final = post[:]
+                    _capture(vals0, post, final, flips, dsts)
+                else:
+                    final = post
+                if final != vals0:
+                    for kernel in comb:
+                        kernel(final)
+                if settle:
+                    for net, active in reset_nets:
+                        if final[net] & 1 == active:
+                            settle_resets(final)
+                            scan = monitored
                             break
-                    hist[n] = ((tick, final[n] ^ values[n]),) + entries
-            if checks:
-                get = final.__getitem__
-                for clk, resets, sampling in checks:
-                    in_reset = False
-                    for n, active in resets:
-                        if final[n] & 1 == active:
-                            in_reset = True
-                            break
-                    for ci, sample in sampling:
-                        checkers[ci], message = sample(checkers[ci], clk, get, in_reset)
-                        if message is not None and failures[ci] is None:
-                            failures[ci] = (tick, message)
-            if frames is not None:
-                frames.append(final)
-            values = final
+                for n in scan:
+                    if final[n] != values[n]:
+                        entries = hist[n]
+                        for k, (t, _flipped) in enumerate(entries):
+                            if t <= recent:
+                                entries = entries[:k]
+                                break
+                        hist[n] = ((tick, final[n] ^ values[n]),) + entries
+                if checks:
+                    get = final.__getitem__
+                    for clk, resets, sampling in checks:
+                        in_reset = False
+                        for n, active in resets:
+                            if final[n] & 1 == active:
+                                in_reset = True
+                                break
+                        for ci, sample in sampling:
+                            checkers[ci], message = sample(checkers[ci], clk, get, in_reset)
+                            if message is not None and failures[ci] is None:
+                                failures[ci] = (tick, message)
+                if frames is not None:
+                    frames.append(final)
+                values = final
         state.values, state.decisions = values, decided
         return state, events
 

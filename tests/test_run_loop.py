@@ -8,6 +8,7 @@ steps through the reference engine's.  `Engine.run_seeds` is held to one
 
 import importlib.util
 import sys
+from bisect import bisect_left
 
 import pytest
 
@@ -176,27 +177,36 @@ MSI_CONFIGS = [MsiConfig(probability=p) for p in (0.0, 0.2, 0.5, 1.0)] + [
     MsiConfig(enabled=False)]
 
 
-def run_seeds_equals_runs(eng, waves=(True, False)) -> bool:
+def run_seeds_ticks(eng, waves=(True, False)) -> dict[bool, int]:
     """`Engine.run_seeds` over SEEDS gives, seed by seed, the result that
     `run` gives, waves on the first seed only, for each of `waves`.
-    Returns whether it ran the ticks of the first seed alone."""
-    fused, ran = Engine._fused, []
+    Returns, for each, the ticks that it ran, counted over the calls of
+    the fused loop."""
+    fused, agenda, ran = Engine._fused, list(eng.agenda), []
 
-    def counted(self, *args):
-        ran.append(self)
-        return fused(self, *args)
+    def counted(self, state, rng, path, frames, trace=None, start=0, stop=None):
+        last = len(agenda) if stop is None else bisect_left(agenda, stop)
+        ran.append(last - bisect_left(agenda, start))
+        return fused(self, state, rng, path, frames, trace, start, stop)
 
-    shared = set()
+    ticks = {}
     for w in waves:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Engine, "_fused", counted)
             got = list(eng.run_seeds(list(SEEDS), w))
-        shared.add(len(ran) == 1)
+        ticks[w] = sum(ran)
         ran.clear()
         want = [eng.run(seed=s, waves=w and s == SEEDS[0]) for s in SEEDS]
         assert len(got) == len(want)
         for s, g, r in zip(SEEDS, got, want):
             assert_same_result(g, r, (s, w))
+    return ticks
+
+
+def run_seeds_equals_runs(eng, waves=(True, False)) -> bool:
+    """`run_seeds_ticks`, and whether the seeds' ticks ran once, at most
+    one run's worth, for each of `waves` alike."""
+    shared = {n <= len(eng.agenda) for n in run_seeds_ticks(eng, waves).values()}
     assert len(shared) == 1
     return shared.pop()
 
@@ -208,8 +218,10 @@ def test_seeds_that_share_a_path_equal_their_runs_on_every_corpus_case(corpus_ro
     probabilities 0, 0.2, 0.5 and 1 and with injection off.  Under the
     default suite at 0.5, the cases whose checkers read no net a decision
     reaches take the shortcut, and those with fifo or mux_enable checkers
-    run every seed."""
-    shared = {}
+    run every seed.  Without waves, the long free-running cases stop once
+    their state repeats, within a fifth of their ticks; with waves, they
+    run every tick once."""
+    shared, ticks = {}, {}
     for case in _corpus_with_stimulus(corpus_root):
         analysis, stim_text = case_loader(case)
         stim = parse_stimulus(stim_text)
@@ -224,8 +236,11 @@ def test_seeds_that_share_a_path_equal_their_runs_on_every_corpus_case(corpus_ro
                 if k or msi != MsiConfig():
                     run_seeds_equals_runs(eng, waves=(msi.probability == 0.2,))
                 else:
-                    shared[case] = run_seeds_equals_runs(eng)
-    assert all(shared[c] for c in ("binary_cross", "gray_cross", "cov_toggle"))
+                    ticks[case] = run_seeds_ticks(eng), len(eng.agenda)
+                    shared[case] = all(n <= ticks[case][1] for n in ticks[case][0].values())
+    for case in ("binary_cross", "gray_cross", "cov_toggle"):
+        ran, agenda = ticks[case]
+        assert ran[False] < agenda / 5 and ran[True] == agenda, (case, ran, agenda)
     assert not any(shared[c] for c in ("async_fifo", "async_fifo_bug", "codegen_full",
                                        "mux_sync", "mux_sync_bug"))
     assert sum(shared.values()) > 30, shared
@@ -300,6 +315,149 @@ def test_a_decision_that_shapes_later_opportunities_makes_every_seed_run(
     analysis = analyze_sources([("t.v", rtl)], constraints)
     eng = Engine(analysis, parse_stimulus(stimulus), MsiConfig(), [])
     assert not run_seeds_equals_runs(eng)
+
+
+# -- a shared path that stops at a repeat of its state -------------------------
+
+
+def _increment(reg: str, bits: int, enable: str) -> str:
+    """Wires `<reg>_n`: the `bits`-bit `reg` plus `enable`, of one bit."""
+    carries = [f"  wire {reg}_c{i};\n  assign {reg}_c{i} = {enable}"
+               + "".join(f" & {reg}[{k}:{k}]" for k in range(i)) + ";\n"
+               for i in range(1, bits)]
+    nxt = ", ".join([f"{reg}[{i}:{i}] ^ {reg}_c{i}" for i in range(bits - 1, 0, -1)]
+                    + [f"{reg}[0:0] ^ {enable}"])
+    return ("".join(carries) + f"  wire [{bits - 1}:0] {reg}_n;\n"
+            f"  assign {reg}_n = {{{nxt}}};\n")
+
+
+def _counter(bits: int) -> str:
+    """A `bits`-bit binary counter on clk_a, crossing whole into clk_b
+    through two flops: its values repeat only every 2**bits edges."""
+    top = bits - 1
+    return (f"module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n,\n"
+            f"           output [{top}:0] o);\n  reg [{top}:0] cnt;\n"
+            + _increment("cnt", bits, "1'b1")
+            + f"  reg [{top}:0] s1;\n  reg [{top}:0] s2;\n"
+            "  always @(posedge clk_a or negedge rst_a_n)\n"
+            f"    if (!rst_a_n) cnt <= {bits}'d0; else cnt <= cnt_n;\n"
+            "  always @(posedge clk_b or negedge rst_b_n)\n"
+            f"    if (!rst_b_n) begin s1 <= {bits}'d0; s2 <= {bits}'d0; end\n"
+            "    else begin s1 <= cnt; s2 <= s1; end\n"
+            "  assign o = s2;\nendmodule\n")
+
+
+# A toggling source through two flops, whose output counts clk_b edges:
+# the counter is in the decision reach, and the static checker that reads
+# its top bit fails once it turns, many hyperperiods after the values
+# outside the reach first repeat
+DST_COUNTER = """
+module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, output top_bit);
+  reg src, q1, q2;
+  reg [7:0] dc;
+""" + _increment("dc", 8, "q2") + """
+  always @(posedge clk_a or negedge rst_a_n)
+    if (!rst_a_n) src <= 1'b0; else src <= ~src;
+  always @(posedge clk_b or negedge rst_b_n)
+    if (!rst_b_n) begin q1 <= 1'b0; q2 <= 1'b0; dc <= 8'd0; end
+    else begin q1 <= src; q2 <= q1; dc <= dc_n; end
+  assign top_bit = dc[7:7];
+endmodule
+"""
+
+
+# A source that toggles while the port `en` is high, through two flops
+ENABLED_TOGGLE = """
+module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, input en, output o);
+  reg src, q1, q2;
+  always @(posedge clk_a or negedge rst_a_n)
+    if (!rst_a_n) src <= 1'b0; else src <= src ^ en;
+  always @(posedge clk_b or negedge rst_b_n)
+    if (!rst_b_n) begin q1 <= 1'b0; q2 <= 1'b0; end
+    else begin q1 <= src; q2 <= q1; end
+  assign o = q2;
+endmodule
+"""
+
+
+# A source that toggles on the first four clk_a edges out of reset, then
+# holds its value: the flips stay in a long setup window for a while after
+# the values have settled
+SETTLING = """
+module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, output o);
+  reg [3:0] sh;
+  reg src, q1, q2;
+  always @(posedge clk_a or negedge rst_a_n)
+    if (!rst_a_n) begin sh <= 4'b0000; src <= 1'b0; end
+    else begin sh <= {sh[2:0], 1'b1}; src <= src ^ ~sh[3:3]; end
+  always @(posedge clk_b or negedge rst_b_n)
+    if (!rst_b_n) begin q1 <= 1'b0; q2 <= 1'b0; end
+    else begin q1 <= src; q2 <= q1; end
+  assign o = q2;
+endmodule
+"""
+RESETS = "reset rst_a_n -active_low -domain A\nreset rst_b_n -active_low -domain B\n"
+OUT_OF_RESET = "at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
+
+
+@pytest.mark.parametrize("rtl, constraints, stimulus, stops", [
+    # a source counter whose values repeat only after the run
+    (_counter(12), "clock clk_a -period 4 -domain A\nclock clk_b -period 7 -domain B\n"
+     + RESETS, OUT_OF_RESET + "run 300 of clk_b\n", False),
+    # values repeat from the start, until a set several hyperperiods (of 70
+    # ticks) in moves the source; the last two sets, at 300 and 320, toggle
+    # it twice within one hyperperiod, so the values at 280 and 350 agree
+    (ENABLED_TOGGLE, A_B7, OUT_OF_RESET + "at clk_a 10 set en 1\nat clk_a 17 set en 0\n"
+     "at clk_a 30 set en 1\nat clk_a 32 set en 0\nrun 200 of clk_b\n", True),
+    # a port source that moves 2 ticks after the boundary at 140, which a
+    # capture at 140 sees through its hold window of 3
+    (PORT_SOURCE, "clock clk_a -period 10 -phase 2 -domain A\nclock clk_b -period 7 "
+     "-domain B\n" + RESETS + "option hold_window 3\n",
+     "at clk_a 0 set rst_b_n 1\nat clk_a 3 set rst_a_n 1\nat clk_a 6 set rst_a_n 0\n"
+     "at clk_a 14 set rst_a_n 1\nrun 200 of clk_b\n", True),
+    # the stability history of 101 samples fills over ten hyperperiods,
+    # while the values repeat every two; its first failure comes after that
+    (ENABLED_TOGGLE, A_B7 + "option stability_cycles 100\n",
+     OUT_OF_RESET + "at clk_a 0 set en 1\nrun 400 of clk_b\n", True),
+    # a setup window of 80 ticks, longer than the hyperperiod of 70: the
+    # values at 70 and 140 agree, but the flips at 0-30 are in the window
+    # of the captures after 70 only
+    (SETTLING, A_B7 + "option setup_window 80\n", OUT_OF_RESET + "run 200 of clk_b\n",
+     True),
+    # a checker that reads the decision reach, which the values compared
+    # with injection off must hold
+    (DST_COUNTER, A_B7 + "static top_bit\n", OUT_OF_RESET + "run 700 of clk_b\n", False),
+    # a counter, with a setup window of 40 ticks past the hyperperiod of 28
+    (_counter(3), "clock clk_a -period 4 -domain A\nclock clk_b -period 7 -domain B\n"
+     + RESETS + "option setup_window 40\noption hold_window 3\n",
+     OUT_OF_RESET + "run 400 of clk_b\n", True),
+    # clocks with nonzero phases, and a run that ends inside a hyperperiod
+    (_counter(3), "clock clk_a -period 6 -phase 5 -domain A\n"
+     "clock clk_b -period 4 -phase 3 -domain B\n" + RESETS,
+     OUT_OF_RESET + "run 333 of clk_b\n", True),
+    (PHASES, PHASES_CLOCKS, PHASES_STIMULUS.replace("run 30 of clk_a", "run 400 of clk_a"),
+     True),
+], ids=["long-counter", "late-sets", "port-set-in-hold-window", "checker-history",
+        "settling-in-a-long-setup-window", "checker-in-the-reach",
+        "counter-in-a-long-setup-window", "phases", "three-clocks"])
+def test_a_shared_path_without_waves_equals_its_runs_until_and_past_a_repeat(
+        rtl, constraints, stimulus, stops):
+    """Without waves, a shared path stops once its state repeats at the
+    same clock phase, and extends its opportunities over the rest of the
+    run: each seed's events, coverage, verdicts and decisions are those of
+    its own run, with the default suite, the same with `--latency *:1:3`
+    and with none, at several probabilities and with injection off.  Under
+    the default suite, where no repeat comes in the run, it runs every tick
+    once."""
+    analysis = analyze_sources([("t.v", rtl)], constraints)
+    stim = parse_stimulus(stimulus)
+    for k, checkers in enumerate((build_checkers(analysis), [],
+                                  build_checkers(analysis, latency=[("*", 1, 3)]))):
+        for msi in MSI_CONFIGS:
+            eng = Engine(analysis, stim, msi, checkers)
+            ran = run_seeds_ticks(eng, waves=(False,))[False]
+            if not k and (not msi.enabled or eng.decisions_unseen()):
+                assert (ran < len(eng.agenda)) == stops, (msi, ran, len(eng.agenda))
 
 
 # -- the steps a run calls ----------------------------------------------------
