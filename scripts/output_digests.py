@@ -25,6 +25,10 @@ elaborator gives its temporaries (`temp-name`), `analyze`, `simulate` and
 (`hier-ties`: a module instanced with two inputs tied to one net, with a
 port left unconnected and with expressions as connections, at two depths,
 under a repeated module that connects its child through expressions),
+`explore --latency *:1:3` on a request/acknowledge loop whose crossing
+source reads the destination domain (`req-ack`, the `REQ_ACK` of
+tests/test_lockstep.py: 16 edges at `--budget 16`, 392 paths, and with
+setup and hold windows of 3 and 2 at `--budget 24`, 43,671 paths),
 `analyze` on sources the
 front end rejects,
 so the positions of its diagnostics are covered too, after multi-line
@@ -147,6 +151,23 @@ HIER_TIES = (
     "  pair v0(.clk(clk), .clk_b(clk_b), .d(t3 ^ e), .q(p0));\n"
     "  pair v1(.clk(clk), .clk_b(clk_b), .d(t2), .q(p1));\n"
     "  assign q = p0 & p1;\nendmodule\n")
+# A request/acknowledge loop: req, the source of ack1, reads ack2.
+REQ_ACK = (
+    "module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, output q);\n"
+    "  reg req, ack1, ack2;\n"
+    "  always @(posedge clk_a or negedge rst_a_n)\n"
+    "    if (!rst_a_n) req <= 1'b0; else req <= ~ack2;\n"
+    "  always @(posedge clk_b or negedge rst_b_n)\n"
+    "    if (!rst_b_n) begin ack1 <= 1'b0; ack2 <= 1'b0; end\n"
+    "    else begin ack1 <= req; ack2 <= ack1; end\n"
+    "  assign q = ack2;\nendmodule\n")
+REQ_ACK_CONSTRAINTS = ("clock clk_a -period 10 -domain A\nclock clk_b -period 7 -domain B\n"
+                       "reset rst_a_n -active_low -domain A\n"
+                       "reset rst_b_n -active_low -domain B\n")
+REQ_ACK_STIMULUS = "at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\nrun 16 of clk_a\n"
+# label: (constraints added, budget)
+REQ_ACK_RUNS = (("req-ack", "", "16"),
+                ("req-ack-windows", "option setup_window 3\noption hold_window 2\n", "24"))
 # Rejected sources: one per kind of tokenizer diagnostic, then parser and
 # declaration errors that come after a multi-line comment, CRLF line ends,
 # tabs, and a last line without a newline, then undeclared names, then one
@@ -341,6 +362,16 @@ def main() -> int:
         for cmd, argv in HIER_COMMANDS:
             print(f"inline-hier-ties {cmd} {digest(cli_main, '.', argv)}", flush=True)
         os.chdir(root)
+
+    for label, options, budget in REQ_ACK_RUNS:
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            Path("rtl.v").write_text(REQ_ACK)
+            Path("constraints.cdc").write_text(REQ_ACK_CONSTRAINTS + options)
+            Path("stimulus.stim").write_text(REQ_ACK_STIMULUS)
+            argv = ["explore", "--latency", "*:1:3", "--budget", budget]
+            print(f"inline-{label} explore-latency {digest(cli_main, '.', argv)}", flush=True)
+            os.chdir(root)
 
     for label, text in REJECTED:
         with tempfile.TemporaryDirectory() as work:

@@ -6,39 +6,14 @@ checker or change a later tick's opportunities it counts the tree
 (Counted trees, below); elsewhere `walk_tree` walks it, depth first with
 the reference resolution (no injection) first, so each checker's first
 counterexample is on the lexicographically first failing path, and
-replays that path with `Engine.run` to record it.  The walk runs on an
-explicit stack of branching ticks, one frame per tick on the current path
-that has opportunities, and stops once every checker has a counterexample.
+replays that path with `Engine.run` to record it.  The walk stops once
+every checker has a counterexample.
 
-A commit advances the state it is given in place, so the search copies
-only the states it keeps: a branching tick's state, for each decision
-vector committed from it, and the reference child, before its walk.
-
-Paths that reach the same state are merged.  The state is its own key:
-`merge_key` is the agenda index with every field of the state that later
-ticks read (net values, flip history, checker states, failures) and its
-decision count, as one tuple.
-
-Sibling derivation.  The decision vectors of one branching tick differ only
-in the crossing destinations they inject.  The all-False vector, the
-reference, is committed first in full, and a copy of its child state
-stays in the tick's frame.  A sibling is derived from it: `Engine.commit_tick` copies
-the reference's values, redoes only the injected destinations' captures
-and takes its history, checker states and failures.  A sibling is derived
-only when
-
-* the tick's commit runs no reset settle (`_EdgeSet.settle`: its edging
-  flops reach no reset net), so the reference's settle held no flop, and
-* each destination it injects is derivable, which `derivable_outputs`
-  decides once per search: no gate reads its output, no checker samples it
-  (`Checker.nets`), and it is neither a monitored crossing source nor a
-  reset net, of a flop or of a checker's domain.
-
-Otherwise the sibling is committed in full.  Either way it goes through
-`Engine.commit_tick`, so the commit count and the injections taken are
-those of a search that derives nothing, and its child is keyed like any
-other state.  `ExploreOutcome` counts the branch commits, the derived ones
-and the merged states.
+A commit advances the state it is given in place, so the walk copies only
+the states it keeps: a branching tick's state, once for each of its
+decision vectors, each committed in full by `Engine.commit_tick`.  Paths
+that reach the same state are merged (`merge_key`).  `ExploreOutcome`
+counts the branch commits and the merged states.
 
 Counted trees.  Before any walk the search computes the decision reach R
 (`Engine.decision_reach`): the outputs of the injectable destinations,
@@ -64,8 +39,8 @@ reference path once, with the walk's own `plan_tick` and `commit_tick`
 and its budget check, and replays it once as the counterexample of every
 checker that fails there.  Its `branches` is 1 when every checker fails
 (the walk stops at its first leaf) and 2**D otherwise.  It commits no
-decision vector at a branching tick, so it derives and merges nothing:
-`commits`, `derived` and `merged` are 0.
+decision vector at a branching tick, so it merges nothing: `commits` and
+`merged` are 0.
 """
 
 from __future__ import annotations
@@ -75,7 +50,6 @@ from itertools import product
 
 from .checkers import Checker
 from .errors import BranchCapExceeded, DecisionBudgetExceeded
-from .netlist import Gate
 from .rules import Analysis
 from .sim import Engine, MsiConfig, SimResult, _State
 from .stimulus import Stimulus
@@ -89,7 +63,6 @@ class ExploreOutcome:
     counterexamples: dict[str, SimResult]
     branches: int
     commits: int        # decision vectors committed at branching ticks
-    derived: int        # of those, the siblings derived from their reference
     merged: int         # states reached again and merged
 
 
@@ -106,23 +79,6 @@ def _copy(state: _State) -> _State:
     """A copy that commits to `state` leave as it is (they replace values)."""
     return _State(state.values, dict(state.hist), state.checkers[:],
                   state.failures[:], state.decisions)
-
-
-def derivable_outputs(eng: Engine, checkers: list[Checker]) -> set[int]:
-    """The crossing destinations, by flop index, whose output no part of a
-    tick reads but the next tick's flops: no gate reads it, no checker
-    samples it, and it is neither a monitored crossing source nor a reset
-    net, of a flop or of a checker's domain.  A sibling that injects only
-    these is derived."""
-    nl = eng.nl
-    read = {net for c in checkers for net in c.nets}
-    read.update(eng.monitored)
-    read.update(net for net, _active in eng.reset_nets)
-    read.update(net for resets in eng.clock_resets.values() for net, _ in resets)
-    return {d.index for d in eng.dsts.values()
-            if d.out not in read and not any(
-                kind == "cell" and isinstance(nl.cells[i], Gate)
-                for kind, i, _pin in nl.nets[d.out].readers)}
 
 
 def explore_exhaustive(analysis: Analysis, stimulus: Stimulus,
@@ -156,15 +112,13 @@ def count_tree(eng: Engine, budget: int) -> ExploreOutcome:
         raise BranchCapExceeded(_BRANCH_CAP)
     cex = dict.fromkeys(failed, eng.run(())) if failed else {}
     verdicts = {cid: ("counterexample" if cid in cex else "proven") for cid in ids}
-    return ExploreOutcome(verdicts, cex, branches, 0, 0, 0)
+    return ExploreOutcome(verdicts, cex, branches, 0, 0)
 
 
 def walk_tree(eng: Engine, budget: int) -> ExploreOutcome:
     """Enumerate every resolution of every opportunity, depth first with the
     reference resolution explored first, until every checker has a
-    counterexample.  A path of more than `budget` decisions raises
-    DecisionBudgetExceeded, and more than _BRANCH_CAP leaves raise
-    BranchCapExceeded.
+    counterexample, under `explore_exhaustive`'s budget and branch cap.
 
     Paths that reach the same state are merged: the search remembers the
     number of leaves below each state it has explored, and a state seen
@@ -178,12 +132,10 @@ def walk_tree(eng: Engine, budget: int) -> ExploreOutcome:
     The search runs on an explicit stack of branching ticks, one frame per
     tick on the current path that has opportunities, so its depth is
     bounded by the budget, not by the interpreter's recursion limit."""
-    checkers = eng.checkers
     agenda = list(eng.agenda)   # indexed on every tick of every path
-    derivable = derivable_outputs(eng, checkers)
-    branches = commits = derived = merged = 0
+    branches = commits = merged = 0
     cex: dict[str, SimResult] = {}
-    ids = [c.id for c in checkers]
+    ids = [c.id for c in eng.checkers]
     leaves: dict[tuple, int] = {}   # explored state -> leaves below it
 
     def count(n: int):
@@ -205,10 +157,9 @@ def walk_tree(eng: Engine, budget: int) -> ExploreOutcome:
 
     def enter(state: _State, agenda_idx: int, path: tuple[bool, ...]):
         """Walk `state` up to its next tick with opportunities, and return
-        the frame that branches there: [state key, branches before it,
-        state, plan, agenda index, path, decision vectors, then a copy of
-        the reference's child].  None when the state needs no walk or the
-        walk reached the end of the run."""
+        the frame that branches there: (state key, branches before it,
+        state, plan, agenda index, path, decision vectors).  None when the
+        state needs no walk or the walk reached the end of the run."""
         nonlocal merged
         key = merge_key(state, agenda_idx)
         below = leaves.get(key)
@@ -223,8 +174,8 @@ def walk_tree(eng: Engine, budget: int) -> ExploreOutcome:
             if state.decisions + k > budget:
                 raise DecisionBudgetExceeded(state.decisions + k, budget)
             if k:
-                return [key, start, state, plan, i, path,
-                        product((False, True), repeat=k), None]
+                return (key, start, state, plan, i, path,
+                        product((False, True), repeat=k))
             eng.commit_tick(state, plan, ())
         leaf(state, path)
         leaves[key] = branches - start
@@ -234,7 +185,7 @@ def walk_tree(eng: Engine, budget: int) -> ExploreOutcome:
     stack = [frame] if frame else []
     while stack and not (ids and len(cex) == len(ids)):
         frame = stack[-1]
-        key, start, state, plan, i, path, vectors, ref = frame
+        key, start, state, plan, i, path, vectors = frame
         vector = next(vectors, None)
         if vector is None:
             stack.pop()
@@ -242,17 +193,9 @@ def walk_tree(eng: Engine, budget: int) -> ExploreOutcome:
             continue
         commits += 1
         branch = _copy(state)
-        # `product` yields the reference, all False, before its siblings
-        if ref is not None and not plan.edges.settle and all(
-                o.dst in derivable for o, take in zip(plan.opps, vector) if take):
-            eng.commit_tick(branch, plan, vector, ref)
-            derived += 1
-        else:
-            eng.commit_tick(branch, plan, vector)
-            if ref is None:
-                frame[7] = _copy(branch)
+        eng.commit_tick(branch, plan, vector)
         frame = enter(branch, i + 1, path + vector)
         if frame:
             stack.append(frame)
     verdicts = {cid: ("counterexample" if cid in cex else "proven") for cid in ids}
-    return ExploreOutcome(verdicts, cex, branches, commits, derived, merged)
+    return ExploreOutcome(verdicts, cex, branches, commits, merged)

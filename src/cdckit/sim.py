@@ -25,10 +25,7 @@ assignment instead of coin flips.
 
 A state holds only what later ticks depend on; a run advances one state
 in place (`commit_tick` writes the tick into the state it is given), and
-explore.py copies the states it keeps.  Given the state its tick commits
-with no injection, the reference, `commit_tick` derives a sibling from
-it: the reference's values with the injected destinations' captures
-redone, through the one capture loop every commit runs.
+explore.py copies the states it keeps.
 
 `plan_tick` and `commit_tick` are explore's branching steps.  A recorded
 run (`Engine.run`: injection log, coverage, and the frames of its waves
@@ -1054,19 +1051,10 @@ class Engine:
         return 0
 
     def commit_tick(self, state: _State, plan: _TickPlan,
-                    decisions: Sequence[bool], reference: _State | None = None,
-                    ) -> tuple[_State, list[MsiEvent]]:
+                    decisions: Sequence[bool]) -> tuple[_State, list[MsiEvent]]:
         """Write the tick into `state`, with one decision per opportunity, and
         return it with the injections taken.  Its values become a new list,
-        a copy of the plan's `post`, so one plan serves several commits.
-
-        `reference`, when given, is the state this commit gives `plan` with
-        no injection, and the state is derived from it: its values with the
-        injected destinations' captures redone, and its history, checker
-        states and failures.  That is exact when the tick's commit runs no
-        reset settle (`plan.edges.settle` false) and nothing of the tick
-        but the capture reads an injected destination's output (no gate,
-        checker, reset or flip history); explore.py decides when."""
+        a copy of the plan's `post`, so one plan serves several commits."""
         tick, vals0, post, dsts, opps, edges, scan = plan
         assert len(decisions) == len(opps)
         state.decisions += len(opps)
@@ -1082,15 +1070,6 @@ class Engine:
                 events.append(tuple.__new__(MsiEvent, (tick, opp.pair, opp.bit, opp.kind,
                                             (post[opp.src_net] ^ flipped) >> opp.bit & 1)))
 
-        if reference is not None:
-            final = reference.values[:]
-            _capture(vals0, post, final, flips,
-                     [self.dsts[i] for i in dict.fromkeys(dst for dst, _src in flips)])
-            state.values = final
-            state.hist.update(reference.hist)
-            state.checkers[:] = reference.checkers
-            state.failures[:] = reference.failures
-            return state, events
         final = post[:]
         if dsts:
             _capture(vals0, post, final, flips, dsts)

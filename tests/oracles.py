@@ -141,9 +141,9 @@ class WaveRecorder(Engine):
         self.waves = {n: [(_NEG, v)] for n, v in enumerate(state.values)}
         return state
 
-    def commit_tick(self, state, plan, decisions, reference=None):
+    def commit_tick(self, state, plan, decisions):
         old = state.values
-        state, events = super().commit_tick(state, plan, decisions, reference)
+        state, events = super().commit_tick(state, plan, decisions)
         new = state.values
         for n in compress(range(len(new)), map(ne, new, old)):
             self.waves[n].append((plan.tick, new[n]))

@@ -4,10 +4,9 @@ import json
 import pytest
 
 import cdckit.explore as explore_mod
-from cdckit.checkers import LatencyChecker, build_checkers, parse_latency
+from cdckit.checkers import build_checkers, parse_latency
 from cdckit.errors import BranchCapExceeded, DecisionBudgetExceeded
-from cdckit.explore import (count_tree, derivable_outputs, explore_exhaustive,
-                            merge_key, walk_tree)
+from cdckit.explore import count_tree, explore_exhaustive, merge_key, walk_tree
 from cdckit.netlist import Gate
 from cdckit.pipeline import analyze_sources
 from cdckit.sim import Engine, MsiConfig, _State, simulate
@@ -190,7 +189,7 @@ def test_converging_paths_are_walked_once(case_loader, monkeypatch):
     assert out.verdicts == {"stability:cdc0": "proven"}
 
 
-def test_explore_counts_commits_derivations_and_merges(case_loader, monkeypatch):
+def test_explore_counts_commits_and_merges(case_loader, monkeypatch):
     """The counters are those of the search: every decision vector of a
     branching tick is one commit, the reference of each tick among them."""
     analysis, stim_text = case_loader("divergence")
@@ -198,17 +197,17 @@ def test_explore_counts_commits_derivations_and_merges(case_loader, monkeypatch)
     vectors = 0
     commit_tick = Engine.commit_tick
 
-    def counted(eng, state, plan, decisions, *reference):
+    def counted(eng, state, plan, decisions):
         nonlocal vectors
         vectors += bool(decisions)
-        return commit_tick(eng, state, plan, decisions, *reference)
+        return commit_tick(eng, state, plan, decisions)
 
     monkeypatch.setattr(Engine, "commit_tick", counted)
     out = walked(analysis, stim, [], budget=16)
     assert out.branches == 64
-    assert (out.commits, out.derived, out.merged) == (vectors, 27, 24)
+    assert (out.commits, out.merged) == (vectors, 24)
     again = walked(analysis, stim, [], budget=16)
-    assert (again.commits, again.derived, again.merged) == (36, 27, 24)
+    assert (again.commits, again.merged) == (36, 24)
 
 
 def test_search_stops_once_every_checker_has_a_counterexample(case_loader, monkeypatch):
@@ -227,7 +226,7 @@ def test_search_stops_once_every_checker_has_a_counterexample(case_loader, monke
     monkeypatch.setattr(Engine, "run", counted)
     out = explore_exhaustive(analysis, parse_stimulus(stim_text), checkers, budget=16)
     assert out.verdicts == {"mux_enable:sync0": "counterexample"}
-    assert (out.branches, out.commits, out.derived, out.merged, replays) == (1, 4, 0, 0, 1)
+    assert (out.branches, out.commits, out.merged, replays) == (1, 4, 0, 1)
 
 
 def fields(state):
@@ -235,106 +234,69 @@ def fields(state):
     return {name: getattr(state, name) for name in _State.__slots__}
 
 
-class DerivationCheck:
-    """Checks every derivation and every merge key of the searches run while
-    it is installed.  Each derived branch equals `Engine.commit_tick` of its
-    vector in full, from a copy of the state it was derived from (values,
-    history, checker states, failures, decisions and events).  At each
-    agenda index, two states' `merge_key`s are equal exactly when the
-    states' fields are.  It also records each sibling
-    vector the search committed in full, a declined derivation, as (whether
-    the tick's commit settles resets, the injected destinations' outputs).
-    `Engine.run`, which replays counterexamples, makes no commit call."""
+class MergeKeyCheck:
+    """Checks every merge key of the searches run while it is installed: at
+    each agenda index, two states' `merge_key`s are equal exactly when the
+    states' fields are.  It counts the pairs of keys it compared, equal and
+    not."""
 
     def __init__(self, monkeypatch):
-        self.derived = 0
-        self.declined: list[tuple[bool, set[int]]] = []
         self.keyed: dict[int, list[tuple[tuple, dict]]] = {}
-        commit, key = Engine.commit_tick, explore_mod.merge_key
-
-        def commit_tick(eng, state, plan, decisions, reference=None):
-            if reference is not None:
-                want = commit(eng, copy.deepcopy(state), plan, decisions)
-            got = commit(eng, state, plan, decisions, reference)
-            if reference is not None:
-                assert fields(got[0]) == fields(want[0]), plan.tick
-                assert got[1] == want[1], plan.tick
-                self.derived += 1
-            elif any(decisions):
-                self.declined.append((plan.edges.settle, {
-                    eng.dsts[o.dst].out for o, take in zip(plan.opps, decisions)
-                    if take}))
-            return got
+        self.compared = {"equal": 0, "distinct": 0}
+        key = explore_mod.merge_key
 
         def merge_key(state, agenda_idx):
             got, now = key(state, agenda_idx), copy.deepcopy(fields(state))
             seen = self.keyed.setdefault(agenda_idx, [])
             for other, other_fields in seen:
                 assert (got == other) == (now == other_fields), agenda_idx
+                self.compared["equal" if got == other else "distinct"] += 1
             if (got, now) not in seen:
                 seen.append((got, now))
             return got
 
-        monkeypatch.setattr(Engine, "commit_tick", commit_tick)
         monkeypatch.setattr(explore_mod, "merge_key", merge_key)
 
     def explore(self, analysis, stim, checkers):
-        """The outcome of one checked search, None past the budget, and the
-        derivations it declined."""
-        self.derived, self.declined, self.keyed = 0, [], {}
+        """The outcome of one checked search, None past the budget."""
+        self.keyed = {}
         try:
-            out = walked(analysis, stim, checkers, budget=16)
+            return walked(analysis, stim, checkers, budget=16)
         except DecisionBudgetExceeded:
-            return None, self.declined
-        assert out.derived == self.derived
-        return out, self.declined
+            return None
 
 
 class KeptStateCheck:
     """Checks the states that the searches run while it is installed keep.
     A frame's pre-state is kept when the walk plans a tick with
-    opportunities from it, and a reference child when `explore._copy`
-    copies a state that is not a kept pre-state; each is deep-copied then.
-    Each time the search copies a kept pre-state for a decision vector, or
-    derives a sibling from a kept reference child, that state must still
-    equal its deep copy.  And no state that the search commits into is
-    kept, or holds the history dict, checker list or failure list of a
-    kept state (the values list, which no commit writes, may be shared).
-    `Engine.run`, which replays counterexamples, makes no plan or commit
-    call."""
+    opportunities from it, and is deep-copied then.  Each time the search
+    copies a state for a decision vector (`explore._copy`), that state must
+    be a kept pre-state that still equals its deep copy.  And no state that
+    the search commits into is kept, or holds the history dict, checker
+    list or failure list of a kept state (the values list, which no commit
+    writes, may be shared).  `Engine.run`, which replays counterexamples,
+    makes no plan or commit call."""
 
     def __init__(self, monkeypatch):
         self.kept: dict[int, tuple] = {}
-        self.uses = {"pre-state": 0, "reference": 0}
+        self.uses = 0
         plan, commit, keep = Engine.plan_tick, Engine.commit_tick, explore_mod._copy
-
-        def hold(state):
-            self.kept[id(state)] = (state, copy.deepcopy(state))
-
-        def check(state, use):
-            assert id(state) in self.kept, use
-            held, snapshot = self.kept[id(state)]
-            assert held is state and fields(state) == fields(snapshot), use
-            self.uses[use] += 1
 
         def plan_tick(eng, state, tick, rng=None):
             got = plan(eng, state, tick, rng)
             if got.opps:
-                hold(state)
+                self.kept[id(state)] = (state, copy.deepcopy(state))
             return got
 
         def copy_state(state):
-            if id(state) in self.kept:
-                check(state, "pre-state")
-                return keep(state)
-            child = keep(state)
-            hold(child)
-            return child
+            assert id(state) in self.kept
+            held, snapshot = self.kept[id(state)]
+            assert held is state and fields(state) == fields(snapshot)
+            self.uses += 1
+            return keep(state)
 
-        def commit_tick(eng, state, plan, decisions, reference=None):
-            if reference is not None:
-                check(reference, "reference")
-            got = commit(eng, state, plan, decisions, reference)
+        def commit_tick(eng, state, plan, decisions):
+            got = commit(eng, state, plan, decisions)
             parts = {id(part) for part in (state.hist, state.checkers, state.failures)}
             for other, _snapshot in self.kept.values():
                 assert other is not state and parts.isdisjoint(
@@ -365,7 +327,7 @@ def test_kept_states_stay_as_kept_on_the_corpus(corpus_root, case_loader, monkey
         for checkers in (_label_checkers(analysis, corpus_root, case),
                          build_checkers(analysis, latency=[("*", 1, 3)])):
             check.explore(analysis, stim, checkers)
-    assert all(n > 100 for n in check.uses.values()), check.uses
+    assert check.uses > 100, check.uses
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -379,36 +341,36 @@ def test_kept_states_stay_as_kept_on_generated_designs(seed, monkeypatch):
         checkers = build_checkers(analysis, latency=latency, select=list(
             gen.EXPLORE_CHECKERS) + ["latency"])
         assert check.explore(analysis, stim, checkers).branches > 1
-    assert all(check.uses.values()), check.uses
+    assert check.uses, check.uses
 
 
 @pytest.mark.parametrize("constraints", [A2_B7, A2_B7 + WINDOWS],
                          ids=["default-windows", "windows-3-2"])
 def test_kept_states_stay_as_kept_on_a_fast_source(constraints, monkeypatch):
     """A source that flips between the destination's captures: the walk
-    below a derived sibling changes its history, while the reference it
-    was derived from serves the tick's other siblings."""
+    below one decision vector's child changes its history, while the
+    tick's pre-state serves the tick's other vectors."""
     analysis = analyze_sources([("t.v", FAST_SOURCE)], constraints)
     stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
                           "run 10 of clk_a\n")
     check = KeptStateCheck(monkeypatch)
     out = check.explore(analysis, stim, [])
-    assert out.derived > 1 and check.uses["reference"] > 1, (out, check.uses)
+    assert out.branches > 1 and check.uses > 1, (out, check.uses)
     monkeypatch.undo()
     assert _explore_equals_replay(analysis, stim, []).branches == out.branches
 
 
 class PlanCheck:
     """Checks what a tick skips while it is installed, on the stepped
-    driver's runs and on `explore`.  A plan takes the state's own values list as its pre-edge
-    values unless it writes them, so each values list that a plan or a
-    commit is given, the reference's too, is snapshotted: no plan or
-    commit may change it (a commit replaces the values).  And a plan looks ahead for hold flips only when the source's
-    clock edges within the hold window: every pair with bits left after its
-    setup bits that the plan does not look ahead for gets 0 from the
-    reference engine's hold lookahead, which finds the next edge its own
-    way, and every source flop it looks ahead for edges within the
-    window."""
+    driver's runs and on `explore`.  A plan takes the state's own values
+    list as its pre-edge values unless it writes them, so each values list
+    that a plan or a commit is given is snapshotted: no plan or commit may
+    change it (a commit replaces the values).  And a plan looks ahead for
+    hold flips only when the source's clock edges within the hold window:
+    every pair with bits left after its setup bits that the plan does not
+    look ahead for gets 0 from the reference engine's hold lookahead, which
+    finds the next edge its own way, and every source flop it looks ahead
+    for edges within the window."""
 
     def __init__(self, monkeypatch):
         self.seen = {"snapshots": 0, "skipped": 0, "looked": 0}
@@ -437,15 +399,11 @@ class PlanCheck:
             looked.append(src)
             return hold(eng, src, tick, *args)
 
-        def commit_tick(eng, state, plan, decisions, reference=None):
+        def commit_tick(eng, state, plan, decisions):
             before = state.values
             watch(before)
-            if reference is not None:
-                watch(reference.values)
-            got = commit(eng, state, plan, decisions, reference)
+            got = commit(eng, state, plan, decisions)
             unchanged(before, ("commit", plan.tick))
-            if reference is not None:
-                unchanged(reference.values, ("reference", plan.tick))
             return got
 
         self.watched = watched
@@ -533,47 +491,35 @@ def _label_checkers(analysis, corpus_root, case):
                           select=lab.get("checkers"))
 
 
-def test_derived_branches_equal_full_commits_on_the_corpus(corpus_root, case_loader,
-                                                           monkeypatch):
+def test_merge_keys_equal_exactly_for_equal_states_on_the_corpus(corpus_root,
+                                                                  case_loader,
+                                                                  monkeypatch):
     """Every corpus case with its label's checkers, with setup and hold
-    windows of 3 and 2, and with `--latency 1:3`.  Derivation is declined
-    only in the latency runs, and only for a destination that a latency
-    checker observes."""
-    check = DerivationCheck(monkeypatch)
-    derived = {"label": 0, "windows": 0, "latency": 0}
-    latency_declined = 0
+    windows of 3 and 2, and with `--latency 1:3`."""
+    check = MergeKeyCheck(monkeypatch)
     for case in _corpus_with_stimulus(corpus_root):
         analysis, stim_text = case_loader(case)
         stim = parse_stimulus(stim_text)
-        runs = {"label": (analysis, _label_checkers(analysis, corpus_root, case))}
         wide = _with_windows(corpus_root, case)
-        runs["windows"] = (wide, _label_checkers(wide, corpus_root, case))
-        runs["latency"] = (analysis, build_checkers(analysis, latency=[("*", 1, 3)]))
-        for run, (a, checkers) in runs.items():
-            out, declined = check.explore(a, stim, checkers)
-            derived[run] += check.derived
-            if run != "latency":
-                assert not declined, (case, run)
-                continue
-            observed = {c.observe_net for c in checkers if isinstance(c, LatencyChecker)}
-            for settle, outs in declined:
-                assert not settle and outs & observed, (case, outs)
-            latency_declined += len(declined)
-    assert all(derived.values()) and latency_declined, (derived, latency_declined)
+        for a, checkers in ((analysis, _label_checkers(analysis, corpus_root, case)),
+                            (wide, _label_checkers(wide, corpus_root, case)),
+                            (analysis, build_checkers(analysis, latency=[("*", 1, 3)]))):
+            check.explore(a, stim, checkers)
+    assert all(n > 100 for n in check.compared.values()), check.compared
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_derived_branches_equal_full_commits_on_generated_designs(seed, monkeypatch):
+def test_merge_keys_equal_exactly_for_equal_states_on_generated_designs(seed, monkeypatch):
     gen = load_gen()
     d = gen.build("explore", seed, 8, purpose="explore", run_edges=4, gray_sources=2)
     analysis = analyze_sources([("rtl.v", d.files["rtl.v"])], d.files["constraints.cdc"])
     stim = parse_stimulus(d.files["stimulus.stim"])
-    check = DerivationCheck(monkeypatch)
+    check = MergeKeyCheck(monkeypatch)
     for latency in (None, [("*", 1, 3)]):
         checkers = build_checkers(analysis, latency=latency, select=list(
             gen.EXPLORE_CHECKERS) + ["latency"])
-        out, declined = check.explore(analysis, stim, checkers)
-        assert not declined and out.derived > out.commits // 2, out
+        assert check.explore(analysis, stim, checkers).branches > 1
+    assert all(check.compared.values()), check.compared
 
 
 _HEAD = "module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n, output q);\n"
@@ -637,8 +583,9 @@ def _gate_reads(eng, net):
                for kind, i, _pin in eng.nl.nets[net].readers)
 
 
-# name: (source, constraints, destination flop, the reason it is declined)
-DECLINED = {
+# name: (source, constraints, destination flop, what reads its output within
+# the tick that captures it)
+READ_IN_TICK = {
     "read-by-gate": (DST_READ_BY_GATE, A_B7, "q1",
                      lambda eng, out: _gate_reads(eng, out)),
     "monitored": (TWO_HOP, A_B7, "m", lambda eng, out: out in eng.monitored),
@@ -646,47 +593,41 @@ DECLINED = {
                   lambda eng, out: out in {n for n, _active in eng.reset_nets}),
     "domain-reset": (SYNC, A_B7 + "reset q1 -domain B\n", "q1",
                      lambda eng, out: (out, 1) in eng.clock_resets["clk_b"]),
-    "commit-settles": (SETTLE_RESETS_DST, A_B5, "d1", None),
+    "commit-settles": (SETTLE_RESETS_DST, A_B5, "d1",
+                       lambda eng, out: any(edges.settle and any(d.out == out for d in edges.dsts)
+                                            for edges in eng.edge_set.values())),
 }
 
 
-@pytest.mark.parametrize("name", DECLINED)
-def test_derivation_is_declined(name, monkeypatch):
-    source, constraints, flop, reason = DECLINED[name]
+@pytest.mark.parametrize("name", READ_IN_TICK)
+def test_explore_where_a_destination_is_read_within_its_tick(name):
+    """A destination whose output more than the next tick's flops read: a
+    gate, a later crossing, a reset, a checker's domain reset, or the reset
+    settle of the commit that captures it."""
+    source, constraints, flop, reads = READ_IN_TICK[name]
     analysis = analyze_sources([("t.v", source)], constraints)
     stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
                           "run 12 of clk_a\n")
     checkers = build_checkers(analysis)
     eng = Engine(analysis, stim, MsiConfig(), checkers)
     dst = next(d for d in eng.dsts.values() if analysis.netlist.cells[d.index].name == flop)
-    derivable = derivable_outputs(eng, checkers)
-    if reason is None:
-        # derivable on its own, declined on the ticks whose commit settles
-        assert derivable == {dst.index}
-    else:
-        assert dst.index not in derivable and reason(eng, dst.out)
-    check = DerivationCheck(monkeypatch)
-    out, declined = check.explore(analysis, stim, checkers)
-    assert out.branches > 1 and declined
-    assert all(dst.out in outs and (settle or reason is not None)
-               for settle, outs in declined), declined
-    monkeypatch.undo()
-    _explore_equals_replay(analysis, stim, checkers)
+    assert reads(eng, dst.out)
+    assert _explore_equals_replay(analysis, stim, checkers).branches > 1
 
 
 @pytest.mark.parametrize("constraints, edges", [(A_B7, 16), (A_B7 + WINDOWS, 8)],
                          ids=["default-windows", "windows-3-2"])
-def test_derivation_where_sources_depend_on_decisions(constraints, edges, monkeypatch):
+def test_explore_where_sources_depend_on_decisions(constraints, edges, monkeypatch):
     """In a request/acknowledge loop, when req flips depends on earlier
     injections at ack1, so one tick's reference captures differ from path
-    to path, and an injected sibling can capture what another path's
+    to path, and an injected vector can capture what another path's
     reference captured at that tick."""
     analysis = analyze_sources([("t.v", REQ_ACK)], constraints)
     stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
                           f"run {edges} of clk_a\n")
-    check = DerivationCheck(monkeypatch)
-    out, declined = check.explore(analysis, stim, [])
-    assert out.derived and declined, out      # req, a crossing source, is declined
+    check = MergeKeyCheck(monkeypatch)
+    out = check.explore(analysis, stim, [])
+    assert out.merged and all(check.compared.values()), (out, check.compared)
     monkeypatch.undo()
     assert _explore_equals_replay(analysis, stim, []).branches == out.branches
 
@@ -700,8 +641,8 @@ def test_states_that_differ_only_in_checker_states_are_kept_apart(monkeypatch):
     stim = parse_stimulus("at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\n"
                           "run 8 of clk_a\n")
     checkers = build_checkers(analysis, latency=[("*", 1, 3)])
-    check = DerivationCheck(monkeypatch)
-    out, _declined = check.explore(analysis, stim, checkers)
+    check = MergeKeyCheck(monkeypatch)
+    out = check.explore(analysis, stim, checkers)
     assert any(a["checkers"] != b["checkers"] and
                {**a, "checkers": None} == {**b, "checkers": None}
                for seen in check.keyed.values()
@@ -736,7 +677,7 @@ def _counted_equals_walk(analysis, stim, checkers) -> tuple:
         assert (cex.events, cex.frames, cex.decisions) == \
             (res.events, res.frames, res.decisions), cid
     if counted:
-        assert (got.commits, got.derived, got.merged) == (0, 0, 0)
+        assert (got.commits, got.merged) == (0, 0)
     if want.branches <= 64:
         _explore_equals_replay(analysis, stim, checkers)
     return counted, got
