@@ -14,7 +14,9 @@ designs hold a few, `simulate --seeds 1..2` on the benchmark's generated
 2k-net simulation design and `explore` on its 1k-net exploration design
 (seed 1), the same command lines the benchmark runs, that `simulate`
 again with `--vcd`, whose waves have two-character ids, ids with braces
-and nets of 8 to 16 bits, that `explore` on the exploration designs of
+and nets of 8 to 16 bits, and with `--checkers none`, which leaves only
+what decides the opportunities in the cone that a run without waves
+evaluates, that `explore` on the exploration designs of
 seeds 2 and 3 and with `--latency 1:3` on seed 1,
 `analyze`, `simulate` and `generate` on three inline sources at the edges
 of the netlist builder (a floating net, a one-operand concatenation, a
@@ -29,6 +31,14 @@ under a repeated module that connects its child through expressions),
 source reads the destination domain (`req-ack`, the `REQ_ACK` of
 tests/test_lockstep.py: 16 edges at `--budget 16`, 392 paths, and with
 setup and hold windows of 3 and 2 at `--budget 24`, 43,671 paths),
+`simulate --seeds 1..3` without waves, with `--vcd` and with latency
+checkers alone, `explore` and `explore --latency 1:3` on seven designs at
+the edges of that cone (`cone-*`, those of tests/test_cone.py: a
+destination that latency checkers read and stability checkers do not, a
+gated flop outside the cone, a random port outside it drawn before one
+inside, a destination that is a reset net, a source whose hold lookahead
+crosses a gated clock, a destination outside the cone held by its reset
+and its gated clock, and a destination declared its domain's reset),
 `analyze` on sources the
 front end rejects,
 so the positions of its diagnostics are covered too, after multi-line
@@ -168,6 +178,88 @@ REQ_ACK_STIMULUS = "at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\nrun 16 o
 # label: (constraints added, budget)
 REQ_ACK_RUNS = (("req-ack", "", "16"),
                 ("req-ack-windows", "option setup_window 3\noption hold_window 2\n", "24"))
+# Designs at the edges of the observed cone that a run without waves
+# evaluates (src/cdckit/sim.py, What a run evaluates; tests/test_cone.py
+# runs the same): label, source, constraints added, stimulus.
+_CONE_HEAD = "module top(input clk_a, input clk_b, input rst_a_n, input rst_b_n"
+_CONE_SYNC = (
+    "  always @(posedge clk_a or negedge rst_a_n)\n"
+    "    if (!rst_a_n) s <= 1'b0; else s <= ~s;\n"
+    "  always @(posedge clk_b or negedge rst_b_n)\n"
+    "    if (!rst_b_n) begin q1 <= 1'b0; q2 <= 1'b0; end\n"
+    "    else begin q1 <= s; q2 <= q1; end\n")
+_CONE_STIMULUS = "at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\nrun 24 of clk_a\n"
+CONE_EDGES = (
+    # q1 is read by latency checkers (through q2), not by stability
+    ("cone-sync", _CONE_HEAD + ", output q);\n  reg s, q1, q2;\n" + _CONE_SYNC
+     + "  assign q = q2;\nendmodule\n", "", _CONE_STIMULUS),
+    # g, on a clock that en gates, feeds only an output
+    ("cone-gated-outside", _CONE_HEAD + ", output q, output w);\n  reg s, q1, q2, en, g;\n"
+     "  wire gclk;\n  assign gclk = clk_a & en;\n" + _CONE_SYNC
+     + "  always @(posedge clk_a or negedge rst_a_n)\n"
+       "    if (!rst_a_n) en <= 1'b0; else en <= ~en;\n"
+       "  always @(posedge gclk) g <= ~g;\n  assign q = q2;\n  assign w = g;\nendmodule\n",
+     "", _CONE_STIMULUS),
+    # r1, drawn before r2, feeds only x; s follows r2
+    ("cone-random-outside", _CONE_HEAD + ", input r1, input r2, output q, output w);\n"
+     "  reg s, q1, q2, x;\n"
+     "  always @(posedge clk_a or negedge rst_a_n)\n"
+     "    if (!rst_a_n) begin s <= 1'b0; x <= 1'b0; end\n"
+     "    else begin s <= r2; x <= x ^ r1; end\n"
+     "  always @(posedge clk_b or negedge rst_b_n)\n"
+     "    if (!rst_b_n) begin q1 <= 1'b0; q2 <= 1'b0; end\n"
+     "    else begin q1 <= s; q2 <= q1; end\n"
+     "  assign q = q2;\n  assign w = x;\nendmodule\n",
+     "", "random -ports r1,r2 -p 0.5 -seed 1\n" + _CONE_STIMULUS),
+    # the destination r1 is the reset of x
+    ("cone-dst-reset", _CONE_HEAD + ", output q);\n  reg s, r1, x;\n"
+     "  always @(posedge clk_a or negedge rst_a_n)\n"
+     "    if (!rst_a_n) s <= 1'b0; else s <= ~s;\n"
+     "  always @(posedge clk_b or negedge rst_b_n)\n"
+     "    if (!rst_b_n) r1 <= 1'b0; else r1 <= s;\n"
+     "  always @(posedge clk_b or negedge r1)\n"
+     "    if (!r1) x <= 1'b0; else x <= ~x;\n"
+     "  assign q = x;\nendmodule\n", "", _CONE_STIMULUS),
+    # the source g is clocked through a gate, so its hold lookahead asks
+    # whether that clock rises
+    ("cone-hold-gated", _CONE_HEAD + ", input gate_en, output q);\n"
+     "  reg g, gate_ff, q1, q2;\n  wire gclk;\n  assign gclk = clk_a & gate_ff;\n"
+     "  always @(posedge clk_a or negedge rst_a_n)\n"
+     "    if (!rst_a_n) gate_ff <= 1'b0; else gate_ff <= gate_en;\n"
+     "  always @(posedge gclk) g <= ~g;\n"
+     "  always @(posedge clk_b or negedge rst_b_n)\n"
+     "    if (!rst_b_n) begin q1 <= 1'b0; q2 <= 1'b0; end\n"
+     "    else begin q1 <= g; q2 <= q1; end\n"
+     "  assign q = q2;\nendmodule\n", "",
+     "at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\nat clk_a 2 set gate_en 1\n"
+     "at clk_a 9 set gate_en 0\nat clk_a 14 set gate_en 1\nrun 24 of clk_a\n"),
+    # the destination q1 edges on a gated clock and its reset is asserted
+    # mid-run
+    ("cone-gated-dst", _CONE_HEAD + ", input gate_en, output q);\n"
+     "  reg s, gate_ff, q1, q2;\n  wire gclk;\n  assign gclk = clk_b & gate_ff;\n"
+     "  always @(posedge clk_a or negedge rst_a_n)\n"
+     "    if (!rst_a_n) s <= 1'b0; else s <= ~s;\n"
+     "  always @(posedge clk_b or negedge rst_b_n)\n"
+     "    if (!rst_b_n) gate_ff <= 1'b0; else gate_ff <= gate_en;\n"
+     "  always @(posedge gclk or negedge rst_b_n)\n"
+     "    if (!rst_b_n) begin q1 <= 1'b0; q2 <= 1'b0; end\n"
+     "    else begin q1 <= s; q2 <= q1; end\n"
+     "  assign q = q2;\nendmodule\n", "",
+     "at clk_a 0 set rst_a_n 1\nat clk_a 0 set rst_b_n 1\nat clk_a 2 set gate_en 1\n"
+     "at clk_a 8 set gate_en 0\nat clk_a 11 set gate_en 1\nat clk_a 14 set rst_b_n 0\n"
+     "at clk_a 18 set rst_b_n 1\nrun 24 of clk_a\n"),
+    # the destination q1 is declared the reset of domain B
+    ("cone-dst-domain-reset", _CONE_HEAD + ", output q);\n  reg s, q1, q2;\n" + _CONE_SYNC
+     + "  assign q = q2;\nendmodule\n", "reset q1 -domain B\n", _CONE_STIMULUS),
+)
+CONE_COMMANDS = (
+    ("simulate", ["simulate", "--seeds", "1..3"]),
+    ("simulate-vcd", ["simulate", "--seeds", "1..3", "--vcd", "{out}/trace.vcd"]),
+    ("simulate-latency", ["simulate", "--seeds", "1..3", "--latency", "1:3",
+                          "--checkers", "latency"]),
+    ("explore", ["explore"]),
+    ("explore-latency", ["explore", "--latency", "1:3"]),
+)
 # Rejected sources: one per kind of tokenizer diagnostic, then parser and
 # declaration errors that come after a multi-line comment, CRLF line ends,
 # tabs, and a last line without a newline, then undeclared names, then one
@@ -325,7 +417,9 @@ def main() -> int:
     runs.append((gen.build("sim", 1, 8, block=gen.SIM_BLOCK, purpose="sim",
                            run_edges=30), 1,
                  (("simulate-seeds", sim_seeds),
-                  ("simulate-seeds-vcd", sim_seeds + ["--vcd", "{out}/trace.vcd"]))))
+                  ("simulate-seeds-vcd", sim_seeds + ["--vcd", "{out}/trace.vcd"]),
+                  ("simulate-no-checkers", ["simulate", "--seeds", "1..2",
+                                            "--checkers", "none"]))))
     explore = ["explore", "--budget", "16", "--checkers", ",".join(gen.EXPLORE_CHECKERS)]
     for seed in (1, 2, 3):
         commands = (("explore", explore),)
@@ -371,6 +465,16 @@ def main() -> int:
             Path("stimulus.stim").write_text(REQ_ACK_STIMULUS)
             argv = ["explore", "--latency", "*:1:3", "--budget", budget]
             print(f"inline-{label} explore-latency {digest(cli_main, '.', argv)}", flush=True)
+            os.chdir(root)
+
+    for label, text, constraints, stimulus in CONE_EDGES:
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            Path("rtl.v").write_text(text)
+            Path("constraints.cdc").write_text(REQ_ACK_CONSTRAINTS + constraints)
+            Path("stimulus.stim").write_text(stimulus)
+            for cmd, argv in CONE_COMMANDS:
+                print(f"inline-{label} {cmd} {digest(cli_main, '.', argv)}", flush=True)
             os.chdir(root)
 
     for label, text in REJECTED:

@@ -12,7 +12,10 @@ every checker has a counterexample.
 A commit advances the state it is given in place, so the walk copies only
 the states it keeps: a branching tick's state, once for each of its
 decision vectors, each committed in full by `Engine.commit_tick`.  Paths
-that reach the same state are merged (`merge_key`).  `ExploreOutcome`
+that reach the same state are merged (`merge_key`).  A search evaluates
+only the observed cone (sim.py, What a run evaluates), so a merge key holds
+the values of the cone's nets alone, and paths whose states differ only
+outside it, where the search computes nothing, merge.  `ExploreOutcome`
 counts the branch commits and the merged states.
 
 Counted trees.  Before any walk the search computes the decision reach R
@@ -68,17 +71,19 @@ class ExploreOutcome:
 
 def merge_key(state: _State, agenda_idx: int) -> tuple:
     """The key of `state` at agenda index `agenda_idx` under which
-    exploration merges paths: the state's own fields, so equal exactly for
-    equal states.  `hist` keeps the insertion order of `Engine.monitored`,
-    so its values line up from state to state."""
-    return (agenda_idx, state.decisions, tuple(state.values),
+    exploration merges paths: the state's own fields, of its values those
+    of the observed cone, the only ones a search evaluates and the only
+    ones its verdicts, branches and opportunities read.  `hist` keeps the
+    insertion order of `Engine.monitored`, so its values line up from
+    state to state."""
+    return (agenda_idx, state.decisions, state.view.observed(state.values),
             tuple(state.hist.values()), tuple(state.checkers), tuple(state.failures))
 
 
 def _copy(state: _State) -> _State:
     """A copy that commits to `state` leave as it is (they replace values)."""
     return _State(state.values, dict(state.hist), state.checkers[:],
-                  state.failures[:], state.decisions)
+                  state.failures[:], state.decisions, state.view)
 
 
 def explore_exhaustive(analysis: Analysis, stimulus: Stimulus,

@@ -33,20 +33,48 @@ when they are to be written) does the same work in one fused loop body
 per tick, with the engine's constants in locals, and calls neither step:
 it builds no plan, draws or reads each decision as its opportunity is
 found, and calls the helpers that do the work of some ticks only
-(`_drive`, `_settle_resets`, `_rises`, `_hold_toggles`, `_capture`),
+(`_drive`, `_View.settle_resets`, `_rises`, `_hold_toggles`, `_capture`),
 which the steps call too.  tests/oracles.py keeps the driver that records
 a run through the two steps, a plan and a commit per tick, and
 tests/test_run_loop.py holds the fused loop to it and to
 `ReferenceEngine`.  A counterexample is the replay of its branch's
 decision path, exact as exhaustive runs are not random.
 
+What a run evaluates.  A run without waves reports verdicts, injection
+events, coverage and its decision count, and these read only a few nets,
+the roots: each checker's `nets` and the resets of its clocks' domains,
+the monitored crossing sources, the reset nets and each destination
+flop's clock.  The engine computes once the observed cone
+(`Engine.observed`), the roots closed backward over gate inputs and over
+each flop's data, enable, clock and reset (Clarke, Grumberg and Peled,
+"Model Checking", MIT Press 1999, on cone-of-influence reduction).  No
+net of the cone is driven by a net outside it, so by induction over the
+ticks a run that evaluates only the cone gives its nets the values that
+evaluating every net gives them: a tick reads only cone nets to drive its
+gates, to decide which flops capture and which resets hold, and to find
+which source bits flip near a capture.  Such a run (`Engine.view`, the
+state's `_View`) compiles only the cone's gates, clocks only its flops
+and captures only the destinations inside it; the nets outside it,
+but for the input ports that the stimulus drives, keep their initial
+values.  It still searches every destination for
+opportunities, whose clock and reset are roots, and it still draws for
+every random port, so the events, the coverage, the decision counts and
+the RNG's draw order are those of the full evaluation.  A run with waves
+writes every net of every tick, so it evaluates every net
+(`Engine.full_view`).  The gates outside the cone are compiled on its
+first need, into kernels that run after the cone's own in each activity
+group, which is topological as no gate of the cone reads a net outside
+it; no gate is compiled twice.  `run(waves=...)`, `run_seeds` and
+`initial_state(waves)` pick the view, and `plan_tick` and `commit_tick`
+evaluate the view of the state they are given.
+
 Evaluation is compiled, not interpreted (levelized compiled-code
 simulation).  Each netlist is compiled once into straight-line Python with
 constant masks: the gates, and cone kernels, the enable and data of one
 crossing destination with its sources substituted or one gated flop clock
 with its root substituted.  Kernels are cached on the `Netlist`, so every
-seed and exploration branch of a design shares them; the cone kernels an
-engine needs are compiled together, in one `compile`.  A group of gates
+seed and exploration branch of a design shares them; the cone kernels a
+view needs are compiled together, in one `compile`.  A group of gates
 (below) is cut into runs, consecutive gates of one instance, and a shape
 of run that recurs (the same module's gates in another instance, wired
 alike) is compiled once, with placeholders for its nets; each of its runs
@@ -61,8 +89,8 @@ tested against.
 The gates are grouped by activity signature, the set of clock roots and
 input ports in their fan-in (`CombGroups`), and each group is compiled
 once.  Groups run in (popcount, signature) order, which is topological.  A
-full pass runs every group: the initial state and each reset settle use
-it.  A pass after some nets changed runs only the groups whose signature
+full pass runs every group of a view: the initial state and each reset
+settle use it.  A pass after some nets changed runs only the groups whose signature
 meets theirs: the port drive runs the groups the input ports reach, and
 the hold lookahead and the commit run the groups that the outputs of the
 tick's edging flops reach, since those are the only nets in which their
@@ -71,8 +99,8 @@ values differ from the tick's settled pre-edge values.
 Scheduling is done once per engine, not per tick.  What a tick does that
 depends only on which clocks edge at it (the flops that capture, the
 crossing destinations among them, the gated flops whose clock must be
-checked, and the checkers that sample) is one `_EdgeSet`, built in
-`Engine.__init__` for each distinct set of clocks that edge together.  A
+checked, and the checkers that sample) is one `_EdgeSet`, built with its
+view for each distinct set of clocks that edge together.  A
 clock edges at its phase plus each multiple of its period, with 0 <= phase
 < period, so which clocks edge at a tick depends only on the tick modulo
 the hyperperiod, the least common multiple of the periods: the engine maps
@@ -112,10 +140,12 @@ change nothing.
 Seeds that share a path.  The decision reach R (`Engine.decision_reach`)
 is the set of nets that a decision can change: the injectable
 destinations' outputs, closed forward through every gate and flop input.
-`Engine.decisions_unseen` holds when no checker reads a net of R, neither
-one of its `nets` nor a reset of its clocks' domains, and R holds no net
-that shapes a tick's opportunities: no monitored crossing source, reset
-net or destination flop clock.  Then, by the induction of explore.py's
+`Engine.decisions_unseen` holds when R misses the observed cone.  R is
+closed forward and the cone backward over the same pins, so that is when
+no checker reads a net of R, neither one of its `nets` nor a reset of its
+clocks' domains, and R holds no net that shapes a tick's opportunities:
+no monitored crossing source, reset net or destination flop clock.  Then,
+by the induction of explore.py's
 Counted trees, every net outside R has the same value on every decision
 path: each checker's samples, and each tick's opportunity list with each
 opportunity's kind and its source's post-edge value, are those of any
@@ -143,9 +173,9 @@ tick does depends only on the state and on the tick modulo the
 hyperperiod: the edge sets repeat, the hold lookahead reads `(phase -
 tick) % period`, and no port moves.  So at a hyperperiod boundary B the
 rest of the run is fixed by the state's key at B:
-* the values of the nets outside R, which no decision moves and which no
-  net of R feeds, or of every net with injection off, since then R is
-  seen by nobody but may be read by a checker;
+* the values of the observed cone's nets, which R misses (or, with
+  injection off, which no decision moves) and which no net outside the
+  cone feeds;
 * each monitored net's flips that a tick at or after B can read, those at
   or after B - `setup_window`, as (B - tick, flipped bits);
 * the checker states.
@@ -247,12 +277,14 @@ class _State:
     """What the next tick depends on, advanced in place by `commit_tick`:
     the net values (a commit replaces the list and writes none), each
     monitored net's recent flips as (tick, flipped bits), newest first, the
-    checker states, the first failures and the decision count."""
-    __slots__ = ("values", "hist", "checkers", "failures", "decisions")
+    checker states, the first failures and the decision count; and the
+    engine's `_View` that its ticks evaluate, the observed cone's or every
+    net's (module docstring, What a run evaluates)."""
+    __slots__ = ("values", "hist", "checkers", "failures", "decisions", "view")
 
-    def __init__(self, values, hist, checkers, failures, decisions):
+    def __init__(self, values, hist, checkers, failures, decisions, view):
         self.values, self.hist, self.checkers = values, hist, checkers
-        self.failures, self.decisions = failures, decisions
+        self.failures, self.decisions, self.view = failures, decisions, view
 
 
 class _Dst(NamedTuple):
@@ -261,7 +293,9 @@ class _Dst(NamedTuple):
     out: int
     enable: int | None
     srcs: tuple[int, ...]           # its pairs' source nets, substituted
-    kernel: object                  # capture cone; None when it is srcs[0]
+    # capture cone; None when it is srcs[0], and outside the observed cone
+    # until the full evaluation compiles it
+    kernel: object
     # its pairs by id, as (id, source net, mask of the pair's width, and the
     # source clock's phase and period: a port's are 0 and 1)
     pairs: tuple[tuple[str, int, int, int, int], ...]
@@ -270,8 +304,9 @@ class _Dst(NamedTuple):
 class _EdgeSet(NamedTuple):
     """What a tick does that depends only on which clocks edge at it."""
     flops: tuple[tuple[int, int, int, int | None], ...]  # (index, out, data, enable)
-    dsts: tuple[_Dst, ...]          # the crossing destinations among them
-    gated: tuple[int, ...]          # the gated flops among them
+    dsts: tuple[_Dst, ...]          # the crossing destinations edging, searched
+    captures: tuple[_Dst, ...]      # those among its flops, which capture
+    gated: tuple[int, ...]          # the gated flops and destinations among them
     comb: tuple                     # the gate kernels their outputs reach
     # the monitored nets the tick can change: those its flops' outputs
     # reach, and those they or the input ports reach
@@ -325,7 +360,7 @@ class _TickPlan(NamedTuple):
     tick: int
     vals0: list[int]                # pre-edge values: the state's list unless written
     post: list[int]                 # vals0 with each edged flop's next value
-    dsts: Sequence[_Dst]            # crossing destinations capturing
+    dsts: Sequence[_Dst]            # crossing destinations capturing (`captures`)
     opps: list[Opportunity]
     edges: _EdgeSet
     scan: Sequence[int]             # the monitored nets the tick can change
@@ -454,14 +489,36 @@ class CombGroups(NamedTuple):
             kernels for sig, _gates, kernels, _sizes in self.groups if sig & mask))
 
 
+def _grouped(activity: list[int], groups: tuple) -> CombGroups:
+    return CombGroups(activity, groups, _run_all(tuple(chain.from_iterable(
+        kernels for _sig, _gates, kernels, _sizes in groups))))
+
+
+def _joined(first: CombGroups, then: CombGroups) -> CombGroups:
+    """The gates of `first` and of `then`, where no gate of `first` reads a
+    net that a gate of `then` drives: in each group, `first`'s kernels run
+    before `then`'s, which is topological."""
+    merged: dict[int, tuple] = {}
+    for sig, gates, kernels, sizes in chain(first.groups, then.groups):
+        had = merged.get(sig)
+        merged[sig] = (sig, gates, kernels, sizes) if had is None else \
+            (sig, had[1] + gates, had[2] + kernels, had[3] + sizes)
+    return _grouped(first.activity, tuple(
+        merged[sig] for sig in sorted(merged, key=lambda sig: (sig.bit_count(), sig))))
+
+
 def _activity(nl: Netlist) -> list[int]:
-    """The activity signature of each net.  An input port carries PORT_BIT.
-    A flop output carries one bit per clock root, where a root is the set of
-    input ports in the fan-in of the flop's clock: the netlist alone tells
-    it, so the kernels can be cached on the netlist, and flops of one
-    declared clock share it unless a port gates their clock.  Consts,
-    black-box outputs and undriven nets never change and carry 0."""
-    sig = [0] * len(nl.nets)
+    """The activity signature of each net, computed once per netlist.  An
+    input port carries PORT_BIT.  A flop output carries one bit per clock
+    root, where a root is the set of input ports in the fan-in of the
+    flop's clock: the netlist alone tells it, so the kernels can be cached
+    on the netlist, and flops of one declared clock share it unless a port
+    gates their clock.  Consts, black-box outputs and undriven nets never
+    change and carry 0."""
+    sig = nl.kernels.get("activity")
+    if sig is not None:
+        return sig
+    sig = nl.kernels["activity"] = [0] * len(nl.nets)
     for p in nl.ports:
         if p.direction == "in":
             sig[p.net] = PORT_BIT
@@ -531,10 +588,11 @@ def _bound(template, name: str, nets: tuple[int, ...]):
                         template.__globals__, name)
 
 
-def _compile_comb(nl: Netlist) -> CombGroups:
+def _compile_comb(nl: Netlist, gates: Sequence[int]) -> CombGroups:
+    """The gates `gates`, in topological order, grouped and compiled."""
     activity = _activity(nl)
     members: dict[int, list[int]] = {}
-    for i in nl.comb_topo():
+    for i in gates:
         members.setdefault(activity[nl.cells[i].out], []).append(i)
     order = sorted(members, key=lambda sig: (sig.bit_count(), sig))
 
@@ -586,8 +644,10 @@ def _compile_comb(nl: Netlist) -> CombGroups:
                           for name, shape, nets, _gates in parts[sig]),
                     tuple(len(gates) for *_rest, gates in parts[sig]))
                    for sig in order)
-    return CombGroups(activity, groups, _run_all(tuple(chain.from_iterable(
-        kernels for _sig, _gates, kernels, _sizes in groups))))
+    # the kernels read no global name, so their namespace, which holds
+    # them and is their globals, is emptied: no reference cycle is left
+    ns.clear()
+    return _grouped(activity, groups)
 
 
 def _cone_sources(nl: Netlist, name: str, targets: tuple[int, ...],
@@ -619,11 +679,13 @@ def _compile_cones(nl: Netlist, specs: list[tuple[tuple[int, ...], tuple[int, ..
     return [ns[f"cone{j}"] for j in range(len(specs))]
 
 
-def comb_groups(nl: Netlist) -> CombGroups:
-    """The grouped gate kernels of `nl`, compiled once per netlist."""
-    k = nl.kernels.get("comb")
+def comb_groups(nl: Netlist, gates: Sequence[int] | None = None) -> CombGroups:
+    """The grouped kernels of `gates`, in topological order (by default
+    every gate of `nl`), compiled once per netlist."""
+    key = ("comb", tuple(nl.comb_topo() if gates is None else gates))
+    k = nl.kernels.get(key)
     if k is None:
-        k = nl.kernels["comb"] = _compile_comb(nl)
+        k = nl.kernels[key] = _compile_comb(nl, key[1])
     return k
 
 
@@ -667,184 +729,29 @@ def _capture(vals0: list[int], post: list[int], final: list[int],
             final[out] = data if enabled & 1 else vals0[out]
 
 
-class Engine:
-    def __init__(self, analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
-                 checkers: list[Checker], scope: str = "sim"):
-        self.a = analysis
-        self.nl = analysis.netlist
-        self.msi = msi
-        self.scope = scope
-        cs = analysis.constraints
-        self.setup_window = cs.options["setup_window"]
-        self.hold_window = cs.options["hold_window"]
+def _values_of(nets: Sequence[int]):
+    """The function that gives the values of `nets` in a values list, as a
+    tuple."""
+    if len(nets) > 1:
+        return itemgetter(*nets)
+    return lambda values: tuple([values[n] for n in nets])
 
-        self.clocks: dict[str, ClockSpec] = {c.name: c for c in cs.clocks}
-        run_clock = self.clocks.get(stimulus.run_clock)
-        if run_clock is None:
-            raise StimulusOutOfRange(f"run clock {stimulus.run_clock!r} is not declared")
-        self.end_tick = run_clock.edge_tick(stimulus.run_edges - 1)
-        self.edges_per_clock = run_clock_edges(stimulus, cs.clocks, self.end_tick)
-        # the clocks that edge at each tick of one hyperperiod, bit i for
-        # cs.clocks[i].  A clock edges at its phase plus each multiple of
-        # its period, and 0 <= phase < period, so the pattern repeats every
-        # hyperperiod from tick 0; a run shorter than one is one block
-        self.hyperperiod = lcm(*(c.period for c in cs.clocks))
-        edge_mask: dict[int, int] = {}
-        for bit, c in enumerate(cs.clocks):
-            for t in range(c.phase, min(self.hyperperiod, self.end_tick + 1), c.period):
-                edge_mask[t] = edge_mask.get(t, 0) | 1 << bit
-        self.agenda = _Agenda(tuple(sorted(edge_mask)), self.hyperperiod, self.end_tick)
 
-        # port driving
-        self.port_net = {p.name: p.net for p in self.nl.ports if p.direction == "in"}
-        self.sets_at: dict[int, list[tuple[int, int]]] = {}
-        self.port_schedule: dict[int, list[tuple[int, int]]] = {}
-        for s in stimulus.sets:
-            spec = self.clocks.get(s.clock)
-            if spec is None:
-                raise StimulusOutOfRange(f"stimulus clock {s.clock!r} is not declared")
-            if s.port not in self.port_net:
-                raise StimulusOutOfRange(f"stimulus port {s.port!r} is not an input")
-            tick = spec.edge_tick(s.edge)
-            if tick > self.end_tick:
-                raise StimulusOutOfRange(
-                    f"stimulus at {s.clock} edge {s.edge} lands after the run ends")
-            net = self.port_net[s.port]
-            width = self.nl.nets[net].width
-            if s.value >= (1 << width):
-                raise StimulusOutOfRange(f"value for {s.port!r} exceeds {width} bits")
-            self.sets_at.setdefault(tick, []).append((net, s.value))
-            self.port_schedule.setdefault(net, []).append((tick, s.value))
-        for sched in self.port_schedule.values():
-            sched.sort()
-        # the first hyperperiod boundary after every scheduled set, from
-        # which the stimulus runs free, and the whole hyperperiods between
-        # two checks for a repeat of the run's state from there
-        self.free_from = (max(self.sets_at, default=-1) // self.hyperperiod + 1) \
-            * self.hyperperiod
-        self.repeat_step = self.hyperperiod * -(-_REPEAT_TICKS // len(self.agenda.offsets))
-        self.random_driver = stimulus.random
-        self.random_nets: list[int] = []
-        if self.random_driver:
-            for p in self.random_driver.ports:
-                if p not in self.port_net:
-                    raise StimulusOutOfRange(f"random port {p!r} is not an input")
-                if self.nl.nets[self.port_net[p]].width != 1:
-                    raise StimulusOutOfRange(f"random port {p!r} must be 1 bit wide")
-                self.random_nets.append(self.port_net[p])
+class _View(NamedTuple):
+    """What the ticks of a run evaluate: the observed cone's flops and
+    gates, or every net's (module docstring, What a run evaluates)."""
+    groups: CombGroups              # its gates
+    port_comb: tuple                # the kernels of those the input ports reach
+    # (flop, out, reset net, active value, reset value) of each flop whose
+    # reset it settles: its own and the crossing destinations
+    resets: tuple[tuple[int, int, int, int, int], ...]
+    edge_set: dict[int, _EdgeSet]   # tick modulo the hyperperiod -> its edge set
+    observed: object                # `Engine.observed_values`, for the merge key
 
-        # flop clocking: root clock and gating condition
-        self.flops = self.nl.dffs()
-        self.flop_root = analysis.domains.clock_root   # flop -> root clock name
-        self.root_net = {f.index: self.nl.net_index[self.flop_root[f.index]]
-                         for f in self.flops}
-        gated = [f for f in self.flops if f.clock != self.root_net[f.index]]
+    def __deepcopy__(self, memo):
+        return self         # the engine's, shared by every state of it
 
-        # crossing bookkeeping (suppressed pairs are fully ignored)
-        self.pairs = [p for p in analysis.pairs if p.suppressed is None]
-        pairs_by_dst: dict[int, list[CdcPair]] = {}
-        for p in self.pairs:
-            pairs_by_dst.setdefault(p.dst, []).append(p)
-        self.monitored = sorted({p.src_net for p in self.pairs})
-        # crossing source net -> its flop, and that flop's root clock phase
-        # and period
-        self.src_flop: dict[int, tuple[Dff, int, int]] = {}
-        for p in self.pairs:
-            if p.src[0] == "cell" and isinstance(self.nl.cells[p.src[1]], Dff):
-                f = self.nl.cells[p.src[1]]
-                spec = self.clocks[self.flop_root[f.index]]
-                self.src_flop[p.src_net] = (f, spec.phase, spec.period)
-
-        # compiled kernels, shared with every engine on this netlist: the
-        # gates (a full pass, and the pass after the input ports move),
-        # each gated flop clock with its root substituted, and the enable
-        # and data of each crossing destination with its sources
-        # substituted, unless it has no enable and its data net is its
-        # only source
-        comb = comb_groups(self.nl)
-        self.comb = comb.full
-        self.port_comb = comb.select(PORT_BIT)
-        srcs_of = {dst: tuple(dict.fromkeys(p.src_net for p in plist))
-                   for dst, plist in pairs_by_dst.items()}
-        captured = [self.nl.cells[dst] for dst, srcs in srcs_of.items()
-                    if self.nl.cells[dst].enable is not None
-                    or srcs != (self.nl.cells[dst].data,)]
-        cones = cone_kernels(
-            self.nl, [((f.clock,), (self.root_net[f.index],)) for f in gated]
-            + [((f.data,) if f.enable is None else (f.enable, f.data),
-                srcs_of[f.index]) for f in captured])
-        self.clock_cone = {f.index: k for f, k in zip(gated, cones)}
-        capture = {f.index: k for f, k in zip(captured, cones[len(gated):])}
-        self.dsts: dict[int, _Dst] = {
-            dst: _Dst(dst, self.nl.cells[dst].out, self.nl.cells[dst].enable, srcs,
-                      capture.get(dst),
-                      tuple((p.id, p.src_net, (1 << p.width) - 1,
-                             *self.src_flop.get(p.src_net, (None, 0, 1))[1:])
-                            for p in sorted(pairs_by_dst[dst], key=lambda p: p.id)))
-            for dst, srcs in srcs_of.items()}
-
-        self.resets = [(f.index, f.out, f.reset, 0 if f.reset_active_low else 1,
-                        f.reset_value) for f in self.flops if f.reset is not None]
-        self.reset_nets = tuple(dict.fromkeys((r[2], r[3]) for r in self.resets))
-        self.checkers = checkers
-        # per clock: its domain's resets as (net, active value), which
-        # disable the checkers sampling on it
-        self.clock_resets = {
-            c.name: tuple((self.nl.net_index[r.net], int(not r.active_low))
-                          for r in cs.clock_resets(c.name))
-            for c in cs.clocks}
-
-        # one schedule per distinct set of clocks that edge together.  The
-        # checkers' `sample` methods are bound here, per engine, so one
-        # replaced on its class before the engine is made is the one called
-        sampling: dict[str, list[tuple[int, object]]] = {}
-        for ci, c in enumerate(checkers):
-            for clk in c.clocks:
-                sampling.setdefault(clk, []).append((ci, c.sample))
-        edge_sets = {m: self._edge_set([c.name for bit, c in enumerate(cs.clocks)
-                                        if m >> bit & 1], sampling, comb)
-                     for m in sorted(set(edge_mask.values()))}
-        # tick modulo the hyperperiod -> its edge set, in tick order
-        self.edge_set = {t: edge_sets[edge_mask[t]] for t in self.agenda.offsets}
-        self.fingerprint = pairs_fingerprint(analysis.pairs)
-
-    def _edge_set(self, clocks: list[str],
-                  sampling: dict[str, list[tuple[int, object]]],
-                  comb: CombGroups) -> _EdgeSet:
-        """The schedule of a tick at which exactly `clocks` edge; `sampling`
-        holds the checkers sampling on each clock."""
-        flops = tuple((f.index, f.out, f.data, f.enable) for f in self.flops
-                      if self.flop_root[f.index] in clocks)
-        activity = comb.activity
-        reach = 0
-        for _i, out, _data, _enable in flops:
-            reach |= activity[out]
-        return _EdgeSet(
-            flops,
-            tuple(self.dsts[i] for i, *_ in flops if i in self.dsts),
-            tuple(i for i, *_ in flops if i in self.clock_cone),
-            comb.select(reach),
-            tuple(n for n in self.monitored if activity[n] & reach),
-            tuple(n for n in self.monitored if activity[n] & (reach | PORT_BIT)),
-            any(activity[net] & reach for net, _active in self.reset_nets),
-            tuple((clk, self.clock_resets[clk], tuple(sampling[clk]))
-                  for clk in clocks if clk in sampling))
-
-    # -- state & evaluation helpers --
-
-    def initial_state(self) -> _State:
-        values = [0] * len(self.nl.nets)
-        for c in self.nl.cells:
-            if isinstance(c, Dff):
-                values[c.out] = c.reset_value
-            elif isinstance(c, Const):
-                values[c.out] = c.value
-        self.comb(values)
-        return _State(values, dict.fromkeys(self.monitored, ()),
-                      [c.start for c in self.checkers],
-                      [None] * len(self.checkers), 0)
-
-    def _settle_resets(self, values: list[int]) -> set[int]:
+    def settle_resets(self, values: list[int]) -> set[int]:
         """Force every flop whose async reset is active to its reset value,
         in place, until no reset changes; returns the flops held in reset.
         The engine enters it only when a reset net is at its active value.
@@ -865,8 +772,259 @@ class Engine:
                         changed = True
             if not changed:
                 break
-            self.comb(values)
+            self.groups.full(values)
         return held
+
+
+class Engine:
+    def __init__(self, analysis: Analysis, stimulus: Stimulus, msi: MsiConfig,
+                 checkers: list[Checker], scope: str = "sim"):
+        self.a = analysis
+        self.nl = analysis.netlist
+        self.msi = msi
+        self.scope = scope
+        cs = analysis.constraints
+        self.setup_window = cs.options["setup_window"]
+        self.hold_window = cs.options["hold_window"]
+
+        def out_of_range(line: int, message: str) -> StimulusOutOfRange:
+            return StimulusOutOfRange(f"{stimulus.origin}:{line}:0: {message}")
+
+        self.clocks: dict[str, ClockSpec] = {c.name: c for c in cs.clocks}
+        run_clock = self.clocks.get(stimulus.run_clock)
+        if run_clock is None:
+            raise out_of_range(stimulus.run_line,
+                               f"run clock {stimulus.run_clock!r} is not declared")
+        self.end_tick = run_clock.edge_tick(stimulus.run_edges - 1)
+        self.edges_per_clock = run_clock_edges(stimulus, cs.clocks, self.end_tick)
+        # the clocks that edge at each tick of one hyperperiod, bit i for
+        # cs.clocks[i].  A clock edges at its phase plus each multiple of
+        # its period, and 0 <= phase < period, so the pattern repeats every
+        # hyperperiod from tick 0; a run shorter than one is one block
+        self.hyperperiod = lcm(*(c.period for c in cs.clocks))
+        self.edge_mask: dict[int, int] = {}
+        for bit, c in enumerate(cs.clocks):
+            for t in range(c.phase, min(self.hyperperiod, self.end_tick + 1), c.period):
+                self.edge_mask[t] = self.edge_mask.get(t, 0) | 1 << bit
+        self.agenda = _Agenda(tuple(sorted(self.edge_mask)), self.hyperperiod, self.end_tick)
+
+        # port driving
+        self.port_net = {p.name: p.net for p in self.nl.ports if p.direction == "in"}
+        self.sets_at: dict[int, list[tuple[int, int]]] = {}
+        self.port_schedule: dict[int, list[tuple[int, int]]] = {}
+        for s in stimulus.sets:
+            spec = self.clocks.get(s.clock)
+            if spec is None:
+                raise out_of_range(s.line, f"stimulus clock {s.clock!r} is not declared")
+            if s.port not in self.port_net:
+                raise out_of_range(s.line, f"stimulus port {s.port!r} is not an input")
+            tick = spec.edge_tick(s.edge)
+            if tick > self.end_tick:
+                raise out_of_range(
+                    s.line, f"stimulus at {s.clock} edge {s.edge} lands after the run ends")
+            net = self.port_net[s.port]
+            width = self.nl.nets[net].width
+            if s.value >= (1 << width):
+                raise out_of_range(s.line, f"value for {s.port!r} exceeds {width} bits")
+            self.sets_at.setdefault(tick, []).append((net, s.value))
+            self.port_schedule.setdefault(net, []).append((tick, s.value))
+        for sched in self.port_schedule.values():
+            sched.sort()
+        # the first hyperperiod boundary after every scheduled set, from
+        # which the stimulus runs free, and the whole hyperperiods between
+        # two checks for a repeat of the run's state from there
+        self.free_from = (max(self.sets_at, default=-1) // self.hyperperiod + 1) \
+            * self.hyperperiod
+        self.repeat_step = self.hyperperiod * -(-_REPEAT_TICKS // len(self.agenda.offsets))
+        self.random_driver = stimulus.random
+        self.random_nets: list[int] = []
+        if self.random_driver:
+            line = self.random_driver.line
+            for p in self.random_driver.ports:
+                if p not in self.port_net:
+                    raise out_of_range(line, f"random port {p!r} is not an input")
+                if self.nl.nets[self.port_net[p]].width != 1:
+                    raise out_of_range(line, f"random port {p!r} must be 1 bit wide")
+                self.random_nets.append(self.port_net[p])
+
+        # flop clocking: root clock and gating condition
+        self.flops = self.nl.dffs()
+        self.flop_root = analysis.domains.clock_root   # flop -> root clock name
+        self.root_net = {f.index: self.nl.net_index[self.flop_root[f.index]]
+                         for f in self.flops}
+
+        # crossing bookkeeping (suppressed pairs are fully ignored)
+        self.pairs = [p for p in analysis.pairs if p.suppressed is None]
+        pairs_by_dst: dict[int, list[CdcPair]] = {}
+        for p in self.pairs:
+            pairs_by_dst.setdefault(p.dst, []).append(p)
+        self.monitored = sorted({p.src_net for p in self.pairs})
+        # crossing source net -> its flop, and that flop's root clock phase
+        # and period
+        self.src_flop: dict[int, tuple[Dff, int, int]] = {}
+        for p in self.pairs:
+            if p.src[0] == "cell" and isinstance(self.nl.cells[p.src[1]], Dff):
+                f = self.nl.cells[p.src[1]]
+                spec = self.clocks[self.flop_root[f.index]]
+                self.src_flop[p.src_net] = (f, spec.phase, spec.period)
+        srcs_of = {dst: tuple(dict.fromkeys(p.src_net for p in plist))
+                   for dst, plist in pairs_by_dst.items()}
+        # the sources of each destination that captures through a kernel:
+        # one with an enable, or whose data net is not its only source
+        self.capture_srcs = {dst: srcs for dst, srcs in srcs_of.items()
+                             if self.nl.cells[dst].enable is not None
+                             or srcs != (self.nl.cells[dst].data,)}
+        # compiled on first need by `_view`: the kernel of each gated flop
+        # clock with its root substituted, and each destination's capture
+        self.clock_cone: dict[int, object] = {}
+        self.dsts: dict[int, _Dst] = {
+            dst: _Dst(dst, self.nl.cells[dst].out, self.nl.cells[dst].enable, srcs, None,
+                      tuple((p.id, p.src_net, (1 << p.width) - 1,
+                             *self.src_flop.get(p.src_net, (None, 0, 1))[1:])
+                            for p in sorted(pairs_by_dst[dst], key=lambda p: p.id)))
+            for dst, srcs in srcs_of.items()}
+
+        self.reset_nets = tuple(dict.fromkeys(
+            (f.reset, 0 if f.reset_active_low else 1) for f in self.flops
+            if f.reset is not None))
+        self.checkers = checkers
+        # per clock: its domain's resets as (net, active value), which
+        # disable the checkers sampling on it
+        self.clock_resets = {
+            c.name: tuple((self.nl.net_index[r.net], int(not r.active_low))
+                          for r in cs.clock_resets(c.name))
+            for c in cs.clocks}
+        # the checkers sampling on each clock.  Their `sample` methods are
+        # bound here, per engine, so one replaced on its class before the
+        # engine is made is the one called
+        self.sampling: dict[str, list[tuple[int, object]]] = {}
+        for ci, c in enumerate(checkers):
+            for clk in c.clocks:
+                self.sampling.setdefault(clk, []).append((ci, c.sample))
+
+        # what a run without waves evaluates: the observed cone, whose
+        # values are all of the state's values that a repeat's key and a
+        # merge key hold
+        nl = self.nl
+        self.observed = self._observed_cone()
+        self.observed_values = _values_of(sorted(self.observed))
+        self.view = self._view(
+            [f for f in self.flops if f.out in self.observed],
+            comb_groups(nl, [i for i in nl.comb_topo() if nl.cells[i].out in self.observed]))
+        self.fingerprint = pairs_fingerprint(analysis.pairs)
+
+    def _observed_cone(self) -> frozenset[int]:
+        """The nets that the verdicts, events, coverage and decision count
+        of a run read (module docstring, What a run evaluates): the roots,
+        each checker's `nets` and its clocks' domain resets, the monitored
+        crossing sources, the reset nets and each destination flop's
+        clock, closed backward over gate inputs and over each flop's data,
+        enable, clock and reset.  A black box's outputs never change."""
+        nl = self.nl
+        todo = [net for c in self.checkers for net in c.nets]
+        todo += [net for c in self.checkers for clk in c.clocks
+                 for net, _active in self.clock_resets[clk]]
+        todo += self.monitored
+        todo += [net for net, _active in self.reset_nets]
+        todo += [nl.cells[i].clock for i in self.dsts]
+        cone: set[int] = set()
+        while todo:
+            net = todo.pop()
+            if net in cone:
+                continue
+            cone.add(net)
+            drv = nl.nets[net].driver
+            if drv is not None and drv[0] == "cell":
+                c = nl.cells[drv[1]]
+                if isinstance(c, Gate):
+                    todo.extend(c.inputs)
+                elif isinstance(c, Dff):
+                    todo += [n for n in (c.data, c.enable, c.clock, c.reset) if n is not None]
+        return frozenset(cone)
+
+    @cached_property
+    def full_view(self) -> _View:
+        """The view of every net, which a run with waves evaluates, built on
+        its first need: the observed cone's kernels, then those of the gates
+        outside it, compiled now, in each activity group.  No gate of the
+        cone reads a net outside it, so that order is topological."""
+        nl = self.nl
+        rest = [i for i in nl.comb_topo() if nl.cells[i].out not in self.observed]
+        if not rest and all(f.out in self.observed for f in self.flops):
+            return self.view
+        return self._view(self.flops, _joined(self.view.groups, comb_groups(nl, rest))
+                          if rest else self.view.groups)
+
+    def _view(self, flops: Sequence[Dff], groups: CombGroups) -> _View:
+        """The view that evaluates `flops` and the gates of `groups`, which
+        hold every flop and gate that those read.  Its ticks search every
+        crossing destination for opportunities and settle and check the
+        reset and gated clock of each, which decide whether it edges, but
+        capture only those among `flops`.  The clock and capture kernels it
+        needs that are not compiled yet are compiled together."""
+        nl = self.nl
+        inside = {f.index for f in flops}
+        clocked = [f for f in self.flops if f.index in inside or f.index in self.dsts]
+        gated = [f for f in clocked if f.clock != self.root_net[f.index]
+                 and f.index not in self.clock_cone]
+        captured = [i for i in self.capture_srcs
+                    if i in inside and self.dsts[i].kernel is None]
+        kernels = cone_kernels(nl, [((f.clock,), (self.root_net[f.index],)) for f in gated] + [
+            ((nl.cells[i].data,) if nl.cells[i].enable is None
+             else (nl.cells[i].enable, nl.cells[i].data), self.capture_srcs[i])
+            for i in captured])
+        self.clock_cone.update(zip((f.index for f in gated), kernels))
+        for i, kernel in zip(captured, kernels[len(gated):]):
+            self.dsts[i] = self.dsts[i]._replace(kernel=kernel)
+        # one schedule per distinct set of clocks that edge together
+        edge_sets = {m: self._edge_set(m, inside, groups)
+                     for m in sorted(set(self.edge_mask.values()))}
+        return _View(
+            groups, groups.select(PORT_BIT),
+            tuple((f.index, f.out, f.reset, 0 if f.reset_active_low else 1, f.reset_value)
+                  for f in clocked if f.reset is not None),
+            {t: edge_sets[m] for t, m in sorted(self.edge_mask.items())},
+            self.observed_values)
+
+    def _edge_set(self, mask: int, inside: set[int], groups: CombGroups) -> _EdgeSet:
+        """The schedule of a tick at which the clocks of `mask` edge, bit i
+        for the i-th declared clock, in the view of the flops `inside`."""
+        clocks = [c.name for bit, c in enumerate(self.a.constraints.clocks) if mask >> bit & 1]
+        edging = [f for f in self.flops if self.flop_root[f.index] in clocks]
+        flops = tuple((f.index, f.out, f.data, f.enable) for f in edging if f.index in inside)
+        activity = groups.activity
+        reach = 0
+        for _i, out, _data, _enable in flops:
+            reach |= activity[out]
+        dsts = tuple(self.dsts[f.index] for f in edging if f.index in self.dsts)
+        captures = tuple(d for d in dsts if d.index in inside)
+        return _EdgeSet(
+            flops, dsts, dsts if len(captures) == len(dsts) else captures,
+            tuple(f.index for f in edging if f.index in self.clock_cone
+                  and (f.index in inside or f.index in self.dsts)),
+            groups.select(reach),
+            tuple(n for n in self.monitored if activity[n] & reach),
+            tuple(n for n in self.monitored if activity[n] & (reach | PORT_BIT)),
+            any(activity[net] & reach for net, _active in self.reset_nets),
+            tuple((clk, self.clock_resets[clk], tuple(self.sampling[clk]))
+                  for clk in clocks if clk in self.sampling))
+
+    # -- state & evaluation helpers --
+
+    def initial_state(self, waves: bool = False) -> _State:
+        """The state before the first tick, in the view of a run with
+        `waves` (every net) or of one without (the observed cone)."""
+        view = self.full_view if waves else self.view
+        values = [0] * len(self.nl.nets)
+        for c in self.nl.cells:
+            if isinstance(c, Dff):
+                values[c.out] = c.reset_value
+            elif isinstance(c, Const):
+                values[c.out] = c.value
+        view.groups.full(values)
+        return _State(values, dict.fromkeys(self.monitored, ()),
+                      [c.start for c in self.checkers],
+                      [None] * len(self.checkers), 0, view)
 
     def _rises(self, flop: int, values: list[int]) -> bool:
         """Whether a gated flop clock rises with its root clock."""
@@ -890,34 +1048,16 @@ class Engine:
         return frozenset(reach)
 
     def decisions_unseen(self) -> bool:
-        """Whether the decision reach holds no net that a checker reads (its
-        `nets` and its clocks' domain resets) and none that shapes a tick's
-        opportunities (a monitored crossing source, a reset net or a
-        destination flop's clock), so that every path shares the values of
-        every net outside it (module docstring, Seeds that share a path)."""
-        read = [net for c in self.checkers for net in c.nets]
-        read += [net for c in self.checkers for clk in c.clocks
-                 for net, _active in self.clock_resets[clk]]
-        read += self.monitored
-        read += [net for net, _active in self.reset_nets]
-        read += [self.nl.cells[i].clock for i in self.dsts]
-        return self.decision_reach.isdisjoint(read)
-
-    @cached_property
-    def _repeat_values(self):
-        """The getter of the values that a repeat compares (module
-        docstring, A run that repeats): those of the nets outside the
-        decision reach, or of every net with injection off."""
-        nets = range(len(self.nl.nets))
-        if self.msi.enabled:
-            nets = [n for n in nets if n not in self.decision_reach]
-        return itemgetter(*nets)
+        """Whether the decision reach misses the observed cone, so that
+        every path shares the values of every net outside the reach (module
+        docstring, Seeds that share a path)."""
+        return self.decision_reach.isdisjoint(self.observed)
 
     def _repeat_rest(self, state: _State, boundary: int) -> tuple:
         """What a repeat compares at the hyperperiod boundary `boundary`
-        besides the values: each monitored net's flips that a tick at or
-        after it can read, as (boundary - tick, flipped bits), and the
-        checker states."""
+        besides the observed cone's values: each monitored net's flips that
+        a tick at or after it can read, as (boundary - tick, flipped bits),
+        and the checker states."""
         horizon = boundary - self.setup_window
         return (tuple(tuple((boundary - t, flipped) for t, flipped in state.hist[n]
                             if t >= horizon) for n in self.monitored),
@@ -925,11 +1065,12 @@ class Engine:
 
     # -- tick planning / committing --
 
-    def _drive(self, values: list[int], tick: int,
-               rng: random.Random | None) -> list[int]:
+    def _drive(self, values: list[int], tick: int, rng: random.Random | None,
+               port_comb: tuple) -> list[int]:
         """`values` with the ports the tick moves moved: its scheduled sets
-        and, with `rng`, the random port toggles.  When some port moves this
-        is a copy with the gates the input ports reach re-evaluated, else
+        and, with `rng`, the random port toggles, each port drawn whether or
+        not the view reads it.  When some port moves this is a copy with
+        the gates the input ports reach re-evaluated by `port_comb`, else
         `values` itself."""
         vals0 = values
         for net, value in self.sets_at.get(tick, ()):
@@ -945,7 +1086,7 @@ class Engine:
                         vals0 = values[:]
                     vals0[net] ^= 1
         if vals0 is not values:
-            for kernel in self.port_comb:
+            for kernel in port_comb:
                 kernel(vals0)
         return vals0
 
@@ -954,13 +1095,15 @@ class Engine:
         """The tick's pre-edge values, captures and opportunities; `rng`
         drives the random stimulus ports, which stay still without it.  The
         pre-edge values are the state's own list unless the tick writes them
-        (a port moves, or a reset is active): then they are a copy."""
+        (a port moves, or a reset is active): then they are a copy.  The
+        state's view decides what the tick evaluates."""
+        view = state.view
         vals0 = state.values
         if tick in self.sets_at or self.random_nets and rng is not None:
-            vals0 = self._drive(vals0, tick, rng)
+            vals0 = self._drive(vals0, tick, rng, view.port_comb)
         driven = vals0 is not state.values
 
-        edges = self.edge_set[tick % self.hyperperiod]
+        edges = view.edge_set[tick % self.hyperperiod]
         # flops held in reset, and gated flops whose clock does not rise,
         # do not capture
         skip = ()
@@ -968,7 +1111,7 @@ class Engine:
             if vals0[net] & 1 == active:
                 if not driven:
                     vals0 = vals0[:]
-                skip = self._settle_resets(vals0)
+                skip = view.settle_resets(vals0)
                 break
         # the monitored nets that can differ from the state's after the
         # tick: a reset may have moved any flop
@@ -977,10 +1120,11 @@ class Engine:
         for i in edges.gated:
             if i not in skip and not self._rises(i, vals0):
                 skip = {i, *skip}
-        flops, dsts = edges.flops, edges.dsts
+        flops, dsts, captures = edges.flops, edges.dsts, edges.captures
         if skip:
             flops = [f for f in flops if f[0] not in skip]
             dsts = [d for d in dsts if d.index not in skip]
+            captures = [d for d in captures if d.index not in skip]
         post = vals0[:]
         for _i, out, data, enable in flops:
             if enable is None or vals0[enable] & 1:
@@ -1015,7 +1159,7 @@ class Engine:
                             pid, index, src, low.bit_length() - 1,
                             "setup" if setup & low else "hold")))
                         bits ^= low
-        return tuple.__new__(_TickPlan, (tick, vals0, post, dsts, opps, edges, scan))
+        return tuple.__new__(_TickPlan, (tick, vals0, post, captures, opps, edges, scan))
 
     def _hold_toggles(self, src: int, tick: int, post: list[int],
                       edges: _EdgeSet, lookahead: list[list[int]]) -> int:
@@ -1079,7 +1223,7 @@ class Engine:
         if edges.settle:
             for net, active in self.reset_nets:
                 if final[net] & 1 == active:
-                    self._settle_resets(final)
+                    state.view.settle_resets(final)
                     scan = self.monitored
                     break
 
@@ -1121,16 +1265,17 @@ class Engine:
         (`msi.seed` by default) draws every decision and drives the random
         stimulus ports.  With a `path`, even an empty one, opportunity i
         takes `path[i]`, those past the end of `path` keep the reference
-        value, and the random ports stay still.  With `waves` the result
-        keeps as frames the values list of every tick, which no tick writes
-        once a state holds it; without, its frames are None and its events,
+        value, and the random ports stay still.  With `waves` the run
+        evaluates every net and the result keeps as frames the values list
+        of every tick, which no tick writes once a state holds it; without,
+        it evaluates the observed cone, its frames are None and its events,
         verdicts and coverage are the same.  The ticks run in one fused
         loop body (`_fused`), which makes no `plan_tick` or `commit_tick`
         call."""
         if seed is None:
             seed = self.msi.seed
         rng = random.Random(seed) if path is None else None
-        state = self.initial_state()
+        state = self.initial_state(waves)
         frames = [state.values] if waves else None
         state, events = self._fused(state, rng, path, frames)
         return self._finish(state, events, frames, seed if rng is not None else None)
@@ -1153,7 +1298,7 @@ class Engine:
             return
         trace: list[MsiEvent] = []
         if waves:
-            state = self.initial_state()
+            state = self.initial_state(True)
             frames = [state.values]
             state, events = self._fused(state, random.Random(seeds[0]), None, frames, trace)
             yield self._finish(state, events, frames, seeds[0])
@@ -1190,7 +1335,7 @@ class Engine:
         period, end = self.repeat_step, self.end_tick
         base = self.free_from
         self._fused(state, None, (), None, trace, 0, base)
-        values, rest = self._repeat_values, self._repeat_rest
+        values, rest = self.observed_values, self._repeat_rest
         # the saved key, its values and the rest, with its boundary and the
         # trace's length there
         saved = (values(state.values), rest(state, base), base, len(trace))
@@ -1246,10 +1391,11 @@ class Engine:
         helpers that the steps call too."""
         values, hist = state.values, state.hist
         checkers, failures = state.checkers, state.failures
-        phases, hyper = tuple(self.edge_set.items()), self.hyperperiod
-        sets_at = self.sets_at
+        view = state.view
+        phases, hyper = tuple(view.edge_set.items()), self.hyperperiod
+        sets_at, port_comb = self.sets_at, view.port_comb
         stop = self.end_tick + 1 if stop is None else min(stop, self.end_tick + 1)
-        drive, settle_resets = self._drive, self._settle_resets
+        drive, settle_resets = self._drive, view.settle_resets
         rises, hold_toggles = self._rises, self._hold_toggles
         reset_nets, monitored = self.reset_nets, self.monitored
         setup_window, hold_window = self.setup_window, self.hold_window
@@ -1265,9 +1411,10 @@ class Engine:
                                   [p for p in phases if base + p[0] < stop]):
                 tick = base + offset
                 # the plan: drive the ports, settle an active reset, edge the flops
-                vals0 = drive(values, tick, rng) if moving or tick in sets_at else values
+                vals0 = drive(values, tick, rng, port_comb) if moving or tick in sets_at \
+                    else values
                 driven = vals0 is not values
-                flops, dsts, gated, comb, scan, scan_driven, settle, checks = edges
+                flops, dsts, captures, gated, comb, scan, scan_driven, settle, checks = edges
                 skip = ()
                 for net, active in reset_nets:
                     if vals0[net] & 1 == active:
@@ -1285,6 +1432,7 @@ class Engine:
                 if skip:
                     flops = [f for f in flops if f[0] not in skip]
                     dsts = [d for d in dsts if d.index not in skip]
+                    captures = [d for d in captures if d.index not in skip]
                 post = vals0[:]
                 for _i, out, data, enable in flops:
                     if enable is None or vals0[enable] & 1:
@@ -1329,9 +1477,9 @@ class Engine:
                                     events.append(event)
 
                 # the commit: capture, settle the gates and resets, record flips
-                if dsts:
+                if captures:
                     final = post[:]
-                    _capture(vals0, post, final, flips, dsts)
+                    _capture(vals0, post, final, flips, captures)
                 else:
                     final = post
                 if final != vals0:

@@ -29,12 +29,14 @@ class SetDirective:
     edge: int
     port: str
     value: int
+    line: int = field(default=0, compare=False)     # the line of its `at` directive
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class RandomDriver:
     ports: tuple[str, ...]
     probability: float
+    line: int = field(default=0, compare=False)     # the line of the `random` directive
 
 
 # the most clock edges a run may imply, summed over the clocks: the engine
@@ -76,7 +78,7 @@ def parse_stimulus(text: str, origin: str = "<stimulus>") -> Stimulus:
                 raise ParseError(f"edge indices for {clock!r} must be non-decreasing",
                                  line_no, 0, origin)
             last_edge[clock] = edge_i
-            st.sets.append(SetDirective(clock, edge_i, port, value_i))
+            st.sets.append(SetDirective(clock, edge_i, port, value_i, line_no))
         elif parts[0] == "random":
             rest = parts[1:]
             ports = tuple(take_flag(rest, "-ports", line_no, origin).split(","))
@@ -92,7 +94,7 @@ def parse_stimulus(text: str, origin: str = "<stimulus>") -> Stimulus:
                 raise ParseError(f"unexpected tokens {rest!r}", line_no, 0, origin)
             if not 0.0 <= prob <= 1.0:
                 raise ParseError("toggle probability must be in [0,1]", line_no, 0, origin)
-            st.random = RandomDriver(ports, prob)
+            st.random = RandomDriver(ports, prob, line_no)
         elif parts[0] == "run":
             if len(parts) != 4 or parts[2] != "of":
                 raise ParseError("expected: run <edges> of <clock>", line_no, 0, origin)

@@ -102,12 +102,14 @@ def stepped_run(eng: Engine, path=None, waves: bool = True,
     """`eng.run(path, waves, seed)` with each tick a `plan_tick` and a
     `commit_tick` of the decisions drawn from the seeded RNG or read from
     `path`, the stepped driver that the fused loop of `Engine.run` is held
-    to.  The steps are looked up on the engine, so a subclass's or a
-    wrapper installed on the class sees every tick."""
+    to.  It evaluates every net, with waves or without, so a run without
+    waves, which evaluates the observed cone, is held to the full
+    evaluation.  The steps are looked up on the engine, so a subclass's or
+    a wrapper installed on the class sees every tick."""
     if seed is None:
         seed = eng.msi.seed
     rng = random.Random(seed) if path is None else None
-    state = eng.initial_state()
+    state = eng.initial_state(True)
     frames = [state.values] if waves else None
     events: list[MsiEvent] = []
     for tick in eng.agenda:
@@ -127,6 +129,15 @@ def stepped_run(eng: Engine, path=None, waves: bool = True,
     return eng._finish(state, events, frames, seed if rng is not None else None)
 
 
+class FullEngine(Engine):
+    """`Engine` whose every run, seed pool and search evaluates every net,
+    as a run with waves does: the full evaluation that the observed cone
+    of a run without waves is held to."""
+
+    def initial_state(self, waves: bool = False) -> _State:
+        return super().initial_state(True)
+
+
 class WaveRecorder(Engine):
     """`Engine` with the per-net change recorder that frames replaced, the
     reference they are tested against: after each commit it compares
@@ -136,8 +147,8 @@ class WaveRecorder(Engine):
 
     run = stepped_run
 
-    def initial_state(self) -> _State:
-        state = super().initial_state()
+    def initial_state(self, waves: bool = False) -> _State:
+        state = super().initial_state(waves)
         self.waves = {n: [(_NEG, v)] for n, v in enumerate(state.values)}
         return state
 
@@ -1720,8 +1731,9 @@ class ReferenceEngine(Engine):
             for clk in c.clocks:
                 self.checkers_by_clock.setdefault(clk, []).append(i)
 
-    def initial_state(self) -> _State:
-        state = super().initial_state()
+    def initial_state(self, waves: bool = True) -> _State:
+        """The engine's state in the view of every net, whatever `waves`."""
+        state = super().initial_state(True)
         state.hist = {n: [_NEG] * self.nl.nets[n].width for n in self.monitored}
         return state
 
@@ -1737,7 +1749,7 @@ class ReferenceEngine(Engine):
                 out[net] = v
                 changed = True
         if changed:
-            self.comb(out)
+            self.full_view.groups.full(out)
         return out
 
     def plan_tick(self, state: _State, tick: int, rng=None) -> _ReferencePlan:
@@ -1753,9 +1765,9 @@ class ReferenceEngine(Engine):
                     vals0[self.port_net[pname]] ^= 1
                     driven = True
         if driven:
-            self.comb(vals0)
+            self.full_view.groups.full(vals0)
 
-        in_reset = self._settle_resets(vals0)
+        in_reset = self.full_view.settle_resets(vals0)
         gated = self.clock_cone
         edged = [i for i in self.flops_at.get(tick, ())
                  if i not in in_reset and (i not in gated or self._rises(i, vals0))]
@@ -1859,7 +1871,7 @@ class ReferenceEngine(Engine):
                 newvals[dst] = got[1] if got[0] & 1 else vals0[out]
 
         final = self._captured(vals0, newvals)
-        self._settle_resets(final)
+        self.full_view.settle_resets(final)
 
         old = state.values
         hist = state.hist
@@ -1891,7 +1903,7 @@ class ReferenceEngine(Engine):
                         failures = list(failures)
                     failures[ci] = (tick, message)
         return (_State(final, hist, checkers, failures,
-                       state.decisions + len(plan.opps)), events)
+                       state.decisions + len(plan.opps), state.view), events)
 
 
 def _vcd_change(value: int, width: int, vid: str) -> str:

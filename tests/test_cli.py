@@ -775,6 +775,44 @@ def test_stimulus_without_run_names_its_file(corpus_root, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {stim}: stimulus needs a run directive\n"
 
 
+# (case, stimulus, the line of it that the engine rejects, message)
+STIMULUS_OUT_OF_RANGE = [
+    pytest.param("gray_cross",
+                 "at clk_a 0 set rst_a_n 1\nat clk_z 0 set rst_b_n 1\nrun 10 of clk_b\n",
+                 2, "stimulus clock 'clk_z' is not declared", id="set-clock"),
+    pytest.param("gray_cross",
+                 "# outputs are driven by the design\nat clk_a 1 set o 1\nrun 10 of clk_b\n",
+                 2, "stimulus port 'o' is not an input", id="set-port"),
+    pytest.param("gray_cross", "at clk_a 0 set rst_a_n 1\n\nat clk_a 100000 set rst_b_n 1\n"
+                 "run 10 of clk_b\n",
+                 3, "stimulus at clk_a edge 100000 lands after the run ends", id="set-edge"),
+    pytest.param("gray_cross", "at clk_a 0 set rst_a_n 2\nrun 10 of clk_b\n",
+                 1, "value for 'rst_a_n' exceeds 1 bits", id="set-value"),
+    pytest.param("gray_cross", "at clk_a 0 set rst_a_n 1\n"
+                 "random -ports rst_b_n,o -p 0.5 -seed 1\nrun 10 of clk_b\n",
+                 2, "random port 'o' is not an input", id="random-port"),
+    pytest.param("mux_sync", "random -ports load,din -p 0.5 -seed 1\nrun 10 of clk_b\n",
+                 1, "random port 'din' must be 1 bit wide", id="random-width"),
+    pytest.param("gray_cross", "at clk_a 0 set rst_a_n 1\n\n\nrun 10 of clk_q\n",
+                 4, "run clock 'clk_q' is not declared", id="run-clock"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "explore"])
+@pytest.mark.parametrize("case, text, line, message", STIMULUS_OUT_OF_RANGE)
+def test_stimulus_the_engine_rejects_names_its_file_and_line(
+        corpus_root, tmp_path, capsys, command, case, text, line, message):
+    """Stimulus that parses but that the design or the constraints reject
+    is reported at the line of its directive, as the parser reports its
+    own errors, and exits 1."""
+    files, _ = _case_args(corpus_root, case)
+    stim = tmp_path / "s.stim"
+    stim.write_text(text)
+    rc = main([command, *files, "-s", str(stim), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {stim}:{line}:0: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "explore"])
 def test_a_checkers_entry_naming_no_kind_exits_one(corpus_root, tmp_path, capsys,
                                                    command):
@@ -1022,11 +1060,19 @@ def test_simulate_seeds_compile_the_comb_kernel_once(corpus_root, tmp_path, monk
     compiled = []
     real = sim._compile_comb
     monkeypatch.setattr(sim, "_compile_comb",
-                        lambda nl: compiled.append(nl.name) or real(nl))
-    files, stim = _case_args(corpus_root, "cov_toggle")
-    assert main(["simulate", *files, "-s", stim, "--seeds", "1..3",
-                 "--checkers", "none", "--out", str(tmp_path)]) == 0
-    assert len(compiled) == 1
+                        lambda nl, gates: compiled.append((nl, gates)) or real(nl, gates))
+    files, stim = _case_args(corpus_root, "binary_cross")
+    argv = ["simulate", *files, "-s", stim, "--seeds", "1..3", "--checkers", "none",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(compiled) == 1       # the observed cone's gates
+    # the first seed's waves evaluate every net: the other gates compile
+    # once more, and each gate compiles once
+    compiled.clear()
+    assert main(argv + ["--vcd", str(tmp_path / "t.vcd")]) == 0
+    [(nl, cone), (other, rest)] = compiled
+    assert other is nl and cone and rest
+    assert sorted(cone + rest) == sorted(nl.comb_topo())
 
 
 def test_simulate_seeds_run_on_one_engine(corpus_root, tmp_path, monkeypatch):
@@ -1163,7 +1209,9 @@ def test_gc_stays_off_for_a_caller_that_turned_it_off(corpus_root, tmp_path, cap
 
 def test_cyclic_garbage_does_not_grow_with_the_design(corpus_root, tmp_path, capsys):
     # what `gc.collect()` finds after a command, with the collector paused
-    # as `main` pauses it, is the same for a 1-block and a 12-block design,
+    # as `main` pauses it, is the same for a 1-block and a 12-block design
+    # (for `explore`, generated exploration designs, and for `simulate
+    # --vcd`, whose waves evaluate every net, generated simulation designs),
     # and for a `simulate` of 2 and of 20 seeds that share a path
     gen = load_gen()
     found = {}
@@ -1171,16 +1219,26 @@ def test_cyclic_garbage_does_not_grow_with_the_design(corpus_root, tmp_path, cap
     gc.disable()
     try:
         for blocks in (1, 1, 12):   # the first run takes any one-time garbage
-            d = gen.build(f"flat{blocks}", 1, blocks, shape="flat")
-            work = tmp_path / f"flat{blocks}"
-            work.mkdir(exist_ok=True)
-            for name, text in d.files.items():
-                (work / name).write_text(text)
-            for command in ("analyze", "generate"):
+            flat = gen.build(f"flat{blocks}", 1, blocks, shape="flat")
+            designs = (
+                ("analyze", flat, []),
+                ("generate", flat, []),
+                ("explore", gen.build("explore", 1, blocks, purpose="explore", run_edges=4,
+                                      gray_sources=2),
+                 ["--budget", "16", "--checkers", ",".join(gen.EXPLORE_CHECKERS)]),
+                ("simulate", gen.build("sim", 1, blocks, block=gen.SIM_BLOCK, purpose="sim",
+                                       run_edges=30),
+                 ["--seeds", "1..2", "--checkers", ",".join(gen.SIM_CHECKERS),
+                  "--vcd", str(tmp_path / "trace.vcd")]))
+            for command, d, options in designs:
+                work = tmp_path / f"{command}{blocks}"
+                work.mkdir(exist_ok=True)
+                for name, text in d.files.items():
+                    (work / name).write_text(text)
+                stim = ["-s", str(work / "stimulus.stim")] if options else []
                 gc.collect()
-                assert main([command, str(work / "rtl.v"), "-c",
-                             str(work / "constraints.cdc"),
-                             "--out", str(work / command)]) == 0
+                assert main([command, str(work / "rtl.v"), "-c", str(work / "constraints.cdc"),
+                             *stim, *options, "--out", str(work / "out")]) == 0
                 found[command, blocks] = gc.collect()
         case = corpus_root / "binary_cross"
         for seeds in ("1..2", "1..2", "1..20"):
@@ -1192,8 +1250,8 @@ def test_cyclic_garbage_does_not_grow_with_the_design(corpus_root, tmp_path, cap
     finally:
         if was:
             gc.enable()
-    assert found["analyze", 12] == found["analyze", 1]
-    assert found["generate", 12] == found["generate", 1]
+    for command in ("analyze", "generate", "explore", "simulate"):
+        assert found[command, 12] == found[command, 1], command
     assert found["simulate", "1..20"] == found["simulate", "1..2"]
 
 

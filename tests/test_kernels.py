@@ -319,7 +319,7 @@ def _compiled(monkeypatch, nl) -> tuple[int, int]:
     real = sim._compile
     monkeypatch.setattr(sim, "_compile",
                         lambda batch, label: sources.extend(batch) or real(batch, label))
-    groups = sim._compile_comb(nl).groups
+    groups = sim._compile_comb(nl, nl.comb_topo()).groups
     return len(sources), sum(len(kernels) for _sig, _gates, kernels, _sizes in groups)
 
 

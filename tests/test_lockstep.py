@@ -13,7 +13,7 @@ import pytest
 
 from cdckit.checkers import build_checkers
 from cdckit.pipeline import analyze_sources
-from cdckit.sim import Engine, MsiConfig, comb_groups
+from cdckit.sim import Engine, MsiConfig
 from cdckit.stimulus import parse_stimulus
 from conftest import load_gen
 from oracles import ReferenceEngine, reference_simulate, run_waves
@@ -63,12 +63,14 @@ def lockstep(analysis, stimulus, seed: int, all_taken: bool = False,
         return cls(analysis, stimulus, MsiConfig(seed=seed), checkers)
 
     eng, ref = engine(Engine), engine(ReferenceEngine)
-    assert ref.comb is comb_groups(analysis.netlist).full
     assert eng.agenda == ref.agenda
     assert eng.edges_per_clock == ref.edges_per_clock
     ports, ref_ports = random.Random(seed), random.Random(seed)
     decide = random.Random(seed + 1000)
-    state, ref_state = eng.initial_state(), ref.initial_state()
+    # both evaluate every net, the reference every gate in each pass
+    state, ref_state = eng.initial_state(True), ref.initial_state()
+    assert _gates_run(ref.full_view, (ref.full_view.groups.full,)) == \
+        len(analysis.netlist.comb_topo())
     assert_same_state(eng, state, ref_state, eng.agenda[0] - 1)
     seen = {"opportunities": 0, "hold": 0, "events": 0, "skipped": 0,
             "history": 0}
@@ -116,9 +118,9 @@ def test_corpus_lockstep_covers_a_gated_flop_whose_clock_does_not_rise(case_load
     gated flop whose root clock edges while its gate holds the clock low."""
     analysis, stim_text = case_loader("codegen_full")
     eng = Engine(analysis, parse_stimulus(stim_text), MsiConfig(), [])
+    state, still = eng.initial_state(True), 0
     assert len(eng.clock_cone) == 1
     gated = next(iter(eng.clock_cone))
-    state, still = eng.initial_state(), 0
     for tick in eng.agenda:
         plan = eng.plan_tick(state, tick)
         if gated in plan.edges.gated and not eng._rises(gated, plan.vals0):
@@ -127,9 +129,12 @@ def test_corpus_lockstep_covers_a_gated_flop_whose_clock_does_not_rise(case_load
     assert still
 
 
-def _gates_run(analysis, kernels) -> int:
-    size = {kernel: n for _sig, _gates, kernels, sizes in comb_groups(analysis.netlist).groups
+def _gates_run(view, kernels) -> int:
+    """The gates that `kernels` of the engine view `view` run; its full
+    pass runs all of them."""
+    size = {kernel: n for _sig, _gates, kernels, sizes in view.groups.groups
             for kernel, n in zip(kernels, sizes)}
+    size[view.groups.full] = sum(size.values())
     return sum(map(size.__getitem__, kernels))
 
 
@@ -146,14 +151,15 @@ def _generated(purpose: str):
 
 
 def test_generated_sim_design_runs_partial_passes():
-    """Each edge set's pass, and the port drive's, runs fewer gates than the
-    full pass the reference runs, so the lockstep below compares them."""
+    """Each edge set's pass, and the port drive's, in the view of every net
+    that the lockstep below runs the engine in, runs fewer gates than the
+    full pass the reference runs, so the lockstep compares them."""
     analysis, stim, _select = _generated("sim")
-    eng = Engine(analysis, stim, MsiConfig(), [])
+    view = Engine(analysis, stim, MsiConfig(), []).full_view
     full = len(analysis.netlist.comb_topo())
-    runs = {_gates_run(analysis, edges.comb) for edges in eng.edge_set.values()}
+    runs = {_gates_run(view, edges.comb) for edges in view.edge_set.values()}
     assert len(runs) > 1 and max(runs) < full, (runs, full)
-    assert 0 < _gates_run(analysis, eng.port_comb) < full
+    assert 0 < _gates_run(view, view.port_comb) < full
 
 
 @pytest.mark.parametrize("purpose", ["sim", "explore"])

@@ -383,12 +383,19 @@ def test_engine_compiles_its_cone_kernels_in_one_call(monkeypatch):
     stim = parse_stimulus(stim_text)
     eng = Engine(analysis, stim, MsiConfig(), [])
     # one gated flop clock and seven crossing destinations, of which six
-    # capture their only source as it is and need no kernel
+    # capture their only source as it is and need no kernel.  Without
+    # checkers the gated flop and the destination with a kernel lie outside
+    # the observed cone, so a run without waves compiles neither, and the
+    # first run with waves compiles both
+    assert len(eng.dsts) == 7
+    assert not eng.clock_cone and not any(d.kernel for d in eng.dsts.values())
+    eng.run(waves=False)
+    assert batches == []
+    eng.run()
     assert len(eng.clock_cone) == 1
     assert [d.kernel is not None for d in eng.dsts.values()].count(True) == 1
-    assert len(eng.dsts) == 7
     assert batches == [2]
-    Engine(analysis, stim, MsiConfig(), [])
+    Engine(analysis, stim, MsiConfig(), []).run()
     assert batches == [2]       # a second engine reuses the netlist's kernels
 
 
